@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # whatever `staticcheck` is on PATH (and skip cleanly when there is none).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke bench benchrobust benchsmoke wirecheck benchwire benchscale scalegate benchprecision benchtree check
+.PHONY: build test race vet staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark bench benchrobust benchsmoke wirecheck benchwire benchscale scalegate benchprecision benchtree check
 
 build:
 	$(GO) build ./...
@@ -100,6 +100,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecompressUpdate -fuzztime=$(FUZZTIME) ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePartial -fuzztime=$(FUZZTIME) ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz=FuzzNarrowWidenValidate -fuzztime=$(FUZZTIME) ./internal/fl
+
+# benchmark runs the repository benchmark (BENCHMARK.json): every
+# workload untraced then traced, each in a fresh subprocess; see
+# benchmark/README.md. The bench* targets below are the legacy per-PR
+# reports.
+benchmark:
+	$(GO) run ./benchmark
 
 # bench regenerates the tracked perf report against the committed seed
 # baseline. The same workloads run under plain `go test -bench` in

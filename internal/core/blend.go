@@ -14,7 +14,8 @@ import (
 )
 
 // Blended is the pair of blend channels of Eq. 2 together with the
-// clipping masks needed to backpropagate through the clip.
+// clipping masks needed to backpropagate through the clip. It lives where
+// the blended batch does (its workspace, if any).
 type Blended struct {
 	// C1 = clip((1-α)·x + α·t), C2 = clip((1+α)·x − α·t).
 	C1, C2 *tensor.Tensor
@@ -32,10 +33,10 @@ func Blend(x, t *tensor.Tensor, alpha, lo, hi float64) *Blended {
 	if t.Size() != ss {
 		panic(fmt.Sprintf("core: perturbation size %d does not match sample size %d", t.Size(), ss))
 	}
-	c1 := tensor.New(x.Shape...)
-	c2 := tensor.New(x.Shape...)
-	p1 := make([]bool, x.Size())
-	p2 := make([]bool, x.Size())
+	c1 := tensor.NewLike(x, x.Shape...)
+	c2 := tensor.NewLike(x, x.Shape...)
+	p1 := x.Workspace().Bools(x.Size())
+	p2 := x.Workspace().Bools(x.Size())
 	for b := 0; b < n; b++ {
 		off := b * ss
 		for j := 0; j < ss; j++ {
@@ -43,19 +44,16 @@ func Blend(x, t *tensor.Tensor, alpha, lo, hi float64) *Blended {
 			tv := t.Data[j]
 			v1 := (1-alpha)*xv + alpha*tv
 			v2 := (1+alpha)*xv - alpha*tv
+			p1[off+j], p2[off+j] = true, true
 			if v1 < lo {
-				v1 = lo
+				v1, p1[off+j] = lo, false
 			} else if v1 > hi {
-				v1 = hi
-			} else {
-				p1[off+j] = true
+				v1, p1[off+j] = hi, false
 			}
 			if v2 < lo {
-				v2 = lo
+				v2, p2[off+j] = lo, false
 			} else if v2 > hi {
-				v2 = hi
-			} else {
-				p2[off+j] = true
+				v2, p2[off+j] = hi, false
 			}
 			c1.Data[off+j] = v1
 			c2.Data[off+j] = v2

@@ -84,7 +84,7 @@ func (m *CIPModel) Backward(cache nn.Cache, grad *tensor.Tensor) *tensor.Tensor 
 	}
 
 	// dC1/dx = (1-α), dC2/dx = (1+α).
-	gx := tensor.New(g1.Shape...)
+	gx := tensor.NewLike(g1, g1.Shape...)
 	for i := range gx.Data {
 		gx.Data[i] = (1-m.Alpha)*g1.Data[i] + (1+m.Alpha)*g2.Data[i]
 	}
@@ -102,6 +102,18 @@ func (m *CIPModel) Backward(cache nn.Cache, grad *tensor.Tensor) *tensor.Tensor 
 	return gx
 }
 
+// BackwardParams implements nn.ParamBackprop: the parameter gradients of
+// Backward without the clip gating and ∂L/∂x blend a training step throws
+// away. Accumulating ∂L/∂T needs the channel-input gradients, so with
+// AccumTGrad set it is the full Backward.
+func (m *CIPModel) BackwardParams(cache nn.Cache, grad *tensor.Tensor) {
+	if m.AccumTGrad {
+		m.Backward(cache, grad)
+		return
+	}
+	m.Dual.BackwardParams(cache.(*cipCache).dual, grad)
+}
+
 // Params implements nn.Layer, exposing the dual-channel network parameters
 // (T is optimized separately in Step I and is NOT part of the FL exchange —
 // it is the client's secret).
@@ -110,4 +122,7 @@ func (m *CIPModel) Params() []*nn.Param { return m.Dual.Params() }
 // ZeroTGrad clears the accumulated perturbation gradient.
 func (m *CIPModel) ZeroTGrad() { m.TGrad.Zero() }
 
-var _ nn.Layer = (*CIPModel)(nil)
+var (
+	_ nn.Layer         = (*CIPModel)(nil)
+	_ nn.ParamBackprop = (*CIPModel)(nil)
+)

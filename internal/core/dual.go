@@ -82,12 +82,29 @@ func (m *DualChannelModel) Backward(cache *DualCache, grad *tensor.Tensor) (g1, 
 	jointGrad := m.Head.Backward(cache.head, grad)
 	if m.channels() == 1 {
 		g1 = m.Backbone.Backward(cache.bb1, jointGrad)
-		return g1, tensor.New(cache.x2Shape...)
+		g2 = tensor.NewLike(g1, cache.x2Shape...)
+		g2.Zero()
+		return g1, g2
 	}
 	gf1, gf2 := splitFeatures(jointGrad, cache.featDim)
 	g1 = m.Backbone.Backward(cache.bb1, gf1)
 	g2 = m.Backbone.Backward(cache.bb2, gf2)
 	return g1, g2
+}
+
+// BackwardParams is Backward without the channel-input gradients: the
+// same parameter-gradient accumulation, in the same order, but each
+// backbone pass skips its first layer's input gradient. Model learning
+// (Step II) never reads ∂L/∂x; only perturbation generation does.
+func (m *DualChannelModel) BackwardParams(cache *DualCache, grad *tensor.Tensor) {
+	jointGrad := m.Head.Backward(cache.head, grad)
+	if m.channels() == 1 {
+		m.Backbone.BackwardParams(cache.bb1, jointGrad)
+		return
+	}
+	gf1, gf2 := splitFeatures(jointGrad, cache.featDim)
+	m.Backbone.BackwardParams(cache.bb1, gf1)
+	m.Backbone.BackwardParams(cache.bb2, gf2)
 }
 
 // Params returns the shared backbone parameters plus the head.
@@ -101,7 +118,7 @@ func (m *DualChannelModel) NumParams() int { return nn.NumParams(m.Params()) }
 func concatFeatures(a, b *tensor.Tensor) *tensor.Tensor {
 	n, fa := a.Shape[0], a.Shape[1]
 	fb := b.Shape[1]
-	out := tensor.New(n, fa+fb)
+	out := tensor.NewLike(a, n, fa+fb)
 	for i := 0; i < n; i++ {
 		copy(out.Data[i*(fa+fb):], a.Data[i*fa:(i+1)*fa])
 		copy(out.Data[i*(fa+fb)+fa:], b.Data[i*fb:(i+1)*fb])
@@ -112,8 +129,8 @@ func concatFeatures(a, b *tensor.Tensor) *tensor.Tensor {
 func splitFeatures(x *tensor.Tensor, fa int) (*tensor.Tensor, *tensor.Tensor) {
 	n, tot := x.Shape[0], x.Shape[1]
 	fb := tot - fa
-	a := tensor.New(n, fa)
-	b := tensor.New(n, fb)
+	a := tensor.NewLike(x, n, fa)
+	b := tensor.NewLike(x, n, fb)
 	for i := 0; i < n; i++ {
 		copy(a.Data[i*fa:], x.Data[i*tot:i*tot+fa])
 		copy(b.Data[i*fb:], x.Data[i*tot+fa:(i+1)*tot])

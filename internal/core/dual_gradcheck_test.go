@@ -67,3 +67,59 @@ func TestSingleChannelAdapterGradCheck(t *testing.T) {
 		t.Fatalf("single-channel grad check max relative error %v", rel)
 	}
 }
+
+// TestBackwardParamsMatchesBackward: the parameter-only backward pass
+// Step II trains through accumulates bit-for-bit the Param.Grad that the
+// full Backward does — for the raw dual-channel model (both channel
+// layouts) and through CIPModel's blend — so skipping ∂L/∂x cannot move a
+// digest.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	x := tensor.New(4, 2, 6, 6)
+	x.RandUniform(rand.New(rand.NewSource(44)), 0, 1)
+	labels := []int{0, 2, 1, 2}
+	grads := func(params []*nn.Param, pass func()) []float64 {
+		nn.ZeroGrads(params)
+		pass()
+		pass() // accumulation, not assignment
+		return nn.FlattenGrads(params)
+	}
+	for name, dual := range map[string]*DualChannelModel{
+		"dual":   newTestDual(45, 3),
+		"single": NewSingleChannelModel(rand.New(rand.NewSource(45)), model.VGG, testIn, 3),
+	} {
+		x2 := tensor.Scale(x, 0.5)
+		full := grads(dual.Params(), func() {
+			logits, c := dual.Forward(x, x2, true)
+			dual.Backward(c, nn.SoftmaxCrossEntropy(logits, labels).Grad)
+		})
+		paramsOnly := grads(dual.Params(), func() {
+			logits, c := dual.Forward(x, x2, true)
+			dual.BackwardParams(c, nn.SoftmaxCrossEntropy(logits, labels).Grad)
+		})
+		if !sameBits(full, paramsOnly) {
+			t.Errorf("%s: DualChannelModel.BackwardParams and Backward accumulate different gradients", name)
+		}
+
+		m := NewCIPModel(dual, NewPerturbation(46, []int{2, 6, 6}, 0, 1).T, 0.9)
+		full = grads(m.Params(), func() {
+			logits, c := m.Forward(x, true)
+			m.Backward(c, nn.SoftmaxCrossEntropy(logits, labels).Grad)
+		})
+		paramsOnly = grads(m.Params(), func() {
+			logits, c := m.Forward(x, true)
+			nn.TrainBackward(m, c, nn.SoftmaxCrossEntropy(logits, labels).Grad)
+		})
+		if !sameBits(full, paramsOnly) {
+			t.Errorf("%s: CIPModel.BackwardParams and Backward accumulate different gradients", name)
+		}
+
+		// With AccumTGrad set the parameter-only pass must still feed ∂L/∂T.
+		m.AccumTGrad = true
+		m.ZeroTGrad()
+		logits, c := m.Forward(x, true)
+		m.BackwardParams(c, nn.SoftmaxCrossEntropy(logits, labels).Grad)
+		if m.TGrad.L1Norm() == 0 {
+			t.Errorf("%s: BackwardParams under AccumTGrad dropped the perturbation gradient", name)
+		}
+	}
+}

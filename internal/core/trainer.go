@@ -90,6 +90,9 @@ func StepIGeneratePerturbation(m *CIPModel, data *datasets.Dataset, cfg TrainCon
 	cfg = cfg.withDefaults()
 	m.AccumTGrad = true
 	defer func() { m.AccumTGrad = false }()
+	ws := tensor.AcquireWorkspace()
+	defer ws.Release()
+	params := m.Params()
 
 	var sum float64
 	batches := 0
@@ -100,12 +103,12 @@ func StepIGeneratePerturbation(m *CIPModel, data *datasets.Dataset, cfg TrainCon
 			if end > data.Len() {
 				end = data.Len()
 			}
-			x, y := data.Batch(start, end)
+			x, y := data.BatchIn(ws, start, end)
 			if cfg.Augment {
 				x = datasets.AugmentBatch(rng, x, data.In, cfg.AugmentPad)
 			}
 			m.ZeroTGrad()
-			nn.ZeroGrads(m.Params()) // parameter grads are discarded in Step I
+			nn.ZeroGrads(params) // parameter grads are discarded in Step I
 			logits, cache := m.Forward(x, true)
 			res := nn.SoftmaxCrossEntropy(logits, y)
 			m.Backward(cache, res.Grad)
@@ -124,9 +127,10 @@ func StepIGeneratePerturbation(m *CIPModel, data *datasets.Dataset, cfg TrainCon
 			tensor.ClampInPlace(m.T, m.Lo, m.Hi)
 			sum += res.Loss
 			batches++
+			ws.Reset()
 		}
 	}
-	nn.ZeroGrads(m.Params())
+	nn.ZeroGrads(params)
 	if batches == 0 {
 		return 0
 	}
@@ -149,6 +153,9 @@ func StepIILearnModel(m *CIPModel, data *datasets.Dataset, cfg TrainConfig,
 	zeroQuery := m.WithT(m.ZeroT())
 	guessT := m.ZeroT()
 	guessQuery := m.WithT(guessT)
+	ws := tensor.AcquireWorkspace()
+	defer ws.Release()
+	params := m.Params()
 
 	var sum, origSum float64
 	batches, origBatches := 0, 0
@@ -158,16 +165,20 @@ func StepIILearnModel(m *CIPModel, data *datasets.Dataset, cfg TrainConfig,
 		if end > data.Len() {
 			end = data.Len()
 		}
-		x, y := data.Batch(start, end)
+		x, y := data.BatchIn(ws, start, end)
 		if cfg.Augment {
 			x = datasets.AugmentBatch(rng, x, data.In, cfg.AugmentPad)
 		}
-		nn.ZeroGrads(m.Params())
+		batch := ws.Mark()
+		nn.ZeroGrads(params)
 
-		// Term 1: minimize CE over D_t (weight +1).
+		// Term 1: minimize CE over D_t (weight +1). Only parameter
+		// gradients are wanted, so neither term computes ∂L/∂x.
 		logits, cache := m.Forward(x, true)
 		res := nn.SoftmaxCrossEntropy(logits, y)
-		m.Backward(cache, res.Grad)
+		nn.TrainBackward(m, cache, res.Grad)
+		loss := res.Loss
+		ws.Rewind(batch) // term 1's pass is dead; term 2 reuses its storage
 
 		// Term 2: maximize CE over original queries (weight −λ_m),
 		// per-sample capped — a member query is pushed up only while its
@@ -201,16 +212,17 @@ func StepIILearnModel(m *CIPModel, data *datasets.Dataset, cfg TrainConfig,
 				}
 			}
 			if kept > 0 {
-				query.Backward(cache0, tensor.Scale(grad0, -cfg.LambdaM))
+				nn.TrainBackward(query, cache0, tensor.Scale(grad0, -cfg.LambdaM))
 			}
 		}
 
 		if cfg.ClipNorm > 0 {
-			nn.ClipGradNorm(m.Params(), cfg.ClipNorm)
+			nn.ClipGradNorm(params, cfg.ClipNorm)
 		}
-		opt.Step(m.Params())
-		sum += res.Loss
+		opt.Step(params)
+		sum += loss
 		batches++
+		ws.Reset()
 	}
 	if batches == 0 {
 		return 0

@@ -16,7 +16,7 @@ func AugmentBatch(rng *rand.Rand, x *tensor.Tensor, in model.Input, pad int) *te
 		return x
 	}
 	n := x.Shape[0]
-	out := tensor.New(x.Shape...)
+	out := tensor.NewLike(x, x.Shape...)
 	c, h, w := in.C, in.H, in.W
 	for b := 0; b < n; b++ {
 		dy := rng.Intn(2*pad+1) - pad

@@ -50,15 +50,26 @@ func (d *Dataset) SampleSize() int { return d.In.Size() }
 
 // Batch copies samples [start, end) into a fresh tensor and label slice.
 func (d *Dataset) Batch(start, end int) (*tensor.Tensor, []int) {
+	return d.BatchIn(nil, start, end)
+}
+
+// BatchIn is Batch allocating from ws (nil means the heap). The batch is
+// what tags a training step with its workspace: everything computed from x
+// is allocated beside it. Both results die at the workspace's next Reset.
+func (d *Dataset) BatchIn(ws *tensor.Workspace, start, end int) (*tensor.Tensor, []int) {
 	if start < 0 || end > d.Len() || start > end {
 		panic(fmt.Sprintf("datasets: batch [%d,%d) out of range for %d samples", start, end, d.Len()))
 	}
 	ss := d.SampleSize()
 	n := end - start
-	shape := append([]int{n}, d.sampleShape()...)
-	x := tensor.New(shape...)
+	var x *tensor.Tensor
+	if d.In.IsImage() {
+		x = ws.New(n, d.In.C, d.In.H, d.In.W)
+	} else {
+		x = ws.New(n, d.In.C)
+	}
 	copy(x.Data, d.X.Data[start*ss:end*ss])
-	y := make([]int, n)
+	y := ws.Ints(n)
 	copy(y, d.Y[start:end])
 	return x, y
 }

@@ -26,11 +26,12 @@ type PlainStep struct{}
 
 // Step implements TrainStep.
 func (PlainStep) Step(net nn.Layer, opt nn.Optimizer, x *tensor.Tensor, y []int) float64 {
-	nn.ZeroGrads(net.Params())
+	params := net.Params()
+	nn.ZeroGrads(params)
 	logits, cache := net.Forward(x, true)
 	res := nn.SoftmaxCrossEntropy(logits, y)
 	nn.TrainBackward(net, cache, res.Grad)
-	opt.Step(net.Params())
+	opt.Step(params)
 	return res.Loss
 }
 
@@ -221,6 +222,13 @@ func TrainEpochs(net nn.Layer, opt nn.Optimizer, step TrainStep,
 	if data.Len() == 0 {
 		return 0, fmt.Errorf("fl: empty training set")
 	}
+	// Only the plain step is known to keep nothing past its return; a
+	// custom step owns its tensors' lifetimes and stays on the heap.
+	var ws *tensor.Workspace
+	if _, plain := step.(PlainStep); plain {
+		ws = tensor.AcquireWorkspace()
+		defer ws.Release()
+	}
 	var lastEpochLoss float64
 	for e := 0; e < cfg.LocalEpochs; e++ {
 		data.Shuffle(rng)
@@ -231,12 +239,13 @@ func TrainEpochs(net nn.Layer, opt nn.Optimizer, step TrainStep,
 			if end > data.Len() {
 				end = data.Len()
 			}
-			x, y := data.Batch(start, end)
+			x, y := data.BatchIn(ws, start, end)
 			if cfg.Augment {
 				x = datasets.AugmentBatch(rng, x, data.In, cfg.AugmentPad)
 			}
 			sum += step.Step(net, opt, x, y)
 			batches++
+			ws.Reset()
 		}
 		lastEpochLoss = sum / float64(batches)
 	}
@@ -248,15 +257,18 @@ func Evaluate(net nn.Layer, d *datasets.Dataset, batchSize int) float64 {
 	if batchSize <= 0 {
 		batchSize = 64
 	}
+	ws := tensor.AcquireWorkspace()
+	defer ws.Release()
 	correct := 0
 	for start := 0; start < d.Len(); start += batchSize {
 		end := start + batchSize
 		if end > d.Len() {
 			end = d.Len()
 		}
-		x, y := d.Batch(start, end)
+		x, y := d.BatchIn(ws, start, end)
 		logits, _ := net.Forward(x, false)
 		correct += int(nn.Accuracy(logits, y)*float64(end-start) + 0.5)
+		ws.Reset()
 	}
 	if d.Len() == 0 {
 		return 0
@@ -269,16 +281,19 @@ func MeanLoss(net nn.Layer, d *datasets.Dataset, batchSize int) float64 {
 	if batchSize <= 0 {
 		batchSize = 64
 	}
+	ws := tensor.AcquireWorkspace()
+	defer ws.Release()
 	var sum float64
 	for start := 0; start < d.Len(); start += batchSize {
 		end := start + batchSize
 		if end > d.Len() {
 			end = d.Len()
 		}
-		x, y := d.Batch(start, end)
+		x, y := d.BatchIn(ws, start, end)
 		for _, l := range nn.PerSampleLosses(net, x, y) {
 			sum += l
 		}
+		ws.Reset()
 	}
 	if d.Len() == 0 {
 		return 0
@@ -292,14 +307,17 @@ func Losses(net nn.Layer, d *datasets.Dataset, batchSize int) []float64 {
 	if batchSize <= 0 {
 		batchSize = 64
 	}
+	ws := tensor.AcquireWorkspace()
+	defer ws.Release()
 	out := make([]float64, 0, d.Len())
 	for start := 0; start < d.Len(); start += batchSize {
 		end := start + batchSize
 		if end > d.Len() {
 			end = d.Len()
 		}
-		x, y := d.Batch(start, end)
+		x, y := d.BatchIn(ws, start, end)
 		out = append(out, nn.PerSampleLosses(net, x, y)...)
+		ws.Reset()
 	}
 	return out
 }

@@ -9,21 +9,18 @@ import (
 // ReLU is the rectified linear activation.
 type ReLU struct{}
 
-type reluCache struct {
-	y *tensor.Tensor
-}
-
 // Forward zeroes negative activations. The output doubles as the backward
-// gate (y > 0 exactly when the input was positive), so no mask is stored.
+// gate (y > 0 exactly when the input was positive), so it is the cache and
+// no mask is stored.
 func (ReLU) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
-	out := tensor.ReluInto(tensor.New(x.Shape...), x)
-	return out, &reluCache{y: out}
+	out := tensor.ReluInto(tensor.NewLike(x, x.Shape...), x)
+	return out, out
 }
 
 // Backward gates the gradient by the forward output's sign.
 func (ReLU) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
-	c := cache.(*reluCache)
-	return tensor.ReluGateInto(tensor.New(grad.Shape...), c.y, grad)
+	y := cache.(*tensor.Tensor)
+	return tensor.ReluGateInto(tensor.NewLike(grad, grad.Shape...), y, grad)
 }
 
 // Params returns nil; ReLU has no parameters.
@@ -40,14 +37,14 @@ type leakyCache struct {
 
 // Forward scales negative activations by Slope.
 func (l LeakyReLU) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
-	out := tensor.New(x.Shape...)
-	neg := make([]bool, len(x.Data))
+	out := tensor.NewLike(x, x.Shape...)
+	neg := x.Workspace().Bools(len(x.Data))
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
+		neg[i] = !(v > 0)
+		if neg[i] {
 			out.Data[i] = l.Slope * v
-			neg[i] = true
+		} else {
+			out.Data[i] = v
 		}
 	}
 	return out, &leakyCache{neg: neg}
@@ -56,7 +53,7 @@ func (l LeakyReLU) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
 // Backward scales gradients on the negative side by Slope.
 func (l LeakyReLU) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 	c := cache.(*leakyCache)
-	out := tensor.New(grad.Shape...)
+	out := tensor.NewLike(grad, grad.Shape...)
 	for i, n := range c.neg {
 		if n {
 			out.Data[i] = l.Slope * grad.Data[i]
@@ -73,26 +70,21 @@ func (LeakyReLU) Params() []*Param { return nil }
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct{}
 
-type tanhCache struct {
-	y *tensor.Tensor
-}
-
-// Forward applies tanh elementwise.
+// Forward applies tanh elementwise; the output is the cache.
 func (Tanh) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
-	out := tensor.New(x.Shape...)
+	out := tensor.NewLike(x, x.Shape...)
 	for i, v := range x.Data {
 		out.Data[i] = math.Tanh(v)
 	}
-	return out, &tanhCache{y: out}
+	return out, out
 }
 
 // Backward multiplies the gradient by 1 − tanh².
 func (Tanh) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
-	c := cache.(*tanhCache)
-	out := tensor.New(grad.Shape...)
+	y := cache.(*tensor.Tensor)
+	out := tensor.NewLike(grad, grad.Shape...)
 	for i, g := range grad.Data {
-		y := c.y.Data[i]
-		out.Data[i] = g * (1 - y*y)
+		out.Data[i] = g * (1 - y.Data[i]*y.Data[i])
 	}
 	return out
 }

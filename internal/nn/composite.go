@@ -42,7 +42,7 @@ func ConcatChannels(a, b *tensor.Tensor) *tensor.Tensor {
 	if b.Shape[0] != n || b.Shape[2] != h || b.Shape[3] != w {
 		panic(fmt.Sprintf("nn: ConcatChannels shape mismatch %v vs %v", a.Shape, b.Shape))
 	}
-	out := tensor.New(n, ca+cb, h, w)
+	out := tensor.NewLike(a, n, ca+cb, h, w)
 	plane := h * w
 	for bi := 0; bi < n; bi++ {
 		copy(out.Data[bi*(ca+cb)*plane:], a.Data[bi*ca*plane:(bi+1)*ca*plane])
@@ -55,8 +55,8 @@ func ConcatChannels(a, b *tensor.Tensor) *tensor.Tensor {
 func splitChannels(x *tensor.Tensor, ca int) (*tensor.Tensor, *tensor.Tensor) {
 	n, ctot, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	cb := ctot - ca
-	a := tensor.New(n, ca, h, w)
-	b := tensor.New(n, cb, h, w)
+	a := tensor.NewLike(x, n, ca, h, w)
+	b := tensor.NewLike(x, n, cb, h, w)
 	plane := h * w
 	for bi := 0; bi < n; bi++ {
 		copy(a.Data[bi*ca*plane:], x.Data[bi*ctot*plane:bi*ctot*plane+ca*plane])

@@ -25,20 +25,15 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 	return d
 }
 
-type denseCache struct {
-	x *tensor.Tensor
-}
-
 // Forward computes x·Wᵀ + b, with the bias fused into the GEMM epilogue.
+// The cache is the input itself.
 func (d *Dense) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
-	out := tensor.New(x.Shape[0], d.Out)
+	out := tensor.NewLike(x, x.Shape[0], d.Out)
 	tensor.MatMulTransBBiasInto(out, x, d.W.Value, d.B.Value.Data)
-	return out, &denseCache{x: x}
+	return out, x
 }
 
 // Backward accumulates dW = gradᵀ·x and db = Σ grad, returning grad·W.
-// dW is staged through a pooled scratch tensor so the accumulation
-// allocates nothing.
 func (d *Dense) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 	d.BackwardParams(cache, grad)
 	return tensor.MatMul(grad, d.W.Value) // [N, In]
@@ -47,11 +42,8 @@ func (d *Dense) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 // BackwardParams implements ParamBackprop: weight/bias gradients without
 // the grad·W product a first layer never needs.
 func (d *Dense) BackwardParams(cache Cache, grad *tensor.Tensor) {
-	c := cache.(*denseCache)
-	dW := tensor.GetTensor(d.Out, d.In)
-	tensor.MatMulTransAInto(dW, grad, c.x) // [Out, In]
-	tensor.AddInPlace(d.W.Grad, dW)
-	tensor.PutTensor(dW)
+	x := cache.(*tensor.Tensor)
+	tensor.AddInPlace(d.W.Grad, tensor.MatMulTransA(grad, x)) // [Out, In]
 	n := grad.Shape[0]
 	for i := 0; i < n; i++ {
 		row := grad.Data[i*d.Out : (i+1)*d.Out]

@@ -33,10 +33,11 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Cache) 
 		return x, &dropoutCache{}
 	}
 	keep := 1 - d.Rate
-	mask := make([]float64, len(x.Data))
-	out := tensor.New(x.Shape...)
+	mask := tensor.NewLike(x, len(x.Data)).Data
+	out := tensor.NewLike(x, x.Shape...)
 	d.mu.Lock()
 	for i := range mask {
+		mask[i] = 0
 		if d.rng.Float64() < keep {
 			mask[i] = 1 / keep
 		}
@@ -54,7 +55,7 @@ func (d *Dropout) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 	if c.mask == nil {
 		return grad
 	}
-	out := tensor.New(grad.Shape...)
+	out := tensor.NewLike(grad, grad.Shape...)
 	for i, g := range grad.Data {
 		out.Data[i] = g * c.mask[i]
 	}

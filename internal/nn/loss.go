@@ -10,7 +10,7 @@ import (
 // Softmax returns row-wise softmax probabilities for logits of shape [N, K].
 func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 	n, k := logits.Shape[0], logits.Shape[1]
-	out := tensor.New(n, k)
+	out := tensor.NewLike(logits, n, k)
 	for i := 0; i < n; i++ {
 		row := logits.Data[i*k : (i+1)*k]
 		m := row[0]
@@ -36,7 +36,8 @@ func Softmax(logits *tensor.Tensor) *tensor.Tensor {
 // CEResult bundles everything downstream consumers need from one softmax
 // cross-entropy evaluation: the mean loss, per-sample losses (membership
 // inference attacks threshold on these), the probabilities, and the
-// gradient with respect to the logits.
+// gradient with respect to the logits. Everything but Loss lives where the
+// logits did: under a workspace, copy out what must outlive the pass.
 type CEResult struct {
 	Loss      float64
 	PerSample []float64
@@ -51,8 +52,8 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) CEResult {
 		panic(fmt.Sprintf("nn: %d labels for %d logits rows", len(labels), n))
 	}
 	probs := Softmax(logits)
-	grad := tensor.New(n, k)
-	per := make([]float64, n)
+	grad := tensor.NewLike(logits, n, k)
+	per := tensor.NewLike(logits, n).Data
 	total := 0.0
 	inv := 1.0 / float64(n)
 	for i := 0; i < n; i++ {

@@ -38,19 +38,18 @@ func NewBatchNorm2D(c int) *BatchNorm2D {
 }
 
 type bnCache struct {
-	xhat    *tensor.Tensor
-	invStd  []float64
-	inShape []int
-	train   bool
+	xhat   *tensor.Tensor // also carries the input shape
+	invStd []float64
+	train  bool
 }
 
 // Forward normalizes per channel; in train mode it uses batch statistics and
 // updates the running averages, in eval mode it uses the running averages.
 func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Cache) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	out := tensor.New(x.Shape...)
-	xhat := tensor.New(x.Shape...)
-	invStd := make([]float64, c)
+	out := tensor.NewLike(x, x.Shape...)
+	xhat := tensor.NewLike(x, x.Shape...)
+	invStd := tensor.NewLike(x, c).Data
 	area := n * h * w
 
 	for ch := 0; ch < c; ch++ {
@@ -95,15 +94,16 @@ func (bn *BatchNorm2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Ca
 			}
 		}
 	}
-	return out, &bnCache{xhat: xhat, invStd: invStd, inShape: append([]int(nil), x.Shape...), train: train}
+	return out, &bnCache{xhat: xhat, invStd: invStd, train: train}
 }
 
 // Backward implements the standard batch-norm gradient. In eval mode the
 // normalization constants are fixed, so the gradient is a plain affine map.
 func (bn *BatchNorm2D) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 	cc := cache.(*bnCache)
-	n, c, h, w := cc.inShape[0], cc.inShape[1], cc.inShape[2], cc.inShape[3]
-	out := tensor.New(cc.inShape...)
+	inShape := cc.xhat.Shape
+	n, c, h, w := inShape[0], inShape[1], inShape[2], inShape[3]
+	out := tensor.NewLike(grad, inShape...)
 	area := float64(n * h * w)
 
 	for ch := 0; ch < c; ch++ {

@@ -13,7 +13,7 @@ type MaxPool2D struct {
 
 type maxPoolCache struct {
 	argmax  []int // flat input index of each output element's max
-	inShape []int
+	inShape []int // the input's own Shape: x outlives the cache
 }
 
 // Forward pools each Size×Size window to its maximum.
@@ -23,8 +23,8 @@ func (m MaxPool2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
 	}
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := h/m.Size, w/m.Size
-	out := tensor.New(n, c, oh, ow)
-	argmax := make([]int, out.Size())
+	out := tensor.NewLike(x, n, c, oh, ow)
+	argmax := x.Workspace().Ints(out.Size())
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
 			inBase := (b*c + ch) * h * w
@@ -47,13 +47,14 @@ func (m MaxPool2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
 			}
 		}
 	}
-	return out, &maxPoolCache{argmax: argmax, inShape: append([]int(nil), x.Shape...)}
+	return out, &maxPoolCache{argmax: argmax, inShape: x.Shape}
 }
 
 // Backward routes each output gradient to the input position that won the max.
 func (m MaxPool2D) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 	c := cache.(*maxPoolCache)
-	out := tensor.New(c.inShape...)
+	out := tensor.NewLike(grad, c.inShape...)
+	out.Zero()
 	for i, src := range c.argmax {
 		out.Data[src] += grad.Data[i]
 	}
@@ -67,14 +68,10 @@ func (MaxPool2D) Params() []*Param { return nil }
 // spatial plane — the GAP layer of the paper's dual-channel head (Fig. 3).
 type GlobalAvgPool struct{}
 
-type gapCache struct {
-	inShape []int
-}
-
 // Forward averages over the spatial dimensions.
 func (GlobalAvgPool) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	out := tensor.New(n, c)
+	out := tensor.NewLike(x, n, c)
 	area := float64(h * w)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -86,14 +83,14 @@ func (GlobalAvgPool) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
 			out.Data[b*c+ch] = s / area
 		}
 	}
-	return out, &gapCache{inShape: append([]int(nil), x.Shape...)}
+	return out, x // only its Shape is read back
 }
 
 // Backward distributes each channel gradient uniformly over its plane.
 func (GlobalAvgPool) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
-	cc := cache.(*gapCache)
-	n, c, h, w := cc.inShape[0], cc.inShape[1], cc.inShape[2], cc.inShape[3]
-	out := tensor.New(cc.inShape...)
+	inShape := cache.(*tensor.Tensor).Shape
+	n, c, h, w := inShape[0], inShape[1], inShape[2], inShape[3]
+	out := tensor.NewLike(grad, inShape...)
 	inv := 1.0 / float64(h*w)
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -113,21 +110,16 @@ func (GlobalAvgPool) Params() []*Param { return nil }
 // Flatten reshapes [N, ...] input to [N, D].
 type Flatten struct{}
 
-type flattenCache struct {
-	inShape []int
-}
-
 // Forward flattens all trailing dimensions.
 func (Flatten) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
 	n := x.Shape[0]
 	d := x.Size() / n
-	return x.Reshape(n, d), &flattenCache{inShape: append([]int(nil), x.Shape...)}
+	return x.Reshape(n, d), x // only its Shape is read back
 }
 
 // Backward restores the original shape.
 func (Flatten) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
-	c := cache.(*flattenCache)
-	return grad.Reshape(c.inShape...)
+	return grad.Reshape(cache.(*tensor.Tensor).Shape...)
 }
 
 // Params returns nil; Flatten has no parameters.

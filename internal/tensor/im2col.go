@@ -38,7 +38,7 @@ func (g ConvGeom) Validate() error {
 // against the reshaped kernel.
 func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 	n := x.Shape[0]
-	return Im2ColInto(New(n*g.OutH()*g.OutW(), g.InC*g.KH*g.KW), x, g)
+	return Im2ColInto(NewLike(x, n*g.OutH()*g.OutW(), g.InC*g.KH*g.KW), x, g)
 }
 
 // Im2ColInto is Im2Col writing into a caller-supplied (typically pooled)
@@ -117,7 +117,7 @@ func im2colRange(cols, x *Tensor, g ConvGeom, lo, hi int) {
 // NCHW image tensor, accumulating overlapping contributions. It is the
 // adjoint of Im2Col and is used in the convolution backward pass.
 func Col2Im(cols *Tensor, n int, g ConvGeom) *Tensor {
-	return Col2ImInto(New(n, g.InC, g.InH, g.InW), cols, n, g)
+	return Col2ImInto(NewLike(cols, n, g.InC, g.InH, g.InW), cols, n, g)
 }
 
 // Col2ImInto is Col2Im writing into a caller-supplied destination of shape

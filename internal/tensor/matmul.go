@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -19,7 +20,7 @@ import (
 //     registers. On amd64 with AVX2+FMA it is the 4×8 assembly kernel in
 //     kernel_amd64.s; everywhere else (and for row remainders) the pure-Go
 //     kernels below run.
-//   - Rows are split across a bounded worker pool per (kc, nc) block. Every
+//   - Rows are split across the helper team per (kc, nc) block. Every
 //     output element is computed by exactly one worker with a fixed
 //     k-accumulation order, so results are bit-identical for any worker
 //     count — the property the federation determinism tests rely on.
@@ -46,7 +47,7 @@ const parallelThreshold = 64 * 64 * 64
 // Large products are computed in parallel across row blocks.
 func MatMul(a, b *Tensor) *Tensor {
 	m, _, n := gemmDims("MatMul", a, b, false, false)
-	out := New(m, n)
+	out := NewLike(a, m, n)
 	gemm(out.Data, a.Data, b.Data, gemmShape{m: m, k: a.Shape[1], n: n})
 	return out
 }
@@ -73,7 +74,7 @@ func MatMulBiasInto(dst, a, b *Tensor, bias []float64) *Tensor {
 // MatMulTransA returns aᵀ·b where a is k×m and b is k×n.
 func MatMulTransA(a, b *Tensor) *Tensor {
 	m, _, n := gemmDims("MatMulTransA", a, b, true, false)
-	out := New(m, n)
+	out := NewLike(a, m, n)
 	MatMulTransAInto(out, a, b)
 	return out
 }
@@ -150,7 +151,7 @@ func axpyRowGo(dst, src []float64, alpha float64) {
 // MatMulTransB returns a·bᵀ where a is m×k and b is n×k.
 func MatMulTransB(a, b *Tensor) *Tensor {
 	m, _, n := gemmDims("MatMulTransB", a, b, false, true)
-	out := New(m, n)
+	out := NewLike(a, m, n)
 	gemm(out.Data, a.Data, b.Data, gemmShape{m: m, k: a.Shape[1], n: n, transB: true})
 	return out
 }
@@ -243,23 +244,30 @@ func gemm(dst, a, b []float64, s gemmShape) {
 
 	panelStride := kcBlock * nr
 	bpack := GetTensor(panelStride * (ncBlock/nr + 1))
-	serial := rowWorkers(s.m, vol) < 2
+	var task *gemmTask
+	if rowWorkers(s.m, vol) >= 2 {
+		task = gemmTasks.Get().(*gemmTask)
+		task.dst, task.a, task.bpack, task.s = dst, a, bpack.Data, s
+	}
 	for jc := 0; jc < s.n; jc += ncBlock {
 		ncb := min(ncBlock, s.n-jc)
 		for pc := 0; pc < s.k; pc += kcBlock {
 			kcb := min(kcBlock, s.k-pc)
 			packB(bpack.Data, b, pc, jc, kcb, ncb, s)
 			first := pc == 0
-			if serial {
-				// Direct call: a closure here would heap-allocate its
-				// captured loop variables on every cache block.
+			if task == nil {
 				gemmRows(dst, a, bpack.Data, 0, s.m, pc, jc, kcb, ncb, s, first)
 			} else {
-				gemmRowsParallel(dst, a, bpack.Data, vol, pc, jc, kcb, ncb, s, first)
+				task.pc, task.jc, task.kcb, task.ncb, task.first = pc, jc, kcb, ncb, first
+				fanOutRows(task, s.m, vol, mr)
 			}
 		}
 	}
 	PutTensor(bpack)
+	if task != nil {
+		task.dst, task.a, task.bpack, task.s = nil, nil, nil, gemmShape{} // pin nothing while pooled
+		gemmTasks.Put(task)
+	}
 
 	if timed {
 		recordGEMM(vol, time.Since(start))
@@ -319,19 +327,29 @@ func packB(dst, b []float64, pc, jc, kcb, ncb int, s gemmShape) {
 	}
 }
 
+// gemmTask is one parallel product's row kernel: the arguments gemmRows
+// needs beyond the row range. gemm takes one per product from a pool and
+// rewrites the block fields between fan-outs, so the parallel path
+// allocates nothing in the steady state (it used to cost a closure and a
+// goroutine per chunk per cache block); the serial path calls gemmRows
+// directly.
+type gemmTask struct {
+	fanout
+	dst, a, bpack    []float64
+	pc, jc, kcb, ncb int
+	s                gemmShape
+	first            bool
+}
+
+func (t *gemmTask) rows(lo, hi int) {
+	gemmRows(t.dst, t.a, t.bpack, lo, hi, t.pc, t.jc, t.kcb, t.ncb, t.s, t.first)
+}
+
+var gemmTasks = sync.Pool{New: func() any { return new(gemmTask) }}
+
 // gemmRows computes rows [i0, i1) of dst against the packed B block. first
 // marks the k-block that overwrites dst (folding in the bias); later
 // k-blocks accumulate.
-// gemmRowsParallel fans one cache block's row range out over parallelRows.
-// It exists as a separate function so the closure (and the captures it
-// forces onto the heap) is only materialized on the parallel path; the
-// serial path in gemm calls gemmRows directly and allocates nothing.
-func gemmRowsParallel(dst, a, bpack []float64, vol, pc, jc, kcb, ncb int, s gemmShape, first bool) {
-	parallelRows(s.m, vol, func(lo, hi int) {
-		gemmRows(dst, a, bpack, lo, hi, pc, jc, kcb, ncb, s, first)
-	})
-}
-
 func gemmRows(dst, a, bpack []float64, i0, i1, pc, jc, kcb, ncb int, s gemmShape, first bool) {
 	panels := (ncb + nr - 1) / nr
 	var ctile [mr * nr]float64
@@ -470,7 +488,7 @@ func rowWorkers(rows, volume int) int {
 // parallelRows splits [0, rows) into contiguous chunks and runs fn on each,
 // in parallel when volume exceeds parallelThreshold. Chunk boundaries are
 // aligned to the micro-kernel height so no mr-row tile straddles workers,
-// and at most min(GOMAXPROCS, ceil(rows/chunk)) goroutines are spawned.
+// and there are at most min(GOMAXPROCS, ceil(rows/chunk)) chunks.
 // Results are independent of the worker count: chunking only partitions
 // rows, never the accumulation order within an output element.
 func parallelRows(rows, volume int, fn func(lo, hi int)) {
@@ -479,31 +497,104 @@ func parallelRows(rows, volume int, fn func(lo, hi int)) {
 
 // parallelRowsAligned is parallelRows with an explicit tile height: the
 // f64 driver aligns chunks to mr, the f32 driver to its taller mr32 tile.
-// Alignment is what keeps results worker-count independent — every chunk
-// start is a tile-height multiple, so the same rows land in full tiles
-// (assembly kernel) versus the row remainder (scalar kernel) no matter
-// how many workers split the range.
 func parallelRowsAligned(rows, volume, align int, fn func(lo, hi int)) {
-	workers := rowWorkers(rows, volume)
-	if workers < 2 {
+	if rowWorkers(rows, volume) < 2 {
 		fn(0, rows)
 		return
 	}
+	fanOutRows(&funcTask{fn: fn}, rows, volume, align)
+}
+
+// funcTask adapts a closure to the helper team.
+type funcTask struct {
+	fanout
+	fn func(lo, hi int)
+}
+
+func (t *funcTask) rows(lo, hi int) { t.fn(lo, hi) }
+
+// The helper team. Row-partitioned kernels used to start one goroutine per
+// chunk per cache block; they now hand chunks to a fixed team of at most
+// GOMAXPROCS-1 long-lived helpers. The hand-off never blocks: the caller
+// keeps chunk 0 for itself and runs inline any chunk no helper is idle to
+// take, so a kernel finishes with or without help, helpers (which only ever
+// run row kernels, never fan out themselves) cannot deadlock against
+// callers, and when several training steps issue GEMMs at once the process
+// still runs at most GOMAXPROCS-1 helpers beside them rather than
+// GOMAXPROCS goroutines per product.
+
+// rowTask is a kernel that can compute any row range of its output, plus
+// the count of its chunks still out with helpers.
+type rowTask interface {
+	rows(lo, hi int)
+	pending() *sync.WaitGroup
+}
+
+// fanout is the completion state a task shares with the helpers; tasks
+// embed it so it is allocated (and pooled) with them.
+type fanout struct{ wg sync.WaitGroup }
+
+func (f *fanout) pending() *sync.WaitGroup { return &f.wg }
+
+// rowJob is one chunk handed to a helper, by value.
+type rowJob struct {
+	task   rowTask
+	lo, hi int
+}
+
+var (
+	teamJobs = make(chan rowJob) // unbuffered: a send succeeds only to an idle helper
+	teamMu   sync.Mutex          // serializes growth
+	teamSize atomic.Int32
+)
+
+// ensureHelpers grows the team to want helpers. The team starts on the
+// first parallel kernel, so a process that never runs one never has it;
+// helpers live for the rest of the process.
+func ensureHelpers(want int32) {
+	if teamSize.Load() >= want {
+		return
+	}
+	teamMu.Lock()
+	for teamSize.Load() < want {
+		teamSize.Add(1)
+		go func() {
+			for j := range teamJobs {
+				j.task.rows(j.lo, j.hi)
+				j.task.pending().Done()
+			}
+		}()
+	}
+	teamMu.Unlock()
+}
+
+// fanOutRows runs t over [0, rows) in tile-aligned chunks, sharing them
+// with whatever helpers are idle. Alignment is what keeps results
+// worker-count independent — every chunk start is a tile-height multiple,
+// so the same rows land in full tiles (assembly kernel) versus the row
+// remainder no matter how many workers split the range, or which of them
+// runs which chunk. Callers have checked rowWorkers(rows, volume) >= 2.
+func fanOutRows(t rowTask, rows, volume, align int) {
+	workers := rowWorkers(rows, volume)
+	ensureHelpers(int32(workers - 1))
 	// Compute the chunk from the clamped worker count, then round up to a
-	// multiple of the tile height; the number of spawned goroutines is
-	// ceil(rows/chunk), which never exceeds workers.
+	// multiple of the tile height; the chunk count is ceil(rows/chunk),
+	// which never exceeds workers.
 	chunk := (rows + workers - 1) / workers
 	chunk = (chunk + align - 1) / align * align
-	var wg sync.WaitGroup
-	for lo := 0; lo < rows; lo += chunk {
+	out := t.pending()
+	for lo := chunk; lo < rows; lo += chunk {
 		hi := min(lo+chunk, rows)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+		out.Add(1)
+		select {
+		case teamJobs <- rowJob{task: t, lo: lo, hi: hi}:
+		default:
+			out.Done()
+			t.rows(lo, hi)
+		}
 	}
-	wg.Wait()
+	t.rows(0, min(chunk, rows))
+	out.Wait()
 }
 
 // Transpose returns the transpose of a 2-D tensor.
@@ -511,7 +602,7 @@ func Transpose(a *Tensor) *Tensor {
 	if a.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: Transpose needs a 2-D operand, got %v", a.Shape))
 	}
-	out := New(a.Shape[1], a.Shape[0])
+	out := NewLike(a, a.Shape[1], a.Shape[0])
 	TransposeInto(out, a)
 	return out
 }

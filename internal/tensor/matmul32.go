@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -150,23 +151,33 @@ func gemm32[T elem](dst []T, a32 []float32, b []T, s gemmShape32[T]) {
 
 	panelStride := kcBlock * nr32
 	bpack := GetTensor32(panelStride * (ncBlock/nr32 + 1))
-	serial := rowWorkers(s.m, vol) < 2
+	var task *gemmTask32[T]
+	if rowWorkers(s.m, vol) >= 2 {
+		task, _ = gemmTasks32[T]().Get().(*gemmTask32[T])
+		if task == nil {
+			task = new(gemmTask32[T])
+		}
+		task.dst, task.a32, task.bpack, task.s = dst, a32, bpack.Data, s
+	}
 	for jc := 0; jc < s.n; jc += ncBlock {
 		ncb := min(ncBlock, s.n-jc)
 		for pc := 0; pc < s.k; pc += kcBlock {
 			kcb := min(kcBlock, s.k-pc)
 			packB32(bpack.Data, b, pc, jc, kcb, ncb, s)
 			first := pc == 0
-			if serial {
-				// Direct call: a closure here would heap-allocate its
-				// captured loop variables on every cache block.
+			if task == nil {
 				gemmRows32(dst, a32, bpack.Data, 0, s.m, pc, jc, kcb, ncb, s, first)
 			} else {
-				gemmRows32Parallel(dst, a32, bpack.Data, vol, pc, jc, kcb, ncb, s, first)
+				task.pc, task.jc, task.kcb, task.ncb, task.first = pc, jc, kcb, ncb, first
+				fanOutRows(task, s.m, vol, mr32)
 			}
 		}
 	}
 	PutTensor32(bpack)
+	if task != nil {
+		task.dst, task.a32, task.bpack, task.s = nil, nil, nil, gemmShape32[T]{} // pin nothing while pooled
+		gemmTasks32[T]().Put(task)
+	}
 
 	if timed {
 		recordGEMM(vol, time.Since(start))
@@ -236,13 +247,30 @@ func packB32[T elem](dst []float32, b []T, pc, jc, kcb, ncb int, s gemmShape32[T
 	}
 }
 
-// gemmRows32Parallel fans one cache block's row range out over
-// parallelRows; a separate function for the same closure-allocation reason
-// as gemmRowsParallel.
-func gemmRows32Parallel[T elem](dst []T, a32, bpack []float32, vol, pc, jc, kcb, ncb int, s gemmShape32[T], first bool) {
-	parallelRowsAligned(s.m, vol, mr32, func(lo, hi int) {
-		gemmRows32(dst, a32, bpack, lo, hi, pc, jc, kcb, ncb, s, first)
-	})
+// gemmTask32 is gemmTask for the f32 driver: one pooled task per parallel
+// product, block fields rewritten between fan-outs.
+type gemmTask32[T elem] struct {
+	fanout
+	dst              []T
+	a32, bpack       []float32
+	pc, jc, kcb, ncb int
+	s                gemmShape32[T]
+	first            bool
+}
+
+func (t *gemmTask32[T]) rows(lo, hi int) {
+	gemmRows32(t.dst, t.a32, t.bpack, lo, hi, t.pc, t.jc, t.kcb, t.ncb, t.s, t.first)
+}
+
+// One task pool per instantiation of the driver.
+var gemmTasksPure, gemmTasksMixed sync.Pool
+
+func gemmTasks32[T elem]() *sync.Pool {
+	var z T
+	if _, pure := any(z).(float32); pure {
+		return &gemmTasksPure
+	}
+	return &gemmTasksMixed
 }
 
 // gemmRows32 computes rows [i0, i1) of dst against the packed B block.

@@ -69,11 +69,12 @@ func recordGEMM(vol int, dur time.Duration) {
 //	tensor_gemm_gflops              gauge   throughput of the last large GEMM
 //	tensor_gemm_flops_total         counter FLOPs executed by timed GEMMs
 //	tensor_gemm_ops_total           counter timed GEMM invocations
-//	tensor_pool_gets_total          counter scratch-arena Get calls
-//	tensor_pool_misses_total        counter Gets that had to allocate
-//	tensor_pool_puts_total          counter buffers returned to the arena
+//	tensor_pool_gets_total          counter scratch-pool and workspace allocations
+//	tensor_pool_misses_total        counter allocations that went to the heap
+//	tensor_pool_puts_total          counter buffers returned to the scratch pool
+//	tensor_workspace_bytes          gauge   slab bytes held by all workspaces
 //
-// Pool hit rate = 1 - misses/gets. A nil registry is a no-op. Safe to call
+// Hit rate = 1 - misses/gets. A nil registry is a no-op. Safe to call
 // while kernels are running; counts observed before the call are not
 // replayed into the registry.
 func EnableMetrics(reg *telemetry.Registry) {
@@ -87,15 +88,19 @@ func EnableMetrics(reg *telemetry.Registry) {
 	gemmOps.attach(reg.Counter("tensor_gemm_ops_total",
 		"Timed GEMM invocations."))
 	poolGets.attach(reg.Counter("tensor_pool_gets_total",
-		"Scratch-arena GetTensor calls."))
+		"Scratch-pool GetTensor calls plus workspace allocations."))
 	poolMisses.attach(reg.Counter("tensor_pool_misses_total",
-		"GetTensor calls that allocated because no pooled buffer fit."))
+		"Scratch-pool and workspace allocations that had to go to the heap."))
 	poolPuts.attach(reg.Counter("tensor_pool_puts_total",
-		"Buffers returned to the scratch arena."))
+		"Buffers returned to the scratch pool."))
+	g := reg.Gauge("tensor_workspace_bytes",
+		"Slab bytes held by every tensor workspace, idle or in use.")
+	g.Set(float64(workspaceBytes.v.Load()))
+	workspaceBytes.mirror.Store(g)
 }
 
-// PoolStats reports the scratch arena's lifetime Get/miss/Put counts —
-// the pool hit rate is 1 - misses/gets.
+// PoolStats reports the lifetime Get/miss/Put counts of the scratch pool
+// and the workspaces together — the hit rate is 1 - misses/gets.
 func PoolStats() (gets, misses, puts uint64) {
 	return poolGets.value(), poolMisses.value(), poolPuts.value()
 }

@@ -5,9 +5,11 @@ import (
 	"sync"
 )
 
-// The scratch arena hands out pooled tensors for transient buffers on the
-// training hot path (im2col columns, GEMM products, packed panels,
-// transposes) so conv forward/backward stop allocating per batch.
+// The scratch pool hands out pooled tensors for buffers that live inside
+// one kernel call (packed GEMM panels, the Aᵀ staging transpose, the f32
+// tier's narrowed operands). Everything a pass keeps longer than that —
+// activations, im2col columns, gradients — lives in a step's Workspace
+// instead (workspace.go).
 //
 // Buffers are binned by power-of-two capacity; GetTensor returns a tensor
 // whose backing slice comes from the smallest class that fits, and
@@ -21,13 +23,12 @@ import (
 // classCap), so resident scratch memory is proportional to the peak number
 // of concurrently live buffers, exactly like any arena.
 //
-// Invariants callers must keep (DESIGN.md §9):
+// Invariants callers must keep (DESIGN.md §9.2):
 //   - A pooled tensor's contents are UNINITIALIZED; call Zero if needed.
 //   - After PutTensor the tensor (and anything aliasing its Data, e.g. a
 //     Reshape view) must not be touched — the storage will be handed to an
 //     arbitrary other goroutine.
-//   - Never PutTensor a tensor that escapes to a caller (returned values,
-//     layer caches that outlive the call).
+//   - Never PutTensor a tensor that escapes to a caller.
 
 // maxPoolClass bounds pooled buffers to 2^maxPoolClass float64s (64 MiB);
 // larger requests fall through to plain allocation.
@@ -97,7 +98,7 @@ func GetTensor(shape ...int) *Tensor {
 // PutTensor returns t's storage to the pool. t must have come from
 // GetTensor and must not be used afterwards.
 func PutTensor(t *Tensor) {
-	if t == nil {
+	if t == nil || t.ws != nil { // a workspace tensor's storage is not ours to pool
 		return
 	}
 	c := poolClass(cap(t.Data))

@@ -20,6 +20,11 @@ type Tensor struct {
 	Shape []int
 	// Data is the flat row-major backing store; len(Data) == product(Shape).
 	Data []float64
+
+	// ws is the workspace the tensor was allocated from, nil for a heap
+	// tensor. Operations that allocate a result place it in their first
+	// operand's workspace (NewLike).
+	ws *Workspace
 }
 
 // panicNegDim reports a negative dimension. It deliberately takes only the
@@ -65,8 +70,10 @@ func New(shape ...int) *Tensor {
 func FromSlice(data []float64, shape ...int) *Tensor {
 	t := &Tensor{Shape: append([]int(nil), shape...), Data: data}
 	if len(data) != t.Size() {
+		// Format the copy: formatting shape itself would make every call
+		// site heap-allocate its variadic argument (see panicNegDim).
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)",
-			len(data), shape, t.Size()))
+			len(data), t.Shape, t.Size()))
 	}
 	return t
 }
@@ -86,7 +93,8 @@ func (t *Tensor) Dims() int { return len(t.Shape) }
 // Dim returns the extent of dimension i.
 func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy on the heap, whatever workspace t lives in: it
+// is how a value leaves a workspace.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.Shape...)
 	copy(c.Data, t.Data)
@@ -94,10 +102,16 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // Reshape returns a view of t with a new shape of equal volume. The backing
-// data is shared.
+// data is shared, and so is the workspace: the view's header comes from it
+// and tensors derived from the view keep allocating there.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	v := FromSlice(t.Data, shape...)
-	return v
+	if t.ws == nil {
+		return FromSlice(t.Data, shape...)
+	}
+	if n := shapeVolume(shape); n != len(t.Data) {
+		panic(fmt.Sprintf("tensor: data length %d does not match reshape volume %d", len(t.Data), n))
+	}
+	return t.ws.header(t.Data, shape, false)
 }
 
 // At returns the element at the given multi-index.
@@ -160,7 +174,7 @@ func assertSameShape(op string, a, b *Tensor) {
 // Add returns a + b elementwise.
 func Add(a, b *Tensor) *Tensor {
 	assertSameShape("Add", a, b)
-	out := New(a.Shape...)
+	out := NewLike(a, a.Shape...)
 	for i := range a.Data {
 		out.Data[i] = a.Data[i] + b.Data[i]
 	}
@@ -170,7 +184,7 @@ func Add(a, b *Tensor) *Tensor {
 // Sub returns a - b elementwise.
 func Sub(a, b *Tensor) *Tensor {
 	assertSameShape("Sub", a, b)
-	out := New(a.Shape...)
+	out := NewLike(a, a.Shape...)
 	for i := range a.Data {
 		out.Data[i] = a.Data[i] - b.Data[i]
 	}
@@ -180,7 +194,7 @@ func Sub(a, b *Tensor) *Tensor {
 // Mul returns a * b elementwise (Hadamard product).
 func Mul(a, b *Tensor) *Tensor {
 	assertSameShape("Mul", a, b)
-	out := New(a.Shape...)
+	out := NewLike(a, a.Shape...)
 	for i := range a.Data {
 		out.Data[i] = a.Data[i] * b.Data[i]
 	}
@@ -189,7 +203,7 @@ func Mul(a, b *Tensor) *Tensor {
 
 // Scale returns a * s elementwise.
 func Scale(a *Tensor, s float64) *Tensor {
-	out := New(a.Shape...)
+	out := NewLike(a, a.Shape...)
 	for i := range a.Data {
 		out.Data[i] = a.Data[i] * s
 	}
@@ -220,7 +234,7 @@ func ScaleInPlace(a *Tensor, s float64) {
 
 // Apply returns f applied elementwise to a.
 func Apply(a *Tensor, f func(float64) float64) *Tensor {
-	out := New(a.Shape...)
+	out := NewLike(a, a.Shape...)
 	for i := range a.Data {
 		out.Data[i] = f(a.Data[i])
 	}
