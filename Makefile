@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # whatever `staticcheck` is on PATH (and skip cleanly when there is none).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark bench benchrobust benchsmoke wirecheck benchwire benchscale scalegate benchprecision benchtree check
+.PHONY: build test race vet staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck bench benchrobust benchsmoke wirecheck benchwire benchscale scalegate benchprecision benchtree check
 
 build:
 	$(GO) build ./...
@@ -90,7 +90,8 @@ byzsmoke:
 # reach over the wire) and the checkpoint container decode (the path a
 # resuming process walks over whatever a crash left on disk), plus the
 # robust aggregators (which must never panic or emit non-finite
-# aggregates, whatever a hostile cohort sends). Raise FUZZTIME for a real
+# aggregates, whatever a hostile cohort sends) and the radix top-k
+# selection against its sort-based definition. Raise FUZZTIME for a real
 # campaign: make fuzz FUZZTIME=10m
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeUpdate -fuzztime=$(FUZZTIME) ./internal/fl/transport
@@ -100,6 +101,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecompressUpdate -fuzztime=$(FUZZTIME) ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePartial -fuzztime=$(FUZZTIME) ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz=FuzzNarrowWidenValidate -fuzztime=$(FUZZTIME) ./internal/fl
+	$(GO) test -run='^$$' -fuzz=FuzzTopKSelect -fuzztime=$(FUZZTIME) ./internal/fl/compress
 
 # benchmark runs the repository benchmark (BENCHMARK.json): every
 # workload untraced then traced, each in a fresh subprocess; see
@@ -107,6 +109,24 @@ fuzz:
 # reports.
 benchmark:
 	$(GO) run ./benchmark
+
+# benchcheck proves the repository benchmark runs before a change is
+# judged by it: vet and the package's own smoke test, then every workload
+# of BENCHMARK.json once, invoked as the judging pipeline invokes it (2 s
+# of fixed work, tracing off; ~10 s each). A run must exit 0 and end in a
+# result line with "correct":true.
+benchcheck:
+	$(GO) vet ./benchmark
+	$(GO) test -count=1 ./benchmark
+	@workloads=$$(sed -n 's/.*{"name": "\([a-z0-9_]*\)", "why".*/\1/p' BENCHMARK.json); \
+	[ -n "$$workloads" ] || { echo "benchcheck: no workloads found in BENCHMARK.json"; exit 1; }; \
+	for w in $$workloads; do \
+		echo "$(GO) run ./benchmark -workload $$w -seed 1 -seconds 2 -trace 0"; \
+		out=$$($(GO) run ./benchmark -workload $$w -seed 1 -seconds 2 -trace 0) \
+			|| { echo "$$out"; echo "benchcheck: $$w exited non-zero"; exit 1; }; \
+		echo "$$out" | tail -n 1 | grep -q '"correct":true' \
+			|| { echo "$$out"; echo "benchcheck: $$w did not report \"correct\":true"; exit 1; }; \
+	done
 
 # bench regenerates the tracked perf report against the committed seed
 # baseline. The same workloads run under plain `go test -bench` in
@@ -133,14 +153,16 @@ benchsmoke:
 # wirecheck is the wire-path conformance sweep: golden byte-exact frame
 # fixtures, the codec/compression unit and property suites, the
 # gob↔binary negotiation matrix and compressed e2e/restart tests, short
-# fuzz bursts over both frame decoders, and the bench-backed wire gate
-# (≥10x byte reduction for topk8 vs gob, binary decode no slower).
+# fuzz bursts over both frame decoders and the top-k selection, and the
+# bench-backed wire gate (≥10x byte reduction for topk8 vs gob, binary
+# decode no slower).
 wirecheck:
 	$(GO) test -count=1 ./internal/fl/wire ./internal/fl/compress
 	$(GO) test -count=1 -run 'Sparse|Densify|Codec|Compressed|MixedRoster|Bank' \
 		./internal/fl ./internal/fl/transport ./internal/fl/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecompressUpdate -fuzztime=5s ./internal/fl/wire
+	$(GO) test -run='^$$' -fuzz=FuzzTopKSelect -fuzztime=5s ./internal/fl/compress
 	$(GO) run ./cmd/cipbench -bench Wire -wire-gate >/dev/null
 
 # benchwire regenerates the tracked wire-path report: decode ns/op and
@@ -185,6 +207,6 @@ benchprecision:
 
 # check is the full CI gate: static analysis, the arm64 cross-compile,
 # the race-enabled suite, a short fuzz burst, the crash-harness smoke,
-# the byzantine smoke, the wire-path conformance sweep, and the
-# bench-harness smoke.
-check: vet staticcheck crosscheck race fuzz chaossmoke byzsmoke wirecheck benchsmoke
+# the byzantine smoke, the wire-path conformance sweep, the bench-harness
+# smoke, and a short run of every repository-benchmark workload.
+check: vet staticcheck crosscheck race fuzz chaossmoke byzsmoke wirecheck benchsmoke benchcheck

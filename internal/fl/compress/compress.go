@@ -66,18 +66,20 @@ func (q Quantizer) Encode(v []float64) (*Quantized, error) {
 // Decode reconstructs the approximate vector.
 func (z *Quantized) Decode() []float64 {
 	out := make([]float64, z.N)
-	span := z.Max - z.Min
-	if span == 0 {
-		for i := range out {
-			out[i] = z.Min
-		}
-		return out
-	}
-	levels := float64(uint32(1)<<z.Bits - 1)
 	for i, c := range z.Codes {
-		out[i] = z.Min + float64(c)/levels*span
+		out[i] = dequant(z.Min, z.Max, z.Bits, c)
 	}
 	return out
+}
+
+// dequant maps code c back into [lo, hi]. It is the one expression the
+// receiver's decode and the sender's residual update both evaluate.
+func dequant(lo, hi float64, bits int, c uint16) float64 {
+	span := hi - lo
+	if span == 0 {
+		return lo
+	}
+	return lo + float64(c)/float64(uint32(1)<<bits-1)*span
 }
 
 // MaxError returns the worst-case reconstruction error of the encoding:

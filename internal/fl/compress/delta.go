@@ -27,7 +27,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mode enumerates the update-compression codecs a client can negotiate.
@@ -178,6 +177,18 @@ type Delta struct {
 // strictly ascending index order. Selection is deterministic: magnitude
 // ties break toward the lower index, so the same vector always produces
 // the same support whatever the caller's platform or worker count.
+//
+// Magnitudes order by bit pattern, math.Float64bits(math.Abs(x)): the
+// numeric order for every non-NaN value, and a NaN ranks above +Inf, so
+// it is always selected and reaches the receiver's validation instead of
+// parking in a residual.
+//
+// The k-th largest key is found by most-significant-digit radix
+// selection — a 12-bit histogram of the keys inside the bucket chosen so
+// far, one read-only sweep per digit, until the bucket holding the k-th
+// key is taken whole (three sweeps on a Gaussian vector, six at most).
+// One ascending sweep then emits the keys above that bucket and the
+// bucket's own lowest-index-first: O(n), 16 KB of scratch, sorted output.
 func TopKSelect(v []float64, k int) []int {
 	if k >= len(v) {
 		idx := make([]int, len(v))
@@ -186,21 +197,52 @@ func TopKSelect(v []float64, k int) []int {
 		}
 		return idx
 	}
-	idx := make([]int, len(v))
-	for i := range idx {
-		idx[i] = i
+	idx := make([]int, 0, max(k, 0))
+	if k <= 0 {
+		return idx
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ma, mb := math.Abs(v[idx[a]]), math.Abs(v[idx[b]])
-		if ma != mb {
-			return ma > mb
+	// The bucket being narrowed holds the (63-bit) keys in
+	// [base, base+1<<shift); the support takes need of them.
+	const digit = 12
+	var (
+		hist  [1 << digit]uint32 // len(v) fits: wire indices are uint32
+		shift = uint(63)
+		base  uint64
+		need  = uint32(k)
+	)
+	for shift > 0 {
+		span := uint64(1) << shift
+		shift -= min(digit, shift)
+		clear(hist[:])
+		for _, x := range v {
+			if d := magKey(x) - base; d < span {
+				hist[d>>(shift&63)&(1<<digit-1)]++ // masks only spare the range checks
+			}
 		}
-		return idx[a] < idx[b]
-	})
-	idx = idx[:k]
-	sort.Ints(idx)
+		b := span>>shift - 1
+		for hist[b] < need {
+			need -= hist[b]
+			b--
+		}
+		base += b << shift
+		if hist[b] == need {
+			break // the bucket is taken whole: no finer threshold needed
+		}
+	}
+	top := base + 1<<shift // shift <= 51 here: no overflow
+	for i, x := range v {
+		if key := magKey(x); key >= top {
+			idx = append(idx, i)
+		} else if key >= base && need > 0 {
+			idx = append(idx, i)
+			need--
+		}
+	}
 	return idx
 }
+
+// magKey is the selection key of x: the bit pattern of |x|.
+func magKey(x float64) uint64 { return math.Float64bits(x) &^ (1 << 63) }
 
 // Compress encodes the dense delta vector v under c. The zero-value
 // config (Mode None) stores v losslessly.
@@ -280,12 +322,70 @@ func (d *Delta) WireBytes() int {
 	return n
 }
 
+// at returns the j-th body value as the receiver reconstructs it.
+func (d *Delta) at(j int) float64 {
+	if d.Bits == 0 {
+		return d.Values[j]
+	}
+	return dequant(d.Min, d.Max, d.Bits, d.Codes[j])
+}
+
+// CompressInPlace is the error-feedback step of one client round, run in
+// the caller-owned residual: residual[i] becomes
+// (params[i]-global[i]) + residual[i], that vector is compressed, and
+// what the receiver will reconstruct is subtracted back out of the
+// coordinates the delta carries — every other one already holds its new
+// residual. A nil residual means zero (a fresh one is allocated). The
+// returned residual has advanced when err is nil and is untouched
+// otherwise; params and global are only read.
+func (c Config) CompressInPlace(params, global, residual []float64) (*Delta, []float64, error) {
+	if len(params) != len(global) || residual != nil && len(residual) != len(params) {
+		return nil, residual, fmt.Errorf("compress: %d params, %d global, %d residual entries",
+			len(params), len(global), len(residual))
+	}
+	if !c.Mode.Valid() {
+		return nil, residual, fmt.Errorf("compress: invalid mode %d", c.Mode)
+	}
+	if residual == nil {
+		residual = make([]float64, len(params))
+		for i := range residual {
+			residual[i] = params[i] - global[i]
+		}
+	} else {
+		for i, r := range residual {
+			residual[i] = (params[i] - global[i]) + r
+		}
+	}
+	d, err := c.feedBack(residual)
+	return d, residual, err
+}
+
+// feedBack compresses v and leaves the residual, v − decode(delta), in v;
+// off the delta's support that is v itself, so only carried slots change.
+func (c Config) feedBack(v []float64) (*Delta, error) {
+	d, err := c.Compress(v)
+	if err != nil {
+		return nil, err
+	}
+	if d.Indices == nil {
+		for i := range v {
+			v[i] -= d.at(i)
+		}
+		return d, nil
+	}
+	for j, i := range d.Indices {
+		v[i] -= d.at(j)
+	}
+	return d, nil
+}
+
 // CompressEF is Compress with error feedback: the residual the previous
 // round's compression left behind is folded into this round's delta
 // before selection/quantization, and the information this round drops
 // becomes the new residual. A nil residual is treated as zero. Returns
 // the compressed delta and the new residual (always a fresh slice of
-// len(delta)); neither input is modified.
+// len(delta)); neither input is modified. It is the pure form of
+// CompressInPlace, for callers that keep their inputs.
 func (c Config) CompressEF(delta, residual []float64) (*Delta, []float64, error) {
 	v := make([]float64, len(delta))
 	copy(v, delta)
@@ -298,14 +398,9 @@ func (c Config) CompressEF(delta, residual []float64) (*Delta, []float64, error)
 			v[i] += r
 		}
 	}
-	d, err := c.Compress(v)
+	d, err := c.feedBack(v)
 	if err != nil {
 		return nil, nil, err
-	}
-	// New residual: what the decoded delta fails to carry of v.
-	dec := d.Decode()
-	for i := range v {
-		v[i] -= dec[i]
 	}
 	return d, v, nil
 }
@@ -341,11 +436,7 @@ func (b *Bank) RoundTrip(clientID int, global, params []float64) ([]float64, int
 		out := append([]float64(nil), params...)
 		return out, 8 * len(params), nil
 	}
-	delta := make([]float64, len(params))
-	for i := range params {
-		delta[i] = params[i] - global[i]
-	}
-	d, res, err := b.Cfg.CompressEF(delta, b.residuals[clientID])
+	d, res, err := b.Cfg.CompressInPlace(params, global, b.residuals[clientID])
 	if err != nil {
 		return nil, 0, fmt.Errorf("compress: client %d: %w", clientID, err)
 	}
@@ -356,10 +447,6 @@ func (b *Bank) RoundTrip(clientID int, global, params []float64) ([]float64, int
 	}
 	return out, d.WireBytes(), nil
 }
-
-// Residual returns the client's current residual (nil if none), exposed
-// for the property tests that bound it.
-func (b *Bank) Residual(clientID int) []float64 { return b.residuals[clientID] }
 
 // bankState is the gob layout of a Bank's durable state. The config is
 // included so a restore onto a differently configured bank is caught

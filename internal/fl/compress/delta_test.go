@@ -52,18 +52,6 @@ func TestTopKSelectDeterministic(t *testing.T) {
 	}
 }
 
-func TestTopKSelectNaN(t *testing.T) {
-	v := []float64{1, math.NaN(), 2, math.NaN()}
-	got := TopKSelect(v, 2)
-	if len(got) != 2 {
-		t.Fatalf("NaN input broke selection: %v", got)
-	}
-	// Whatever the ordering chose, it must be a valid ascending support.
-	if got[0] >= got[1] || got[0] < 0 || got[1] >= len(v) {
-		t.Fatalf("invalid support %v", got)
-	}
-}
-
 // TestQuantizeErrorBound: the property the wire format's lossiness rests
 // on — for any vector and either width, |decode(encode(x)) − x| is at
 // most half a quantization step, (max−min)/(2^bits − 1)/2.

@@ -986,9 +986,12 @@ type sessionState struct {
 	// round's delta. resCaptures snapshots it per completed round
 	// alongside captures, so a rollback restores the residual the resumed
 	// round's compression depends on — without it, a resumed federation
-	// would diverge from an uninterrupted one.
+	// would diverge from an uninterrupted one. The residual is mutated in
+	// place every round, so a capture is always a copy, never an alias;
+	// resFree holds the slices of pruned captures for the next ones.
 	residual    []float64
 	resCaptures map[int][]float64
+	resFree     [][]float64
 }
 
 // RunClient connects a local fl.Client to a coordinator at addr and
@@ -1228,24 +1231,16 @@ func sendUpdateBinary(conn net.Conn, u fl.Update, broadcast []float64,
 			return errFatal{fmt.Errorf("transport: client %d produced %d params for a %d-param model",
 				u.ClientID, len(u.Params), len(broadcast))}
 		}
-		delta := make([]float64, len(u.Params))
-		for i := range delta {
-			delta[i] = u.Params[i] - broadcast[i]
-		}
+		// The residual advances here, in place, before the frame is
+		// written; a send failure after this point is fine — the round
+		// will be replayed from a rollback capture, which restores it.
 		var d *compress.Delta
-		var newRes []float64
-		d, newRes, err = cfg.CompressEF(delta, st.residual)
+		d, st.residual, err = cfg.CompressInPlace(u.Params, broadcast, st.residual)
 		if err != nil {
 			return errFatal{fmt.Errorf("transport: compressing update: %w", err)}
 		}
 		buf := wire.GetBuffer(wire.HeaderLen + wire.UpdatePayloadLen(cfg.Mode, d.Len, len(d.Indices)))[:0]
 		frame, err = wire.AppendUpdateFrame(buf, u, d, cfg.Mode)
-		if err == nil {
-			// The residual advances only once the frame is built; a
-			// send failure after this point is fine — the round will be
-			// replayed from a rollback capture, which restores it.
-			st.residual = newRes
-		}
 	}
 	if err != nil {
 		wire.PutBuffer(frame)
@@ -1267,8 +1262,9 @@ func pruneCaptures(st *sessionState, durable int) {
 			delete(st.captures, r)
 		}
 	}
-	for r := range st.resCaptures {
+	for r, res := range st.resCaptures {
 		if r < durable {
+			st.resFree = append(st.resFree, res)
 			delete(st.resCaptures, r)
 		}
 	}
@@ -1298,7 +1294,12 @@ func capture(client fl.Client, st *sessionState, round int, resid []float64) {
 		if st.resCaptures == nil {
 			st.resCaptures = make(map[int][]float64)
 		}
-		st.resCaptures[round] = append([]float64(nil), resid...)
+		// A replayed round overwrites its own slot; otherwise recycle.
+		buf := st.resCaptures[round]
+		if n := len(st.resFree); buf == nil && n > 0 {
+			buf, st.resFree = st.resFree[n-1], st.resFree[:n-1]
+		}
+		st.resCaptures[round] = append(buf[:0], resid...)
 	}
 }
 
@@ -1325,7 +1326,7 @@ func rollback(client fl.Client, st *sessionState, nextRound int, needResidual bo
 			return fmt.Errorf("transport: coordinator resumed at round %d but client %d holds no residual capture for round %d",
 				nextRound, client.ID(), nextRound-1)
 		}
-		st.residual = append([]float64(nil), res...)
+		st.residual = append(st.residual[:0], res...)
 	}
 	if err := sc.RestoreState(blob); err != nil {
 		return fmt.Errorf("transport: rolling client %d back to round %d: %w", client.ID(), nextRound-1, err)

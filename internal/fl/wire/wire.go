@@ -154,13 +154,3 @@ func AppendHeader(dst []byte, typ byte, mode compress.Mode, n int) []byte {
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(n))
 	return append(dst, hdr[:]...)
 }
-
-// WriteFrame writes one complete frame (header + payload) to w.
-func WriteFrame(w io.Writer, typ byte, mode compress.Mode, payload []byte) error {
-	buf := GetBuffer(0)[:0]
-	buf = AppendHeader(buf, typ, mode, len(payload))
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
-	PutBuffer(buf)
-	return err
-}
