@@ -62,7 +62,13 @@ type Client interface {
 	// NumSamples returns the local training-set size.
 	NumSamples() int
 	// TrainLocal loads the global parameters, runs the client's local
-	// training for the round, and returns the resulting update.
+	// training for the round, and returns the resulting update. global is
+	// valid only until TrainLocal returns and must not be written: over
+	// the wire it is the session's receive buffer, overwritten by the next
+	// round's broadcast (the returned Update may alias it — it is sent
+	// first), and in process every client of the round shares it. A client
+	// that needs the values later copies them (core.Client does, through
+	// nn.SetFlatParams).
 	TrainLocal(round int, global []float64) (Update, error)
 }
 

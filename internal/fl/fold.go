@@ -164,7 +164,7 @@ func NewAccumulator(rule robust.Aggregator) (Accumulator, bool) {
 // fold order, divided by Σ w at finalize — the exact operation sequence of
 // the batch Aggregate, hence bit-identical to it. The accumulator slice is
 // reused across Reset calls, so a Fold held across rounds aggregates with
-// zero steady-state allocations (FinalizeInto).
+// zero steady-state allocations (FinalizeInto, or Finalize + Recycle).
 type Fold struct {
 	acc   []float64
 	total float64
@@ -272,7 +272,7 @@ func (f *Fold) FinalizeInto(dst []float64) error {
 
 // Finalize implements Accumulator: it divides the accumulator in place and
 // detaches it (the returned slice is owned by the caller; the next Reset
-// allocates fresh storage).
+// allocates fresh storage unless Recycle supplied some).
 func (f *Fold) Finalize() ([]float64, robust.Report, error) {
 	if f.count == 0 {
 		return nil, robust.Report{}, errZeroFold
@@ -285,6 +285,11 @@ func (f *Fold) Finalize() ([]float64, robust.Report, error) {
 	f.acc = nil
 	return out, rep, nil
 }
+
+// Recycle hands the fold a vector the caller is finished with — the
+// global a finalized aggregate just replaced — as the next accumulator, so
+// Finalize/Recycle ping-pong two vectors. Reset zeroes it before use.
+func (f *Fold) Recycle(buf []float64) { f.acc = buf[:0] }
 
 // PartialView packages the fold's current state as a Partial WITHOUT
 // dividing. The Sum slice aliases the accumulator: consume (encode/copy)

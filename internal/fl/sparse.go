@@ -85,27 +85,39 @@ func ValidateSparse(u Update, wantLen int) error {
 // The input is validated first; a dense raw update passes through
 // untouched. The returned update never aliases global.
 func Densify(u Update, global []float64) (Update, error) {
+	return DensifyInto(nil, u, global)
+}
+
+// DensifyInto is Densify writing the dense vector into dst, the caller's
+// reusable len(global)-long storage (nil allocates it; its contents are
+// irrelevant): the same zero-scatter-add sequence, 0 + (−0) included.
+func DensifyInto(dst []float64, u Update, global []float64) (Update, error) {
 	if !u.Sparse() {
 		return u, nil
 	}
 	if err := ValidateSparse(u, len(global)); err != nil {
 		return Update{}, err
 	}
-	dense := make([]float64, len(global))
+	if dst == nil {
+		dst = make([]float64, len(global))
+	} else if len(dst) != len(global) {
+		return Update{}, fmt.Errorf("%w: densify into %d params, want %d", ErrSparseShape, len(dst), len(global))
+	}
 	if u.Indices != nil {
+		clear(dst)
 		for j, i := range u.Indices {
-			dense[i] = u.Params[j]
+			dst[i] = u.Params[j]
 		}
 	} else {
-		copy(dense, u.Params)
+		copy(dst, u.Params)
 	}
 	if u.IsDelta {
 		for i, g := range global {
-			dense[i] += g
+			dst[i] += g
 		}
 	}
 	out := u
-	out.Params = dense
+	out.Params = dst
 	out.Indices = nil
 	out.DenseLen = 0
 	out.IsDelta = false

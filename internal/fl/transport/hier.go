@@ -266,67 +266,44 @@ func (l *Leaf) rootSession(s *session, rc RetryConfig, addr string, rootToken *s
 	s.degradeOK = v2
 
 	for {
-		f, err := wire.ReadFrame(br, clientFrameBudget)
+		typ, _, size, err := wire.ReadHeader(br, clientFrameBudget)
 		if err != nil {
 			return progressed, false, stopErr(fmt.Errorf("transport: leaf %d reading round frame: %w", l.ID, err))
 		}
-		var round int
-		switch f.Type {
-		case wire.MsgDone:
-			f.Release()
+		if typ == wire.MsgDone {
 			return progressed, true, nil
-		case wire.MsgRound:
-			r, durable, params, derr := wire.DecodeRound(f.Payload)
-			f.Release()
-			if derr != nil {
-				return progressed, false, errFatal{fmt.Errorf("transport: leaf %d decoding round frame: %w", l.ID, derr)}
-			}
-			// The parent's broadcast is this round's center; its durable
-			// announce passes through so shard clients bound their
-			// rollback captures against the root's snapshots. A v1 round
-			// frame carries no tree directive, so none is in force.
-			s.global = params
-			s.durable = durable
-			s.treeFrac, s.treeSeed, s.sketchCap = 0, 0, 0
-			round = r
-		case wire.MsgRound2:
-			r2, derr := wire.DecodeRound2(f.Payload)
-			f.Release()
-			if derr != nil {
-				return progressed, false, errFatal{fmt.Errorf("transport: leaf %d decoding round frame: %w", l.ID, derr)}
-			}
-			s.global = r2.Params
-			s.durable = r2.Durable
-			s.treeFrac, s.treeSeed, s.sketchCap = r2.SampleFrac, r2.SampleSeed, r2.SketchCap
-			round = r2.Round
-		default:
-			f.Release()
-			return progressed, false, errFatal{fmt.Errorf("transport: leaf %d: unexpected frame type %d from parent", l.ID, f.Type)}
+		} else if typ != wire.MsgRound && typ != wire.MsgRound2 {
+			return progressed, false, errFatal{fmt.Errorf("transport: leaf %d: unexpected frame type %d from parent", l.ID, typ)}
 		}
-		if rerr := s.runRound(round); rerr != nil {
+		// The parent's broadcast is this round's center, decoded over the
+		// previous round's; its durable announce passes through so shard
+		// clients bound their rollback captures against the root's
+		// snapshots. A v1 round frame carries no tree directive, so none is
+		// in force (ReadRound leaves it zero).
+		rd, err := wire.ReadRound(br, typ, size, s.global)
+		if invalid(err) {
+			return progressed, false, errFatal{fmt.Errorf("transport: leaf %d decoding round frame: %w", l.ID, err)}
+		} else if err != nil {
+			return progressed, false, stopErr(fmt.Errorf("transport: leaf %d reading round frame: %w", l.ID, err))
+		}
+		s.global = rd.Params
+		s.durable = rd.Durable
+		s.treeFrac, s.treeSeed, s.sketchCap = rd.SampleFrac, rd.SampleSeed, rd.SketchCap
+		if rerr := s.runRound(rd.Round); rerr != nil {
 			// Unrecoverable round failure (quorum loss on a v1 link, local
 			// coverage floor, ...): the node leaves the tree and lets the
 			// parent's coverage accounting decide.
 			return progressed, false, errFatal{rerr}
 		}
-		var buf []byte
 		if v2 {
-			k := 0
-			if s.partial.Sketch != nil {
-				k = len(s.partial.Sketch.Keys)
-			}
-			buf = wire.GetBuffer(wire.HeaderLen + wire.Partial2PayloadLen(len(s.partial.Sum), k, s.partial.Sketch != nil))[:0]
-			buf = wire.AppendPartial2Frame(buf, s.partial)
+			s.tx = wire.AppendPartial2Frame(s.tx[:0], s.partial)
 		} else {
-			buf = wire.GetBuffer(wire.HeaderLen + wire.PartialPayloadLen(len(s.partial.Sum)))[:0]
-			buf = wire.AppendPartialFrame(buf, s.partial)
+			s.tx = wire.AppendPartialFrame(s.tx[:0], s.partial)
 		}
 		// One Write per frame: a connection cut mid-call tears the frame
 		// on the wire, which the parent's byte-budgeted reader discards
 		// whole (the torn-frame chaos tests depend on this).
-		_, werr := conn.Write(buf)
-		wire.PutBuffer(buf)
-		if werr != nil {
+		if _, werr := conn.Write(s.tx); werr != nil {
 			return progressed, false, stopErr(fmt.Errorf("transport: leaf %d sending partial: %w", l.ID, werr))
 		}
 		progressed = true

@@ -88,10 +88,62 @@ type session struct {
 	// exchanges the most recent streaming round reached.
 	peakInflight int
 
+	// bcast/bcast2 hold the round broadcast frames (v1/v2) and tx a tree
+	// node's outgoing partial frame, re-encoded in place every round;
+	// slots recycles the vectors updates and partial sums decode into.
+	bcast, bcast2, tx []byte
+	slots             slotPool
+
 	pendingMu sync.Mutex
 	pending   []*clientConn
 	// acceptDone is closed when the rejoin accept loop exits.
 	acceptDone chan struct{}
+}
+
+// slotPool is a coordinator session's free list of dense window slots. A
+// slot is taken when an admitted exchange's answer arrives and released
+// once that is folded and tallied (or rejected), so at most the
+// streaming window is ever out, each allocated the first time the window
+// gets that deep: two clients hold two slots. The buffered path takes its
+// vectors here too and never releases the ones it hands on — observers,
+// reputation and sort-based rules may retain them.
+type slotPool struct {
+	mu   sync.Mutex
+	free [][]float64
+}
+
+func (p *slotPool) get(n int) []float64 {
+	p.mu.Lock()
+	var v []float64
+	if last := len(p.free) - 1; last >= 0 {
+		v, p.free = p.free[last], p.free[:last]
+	}
+	p.mu.Unlock()
+	if len(v) != n {
+		v = make([]float64, n) // first use at this window depth (or a stale dimension)
+	}
+	return v
+}
+
+func (p *slotPool) put(v []float64) {
+	poison(v)
+	p.mu.Lock()
+	p.free = append(p.free, v)
+	p.mu.Unlock()
+}
+
+// poisonReleased is a test hook, never set outside tests: every dense
+// buffer the wire path recycles — a released slot, a client's params once
+// its update is sent, the global a finalized round replaced — is filled
+// with NaN first, so anything still aliasing one reads poison.
+var poisonReleased atomic.Bool
+
+func poison(v []float64) {
+	if poisonReleased.Load() {
+		for i := range v {
+			v[i] = math.NaN()
+		}
+	}
 }
 
 // streamingAccumulator reports whether the coordinator's configuration can
@@ -565,34 +617,24 @@ func (s *session) runRound(round int) error {
 	rc := &roundCtx{
 		round: round, durable: s.durable, global: s.global,
 		timeout: c.RoundTimeout, budget: budget,
-		maxNorm: c.MaxUpdateNorm, met: c.Metrics,
-	}
-	if c.AcceptPartials {
-		frac, seed := s.distSample()
-		rc.r2 = wire.Round2{SampleFrac: frac, SampleSeed: seed, SketchCap: distCap}
+		maxNorm: c.MaxUpdateNorm, met: c.Metrics, slots: &s.slots,
 	}
 	var wantV1, wantV2 bool
 	for _, cc := range cohort {
-		if !cc.binary {
-			continue
-		}
-		if cc.partialV >= 2 {
-			wantV2 = true
-		} else {
-			wantV1 = true
-		}
+		wantV1 = wantV1 || cc.binary && cc.partialV < 2
+		wantV2 = wantV2 || cc.binary && cc.partialV >= 2
 	}
 	if wantV1 {
-		buf := wire.GetBuffer(wire.HeaderLen + wire.RoundPayloadLen(len(s.global)))[:0]
-		rc.bcast = wire.AppendRoundFrame(buf, round, s.durable, s.global)
-		defer wire.PutBuffer(rc.bcast)
+		s.bcast = wire.AppendRoundFrame(s.bcast[:0], round, s.durable, s.global)
+		rc.bcast = s.bcast
 	}
 	if wantV2 {
-		r2 := rc.r2
-		r2.Round, r2.Durable, r2.Params = round, s.durable, s.global
-		buf := wire.GetBuffer(wire.HeaderLen + wire.Round2PayloadLen(len(s.global)))[:0]
-		rc.bcast2 = wire.AppendRound2Frame(buf, r2)
-		defer wire.PutBuffer(rc.bcast2)
+		frac, seed := s.distSample()
+		s.bcast2 = wire.AppendRound2Frame(s.bcast2[:0], wire.Round2{
+			Round: round, Durable: s.durable, Params: s.global,
+			SampleFrac: frac, SampleSeed: seed, SketchCap: distCap,
+		})
+		rc.bcast2 = s.bcast2
 	}
 
 	var (
@@ -660,6 +702,13 @@ func (s *session) runRound(round int) error {
 			agg, rep, err := s.acc.Finalize()
 			if err != nil {
 				return fmt.Errorf("transport: round %d: %w", round, err)
+			}
+			if s.fold != nil {
+				// The mean fold ping-pongs with the global: the outgoing one
+				// — the session's own copy of Initial or an earlier aggregate,
+				// never a slice anyone else was handed — accumulates next.
+				poison(s.global)
+				s.fold.Recycle(s.global)
 			}
 			s.global = agg
 			report = rep
@@ -818,6 +867,7 @@ func (s *session) runBuffered(rc *roundCtx, cohort []*clientConn) (survivors []*
 		err := errs[i]
 		if err == nil && cc.partial {
 			err = s.tallyPartial(parts[i])
+			rc.slots.put(parts[i].Sum) // tallied: a reservoir keeps rows, never the sums
 		}
 		if err != nil {
 			if !c.faultTolerant() {
@@ -947,10 +997,15 @@ func (s *session) runStream(rc *roundCtx, cohort []*clientConn) (survivors []*cl
 				if sl.err == nil {
 					rc.met.partialAccepted()
 				}
+				rc.slots.put(sl.p.Sum)
 			} else {
 				sl.err = s.acc.Fold(sl.u)
 				if sl.err == nil {
 					s.tallyUpdate(sl.u)
+				}
+				if cc.binary {
+					// Folded and tallied (Sketch.Add copies): the slot is free.
+					rc.slots.put(sl.u.Params)
 				}
 			}
 		}

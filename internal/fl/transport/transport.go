@@ -467,62 +467,66 @@ func decodeUpdate(dec *gob.Decoder, lim *budgetReader, budget int64,
 	return um.U, nil
 }
 
-// decodeUpdateFrame is decodeUpdate's binary twin: read one frame under
-// the byte budget, structurally decode it, densify any compressed shape
-// against the broadcast global (which performs the semantic sparse-index
-// validation), stamp the authoritative client ID, and validate. Hostile
-// bytes can only produce an error — wire.ReadFrame checks declared
-// lengths against the budget before allocating and wire.DecodeUpdate runs
-// under a panic guard (fuzzed by FuzzDecodeFrame).
+// decodeUpdateFrame is decodeUpdate's binary twin: check the frame header
+// against the byte budget, take a len(global)-long vector from slots once
+// the frame has arrived, and decode the payload straight off the
+// connection into it — a dense body is streamed in, a compressed one
+// densified in against the broadcast global (which performs the semantic
+// sparse-index validation); it becomes the update's Params, the caller's
+// to release. Then stamp the authoritative client ID and validate. Hostile
+// bytes can only produce an error: declared lengths are checked against
+// the budget and the model before anything is read or allocated for them,
+// and the wire decoders run under a panic guard (fuzzed by
+// FuzzDecodeFrame and FuzzDecodeUpdateStream).
 func decodeUpdateFrame(r io.Reader, lim *budgetReader, budget int64, accepted compress.Mode,
-	clientID int, global []float64, maxNorm float64) (fl.Update, compress.Mode, error) {
+	clientID int, global []float64, maxNorm float64, slots *slotPool) (u fl.Update, mode compress.Mode, err error) {
 	lim.allow(wire.HeaderLen + budget)
-	f, err := wire.ReadFrame(r, int(budget))
+	typ, mode, size, err := wire.ReadHeader(r, int(budget))
 	if err != nil {
-		if errors.Is(err, wire.ErrBudget) || errors.Is(err, wire.ErrPayload) ||
-			errors.Is(err, wire.ErrTruncated) {
-			return fl.Update{}, compress.None, errInvalid{err}
-		}
 		return fl.Update{}, compress.None, err
 	}
-	defer f.Release()
-	if f.Type != wire.MsgUpdate {
-		return fl.Update{}, f.Mode, errInvalid{fmt.Errorf("wire: expected update frame, got type %d", f.Type)}
+	if typ != wire.MsgUpdate {
+		return fl.Update{}, mode, errInvalid{fmt.Errorf("wire: expected update frame, got type %d", typ)}
 	}
 	// A client may always fall back to an uncompressed update (mode None)
 	// — e.g. for a final fine-grained round — but cannot unilaterally
 	// switch to a mode the handshake did not accept.
-	if f.Mode != accepted && f.Mode != compress.None {
-		return fl.Update{}, f.Mode, errInvalid{fmt.Errorf(
-			"wire: client %d sent mode %s, negotiated %s", clientID, f.Mode, accepted)}
+	if mode != accepted && mode != compress.None {
+		return fl.Update{}, mode, errInvalid{fmt.Errorf(
+			"wire: client %d sent mode %s, negotiated %s", clientID, mode, accepted)}
 	}
-	u, err := wire.DecodeUpdate(f.Mode, f.Payload)
-	if err != nil {
-		return fl.Update{}, f.Mode, errInvalid{err}
+	dst := slots.get(len(global))
+	defer func() {
+		if err != nil {
+			slots.put(dst)
+		}
+	}()
+	if u, err = wire.ReadUpdate(r, mode, size, dst); err != nil {
+		return fl.Update{}, mode, err
 	}
 	u.ClientID = clientID
-	if u, err = fl.Densify(u, global); err != nil {
-		return fl.Update{}, f.Mode, errInvalid{err}
+	if u, err = fl.DensifyInto(dst, u, global); err != nil {
+		return fl.Update{}, mode, errInvalid{err}
 	}
-	if err := fl.ValidateUpdateBounded(u, len(global), maxNorm); err != nil {
-		return fl.Update{}, f.Mode, errInvalid{err}
+	if err = fl.ValidateUpdateBounded(u, len(global), maxNorm); err != nil {
+		return fl.Update{}, mode, errInvalid{err}
 	}
-	return u, f.Mode, nil
+	return u, mode, nil
 }
 
-// roundCtx carries one round's shared exchange parameters. bcast, when
-// non-nil, is the pre-encoded MsgRound frame shared read-only by every
-// binary connection — the per-round encoding cost is paid once, not per
-// client. bcast2 is its MsgRound2 twin for partial-v2 children, carrying
-// the root-coordinated sample directive and sketch capacity (r2 holds the
-// decoded form for the per-connection fallback encode).
+// roundCtx carries one round's shared exchange parameters. bcast is the
+// pre-encoded MsgRound frame shared read-only by every binary connection
+// — the per-round encoding cost is paid once, not per client — and bcast2
+// its MsgRound2 twin for partial-v2 children, carrying the
+// root-coordinated sample directive and sketch capacity. slots is the
+// session's free list of vectors updates and partial sums decode into.
 type roundCtx struct {
 	round   int
 	durable int
 	global  []float64
 	bcast   []byte
 	bcast2  []byte
-	r2      wire.Round2
+	slots   *slotPool
 	timeout time.Duration
 	budget  int64
 	maxNorm float64
@@ -545,7 +549,7 @@ func (cc *clientConn) exchange(rc *roundCtx, out *fl.Update) error {
 	}
 	u, err := decodeUpdate(cc.dec, cc.lim, rc.budget, cc.id, len(rc.global), rc.maxNorm)
 	if err != nil {
-		if !errors.As(err, &errInvalid{}) {
+		if !invalid(err) {
 			rc.met.decodeFailure()
 			return fmt.Errorf("transport: reading update from client %d: %w", cc.id, err)
 		}
@@ -555,45 +559,32 @@ func (cc *clientConn) exchange(rc *roundCtx, out *fl.Update) error {
 	return nil
 }
 
-// sendRound writes the round frame for a binary session, preferring the
-// round's shared broadcast bytes over a per-connection encode. Partial-v2
-// children get the MsgRound2 broadcast (sampling directive + sketch cap);
-// everyone else gets the v1 MsgRound.
+// sendRound writes the round's shared broadcast to a binary session: the
+// MsgRound2 frame (sampling directive + sketch cap) for partial-v2
+// children, the v1 MsgRound for everyone else. The handshake admits
+// partials only on the binary codec and runRound encodes a frame for
+// every version its binary cohort speaks, so the pick always exists.
 func (cc *clientConn) sendRound(rc *roundCtx) error {
 	buf := rc.bcast
-	var pooled []byte
 	if cc.partialV >= 2 {
-		if buf = rc.bcast2; buf == nil {
-			r2 := rc.r2
-			r2.Round, r2.Durable, r2.Params = rc.round, rc.durable, rc.global
-			pooled = wire.GetBuffer(wire.HeaderLen + wire.Round2PayloadLen(len(rc.global)))[:0]
-			pooled = wire.AppendRound2Frame(pooled, r2)
-			buf = pooled
-		}
-	} else if buf == nil {
-		pooled = wire.GetBuffer(wire.HeaderLen + wire.RoundPayloadLen(len(rc.global)))[:0]
-		pooled = wire.AppendRoundFrame(pooled, rc.round, rc.durable, rc.global)
-		buf = pooled
+		buf = rc.bcast2
 	}
-	_, err := cc.w.Write(buf)
-	if pooled != nil {
-		wire.PutBuffer(pooled)
-	}
-	if err != nil {
+	if _, err := cc.w.Write(buf); err != nil {
 		return fmt.Errorf("transport: sending round %d to client %d: %w", rc.round, cc.id, err)
 	}
 	return nil
 }
 
 // exchangeBinary is exchange over wire frames: broadcast the MsgRound
-// frame, then decode the (possibly compressed) update.
+// frame, then decode the (possibly compressed) update into a window slot
+// — on success out.Params, the folder's to release.
 func (cc *clientConn) exchangeBinary(rc *roundCtx, out *fl.Update) error {
 	if err := cc.sendRound(rc); err != nil {
 		return err
 	}
-	u, mode, err := decodeUpdateFrame(cc.br, cc.lim, rc.budget, cc.cfg.Mode, cc.id, rc.global, rc.maxNorm)
+	u, mode, err := decodeUpdateFrame(cc.br, cc.lim, rc.budget, cc.cfg.Mode, cc.id, rc.global, rc.maxNorm, rc.slots)
 	if err != nil {
-		if !errors.As(err, &errInvalid{}) {
+		if !invalid(err) {
 			rc.met.decodeFailure()
 			return fmt.Errorf("transport: reading update from client %d: %w", cc.id, err)
 		}
@@ -621,35 +612,32 @@ func (cc *clientConn) exchangePartial(rc *roundCtx, out *fl.Partial) error {
 	cc.lim.allow(wire.HeaderLen + rc.budget)
 	f, err := wire.ReadFrame(cc.br, int(rc.budget))
 	if err != nil {
-		if errors.Is(err, wire.ErrBudget) || errors.Is(err, wire.ErrPayload) ||
-			errors.Is(err, wire.ErrTruncated) {
-			return fmt.Errorf("transport: round %d: %w", rc.round, errInvalid{err})
+		if invalid(err) {
+			return fmt.Errorf("transport: round %d: %w", rc.round, err)
 		}
 		rc.met.decodeFailure()
 		return fmt.Errorf("transport: reading partial from leaf %d: %w", cc.id, err)
 	}
 	defer f.Release()
-	var p fl.Partial
-	switch {
-	case f.Type == wire.MsgPartial:
-		p, err = wire.DecodePartial(f.Payload)
-	case f.Type == wire.MsgPartial2 && cc.partialV >= 2:
-		p, err = wire.DecodePartial2(f.Payload)
-	default:
+	if f.Type != wire.MsgPartial && !(f.Type == wire.MsgPartial2 && cc.partialV >= 2) {
 		return fmt.Errorf("transport: round %d: %w", rc.round,
 			errInvalid{fmt.Errorf("wire: expected partial frame, got type %d (v%d session)", f.Type, cc.partialV)})
 	}
+	// The sums land in a window slot, the folder's to release.
+	dst := rc.slots.get(len(rc.global))
+	p, err := wire.DecodePartialInto(f.Type, f.Payload, dst)
+	if err == nil {
+		// The leaf ID is stamped from the authenticated connection, so one
+		// leaf cannot impersonate another in failure accounting.
+		p.LeafID = cc.id
+		if p.Round != rc.round {
+			err = fmt.Errorf("fl: leaf %d sent a partial for round %d", cc.id, p.Round)
+		} else {
+			err = fl.ValidatePartial(p, len(rc.global), rc.maxNorm)
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("transport: round %d: %w", rc.round, errInvalid{err})
-	}
-	// The leaf ID is stamped from the authenticated connection, so one
-	// leaf cannot impersonate another in failure accounting.
-	p.LeafID = cc.id
-	if p.Round != rc.round {
-		return fmt.Errorf("transport: round %d: %w", rc.round,
-			errInvalid{fmt.Errorf("fl: leaf %d sent a partial for round %d", cc.id, p.Round)})
-	}
-	if err := fl.ValidatePartial(p, len(rc.global), rc.maxNorm); err != nil {
+		rc.slots.put(dst)
 		return fmt.Errorf("transport: round %d: %w", rc.round, errInvalid{err})
 	}
 	*out = p
@@ -662,12 +650,21 @@ type errInvalid struct{ err error }
 func (e errInvalid) Error() string { return e.err.Error() }
 func (e errInvalid) Unwrap() error { return e.err }
 
+// invalid reports whether err blames the peer's bytes — a validation
+// failure, or a wire decoder's verdict (over budget, inconsistent or
+// truncated payload) — rather than the connection: a body cut mid-stream
+// is an I/O error.
+func invalid(err error) bool {
+	return errors.As(err, &errInvalid{}) || errors.Is(err, wire.ErrBudget) ||
+		errors.Is(err, wire.ErrPayload) || errors.Is(err, wire.ErrTruncated)
+}
+
 func failureReason(err error) fl.FailureReason {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		return fl.FailTimeout
 	}
-	if errors.As(err, &errInvalid{}) || errors.Is(err, errMsgTooLarge) {
+	if invalid(err) || errors.Is(err, errMsgTooLarge) {
 		return fl.FailInvalid
 	}
 	return fl.FailTransport
@@ -992,7 +989,24 @@ type sessionState struct {
 	residual    []float64
 	resCaptures map[int][]float64
 	resFree     [][]float64
+	// params and tx are the binary session's wire buffers, reused every
+	// round and across reconnects: the broadcast is decoded into params
+	// (what TrainLocal is handed) and the update frame encoded into tx. A
+	// session without keepBuffers drops both once its update is sent.
+	params      []float64
+	tx          []byte
+	keepBuffers bool
 }
+
+// maxOwningSessions bounds how many client sessions of one process keep
+// their wire buffers between rounds. A deployed client is alone in its
+// process and always does; of a load harness's 10⁵ in-process clients all
+// but the first few allocate per round instead, so a client waiting for
+// its next round holds nothing the size of the model. liveSessions counts
+// the RunClientRetry calls in flight.
+const maxOwningSessions = 8
+
+var liveSessions atomic.Int32
 
 // RunClient connects a local fl.Client to a coordinator at addr and
 // participates until the coordinator signals completion. It makes a single
@@ -1014,7 +1028,11 @@ func RunClient(addr string, client fl.Client) error {
 // remain fatal (there is nothing to rejoin).
 func RunClientRetry(addr string, client fl.Client, rc RetryConfig) error {
 	rc = rc.withDefaults()
-	st := &sessionState{captures: make(map[int][]byte)}
+	st := &sessionState{
+		captures:    make(map[int][]byte),
+		keepBuffers: liveSessions.Add(1) <= maxOwningSessions,
+	}
+	defer liveSessions.Add(-1)
 	var err error
 	for attempt := 1; attempt <= rc.MaxAttempts; attempt++ {
 		if attempt > 1 {
@@ -1178,31 +1196,36 @@ func runSession(addr string, client fl.Client, rc RetryConfig, st *sessionState)
 func runRoundsBinary(conn net.Conn, r io.Reader, client fl.Client, cfg compress.Config,
 	stopErr func(error) error, st *sessionState) error {
 	for {
-		f, err := wire.ReadFrame(r, clientFrameBudget)
+		typ, _, size, err := wire.ReadHeader(r, clientFrameBudget)
 		if err != nil {
 			return stopErr(fmt.Errorf("transport: reading round frame: %w", err))
 		}
 		st.joined = true
-		if f.Type == wire.MsgDone {
-			f.Release()
+		if typ == wire.MsgDone {
 			return nil
 		}
-		if f.Type != wire.MsgRound {
-			f.Release()
-			return errFatal{fmt.Errorf("transport: unexpected frame type %d mid-federation", f.Type)}
+		if typ != wire.MsgRound {
+			return errFatal{fmt.Errorf("transport: unexpected frame type %d mid-federation", typ)}
 		}
-		round, durable, params, err := wire.DecodeRound(f.Payload)
-		f.Release()
-		if err != nil {
+		rd, err := wire.ReadRound(r, typ, size, st.params)
+		if invalid(err) {
 			return errFatal{fmt.Errorf("transport: decoding round frame: %w", err)}
+		} else if err != nil {
+			return stopErr(fmt.Errorf("transport: reading round frame: %w", err))
 		}
-		pruneCaptures(st, durable)
+		st.params = rd.Params
+		round, params := rd.Round, rd.Params
+		pruneCaptures(st, rd.Durable)
 		u, err := client.TrainLocal(round, params)
 		if err != nil {
 			return errFatal{fmt.Errorf("transport: local training round %d: %w", round, err)}
 		}
 		if err := sendUpdateBinary(conn, u, params, cfg, st); err != nil {
 			return stopErr(err)
+		}
+		poison(params)
+		if !st.keepBuffers {
+			st.params, st.tx = nil, nil
 		}
 		st.nextRound = round + 1
 		var resid []float64
@@ -1213,20 +1236,15 @@ func runRoundsBinary(conn net.Conn, r io.Reader, client fl.Client, cfg compress.
 	}
 }
 
-// sendUpdateBinary encodes and sends one update frame. Uncompressed
-// sessions send the raw dense parameters; compressed ones send the
-// delta against the broadcast global with the error-feedback residual
-// folded in, and keep what the lossy codec dropped as the new residual.
+// sendUpdateBinary encodes one update frame and sends it in one Write.
+// Uncompressed sessions send the raw dense parameters; compressed ones
+// send the delta against the broadcast global with the error-feedback
+// residual folded in, and keep what the lossy codec dropped as the new
+// residual.
 func sendUpdateBinary(conn net.Conn, u fl.Update, broadcast []float64,
 	cfg compress.Config, st *sessionState) error {
-	var (
-		frame []byte
-		err   error
-	)
-	if cfg.Mode == compress.None {
-		buf := wire.GetBuffer(wire.HeaderLen + wire.UpdatePayloadLen(compress.None, len(u.Params), 0))[:0]
-		frame, err = wire.AppendUpdateFrame(buf, u, nil, compress.None)
-	} else {
+	var d *compress.Delta
+	if cfg.Mode != compress.None {
 		if len(u.Params) != len(broadcast) {
 			return errFatal{fmt.Errorf("transport: client %d produced %d params for a %d-param model",
 				u.ClientID, len(u.Params), len(broadcast))}
@@ -1234,24 +1252,29 @@ func sendUpdateBinary(conn net.Conn, u fl.Update, broadcast []float64,
 		// The residual advances here, in place, before the frame is
 		// written; a send failure after this point is fine — the round
 		// will be replayed from a rollback capture, which restores it.
-		var d *compress.Delta
+		var err error
 		d, st.residual, err = cfg.CompressInPlace(u.Params, broadcast, st.residual)
 		if err != nil {
 			return errFatal{fmt.Errorf("transport: compressing update: %w", err)}
 		}
-		buf := wire.GetBuffer(wire.HeaderLen + wire.UpdatePayloadLen(cfg.Mode, d.Len, len(d.Indices)))[:0]
-		frame, err = wire.AppendUpdateFrame(buf, u, d, cfg.Mode)
 	}
+	frame, err := st.encodeUpdate(u, d, cfg.Mode)
 	if err != nil {
-		wire.PutBuffer(frame)
 		return errFatal{fmt.Errorf("transport: encoding update: %w", err)}
 	}
-	_, werr := conn.Write(frame)
-	wire.PutBuffer(frame)
-	if werr != nil {
-		return fmt.Errorf("transport: sending update: %w", werr)
+	if _, err := conn.Write(frame); err != nil {
+		return fmt.Errorf("transport: sending update: %w", err)
 	}
 	return nil
+}
+
+// encodeUpdate builds the update frame in the session-owned tx buffer; an
+// encode error leaves the buffer as it was.
+func (st *sessionState) encodeUpdate(u fl.Update, d *compress.Delta, mode compress.Mode) (frame []byte, err error) {
+	if frame, err = wire.AppendUpdateFrame(st.tx[:0], u, d, mode); err == nil {
+		st.tx = frame
+	}
+	return frame, err
 }
 
 // pruneCaptures drops rollback captures (state and residual) for rounds

@@ -125,6 +125,15 @@ func appendU64(dst []byte, v uint64) []byte {
 	return append(dst, b[:]...)
 }
 
+// getF64s fills dst from the front of b: the one body conversion the
+// byte-slice and the streaming decoders share.
+func getF64s(dst []float64, b []byte) {
+	b = b[:8*len(dst)]
+	for i := range dst {
+		dst[i] = getF64(b[8*i:])
+	}
+}
+
 func getU32(b []byte) uint32  { return binary.LittleEndian.Uint32(b) }
 func getU64(b []byte) uint64  { return binary.LittleEndian.Uint64(b) }
 func getF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
@@ -150,22 +159,45 @@ func AppendDoneFrame(dst []byte) []byte {
 
 // DecodeRound parses a MsgRound payload.
 func DecodeRound(payload []byte) (round, durable int, params []float64, err error) {
+	r, err := decodeRound(MsgRound, payload)
+	return r.Round, r.Durable, r.Params, err
+}
+
+// roundHeadLens is the fixed head length of each round payload version.
+var roundHeadLens = [...]int{MsgRound: roundHeadLen, MsgRound2: round2HeadLen}
+
+// roundHead parses the fixed head of a v1 or v2 round payload whose
+// declared length is size — head holds min(size, head length) bytes — and
+// returns the parameter count the body must carry.
+func roundHead(typ byte, head []byte, size int) (r Round2, n int, err error) {
+	headLen := roundHeadLens[typ]
+	if size < headLen {
+		return Round2{}, 0, fmt.Errorf("%w: round payload of %d bytes", ErrTruncated, size)
+	}
+	r.Round = int(getU32(head[0:]))
+	r.Durable = int(int32(getU32(head[4:])))
+	if typ == MsgRound2 {
+		r.SampleFrac = getF64(head[8:])
+		r.SampleSeed = int64(getU64(head[16:]))
+		r.SketchCap = int(int32(getU32(head[24:])))
+	}
+	n = int(getU32(head[headLen-4:]))
+	if size != headLen+8*n {
+		return Round2{}, 0, fmt.Errorf("%w: round declares %d params in %d bytes, want %d",
+			ErrPayload, n, size, headLen+8*n)
+	}
+	return r, n, nil
+}
+
+func decodeRound(typ byte, payload []byte) (r Round2, err error) {
 	defer recoverDecode(&err)
-	if len(payload) < roundHeadLen {
-		return 0, 0, nil, fmt.Errorf("%w: round payload of %d bytes", ErrTruncated, len(payload))
+	r, n, err := roundHead(typ, payload, len(payload))
+	if err != nil {
+		return Round2{}, err
 	}
-	round = int(getU32(payload[0:]))
-	durable = int(int32(getU32(payload[4:])))
-	n := int(getU32(payload[8:]))
-	if len(payload) != RoundPayloadLen(n) {
-		return 0, 0, nil, fmt.Errorf("%w: round declares %d params in %d bytes, want %d",
-			ErrPayload, n, len(payload), RoundPayloadLen(n))
-	}
-	params = make([]float64, n)
-	for i := range params {
-		params[i] = getF64(payload[roundHeadLen+8*i:])
-	}
-	return round, durable, params, nil
+	r.Params = make([]float64, n)
+	getF64s(r.Params, payload[roundHeadLens[typ]:])
+	return r, nil
 }
 
 // PartialPayloadLen returns the partial payload size for n parameters.
@@ -187,25 +219,8 @@ func AppendPartialFrame(dst []byte, p fl.Partial) []byte {
 // performs only the structural checks (exact size arithmetic, panic
 // guard); semantic validation (weight/count positivity, finiteness, the
 // implied-mean norm bound) is fl.ValidatePartial's job at the root.
-func DecodePartial(payload []byte) (p fl.Partial, err error) {
-	defer recoverDecode(&err)
-	if len(payload) < partialHeadLen {
-		return fl.Partial{}, fmt.Errorf("%w: partial payload of %d bytes", ErrTruncated, len(payload))
-	}
-	p.Round = int(getU32(payload[0:]))
-	p.LeafID = int(getU32(payload[4:]))
-	p.Count = int(int32(getU32(payload[8:])))
-	p.Weight = getF64(payload[12:])
-	n := int(getU32(payload[20:]))
-	if len(payload) != PartialPayloadLen(n) {
-		return fl.Partial{}, fmt.Errorf("%w: partial declares %d params in %d bytes, want %d",
-			ErrPayload, n, len(payload), PartialPayloadLen(n))
-	}
-	p.Sum = make([]float64, n)
-	for i := range p.Sum {
-		p.Sum[i] = getF64(payload[partialHeadLen+8*i:])
-	}
-	return p, nil
+func DecodePartial(payload []byte) (fl.Partial, error) {
+	return DecodePartialInto(MsgPartial, payload, nil)
 }
 
 // Partial2PayloadLen returns the v2 partial payload size for n parameters
@@ -258,35 +273,53 @@ func AppendPartial2Frame(dst []byte, p fl.Partial) []byte {
 // (exact size arithmetic, bounded allocation, panic guard); semantic
 // validation — including the sketch's sorted-keys/finiteness/row-count
 // invariants — is fl.ValidatePartial's job at the parent.
-func DecodePartial2(payload []byte) (p fl.Partial, err error) {
+func DecodePartial2(payload []byte) (fl.Partial, error) {
+	return DecodePartialInto(MsgPartial2, payload, nil)
+}
+
+// DecodePartialInto is the decoder behind both (typ says which): a non-nil
+// sum — the receiver's window slot — receives the weighted sums, and a
+// partial of any other length is rejected before its body is touched.
+// Sketch rows get storage of their own: a merged reservoir retains them.
+func DecodePartialInto(typ byte, payload []byte, sum []float64) (p fl.Partial, err error) {
 	defer recoverDecode(&err)
-	if len(payload) < partial2HeadLen {
-		return fl.Partial{}, fmt.Errorf("%w: partial2 payload of %d bytes", ErrTruncated, len(payload))
+	name, headLen := "partial", partialHeadLen
+	if typ == MsgPartial2 {
+		name, headLen = "partial2", partial2HeadLen
+	}
+	if len(payload) < headLen {
+		return fl.Partial{}, fmt.Errorf("%w: %s payload of %d bytes", ErrTruncated, name, len(payload))
 	}
 	p.Round = int(getU32(payload[0:]))
 	p.LeafID = int(getU32(payload[4:]))
 	p.Count = int(int32(getU32(payload[8:])))
-	flags := getU32(payload[12:])
-	p.Weight = getF64(payload[16:])
-	p.ExpectWeight = getF64(payload[24:])
-	p.Degraded = flags&partial2Degraded != 0
-	hasSketch := flags&partial2HasSketch != 0
-	n := int(getU32(payload[32:]))
+	hasSketch := false
+	if typ == MsgPartial2 {
+		flags := getU32(payload[12:])
+		p.Weight = getF64(payload[16:])
+		p.ExpectWeight = getF64(payload[24:])
+		p.Degraded = flags&partial2Degraded != 0
+		hasSketch = flags&partial2HasSketch != 0
+	} else {
+		p.Weight = getF64(payload[12:])
+	}
+	n := int(getU32(payload[headLen-4:]))
 	// Every parameter costs ≥ 8 payload bytes, so a declared count beyond
 	// len/8 is a lie — reject before the size products below can overflow.
 	if n > len(payload)/8 {
-		return fl.Partial{}, fmt.Errorf("%w: partial2 declares %d params in %d bytes", ErrPayload, n, len(payload))
+		return fl.Partial{}, fmt.Errorf("%w: %s declares %d params in %d bytes", ErrPayload, name, n, len(payload))
 	}
-	if !hasSketch {
-		if len(payload) != Partial2PayloadLen(n, 0, false) {
-			return fl.Partial{}, fmt.Errorf("%w: partial2 declares %d params in %d bytes, want %d",
-				ErrPayload, n, len(payload), Partial2PayloadLen(n, 0, false))
-		}
+	if !hasSketch && len(payload) != headLen+8*n {
+		return fl.Partial{}, fmt.Errorf("%w: %s declares %d params in %d bytes, want %d",
+			ErrPayload, name, n, len(payload), headLen+8*n)
 	}
-	p.Sum = make([]float64, n)
-	for i := range p.Sum {
-		p.Sum[i] = getF64(payload[partial2HeadLen+8*i:])
+	if sum != nil && len(sum) != n {
+		return fl.Partial{}, fmt.Errorf("%w: %s of %d params, want %d", ErrPayload, name, n, len(sum))
 	}
+	if p.Sum = sum; sum == nil {
+		p.Sum = make([]float64, n)
+	}
+	getF64s(p.Sum, payload[headLen:])
 	if !hasSketch {
 		return p, nil
 	}
@@ -314,11 +347,8 @@ func DecodePartial2(payload []byte) (p fl.Partial, err error) {
 	body = body[8*k:]
 	sk.Vals = make([][]float64, k)
 	for i := range sk.Vals {
-		row := make([]float64, n)
-		for j := range row {
-			row[j] = getF64(body[8*(i*n+j):])
-		}
-		sk.Vals[i] = row
+		sk.Vals[i] = make([]float64, n)
+		getF64s(sk.Vals[i], body[8*i*n:])
 	}
 	p.Sketch = sk
 	return p, nil
@@ -351,27 +381,7 @@ func AppendRound2Frame(dst []byte, r Round2) []byte {
 }
 
 // DecodeRound2 parses a MsgRound2 payload.
-func DecodeRound2(payload []byte) (r Round2, err error) {
-	defer recoverDecode(&err)
-	if len(payload) < round2HeadLen {
-		return Round2{}, fmt.Errorf("%w: round2 payload of %d bytes", ErrTruncated, len(payload))
-	}
-	r.Round = int(getU32(payload[0:]))
-	r.Durable = int(int32(getU32(payload[4:])))
-	r.SampleFrac = getF64(payload[8:])
-	r.SampleSeed = int64(getU64(payload[16:]))
-	r.SketchCap = int(int32(getU32(payload[24:])))
-	n := int(getU32(payload[28:]))
-	if len(payload) != Round2PayloadLen(n) {
-		return Round2{}, fmt.Errorf("%w: round2 declares %d params in %d bytes, want %d",
-			ErrPayload, n, len(payload), Round2PayloadLen(n))
-	}
-	r.Params = make([]float64, n)
-	for i := range r.Params {
-		r.Params[i] = getF64(payload[round2HeadLen+8*i:])
-	}
-	return r, nil
-}
+func DecodeRound2(payload []byte) (Round2, error) { return decodeRound(MsgRound2, payload) }
 
 // UpdatePayloadLen returns the update payload size for a dense length and
 // a compressed body of k kept coordinates under mode (k is ignored by
@@ -465,24 +475,15 @@ func DecodeUpdate(mode compress.Mode, payload []byte) (u fl.Update, err error) {
 	if !mode.Valid() {
 		return fl.Update{}, fmt.Errorf("%w: compression mode %d", ErrPayload, mode)
 	}
-	if len(payload) < updateHeadLen {
-		return fl.Update{}, fmt.Errorf("%w: update payload of %d bytes", ErrTruncated, len(payload))
+	u, denseLen, err := updateHead(mode, payload, len(payload))
+	if err != nil {
+		return fl.Update{}, err
 	}
-	u.ClientID = int(getU32(payload[0:]))
-	u.NumSamples = int(int32(getU32(payload[4:])))
-	u.TrainLoss = getF64(payload[8:])
-	denseLen := int(getU32(payload[16:]))
 	body := payload[updateHeadLen:]
 
 	if mode == compress.None {
-		if len(body) != 8*denseLen {
-			return fl.Update{}, fmt.Errorf("%w: dense body of %d bytes for %d params",
-				ErrPayload, len(body), denseLen)
-		}
 		u.Params = make([]float64, denseLen)
-		for i := range u.Params {
-			u.Params[i] = getF64(body[8*i:])
-		}
+		getF64s(u.Params, body)
 		return u, nil
 	}
 
@@ -539,6 +540,23 @@ func DecodeUpdate(mode compress.Mode, payload []byte) (u fl.Update, err error) {
 		u.Params = dequantize(codes, min, max, 16)
 	}
 	return u, nil
+}
+
+// updateHead parses the fixed head of a MsgUpdate payload whose declared
+// length is size (head holds min(size, updateHeadLen) bytes); a mode-None
+// body must be exactly denseLen float64s.
+func updateHead(mode compress.Mode, head []byte, size int) (u fl.Update, denseLen int, err error) {
+	if size < updateHeadLen {
+		return fl.Update{}, 0, fmt.Errorf("%w: update payload of %d bytes", ErrTruncated, size)
+	}
+	u.ClientID = int(getU32(head[0:]))
+	u.NumSamples = int(int32(getU32(head[4:])))
+	u.TrainLoss = getF64(head[8:])
+	denseLen = int(getU32(head[16:]))
+	if body := size - updateHeadLen; mode == compress.None && body != 8*denseLen {
+		return fl.Update{}, 0, fmt.Errorf("%w: dense body of %d bytes for %d params", ErrPayload, body, denseLen)
+	}
+	return u, denseLen, nil
 }
 
 // dequantize expands quantized codes through the compress package's

@@ -1,0 +1,242 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+	"testing/iotest"
+
+	"github.com/cip-fl/cip/internal/fl"
+	"github.com/cip-fl/cip/internal/fl/compress"
+)
+
+// The streaming decoders must be the byte-slice decoders fed from a
+// reader: same accept/reject class, same fields bit for bit, whatever the
+// reader's chunking — plus the properties only a stream can have (the
+// destination is the caller's, a wrong length is refused before the body
+// is read, a body cut short is an I/O error).
+
+// errClass buckets a decode outcome the way the transport classifies it.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "accept"
+	case errors.Is(err, ErrTruncated):
+		return "truncated"
+	case errors.Is(err, ErrPayload):
+		return "payload"
+	case errors.Is(err, ErrBudget):
+		return "budget"
+	}
+	return "io: " + err.Error()
+}
+
+// dribble delivers r in reads of at most step bytes (one byte at a time
+// for step ≤ 1), the way a congested connection would.
+func dribble(r io.Reader, step int) io.Reader {
+	if step <= 1 {
+		return iotest.OneByteReader(r)
+	}
+	return &stepReader{r: r, step: step}
+}
+
+type stepReader struct {
+	r    io.Reader
+	step int
+}
+
+func (s *stepReader) Read(p []byte) (int, error) {
+	if len(p) > s.step {
+		p = p[:s.step]
+	}
+	return s.r.Read(p)
+}
+
+func sameUpdate(t *testing.T, got, want fl.Update) {
+	t.Helper()
+	if got.ClientID != want.ClientID || got.NumSamples != want.NumSamples ||
+		math.Float64bits(got.TrainLoss) != math.Float64bits(want.TrainLoss) ||
+		got.DenseLen != want.DenseLen || got.IsDelta != want.IsDelta ||
+		!reflect.DeepEqual(got.Indices, want.Indices) || !sameF64s(got.Params, want.Params) {
+		t.Fatalf("stream decode %+v differs from byte decode %+v", got, want)
+	}
+}
+
+func sameF64s(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzDecodeUpdateStream: for arbitrary payload bytes under any mode,
+// ReadUpdate fed from a dribbling reader and DecodeUpdate on the same
+// bytes agree on the accept/reject class and, on accept, on every field
+// bit for bit; a dense update of the wrong length is refused with only
+// its head consumed.
+func FuzzDecodeUpdateStream(f *testing.F) {
+	seedGolden(f, func(b []byte) {
+		if len(b) > HeaderLen && b[2] == MsgUpdate {
+			f.Add(b[3], b[HeaderLen:], uint16(1))
+			f.Add(b[3], b[HeaderLen:], uint16(7))
+		}
+	})
+	big, _ := AppendUpdateFrame(nil, fl.Update{ClientID: 1, NumSamples: 2, TrainLoss: 3,
+		Params: testVector(chunkLen/8+3, 9)}, nil, compress.None) // a chunk and a tail
+	f.Add(byte(compress.None), big[HeaderLen:], uint16(4096))
+	f.Add(byte(compress.None), []byte{}, uint16(1))
+	f.Fuzz(func(t *testing.T, modeByte byte, payload []byte, step uint16) {
+		mode := compress.Mode(modeByte)
+		want, wantErr := DecodeUpdate(mode, payload)
+		dst := make([]float64, 3)
+		if wantErr == nil && mode == compress.None {
+			dst = make([]float64, len(want.Params))
+		}
+		got, gotErr := ReadUpdate(dribble(bytes.NewReader(payload), int(step)), mode, len(payload), dst)
+		if errClass(gotErr) != errClass(wantErr) {
+			t.Fatalf("mode %d: stream says %q (%v), bytes say %q (%v)",
+				modeByte, errClass(gotErr), gotErr, errClass(wantErr), wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		sameUpdate(t, got, want)
+		if mode != compress.None {
+			return
+		}
+		if len(dst) > 0 && &got.Params[0] != &dst[0] {
+			t.Fatal("a dense update was not decoded into the caller's storage")
+		}
+		r := bytes.NewReader(payload)
+		if _, err := ReadUpdate(r, mode, len(payload), make([]float64, len(dst)+1)); errClass(err) != "payload" {
+			t.Fatalf("a %d-param update decoded into %d params: %v", len(dst), len(dst)+1, err)
+		}
+		if read := len(payload) - r.Len(); read > updateHeadLen {
+			t.Fatalf("a wrong-length update was refused after %d bytes; the head is %d", read, updateHeadLen)
+		}
+	})
+}
+
+// TestStreamDecodesGoldenFrames: every committed fixture that has a
+// streaming decoder parses to what the byte-slice decoder yields, one
+// byte at a time.
+func TestStreamDecodesGoldenFrames(t *testing.T) {
+	n := 0
+	for name, frame := range goldenFrames(t) {
+		r := dribble(bytes.NewReader(frame), 1)
+		typ, mode, size, err := ReadHeader(r, len(frame))
+		if err != nil {
+			t.Fatalf("%s: ReadHeader: %v", name, err)
+		}
+		payload := frame[HeaderLen:]
+		switch typ {
+		case MsgRound, MsgRound2:
+			want, _ := decodeRound(typ, payload)
+			got, err := ReadRound(r, typ, size, nil)
+			if err != nil || !sameF64s(got.Params, want.Params) {
+				t.Fatalf("%s: ReadRound = %+v, %v; want %+v", name, got, err, want)
+			}
+			got.Params, want.Params = nil, nil
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: ReadRound head %+v, want %+v", name, got, want)
+			}
+		case MsgUpdate:
+			want, _ := DecodeUpdate(mode, payload)
+			got, err := ReadUpdate(r, mode, size, make([]float64, len(goldenVector())))
+			if err != nil {
+				t.Fatalf("%s: ReadUpdate: %v", name, err)
+			}
+			sameUpdate(t, got, want)
+		default:
+			continue
+		}
+		n++
+	}
+	if n < 8 {
+		t.Fatalf("only %d fixtures went through a streaming decoder", n)
+	}
+}
+
+// TestReadRoundReusesCallerStorage: a round decodes over the previous
+// round's vector when that can hold it, across chunk boundaries, and the
+// v1 frame leaves the tree directive zero.
+func TestReadRoundReusesCallerStorage(t *testing.T) {
+	params := testVector(3*chunkLen/8+5, 4)
+	owned := make([]float64, len(params)+10)
+	for _, typ := range []byte{MsgRound, MsgRound2} {
+		frame := AppendRoundFrame(nil, 7, 5, params)
+		if typ == MsgRound2 {
+			frame = AppendRound2Frame(nil, Round2{Round: 7, Durable: 5, SampleFrac: 0.5,
+				SampleSeed: -3, SketchCap: 9, Params: params})
+		}
+		r := dribble(bytes.NewReader(frame), 1000)
+		gotTyp, _, size, err := ReadHeader(r, 0)
+		if err != nil || gotTyp != typ {
+			t.Fatalf("ReadHeader = type %d, %v", gotTyp, err)
+		}
+		rd, err := ReadRound(r, typ, size, owned[:3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &rd.Params[0] != &owned[0] || !sameF64s(rd.Params, params) {
+			t.Fatal("the round was not decoded into the caller's storage")
+		}
+		wantFrac := map[byte]float64{MsgRound: 0, MsgRound2: 0.5}[typ]
+		if rd.Round != 7 || rd.Durable != 5 || rd.SampleFrac != wantFrac {
+			t.Fatalf("type %d head decoded as %+v", typ, rd)
+		}
+	}
+	frame := AppendRoundFrame(nil, 0, -1, params)
+	rd, err := ReadRound(bytes.NewReader(frame[HeaderLen:]), MsgRound, len(frame)-HeaderLen, make([]float64, 4))
+	if err != nil || !sameF64s(rd.Params, params) {
+		t.Fatalf("a round larger than the caller's storage: %v", err)
+	}
+}
+
+// TestStreamRejectsBeforeAllocating: an over-budget length prefix and a
+// dense update claiming another model's length are refused without
+// allocating anything proportional to what they declare, and a body that
+// ends early is an I/O error, not a payload verdict.
+func TestStreamRejectsBeforeAllocating(t *testing.T) {
+	const claimed = 100 << 20 // params the hostile head declares
+	size := UpdatePayloadLen(compress.None, claimed, 0)
+	hdr := []byte{Magic, Version, MsgUpdate, byte(compress.None), 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(size))
+	head := make([]byte, updateHeadLen)
+	binary.LittleEndian.PutUint32(head[16:], claimed)
+	dst := make([]float64, 8)
+	ReadUpdate(bytes.NewReader(nil), compress.None, 0, dst) //nolint:errcheck — warms the staging-chunk pool
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, budgetErr := ReadHeader(bytes.NewReader(hdr), 1<<20)
+	_, lenErr := ReadUpdate(bytes.NewReader(head), compress.None, size, dst)
+	runtime.ReadMemStats(&after)
+	if errClass(budgetErr) != "budget" || errClass(lenErr) != "payload" {
+		t.Fatalf("hostile lengths: header %v, update %v", budgetErr, lenErr)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<10 {
+		t.Fatalf("refusing an %d-param claim allocated %d B", claimed, got)
+	}
+
+	frame, _ := AppendUpdateFrame(nil, fl.Update{Params: testVector(100, 1)}, nil, compress.None)
+	cut := frame[HeaderLen : len(frame)-9]
+	_, err := ReadUpdate(bytes.NewReader(cut), compress.None, len(frame)-HeaderLen, make([]float64, 100))
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("a body cut mid-stream reads as %v, want io.ErrUnexpectedEOF", err)
+	}
+	_, err = ReadRound(bytes.NewReader(nil), MsgRound, RoundPayloadLen(4), nil)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("a round with no bytes behind its header reads as %v, want io.EOF", err)
+	}
+}

@@ -20,9 +20,9 @@
 // converts any latent panic into an error, because these bytes arrive
 // from the least-trusted peer in the system.
 //
-// Payload buffers come from a power-of-two pooled arena (buffer.go, the
-// PR 3 scratch-arena pattern applied to bytes) so steady-state rounds
-// allocate nothing per update.
+// Dense vectors are decoded straight from the connection into storage
+// their receiver owns (stream.go); whole-payload reads and the staging
+// chunk come from a pooled arena (buffer.go). DESIGN.md §12.5 has the table.
 package wire
 
 import (
@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/cip-fl/cip/internal/fl/compress"
 )
@@ -107,35 +108,45 @@ func (f *Frame) Release() {
 	f.Payload = nil
 }
 
-// ReadFrame reads one frame from r. The declared payload length is
-// checked against budget (≤ 0 means no limit) before any allocation, so
-// a hostile 4 GiB length prefix costs nothing. The returned payload is
-// pooled; pair with Frame.Release.
-func ReadFrame(r io.Reader, budget int) (Frame, error) {
+// ReadHeader reads and checks one frame header. The declared payload
+// length n is checked against budget (≤ 0 means no limit) before anything
+// is read or allocated for it, so a hostile 4 GiB length prefix costs
+// nothing. The payload follows on r (ReadRound, ReadUpdate, ReadFrame).
+func ReadHeader(r io.Reader, budget int) (typ byte, mode compress.Mode, n int, err error) {
 	var hdr [HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
+		return 0, 0, 0, err
 	}
 	if hdr[0] != Magic {
-		return Frame{}, fmt.Errorf("%w: 0x%02x", ErrMagic, hdr[0])
+		return 0, 0, 0, fmt.Errorf("%w: 0x%02x", ErrMagic, hdr[0])
 	}
 	if hdr[1] != Version {
-		return Frame{}, fmt.Errorf("%w: %d (speaking %d)", ErrVersion, hdr[1], Version)
+		return 0, 0, 0, fmt.Errorf("%w: %d (speaking %d)", ErrVersion, hdr[1], Version)
 	}
-	typ := hdr[2]
+	typ = hdr[2]
 	if typ != MsgRound && typ != MsgUpdate && typ != MsgDone && typ != MsgPartial &&
 		typ != MsgPartial2 && typ != MsgRound2 {
-		return Frame{}, fmt.Errorf("%w: %d", ErrFrameType, typ)
+		return 0, 0, 0, fmt.Errorf("%w: %d", ErrFrameType, typ)
 	}
-	mode := compress.Mode(hdr[3])
+	mode = compress.Mode(hdr[3])
 	if !mode.Valid() {
-		return Frame{}, fmt.Errorf("%w: compression mode %d", ErrPayload, hdr[3])
+		return 0, 0, 0, fmt.Errorf("%w: compression mode %d", ErrPayload, hdr[3])
 	}
-	n := binary.LittleEndian.Uint32(hdr[4:8])
-	if budget > 0 && n > uint32(budget) {
-		return Frame{}, fmt.Errorf("%w: payload of %d bytes, budget %d", ErrBudget, n, budget)
+	size := binary.LittleEndian.Uint32(hdr[4:8])
+	if budget > 0 && size > uint32(budget) {
+		return 0, 0, 0, fmt.Errorf("%w: payload of %d bytes, budget %d", ErrBudget, size, budget)
 	}
-	payload := GetBuffer(int(n))
+	return typ, mode, int(size), nil
+}
+
+// ReadFrame reads one whole frame: ReadHeader, then the payload into a
+// pooled buffer; pair with Frame.Release.
+func ReadFrame(r io.Reader, budget int) (Frame, error) {
+	typ, mode, n, err := ReadHeader(r, budget)
+	if err != nil {
+		return Frame{}, err
+	}
+	payload := GetBuffer(n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		PutBuffer(payload)
 		return Frame{}, err
@@ -144,8 +155,10 @@ func ReadFrame(r io.Reader, budget int) (Frame, error) {
 }
 
 // AppendHeader appends a frame header to dst and returns the extended
-// slice. The payload of length n must follow.
+// slice, grown once for the n payload bytes that must follow: a frame
+// appended to a reused buffer (buf[:0]) allocates only when it outgrows it.
 func AppendHeader(dst []byte, typ byte, mode compress.Mode, n int) []byte {
+	dst = slices.Grow(dst, HeaderLen+n)
 	var hdr [HeaderLen]byte
 	hdr[0] = Magic
 	hdr[1] = Version
