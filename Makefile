@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # whatever `staticcheck` is on PATH (and skip cleanly when there is none).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck bench benchrobust benchsmoke wirecheck benchwire benchscale scalegate benchprecision benchtree check
+.PHONY: build test race vet staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair bench benchrobust benchsmoke wirecheck benchwire benchscale scalegate benchprecision benchtree check
 
 build:
 	$(GO) build ./...
@@ -131,6 +131,17 @@ benchcheck:
 		echo "$$out" | tail -n 1 | grep -q '"correct":true' \
 			|| { echo "$$out"; echo "benchcheck: $$w (trace $$trace) did not report \"correct\":true"; exit 1; }; \
 	done; done
+
+# benchpair runs the paired comparison a performance claim is judged by:
+# PARENT and HEAD, each built from its committed tree, run WORKLOAD untraced
+# at seeds 1..PAIRS, alternating which side runs first; it prints every
+# end-to-end metric's quartiles per side and HEAD's wins out of PAIRS. It
+# writes only under $TMPDIR (see scripts/benchpair.sh).
+#   make benchpair PARENT=0b30823 WORKLOAD=cip_vgg_f64 PAIRS=10
+PAIRS ?= 10
+benchpair:
+	@[ -n "$(PARENT)" ] && [ -n "$(WORKLOAD)" ] || { echo "usage: make benchpair PARENT=<ref> WORKLOAD=<w> [PAIRS=10]"; exit 2; }
+	sh scripts/benchpair.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)"
 
 # bench regenerates the tracked perf report against the committed seed
 # baseline. The same workloads run under plain `go test -bench` in

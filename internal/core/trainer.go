@@ -252,6 +252,10 @@ type Client struct {
 	// src is non-nil for clients built with NewStatefulClient: the
 	// serializable source behind rng, required by CaptureState.
 	src *rng.Source
+	// zero is the calibration model (t = 0), built once; it shares Dual.
+	zero *CIPModel
+	// spare is the next update's storage (nil: a fresh vector).
+	spare []float64
 }
 
 // calibrationFraction of the local data is held out of training and used
@@ -400,8 +404,10 @@ func (c *Client) TrainLocal(round int, global []float64) (fl.Update, error) {
 	// (non-memorized) local samples estimates the non-member loss level.
 	cfg := c.cfg
 	if cfg.LambdaM != 0 && cfg.OriginalLossCap <= 0 && c.cal != nil {
-		zero := c.m.WithT(c.m.ZeroT())
-		cfg.OriginalLossCap = fl.MeanLoss(zero, c.cal, 64)
+		if c.zero == nil {
+			c.zero = c.m.WithT(c.m.ZeroT())
+		}
+		cfg.OriginalLossCap = fl.MeanLoss(c.zero, c.cal, 64)
 	}
 	var loss float64
 	for e := 0; e < cfg.LocalEpochs; e++ {
@@ -410,14 +416,20 @@ func (c *Client) TrainLocal(round int, global []float64) (fl.Update, error) {
 		cfg.Metrics.observeEpoch(epochStart)
 	}
 	cfg.Metrics.observeRound()
+	params := nn.FlattenParamsInto(c.spare, c.m.Params())
+	c.spare = nil
 	return fl.Update{
-		Params:     nn.FlattenParams(c.m.Params()),
+		Params:     params,
 		NumSamples: c.data.Len(),
 		TrainLoss:  loss,
 	}, nil
 }
 
+// RecycleUpdate implements fl.UpdateRecycler.
+func (c *Client) RecycleUpdate(params []float64) { c.spare = params }
+
 var (
 	_ fl.Client         = (*Client)(nil)
 	_ fl.StatefulClient = (*Client)(nil)
+	_ fl.UpdateRecycler = (*Client)(nil)
 )

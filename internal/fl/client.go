@@ -97,6 +97,8 @@ type LegacyClient struct {
 	// src is non-nil for clients built with NewStatefulLegacyClient: the
 	// serializable source behind rng, required by CaptureState.
 	src *rng.Source
+	// spare is the next update's storage (nil: a fresh vector).
+	spare []float64
 }
 
 // NewLegacyClient constructs a client. step may be nil for plain training.
@@ -204,12 +206,17 @@ func (c *LegacyClient) TrainLocal(round int, global []float64) (Update, error) {
 	if err != nil {
 		return Update{}, fmt.Errorf("fl: client %d: %w", c.id, err)
 	}
+	params := nn.FlattenParamsInto(c.spare, c.net.Params())
+	c.spare = nil
 	return Update{
-		Params:     nn.FlattenParams(c.net.Params()),
+		Params:     params,
 		NumSamples: c.data.Len(),
 		TrainLoss:  loss,
 	}, nil
 }
+
+// RecycleUpdate implements UpdateRecycler.
+func (c *LegacyClient) RecycleUpdate(params []float64) { c.spare = params }
 
 // TrainEpochs runs cfg.LocalEpochs passes of mini-batch training over data
 // and returns the mean batch loss of the final epoch.

@@ -21,6 +21,34 @@ func (c *echoClient) TrainLocal(_ int, global []float64) (fl.Update, error) {
 	return fl.Update{ClientID: c.id, Params: p, NumSamples: 10, TrainLoss: 1}, nil
 }
 
+// recyclingClient is an echoClient that also takes recycled updates back.
+type recyclingClient struct{ echoClient }
+
+func (*recyclingClient) RecycleUpdate([]float64) {}
+
+// TestWrappersDoNotRecycle: every wrapper embeds the fl.Client interface,
+// so its inner client's RecycleUpdate is not promoted and the server never
+// hands a wrapper's (possibly rewritten or shared) update vector to the
+// client underneath.
+func TestWrappersDoNotRecycle(t *testing.T) {
+	inner := &recyclingClient{echoClient{id: 1}}
+	var _ fl.UpdateRecycler = inner
+	for name, w := range map[string]fl.Client{
+		"Flaky":          NewFlaky(inner, nil),
+		"Slow":           NewSlow(inner, time.Millisecond, nil),
+		"Corrupt":        NewCorrupt(inner, CorruptNaN, nil),
+		"SignFlip":       NewSignFlip(inner, 1, nil),
+		"ScaledUpdate":   NewScaledUpdate(inner, 2, nil),
+		"Colluder":       NewColluder(inner, 1, 1, nil),
+		"LabelDrift":     NewLabelDrift(inner, 1, 1, nil),
+		"InflateSamples": NewInflateSamples(inner, 2, nil),
+	} {
+		if _, ok := w.(fl.UpdateRecycler); ok {
+			t.Errorf("%s satisfies fl.UpdateRecycler", name)
+		}
+	}
+}
+
 func TestFlakyFailsOnlyScheduledRounds(t *testing.T) {
 	c := NewFlaky(&echoClient{id: 1}, On(1, 3))
 	for round := 0; round < 5; round++ {

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/cip-fl/cip/internal/fl/robust"
 	"github.com/cip-fl/cip/internal/rng"
 )
 
@@ -33,7 +34,9 @@ type Update struct {
 	// ClientID identifies the producing client (filled in by the server).
 	ClientID int
 	// Params is the client's post-training flat parameter vector — or,
-	// for a sparse update, the values of the coordinates in Indices.
+	// for a sparse update, the values of the coordinates in Indices. The
+	// round only reads it, and only until the round ends: the in-process
+	// Server then hands it back to an UpdateRecycler client.
 	Params []float64
 	// NumSamples weights this client in the FedAvg aggregate.
 	NumSamples int
@@ -72,14 +75,28 @@ type Client interface {
 	TrainLocal(round int, global []float64) (Update, error)
 }
 
+// UpdateRecycler is an optional Client extension. The in-process Server
+// calls RecycleUpdate with the Params of the client's own update once the
+// round's last reader (fold, observers, reputation, compress bank) is done,
+// and the client may build a later update in it. A client hands each
+// recycled vector out once and otherwise allocates, so an update nobody
+// recycles stays its caller's. Wrappers embedding Client do not implement
+// it.
+type UpdateRecycler interface {
+	RecycleUpdate(params []float64)
+}
+
 // RoundObserver receives the state a (potentially malicious) server can see
 // every round: the pre-round global parameters and each client's update.
+// Both are live engine vectors, read-only and valid until ObserveRound
+// returns; an observer that keeps either copies it, as HistoryRecorder does.
 type RoundObserver interface {
 	ObserveRound(round int, global []float64, updates []Update)
 }
 
 // AlterFunc lets a malicious server rewrite the parameters sent to one
-// client. Returning nil keeps the genuine global parameters.
+// client. Returning nil keeps the genuine global parameters. global is the
+// server's live vector: read-only, valid until AlterFunc returns.
 type AlterFunc func(round int, clientID int, global []float64) []float64
 
 // Server coordinates FedAvg over a set of clients.
@@ -117,9 +134,9 @@ type Server struct {
 	// fold and spare are the pooled aggregation state: the fold's
 	// accumulator and the output buffer FinalizeInto fills, swapped with
 	// global each round so steady-state aggregation allocates nothing.
-	// Safe because TrainLocal contractually copies the broadcast
-	// parameters (training mutates them) and observers receive a fresh
-	// Global() snapshot, so nothing retains the swapped buffers.
+	// Safe because TrainLocal, AlterFunc and observers may read the
+	// global only until they return, so nothing retains the swapped
+	// buffers.
 	fold  *Fold
 	spare []float64
 	// round is the next round index to run; Run loops it up to its total,
@@ -160,6 +177,7 @@ func (s *Server) RunRound(round int) error {
 		return nil
 	}
 	outcomes, workers, busy := s.trainParticipants(round, participants)
+	defer recycleUpdates(participants, outcomes)
 	updates := make([]Update, len(participants))
 	for i, c := range participants {
 		if err := outcomes[i].err; err != nil {
@@ -172,30 +190,73 @@ func (s *Server) RunRound(round int) error {
 		}
 		updates[i] = u
 	}
+	if err := s.endRound(round, start, updates, nil, workers, busy); err != nil {
+		return err
+	}
+	s.round = round + 1
+	return nil
+}
+
+// endRound is the tail both round paths share once the round's updates are
+// known. Observers see the live pre-round global; the updates fold into the
+// next global — through the policy's robust rule, else through the pooled
+// mean fold, whose output swaps with the global so a steady-state round
+// allocates nothing; reputation scores the result; telemetry records the
+// round. Every reader of the updates' Params runs before it returns.
+func (s *Server) endRound(round int, start time.Time, updates []Update, failures []ClientFailure,
+	workers int, busy time.Duration) error {
 	for _, o := range s.Observers {
-		o.ObserveRound(round, s.Global(), updates)
+		o.ObserveRound(round, s.global, updates)
 	}
-	if s.fold == nil || cap(s.spare) < len(s.global) {
-		s.fold = NewFold(len(s.global))
-		s.spare = make([]float64, len(s.global))
-	} else {
-		s.fold.Reset(len(s.global))
-		s.spare = s.spare[:len(s.global)]
-	}
-	for _, u := range updates {
-		if err := s.fold.Fold(u); err != nil {
+	report := robust.Report{Contributors: len(updates)}
+	if p := s.Policy; p != nil && p.Robust != nil {
+		agg, rep, err := AggregateRobust(p.Robust, s.global, updates, p.quorum())
+		if err != nil {
 			return fmt.Errorf("fl: round %d: %w", round, err)
 		}
+		s.global, report = agg, rep
+	} else {
+		if s.fold == nil || cap(s.spare) < len(s.global) {
+			s.fold = NewFold(len(s.global))
+			s.spare = make([]float64, len(s.global))
+		} else {
+			s.fold.Reset(len(s.global))
+			s.spare = s.spare[:len(s.global)]
+		}
+		for _, u := range updates {
+			if err := s.fold.Fold(u); err != nil {
+				return fmt.Errorf("fl: round %d: %w", round, err)
+			}
+		}
+		if err := s.fold.FinalizeInto(s.spare); err != nil {
+			return fmt.Errorf("fl: round %d: %w", round, err)
+		}
+		s.global, s.spare = s.spare, s.global
 	}
-	if err := s.fold.FinalizeInto(s.spare); err != nil {
-		return fmt.Errorf("fl: round %d: %w", round, err)
+	if p := s.Policy; p != nil {
+		p.scoreRound(s.global, updates, failures)
+		s.Metrics.RecordReputation(p.Reputation)
 	}
-	s.global, s.spare = s.spare, s.global
-	s.round = round + 1
-	s.Metrics.RecordRound(start, len(updates), 0, len(s.global))
+	s.Metrics.RecordRound(start, len(updates), len(failures), len(s.global))
+	s.Metrics.RecordRobust(report)
 	s.Metrics.RecordWorkerPool(workers, busy, time.Since(start))
 	return nil
 }
+
+// recycleUpdates gives every participant that is an UpdateRecycler its own
+// returned Params back; the caller runs it once the round has no reader
+// left.
+func recycleUpdates(participants []Client, outcomes []trainOutcome) {
+	for i, c := range participants {
+		if r, ok := c.(UpdateRecycler); ok && outcomes[i].err == nil {
+			recycleHook(outcomes[i].update.Params)
+			r.RecycleUpdate(outcomes[i].update.Params)
+		}
+	}
+}
+
+// recycleHook sees every vector at its release; tests replace it.
+var recycleHook = func([]float64) {}
 
 // sampleClients returns this round's participants in stable ID order. The
 // Server-level SampleFraction wins; when unset, the RoundPolicy's knob

@@ -38,7 +38,8 @@ func (h *HistoryRecorder) ObserveFailures(round int, failures []ClientFailure) {
 	h.pending = append([]ClientFailure(nil), failures...)
 }
 
-// ObserveRound implements RoundObserver.
+// ObserveRound implements RoundObserver. A kept round copies the global and
+// every update: both are live engine vectors, reused after the call.
 func (h *HistoryRecorder) ObserveRound(round int, global []float64, updates []Update) {
 	rec := RoundRecord{Round: round, TrainLosses: make([]float64, len(updates))}
 	if len(h.pending) > 0 {
@@ -47,7 +48,7 @@ func (h *HistoryRecorder) ObserveRound(round int, global []float64, updates []Up
 	}
 	keep := h.KeepParams && (len(h.OnlyRounds) == 0 || h.OnlyRounds[round])
 	if keep {
-		rec.Global = global
+		rec.Global = append([]float64(nil), global...)
 		rec.LocalParams = make([][]float64, len(updates))
 	}
 	for i, u := range updates {

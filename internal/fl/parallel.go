@@ -46,7 +46,7 @@ func (s *Server) trainParticipants(round int, participants []Client) ([]trainOut
 	for i, c := range participants {
 		params[i] = s.global
 		if s.Alter != nil {
-			if altered := s.Alter(round, c.ID(), s.Global()); altered != nil {
+			if altered := s.Alter(round, c.ID(), s.global); altered != nil {
 				params[i] = altered
 			}
 		}

@@ -286,6 +286,7 @@ func (p *RoundPolicy) scoreRound(agg []float64, valid []Update, failures []Clien
 func (s *Server) runRoundQuorum(round int, start time.Time, participants []Client) error {
 	eligible, failures := s.Policy.splitQuarantined(round, participants)
 	outcomes, workers, busy := s.trainParticipants(round, eligible)
+	defer recycleUpdates(eligible, outcomes)
 	// Classify outcomes serially in participant order, so the valid and
 	// failure lists (and everything downstream: observers, aggregation,
 	// reputation) are independent of worker interleaving.
@@ -349,18 +350,5 @@ func (s *Server) runRoundQuorum(round int, start time.Time, participants []Clien
 			fo.ObserveFailures(round, failures)
 		}
 	}
-	for _, o := range s.Observers {
-		o.ObserveRound(round, s.Global(), valid)
-	}
-	agg, report, err := AggregateRobust(s.Policy.Robust, s.global, valid, s.Policy.quorum())
-	if err != nil {
-		return fmt.Errorf("fl: round %d: %w", round, err)
-	}
-	s.Policy.scoreRound(agg, valid, failures)
-	s.global = agg
-	s.Metrics.RecordRound(start, len(valid), len(failures), len(agg))
-	s.Metrics.RecordRobust(report)
-	s.Metrics.RecordReputation(s.Policy.Reputation)
-	s.Metrics.RecordWorkerPool(workers, busy, time.Since(start))
-	return nil
+	return s.endRound(round, start, valid, failures, workers, busy)
 }

@@ -12,6 +12,7 @@ package transport
 // on every round path.
 
 import (
+	"fmt"
 	"math"
 	"net"
 	"runtime"
@@ -244,6 +245,50 @@ func TestPoisonedBuffersChangeNothing(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKeptGlobalSurvivesLaterRounds: the buffered path hands observers the
+// session's live global — on a leaf, the buffer every broadcast is decoded
+// into in place — so a HistoryRecorder's kept global must be its own copy:
+// round 0's still reads the initial parameters three rounds later, on a
+// flat coordinator and on a leaf.
+func TestKeptGlobalSurvivesLaterRounds(t *testing.T) {
+	initial := make([]float64, 257)
+	for i := range initial {
+		initial[i] = math.Cos(float64(i))
+	}
+	shard := func() []fl.Client {
+		return []fl.Client{&vecClient{id: 0, samples: 5}, &vecClient{id: 1, samples: 8}}
+	}
+	for _, leaf := range []bool{false, true} {
+		rec := &fl.HistoryRecorder{KeepParams: true}
+		local := Coordinator{NumClients: 2, Rounds: 4, Initial: initial, Codec: "binary",
+			Observers: []fl.RoundObserver{rec}}
+		if leaf {
+			root := &Coordinator{NumClients: 1, Rounds: 4, Initial: initial, Codec: "binary", AcceptPartials: true}
+			rootAddr, rootWait := startCoordinator(t, root)
+			addr, leafWait := startNode(t, &Leaf{ID: 0, Root: rootAddr, Local: local})
+			waitClients := runBinaryClients(t, addr, shard(), nil)
+			if _, err := rootWait(); err != nil {
+				t.Fatalf("root: %v", err)
+			}
+			if err := leafWait(); err != nil {
+				t.Fatalf("leaf: %v", err)
+			}
+			waitClients()
+		} else {
+			addr, wait := startCoordinator(t, &local)
+			waitClients := runBinaryClients(t, addr, shard(), nil)
+			if _, err := wait(); err != nil {
+				t.Fatalf("coordinator: %v", err)
+			}
+			waitClients()
+		}
+		if len(rec.Rounds) != 4 {
+			t.Fatalf("leaf=%v: recorded %d rounds, want 4", leaf, len(rec.Rounds))
+		}
+		sameBits(t, fmt.Sprintf("leaf=%v: round 0's kept global", leaf), rec.Rounds[0].Global, initial)
 	}
 }
 

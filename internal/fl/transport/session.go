@@ -725,15 +725,13 @@ func (s *session) runRound(round int) error {
 		s.global = agg
 		report = rep
 	} else {
-		snapshot := make([]float64, len(s.global))
-		copy(snapshot, s.global)
 		for _, o := range c.Observers {
 			if fo, ok := o.(fl.FailureObserver); ok {
 				fo.ObserveFailures(round, failures)
 			}
 		}
 		for _, o := range c.Observers {
-			o.ObserveRound(round, snapshot, valid)
+			o.ObserveRound(round, s.global, valid)
 		}
 		if s.wantPartial {
 			s.fold.Reset(len(s.global))

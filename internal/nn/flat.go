@@ -5,13 +5,19 @@ import "fmt"
 // FlattenParams concatenates every parameter value into one flat vector.
 // This is the representation exchanged at the federated-learning boundary
 // (aggregation, transport, DP clipping, white-box attacks).
-func FlattenParams(params []*Param) []float64 {
-	n := NumParams(params)
-	out := make([]float64, 0, n)
-	for _, p := range params {
-		out = append(out, p.Value.Data...)
+func FlattenParams(params []*Param) []float64 { return FlattenParamsInto(nil, params) }
+
+// FlattenParamsInto is FlattenParams into dst's storage when its capacity
+// holds every parameter, and into a fresh vector otherwise.
+func FlattenParamsInto(dst []float64, params []*Param) []float64 {
+	if n := NumParams(params); cap(dst) < n {
+		dst = make([]float64, 0, n)
 	}
-	return out
+	dst = dst[:0]
+	for _, p := range params {
+		dst = append(dst, p.Value.Data...)
+	}
+	return dst
 }
 
 // SetFlatParams writes a flat vector produced by FlattenParams back into the
