@@ -69,13 +69,12 @@ chaossmoke:
 # byzantine runs the adversarial chaos suite under the race detector:
 # sign-flip / scaled-gradient / collusion injectors, convergence within ε
 # of the attack-free baseline with f < n/3 under the robust folds
-# (in-process and over TCP), reputation-driven quarantine, quarantine
-# surviving coordinator kill→restart→resume, and secure-aggregation
-# dropout handling.
+# (in-process and over TCP), reputation-driven quarantine, and quarantine
+# surviving coordinator kill→restart→resume.
 byzantine:
 	$(GO) test -race -count=1 -timeout 20m \
 		-run 'Byzantine|Quarantine|Dropout|Residual|RetryJitter' \
-		./internal/fl ./internal/fl/transport ./internal/fl/secagg
+		./internal/fl ./internal/fl/transport
 	$(GO) test -race -count=1 ./internal/fl/robust ./internal/fl/faults
 
 # byzsmoke is the fast race-enabled subset that rides in `make check`: the
@@ -167,14 +166,14 @@ benchsmoke:
 
 # wirecheck is the wire-path conformance sweep: golden byte-exact frame
 # fixtures, the codec/compression unit and property suites, the
-# gob↔binary negotiation matrix and compressed e2e/restart tests, short
-# fuzz bursts over both frame decoders, the streaming update decoder
-# against the byte-slice one, and the top-k selection, and the
-# bench-backed wire gate (≥10x byte reduction for topk8 vs gob, binary
-# decode no slower).
+# handshake's refusal of a hello without the binary offer and the
+# compressed e2e/restart tests, short fuzz bursts over both frame
+# decoders, the streaming update decoder against the byte-slice one, and
+# the top-k selection, and the bench-backed wire gate (≥10x byte
+# reduction for topk8 vs the dense frame).
 wirecheck:
 	$(GO) test -count=1 ./internal/fl/wire ./internal/fl/compress
-	$(GO) test -count=1 -run 'Sparse|Densify|Codec|Compressed|MixedRoster|Bank' \
+	$(GO) test -count=1 -run 'Sparse|Densify|Handshake|Compressed|Bank' \
 		./internal/fl ./internal/fl/transport ./internal/fl/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDecompressUpdate -fuzztime=5s ./internal/fl/wire
@@ -183,12 +182,12 @@ wirecheck:
 	$(GO) run ./cmd/cipbench -bench Wire -wire-gate >/dev/null
 
 # benchwire regenerates the tracked wire-path report: decode ns/op and
-# wire bytes per update for gob vs binary vs compressed, with the same
+# wire bytes per update for the dense vs compressed frames, with the same
 # gate wirecheck holds.
 benchwire:
 	$(GO) run ./cmd/cipbench -bench Wire -wire-gate \
 		-bench-out BENCH_PR7.json \
-		-bench-note "binary update codec + load-bearing compression PR: decode cost and bytes/update vs gob"
+		-bench-note "load-bearing compression: decode cost and bytes/update vs the dense frame"
 
 # benchscale regenerates the scale-out report: 10⁵ in-process clients
 # against the streaming-fold coordinator (flat and leaf/root tree) plus

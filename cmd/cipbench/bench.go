@@ -71,34 +71,28 @@ func loadBaseline(path string) (map[string]benchNumbers, error) {
 	return out, nil
 }
 
-// wireGate enforces the wire-path regression lines on a finished report:
+// wireGate enforces the wire-path regression line on a finished report:
 // the headline compressed mode must move ≥10x fewer bytes per update than
-// the gob baseline, and the binary decoder must be no slower than gob's.
+// the dense frame.
 func wireGate(rep *benchReport) error {
 	byOp := make(map[string]benchNumbers, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
 		byOp[b.Op] = b.benchNumbers
 	}
-	gob, okG := byOp["WireGobDecode"]
-	bin, okB := byOp["WireBinaryDecode"]
+	dense, okD := byOp["WireBinaryDecode"]
 	topk8, okT := byOp["WireTopK8Decode"]
-	if !okG || !okB || !okT {
-		return fmt.Errorf("wire gate needs WireGobDecode, WireBinaryDecode, and WireTopK8Decode in the run (filter too narrow?)")
+	if !okD || !okT {
+		return fmt.Errorf("wire gate needs WireBinaryDecode and WireTopK8Decode in the run (filter too narrow?)")
 	}
-	if topk8.WireBytesPerOp <= 0 || gob.WireBytesPerOp <= 0 {
+	if topk8.WireBytesPerOp <= 0 || dense.WireBytesPerOp <= 0 {
 		return fmt.Errorf("wire gate: missing wire-bytes/op metrics")
 	}
-	ratio := gob.WireBytesPerOp / topk8.WireBytesPerOp
+	ratio := dense.WireBytesPerOp / topk8.WireBytesPerOp
 	if ratio < 10 {
-		return fmt.Errorf("wire gate: topk8 moves %.0f B/update vs gob's %.0f — %.1fx reduction, need ≥10x",
-			topk8.WireBytesPerOp, gob.WireBytesPerOp, ratio)
+		return fmt.Errorf("wire gate: topk8 moves %.0f B/update vs dense's %.0f — %.1fx reduction, need ≥10x",
+			topk8.WireBytesPerOp, dense.WireBytesPerOp, ratio)
 	}
-	if bin.NsPerOp > gob.NsPerOp {
-		return fmt.Errorf("wire gate: binary decode %.0f ns/op is slower than gob's %.0f ns/op",
-			bin.NsPerOp, gob.NsPerOp)
-	}
-	fmt.Fprintf(os.Stderr, "wire gate: %.1fx byte reduction (topk8 vs gob), binary decode %.2fx faster than gob\n",
-		ratio, gob.NsPerOp/bin.NsPerOp)
+	fmt.Fprintf(os.Stderr, "wire gate: %.1fx byte reduction (topk8 vs dense)\n", ratio)
 	return nil
 }
 

@@ -44,16 +44,11 @@ func run() error {
 		"initial backoff delay between connection attempts")
 	metricsAddr := flag.String("metrics-addr", "",
 		"serve /metrics, /debug/vars, and /debug/pprof on this address; empty disables telemetry")
-	codecFlag := flcli.RegisterCodecFlag()
 	compressFlags := flcli.RegisterCompressFlags()
 	flag.Parse()
 
 	if *id < 0 || *id >= *of {
 		return fmt.Errorf("id %d out of range for %d clients", *id, *of)
-	}
-	codec, err := flcli.ParseCodec(*codecFlag)
-	if err != nil {
-		return err
 	}
 	ccfg, err := compressFlags.Config()
 	if err != nil {
@@ -105,11 +100,9 @@ func run() error {
 		Rng:         rand.New(rand.NewSource(*seed + int64(1000+*id))),
 		Stop:        flcli.ShutdownSignal(),
 		Metrics:     transport.NewMetrics(reg),
-		Codec:       codec,
 	}
 	if ccfg.Mode != compress.None {
-		// The offer travels in canonical form; setting Compress implies
-		// the binary-codec offer even without -codec.
+		// The offer travels in canonical form.
 		retry.Compress = ccfg.Mode.String()
 		retry.TopKFrac = ccfg.TopKFrac
 		fmt.Printf("offering %s update compression (top-k frac %g)\n", ccfg.Mode, ccfg.TopKFrac)

@@ -1,7 +1,7 @@
 // Distributed: the same CIP federation as the quickstart, but run over
 // the wire — a coordinator listening on loopback TCP and two CIP clients
-// connecting as separate participants, exchanging gob-encoded parameter
-// vectors (internal/fl/transport). The clients' secret perturbations never
+// connecting as separate participants, exchanging parameter vectors as
+// binary frames (internal/fl/transport, internal/fl/wire). The clients' secret perturbations never
 // appear in any message; only model parameters cross the network, exactly
 // the property CIP's threat model relies on.
 //

@@ -56,7 +56,6 @@ func Specs() []Spec {
 		{"RobustRoundMean", 0, RobustRoundMean},
 		{"RobustRoundMedian", 0, RobustRoundMedian},
 		{"RobustRoundTrimmed", 0, RobustRoundTrimmed},
-		{"WireGobDecode", 0, WireGobDecode},
 		{"WireBinaryDecode", 0, WireBinaryDecode},
 		{"WireTopK8Decode", 0, WireTopK8Decode},
 		{"WireTopK16Decode", 0, WireTopK16Decode},

@@ -26,7 +26,6 @@ func BenchmarkRobustAggClipped(b *testing.B)    { RobustAggClipped(b) }
 func BenchmarkRobustRoundMean(b *testing.B)     { RobustRoundMean(b) }
 func BenchmarkRobustRoundMedian(b *testing.B)   { RobustRoundMedian(b) }
 func BenchmarkRobustRoundTrimmed(b *testing.B)  { RobustRoundTrimmed(b) }
-func BenchmarkWireGobDecode(b *testing.B)       { WireGobDecode(b) }
 func BenchmarkWireBinaryDecode(b *testing.B)    { WireBinaryDecode(b) }
 func BenchmarkWireTopK8Decode(b *testing.B)     { WireTopK8Decode(b) }
 func BenchmarkWireTopK16Decode(b *testing.B)    { WireTopK16Decode(b) }

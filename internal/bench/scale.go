@@ -9,7 +9,7 @@ package bench
 //
 // Memory accounting caveat: clients live in the same process as the
 // coordinator, so absolute numbers include client-side state (goroutine
-// stacks, per-conn gob codecs, read buffers). The comparison that
+// stacks, per-conn read buffers and wire buffers). The comparison that
 // matters is relative: the same client fleet under BufferRounds versus
 // the streaming fold isolates the coordinator's update buffering, which
 // is the only O(roster × params) term. PeakRSSBytes (VmHWM) is
@@ -325,7 +325,7 @@ func launchClients(dial func(string) (net.Conn, error), id0, n int, errs *firstE
 		go func(id int) {
 			defer wg.Done()
 			errs.set(transport.RunClientRetry("mem", &loadClient{id: id}, transport.RetryConfig{
-				MaxAttempts: 1, Codec: "binary", Dial: dial,
+				MaxAttempts: 1, Dial: dial,
 			}))
 		}(id0 + i)
 	}
@@ -339,7 +339,6 @@ func runScaleFlat(cfg ScaleConfig, clock *roundClock) error {
 		NumClients:         cfg.Clients,
 		Rounds:             cfg.Rounds,
 		Initial:            make([]float64, cfg.Dim),
-		Codec:              "binary",
 		BufferRounds:       cfg.Buffered,
 		MaxInflightUpdates: cfg.Window,
 		ReadBufSize:        cfg.ReadBuf,
@@ -378,7 +377,6 @@ func runScaleTree(cfg ScaleConfig, clock *roundClock) error {
 		NumClients:         top,
 		Rounds:             cfg.Rounds,
 		Initial:            make([]float64, cfg.Dim),
-		Codec:              "binary",
 		AcceptPartials:     true,
 		MinQuorum:          cfg.SubtreeQuorum,
 		CoverageFloor:      cfg.CoverageFloor,
@@ -416,7 +414,6 @@ func runScaleTree(cfg ScaleConfig, clock *roundClock) error {
 				Local: transport.Coordinator{
 					NumClients:         kids,
 					Initial:            make([]float64, cfg.Dim),
-					Codec:              "binary",
 					AcceptPartials:     true,
 					MinQuorum:          cfg.SubtreeQuorum,
 					CoverageFloor:      cfg.CoverageFloor,
@@ -452,7 +449,6 @@ func runScaleTree(cfg ScaleConfig, clock *roundClock) error {
 			Local: transport.Coordinator{
 				NumClients:         n,
 				Initial:            make([]float64, cfg.Dim),
-				Codec:              "binary",
 				MinQuorum:          cfg.SubtreeQuorum,
 				MaxInflightUpdates: cfg.Window,
 				ReadBufSize:        cfg.ReadBuf,

@@ -1,15 +1,14 @@
 package bench
 
-// Wire-path workloads: decode cost and bytes-per-update for the legacy
-// gob stream versus the binary frame codec, at the same 200k-parameter
-// model dimensionality the robust-aggregation benchmarks use. Each spec
-// reports wire-bytes/op — the per-update transfer size the compression
-// work drives down — alongside ns/op, so cmd/cipbench's -wire-gate can
-// hold the ≥10x byte-reduction and decode-speed lines.
+// Wire-path workloads: decode cost and bytes-per-update for the dense
+// and compressed update frames, at the same 200k-parameter model
+// dimensionality the robust-aggregation benchmarks use. Each spec reports
+// wire-bytes/op — the per-update transfer size the compression work
+// drives down — alongside ns/op, so cmd/cipbench's -wire-gate can hold
+// the ≥10x byte-reduction line.
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -31,36 +30,8 @@ func wireUpdate() (fl.Update, []float64) {
 	return fl.Update{ClientID: 1, NumSamples: 64, TrainLoss: 0.5, Params: params}, global
 }
 
-// WireGobDecode is the legacy inbound path: gob-decode one dense update
-// from a pre-encoded stream, exactly the bytes-per-update the old
-// protocol moves.
-func WireGobDecode(b *testing.B) {
-	u, _ := wireUpdate()
-	var encoded bytes.Buffer
-	if err := gob.NewEncoder(&encoded).Encode(u); err != nil {
-		b.Fatal(err)
-	}
-	raw := encoded.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Gob streams carry type info once per encoder, so decode
-		// symmetry requires a fresh decoder per op — matching the
-		// coordinator, which keeps one decoder per connection but pays
-		// the reflection walk on every update.
-		var got fl.Update
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&got); err != nil {
-			b.Fatal(err)
-		}
-		if len(got.Params) != wireDim {
-			b.Fatal("short decode")
-		}
-	}
-	b.ReportMetric(float64(len(raw)), "wire-bytes/op")
-}
-
 // wireFrameDecode benchmarks ReadFrame + DecodeUpdate + Densify for one
-// pre-encoded update frame — the full binary inbound path.
+// pre-encoded update frame — the full inbound path.
 func wireFrameDecode(b *testing.B, cfg compress.Config) {
 	u, global := wireUpdate()
 	var frame []byte
@@ -106,15 +77,15 @@ func wireFrameDecode(b *testing.B, cfg compress.Config) {
 	b.ReportMetric(float64(len(frame)), "wire-bytes/op")
 }
 
-// WireBinaryDecode is the uncompressed binary frame: same dense payload
-// as WireGobDecode, zero reflection.
+// WireBinaryDecode is the uncompressed frame: the dense baseline the
+// compressed shapes are measured against.
 func WireBinaryDecode(b *testing.B) {
 	wireFrameDecode(b, compress.Config{Mode: compress.None})
 }
 
 // WireTopK8Decode is the headline compressed shape: top-k (default 1%)
 // with int8 quantization — the mode the ≥10x byte-reduction gate holds
-// against the gob baseline.
+// against the dense baseline.
 func WireTopK8Decode(b *testing.B) {
 	wireFrameDecode(b, compress.Config{Mode: compress.TopKQ8}.WithDefaults())
 }

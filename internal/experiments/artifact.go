@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
 
 	"github.com/cip-fl/cip/internal/core"
 	"github.com/cip-fl/cip/internal/datasets"
@@ -49,44 +45,15 @@ func (a *Artifact) Save(path string) error {
 	return nil
 }
 
-// LoadArtifact reads an artifact written by Save. Containerized files are
-// validated (magic, kind, length, checksum) before decoding; files from
-// before the container format fall back to a raw, byte-bounded gob decode.
+// LoadArtifact reads an artifact written by Save. The file is validated
+// (magic, kind, length, checksum) before decoding; a raw gob file from
+// before the container format fails with checkpoint.ErrNotCheckpoint.
 func LoadArtifact(path string) (*Artifact, error) {
 	var a Artifact
-	err := checkpoint.ReadFile(path, checkpoint.KindArtifact, maxArtifactBytes, &a)
-	if errors.Is(err, checkpoint.ErrNotCheckpoint) {
-		return loadArtifactLegacy(path)
-	}
-	if err != nil {
+	if err := checkpoint.ReadFile(path, checkpoint.KindArtifact, maxArtifactBytes, &a); err != nil {
 		return nil, fmt.Errorf("experiments: loading artifact: %w", err)
 	}
 	return &a, nil
-}
-
-func loadArtifactLegacy(path string) (*Artifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: loading artifact: %w", err)
-	}
-	defer f.Close()
-	var a Artifact
-	if err := decodeBoundedGob(f, &a); err != nil {
-		return nil, fmt.Errorf("experiments: decoding artifact %s: %w", path, err)
-	}
-	return &a, nil
-}
-
-// decodeBoundedGob gob-decodes one value reading at most maxArtifactBytes,
-// converting decoder panics into errors so legacy (unchecksummed) files
-// degrade cleanly.
-func decodeBoundedGob(r io.Reader, v any) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("decode panicked: %v", p)
-		}
-	}()
-	return gob.NewDecoder(io.LimitReader(r, maxArtifactBytes)).Decode(v)
 }
 
 // Data reloads the dataset the artifact was trained on (generation is

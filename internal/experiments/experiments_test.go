@@ -1,13 +1,17 @@
 package experiments
 
 import (
+	"encoding/gob"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/cip-fl/cip/internal/datasets"
 	"github.com/cip-fl/cip/internal/fl"
+	"github.com/cip-fl/cip/internal/fl/checkpoint"
 	"github.com/cip-fl/cip/internal/model"
 )
 
@@ -134,6 +138,33 @@ func TestLastRounds(t *testing.T) {
 	}
 	if edge := lastRounds(2, 5); len(edge) != 2 {
 		t.Errorf("lastRounds(2,5) kept %d rounds, want 2", len(edge))
+	}
+}
+
+// TestLoadArtifactRefusesRawGob: an artifact written as a bare gob stream
+// (the format before the checkpoint container) is refused as not a
+// container — cleanly, whether it is whole or torn.
+func TestLoadArtifactRefusesRawGob(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "raw-*.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(f).Encode(&Artifact{Seed: 3, Params: []float64{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	raw, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"whole": raw, "torn": raw[:len(raw)/2]} {
+		path := filepath.Join(t.TempDir(), name+".gob")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadArtifact(path); !errors.Is(err, checkpoint.ErrNotCheckpoint) {
+			t.Fatalf("%s raw gob artifact: err = %v, want ErrNotCheckpoint", name, err)
+		}
 	}
 }
 

@@ -17,9 +17,9 @@ import (
 // connection so the peer sees a torn frame followed by EOF.
 func TestCutFrameTearsScheduledFrame(t *testing.T) {
 	client, server := net.Pipe()
-	cut := CutFrame(client, wire.MsgPartial, 1) // tear the 2nd partial
+	cut := CutFrame(client, wire.MsgPartial2, 1) // tear the 2nd partial
 
-	frame := wire.AppendPartialFrame(nil, fl.Partial{
+	frame := wire.AppendPartial2Frame(nil, fl.Partial{
 		LeafID: 1, Round: 0, Sum: []float64{1, 2, 3}, Weight: 4, Count: 2,
 	})
 	got := make(chan []byte, 1)
@@ -70,12 +70,10 @@ func TestCutFrameIgnoresOtherTypes(t *testing.T) {
 	defer client.Close()
 	go func() { io.Copy(io.Discard, server) }() //nolint:errcheck
 	cut := CutFrame(client, wire.MsgPartial2, 0)
-	frame := wire.AppendPartialFrame(nil, fl.Partial{
-		LeafID: 1, Round: 0, Sum: []float64{1}, Weight: 1, Count: 1,
-	})
+	frame := wire.AppendRoundFrame(nil, 0, -1, []float64{1})
 	for i := 0; i < 3; i++ {
 		if _, err := cut.Write(frame); err != nil {
-			t.Fatalf("v1 partial %d should pass a v2-targeted cutter: %v", i, err)
+			t.Fatalf("round frame %d should pass a partial-targeted cutter: %v", i, err)
 		}
 	}
 	if cut.Fired() {

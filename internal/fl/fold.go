@@ -27,8 +27,9 @@ import (
 
 // Partial is one aggregation subtree's pre-division contribution: the
 // weighted parameter sums of the updates it folded, the total weight, and
-// the contributing client count. It is what a leaf coordinator sends its
-// root each round (wire.MsgPartial).
+// the contributing client count, plus coverage metadata and an optional
+// row sketch. It is what a tree node sends its parent each round
+// (wire.MsgPartial2).
 type Partial struct {
 	// LeafID identifies the producing leaf aggregator.
 	LeafID int
@@ -41,9 +42,6 @@ type Partial struct {
 	Weight float64
 	// Count is how many client updates were folded into Sum.
 	Count int
-
-	// The remaining fields ride the v2 partial frame (wire.MsgPartial2)
-	// and are zero on v1 partials.
 
 	// ExpectWeight is the weight the subtree PLANNED to contribute this
 	// round — the summed weights of its post-sampling cohort, including

@@ -66,7 +66,8 @@ func splitmix64(x uint64) uint64 {
 func KeyClient(id int) uint64 { return splitmix64(2 * uint64(id)) }
 
 // KeyLeaf is the priority key of leaf id's implied-mean fallback row (used
-// when a v1 leaf forwards a plain partial with no sketch).
+// when a child forwards a partial with no sketch), and the seed-mixing key
+// of leaf id's sampled cohort.
 func KeyLeaf(id int) uint64 { return splitmix64(2*uint64(id) + 1) }
 
 // SampleRankError is the DKW rank-error bound ε for a K-row sketch at

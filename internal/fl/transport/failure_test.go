@@ -1,14 +1,32 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/cip-fl/cip/internal/fl"
+	"github.com/cip-fl/cip/internal/fl/wire"
 )
+
+// handPeer is a hand-rolled client: it performs the real handshake and
+// returns the connection's buffered reader positioned at the first round
+// frame, so a test can then misbehave at the frame level.
+func handPeer(t *testing.T, addr string, h hello) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if _, err := clientHandshake(conn, br, h); err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	return conn, br
+}
 
 // TestCoordinatorClientDisconnect: a client that vanishes mid-round must
 // surface as an error from the coordinator, not a hang.
@@ -26,24 +44,16 @@ func TestCoordinatorClientDisconnect(t *testing.T) {
 	}()
 	addr := <-addrCh
 
-	conn, err := net.Dial("tcp", addr)
+	// Read the welcome and first round frame, then drop the connection.
+	conn, br := handPeer(t, addr, hello{ID: 0, NumSamples: 5})
+	f, err := wire.ReadFrame(br, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(hello{ID: 0, NumSamples: 5}); err != nil {
-		t.Fatal(err)
+	if f.Type != wire.MsgRound2 {
+		t.Fatalf("first frame has type %d, want a round", f.Type)
 	}
-	// Read the welcome and first round message, then drop the connection.
-	dec := gob.NewDecoder(conn)
-	var w welcome
-	if err := dec.Decode(&w); err != nil {
-		t.Fatal(err)
-	}
-	var rm roundMsg
-	if err := dec.Decode(&rm); err != nil {
-		t.Fatal(err)
-	}
+	f.Release()
 	conn.Close()
 
 	done := make(chan struct{})

@@ -1,27 +1,40 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 
 	"github.com/cip-fl/cip/internal/fl"
+	"github.com/cip-fl/cip/internal/fl/compress"
+	"github.com/cip-fl/cip/internal/fl/wire"
 )
 
-// encodeUpdate produces the bytes a well-behaved client would put on the
-// wire for the given update — the fuzz corpus starts from these and the
-// fuzzer mutates from there.
+// encodeUpdate produces the frame a well-behaved client would put on the
+// wire for the given dense update — the fuzz corpus starts from these and
+// the fuzzer mutates from there.
 func encodeUpdate(t testing.TB, u fl.Update) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(updateMsg{U: u}); err != nil {
+	frame, err := wire.AppendUpdateFrame(nil, u, nil, compress.None)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return frame
 }
 
-// FuzzDecodeUpdate drives the coordinator's byte-budgeted gob decode path
+// decodeFrom runs the coordinator's inbound update path over data: the
+// byte-budgeted reader, the frame header, the body decoded into a window
+// slot, and validation against a 4-parameter model.
+func decodeFrom(data []byte, budget int64) (fl.Update, error) {
+	lim := &budgetReader{r: bytes.NewReader(data)}
+	var slots slotPool
+	u, _, err := decodeUpdate(bufio.NewReader(lim), lim, budget, compress.None, 7,
+		make([]float64, 4), 0, &slots)
+	return u, err
+}
+
+// FuzzDecodeUpdate drives the coordinator's byte-budgeted update decode
 // with arbitrary wire bytes. The invariant under test: hostile input may
 // only ever produce an error — never a panic, never an update that fails
 // ValidateUpdate. This is the exact code path a malicious or corrupted
@@ -31,7 +44,8 @@ func FuzzDecodeUpdate(f *testing.F) {
 	valid := fl.Update{Params: []float64{0.1, -0.2, 0.3, 0.4}, NumSamples: 10, TrainLoss: 1.5}
 	f.Add(encodeUpdate(f, valid), int64(1<<20))
 
-	// Wrong parameter count: decodes fine, must be rejected by validation.
+	// Wrong parameter count: decodes fine, must be rejected by the length
+	// check before the body is read.
 	short := fl.Update{Params: []float64{1, 2}, NumSamples: 3}
 	f.Add(encodeUpdate(f, short), int64(1<<20))
 
@@ -45,7 +59,7 @@ func FuzzDecodeUpdate(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0xde, 0xad, 0xbe, 0xef}, int64(1<<20))
 	f.Add([]byte{}, int64(1<<20))
 
-	// Tiny budget: even a valid message must bounce off errMsgTooLarge.
+	// Tiny budget: even a valid frame must bounce off the budget.
 	f.Add(full, int64(3))
 
 	f.Fuzz(func(t *testing.T, data []byte, budget int64) {
@@ -58,9 +72,7 @@ func FuzzDecodeUpdate(f *testing.F) {
 		if budget > 1<<20 {
 			budget = 1 << 20
 		}
-		lim := &budgetReader{r: bytes.NewReader(data)}
-		dec := gob.NewDecoder(lim)
-		u, err := decodeUpdate(dec, lim, budget, 7, wantLen, 0)
+		u, err := decodeFrom(data, budget)
 		if err != nil {
 			return // any error is acceptable; panics are not
 		}
@@ -80,13 +92,8 @@ func FuzzDecodeUpdate(f *testing.F) {
 // seeds only, but the explicit classification below is stronger).
 func TestDecodeUpdateSeedCorpus(t *testing.T) {
 	const wantLen = 4
-	decode := func(data []byte, budget int64) (fl.Update, error) {
-		lim := &budgetReader{r: bytes.NewReader(data)}
-		return decodeUpdate(gob.NewDecoder(lim), lim, budget, 7, wantLen, 0)
-	}
-
-	valid := encodeUpdate(t, fl.Update{Params: []float64{0.1, -0.2, 0.3, 0.4}, NumSamples: 10})
-	u, err := decode(valid, 1<<20)
+	valid := encodeUpdate(t, fl.Update{ClientID: 3, Params: []float64{0.1, -0.2, 0.3, 0.4}, NumSamples: 10})
+	u, err := decodeFrom(valid, 1<<20)
 	if err != nil {
 		t.Fatalf("valid update rejected: %v", err)
 	}
@@ -94,29 +101,29 @@ func TestDecodeUpdateSeedCorpus(t *testing.T) {
 		t.Fatalf("decoded update corrupted: %+v", u)
 	}
 
-	// Wrong length and NaN payloads must classify as errInvalid so the
+	// Wrong length and NaN payloads must classify as invalid so the
 	// coordinator counts them as validation rejections, not wire noise.
 	for name, data := range map[string][]byte{
 		"short": encodeUpdate(t, fl.Update{Params: []float64{1, 2}, NumSamples: 3}),
 		"nan":   encodeUpdate(t, fl.Update{Params: []float64{math.NaN(), 1, 2, 3}, NumSamples: 5}),
 	} {
-		if _, err := decode(data, 1<<20); err == nil {
+		if _, err := decodeFrom(data, 1<<20); err == nil {
 			t.Fatalf("%s update accepted", name)
-		} else if _, ok := err.(errInvalid); !ok {
-			t.Fatalf("%s update failed as %T (%v), want errInvalid", name, err, err)
+		} else if failureReason(err) != fl.FailInvalid {
+			t.Fatalf("%s update failed as %v (%v), want invalid", name, failureReason(err), err)
 		}
 	}
 
-	// Exhausted budget surfaces errMsgTooLarge via the gob decoder.
-	if _, err := decode(valid, 3); err == nil {
-		t.Fatal("over-budget message accepted")
+	// An exhausted budget is refused at the header.
+	if _, err := decodeFrom(valid, 3); err == nil {
+		t.Fatal("over-budget frame accepted")
 	}
 
 	// Truncation and garbage are wire errors, not validation errors.
-	if _, err := decode(valid[:len(valid)/2], 1<<20); err == nil {
-		t.Fatal("truncated message accepted")
+	if _, err := decodeFrom(valid[:len(valid)/2], 1<<20); err == nil || invalid(err) {
+		t.Fatalf("truncated frame: %v, want an I/O error", err)
 	}
-	if _, err := decode([]byte{0xff, 0x00, 0xde, 0xad}, 1<<20); err == nil {
+	if _, err := decodeFrom([]byte{0xff, 0x00, 0xde, 0xad}, 1<<20); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

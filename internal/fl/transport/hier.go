@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -26,8 +25,8 @@ import (
 // tree computes bit-identically the same mean aggregate as a flat
 // federation folding the same updates in the same order.
 //
-// Partial protocol v2 (negotiated per link, falling back to v1 against
-// old parents) extends the tree with failure-domain awareness:
+// The partial frame (wire.MsgPartial2) makes the tree failure-domain
+// aware:
 //
 //   - Graceful degradation: a node that loses its local quorum but still
 //     holds ≥1 valid update forwards a Degraded partial carrying its full
@@ -44,7 +43,7 @@ import (
 //     losslessly at every tier, letting median/trimmed-mean evaluate at
 //     the root over per-client rows the mean-only partials cannot carry.
 //   - Root-coordinated sampling: the root's SampleFraction/SampleSeed
-//     ride the MsgRound2 broadcast down the tree; client-facing shards
+//     ride the round broadcast down the tree; client-facing shards
 //     apply it with their leaf ID mixed into the seed (quorum-clamped
 //     per shard), so one directive thins the whole population.
 //
@@ -64,33 +63,19 @@ type Leaf struct {
 	// is exhausted — the re-parenting path when a parent dies for good.
 	// Every address must belong to the same federation session.
 	AltParents []string
-	// PartialVersion caps the partial-protocol version offered to the
-	// parent: 0 (default) and 2 offer v2 — coverage metadata, graceful
-	// degradation, sketches, MsgRound2 — while 1 pins the legacy v1
-	// exchange. The parent settles at min(offer, its own version).
-	PartialVersion int
 	// Local configures the tier-facing coordinator: roster size, quorum,
-	// timeouts, codec, sampling, reputation. Setting AcceptPartials makes
-	// this an interior node serving child aggregators (binary codec
-	// required). Rounds is ignored (the root drives the schedule), and
-	// Robust, Checkpoint, and Restore must be unset — robust evaluation
-	// runs at the root over merged row sketches, and non-root nodes are
-	// deliberately stateless across rounds (every round's partial depends
-	// only on the root's broadcast).
+	// timeouts, sampling, reputation. Setting AcceptPartials makes this an
+	// interior node serving child aggregators. Rounds is ignored (the root
+	// drives the schedule), and Robust, Checkpoint, and Restore must be
+	// unset — robust evaluation runs at the root over merged row sketches,
+	// and non-root nodes are deliberately stateless across rounds (every
+	// round's partial depends only on the root's broadcast).
 	Local Coordinator
-	// Retry controls dialing the parent: backoff, jitter,
-	// compression-free binary codec, and the Stop channel for clean
-	// shutdown. MaxAttempts is the consecutive-failure budget per parent
-	// address (refreshed whenever a session makes round progress).
+	// Retry controls dialing the parent: backoff, jitter, and the Stop
+	// channel for clean shutdown (partials are never compressed).
+	// MaxAttempts is the consecutive-failure budget per parent address
+	// (refreshed whenever a session makes round progress).
 	Retry RetryConfig
-}
-
-// partialOffer is the protocol version this leaf offers its parent.
-func (l *Leaf) partialOffer() int {
-	if l.PartialVersion == 1 {
-		return 1
-	}
-	return 2
 }
 
 // ListenAndRun binds the shard listener on addr and runs the leaf; see
@@ -113,16 +98,16 @@ func (l *Leaf) ListenAndRun(addr string, ready func(boundAddr string)) ([]float6
 // broadcast. A lost parent connection is redialed with backoff — the
 // attempt budget refreshing on progress, as in RunClientRetry — and when
 // one parent's budget runs dry the node fails over to the next AltParents
-// address. A lost local quorum is fatal on a v1 parent link; on a v2 link
-// the node degrades gracefully as long as one valid contribution remains
-// (see Leaf).
+// address. A lost local quorum degrades gracefully as long as one valid
+// contribution remains (see Leaf).
 func (l *Leaf) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([]float64, error) {
 	c := &l.Local
+	if err := errors.Join(checkCodec(c.Codec), checkCodec(l.Retry.Codec)); err != nil {
+		return nil, err
+	}
 	switch {
 	case c.Robust != nil:
 		return nil, errors.New("transport: non-root tree nodes cannot use a robust rule: robust evaluation runs at the root over merged row sketches")
-	case c.AcceptPartials && c.Codec != wire.CodecBinary:
-		return nil, errors.New("transport: an interior aggregator requires the binary codec")
 	case c.AcceptPartials && (c.BufferRounds || len(c.Observers) > 0 || c.Reputation != nil):
 		return nil, errors.New("transport: an interior aggregator supports no observers, reputation, or forced buffering")
 	case c.Checkpoint != nil || c.Restore != nil:
@@ -234,36 +219,20 @@ func (l *Leaf) rootSession(s *session, rc RetryConfig, addr string, rootToken *s
 	for _, cc := range s.active {
 		samples += cc.samples
 	}
-	enc := gob.NewEncoder(conn)
 	br := bufio.NewReader(conn)
-	dec := gob.NewDecoder(br)
-	if err := enc.Encode(hello{
-		ID: l.ID, NumSamples: samples, Token: *rootToken,
-		Codec: wire.CodecBinary, Partial: true, PartialV: l.partialOffer(),
-	}); err != nil {
-		return false, false, stopErr(fmt.Errorf("transport: leaf %d sending hello: %w", l.ID, err))
-	}
-	var w welcome
-	if err := dec.Decode(&w); err != nil {
-		return false, false, stopErr(fmt.Errorf("transport: leaf %d reading welcome: %w", l.ID, err))
+	w, err := clientHandshake(conn, br, hello{ID: l.ID, NumSamples: samples, Token: *rootToken, Partial: true})
+	if err != nil {
+		return false, false, stopErr(fmt.Errorf("transport: leaf %d %w", l.ID, err))
 	}
 	if !w.Partial {
 		return false, false, errFatal{fmt.Errorf(
-			"transport: coordinator at %s did not confirm the partial protocol (not a tree parent, or too old)", addr)}
-	}
-	if w.Codec != wire.CodecBinary {
-		return false, false, errFatal{errors.New("transport: parent accepted partials without the binary codec")}
+			"transport: coordinator at %s did not confirm the partial protocol (not a tree parent)", addr)}
 	}
 	if *rootToken == "" {
 		*rootToken = w.Token
 	} else if w.Token != *rootToken {
 		return false, false, errFatal{errors.New("transport: parent session token changed mid-federation")}
 	}
-	// The settled version governs this link: v2 enables degraded partials
-	// and the extension frame; v1 (or an old parent leaving the field 0)
-	// keeps the legacy exchange.
-	v2 := w.PartialV >= 2
-	s.degradeOK = v2
 
 	for {
 		typ, _, size, err := wire.ReadHeader(br, clientFrameBudget)
@@ -272,15 +241,14 @@ func (l *Leaf) rootSession(s *session, rc RetryConfig, addr string, rootToken *s
 		}
 		if typ == wire.MsgDone {
 			return progressed, true, nil
-		} else if typ != wire.MsgRound && typ != wire.MsgRound2 {
+		} else if typ != wire.MsgRound2 {
 			return progressed, false, errFatal{fmt.Errorf("transport: leaf %d: unexpected frame type %d from parent", l.ID, typ)}
 		}
 		// The parent's broadcast is this round's center, decoded over the
 		// previous round's; its durable announce passes through so shard
 		// clients bound their rollback captures against the root's
-		// snapshots. A v1 round frame carries no tree directive, so none is
-		// in force (ReadRound leaves it zero).
-		rd, err := wire.ReadRound(br, typ, size, s.global)
+		// snapshots.
+		rd, err := wire.ReadRound(br, size, s.global)
 		if invalid(err) {
 			return progressed, false, errFatal{fmt.Errorf("transport: leaf %d decoding round frame: %w", l.ID, err)}
 		} else if err != nil {
@@ -290,16 +258,12 @@ func (l *Leaf) rootSession(s *session, rc RetryConfig, addr string, rootToken *s
 		s.durable = rd.Durable
 		s.treeFrac, s.treeSeed, s.sketchCap = rd.SampleFrac, rd.SampleSeed, rd.SketchCap
 		if rerr := s.runRound(rd.Round); rerr != nil {
-			// Unrecoverable round failure (quorum loss on a v1 link, local
+			// Unrecoverable round failure (no valid contribution, local
 			// coverage floor, ...): the node leaves the tree and lets the
 			// parent's coverage accounting decide.
 			return progressed, false, errFatal{rerr}
 		}
-		if v2 {
-			s.tx = wire.AppendPartial2Frame(s.tx[:0], s.partial)
-		} else {
-			s.tx = wire.AppendPartialFrame(s.tx[:0], s.partial)
-		}
+		s.tx = wire.AppendPartial2Frame(s.tx[:0], s.partial)
 		// One Write per frame: a connection cut mid-call tears the frame
 		// on the wire, which the parent's byte-budgeted reader discards
 		// whole (the torn-frame chaos tests depend on this).

@@ -25,15 +25,15 @@ import (
 	"github.com/cip-fl/cip/internal/fl/wire"
 )
 
-// runBinaryClients joins clients to addr over the binary codec, client i
-// offering compressFor(i) (nil: none), and returns a wait func that fails
-// the test on any client error.
-func runBinaryClients(t *testing.T, addr string, clients []fl.Client, compressFor func(i int) string) func() {
+// runClients joins clients to addr, client i offering compressFor(i)
+// (nil: none), and returns a wait func that fails the test on any client
+// error.
+func runClients(t *testing.T, addr string, clients []fl.Client, compressFor func(i int) string) func() {
 	t.Helper()
 	errs := make([]error, len(clients))
 	var wg sync.WaitGroup
 	for i, c := range clients {
-		rc := RetryConfig{MaxAttempts: 1, Codec: "binary"}
+		rc := RetryConfig{MaxAttempts: 1}
 		if compressFor != nil {
 			rc.Compress, rc.TopKFrac = compressFor(i), 0.25
 		}
@@ -75,7 +75,7 @@ func TestFlatRoundSteadyStateAllocation(t *testing.T) {
 	}
 	var start, before, after runtime.MemStats
 	coord := &Coordinator{
-		NumClients: nClient, Rounds: rounds, Initial: initial, Codec: "binary",
+		NumClients: nClient, Rounds: rounds, Initial: initial,
 		AfterRound: func(round int) error {
 			switch round {
 			case warm - 1:
@@ -88,7 +88,7 @@ func TestFlatRoundSteadyStateAllocation(t *testing.T) {
 	}
 	runtime.ReadMemStats(&start)
 	addr, wait := startCoordinator(t, coord)
-	waitClients := runBinaryClients(t, addr, clients, nil)
+	waitClients := runClients(t, addr, clients, nil)
 	if _, err := wait(); err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
@@ -142,14 +142,14 @@ func flatScenario(n int, compressFor func(i int) string, mut func(*Coordinator))
 		for i := range initial {
 			initial[i] = math.Sin(float64(i))
 		}
-		coord := &Coordinator{NumClients: n, Rounds: 4, Initial: initial, Codec: "binary"}
+		coord := &Coordinator{NumClients: n, Rounds: 4, Initial: initial}
 		mut(coord)
 		clients := make([]fl.Client, n)
 		for i := range clients {
 			clients[i] = &vecClient{id: i, samples: 5 + 3*i}
 		}
 		addr, wait := startCoordinator(t, coord)
-		waitClients := runBinaryClients(t, addr, clients, compressFor)
+		waitClients := runClients(t, addr, clients, compressFor)
 		global, err := wait()
 		if err != nil {
 			t.Fatalf("coordinator: %v", err)
@@ -170,7 +170,7 @@ func treeScenario(rule robust.Aggregator) func(t *testing.T) []float64 {
 		}
 		root := &Coordinator{
 			NumClients: leaves, Rounds: 4, Initial: initial,
-			Codec: "binary", AcceptPartials: true, Robust: rule,
+			AcceptPartials: true, Robust: rule,
 		}
 		rootAddr, rootWait := startCoordinator(t, root)
 		var nodeWaits []func() error
@@ -178,14 +178,14 @@ func treeScenario(rule robust.Aggregator) func(t *testing.T) []float64 {
 		for l := 0; l < leaves; l++ {
 			addr, wait := startNode(t, &Leaf{
 				ID: l, Root: rootAddr,
-				Local: Coordinator{NumClients: perLeaf, Initial: initial, Codec: "binary"},
+				Local: Coordinator{NumClients: perLeaf, Initial: initial},
 			})
 			nodeWaits = append(nodeWaits, wait)
 			shard := []fl.Client{
 				&vecClient{id: 2 * l, samples: 5 + 6*l},
 				&vecClient{id: 2*l + 1, samples: 8 + 6*l},
 			}
-			clientWaits = append(clientWaits, runBinaryClients(t, addr, shard, func(i int) string {
+			clientWaits = append(clientWaits, runClients(t, addr, shard, func(i int) string {
 				return []string{"", "topk8"}[i]
 			}))
 		}
@@ -263,13 +263,12 @@ func TestKeptGlobalSurvivesLaterRounds(t *testing.T) {
 	}
 	for _, leaf := range []bool{false, true} {
 		rec := &fl.HistoryRecorder{KeepParams: true}
-		local := Coordinator{NumClients: 2, Rounds: 4, Initial: initial, Codec: "binary",
-			Observers: []fl.RoundObserver{rec}}
+		local := Coordinator{NumClients: 2, Rounds: 4, Initial: initial, Observers: []fl.RoundObserver{rec}}
 		if leaf {
-			root := &Coordinator{NumClients: 1, Rounds: 4, Initial: initial, Codec: "binary", AcceptPartials: true}
+			root := &Coordinator{NumClients: 1, Rounds: 4, Initial: initial, AcceptPartials: true}
 			rootAddr, rootWait := startCoordinator(t, root)
 			addr, leafWait := startNode(t, &Leaf{ID: 0, Root: rootAddr, Local: local})
-			waitClients := runBinaryClients(t, addr, shard(), nil)
+			waitClients := runClients(t, addr, shard(), nil)
 			if _, err := rootWait(); err != nil {
 				t.Fatalf("root: %v", err)
 			}
@@ -279,7 +278,7 @@ func TestKeptGlobalSurvivesLaterRounds(t *testing.T) {
 			waitClients()
 		} else {
 			addr, wait := startCoordinator(t, &local)
-			waitClients := runBinaryClients(t, addr, shard(), nil)
+			waitClients := runClients(t, addr, shard(), nil)
 			if _, err := wait(); err != nil {
 				t.Fatalf("coordinator: %v", err)
 			}
@@ -334,7 +333,7 @@ func TestOnlyOwningSessionsKeepBuffers(t *testing.T) {
 			server.Write(wire.AppendDoneFrame(nil)) //nolint:errcheck
 		}()
 		st := &sessionState{captures: make(map[int][]byte), keepBuffers: keep}
-		err := runRoundsBinary(client, client, &vecClient{id: 1, samples: 3}, compress.Config{},
+		err := runRounds(client, client, &vecClient{id: 1, samples: 3}, compress.Config{},
 			func(err error) error { return err }, st)
 		client.Close()
 		if err != nil {
@@ -372,7 +371,7 @@ func TestEncodeErrorLeavesTxReusable(t *testing.T) {
 	params := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	u := fl.Update{ClientID: 3, NumSamples: 10, TrainLoss: 1, Params: params}
 	st := &sessionState{captures: make(map[int][]byte)}
-	if err := sendUpdateBinary(client, u, params, compress.Config{}, st); err != nil {
+	if err := sendUpdate(client, u, params, compress.Config{}, st); err != nil {
 		t.Fatal(err)
 	}
 	tx := &st.tx[0]
@@ -388,7 +387,7 @@ func TestEncodeErrorLeavesTxReusable(t *testing.T) {
 			t.Fatal("an encode error replaced the session's tx buffer")
 		}
 	}
-	if err := sendUpdateBinary(client, u, params, compress.Config{}, st); err != nil {
+	if err := sendUpdate(client, u, params, compress.Config{}, st); err != nil {
 		t.Fatal(err)
 	}
 	if &st.tx[0] != tx {

@@ -1,7 +1,7 @@
 package transport
 
 // The compressed client's residual is advanced in place by
-// sendUpdateBinary. These tests hold the two properties that rests on: a
+// sendUpdate. These tests hold the two properties that rests on: a
 // steady-state round allocates nothing the size of the model, and a
 // rollback capture is always a copy of the residual, never an alias.
 
@@ -49,7 +49,7 @@ func TestSendUpdateBinaryAllocatesNoDenseVector(t *testing.T) {
 	st := &sessionState{captures: make(map[int][]byte)}
 	u := fl.Update{ClientID: 0, NumSamples: 10, TrainLoss: 1, Params: params}
 	send := func() {
-		if err := sendUpdateBinary(conn, u, global, cfg, st); err != nil {
+		if err := sendUpdate(conn, u, global, cfg, st); err != nil {
 			t.Fatal(err)
 		}
 	}

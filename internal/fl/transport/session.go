@@ -62,17 +62,13 @@ type session struct {
 	leafMean []float64
 
 	// treeFrac/treeSeed/sketchCap hold the parent's per-round tree
-	// directive (MsgRound2): the sampling fraction and seed client-facing
-	// shards apply, and the row-reservoir capacity partials carry. A root
-	// sources the directive from its own configuration; leaves overwrite
-	// these from each round frame (zeroed again on v1 round frames).
+	// directive (the round frame's): the sampling fraction and seed
+	// client-facing shards apply, and the row-reservoir capacity partials
+	// carry. A root sources the directive from its own configuration;
+	// leaves overwrite these from each round frame.
 	treeFrac  float64
 	treeSeed  int64
 	sketchCap int
-	// degradeOK marks a leaf whose parent speaks partial v2: losing local
-	// quorum with at least one valid update forwards a degraded partial
-	// (coverage metadata intact) instead of failing the subtree.
-	degradeOK bool
 	// plannedWeight/coveredWeight accumulate one round's planned versus
 	// delivered cohort weight; their ratio is the round's coverage.
 	plannedWeight, coveredWeight float64
@@ -88,11 +84,11 @@ type session struct {
 	// exchanges the most recent streaming round reached.
 	peakInflight int
 
-	// bcast/bcast2 hold the round broadcast frames (v1/v2) and tx a tree
-	// node's outgoing partial frame, re-encoded in place every round;
-	// slots recycles the vectors updates and partial sums decode into.
-	bcast, bcast2, tx []byte
-	slots             slotPool
+	// bcast holds the round broadcast frame and tx a tree node's outgoing
+	// partial frame, re-encoded in place every round; slots recycles the
+	// vectors updates and partial sums decode into.
+	bcast, tx []byte
+	slots     slotPool
 
 	pendingMu sync.Mutex
 	pending   []*clientConn
@@ -165,13 +161,11 @@ func (c *Coordinator) streamingAccumulator() (fl.Accumulator, bool) {
 // touching the network stack. The listener is closed before returning
 // when the rejoin accept loop owns it.
 func (c *Coordinator) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([]float64, error) {
-	if c.AcceptPartials {
-		if c.BufferRounds || len(c.Observers) > 0 || c.Reputation != nil {
-			return nil, errors.New("transport: partial aggregation supports no observers, reputation, or forced buffering")
-		}
-		if c.Codec != wire.CodecBinary {
-			return nil, errors.New("transport: partial aggregation requires the binary codec")
-		}
+	if err := checkCodec(c.Codec); err != nil {
+		return nil, err
+	}
+	if c.AcceptPartials && (c.BufferRounds || len(c.Observers) > 0 || c.Reputation != nil) {
+		return nil, errors.New("transport: partial aggregation supports no observers, reputation, or forced buffering")
 	}
 	global := make([]float64, len(c.Initial))
 	copy(global, c.Initial)
@@ -336,13 +330,7 @@ func (s *session) sendDone() error {
 		if c.RoundTimeout > 0 {
 			cc.conn.SetWriteDeadline(time.Now().Add(c.RoundTimeout)) //nolint:errcheck
 		}
-		var err error
-		if cc.binary {
-			_, err = cc.w.Write(wire.AppendDoneFrame(nil))
-		} else {
-			err = cc.enc.Encode(roundMsg{Done: true})
-		}
-		if err != nil && !c.faultTolerant() {
+		if _, err := cc.w.Write(wire.AppendDoneFrame(nil)); err != nil && !c.faultTolerant() {
 			return fmt.Errorf("transport: sending done to client %d: %w", cc.id, err)
 		}
 	}
@@ -391,8 +379,7 @@ func (s *session) admitPending(round int) {
 		return
 	}
 	for _, cc := range pend {
-		w := s.c.welcomeFor(cc, welcome{Token: s.token, NextRound: round, Resumed: s.resumed})
-		if err := cc.enc.Encode(w); err != nil {
+		if err := cc.sendWelcome(welcome{Token: s.token, NextRound: round, Resumed: s.resumed}); err != nil {
 			cc.conn.Close()
 			continue
 		}
@@ -412,7 +399,6 @@ func (s *session) admitPending(round int) {
 			s.c.Metrics.rejoin()
 		}
 		s.c.Metrics.connAccepted()
-		s.c.Metrics.codecNegotiated(cc.binary)
 	}
 	sort.Slice(s.active, func(i, j int) bool { return s.active[i].id < s.active[j].id })
 }
@@ -483,10 +469,10 @@ func (s *session) sampleCohort(round int, eligible []*clientConn) (cohort, idle 
 
 // effectiveSample resolves which cohort-sampling directive this node
 // applies locally. A tree parent never thins its child aggregators — the
-// directive rides MsgRound2 and is applied by the client-facing shards,
-// each mixing its leaf ID into the distributed seed so sibling shards
-// draw independent cohorts from one root-coordinated fraction. Everything
-// else samples from local configuration.
+// directive rides the round frame and is applied by the client-facing
+// shards, each mixing its leaf ID into the distributed seed so sibling
+// shards draw independent cohorts from one root-coordinated fraction.
+// Everything else samples from local configuration.
 func (s *session) effectiveSample() (frac float64, seed int64) {
 	if s.c.AcceptPartials {
 		return 0, 0
@@ -497,9 +483,9 @@ func (s *session) effectiveSample() (frac float64, seed int64) {
 	return s.c.SampleFraction, s.c.SampleSeed
 }
 
-// distSample is the sampling directive a tree parent broadcasts to its
-// partial-v2 children this round: the root's own configuration, relayed
-// unchanged by interior nodes so the whole tree acts on one directive.
+// distSample is the sampling directive a node broadcasts in its round
+// frame this round: the root's own configuration, relayed unchanged by
+// interior nodes so the whole tree acts on one directive.
 func (s *session) distSample() (frac float64, seed int64) {
 	if s.wantPartial {
 		return s.treeFrac, s.treeSeed
@@ -535,11 +521,10 @@ func (s *session) tallyUpdate(u fl.Update) {
 }
 
 // tallyPartial credits one accepted child partial: planned weight is the
-// child's own expectation (falling back to its delivered weight when the
-// child predates coverage metadata), delivered weight is what arrived.
-// Child reservoirs merge into the local one; a sketchless (v1) child
-// contributes its implied mean as a single leaf-keyed row, so robust
-// rules still see every subtree.
+// child's own expectation (falling back to its delivered weight when it
+// carries none), delivered weight is what arrived. Child reservoirs merge
+// into the local one; a sketchless child contributes its implied mean as
+// a single leaf-keyed row, so robust rules still see every subtree.
 func (s *session) tallyPartial(p fl.Partial) error {
 	expect := p.ExpectWeight
 	if expect <= 0 {
@@ -561,10 +546,9 @@ func (s *session) tallyPartial(p fl.Partial) error {
 	return nil
 }
 
-// stampPartial finishes the round's outgoing partial with the v2
-// extension fields: the planned (pre-failure) cohort weight, the
-// degradation flag, and the round's row reservoir. A v1 parent link
-// simply never encodes them.
+// stampPartial finishes the round's outgoing partial with its coverage
+// fields: the planned (pre-failure) cohort weight, the degradation flag,
+// and the round's row reservoir.
 func (s *session) stampPartial(degraded bool) {
 	s.partial.ExpectWeight = s.plannedWeight
 	s.partial.Degraded = degraded
@@ -614,27 +598,15 @@ func (s *session) runRound(round int) error {
 	if c.AcceptPartials {
 		budget = c.partialBudget(distCap)
 	}
+	frac, seed := s.distSample()
+	s.bcast = wire.AppendRound2Frame(s.bcast[:0], wire.Round2{
+		Round: round, Durable: s.durable, Params: s.global,
+		SampleFrac: frac, SampleSeed: seed, SketchCap: distCap,
+	})
 	rc := &roundCtx{
-		round: round, durable: s.durable, global: s.global,
+		round: round, global: s.global, bcast: s.bcast,
 		timeout: c.RoundTimeout, budget: budget,
 		maxNorm: c.MaxUpdateNorm, met: c.Metrics, slots: &s.slots,
-	}
-	var wantV1, wantV2 bool
-	for _, cc := range cohort {
-		wantV1 = wantV1 || cc.binary && cc.partialV < 2
-		wantV2 = wantV2 || cc.binary && cc.partialV >= 2
-	}
-	if wantV1 {
-		s.bcast = wire.AppendRoundFrame(s.bcast[:0], round, s.durable, s.global)
-		rc.bcast = s.bcast
-	}
-	if wantV2 {
-		frac, seed := s.distSample()
-		s.bcast2 = wire.AppendRound2Frame(s.bcast2[:0], wire.Round2{
-			Round: round, Durable: s.durable, Params: s.global,
-			SampleFrac: frac, SampleSeed: seed, SketchCap: distCap,
-		})
-		rc.bcast2 = s.bcast2
 	}
 
 	var (
@@ -669,13 +641,13 @@ func (s *session) runRound(round int) error {
 	sort.Slice(s.active, func(i, j int) bool { return s.active[i].id < s.active[j].id })
 	degraded := false
 	if nValid < c.quorum() {
-		if !(s.wantPartial && s.degradeOK && nValid >= 1) {
+		if !(s.wantPartial && nValid >= 1) {
 			return fmt.Errorf("transport: round %d: quorum lost: %d valid updates, need %d",
 				round, nValid, c.quorum())
 		}
-		// Graceful degradation: the parent speaks partial v2, so a
-		// below-quorum shard forwards what it has — flagged Degraded, its
-		// planned weight intact — instead of stalling or leaving the tree.
+		// Graceful degradation: a below-quorum tree node forwards what it
+		// has — flagged Degraded, its planned weight intact — instead of
+		// stalling or leaving the tree.
 		degraded = true
 	}
 	coverage := 1.0
@@ -1001,10 +973,8 @@ func (s *session) runStream(rc *roundCtx, cohort []*clientConn) (survivors []*cl
 				if sl.err == nil {
 					s.tallyUpdate(sl.u)
 				}
-				if cc.binary {
-					// Folded and tallied (Sketch.Add copies): the slot is free.
-					rc.slots.put(sl.u.Params)
-				}
+				// Folded and tallied (Sketch.Add copies): the slot is free.
+				rc.slots.put(sl.u.Params)
 			}
 		}
 		if sl.err == nil {

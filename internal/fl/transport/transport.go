@@ -4,31 +4,26 @@
 // this package demonstrates and tests the distributed deployment path on
 // the loopback interface.
 //
-// Protocol (synchronous, one stream per client). The handshake is always
-// gob; the welcome settles which codec the rest of the session speaks:
+// Protocol (synchronous, one stream per client). A gob handshake, then
+// internal/fl/wire frames in both directions:
 //
-//	client → server: hello{ID, NumSamples, Token, Codec, Compress, TopKFrac}
-//	server → client: welcome{Token, NextRound, Resumed, Codec, Compress, TopKFrac}
-//	repeat for each round (gob sessions):
-//	    server → client: roundMsg{Round, Params, Durable}
-//	    client → server: updateMsg{Update}
-//	server → client: roundMsg{Done: true}
-//	repeat for each round (binary sessions — internal/fl/wire frames):
-//	    server → client: MsgRound frame
-//	    client → server: MsgUpdate frame (possibly top-k/quantized delta)
+//	client → server: hello{ID, NumSamples, Token, Codec, Compress, TopKFrac, Partial}
+//	server → client: welcome{Token, NextRound, Resumed, Codec, Compress, TopKFrac, Partial}
+//	repeat for each round:
+//	    server → client: MsgRound2 frame
+//	    client → server: MsgUpdate frame (possibly top-k/quantized delta),
+//	                     or MsgPartial2 from a child aggregator
 //	server → client: MsgDone frame
 //
-// Codec negotiation. A client offers Codec "binary" (and optionally a
-// compression mode) in its hello; a coordinator configured with Codec
-// "binary" accepts the offer and echoes the settled values in the
-// welcome. Either side omitting the offer keeps the session on gob —
-// old clients interoperate with new coordinators and vice versa, because
-// gob ignores unknown fields in both directions. Compressed updates are
-// deltas against the broadcast global with client-side error feedback:
-// the client accumulates what each lossy round dropped and folds it into
-// the next round's delta, so the federation converges to the dense
-// behavior; the residual rides in the rollback captures, keeping
-// kill→restart→resume bit-identical under compression.
+// Handshake. The hello must offer Codec "binary"; any other hello is
+// refused. The hello may also offer a compression mode, which the welcome
+// echoes.
+// Compressed updates are deltas against the broadcast global with
+// client-side error feedback: the client accumulates what each lossy
+// round dropped and folds it into the next round's delta, so the
+// federation converges to the dense behavior; the residual rides in the
+// rollback captures, keeping kill→restart→resume bit-identical under
+// compression.
 //
 // Restart recovery. A coordinator given a checkpoint.Manager mints a
 // session token, writes durable snapshots at the configured cadence, and
@@ -49,9 +44,9 @@
 // from the roster and the round aggregates over the survivors, erroring
 // only when fewer than MinQuorum valid updates remain. AcceptWindow bounds
 // the initial roster wait so a federation can start with a partial roster
-// of at least MinQuorum clients. All inbound gob messages are
-// byte-bounded against the expected model size, so a misbehaving peer
-// cannot make the coordinator allocate unbounded memory.
+// of at least MinQuorum clients. Every inbound message is byte-bounded
+// against the expected model size, so a misbehaving peer cannot make the
+// coordinator allocate unbounded memory.
 package transport
 
 import (
@@ -83,30 +78,22 @@ type hello struct {
 	// client's first contact. A coordinator resumed from a snapshot uses it
 	// to recognize returning participants.
 	Token string
-	// Codec offers a wire codec for the session ("binary"); empty or
-	// "gob" keeps the legacy gob stream. Old coordinators never see the
-	// field (gob drops it), so the offer degrades to gob automatically.
+	// Codec must be "binary" (wire.CodecBinary); the coordinator refuses
+	// any other hello.
 	Codec string
 	// Compress offers an update-compression mode (compress.ParseMode
-	// names); meaningful only with a binary codec offer.
+	// names).
 	Compress string
 	// TopKFrac is the offered top-k fraction for sparse modes (0 means
 	// the default).
 	TopKFrac float64
 	// Partial offers the hierarchical partial-aggregation protocol: the
-	// peer is a leaf aggregator that answers each round frame with a
-	// MsgPartial (pre-division weighted sums) instead of a MsgUpdate.
-	// Requires the binary codec. Old coordinators never see the field
-	// (gob drops it) and answer with a welcome that lacks the
-	// confirmation, so a leaf dialing a non-root fails loudly instead of
-	// being silently treated as a plain client.
+	// peer is a child aggregator that answers each round frame with a
+	// MsgPartial2 (pre-division weighted sums) instead of a MsgUpdate. A
+	// coordinator that does not accept partials answers with a welcome
+	// that lacks the confirmation, so a leaf dialing a non-root fails
+	// loudly instead of being silently treated as a plain client.
 	Partial bool
-	// PartialV offers a partial-protocol version alongside Partial: 2
-	// adds coverage metadata, graceful degradation, robust sketches, and
-	// the MsgRound2 broadcast. 0 (old leaves — gob drops the field) and 1
-	// both mean the original MsgPartial exchange. The coordinator answers
-	// with the settled version, never above the offer.
-	PartialV int
 }
 
 // welcome is the coordinator's response to a valid hello.
@@ -119,36 +106,25 @@ type welcome struct {
 	NextRound int
 	// Resumed reports whether the coordinator restored from a snapshot.
 	Resumed bool
-	// Codec is the codec the coordinator settled on for this session:
-	// "binary" iff both sides offered it; empty means gob. Old
-	// coordinators leave it absent, which decodes as empty — gob.
+	// Codec is always "binary"; a peer that leaves it empty predates the
+	// frame protocol and is refused by the client.
 	Codec string
 	// Compress and TopKFrac echo the accepted compression config (empty
 	// mode when the session is uncompressed).
 	Compress string
 	TopKFrac float64
 	// Partial confirms the partial-aggregation protocol: this coordinator
-	// is a root that will read MsgPartial answers from the peer.
+	// is a tree parent that will read MsgPartial2 answers from the peer.
 	Partial bool
-	// PartialV is the settled partial-protocol version (≤ the hello's
-	// offer; 0 decodes as 1 for old roots, keeping new leaves on the v1
-	// exchange against them).
-	PartialV int
 }
 
-type roundMsg struct {
-	Round  int
-	Params []float64
-	Done   bool
-	// Durable is the highest round index covered by a durable snapshot
-	// (-1 when nothing is durable yet). Clients may discard rollback
-	// captures for rounds at or below it, keeping only what a restarted
-	// coordinator could still rewind to.
-	Durable int
-}
-
-type updateMsg struct {
-	U fl.Update
+// checkCodec validates a Coordinator or RetryConfig Codec field: the
+// binary frames are the only protocol, spelled "binary" or left empty.
+func checkCodec(codec string) error {
+	if codec != "" && codec != wire.CodecBinary {
+		return fmt.Errorf("transport: unsupported codec %q (binary frames are the only protocol)", codec)
+	}
+	return nil
 }
 
 // maxHelloBytes bounds the gob-encoded size of the handshake message; a
@@ -159,10 +135,11 @@ const maxHelloBytes = 4 << 10
 // the size bound derived from the model.
 var errMsgTooLarge = errors.New("transport: message exceeds size bound")
 
-// budgetReader enforces a per-message byte allowance on a gob stream: the
-// coordinator refreshes the allowance before each expected message, so a
-// misbehaving peer cannot stream an arbitrarily large value into the
-// decoder. The optional bytes counter feeds transport_decode_bytes_total.
+// budgetReader enforces a per-message byte allowance on a connection: the
+// coordinator refreshes the allowance before each expected message (the
+// hello, then each frame), so a misbehaving peer cannot stream an
+// arbitrarily large value into a decoder. The optional bytes counter feeds
+// transport_decode_bytes_total.
 type budgetReader struct {
 	r     io.Reader
 	n     int64
@@ -239,10 +216,8 @@ type Coordinator struct {
 	// MaxUpdateBytes bounds the encoded size of one client update; 0
 	// derives a generous bound from len(Initial).
 	MaxUpdateBytes int64
-	// Codec, when "binary", accepts per-client binary-codec offers from
-	// the welcome handshake (internal/fl/wire frames, optionally with
-	// top-k/quantized update compression). Empty or "gob" answers every
-	// offer with gob, which every client speaks.
+	// Codec may be "binary" or empty; both mean the internal/fl/wire
+	// frames, the only protocol. Any other value is a configuration error.
 	Codec string
 	// MaxUpdateNorm, when > 0, rejects updates whose L2 norm exceeds it
 	// (counted as validation rejections). 0 disables the bound.
@@ -294,9 +269,9 @@ type Coordinator struct {
 	// child, and the global advances by the weighted mean of the
 	// children's pre-division sums — or, when Robust is set, by the
 	// robust rule evaluated over the children's merged row sketches.
-	// Requires Codec "binary" and no observers, reputation, or forced
-	// buffering. Children may themselves be AcceptPartials coordinators
-	// (interior nodes), making the tree arbitrary-depth.
+	// Requires no observers, reputation, or forced buffering. Children may
+	// themselves be AcceptPartials coordinators (interior nodes), making
+	// the tree arbitrary-depth.
 	AcceptPartials bool
 	// CoverageFloor, when in (0, 1], aborts a round whose coverage — the
 	// fraction of the planned cohort weight that actually reached the
@@ -368,8 +343,8 @@ func (c *Coordinator) updateBudget() int64 {
 	if c.MaxUpdateBytes > 0 {
 		return c.MaxUpdateBytes
 	}
-	// gob encodes a float64 in at most 9 bytes; 16×params plus slack
-	// admits any honest update with a wide margin.
+	// A dense update frame is 8 bytes per parameter plus a 20-byte head;
+	// 16×params plus slack admits any honest update with a wide margin.
 	return 64<<10 + 16*int64(len(c.Initial))
 }
 
@@ -385,9 +360,9 @@ func (c *Coordinator) partialBudget(sketchCap int) int64 {
 }
 
 // treeSketchCap is the row-reservoir capacity this parent distributes to
-// its partial-v2 children: the configured TreeSketchCap, defaulting to 64
-// when a robust rule needs rows at all, and 0 (no sketches) for
-// mean-family trees.
+// its children: the configured TreeSketchCap, defaulting to 64 when a
+// robust rule needs rows at all, and 0 (no sketches) for mean-family
+// trees.
 func (c *Coordinator) treeSketchCap() int {
 	if !c.AcceptPartials {
 		return 0
@@ -404,26 +379,20 @@ func (c *Coordinator) treeSketchCap() int {
 type clientConn struct {
 	id      int
 	samples int
-	enc     *gob.Encoder
-	dec     *gob.Decoder
 	lim     *budgetReader
 	// br is the single buffered reader over lim shared by the gob
-	// handshake and the binary frame path. Gob decoders buffer their
-	// input, so the frame reader MUST go through the same buffer — raw
-	// reads on lim would miss any bytes gob read ahead.
+	// handshake and the frame path. The hello decode reads through it, so
+	// the frame reader MUST go through the same buffer — raw reads on lim
+	// would miss any bytes the decoder read ahead.
 	br   *bufio.Reader
 	w    *countWriter
 	conn net.Conn
-	// binary marks a session negotiated onto the wire-frame codec; cfg is
-	// its accepted compression config (Mode None when uncompressed).
-	binary bool
-	cfg    compress.Config
-	// partial marks a leaf-aggregator session: rounds exchange MsgPartial
-	// frames instead of updates. partialV is the settled protocol version
-	// (1 or 2); v2 children receive MsgRound2 broadcasts and may answer
-	// with MsgPartial2 (coverage metadata + sketch).
-	partial  bool
-	partialV int
+	// cfg is the accepted compression config (Mode None when
+	// uncompressed).
+	cfg compress.Config
+	// partial marks a child-aggregator session: rounds exchange
+	// MsgPartial2 frames instead of updates.
+	partial bool
 	// hadToken records whether the hello carried a session token (feeds
 	// the rejoin counter on resumed federations).
 	hadToken bool
@@ -441,44 +410,17 @@ func newConnReader(r io.Reader, size int) *bufio.Reader {
 }
 
 // decodeUpdate is the byte-budgeted inbound path for one client update:
-// refresh the reader's allowance, gob-decode, stamp the authoritative
-// client ID (clients cannot impersonate others in the per-round observer
-// view), and validate against the expected parameter length. It must
-// never panic on hostile bytes — only return an error (fuzzed by
-// FuzzDecodeUpdate).
-func decodeUpdate(dec *gob.Decoder, lim *budgetReader, budget int64,
-	clientID, wantLen int, maxNorm float64) (fl.Update, error) {
-	lim.allow(budget)
-	var um updateMsg
-	if err := dec.Decode(&um); err != nil {
-		return fl.Update{}, err
-	}
-	um.U.ClientID = clientID
-	if um.U.Sparse() {
-		// The gob protocol is dense-only; sparse shapes arrive exclusively
-		// through negotiated binary frames. A gob client poking the new
-		// Update fields costs itself the round, not the federation.
-		return fl.Update{}, errInvalid{fmt.Errorf(
-			"fl: client %d sent a sparse/delta update over the gob protocol", clientID)}
-	}
-	if err := fl.ValidateUpdateBounded(um.U, wantLen, maxNorm); err != nil {
-		return fl.Update{}, errInvalid{err}
-	}
-	return um.U, nil
-}
-
-// decodeUpdateFrame is decodeUpdate's binary twin: check the frame header
-// against the byte budget, take a len(global)-long vector from slots once
-// the frame has arrived, and decode the payload straight off the
-// connection into it — a dense body is streamed in, a compressed one
-// densified in against the broadcast global (which performs the semantic
-// sparse-index validation); it becomes the update's Params, the caller's
-// to release. Then stamp the authoritative client ID and validate. Hostile
+// check the frame header against the byte budget, take a len(global)-long
+// vector from slots once the frame has arrived, and decode the payload
+// straight off the connection into it — a dense body is streamed in, a
+// compressed one densified in against the broadcast global (which
+// performs the semantic sparse-index validation); it becomes the update's
+// Params, the caller's to release. Then stamp the authoritative client ID and validate. Hostile
 // bytes can only produce an error: declared lengths are checked against
 // the budget and the model before anything is read or allocated for them,
 // and the wire decoders run under a panic guard (fuzzed by
-// FuzzDecodeFrame and FuzzDecodeUpdateStream).
-func decodeUpdateFrame(r io.Reader, lim *budgetReader, budget int64, accepted compress.Mode,
+// FuzzDecodeUpdate, FuzzDecodeFrame and FuzzDecodeUpdateStream).
+func decodeUpdate(r io.Reader, lim *budgetReader, budget int64, accepted compress.Mode,
 	clientID int, global []float64, maxNorm float64, slots *slotPool) (u fl.Update, mode compress.Mode, err error) {
 	lim.allow(wire.HeaderLen + budget)
 	typ, mode, size, err := wire.ReadHeader(r, int(budget))
@@ -515,17 +457,13 @@ func decodeUpdateFrame(r io.Reader, lim *budgetReader, budget int64, accepted co
 }
 
 // roundCtx carries one round's shared exchange parameters. bcast is the
-// pre-encoded MsgRound frame shared read-only by every binary connection
-// — the per-round encoding cost is paid once, not per client — and bcast2
-// its MsgRound2 twin for partial-v2 children, carrying the
-// root-coordinated sample directive and sketch capacity. slots is the
+// pre-encoded round frame shared read-only by every connection — the
+// per-round encoding cost is paid once, not per client. slots is the
 // session's free list of vectors updates and partial sums decode into.
 type roundCtx struct {
 	round   int
-	durable int
 	global  []float64
 	bcast   []byte
-	bcast2  []byte
 	slots   *slotPool
 	timeout time.Duration
 	budget  int64
@@ -533,56 +471,20 @@ type roundCtx struct {
 	met     *Metrics
 }
 
-// exchange runs one round against one client: send the globals, wait for
-// the update, validate it. RoundTimeout (when set) covers the whole
-// exchange through connection deadlines.
+// exchange runs one round against one client: broadcast the round frame,
+// then decode the (possibly compressed) update into a window slot — on
+// success out.Params, the folder's to release — and validate it.
+// RoundTimeout (when set) covers the whole exchange through connection
+// deadlines.
 func (cc *clientConn) exchange(rc *roundCtx, out *fl.Update) error {
 	if rc.timeout > 0 {
 		cc.conn.SetDeadline(time.Now().Add(rc.timeout)) //nolint:errcheck
 		defer cc.conn.SetDeadline(time.Time{})          //nolint:errcheck
 	}
-	if cc.binary {
-		return cc.exchangeBinary(rc, out)
-	}
-	if err := cc.enc.Encode(roundMsg{Round: rc.round, Params: rc.global, Durable: rc.durable}); err != nil {
-		return fmt.Errorf("transport: sending round %d to client %d: %w", rc.round, cc.id, err)
-	}
-	u, err := decodeUpdate(cc.dec, cc.lim, rc.budget, cc.id, len(rc.global), rc.maxNorm)
-	if err != nil {
-		if !invalid(err) {
-			rc.met.decodeFailure()
-			return fmt.Errorf("transport: reading update from client %d: %w", cc.id, err)
-		}
-		return fmt.Errorf("transport: round %d: %w", rc.round, err)
-	}
-	*out = u
-	return nil
-}
-
-// sendRound writes the round's shared broadcast to a binary session: the
-// MsgRound2 frame (sampling directive + sketch cap) for partial-v2
-// children, the v1 MsgRound for everyone else. The handshake admits
-// partials only on the binary codec and runRound encodes a frame for
-// every version its binary cohort speaks, so the pick always exists.
-func (cc *clientConn) sendRound(rc *roundCtx) error {
-	buf := rc.bcast
-	if cc.partialV >= 2 {
-		buf = rc.bcast2
-	}
-	if _, err := cc.w.Write(buf); err != nil {
-		return fmt.Errorf("transport: sending round %d to client %d: %w", rc.round, cc.id, err)
-	}
-	return nil
-}
-
-// exchangeBinary is exchange over wire frames: broadcast the MsgRound
-// frame, then decode the (possibly compressed) update into a window slot
-// — on success out.Params, the folder's to release.
-func (cc *clientConn) exchangeBinary(rc *roundCtx, out *fl.Update) error {
 	if err := cc.sendRound(rc); err != nil {
 		return err
 	}
-	u, mode, err := decodeUpdateFrame(cc.br, cc.lim, rc.budget, cc.cfg.Mode, cc.id, rc.global, rc.maxNorm, rc.slots)
+	u, mode, err := decodeUpdate(cc.br, cc.lim, rc.budget, cc.cfg.Mode, cc.id, rc.global, rc.maxNorm, rc.slots)
 	if err != nil {
 		if !invalid(err) {
 			rc.met.decodeFailure()
@@ -597,8 +499,16 @@ func (cc *clientConn) exchangeBinary(rc *roundCtx, out *fl.Update) error {
 	return nil
 }
 
-// exchangePartial is the root side of one leaf exchange: broadcast the
-// round frame, then read the MsgPartial carrying the leaf's pre-division
+// sendRound writes the round's shared broadcast frame.
+func (cc *clientConn) sendRound(rc *roundCtx) error {
+	if _, err := cc.w.Write(rc.bcast); err != nil {
+		return fmt.Errorf("transport: sending round %d to client %d: %w", rc.round, cc.id, err)
+	}
+	return nil
+}
+
+// exchangePartial is the parent side of one child exchange: broadcast the
+// round frame, then read the MsgPartial2 carrying the child's pre-division
 // weighted sums, structurally decoded and semantically validated (round
 // match, weight/count positivity, finiteness, implied-mean norm bound).
 func (cc *clientConn) exchangePartial(rc *roundCtx, out *fl.Partial) error {
@@ -619,13 +529,13 @@ func (cc *clientConn) exchangePartial(rc *roundCtx, out *fl.Partial) error {
 		return fmt.Errorf("transport: reading partial from leaf %d: %w", cc.id, err)
 	}
 	defer f.Release()
-	if f.Type != wire.MsgPartial && !(f.Type == wire.MsgPartial2 && cc.partialV >= 2) {
+	if f.Type != wire.MsgPartial2 {
 		return fmt.Errorf("transport: round %d: %w", rc.round,
-			errInvalid{fmt.Errorf("wire: expected partial frame, got type %d (v%d session)", f.Type, cc.partialV)})
+			errInvalid{fmt.Errorf("wire: expected partial frame, got type %d", f.Type)})
 	}
 	// The sums land in a window slot, the folder's to release.
 	dst := rc.slots.get(len(rc.global))
-	p, err := wire.DecodePartialInto(f.Type, f.Payload, dst)
+	p, err := wire.DecodePartialInto(f.Payload, dst)
 	if err == nil {
 		// The leaf ID is stamped from the authenticated connection, so one
 		// leaf cannot impersonate another in failure accounting.
@@ -670,48 +580,20 @@ func failureReason(err error) fl.FailureReason {
 	return fl.FailTransport
 }
 
-// negotiate settles one client's codec and compression from its hello.
-// The binary codec requires both sides to offer it; compression
-// additionally requires a parseable mode. A nonsense compression offer is
-// an error (a bad hello), not a silent downgrade.
-func (c *Coordinator) negotiate(h hello) (binary bool, cfg compress.Config, err error) {
-	binary = c.Codec == wire.CodecBinary && h.Codec == wire.CodecBinary
-	if h.Compress == "" {
-		return binary, compress.Config{}, nil
-	}
-	mode, err := compress.ParseMode(h.Compress)
-	if err != nil {
-		return false, compress.Config{}, fmt.Errorf("transport: client %d: %w", h.ID, err)
-	}
-	if !binary {
-		// Compression only exists on the frame codec; a gob session
-		// silently ignoring the offer would surprise the client, so the
-		// welcome simply echoes no compression and the client sends dense.
-		return binary, compress.Config{}, nil
-	}
-	return binary, compress.Config{Mode: mode, TopKFrac: h.TopKFrac}.WithDefaults(), nil
-}
-
 // handshake performs the server side of one connection's gob handshake:
-// read the hello under the byte budget, enforce the session token, and
-// settle codec/compression/partial. It deliberately does NOT send the
-// welcome — rejoin admission defers the welcome to a round boundary,
-// where the promised NextRound is stable.
+// read the hello under the byte budget, enforce the session token and the
+// binary offer, and settle compression/partial. A nonsense compression
+// offer is an error (a bad hello), not a silent downgrade. It deliberately
+// does NOT send the welcome — rejoin admission defers the welcome to a
+// round boundary, where the promised NextRound is stable.
 func (c *Coordinator) handshake(conn net.Conn, token string, rxTally, txTally *uint64) (*clientConn, error) {
 	lim := &budgetReader{r: conn, bytes: c.Metrics.decodeBytesCounter(), tally: rxTally}
 	cw := &countWriter{w: conn, bytes: c.Metrics.txBytesCounter(), tally: txTally}
 	br := newConnReader(lim, c.ReadBufSize)
-	cc := &clientConn{
-		enc:  gob.NewEncoder(cw),
-		dec:  gob.NewDecoder(br),
-		lim:  lim,
-		br:   br,
-		w:    cw,
-		conn: conn,
-	}
+	cc := &clientConn{lim: lim, br: br, w: cw, conn: conn}
 	lim.allow(maxHelloBytes)
 	var h hello
-	if err := cc.dec.Decode(&h); err != nil {
+	if err := gob.NewDecoder(br).Decode(&h); err != nil {
 		c.Metrics.decodeFailure()
 		return nil, fmt.Errorf("transport: reading hello: %w", err)
 	}
@@ -720,14 +602,17 @@ func (c *Coordinator) handshake(conn net.Conn, token string, rxTally, txTally *u
 		// would silently break resume bit-identity.
 		return nil, fmt.Errorf("transport: client %d presented an unknown session token", h.ID)
 	}
-	binary, cfg, err := c.negotiate(h)
-	if err != nil {
-		return nil, err
+	if h.Codec != wire.CodecBinary {
+		return nil, fmt.Errorf("transport: client %d did not offer the binary codec", h.ID)
+	}
+	if h.Compress != "" {
+		mode, err := compress.ParseMode(h.Compress)
+		if err != nil {
+			return nil, fmt.Errorf("transport: client %d: %w", h.ID, err)
+		}
+		cc.cfg = compress.Config{Mode: mode, TopKFrac: h.TopKFrac}.WithDefaults()
 	}
 	partial := h.Partial
-	if partial && c.AcceptPartials && !binary {
-		return nil, fmt.Errorf("transport: leaf %d offered partials without the binary codec", h.ID)
-	}
 	if partial && !c.AcceptPartials {
 		// A leaf dialed a plain coordinator: decline the offer in the
 		// welcome; the leaf sees the missing confirmation and bails.
@@ -738,36 +623,22 @@ func (c *Coordinator) handshake(conn net.Conn, token string, rxTally, txTally *u
 	}
 	cc.id = h.ID
 	cc.samples = h.NumSamples
-	cc.binary = binary
-	cc.cfg = cfg
 	cc.partial = partial
-	if partial {
-		// Settle the partial version at min(offer, 2); 0 offers come from
-		// pre-PartialV leaves and mean v1.
-		cc.partialV = 1
-		if h.PartialV >= 2 {
-			cc.partialV = 2
-		}
-	}
 	cc.hadToken = h.Token != ""
 	return cc, nil
 }
 
-// welcomeFor specializes the session welcome for one connection: it
-// carries the codec, compression, and partial-protocol confirmation that
-// particular handshake settled on, so mixed rosters (old gob clients
-// beside compressed binary ones) are first-class.
-func (c *Coordinator) welcomeFor(cc *clientConn, w welcome) welcome {
-	if cc.binary {
-		w.Codec = wire.CodecBinary
-		if cc.cfg.Mode != compress.None {
-			w.Compress = cc.cfg.Mode.String()
-			w.TopKFrac = cc.cfg.TopKFrac
-		}
+// sendWelcome specializes the session welcome for one connection — the
+// compression and partial-protocol confirmation its handshake settled
+// on — and sends it, the one gob message a coordinator writes.
+func (cc *clientConn) sendWelcome(w welcome) error {
+	w.Codec = wire.CodecBinary
+	if cc.cfg.Mode != compress.None {
+		w.Compress = cc.cfg.Mode.String()
+		w.TopKFrac = cc.cfg.TopKFrac
 	}
 	w.Partial = cc.partial
-	w.PartialV = cc.partialV
-	return w
+	return gob.NewEncoder(cc.w).Encode(w)
 }
 
 // acceptClients collects the initial roster, answering each valid hello
@@ -813,7 +684,7 @@ func (c *Coordinator) acceptClients(ln net.Listener, w welcome, rxTally, txTally
 			herr = fmt.Errorf("transport: duplicate client id %d", cc.id)
 		}
 		if herr == nil {
-			if werr := cc.enc.Encode(c.welcomeFor(cc, w)); werr != nil {
+			if werr := cc.sendWelcome(w); werr != nil {
 				herr = fmt.Errorf("transport: sending welcome to client %d: %w", cc.id, werr)
 			}
 		}
@@ -831,7 +702,6 @@ func (c *Coordinator) acceptClients(ln net.Listener, w welcome, rxTally, txTally
 		conn.SetReadDeadline(time.Time{}) //nolint:errcheck
 		conns = append(conns, cc)
 		c.Metrics.connAccepted()
-		c.Metrics.codecNegotiated(cc.binary)
 	}
 	return conns, nil
 }
@@ -886,13 +756,11 @@ type RetryConfig struct {
 	Rng *rand.Rand
 	// Dial overrides the dialer (fault-injection hook); nil dials TCP.
 	Dial func(addr string) (net.Conn, error)
-	// Codec, when "binary", offers the wire-frame codec in the hello; the
-	// session uses it iff the coordinator accepts. Empty or "gob" stays
-	// on gob. Setting Compress implies the binary offer.
+	// Codec may be "binary" or empty; both mean the internal/fl/wire
+	// frames, the only protocol. Any other value is a configuration error.
 	Codec string
 	// Compress offers an update-compression mode (compress.ParseMode
 	// names: topk, q8, q16, topk8, topk16); empty sends dense updates.
-	// Effective only when the coordinator accepts the binary codec.
 	Compress string
 	// TopKFrac is the top-k fraction offered with sparse modes (0 means
 	// the compress package default, 1%).
@@ -930,9 +798,6 @@ func (rc RetryConfig) withDefaults() RetryConfig {
 	}
 	if rc.Dial == nil {
 		rc.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	if rc.Compress != "" && rc.Codec == "" {
-		rc.Codec = wire.CodecBinary // compression exists only on the frame codec
 	}
 	return rc
 }
@@ -978,7 +843,7 @@ type sessionState struct {
 	// noCapture is set after CaptureState fails once (a client not built
 	// for statefulness); further rounds skip the attempt.
 	noCapture bool
-	// residual is the error-feedback accumulator of a compressed binary
+	// residual is the error-feedback accumulator of a compressed
 	// session: everything past lossy rounds dropped, folded into the next
 	// round's delta. resCaptures snapshots it per completed round
 	// alongside captures, so a rollback restores the residual the resumed
@@ -989,7 +854,7 @@ type sessionState struct {
 	residual    []float64
 	resCaptures map[int][]float64
 	resFree     [][]float64
-	// params and tx are the binary session's wire buffers, reused every
+	// params and tx are the session's wire buffers, reused every
 	// round and across reconnects: the broadcast is decoded into params
 	// (what TrainLocal is handed) and the update frame encoded into tx. A
 	// session without keepBuffers drops both once its update is sent.
@@ -1027,6 +892,9 @@ func RunClient(addr string, client fl.Client) error {
 // by total dials. Against a non-durable coordinator mid-federation errors
 // remain fatal (there is nothing to rejoin).
 func RunClientRetry(addr string, client fl.Client, rc RetryConfig) error {
+	if err := checkCodec(rc.Codec); err != nil {
+		return err
+	}
 	rc = rc.withDefaults()
 	st := &sessionState{
 		captures:    make(map[int][]byte),
@@ -1124,32 +992,27 @@ func runSession(addr string, client fl.Client, rc RetryConfig, st *sessionState)
 		return err
 	}
 
-	enc := gob.NewEncoder(conn)
-	// The gob decoder buffers its input; the binary frame loop must read
-	// from the same buffer or it would miss bytes the welcome decode read
-	// ahead (the first round frame can arrive right behind the welcome).
+	// The welcome decode may read ahead; the frame loop must read from the
+	// same buffer or it would miss the first round frame, which can arrive
+	// right behind the welcome.
 	br := bufio.NewReader(conn)
-	dec := gob.NewDecoder(br)
-	if err := enc.Encode(hello{
+	w, err := clientHandshake(conn, br, hello{
 		ID: client.ID(), NumSamples: client.NumSamples(), Token: st.token,
-		Codec: rc.Codec, Compress: rc.Compress, TopKFrac: rc.TopKFrac,
-	}); err != nil {
-		return stopErr(fmt.Errorf("transport: sending hello: %w", err))
+		Compress: rc.Compress, TopKFrac: rc.TopKFrac,
+	})
+	if err != nil {
+		return stopErr(fmt.Errorf("transport: %w", err))
 	}
-	var w welcome
-	if err := dec.Decode(&w); err != nil {
-		return stopErr(fmt.Errorf("transport: reading welcome: %w", err))
+	if w.Codec != wire.CodecBinary {
+		return errFatal{errors.New("transport: coordinator does not speak the binary frame protocol")}
 	}
 	if st.token == "" {
 		st.token = w.Token
 	} else if w.Token != st.token {
 		return errFatal{fmt.Errorf("transport: coordinator session token changed mid-federation")}
 	}
-	// The welcome settles the session codec: binary iff the coordinator
-	// accepted the offer (old coordinators leave the field empty — gob).
-	binary := w.Codec == wire.CodecBinary
 	var cfg compress.Config
-	if binary && w.Compress != "" {
+	if w.Compress != "" {
 		mode, err := compress.ParseMode(w.Compress)
 		if err != nil {
 			return errFatal{fmt.Errorf("transport: coordinator accepted unknown compression: %w", err)}
@@ -1164,36 +1027,28 @@ func runSession(addr string, client fl.Client, rc RetryConfig, st *sessionState)
 		}
 	}
 	st.nextRound = w.NextRound
-
-	if binary {
-		return runRoundsBinary(conn, br, client, cfg, stopErr, st)
-	}
-	for {
-		var rm roundMsg
-		if err := dec.Decode(&rm); err != nil {
-			return stopErr(fmt.Errorf("transport: reading round: %w", err))
-		}
-		st.joined = true
-		if rm.Done {
-			return nil
-		}
-		pruneCaptures(st, rm.Durable)
-		u, err := client.TrainLocal(rm.Round, rm.Params)
-		if err != nil {
-			return errFatal{fmt.Errorf("transport: local training round %d: %w", rm.Round, err)}
-		}
-		if err := enc.Encode(updateMsg{U: u}); err != nil {
-			return stopErr(fmt.Errorf("transport: sending update: %w", err))
-		}
-		st.nextRound = rm.Round + 1
-		capture(client, st, rm.Round, nil)
-	}
+	return runRounds(conn, br, client, cfg, stopErr, st)
 }
 
-// runRoundsBinary is the round loop of a binary-codec session: wire
-// frames both directions, with optional compressed (error-feedback)
-// updates. The hello/welcome handshake already happened over gob.
-func runRoundsBinary(conn net.Conn, r io.Reader, client fl.Client, cfg compress.Config,
+// clientHandshake sends the hello — always offering the binary codec —
+// and reads the welcome through br, the connection's one buffered reader.
+// Errors are unprefixed; the caller names the dialing side.
+func clientHandshake(conn net.Conn, br *bufio.Reader, h hello) (welcome, error) {
+	h.Codec = wire.CodecBinary
+	if err := gob.NewEncoder(conn).Encode(h); err != nil {
+		return welcome{}, fmt.Errorf("sending hello: %w", err)
+	}
+	var w welcome
+	if err := gob.NewDecoder(br).Decode(&w); err != nil {
+		return welcome{}, fmt.Errorf("reading welcome: %w", err)
+	}
+	return w, nil
+}
+
+// runRounds is a client session's round loop: wire frames both
+// directions, with optional compressed (error-feedback) updates. The
+// round frame's tree directive is for aggregators; a client ignores it.
+func runRounds(conn net.Conn, r io.Reader, client fl.Client, cfg compress.Config,
 	stopErr func(error) error, st *sessionState) error {
 	for {
 		typ, _, size, err := wire.ReadHeader(r, clientFrameBudget)
@@ -1204,10 +1059,10 @@ func runRoundsBinary(conn net.Conn, r io.Reader, client fl.Client, cfg compress.
 		if typ == wire.MsgDone {
 			return nil
 		}
-		if typ != wire.MsgRound {
+		if typ != wire.MsgRound2 {
 			return errFatal{fmt.Errorf("transport: unexpected frame type %d mid-federation", typ)}
 		}
-		rd, err := wire.ReadRound(r, typ, size, st.params)
+		rd, err := wire.ReadRound(r, size, st.params)
 		if invalid(err) {
 			return errFatal{fmt.Errorf("transport: decoding round frame: %w", err)}
 		} else if err != nil {
@@ -1220,7 +1075,7 @@ func runRoundsBinary(conn net.Conn, r io.Reader, client fl.Client, cfg compress.
 		if err != nil {
 			return errFatal{fmt.Errorf("transport: local training round %d: %w", round, err)}
 		}
-		if err := sendUpdateBinary(conn, u, params, cfg, st); err != nil {
+		if err := sendUpdate(conn, u, params, cfg, st); err != nil {
 			return stopErr(err)
 		}
 		poison(params)
@@ -1236,12 +1091,12 @@ func runRoundsBinary(conn net.Conn, r io.Reader, client fl.Client, cfg compress.
 	}
 }
 
-// sendUpdateBinary encodes one update frame and sends it in one Write.
+// sendUpdate encodes one update frame and sends it in one Write.
 // Uncompressed sessions send the raw dense parameters; compressed ones
 // send the delta against the broadcast global with the error-feedback
 // residual folded in, and keep what the lossy codec dropped as the new
 // residual.
-func sendUpdateBinary(conn net.Conn, u fl.Update, broadcast []float64,
+func sendUpdate(conn net.Conn, u fl.Update, broadcast []float64,
 	cfg compress.Config, st *sessionState) error {
 	var d *compress.Delta
 	if cfg.Mode != compress.None {

@@ -144,8 +144,8 @@ func TestTreeChaosDepth3(t *testing.T) {
 			Local: Coordinator{
 				NumClients: leavesPerInt, MinQuorum: 1,
 				RoundTimeout: 2 * time.Second, RoundMetrics: intRM,
-				Initial: append([]float64(nil), initial2...),
-				Codec:   "binary", AcceptPartials: true, AcceptRejoins: true,
+				Initial:        append([]float64(nil), initial2...),
+				AcceptPartials: true, AcceptRejoins: true,
 			},
 			Retry: RetryConfig{MaxAttempts: 10, BaseDelay: 50 * time.Millisecond,
 				Stop: stop, Rng: rand.New(rand.NewSource(int64(200 + id)))},
@@ -172,8 +172,8 @@ func TestTreeChaosDepth3(t *testing.T) {
 	var rootAddr string
 	root := &Coordinator{
 		NumClients: interiors, Rounds: rounds,
-		Initial: append([]float64(nil), initial2...),
-		Codec:   "binary", AcceptPartials: true, AcceptRejoins: true,
+		Initial:        append([]float64(nil), initial2...),
+		AcceptPartials: true, AcceptRejoins: true,
 		MinQuorum: 1, RoundTimeout: 2 * time.Second,
 		RoundMetrics: rootRM,
 	}

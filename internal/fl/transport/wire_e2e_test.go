@@ -1,17 +1,19 @@
 package transport
 
-// End-to-end coverage for the binary wire codec: the gob↔binary
-// negotiation matrix (every pairing must complete, and every dense
-// pairing must produce the same global bit for bit), compressed
-// federations reaching dense-grade accuracy at a fraction of the wire
-// bytes, and coordinator crash/restart with a compressed session — the
-// client-side error-feedback residual must roll back with the round
-// captures so the resumed run stays bit-identical.
+// End-to-end coverage for the wire protocol: the handshake refusing a
+// hello without the binary offer, compressed federations reaching
+// dense-grade accuracy at a fraction of the wire bytes, and coordinator
+// crash/restart with a compressed session — the client-side
+// error-feedback residual must roll back with the round captures so the
+// resumed run stays bit-identical.
 
 import (
+	"encoding/gob"
 	"errors"
 	"math/rand"
+	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -89,70 +91,67 @@ func sameBits(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestCodecNegotiationMatrix drives every codec pairing through a real
-// loopback federation. Dense sessions are lossless on both codecs, so
-// every dense pairing must land on the same global bit for bit; the
-// telemetry counters prove which codec each pairing actually settled on.
-func TestCodecNegotiationMatrix(t *testing.T) {
-	const k, rounds = 2, 4
-	gobClients := []RetryConfig{{}, {}}
-	binClients := []RetryConfig{{Codec: "binary"}, {Codec: "binary"}}
-
-	want := runWireFederation(t, rounds, nil, gobClients)
-
-	cases := []struct {
-		name       string
-		coordCodec string
-		rcs        []RetryConfig
-		wantBinary uint64
-	}{
-		{"binary-coord-binary-clients", "binary", binClients, k},
-		{"binary-coord-gob-clients", "binary", gobClients, 0},
-		{"gob-coord-binary-clients", "", binClients, 0},
+// TestHandshakeRefusesHelloWithoutBinary: a peer whose hello does not
+// offer the binary codec — one from before frames were the only protocol
+// — is refused at the handshake, never left hanging. A fail-stop
+// coordinator surfaces the refusal as its error; a fault-tolerant one
+// drops the peer and keeps accepting. Codec values other than "" and
+// "binary" are configuration errors on both sides.
+func TestHandshakeRefusesHelloWithoutBinary(t *testing.T) {
+	legacyHello := func(t *testing.T, addr string) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := gob.NewEncoder(conn).Encode(hello{ID: 0, NumSamples: 5}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+		var w welcome
+		if err := gob.NewDecoder(conn).Decode(&w); err == nil {
+			t.Fatalf("a hello without the binary offer was welcomed: %+v", w)
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatal("a hello without the binary offer was left hanging")
+		}
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := telemetry.NewRegistry()
-			met := NewMetrics(reg)
-			got := runWireFederation(t, rounds, func(c *Coordinator) {
-				c.Codec = tc.coordCodec
-				c.Metrics = met
-			}, tc.rcs)
-			sameBits(t, tc.name, got, want)
-			if met.CodecBinary.Value() != tc.wantBinary || met.CodecGob.Value() != k-tc.wantBinary {
-				t.Fatalf("negotiated binary=%d gob=%d, want binary=%d gob=%d",
-					met.CodecBinary.Value(), met.CodecGob.Value(), tc.wantBinary, k-tc.wantBinary)
-			}
-			if tc.wantBinary == 0 && met.CompressedUpdates.Value() != 0 {
-				t.Fatal("gob session recorded compressed updates")
-			}
-		})
-	}
-}
-
-// TestMixedRosterNegotiation: codec choice is per-client. One legacy gob
-// client and one binary+compressed client share a federation; both finish,
-// and the telemetry shows one connection on each codec with compressed
-// updates flowing only from the binary one.
-func TestMixedRosterNegotiation(t *testing.T) {
-	const rounds = 3
-	reg := telemetry.NewRegistry()
-	met := NewMetrics(reg)
-	runWireFederation(t, rounds, func(c *Coordinator) {
-		c.Codec = "binary"
-		c.Metrics = met
-	}, []RetryConfig{
-		{}, // legacy gob client
-		{Codec: "binary", Compress: "topk8", TopKFrac: 0.25},
+	t.Run("fail-stop", func(t *testing.T) {
+		addr, wait := startCoordinator(t, &Coordinator{NumClients: 1, Rounds: 1, Initial: []float64{1}})
+		legacyHello(t, addr)
+		if _, err := wait(); err == nil || !strings.Contains(err.Error(), "binary codec") {
+			t.Fatalf("coordinator error = %v, want a refused binary offer", err)
+		}
 	})
-	if met.CodecBinary.Value() != 1 || met.CodecGob.Value() != 1 {
-		t.Fatalf("negotiated binary=%d gob=%d, want 1 and 1",
-			met.CodecBinary.Value(), met.CodecGob.Value())
-	}
-	if got := met.CompressedUpdates.Value(); got != rounds {
-		t.Fatalf("compressed updates = %d, want %d (one per round from the binary client)",
-			got, rounds)
-	}
+	t.Run("fault-tolerant", func(t *testing.T) {
+		addr, wait := startCoordinator(t, &Coordinator{
+			NumClients: 1, Rounds: 2, Initial: []float64{1},
+			MinQuorum: 1, AcceptWindow: 5 * time.Second,
+		})
+		legacyHello(t, addr)
+		if err := RunClient(addr, &echoClient{id: 0}); err != nil {
+			t.Fatalf("honest client after the refused peer: %v", err)
+		}
+		if _, err := wait(); err != nil {
+			t.Fatalf("coordinator should keep accepting after refusing a peer: %v", err)
+		}
+	})
+	t.Run("config", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		coord := &Coordinator{NumClients: 1, Rounds: 1, Initial: []float64{1}, Codec: "gob",
+			AcceptWindow: 100 * time.Millisecond}
+		if _, err := coord.RunWithListener(ln, nil); err == nil || !strings.Contains(err.Error(), "codec") {
+			t.Fatalf(`Coordinator.Codec "gob": err = %v, want a codec error`, err)
+		}
+		err = RunClientRetry("127.0.0.1:1", &echoClient{id: 0}, RetryConfig{Codec: "gob"})
+		if err == nil || !strings.Contains(err.Error(), "codec") {
+			t.Fatalf(`RetryConfig.Codec "gob": err = %v, want a codec error`, err)
+		}
+	})
 }
 
 // TestCompressedFederationAccuracyAndBytes is the load-bearing check for
@@ -165,16 +164,14 @@ func TestCompressedFederationAccuracyAndBytes(t *testing.T) {
 	denseReg := telemetry.NewRegistry()
 	denseMet := NewMetrics(denseReg)
 	runWireFederation(t, rounds, func(c *Coordinator) {
-		c.Codec = "binary"
 		c.Metrics = denseMet
-	}, []RetryConfig{{Codec: "binary"}, {Codec: "binary"}})
+	}, []RetryConfig{{}, {}})
 	denseBytes := denseMet.RoundBytes.Value()
 
 	reg := telemetry.NewRegistry()
 	met := NewMetrics(reg)
-	rc := RetryConfig{Compress: "topk8", TopKFrac: 0.25} // Compress implies the binary offer
+	rc := RetryConfig{Compress: "topk8", TopKFrac: 0.25}
 	global := runWireFederation(t, rounds, func(c *Coordinator) {
-		c.Codec = "binary"
 		c.Metrics = met
 	}, []RetryConfig{rc, rc})
 
@@ -219,7 +216,7 @@ func TestBinaryCompressedRestartResumesBitIdentical(t *testing.T) {
 	const k, rounds, every = 2, 6, 2
 	mkRC := func(i int) RetryConfig {
 		return RetryConfig{
-			Codec: "binary", Compress: "topk16", TopKFrac: 0.25,
+			Compress: "topk16", TopKFrac: 0.25,
 			MaxAttempts: 50,
 			BaseDelay:   5 * time.Millisecond,
 			Rng:         rand.New(rand.NewSource(int64(900 + i))),
@@ -229,7 +226,6 @@ func TestBinaryCompressedRestartResumesBitIdentical(t *testing.T) {
 	// Uninterrupted compressed durable run: the reference result.
 	baseMgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "base.ckpt")}
 	want := runWireFederation(t, rounds, func(c *Coordinator) {
-		c.Codec = "binary"
 		c.Checkpoint = baseMgr
 		c.CheckpointEvery = every
 	}, []RetryConfig{mkRC(0), mkRC(1)})
@@ -239,8 +235,7 @@ func TestBinaryCompressedRestartResumesBitIdentical(t *testing.T) {
 	crashClients, initial := buildStatefulClients(t, k)
 	mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "state.ckpt")}
 	first := &Coordinator{
-		NumClients: k, Rounds: rounds, Initial: initial, Codec: "binary",
-		Checkpoint: mgr, CheckpointEvery: every,
+		NumClients: k, Rounds: rounds, Initial: initial, Checkpoint: mgr, CheckpointEvery: every,
 		AfterRound: faults.CrashAt(2),
 	}
 	addrCh := make(chan string, 1)
@@ -279,8 +274,7 @@ func TestBinaryCompressedRestartResumesBitIdentical(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	met := NewMetrics(reg)
 	second := &Coordinator{
-		NumClients: k, Rounds: rounds, Initial: initial, Codec: "binary",
-		Checkpoint: mgr, CheckpointEvery: every,
+		NumClients: k, Rounds: rounds, Initial: initial, Checkpoint: mgr, CheckpointEvery: every,
 		Restore: snap, Metrics: met,
 	}
 	var got []float64

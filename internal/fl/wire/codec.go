@@ -12,12 +12,17 @@ import (
 
 // Payload codecs. Layouts (little-endian throughout):
 //
-// Round (MsgRound, mode always None):
+// Round (MsgRound2, mode always None) — the round broadcast, carrying the
+// root-coordinated shard-sampling directive and sketch capacity alongside
+// the global (clients ignore the directive; tree nodes act on it):
 //
-//	round   uint32
-//	durable int32   (last durable round; -1 when durability is off)
-//	n       uint32  (parameter count)
-//	params  n × float64
+//	round      uint32
+//	durable    int32   (last durable round; -1 when durability is off)
+//	sampleFrac float64
+//	sampleSeed uint64
+//	sketchCap  uint32
+//	n          uint32  (parameter count)
+//	params     n × float64
 //
 // Update (MsgUpdate; body depends on the frame's compression mode):
 //
@@ -35,33 +40,23 @@ import (
 //
 // Compressed bodies are DELTAS against the round's broadcast global (the
 // decode side surfaces them as fl.Update{IsDelta: true} for fl.Densify);
-// mode none carries raw parameters, making an uncompressed binary
-// federation bit-identical to a gob one.
+// mode none carries raw parameters, which keeps an uncompressed TCP
+// federation bit-identical to the in-process engine.
 //
 // Done (MsgDone): empty payload.
 //
-// Partial (MsgPartial, mode always None) — a leaf aggregator's
-// pre-division contribution for one round:
+// Partial (MsgPartial2, mode always None) — a tree node's pre-division
+// contribution for one round, its coverage metadata and an optional
+// mergeable row sketch:
 //
 //	round   uint32
 //	leafID  uint32
 //	count   uint32  (client updates folded into the sums)
+//	flags   uint32  (bit0 = degraded, bit1 = sketch present)
 //	weight  float64 (total FedAvg weight Σ w)
+//	expect  float64 (the subtree's planned cohort weight this round)
 //	n       uint32  (parameter count)
 //	sum     n × float64 (weighted parameter sums Σ w·v)
-//
-// Partial v2 (MsgPartial2, mode always None) — the v1 fields plus
-// coverage metadata and an optional mergeable row sketch (negotiated by
-// the hello/welcome PartialV capability):
-//
-//	round   uint32
-//	leafID  uint32
-//	count   uint32
-//	flags   uint32  (bit0 = degraded, bit1 = sketch present)
-//	weight  float64
-//	expect  float64 (the subtree's planned cohort weight this round)
-//	n       uint32
-//	sum     n × float64
 //	sketch (only when flags bit1):
 //	  cap  uint32
 //	  rows uint32  (total rows the sketch represents)
@@ -69,26 +64,12 @@ import (
 //	  keys k × uint64
 //	  vals k × n × float64
 //
-// Round v2 (MsgRound2, mode always None) — the round broadcast an
-// aggregator sends its partial-v2 children, carrying the root-coordinated
-// shard-sampling directive and sketch capacity alongside the v1 fields:
-//
-//	round      uint32
-//	durable    int32
-//	sampleFrac float64
-//	sampleSeed uint64
-//	sketchCap  uint32
-//	n          uint32
-//	params     n × float64
-//
 // Every decoder validates the exact size arithmetic before touching the
 // body, allocates nothing larger than ~8× the received payload, and runs
 // under a panic guard — the update path parses attacker-controlled bytes.
 
 const (
-	roundHeadLen    = 12
 	updateHeadLen   = 20
-	partialHeadLen  = 24
 	partial2HeadLen = 36
 	sketchHeadLen   = 12
 	round2HeadLen   = 32
@@ -138,18 +119,11 @@ func getU32(b []byte) uint32  { return binary.LittleEndian.Uint32(b) }
 func getU64(b []byte) uint64  { return binary.LittleEndian.Uint64(b) }
 func getF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
-// RoundPayloadLen returns the round payload size for n parameters.
-func RoundPayloadLen(n int) int { return roundHeadLen + 8*n }
-
-// AppendRoundFrame appends a complete MsgRound frame (header + payload)
-// broadcasting params for the given round. durable is the coordinator's
+// AppendRoundFrame appends a complete round frame broadcasting params for
+// the given round with no tree directive. durable is the coordinator's
 // last durable round (-1 when durability is off).
 func AppendRoundFrame(dst []byte, round, durable int, params []float64) []byte {
-	dst = AppendHeader(dst, MsgRound, compress.None, RoundPayloadLen(len(params)))
-	dst = appendU32(dst, uint32(round))
-	dst = appendU32(dst, uint32(int32(durable)))
-	dst = appendU32(dst, uint32(len(params)))
-	return appendF64s(dst, params)
+	return AppendRound2Frame(dst, Round2{Round: round, Durable: durable, Params: params})
 }
 
 // AppendDoneFrame appends a complete MsgDone frame.
@@ -157,73 +131,33 @@ func AppendDoneFrame(dst []byte) []byte {
 	return AppendHeader(dst, MsgDone, compress.None, 0)
 }
 
-// DecodeRound parses a MsgRound payload.
+// DecodeRound parses a round payload, dropping the tree directive.
 func DecodeRound(payload []byte) (round, durable int, params []float64, err error) {
-	r, err := decodeRound(MsgRound, payload)
+	r, err := DecodeRound2(payload)
 	return r.Round, r.Durable, r.Params, err
 }
 
-// roundHeadLens is the fixed head length of each round payload version.
-var roundHeadLens = [...]int{MsgRound: roundHeadLen, MsgRound2: round2HeadLen}
-
-// roundHead parses the fixed head of a v1 or v2 round payload whose
-// declared length is size — head holds min(size, head length) bytes — and
-// returns the parameter count the body must carry.
-func roundHead(typ byte, head []byte, size int) (r Round2, n int, err error) {
-	headLen := roundHeadLens[typ]
-	if size < headLen {
+// roundHead parses the fixed head of a round payload whose declared length
+// is size — head holds min(size, round2HeadLen) bytes — and returns the
+// parameter count the body must carry.
+func roundHead(head []byte, size int) (r Round2, n int, err error) {
+	if size < round2HeadLen {
 		return Round2{}, 0, fmt.Errorf("%w: round payload of %d bytes", ErrTruncated, size)
 	}
 	r.Round = int(getU32(head[0:]))
 	r.Durable = int(int32(getU32(head[4:])))
-	if typ == MsgRound2 {
-		r.SampleFrac = getF64(head[8:])
-		r.SampleSeed = int64(getU64(head[16:]))
-		r.SketchCap = int(int32(getU32(head[24:])))
-	}
-	n = int(getU32(head[headLen-4:]))
-	if size != headLen+8*n {
+	r.SampleFrac = getF64(head[8:])
+	r.SampleSeed = int64(getU64(head[16:]))
+	r.SketchCap = int(int32(getU32(head[24:])))
+	n = int(getU32(head[28:]))
+	if size != round2HeadLen+8*n {
 		return Round2{}, 0, fmt.Errorf("%w: round declares %d params in %d bytes, want %d",
-			ErrPayload, n, size, headLen+8*n)
+			ErrPayload, n, size, round2HeadLen+8*n)
 	}
 	return r, n, nil
 }
 
-func decodeRound(typ byte, payload []byte) (r Round2, err error) {
-	defer recoverDecode(&err)
-	r, n, err := roundHead(typ, payload, len(payload))
-	if err != nil {
-		return Round2{}, err
-	}
-	r.Params = make([]float64, n)
-	getF64s(r.Params, payload[roundHeadLens[typ]:])
-	return r, nil
-}
-
-// PartialPayloadLen returns the partial payload size for n parameters.
-func PartialPayloadLen(n int) int { return partialHeadLen + 8*n }
-
-// AppendPartialFrame appends a complete MsgPartial frame carrying a leaf's
-// pre-division weighted sums for one round.
-func AppendPartialFrame(dst []byte, p fl.Partial) []byte {
-	dst = AppendHeader(dst, MsgPartial, compress.None, PartialPayloadLen(len(p.Sum)))
-	dst = appendU32(dst, uint32(p.Round))
-	dst = appendU32(dst, uint32(p.LeafID))
-	dst = appendU32(dst, uint32(p.Count))
-	dst = appendF64(dst, p.Weight)
-	dst = appendU32(dst, uint32(len(p.Sum)))
-	return appendF64s(dst, p.Sum)
-}
-
-// DecodePartial parses a MsgPartial payload. Like the update decoder it
-// performs only the structural checks (exact size arithmetic, panic
-// guard); semantic validation (weight/count positivity, finiteness, the
-// implied-mean norm bound) is fl.ValidatePartial's job at the root.
-func DecodePartial(payload []byte) (fl.Partial, error) {
-	return DecodePartialInto(MsgPartial, payload, nil)
-}
-
-// Partial2PayloadLen returns the v2 partial payload size for n parameters
+// Partial2PayloadLen returns the partial payload size for n parameters
 // and k retained sketch rows (k is ignored when the sketch is absent).
 func Partial2PayloadLen(n, k int, hasSketch bool) int {
 	size := partial2HeadLen + 8*n
@@ -274,52 +208,43 @@ func AppendPartial2Frame(dst []byte, p fl.Partial) []byte {
 // validation — including the sketch's sorted-keys/finiteness/row-count
 // invariants — is fl.ValidatePartial's job at the parent.
 func DecodePartial2(payload []byte) (fl.Partial, error) {
-	return DecodePartialInto(MsgPartial2, payload, nil)
+	return DecodePartialInto(payload, nil)
 }
 
-// DecodePartialInto is the decoder behind both (typ says which): a non-nil
-// sum — the receiver's window slot — receives the weighted sums, and a
+// DecodePartialInto is DecodePartial2 into the receiver's storage: a
+// non-nil sum — its window slot — receives the weighted sums, and a
 // partial of any other length is rejected before its body is touched.
 // Sketch rows get storage of their own: a merged reservoir retains them.
-func DecodePartialInto(typ byte, payload []byte, sum []float64) (p fl.Partial, err error) {
+func DecodePartialInto(payload []byte, sum []float64) (p fl.Partial, err error) {
 	defer recoverDecode(&err)
-	name, headLen := "partial", partialHeadLen
-	if typ == MsgPartial2 {
-		name, headLen = "partial2", partial2HeadLen
-	}
-	if len(payload) < headLen {
-		return fl.Partial{}, fmt.Errorf("%w: %s payload of %d bytes", ErrTruncated, name, len(payload))
+	if len(payload) < partial2HeadLen {
+		return fl.Partial{}, fmt.Errorf("%w: partial2 payload of %d bytes", ErrTruncated, len(payload))
 	}
 	p.Round = int(getU32(payload[0:]))
 	p.LeafID = int(getU32(payload[4:]))
 	p.Count = int(int32(getU32(payload[8:])))
-	hasSketch := false
-	if typ == MsgPartial2 {
-		flags := getU32(payload[12:])
-		p.Weight = getF64(payload[16:])
-		p.ExpectWeight = getF64(payload[24:])
-		p.Degraded = flags&partial2Degraded != 0
-		hasSketch = flags&partial2HasSketch != 0
-	} else {
-		p.Weight = getF64(payload[12:])
-	}
-	n := int(getU32(payload[headLen-4:]))
+	flags := getU32(payload[12:])
+	p.Weight = getF64(payload[16:])
+	p.ExpectWeight = getF64(payload[24:])
+	p.Degraded = flags&partial2Degraded != 0
+	hasSketch := flags&partial2HasSketch != 0
+	n := int(getU32(payload[32:]))
 	// Every parameter costs ≥ 8 payload bytes, so a declared count beyond
 	// len/8 is a lie — reject before the size products below can overflow.
 	if n > len(payload)/8 {
-		return fl.Partial{}, fmt.Errorf("%w: %s declares %d params in %d bytes", ErrPayload, name, n, len(payload))
+		return fl.Partial{}, fmt.Errorf("%w: partial2 declares %d params in %d bytes", ErrPayload, n, len(payload))
 	}
-	if !hasSketch && len(payload) != headLen+8*n {
-		return fl.Partial{}, fmt.Errorf("%w: %s declares %d params in %d bytes, want %d",
-			ErrPayload, name, n, len(payload), headLen+8*n)
+	if !hasSketch && len(payload) != partial2HeadLen+8*n {
+		return fl.Partial{}, fmt.Errorf("%w: partial2 declares %d params in %d bytes, want %d",
+			ErrPayload, n, len(payload), partial2HeadLen+8*n)
 	}
 	if sum != nil && len(sum) != n {
-		return fl.Partial{}, fmt.Errorf("%w: %s of %d params, want %d", ErrPayload, name, n, len(sum))
+		return fl.Partial{}, fmt.Errorf("%w: partial2 of %d params, want %d", ErrPayload, n, len(sum))
 	}
 	if p.Sum = sum; sum == nil {
 		p.Sum = make([]float64, n)
 	}
-	getF64s(p.Sum, payload[headLen:])
+	getF64s(p.Sum, payload[partial2HeadLen:])
 	if !hasSketch {
 		return p, nil
 	}
@@ -354,8 +279,9 @@ func DecodePartialInto(typ byte, payload []byte, sum []float64) (p fl.Partial, e
 	return p, nil
 }
 
-// Round2 is the decoded form of a MsgRound2 broadcast: the v1 round fields
-// plus the root-coordinated shard-sampling directive and sketch capacity.
+// Round2 is the decoded form of a round broadcast: the round, the durable
+// announce and the global, plus the root-coordinated shard-sampling
+// directive and sketch capacity.
 type Round2 struct {
 	Round      int
 	Durable    int
@@ -365,7 +291,7 @@ type Round2 struct {
 	Params     []float64
 }
 
-// Round2PayloadLen returns the v2 round payload size for n parameters.
+// Round2PayloadLen returns the round payload size for n parameters.
 func Round2PayloadLen(n int) int { return round2HeadLen + 8*n }
 
 // AppendRound2Frame appends a complete MsgRound2 frame.
@@ -380,8 +306,17 @@ func AppendRound2Frame(dst []byte, r Round2) []byte {
 	return appendF64s(dst, r.Params)
 }
 
-// DecodeRound2 parses a MsgRound2 payload.
-func DecodeRound2(payload []byte) (Round2, error) { return decodeRound(MsgRound2, payload) }
+// DecodeRound2 parses a round payload.
+func DecodeRound2(payload []byte) (r Round2, err error) {
+	defer recoverDecode(&err)
+	r, n, err := roundHead(payload, len(payload))
+	if err != nil {
+		return Round2{}, err
+	}
+	r.Params = make([]float64, n)
+	getF64s(r.Params, payload[round2HeadLen:])
+	return r, nil
+}
 
 // UpdatePayloadLen returns the update payload size for a dense length and
 // a compressed body of k kept coordinates under mode (k is ignored by

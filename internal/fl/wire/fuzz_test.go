@@ -39,29 +39,26 @@ func seedGolden(f *testing.F, add func([]byte)) {
 func FuzzDecodeFrame(f *testing.F) {
 	seedGolden(f, func(b []byte) { f.Add(b, 4096) })
 	f.Add([]byte{Magic, Version, MsgUpdate, 0, 0xFF, 0xFF, 0xFF, 0xFF}, 64)
+	// The retired v1 round and partial types, with a plausible payload.
+	f.Add([]byte{Magic, Version, 1, 0, 12, 0, 0, 0, 3, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, 4096)
+	f.Add([]byte{Magic, Version, 4, 0, 24, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0, 0, 0, 0}, 4096)
 	f.Fuzz(func(t *testing.T, data []byte, budget int) {
+		// Always a real budget in [1, 1 MiB]: ReadFrame treats 0 as "no
+		// limit", which would let a hostile length prefix ask the harness
+		// itself for gigabytes.
 		if budget < 0 {
 			budget = -budget
 		}
-		budget %= 1 << 20
+		budget = 1 + budget%(1<<20)
 		fr, err := ReadFrame(bytes.NewReader(data), budget)
 		if err != nil {
 			return // any error is acceptable; a panic is not
 		}
 		defer fr.Release()
-		if budget > 0 && len(fr.Payload) > budget {
+		if len(fr.Payload) > budget {
 			t.Fatalf("payload of %d bytes escaped budget %d", len(fr.Payload), budget)
 		}
 		switch fr.Type {
-		case MsgRound:
-			if _, _, params, err := DecodeRound(fr.Payload); err == nil {
-				// A successful round decode allocates only what the
-				// payload itself carried.
-				if 8*len(params) > len(fr.Payload) {
-					t.Fatalf("round decode expanded %d payload bytes to %d params",
-						len(fr.Payload), len(params))
-				}
-			}
 		case MsgUpdate:
 			u, err := DecodeUpdate(fr.Mode, fr.Payload)
 			if err != nil {
@@ -80,24 +77,18 @@ func FuzzDecodeFrame(f *testing.F) {
 			if dense, err := fl.Densify(u, global); err == nil && dense.Sparse() {
 				t.Fatal("densify returned a sparse update without error")
 			}
-		case MsgPartial:
-			if p, err := DecodePartial(fr.Payload); err == nil {
-				if 8*len(p.Sum) > len(fr.Payload) {
-					t.Fatalf("partial decode expanded %d payload bytes to %d sums",
-						len(fr.Payload), len(p.Sum))
-				}
-				// Semantic validation must classify-or-error, never panic.
-				_ = fl.ValidatePartial(p, len(p.Sum), 1e6)
-			}
 		case MsgPartial2:
 			if p, err := DecodePartial2(fr.Payload); err == nil {
 				checkPartial2Expansion(t, p, len(fr.Payload))
+				// Semantic validation must classify-or-error, never panic.
 				_ = fl.ValidatePartial(p, len(p.Sum), 1e6)
 			}
 		case MsgRound2:
 			if r, err := DecodeRound2(fr.Payload); err == nil {
+				// A successful round decode allocates only what the
+				// payload itself carried.
 				if 8*len(r.Params) > len(fr.Payload) {
-					t.Fatalf("round2 decode expanded %d payload bytes to %d params",
+					t.Fatalf("round decode expanded %d payload bytes to %d params",
 						len(fr.Payload), len(r.Params))
 				}
 			}
@@ -105,7 +96,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// checkPartial2Expansion asserts a decoded v2 partial allocated no more
+// checkPartial2Expansion asserts a decoded partial allocated no more
 // floats than the payload itself carried (8 bytes each), sketch included.
 func checkPartial2Expansion(t *testing.T, p fl.Partial, payloadLen int) {
 	t.Helper()
@@ -121,43 +112,34 @@ func checkPartial2Expansion(t *testing.T, p fl.Partial, payloadLen int) {
 	}
 }
 
-// FuzzDecodePartial hammers both partial decoders directly (no frame
-// header) — the bytes a hostile or torn leaf connection can feed the
-// root's partial exchange. Invariants: never panic, never allocate beyond
-// the payload's own size arithmetic, and semantic validation classifies
-// without panicking whatever the structural decode admits.
+// FuzzDecodePartial hammers the partial decoder directly (no frame
+// header) — the bytes a hostile or torn child connection can feed its
+// parent's partial exchange. Invariants: never panic, never allocate
+// beyond the payload's own size arithmetic, and semantic validation
+// classifies without panicking whatever the structural decode admits.
 func FuzzDecodePartial(f *testing.F) {
 	seedGolden(f, func(b []byte) {
-		if len(b) > HeaderLen && (b[2] == MsgPartial || b[2] == MsgPartial2) {
-			f.Add(b[2] == MsgPartial2, b[HeaderLen:])
+		if len(b) > HeaderLen && b[2] == MsgPartial2 {
+			f.Add(b[HeaderLen:])
 		}
 	})
-	f.Add(true, []byte{})
-	f.Fuzz(func(t *testing.T, v2 bool, payload []byte) {
-		if v2 {
-			p, err := DecodePartial2(payload)
-			if err != nil {
-				return
-			}
-			checkPartial2Expansion(t, p, len(payload))
-			if err := fl.ValidatePartial(p, len(p.Sum), 1e6); err == nil && p.Sketch != nil {
-				// A validated sketch must be structurally sound enough to
-				// merge without panicking.
-				m := robust.NewSketch(p.Sketch.Cap)
-				if err := m.Merge(p.Sketch); err != nil && p.Sketch.Dim() == m.Dim() {
-					t.Fatalf("validated sketch failed to merge: %v", err)
-				}
-			}
-			return
-		}
-		p, err := DecodePartial(payload)
+	f.Add([]byte{})
+	sketchless := AppendPartial2Frame(nil, fl.Partial{Round: 3, LeafID: 1, Count: 2, Weight: 4, Sum: []float64{1, 2}})
+	f.Add(sketchless[HeaderLen:])
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		p, err := DecodePartial2(payload)
 		if err != nil {
 			return
 		}
-		if 8*len(p.Sum) > len(payload) {
-			t.Fatalf("partial decode expanded %d payload bytes to %d sums", len(payload), len(p.Sum))
+		checkPartial2Expansion(t, p, len(payload))
+		if err := fl.ValidatePartial(p, len(p.Sum), 1e6); err == nil && p.Sketch != nil {
+			// A validated sketch must be structurally sound enough to
+			// merge without panicking.
+			m := robust.NewSketch(p.Sketch.Cap)
+			if err := m.Merge(p.Sketch); err != nil && p.Sketch.Dim() == m.Dim() {
+				t.Fatalf("validated sketch failed to merge: %v", err)
+			}
 		}
-		_ = fl.ValidatePartial(p, len(p.Sum), 1e6)
 	})
 }
 

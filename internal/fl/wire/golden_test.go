@@ -27,8 +27,9 @@ func goldenGlobal() []float64 {
 }
 
 // goldenFrames builds the committed conformance corpus: one frame per
-// codec version × message type × compression mode, always from the same
-// inputs. Any byte-level change to the wire format shows up as a reviewed
+// message type × compression mode, always from the same inputs. The
+// "v1_" prefix is the header version; "v2_" names the only round and
+// partial layouts left. Any byte-level change to the wire format shows up as a reviewed
 // fixture diff instead of a silent incompatibility.
 func goldenFrames(t *testing.T) map[string][]byte {
 	t.Helper()
@@ -41,11 +42,7 @@ func goldenFrames(t *testing.T) map[string][]byte {
 		sk.Add(robust.KeyClient(i), row)
 	}
 	frames := map[string][]byte{
-		"v1_round": AppendRoundFrame(nil, 3, 1, goldenVector()),
-		"v1_done":  AppendDoneFrame(nil),
-		"v1_partial": AppendPartialFrame(nil, fl.Partial{
-			LeafID: 2, Round: 3, Sum: goldenVector(), Weight: 40, Count: 4,
-		}),
+		"v1_done": AppendDoneFrame(nil),
 		"v2_partial": AppendPartial2Frame(nil, fl.Partial{
 			LeafID: 2, Round: 3, Sum: goldenVector(), Weight: 40, Count: 4,
 			ExpectWeight: 48, Degraded: true, Sketch: sk,
@@ -143,10 +140,6 @@ func TestGoldenFramesDecode(t *testing.T) {
 			t.Fatalf("%s: ReadFrame: %v", path, err)
 		}
 		switch f.Type {
-		case MsgRound:
-			if _, _, _, err := DecodeRound(f.Payload); err != nil {
-				t.Errorf("%s: DecodeRound: %v", path, err)
-			}
 		case MsgUpdate:
 			u, err := DecodeUpdate(f.Mode, f.Payload)
 			if err != nil {
@@ -159,10 +152,6 @@ func TestGoldenFramesDecode(t *testing.T) {
 		case MsgDone:
 			if len(f.Payload) != 0 {
 				t.Errorf("%s: done frame carries %d payload bytes", path, len(f.Payload))
-			}
-		case MsgPartial:
-			if _, err := DecodePartial(f.Payload); err != nil {
-				t.Errorf("%s: DecodePartial: %v", path, err)
 			}
 		case MsgPartial2:
 			p, err := DecodePartial2(f.Payload)

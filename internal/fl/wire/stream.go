@@ -31,19 +31,19 @@ func readF64s(r io.Reader, dst []float64, chunk []byte) error {
 	return nil
 }
 
-// ReadRound reads the size-byte payload of a MsgRound or MsgRound2 frame
-// (typ, size from ReadHeader). The parameters land in params' storage —
-// the caller's buffer, reused round after round — when it can hold them,
-// else in a fresh vector. A v1 round leaves the tree directive zero.
-func ReadRound(r io.Reader, typ byte, size int, params []float64) (rd Round2, err error) {
+// ReadRound reads the size-byte payload of a round frame (size from
+// ReadHeader). The parameters land in params' storage — the caller's
+// buffer, reused round after round — when it can hold them, else in a
+// fresh vector.
+func ReadRound(r io.Reader, size int, params []float64) (rd Round2, err error) {
 	defer recoverDecode(&err)
 	chunk := GetBuffer(chunkLen)
 	defer PutBuffer(chunk)
-	head := chunk[:min(size, roundHeadLens[typ])]
+	head := chunk[:min(size, round2HeadLen)]
 	if _, err := io.ReadFull(r, head); err != nil {
 		return Round2{}, err
 	}
-	rd, n, err := roundHead(typ, head, size)
+	rd, n, err := roundHead(head, size)
 	if err != nil {
 		return Round2{}, err
 	}

@@ -140,9 +140,9 @@ func TestStreamDecodesGoldenFrames(t *testing.T) {
 		}
 		payload := frame[HeaderLen:]
 		switch typ {
-		case MsgRound, MsgRound2:
-			want, _ := decodeRound(typ, payload)
-			got, err := ReadRound(r, typ, size, nil)
+		case MsgRound2:
+			want, _ := DecodeRound2(payload)
+			got, err := ReadRound(r, size, nil)
 			if err != nil || !sameF64s(got.Params, want.Params) {
 				t.Fatalf("%s: ReadRound = %+v, %v; want %+v", name, got, err, want)
 			}
@@ -162,42 +162,36 @@ func TestStreamDecodesGoldenFrames(t *testing.T) {
 		}
 		n++
 	}
-	if n < 8 {
+	if n < 7 {
 		t.Fatalf("only %d fixtures went through a streaming decoder", n)
 	}
 }
 
 // TestReadRoundReusesCallerStorage: a round decodes over the previous
-// round's vector when that can hold it, across chunk boundaries, and the
-// v1 frame leaves the tree directive zero.
+// round's vector when that can hold it, across chunk boundaries, with the
+// tree directive intact, and into a fresh vector when it cannot.
 func TestReadRoundReusesCallerStorage(t *testing.T) {
 	params := testVector(3*chunkLen/8+5, 4)
 	owned := make([]float64, len(params)+10)
-	for _, typ := range []byte{MsgRound, MsgRound2} {
-		frame := AppendRoundFrame(nil, 7, 5, params)
-		if typ == MsgRound2 {
-			frame = AppendRound2Frame(nil, Round2{Round: 7, Durable: 5, SampleFrac: 0.5,
-				SampleSeed: -3, SketchCap: 9, Params: params})
-		}
-		r := dribble(bytes.NewReader(frame), 1000)
-		gotTyp, _, size, err := ReadHeader(r, 0)
-		if err != nil || gotTyp != typ {
-			t.Fatalf("ReadHeader = type %d, %v", gotTyp, err)
-		}
-		rd, err := ReadRound(r, typ, size, owned[:3])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if &rd.Params[0] != &owned[0] || !sameF64s(rd.Params, params) {
-			t.Fatal("the round was not decoded into the caller's storage")
-		}
-		wantFrac := map[byte]float64{MsgRound: 0, MsgRound2: 0.5}[typ]
-		if rd.Round != 7 || rd.Durable != 5 || rd.SampleFrac != wantFrac {
-			t.Fatalf("type %d head decoded as %+v", typ, rd)
-		}
+	frame := AppendRound2Frame(nil, Round2{Round: 7, Durable: 5, SampleFrac: 0.5,
+		SampleSeed: -3, SketchCap: 9, Params: params})
+	r := dribble(bytes.NewReader(frame), 1000)
+	typ, _, size, err := ReadHeader(r, 0)
+	if err != nil || typ != MsgRound2 {
+		t.Fatalf("ReadHeader = type %d, %v", typ, err)
 	}
-	frame := AppendRoundFrame(nil, 0, -1, params)
-	rd, err := ReadRound(bytes.NewReader(frame[HeaderLen:]), MsgRound, len(frame)-HeaderLen, make([]float64, 4))
+	rd, err := ReadRound(r, size, owned[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &rd.Params[0] != &owned[0] || !sameF64s(rd.Params, params) {
+		t.Fatal("the round was not decoded into the caller's storage")
+	}
+	if rd.Round != 7 || rd.Durable != 5 || rd.SampleFrac != 0.5 || rd.SampleSeed != -3 || rd.SketchCap != 9 {
+		t.Fatalf("round head decoded as %+v", rd)
+	}
+	frame = AppendRoundFrame(nil, 0, -1, params)
+	rd, err = ReadRound(bytes.NewReader(frame[HeaderLen:]), len(frame)-HeaderLen, make([]float64, 4))
 	if err != nil || !sameF64s(rd.Params, params) {
 		t.Fatalf("a round larger than the caller's storage: %v", err)
 	}
@@ -235,7 +229,7 @@ func TestStreamRejectsBeforeAllocating(t *testing.T) {
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("a body cut mid-stream reads as %v, want io.ErrUnexpectedEOF", err)
 	}
-	_, err = ReadRound(bytes.NewReader(nil), MsgRound, RoundPayloadLen(4), nil)
+	_, err = ReadRound(bytes.NewReader(nil), Round2PayloadLen(4), nil)
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("a round with no bytes behind its header reads as %v, want io.EOF", err)
 	}

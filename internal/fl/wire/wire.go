@@ -1,17 +1,19 @@
-// Package wire is the federation's binary update codec: length-prefixed,
-// versioned, little-endian frames carrying rounds and updates with zero
-// reflection on the hot path. It replaces gob between negotiating peers
-// (the welcome handshake decides per client; old clients keep gob).
+// Package wire is the federation's only round protocol: length-prefixed,
+// versioned, little-endian frames carrying rounds, updates and tree
+// partials with zero reflection on the hot path. Only the hello/welcome
+// handshake in front of them is gob (internal/fl/transport).
 //
 // Frame layout (all integers little-endian):
 //
 //	offset  size  field
 //	0       1     magic 0xCF
 //	1       1     version (currently 1)
-//	2       1     frame type (1=round, 2=update, 3=done, 4=partial)
+//	2       1     frame type (2=update, 3=done, 5=partial, 6=round)
 //	3       1     compression mode (compress.Mode; 0 except on updates)
 //	4       4     payload length, uint32
 //	8       n     payload
+//
+// Types 1 and 4 are retired layouts and rejected like any unknown type.
 //
 // Payloads (see codec.go) are fixed arithmetic over the header fields:
 // every length is validated against the declared payload size BEFORE any
@@ -39,7 +41,7 @@ const (
 	// Magic is the first byte of every frame.
 	Magic = 0xCF
 	// Version is the codec version this package speaks. Decoders reject
-	// other versions; negotiation keeps old peers on gob instead.
+	// other versions.
 	Version = 1
 	// HeaderLen is the fixed frame-header size.
 	HeaderLen = 8
@@ -47,34 +49,23 @@ const (
 
 // Frame types.
 const (
-	// MsgRound carries the broadcast global parameters for one round.
-	MsgRound = 1
 	// MsgUpdate carries one client's (possibly compressed) update.
 	MsgUpdate = 2
 	// MsgDone tells a client the federation is complete.
 	MsgDone = 3
-	// MsgPartial carries one leaf aggregator's pre-division weighted sums
-	// for a round (hierarchical aggregation; negotiated via the hello/
-	// welcome Partial capability, so old peers never see it).
-	MsgPartial = 4
-	// MsgPartial2 is the v2 partial: MsgPartial plus coverage metadata
-	// (expected weight, degraded flag) and an optional mergeable row
-	// sketch for robust tree aggregation. Negotiated via the hello/welcome
-	// PartialV field; v1 peers never see it.
+	// MsgPartial2 carries one tree node's pre-division weighted sums for a
+	// round, its coverage metadata (expected weight, degraded flag) and an
+	// optional mergeable row sketch for robust tree aggregation.
 	MsgPartial2 = 5
-	// MsgRound2 is the v2 round broadcast sent to partial-v2 children:
-	// MsgRound plus the root-coordinated sample fraction/seed and the
-	// sketch capacity the subtree should build at.
+	// MsgRound2 is the round broadcast, sent to clients and child
+	// aggregators alike: the global parameters plus the root-coordinated
+	// sample fraction/seed and the sketch capacity a subtree builds at.
 	MsgRound2 = 6
 )
 
-// Codec names for flag/handshake use.
-const (
-	// CodecGob names the legacy reflection-driven gob stream.
-	CodecGob = "gob"
-	// CodecBinary names this package's framed binary codec.
-	CodecBinary = "binary"
-)
+// CodecBinary names this package's codec in the hello/welcome handshake;
+// a peer that does not offer it is refused.
+const CodecBinary = "binary"
 
 // Errors the decode path classifies. All are terminal for the connection;
 // match with errors.Is.
@@ -124,8 +115,7 @@ func ReadHeader(r io.Reader, budget int) (typ byte, mode compress.Mode, n int, e
 		return 0, 0, 0, fmt.Errorf("%w: %d (speaking %d)", ErrVersion, hdr[1], Version)
 	}
 	typ = hdr[2]
-	if typ != MsgRound && typ != MsgUpdate && typ != MsgDone && typ != MsgPartial &&
-		typ != MsgPartial2 && typ != MsgRound2 {
+	if typ != MsgUpdate && typ != MsgDone && typ != MsgPartial2 && typ != MsgRound2 {
 		return 0, 0, 0, fmt.Errorf("%w: %d", ErrFrameType, typ)
 	}
 	mode = compress.Mode(hdr[3])

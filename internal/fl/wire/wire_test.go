@@ -40,7 +40,7 @@ func TestRoundFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Release()
-	if f.Type != MsgRound || f.Mode != compress.None {
+	if f.Type != MsgRound2 || f.Mode != compress.None {
 		t.Fatalf("frame header = type %d mode %d", f.Type, f.Mode)
 	}
 	round, durable, got, err := DecodeRound(f.Payload)
@@ -166,13 +166,17 @@ func TestReadFrameRejects(t *testing.T) {
 			t.Fatalf("err = %v, want ErrVersion", err)
 		}
 	})
-	t.Run("type", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		bad[2] = 9
-		if _, err := ReadFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrFrameType) {
-			t.Fatalf("err = %v, want ErrFrameType", err)
-		}
-	})
+	// 9 was never a frame type; 1 and 4 are the retired v1 round and
+	// partial layouts, which must be refused before their payload is read.
+	for name, typ := range map[string]byte{"type": 9, "retired-round": 1, "retired-partial": 4} {
+		t.Run(name, func(t *testing.T) {
+			bad := append([]byte(nil), good...)
+			bad[2] = typ
+			if _, err := ReadFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrFrameType) {
+				t.Fatalf("err = %v, want ErrFrameType", err)
+			}
+		})
+	}
 	t.Run("mode", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[3] = 200

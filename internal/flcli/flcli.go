@@ -4,10 +4,7 @@
 package flcli
 
 import (
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -65,8 +62,7 @@ type Global struct {
 	Params []float64
 }
 
-// maxModelFileBytes caps how much of a model file either loader will
-// read: global models and artifacts at our scales are a few MiB, so 1 GiB
+// maxModelFileBytes caps how much of a model file LoadGlobal will read: global models and artifacts at our scales are a few MiB, so 1 GiB
 // is an absurdly generous bound that still stops a mislabeled or hostile
 // multi-terabyte file from reaching the decoder.
 const maxModelFileBytes = 1 << 30
@@ -83,46 +79,17 @@ func SaveGlobal(path string, p datasets.Preset, s datasets.Scale, seed int64,
 	return nil
 }
 
-// LoadGlobal reads a global model written by SaveGlobal. Containerized
-// files are validated end to end (magic, kind, length, checksum) before
-// decoding; files from before the container format fall back to a raw,
-// byte-bounded gob decode. Corruption surfaces as a clean error either
-// way, never a panic or an unbounded allocation.
+// LoadGlobal reads a global model written by SaveGlobal. The file is
+// validated end to end (magic, kind, length, checksum) before decoding, so
+// corruption — or a raw gob file from before the container format, which
+// fails with checkpoint.ErrNotCheckpoint — surfaces as a clean error,
+// never a panic or an unbounded allocation.
 func LoadGlobal(path string) (*Global, error) {
 	var g Global
-	err := checkpoint.ReadFile(path, checkpoint.KindGlobal, maxModelFileBytes, &g)
-	if errors.Is(err, checkpoint.ErrNotCheckpoint) {
-		return loadGlobalLegacy(path)
-	}
-	if err != nil {
+	if err := checkpoint.ReadFile(path, checkpoint.KindGlobal, maxModelFileBytes, &g); err != nil {
 		return nil, fmt.Errorf("flcli: loading global model: %w", err)
 	}
 	return &g, nil
-}
-
-func loadGlobalLegacy(path string) (*Global, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("flcli: loading global model: %w", err)
-	}
-	defer f.Close()
-	var g Global
-	if err := decodeBounded(f, &g); err != nil {
-		return nil, fmt.Errorf("flcli: decoding global model %s: %w", path, err)
-	}
-	return &g, nil
-}
-
-// decodeBounded gob-decodes one value from r reading at most
-// maxModelFileBytes, converting decoder panics into errors so legacy
-// (uncontainerized, unchecksummed) files degrade cleanly.
-func decodeBounded(r io.Reader, v any) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("decode panicked: %v", p)
-		}
-	}()
-	return gob.NewDecoder(io.LimitReader(r, maxModelFileBytes)).Decode(v)
 }
 
 // ShutdownSignal installs SIGINT/SIGTERM handling shared by every FL

@@ -1,10 +1,14 @@
 package flcli
 
 import (
+	"encoding/gob"
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/cip-fl/cip/internal/datasets"
+	"github.com/cip-fl/cip/internal/fl/checkpoint"
 	"github.com/cip-fl/cip/internal/model"
 )
 
@@ -74,5 +78,32 @@ func TestGlobalRoundTrip(t *testing.T) {
 func TestLoadGlobalMissing(t *testing.T) {
 	if _, err := LoadGlobal(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
 		t.Fatal("expected error for missing file")
+	}
+}
+
+// TestLoadGlobalRefusesRawGob: a global model written as a bare gob stream
+// (the format before the checkpoint container) is refused as not a
+// container — cleanly, whether it is whole or torn.
+func TestLoadGlobalRefusesRawGob(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "raw-*.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(f).Encode(&Global{Seed: 3, Params: []float64{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	raw, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"whole": raw, "torn": raw[:len(raw)/2]} {
+		path := filepath.Join(t.TempDir(), name+".gob")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadGlobal(path); !errors.Is(err, checkpoint.ErrNotCheckpoint) {
+			t.Fatalf("%s raw gob global: err = %v, want ErrNotCheckpoint", name, err)
+		}
 	}
 }

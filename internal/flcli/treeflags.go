@@ -22,8 +22,7 @@ type TreeFlags struct {
 func RegisterTreeFlags() *TreeFlags {
 	t := registerTreePolicyFlags()
 	t.Parent = flag.String("parent", "",
-		"upstream aggregator address for tree nodes (-role leaf or interior); "+
-			"generalizes the legacy -root flag, which remains an alias")
+		"upstream aggregator address for tree nodes (-role leaf or interior)")
 	t.AltParents = flag.String("alt-parents", "",
 		"comma-separated fallback parent addresses; a tree node that exhausts its "+
 			"retry budget against one parent fails over to the next and rejoins "+
@@ -72,15 +71,6 @@ func (t *TreeFlags) Validate(role string) error {
 		return fmt.Errorf("-alt-parents only applies to -role leaf or interior (got %q)", role)
 	}
 	return nil
-}
-
-// ParentAddr resolves the upstream address: -parent when set, otherwise
-// the legacy fallback (flserver's -root).
-func (t *TreeFlags) ParentAddr(fallback string) string {
-	if *t.Parent != "" {
-		return *t.Parent
-	}
-	return fallback
 }
 
 // AltList splits -alt-parents into addresses, dropping empty entries.

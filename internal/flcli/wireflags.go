@@ -5,27 +5,7 @@ import (
 	"fmt"
 
 	"github.com/cip-fl/cip/internal/fl/compress"
-	"github.com/cip-fl/cip/internal/fl/wire"
 )
-
-// RegisterCodecFlag installs -codec on the default flag set. flserver uses
-// it to accept binary-codec offers; flclient uses it to make them.
-func RegisterCodecFlag() *string {
-	return flag.String("codec", "",
-		"wire codec: binary (length-prefixed frames, enables -compress) or gob/empty for the legacy stream")
-}
-
-// ParseCodec validates a -codec value, normalizing gob to the empty string
-// the transport treats as the legacy default.
-func ParseCodec(codec string) (string, error) {
-	switch codec {
-	case "", wire.CodecGob:
-		return "", nil
-	case wire.CodecBinary:
-		return wire.CodecBinary, nil
-	}
-	return "", fmt.Errorf("unknown -codec %q (want binary or gob)", codec)
-}
 
 // CompressFlags bundles the update-compression flags flclient and ciptrain
 // share. Register on the default flag set before flag.Parse, then Config
