@@ -90,18 +90,21 @@ byzsmoke:
 # resuming process walks over whatever a crash left on disk), plus the
 # robust aggregators (which must never panic or emit non-finite
 # aggregates, whatever a hostile cohort sends) and the radix top-k
-# selection against its sort-based definition. Raise FUZZTIME for a real
-# campaign: make fuzz FUZZTIME=10m
+# selection against its sort-based definition. Each -fuzz pattern is
+# anchored: go test refuses a pattern that matches two targets, and
+# FuzzDecodePartial is a prefix of FuzzDecodePartialStream. Raise FUZZTIME
+# for a real campaign: make fuzz FUZZTIME=10m
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeUpdate -fuzztime=$(FUZZTIME) ./internal/fl/transport
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/fl/checkpoint
-	$(GO) test -run='^$$' -fuzz=FuzzRobustAggregate -fuzztime=$(FUZZTIME) ./internal/fl/robust
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/fl/wire
-	$(GO) test -run='^$$' -fuzz=FuzzDecompressUpdate -fuzztime=$(FUZZTIME) ./internal/fl/wire
-	$(GO) test -run='^$$' -fuzz=FuzzDecodePartial -fuzztime=$(FUZZTIME) ./internal/fl/wire
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeUpdateStream -fuzztime=$(FUZZTIME) ./internal/fl/wire
-	$(GO) test -run='^$$' -fuzz=FuzzNarrowWidenValidate -fuzztime=$(FUZZTIME) ./internal/fl
-	$(GO) test -run='^$$' -fuzz=FuzzTopKSelect -fuzztime=$(FUZZTIME) ./internal/fl/compress
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeUpdate$$' -fuzztime=$(FUZZTIME) ./internal/fl/transport
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/fl/checkpoint
+	$(GO) test -run='^$$' -fuzz='^FuzzRobustAggregate$$' -fuzztime=$(FUZZTIME) ./internal/fl/robust
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=$(FUZZTIME) ./internal/fl/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzDecompressUpdate$$' -fuzztime=$(FUZZTIME) ./internal/fl/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodePartial$$' -fuzztime=$(FUZZTIME) ./internal/fl/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeUpdateStream$$' -fuzztime=$(FUZZTIME) ./internal/fl/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodePartialStream$$' -fuzztime=$(FUZZTIME) ./internal/fl/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzNarrowWidenValidate$$' -fuzztime=$(FUZZTIME) ./internal/fl
+	$(GO) test -run='^$$' -fuzz='^FuzzTopKSelect$$' -fuzztime=$(FUZZTIME) ./internal/fl/compress
 
 # benchmark runs the repository benchmark (BENCHMARK.json): every
 # workload untraced then traced, each in a fresh subprocess; see
@@ -168,17 +171,18 @@ benchsmoke:
 # fixtures, the codec/compression unit and property suites, the
 # handshake's refusal of a hello without the binary offer and the
 # compressed e2e/restart tests, short fuzz bursts over both frame
-# decoders, the streaming update decoder against the byte-slice one, and
-# the top-k selection, and the bench-backed wire gate (≥10x byte
+# decoders, the streaming update and partial decoders against the
+# byte-slice ones, and the top-k selection, and the bench-backed wire gate (≥10x byte
 # reduction for topk8 vs the dense frame).
 wirecheck:
 	$(GO) test -count=1 ./internal/fl/wire ./internal/fl/compress
 	$(GO) test -count=1 -run 'Sparse|Densify|Handshake|Compressed|Bank' \
 		./internal/fl ./internal/fl/transport ./internal/fl/checkpoint
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/fl/wire
-	$(GO) test -run='^$$' -fuzz=FuzzDecompressUpdate -fuzztime=5s ./internal/fl/wire
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeUpdateStream -fuzztime=5s ./internal/fl/wire
-	$(GO) test -run='^$$' -fuzz=FuzzTopKSelect -fuzztime=5s ./internal/fl/compress
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFrame$$' -fuzztime=5s ./internal/fl/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzDecompressUpdate$$' -fuzztime=5s ./internal/fl/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeUpdateStream$$' -fuzztime=5s ./internal/fl/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodePartialStream$$' -fuzztime=5s ./internal/fl/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzTopKSelect$$' -fuzztime=5s ./internal/fl/compress
 	$(GO) run ./cmd/cipbench -bench Wire -wire-gate >/dev/null
 
 # benchwire regenerates the tracked wire-path report: decode ns/op and

@@ -91,13 +91,17 @@ func (s *Sketch) Dim() int {
 // Exact reports whether the sketch still holds every represented row.
 func (s *Sketch) Exact() bool { return s.Rows == len(s.Keys) }
 
-// Add inserts one row under the given priority key, copying it. Rows with
-// equal keys are kept in insertion order (honest trees never produce ties —
-// the key function is a bijection over distinct IDs).
-func (s *Sketch) Add(key uint64, row []float64) {
+// Add inserts a copy of row under the given key; the caller keeps row.
+func (s *Sketch) Add(key uint64, row []float64) { s.Insert(key, append([]float64(nil), row...)) }
+
+// Insert inserts row itself, not a copy, under the given priority key and
+// returns the row the sketch let go of: row when it never got in, the one
+// it evicted, or nil. Rows with equal keys are kept in insertion order
+// (honest trees never produce ties — the key function is a bijection).
+func (s *Sketch) Insert(key uint64, row []float64) (dropped []float64) {
 	s.Rows++
 	if len(s.Keys) == s.Cap && key >= s.Keys[len(s.Keys)-1] {
-		return // would be evicted immediately
+		return row // would be evicted immediately
 	}
 	// Binary search for the first index with Keys[i] > key (stable).
 	lo, hi := 0, len(s.Keys)
@@ -109,18 +113,19 @@ func (s *Sketch) Add(key uint64, row []float64) {
 			hi = mid
 		}
 	}
-	cp := append([]float64(nil), row...)
 	s.Keys = append(s.Keys, 0)
 	copy(s.Keys[lo+1:], s.Keys[lo:])
 	s.Keys[lo] = key
 	s.Vals = append(s.Vals, nil)
 	copy(s.Vals[lo+1:], s.Vals[lo:])
-	s.Vals[lo] = cp
+	s.Vals[lo] = row
 	if len(s.Keys) > s.Cap {
+		dropped = s.Vals[s.Cap]
 		s.Keys = s.Keys[:s.Cap]
-		s.Vals[len(s.Vals)-1] = nil
+		s.Vals[s.Cap] = nil
 		s.Vals = s.Vals[:s.Cap]
 	}
+	return dropped
 }
 
 // Merge folds other into s: the union's Cap-smallest keys survive, and the

@@ -3,6 +3,7 @@ package robust
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -62,6 +63,50 @@ func TestSketchMergeOrderInvariant(t *testing.T) {
 			if merged.Vals[i][j] != flat.Vals[i][j] {
 				t.Fatalf("row %d differs between merge orders", i)
 			}
+		}
+	}
+}
+
+// Insert keeps the caller's rows themselves and hands back exactly the
+// ones it lets go — each inserted row ends up either retained or returned,
+// once — while Add, a copy followed by Insert, retains the same rows
+// without aliasing any input.
+func TestSketchInsertKeepsRowsAndReturnsDropped(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, dim, capRows = 40, 3, 8
+	rows := sketchRows(n, dim, rng)
+	ins, add := NewSketch(capRows), NewSketch(capRows)
+	returned := map[*float64]int{}
+	rejected, evicted := 0, 0
+	for _, i := range rng.Perm(n) {
+		add.Add(KeyClient(i), rows[i])
+		d := ins.Insert(KeyClient(i), rows[i])
+		switch {
+		case d == nil:
+		case &d[0] == &rows[i][0]:
+			rejected++
+		default:
+			evicted++
+		}
+		if d != nil {
+			returned[&d[0]]++
+		}
+	}
+	if rejected == 0 || evicted == 0 {
+		t.Fatalf("want both rejections and evictions, got %d and %d", rejected, evicted)
+	}
+	if ins.Rows != n || add.Rows != n || !reflect.DeepEqual(ins.Keys, add.Keys) || !reflect.DeepEqual(ins.Vals, add.Vals) {
+		t.Fatal("Insert and Add retained different rows")
+	}
+	for i, row := range ins.Vals {
+		returned[&row[0]]++
+		if &add.Vals[i][0] == &row[0] {
+			t.Fatalf("Add retained caller row %d itself", i)
+		}
+	}
+	for i, row := range rows {
+		if c := returned[&row[0]]; c != 1 {
+			t.Fatalf("row %d is retained or returned %d times, want once", i, c)
 		}
 	}
 }

@@ -12,7 +12,9 @@ package transport
 // on every round path.
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"runtime"
@@ -23,6 +25,7 @@ import (
 	"github.com/cip-fl/cip/internal/fl/compress"
 	"github.com/cip-fl/cip/internal/fl/robust"
 	"github.com/cip-fl/cip/internal/fl/wire"
+	"github.com/cip-fl/cip/internal/telemetry"
 )
 
 // runClients joins clients to addr, client i offering compressFor(i)
@@ -110,6 +113,73 @@ func TestFlatRoundSteadyStateAllocation(t *testing.T) {
 	}
 }
 
+// TestTreeRoundSteadyStateAllocation: a real loopback depth-2 median tree
+// (root ← 2 leaves ← 2 dense clients each) allocates, after warm-up, at
+// most one model vector per round — the rule's fresh output — plus 256
+// KiB: a leaf's sketch rows are its update slots, the root streams child
+// partials into pooled sums and rows, and every one of them goes back.
+// That holds with every row kept and, at a reservoir of one row, with
+// each leaf evicting or refusing a row and the root dropping one a round.
+func TestTreeRoundSteadyStateAllocation(t *testing.T) {
+	for _, sketchCap := range []int{0, 1} {
+		t.Run(fmt.Sprintf("sketch-cap-%d", sketchCap), func(t *testing.T) { treeRoundAllocation(t, sketchCap) })
+	}
+}
+
+func treeRoundAllocation(t *testing.T, sketchCap int) {
+	const (
+		dim             = 1 << 17
+		leaves, perLeaf = 2, 2
+		warm            = 3
+		rounds          = warm + 5
+	)
+	initial := make([]float64, dim)
+	for i := range initial {
+		initial[i] = float64(i%89) * 1e-3
+	}
+	var before, after runtime.MemStats
+	root := &Coordinator{
+		NumClients: leaves, Rounds: rounds, Initial: initial,
+		AcceptPartials: true, Robust: robust.Median{}, TreeSketchCap: sketchCap,
+		AfterRound: func(round int) error {
+			switch round {
+			case warm - 1:
+				runtime.ReadMemStats(&before)
+			case rounds - 1:
+				runtime.ReadMemStats(&after)
+			}
+			return nil
+		},
+	}
+	rootAddr, rootWait := startCoordinator(t, root)
+	var leafWaits []func() error
+	var clientWaits []func()
+	for l := 0; l < leaves; l++ {
+		addr, wait := startNode(t, &Leaf{ID: l, Root: rootAddr, Local: Coordinator{NumClients: perLeaf, Initial: initial}})
+		leafWaits = append(leafWaits, wait)
+		shard := make([]fl.Client, perLeaf)
+		for i := range shard {
+			shard[i] = &dimClient{id: perLeaf*l + i, out: make([]float64, dim)}
+		}
+		clientWaits = append(clientWaits, runClients(t, addr, shard, nil))
+	}
+	if _, err := rootWait(); err != nil {
+		t.Fatalf("root: %v", err)
+	}
+	for l, wait := range leafWaits {
+		if err := wait(); err != nil {
+			t.Fatalf("leaf %d: %v", l, err)
+		}
+		clientWaits[l]()
+	}
+	b := (after.TotalAlloc - before.TotalAlloc) / (rounds - warm)
+	t.Logf("a steady-state tree round allocates %d B", b)
+	if b > 8*dim+256<<10 {
+		t.Errorf("a steady-state tree round allocates %d B, want ≤ %d (one %d B model vector + 256 KiB)",
+			b, 8*dim+256<<10, 8*dim)
+	}
+}
+
 // dimClient is the cheapest honest client at a realistic model size:
 // global plus a per-client constant, into a reused vector.
 type dimClient struct {
@@ -159,34 +229,75 @@ func flatScenario(n int, compressFor func(i int) string, mut func(*Coordinator))
 	}
 }
 
-// treeScenario is a depth-2 tree: root ← 2 leaves ← 2 binary clients
-// each, the second of every shard sending topk8 deltas.
-func treeScenario(rule robust.Aggregator) func(t *testing.T) []float64 {
+// treeShape varies treeScenario: perLeaf clients under each of the two
+// leaves, the root's TreeSketchCap (0: the default), an interior node
+// between the root and the leaves, and a hostile extra child of the root.
+type treeShape struct {
+	perLeaf, sketchCap int
+	interior, hostile  bool
+}
+
+// treeScenario is a tree of binary clients, every second one of a shard
+// sending topk8 deltas: root ← 2 leaves ← perLeaf clients, or root ←
+// interior ← 2 leaves ← perLeaf clients. A hostile child makes the root
+// fault-tolerant and is dropped in round 0 (rejectedChild).
+func treeScenario(rule robust.Aggregator, shape treeShape) func(t *testing.T) []float64 {
 	return func(t *testing.T) []float64 {
-		const leaves, perLeaf = 2, 2
+		const leaves = 2
 		initial := make([]float64, 257)
 		for i := range initial {
 			initial[i] = math.Cos(float64(i))
 		}
 		root := &Coordinator{
 			NumClients: leaves, Rounds: 4, Initial: initial,
-			AcceptPartials: true, Robust: rule,
+			AcceptPartials: true, Robust: rule, TreeSketchCap: shape.sketchCap,
+		}
+		if shape.interior {
+			root.NumClients = 1
+		}
+		if shape.hostile {
+			root.MinQuorum = root.NumClients
+			root.NumClients++
+			root.RoundMetrics = fl.NewMetrics(telemetry.NewRegistry())
+			defer func() {
+				if n := root.RoundMetrics.ValidationRejections.Value(); n != 1 {
+					t.Fatalf("the root rejected %d partials, want the hostile child's one", n)
+				}
+			}()
 		}
 		rootAddr, rootWait := startCoordinator(t, root)
+		if shape.hostile {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				rejectedChild(rootAddr)
+			}()
+			defer func() { <-done }() // it returns once the root hangs up
+		}
+		parent := rootAddr
 		var nodeWaits []func() error
+		if shape.interior {
+			addr, wait := startNode(t, &Leaf{
+				ID: 0, Root: rootAddr,
+				Local: Coordinator{NumClients: leaves, Initial: initial, AcceptPartials: true},
+			})
+			parent = addr
+			nodeWaits = append(nodeWaits, wait)
+		}
 		var clientWaits []func()
 		for l := 0; l < leaves; l++ {
 			addr, wait := startNode(t, &Leaf{
-				ID: l, Root: rootAddr,
-				Local: Coordinator{NumClients: perLeaf, Initial: initial},
+				ID: l, Root: parent,
+				Local: Coordinator{NumClients: shape.perLeaf, Initial: initial},
 			})
 			nodeWaits = append(nodeWaits, wait)
-			shard := []fl.Client{
-				&vecClient{id: 2 * l, samples: 5 + 6*l},
-				&vecClient{id: 2*l + 1, samples: 8 + 6*l},
+			shard := make([]fl.Client, shape.perLeaf)
+			for i := range shard {
+				id := shape.perLeaf*l + i
+				shard[i] = &vecClient{id: id, samples: 5 + 3*id}
 			}
 			clientWaits = append(clientWaits, runClients(t, addr, shard, func(i int) string {
-				return []string{"", "topk8"}[i]
+				return []string{"", "topk8"}[i%2]
 			}))
 		}
 		global, err := rootWait()
@@ -195,12 +306,46 @@ func treeScenario(rule robust.Aggregator) func(t *testing.T) []float64 {
 		}
 		for l, wait := range nodeWaits {
 			if err := wait(); err != nil {
-				t.Fatalf("leaf %d: %v", l, err)
+				t.Fatalf("tree node %d: %v", l, err)
 			}
-			clientWaits[l]()
+		}
+		for _, wait := range clientWaits {
+			wait()
 		}
 		return global
 	}
+}
+
+// rejectedChild joins the root at addr as child aggregator 9 and answers
+// round 0 with a partial whose every length is right — so the root takes
+// its sketch rows — but whose second row is NaN, which validation refuses.
+func rejectedChild(addr string) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	if _, err := clientHandshake(conn, br, hello{ID: 9, NumSamples: 5, Partial: true}); err != nil {
+		return
+	}
+	typ, _, size, err := wire.ReadHeader(br, 0)
+	if err != nil || typ != wire.MsgRound2 {
+		return
+	}
+	rd, err := wire.ReadRound(br, size, nil)
+	if err != nil {
+		return
+	}
+	bad := make([]float64, len(rd.Params))
+	bad[0] = math.NaN()
+	sk := robust.NewSketch(rd.SketchCap)
+	sk.Add(robust.KeyClient(90), rd.Params)
+	sk.Add(robust.KeyClient(91), bad)
+	conn.Write(wire.AppendPartial2Frame(nil, fl.Partial{ //nolint:errcheck — the root hangs up either way
+		Round: rd.Round, LeafID: 9, Count: 2, Weight: 10, ExpectWeight: 10, Sum: rd.Params, Sketch: sk,
+	}))
+	io.Copy(io.Discard, br) //nolint:errcheck — until the root hangs up
 }
 
 // TestPoisonedBuffersChangeNothing runs every round path twice — plainly,
@@ -219,8 +364,14 @@ func TestPoisonedBuffersChangeNothing(t *testing.T) {
 			c.Reputation = robust.NewReputation(robust.ReputationConfig{})
 		})},
 		{"median", flatScenario(5, mixed, func(c *Coordinator) { c.Robust = robust.Median{} })},
-		{"tree-mean", treeScenario(nil)},
-		{"tree-median", treeScenario(robust.Median{})},
+		{"tree-mean", treeScenario(nil, treeShape{perLeaf: 2})},
+		{"tree-median", treeScenario(robust.Median{}, treeShape{perLeaf: 2})},
+		// Four rows a shard into a reservoir of two: leaf 0's third update
+		// evicts a kept slot and its fourth is rejected, and the root's
+		// merge drops half of what its children sent.
+		{"tree-above-capacity", treeScenario(robust.Median{}, treeShape{perLeaf: 4, sketchCap: 2})},
+		{"tree-depth3-median", treeScenario(robust.Median{}, treeShape{perLeaf: 2, interior: true})},
+		{"tree-rejected-partial", treeScenario(robust.Median{}, treeShape{perLeaf: 2, hostile: true})},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -293,7 +444,11 @@ func TestKeptGlobalSurvivesLaterRounds(t *testing.T) {
 
 // TestSlotPoolRecyclesAndBounds: the free list hands back what was put
 // (poisoned first, when the hook is on) and never keeps a slot of another
-// dimension.
+// dimension. Sketch rows come back exactly once: a streaming client-facing
+// shard — 7 updates a round through a window of 2 into a reservoir of K =
+// 3 — never has more than window + K slots out, and a parent taking rows
+// for merged, dropped, rejected and implied-mean rows alike finds all of
+// them free, once each, when the next round starts.
 func TestSlotPoolRecyclesAndBounds(t *testing.T) {
 	var p slotPool
 	a, b := p.get(8), p.get(8)
@@ -313,6 +468,85 @@ func TestSlotPoolRecyclesAndBounds(t *testing.T) {
 	}
 	if d := p.get(4); len(d) != 4 || len(p.free) != 0 {
 		t.Fatalf("a stale-dimension slot survived: got len %d, %d still free", len(d), len(p.free))
+	}
+
+	// Each pool below starts with a known set of vectors; at every round
+	// start it must hold exactly that set again, each vector once — no row
+	// leaked or released twice, and none allocated beyond the set.
+	const dim, window, capRows, cohort, rounds = 4, 2, 3, 7, 4
+	seed := func(p *slotPool, n int) [][]float64 {
+		for range n {
+			p.put(make([]float64, dim))
+		}
+		return append([][]float64(nil), p.free...)
+	}
+	allBack := func(who string, round int, p *slotPool, want [][]float64) {
+		t.Helper()
+		free := map[*float64]int{}
+		for _, v := range p.free {
+			free[&v[0]]++
+		}
+		for _, v := range want {
+			if free[&v[0]] != 1 {
+				t.Fatalf("%s, round %d: a vector is free %d times, want once", who, round, free[&v[0]])
+			}
+		}
+		if len(p.free) != len(want) {
+			t.Fatalf("%s, round %d: %d vectors free, want the %d it started with", who, round, len(p.free), len(want))
+		}
+	}
+
+	shard := &session{c: &Coordinator{}, acc: fl.NewFold(dim)}
+	shardSet := seed(&shard.slots, window+capRows)
+	for round := 0; ; round++ {
+		shard.releaseRows()
+		allBack("shard", round, &shard.slots, shardSet)
+		if round == rounds {
+			break
+		}
+		shard.sketch = robust.NewSketch(capRows)
+		for base := 0; base < cohort; base += window {
+			var inflight [][]float64
+			for range min(window, cohort-base) {
+				inflight = append(inflight, shard.slots.get(dim))
+			}
+			for i, v := range inflight {
+				u := fl.Update{ClientID: round*cohort + base + i, NumSamples: 1, Params: v}
+				shard.slots.put(shard.tallyUpdate(u))
+			}
+		}
+	}
+
+	parent := &session{c: &Coordinator{AcceptPartials: true}}
+	parentSet := seed(&parent.slots, 3*capRows+2)
+	for round := 0; ; round++ {
+		parent.releaseRows()
+		allBack("parent", round, &parent.slots, parentSet)
+		if round == rounds {
+			break
+		}
+		parent.sketch = robust.NewSketch(capRows)
+		for child := 0; child < 3; child++ {
+			p := fl.Partial{LeafID: child, Weight: 1, Sum: parent.slots.get(dim)}
+			if child < 2 { // child 2 is rejected after its rows were taken
+				p.Sketch = robust.NewSketch(capRows)
+			}
+			for r := 0; r < capRows; r++ {
+				row := parent.slots.row(dim)
+				if p.Sketch != nil {
+					p.Sketch.Insert(robust.KeyClient(100*round+10*child+r), row)
+				}
+			}
+			if child < 2 {
+				if err := parent.tallyPartial(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			parent.slots.put(p.Sum)
+		}
+		if err := parent.tallyPartial(fl.Partial{LeafID: 7, Weight: 1, Sum: make([]float64, dim)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

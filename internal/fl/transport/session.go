@@ -96,16 +96,19 @@ type session struct {
 	acceptDone chan struct{}
 }
 
-// slotPool is a coordinator session's free list of dense window slots. A
-// slot is taken when an admitted exchange's answer arrives and released
-// once that is folded and tallied (or rejected), so at most the
+// slotPool is a coordinator session's free list of model-sized vectors. A
+// window slot is taken when an admitted exchange's answer arrives and
+// released once that is folded and tallied (or rejected), so at most the
 // streaming window is ever out, each allocated the first time the window
-// gets that deep: two clients hold two slots. The buffered path takes its
-// vectors here too and never releases the ones it hands on — observers,
-// reputation and sort-based rules may retain them.
+// gets that deep: two clients hold two slots. Sketch rows go back when the
+// next round starts (session.releaseRows), or once a shard's reservoir
+// lets one go. The buffered path takes its vectors here too and never
+// releases the ones it hands on — observers, reputation and sort-based
+// rules may retain them.
 type slotPool struct {
 	mu   sync.Mutex
 	free [][]float64
+	held [][]float64 // rows taken by row this round
 }
 
 func (p *slotPool) get(n int) []float64 {
@@ -122,10 +125,22 @@ func (p *slotPool) get(n int) []float64 {
 }
 
 func (p *slotPool) put(v []float64) {
+	if v == nil {
+		return
+	}
 	poison(v)
 	p.mu.Lock()
 	p.free = append(p.free, v)
 	p.mu.Unlock()
+}
+
+// row takes an n-long sketch row, held until the next round starts.
+func (p *slotPool) row(n int) []float64 {
+	v := p.get(n)
+	p.mu.Lock()
+	p.held = append(p.held, v)
+	p.mu.Unlock()
+	return v
 }
 
 // poisonReleased is a test hook, never set outside tests: every dense
@@ -506,18 +521,36 @@ func (s *session) distSketchCap() int {
 
 // tallyUpdate credits one accepted client update to the round's coverage
 // ledger (its fold weight counts as both planned and delivered) and, when
-// the round carries a row reservoir, retains the update as a client-keyed
-// sketch row.
-func (s *session) tallyUpdate(u fl.Update) {
+// the round carries a row reservoir, retains the update's vector itself as
+// a client-keyed sketch row. It returns the vector no reservoir holds: the
+// update's own, one it evicted, or nil.
+func (s *session) tallyUpdate(u fl.Update) (free []float64) {
 	w := float64(u.NumSamples)
 	if w <= 0 {
 		w = 1
 	}
 	s.plannedWeight += w
 	s.coveredWeight += w
-	if s.sketch != nil {
-		s.sketch.Add(robust.KeyClient(u.ClientID), u.Params)
+	if s.sketch == nil {
+		return u.Params
 	}
+	return s.sketch.Insert(robust.KeyClient(u.ClientID), u.Params)
+}
+
+// releaseRows runs when a round starts, after the previous round's rule
+// and partial encode have read its sketch rows, and gives each back once:
+// the held rows (kept, evicted or dropped by Merge alike) and the update
+// slots a streaming client-facing shard's reservoir kept.
+func (s *session) releaseRows() {
+	rows := s.slots.held
+	if s.sketch != nil && s.acc != nil && !s.c.AcceptPartials {
+		rows = append(rows, s.sketch.Vals...)
+	}
+	for _, v := range rows {
+		s.slots.put(v)
+	}
+	clear(rows)
+	s.slots.held = rows[:0]
 }
 
 // tallyPartial credits one accepted child partial: planned weight is the
@@ -538,11 +571,11 @@ func (s *session) tallyPartial(p fl.Partial) error {
 	if p.Sketch != nil {
 		return s.sketch.Merge(p.Sketch)
 	}
-	row := make([]float64, len(p.Sum))
+	row := s.slots.row(len(p.Sum))
 	for i, v := range p.Sum {
 		row[i] = v / p.Weight
 	}
-	s.sketch.Add(robust.KeyLeaf(p.LeafID), row)
+	s.sketch.Insert(robust.KeyLeaf(p.LeafID), row)
 	return nil
 }
 
@@ -589,6 +622,7 @@ func (s *session) runRound(round int) error {
 	cohort, idle := s.sampleCohort(round, eligible)
 
 	s.plannedWeight, s.coveredWeight = 0, 0
+	s.releaseRows()
 	s.sketch = nil
 	distCap := s.distSketchCap()
 	if distCap > 0 {
@@ -969,12 +1003,12 @@ func (s *session) runStream(rc *roundCtx, cohort []*clientConn) (survivors []*cl
 				}
 				rc.slots.put(sl.p.Sum)
 			} else {
-				sl.err = s.acc.Fold(sl.u)
-				if sl.err == nil {
-					s.tallyUpdate(sl.u)
+				free := sl.u.Params
+				if sl.err = s.acc.Fold(sl.u); sl.err == nil {
+					free = s.tallyUpdate(sl.u)
 				}
-				// Folded and tallied (Sketch.Add copies): the slot is free.
-				rc.slots.put(sl.u.Params)
+				// Folded and tallied: free whatever no reservoir holds.
+				rc.slots.put(free)
 			}
 		}
 		if sl.err == nil {

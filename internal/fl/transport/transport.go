@@ -411,15 +411,15 @@ func newConnReader(r io.Reader, size int) *bufio.Reader {
 
 // decodeUpdate is the byte-budgeted inbound path for one client update:
 // check the frame header against the byte budget, take a len(global)-long
-// vector from slots once the frame has arrived, and decode the payload
-// straight off the connection into it — a dense body is streamed in, a
-// compressed one densified in against the broadcast global (which
-// performs the semantic sparse-index validation); it becomes the update's
-// Params, the caller's to release. Then stamp the authoritative client ID and validate. Hostile
-// bytes can only produce an error: declared lengths are checked against
-// the budget and the model before anything is read or allocated for them,
-// and the wire decoders run under a panic guard (fuzzed by
-// FuzzDecodeUpdate, FuzzDecodeFrame and FuzzDecodeUpdateStream).
+// slot once the frame has arrived, decode the payload straight off the
+// connection into it (a dense body streamed in, a compressed one densified
+// against the broadcast global, which validates the sparse indices) — it
+// becomes the update's Params, the caller's to release — then stamp the
+// authoritative client ID and validate. Hostile bytes can only produce an
+// error: declared lengths meet the budget and the model before anything
+// is read or allocated for them, and the wire decoders run under a panic
+// guard (fuzzed by FuzzDecodeUpdate, FuzzDecodeFrame and
+// FuzzDecodeUpdateStream).
 func decodeUpdate(r io.Reader, lim *budgetReader, budget int64, accepted compress.Mode,
 	clientID int, global []float64, maxNorm float64, slots *slotPool) (u fl.Update, mode compress.Mode, err error) {
 	lim.allow(wire.HeaderLen + budget)
@@ -508,9 +508,10 @@ func (cc *clientConn) sendRound(rc *roundCtx) error {
 }
 
 // exchangePartial is the parent side of one child exchange: broadcast the
-// round frame, then read the MsgPartial2 carrying the child's pre-division
-// weighted sums, structurally decoded and semantically validated (round
-// match, weight/count positivity, finiteness, implied-mean norm bound).
+// round frame, then stream the child's MsgPartial2 into slots — the sums
+// into a window slot, the folder's to release, its sketch rows into held
+// rows — and validate it (round match, weight/count positivity,
+// finiteness, implied-mean norm bound).
 func (cc *clientConn) exchangePartial(rc *roundCtx, out *fl.Partial) error {
 	if rc.timeout > 0 {
 		cc.conn.SetDeadline(time.Now().Add(rc.timeout)) //nolint:errcheck
@@ -520,38 +521,36 @@ func (cc *clientConn) exchangePartial(rc *roundCtx, out *fl.Partial) error {
 		return err
 	}
 	cc.lim.allow(wire.HeaderLen + rc.budget)
-	f, err := wire.ReadFrame(cc.br, int(rc.budget))
-	if err != nil {
-		if invalid(err) {
-			return fmt.Errorf("transport: round %d: %w", rc.round, err)
-		}
-		rc.met.decodeFailure()
-		return fmt.Errorf("transport: reading partial from leaf %d: %w", cc.id, err)
+	typ, _, size, err := wire.ReadHeader(cc.br, int(rc.budget))
+	if err == nil && typ != wire.MsgPartial2 {
+		err = errInvalid{fmt.Errorf("wire: expected partial frame, got type %d", typ)}
 	}
-	defer f.Release()
-	if f.Type != wire.MsgPartial2 {
-		return fmt.Errorf("transport: round %d: %w", rc.round,
-			errInvalid{fmt.Errorf("wire: expected partial frame, got type %d", f.Type)})
+	var p fl.Partial
+	var dst []float64
+	if err == nil {
+		dst = rc.slots.get(len(rc.global))
+		p, err = wire.ReadPartial(cc.br, size, dst, func() []float64 { return rc.slots.row(len(rc.global)) })
 	}
-	// The sums land in a window slot, the folder's to release.
-	dst := rc.slots.get(len(rc.global))
-	p, err := wire.DecodePartialInto(f.Payload, dst)
 	if err == nil {
 		// The leaf ID is stamped from the authenticated connection, so one
 		// leaf cannot impersonate another in failure accounting.
 		p.LeafID = cc.id
 		if p.Round != rc.round {
-			err = fmt.Errorf("fl: leaf %d sent a partial for round %d", cc.id, p.Round)
-		} else {
-			err = fl.ValidatePartial(p, len(rc.global), rc.maxNorm)
+			err = errInvalid{fmt.Errorf("fl: leaf %d sent a partial for round %d", cc.id, p.Round)}
+		} else if verr := fl.ValidatePartial(p, len(rc.global), rc.maxNorm); verr != nil {
+			err = errInvalid{verr}
 		}
 	}
-	if err != nil {
-		rc.slots.put(dst)
-		return fmt.Errorf("transport: round %d: %w", rc.round, errInvalid{err})
+	if err == nil {
+		*out = p
+		return nil
 	}
-	*out = p
-	return nil
+	rc.slots.put(dst)
+	if invalid(err) {
+		return fmt.Errorf("transport: round %d: %w", rc.round, err)
+	}
+	rc.met.decodeFailure()
+	return fmt.Errorf("transport: reading partial from leaf %d: %w", cc.id, err)
 }
 
 // errInvalid tags validation failures so failureReason can classify them.

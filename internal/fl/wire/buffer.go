@@ -7,15 +7,14 @@ import (
 
 // Byte-buffer arena, mirroring the tensor scratch arena
 // (internal/tensor/pool.go): power-of-two size classes, each a small
-// mutex-guarded LIFO freelist. It serves what the wire path reads whole —
-// partial frames, compressed update bodies — and the streaming decoders'
-// staging chunk. Dense vectors and the frames that carry them do NOT come
-// from here: they live in buffers owned by the session that outlives the
-// round (DESIGN.md §12.5), which is what makes a steady-state dense round
-// allocation-free — two idle buffers per large class never covered the
-// seven frames a round had in flight. Like the tensor arena, the
-// freelists are GC-immune (a sync.Pool would be flushed by the training
-// allocator's constant GC pressure) and bounded per class.
+// mutex-guarded LIFO freelist. It serves the streaming decoders' staging
+// chunk and the compressed update bodies ReadUpdate reads whole (and
+// ReadFrame, which no round path calls). Nothing model-sized comes from
+// here: dense bodies, partial sums and sketch rows stream through the
+// chunk into storage owned by the session that outlives the round
+// (DESIGN.md §12.5). Like the tensor arena, the freelists are GC-immune (a
+// sync.Pool would be flushed by the training allocator's constant GC
+// pressure) and bounded per class.
 //
 // Invariants (same as DESIGN.md §9's arena rules):
 //   - A pooled buffer's contents are UNINITIALIZED beyond what the

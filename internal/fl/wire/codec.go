@@ -1,13 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 
 	"github.com/cip-fl/cip/internal/fl"
 	"github.com/cip-fl/cip/internal/fl/compress"
-	"github.com/cip-fl/cip/internal/fl/robust"
 )
 
 // Payload codecs. Layouts (little-endian throughout):
@@ -106,12 +106,19 @@ func appendU64(dst []byte, v uint64) []byte {
 	return append(dst, b[:]...)
 }
 
-// getF64s fills dst from the front of b: the one body conversion the
-// byte-slice and the streaming decoders share.
+// getF64s and getU64s fill dst from the front of b: the body conversions
+// the byte-slice and the streaming decoders share.
 func getF64s(dst []float64, b []byte) {
 	b = b[:8*len(dst)]
 	for i := range dst {
 		dst[i] = getF64(b[8*i:])
+	}
+}
+
+func getU64s(dst []uint64, b []byte) {
+	b = b[:8*len(dst)]
+	for i := range dst {
+		dst[i] = getU64(b[8*i:])
 	}
 }
 
@@ -206,77 +213,47 @@ func AppendPartial2Frame(dst []byte, p fl.Partial) []byte {
 // DecodePartial2 parses a MsgPartial2 payload. Structural checks only
 // (exact size arithmetic, bounded allocation, panic guard); semantic
 // validation — including the sketch's sorted-keys/finiteness/row-count
-// invariants — is fl.ValidatePartial's job at the parent.
+// invariants — is fl.ValidatePartial's job at the parent. It is ReadPartial
+// over the payload, with sums and rows in storage of their own.
 func DecodePartial2(payload []byte) (fl.Partial, error) {
-	return DecodePartialInto(payload, nil)
+	_, n, _, err := partialHead(payload, len(payload))
+	if err != nil {
+		return fl.Partial{}, err
+	}
+	return ReadPartial(bytes.NewReader(payload), len(payload), make([]float64, n),
+		func() []float64 { return make([]float64, n) })
 }
 
-// DecodePartialInto is DecodePartial2 into the receiver's storage: a
-// non-nil sum — its window slot — receives the weighted sums, and a
-// partial of any other length is rejected before its body is touched.
-// Sketch rows get storage of their own: a merged reservoir retains them.
-func DecodePartialInto(payload []byte, sum []float64) (p fl.Partial, err error) {
-	defer recoverDecode(&err)
-	if len(payload) < partial2HeadLen {
-		return fl.Partial{}, fmt.Errorf("%w: partial2 payload of %d bytes", ErrTruncated, len(payload))
+// partialHead parses the fixed head of a partial payload whose declared
+// length is size — head holds min(size, partial2HeadLen) bytes — and
+// returns the parameter count the sums carry (and room for a sketch head
+// behind them).
+func partialHead(head []byte, size int) (p fl.Partial, n int, hasSketch bool, err error) {
+	if size < partial2HeadLen {
+		return fl.Partial{}, 0, false, fmt.Errorf("%w: partial2 payload of %d bytes", ErrTruncated, size)
 	}
-	p.Round = int(getU32(payload[0:]))
-	p.LeafID = int(getU32(payload[4:]))
-	p.Count = int(int32(getU32(payload[8:])))
-	flags := getU32(payload[12:])
-	p.Weight = getF64(payload[16:])
-	p.ExpectWeight = getF64(payload[24:])
+	p.Round = int(getU32(head[0:]))
+	p.LeafID = int(getU32(head[4:]))
+	p.Count = int(int32(getU32(head[8:])))
+	flags := getU32(head[12:])
+	p.Weight = getF64(head[16:])
+	p.ExpectWeight = getF64(head[24:])
 	p.Degraded = flags&partial2Degraded != 0
-	hasSketch := flags&partial2HasSketch != 0
-	n := int(getU32(payload[32:]))
+	hasSketch = flags&partial2HasSketch != 0
+	n = int(getU32(head[32:]))
 	// Every parameter costs ≥ 8 payload bytes, so a declared count beyond
-	// len/8 is a lie — reject before the size products below can overflow.
-	if n > len(payload)/8 {
-		return fl.Partial{}, fmt.Errorf("%w: partial2 declares %d params in %d bytes", ErrPayload, n, len(payload))
+	// size/8 is a lie — reject before the size products below can overflow.
+	if n > size/8 {
+		return fl.Partial{}, 0, false, fmt.Errorf("%w: partial2 declares %d params in %d bytes", ErrPayload, n, size)
 	}
-	if !hasSketch && len(payload) != partial2HeadLen+8*n {
-		return fl.Partial{}, fmt.Errorf("%w: partial2 declares %d params in %d bytes, want %d",
-			ErrPayload, n, len(payload), partial2HeadLen+8*n)
+	switch rest := size - partial2HeadLen - 8*n; {
+	case !hasSketch && rest != 0:
+		return fl.Partial{}, 0, false, fmt.Errorf("%w: partial2 declares %d params in %d bytes, want %d",
+			ErrPayload, n, size, partial2HeadLen+8*n)
+	case hasSketch && rest < sketchHeadLen:
+		return fl.Partial{}, 0, false, fmt.Errorf("%w: partial2 sketch head of %d bytes", ErrTruncated, rest)
 	}
-	if sum != nil && len(sum) != n {
-		return fl.Partial{}, fmt.Errorf("%w: partial2 of %d params, want %d", ErrPayload, n, len(sum))
-	}
-	if p.Sum = sum; sum == nil {
-		p.Sum = make([]float64, n)
-	}
-	getF64s(p.Sum, payload[partial2HeadLen:])
-	if !hasSketch {
-		return p, nil
-	}
-	body := payload[partial2HeadLen+8*n:]
-	if len(body) < sketchHeadLen {
-		return fl.Partial{}, fmt.Errorf("%w: partial2 sketch head of %d bytes", ErrTruncated, len(body))
-	}
-	sk := &robust.Sketch{
-		Cap:  int(getU32(body[0:])),
-		Rows: int(int32(getU32(body[4:]))),
-	}
-	k := int(getU32(body[8:]))
-	if k > len(body)/8 {
-		return fl.Partial{}, fmt.Errorf("%w: partial2 sketch declares %d rows in %d bytes", ErrPayload, k, len(body))
-	}
-	if len(payload) != Partial2PayloadLen(n, k, true) {
-		return fl.Partial{}, fmt.Errorf("%w: partial2 sketch of %d×%d in %d bytes, want %d",
-			ErrPayload, k, n, len(payload), Partial2PayloadLen(n, k, true))
-	}
-	body = body[sketchHeadLen:]
-	sk.Keys = make([]uint64, k)
-	for i := range sk.Keys {
-		sk.Keys[i] = getU64(body[8*i:])
-	}
-	body = body[8*k:]
-	sk.Vals = make([][]float64, k)
-	for i := range sk.Vals {
-		sk.Vals[i] = make([]float64, n)
-		getF64s(sk.Vals[i], body[8*i*n:])
-	}
-	p.Sketch = sk
-	return p, nil
+	return p, n, hasSketch, nil
 }
 
 // Round2 is the decoded form of a round broadcast: the round, the durable
@@ -306,16 +283,10 @@ func AppendRound2Frame(dst []byte, r Round2) []byte {
 	return appendF64s(dst, r.Params)
 }
 
-// DecodeRound2 parses a round payload.
-func DecodeRound2(payload []byte) (r Round2, err error) {
-	defer recoverDecode(&err)
-	r, n, err := roundHead(payload, len(payload))
-	if err != nil {
-		return Round2{}, err
-	}
-	r.Params = make([]float64, n)
-	getF64s(r.Params, payload[round2HeadLen:])
-	return r, nil
+// DecodeRound2 parses a round payload: ReadRound over it, into a fresh
+// vector.
+func DecodeRound2(payload []byte) (Round2, error) {
+	return ReadRound(bytes.NewReader(payload), len(payload), nil)
 }
 
 // UpdatePayloadLen returns the update payload size for a dense length and
