@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # whatever `staticcheck` is on PATH (and skip cleanly when there is none).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair bench benchrobust benchsmoke wirecheck benchwire benchscale scalegate benchprecision benchtree check
+.PHONY: build test race vet staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck check
 
 build:
 	$(GO) build ./...
@@ -108,8 +108,7 @@ fuzz:
 
 # benchmark runs the repository benchmark (BENCHMARK.json): every
 # workload untraced then traced, each in a fresh subprocess; see
-# benchmark/README.md. The bench* targets below are the legacy per-PR
-# reports.
+# benchmark/README.md. It is the repository's only performance harness.
 benchmark:
 	$(GO) run ./benchmark
 
@@ -145,35 +144,13 @@ benchpair:
 	@[ -n "$(PARENT)" ] && [ -n "$(WORKLOAD)" ] || { echo "usage: make benchpair PARENT=<ref> WORKLOAD=<w> [PAIRS=10]"; exit 2; }
 	sh scripts/benchpair.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)"
 
-# bench regenerates the tracked perf report against the committed seed
-# baseline. The same workloads run under plain `go test -bench` in
-# internal/bench for ad-hoc comparisons.
-bench:
-	$(GO) run ./cmd/cipbench -bench all -baseline BENCH_SEED.json \
-		-bench-out BENCH_PR3.json \
-		-bench-note "blocked GEMM + pooling + parallel rounds PR"
-
-# benchrobust measures the byzantine-resilience overhead: the robust
-# folds against the plain mean at the aggregation level (RobustAgg*) and
-# end-to-end round latency (RobustRound* — RobustRoundMean is the
-# control the <15% regression budget is judged against).
-benchrobust:
-	$(GO) run ./cmd/cipbench -bench Robust \
-		-bench-out BENCH_PR6.json \
-		-bench-note "byzantine-resilient aggregation PR: robust folds + reputation vs plain mean"
-
-# benchsmoke proves the regression harness itself still runs (one fast
-# kernel workload, report to stdout) without the minutes-long full sweep.
-benchsmoke:
-	$(GO) run ./cmd/cipbench -bench MatMulTransB128 -baseline BENCH_SEED.json >/dev/null
-
 # wirecheck is the wire-path conformance sweep: golden byte-exact frame
-# fixtures, the codec/compression unit and property suites, the
+# fixtures, the codec/compression unit and property suites (including the
+# ≥10x byte reduction of a topk8 frame against the dense one), the
 # handshake's refusal of a hello without the binary offer and the
 # compressed e2e/restart tests, short fuzz bursts over both frame
 # decoders, the streaming update and partial decoders against the
-# byte-slice ones, and the top-k selection, and the bench-backed wire gate (≥10x byte
-# reduction for topk8 vs the dense frame).
+# byte-slice ones, and the top-k selection.
 wirecheck:
 	$(GO) test -count=1 ./internal/fl/wire ./internal/fl/compress
 	$(GO) test -count=1 -run 'Sparse|Densify|Handshake|Compressed|Bank' \
@@ -183,51 +160,9 @@ wirecheck:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeUpdateStream$$' -fuzztime=5s ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodePartialStream$$' -fuzztime=5s ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzTopKSelect$$' -fuzztime=5s ./internal/fl/compress
-	$(GO) run ./cmd/cipbench -bench Wire -wire-gate >/dev/null
-
-# benchwire regenerates the tracked wire-path report: decode ns/op and
-# wire bytes per update for the dense vs compressed frames, with the same
-# gate wirecheck holds.
-benchwire:
-	$(GO) run ./cmd/cipbench -bench Wire -wire-gate \
-		-bench-out BENCH_PR7.json \
-		-bench-note "load-bearing compression: decode cost and bytes/update vs the dense frame"
-
-# benchscale regenerates the scale-out report: 10⁵ in-process clients
-# against the streaming-fold coordinator (flat and leaf/root tree) plus
-# the 10k streaming-vs-buffered memory gate. Minutes-long; not in check.
-benchscale:
-	$(GO) run ./cmd/flload -out BENCH_PR8.json \
-		-note "streaming folds + hierarchical aggregation tier PR"
-
-# scalegate is the coordinator-memory regression line alone: at 10k
-# clients the streaming fold's peak heap must be ≥5x below the buffered
-# baseline's.
-scalegate:
-	$(GO) run ./cmd/cipbench -scale-gate
-
-# benchtree regenerates the aggregation-tree report and holds the tree
-# gate: depth-2 robust sketch merges bit-exact below the reservoir
-# capacity and inside the documented DKW quantile envelope above it, and
-# the depth-3 tree's p99 round latency within 5x the flat federation's.
-benchtree:
-	$(GO) run ./cmd/cipbench -tree-gate \
-		-bench-out BENCH_PR10.json \
-		-bench-note "aggregation-tree PR: depth-2 sketch error gate + depth-3 latency pair"
-
-# benchprecision regenerates the float32-tier report and holds the
-# precision gate: MatMul256-f32 ≥2x over MatMul256, the f32 Fig. 4 sweep
-# faster end-to-end, and a quick federated run per precision landing
-# within the final-accuracy tolerance. Minutes-long; not in check.
-benchprecision:
-	$(GO) run ./cmd/cipbench -bench 'MatMul256|ConvLowering|Relu|BiasAxpy|Fig4ClientsSweep' \
-		-precision-gate \
-		-bench-out BENCH_PR9.json \
-		-bench-note "float32 compute tier PR: dual-precision GEMM, AVX2/NEON f32 kernels"
 
 # check is the full CI gate: static analysis, the arm64 cross-compile,
 # the race-enabled suite, a short fuzz burst, the crash-harness smoke,
-# the byzantine smoke, the wire-path conformance sweep, the bench-harness
-# smoke, and a short untraced and traced run of every repository-benchmark
-# workload.
-check: vet staticcheck crosscheck race fuzz chaossmoke byzsmoke wirecheck benchsmoke benchcheck
+# the byzantine smoke, the wire-path conformance sweep, and a short
+# untraced and traced run of every repository-benchmark workload.
+check: vet staticcheck crosscheck race fuzz chaossmoke byzsmoke wirecheck benchcheck

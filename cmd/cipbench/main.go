@@ -34,50 +34,11 @@ func run() error {
 		"persist each completed (experiment, scale, seed) cell here and reuse it on rerun, "+
 			"so an interrupted sweep resumes from the finished cells; empty disables caching")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	benchFilter := flag.String("bench", "",
-		"run tracked perf workloads ('|'-separated substring match, 'all' for every one) and emit a BENCH json report")
-	benchOut := flag.String("bench-out", "", "write the bench report to this file (default stdout)")
-	baseline := flag.String("baseline", "",
-		"previous bench report whose numbers become each op's 'before'")
-	benchNote := flag.String("bench-note", "", "free-form note embedded in the bench report")
-	wireGateFlag := flag.Bool("wire-gate", false,
-		"enforce the wire-path line on the bench run: ≥10x byte reduction for topk8 vs the dense frame")
-	scaleGateFlag := flag.Bool("scale-gate", false,
-		"run the 10k-client streaming-vs-buffered load pair and fail unless the streaming "+
-			"fold's peak heap is ≥5x below the buffered baseline's")
-	treeGateFlag := flag.Bool("tree-gate", false,
-		"run the aggregation-tree gate: depth-2 robust sketch error within the documented "+
-			"DKW envelope (bit-exact below capacity) and depth-3 tree p99 round latency "+
-			"within 5x the flat federation's; emits a BENCH json report")
-	precisionGateFlag := flag.Bool("precision-gate", false,
-		"enforce the float32 tier's lines on the bench run: MatMul256-f32 ≥2x faster than "+
-			"MatMul256, the f32 federation sweep faster than f64, and Fig. 4 quick accuracy "+
-			"within tolerance across precisions")
 	precisionFlag := flcli.RegisterPrecisionFlag()
 	flag.Parse()
 
 	if _, err := flcli.ApplyPrecisionFlag(*precisionFlag); err != nil {
 		return err
-	}
-
-	if *scaleGateFlag {
-		if err := runScaleGate(); err != nil {
-			return err
-		}
-		if *benchFilter == "" && !*treeGateFlag {
-			return nil
-		}
-	}
-	if *treeGateFlag {
-		if err := runTreeGate(*benchOut, *benchNote); err != nil {
-			return err
-		}
-		if *benchFilter == "" {
-			return nil
-		}
-	}
-	if *benchFilter != "" {
-		return runBench(*benchFilter, *baseline, *benchOut, *benchNote, *wireGateFlag, *precisionGateFlag)
 	}
 
 	if *list || *exp == "" {

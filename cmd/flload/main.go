@@ -1,7 +1,7 @@
 // Command flload is the million-client-scale load generator: it hosts a
 // coordinator and 10⁵+ lightweight in-process clients over in-memory
 // pipes (no sockets, no per-connection file descriptors) and reports
-// round throughput, tail latency, and memory into a BENCH json file.
+// round throughput, tail latency, and memory as a json report.
 //
 // Three phases, each skippable:
 //
@@ -13,8 +13,9 @@
 //
 // Usage:
 //
-//	flload -out BENCH_PR8.json
+//	flload -out load.json
 //	flload -clients 100000 -dim 1024 -rounds 5 -phases flat,gate
+//	flload -phases gate   # the coordinator-memory check alone
 package main
 
 import (
@@ -25,20 +26,25 @@ import (
 	"runtime"
 	"strings"
 
-	"github.com/cip-fl/cip/internal/bench"
 	"github.com/cip-fl/cip/internal/flcli"
 )
+
+// minGateHeapReduction is the coordinator-memory regression line the gate
+// phase holds: the buffered baseline's peak heap must be at least this
+// many times the streaming fold's, or the O(roster × params)
+// materialization has crept back into the streaming path.
+const minGateHeapReduction = 5
 
 type loadReport struct {
 	Note       string `json:"note,omitempty"`
 	GoMaxProcs int    `json:"gomaxprocs"`
 	// Flat and Tree are the full-roster streaming runs; GateStreaming and
 	// GateBuffered are the paired memory comparison at the gate size.
-	Flat              *bench.ScaleResult `json:"flat,omitempty"`
-	Tree              *bench.ScaleResult `json:"tree,omitempty"`
-	GateStreaming     *bench.ScaleResult `json:"gate_streaming,omitempty"`
-	GateBuffered      *bench.ScaleResult `json:"gate_buffered,omitempty"`
-	GateHeapReduction float64            `json:"gate_heap_reduction,omitempty"`
+	Flat              *ScaleResult `json:"flat,omitempty"`
+	Tree              *ScaleResult `json:"tree,omitempty"`
+	GateStreaming     *ScaleResult `json:"gate_streaming,omitempty"`
+	GateBuffered      *ScaleResult `json:"gate_buffered,omitempty"`
+	GateHeapReduction float64      `json:"gate_heap_reduction,omitempty"`
 }
 
 func main() {
@@ -48,7 +54,7 @@ func main() {
 	}
 }
 
-func describe(tag string, r *bench.ScaleResult) {
+func describe(tag string, r *ScaleResult) {
 	fmt.Fprintf(os.Stderr,
 		"%-14s %7d clients × %5d params, %d rounds: %6.2f rounds/s, p50 %7.1f ms, p99 %7.1f ms, peak heap %6.1f MiB, rss hwm %6.1f MiB\n",
 		tag, r.Clients, r.Dim, r.Rounds, r.RoundsPerSec, r.P50RoundMs, r.P99RoundMs,
@@ -64,7 +70,7 @@ func run() error {
 		"interior aggregators between root and leaves in the tree phase (0 = depth-2 tree)")
 	window := flag.Int("window", 0, "streaming admission window (0 keeps the transport default)")
 	readBuf := flag.Int("readbuf", 256, "per-connection read-buffer bytes (0 keeps bufio's 4 KiB)")
-	gateClients := flag.Int("gate-clients", 10000, "roster size of the gate phase")
+	gateClients := flag.Int("gate-clients", 4000, "roster size of the gate phase")
 	gateDim := flag.Int("gate-dim", 32768, "parameter-vector length of the gate phase")
 	gateRounds := flag.Int("gate-rounds", 2, "rounds per gate run")
 	phases := flag.String("phases", "flat,tree,gate", "comma-separated phases to run")
@@ -91,18 +97,18 @@ func run() error {
 	rep := loadReport{Note: *note, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	var err error
 	if want["flat"] {
-		cfg := bench.ScaleConfig{Clients: *clients, Dim: *dim, Rounds: *rounds,
+		cfg := ScaleConfig{Clients: *clients, Dim: *dim, Rounds: *rounds,
 			Window: *window, ReadBuf: *readBuf}
-		if rep.Flat, err = bench.RunScaleLoad(cfg); err != nil {
+		if rep.Flat, err = RunScaleLoad(cfg); err != nil {
 			return fmt.Errorf("flat phase: %w", err)
 		}
 		describe("flat", rep.Flat)
 	}
 	if want["tree"] {
-		cfg := bench.ScaleConfig{Clients: *clients, Dim: *dim, Rounds: *rounds,
+		cfg := ScaleConfig{Clients: *clients, Dim: *dim, Rounds: *rounds,
 			Window: *window, ReadBuf: *readBuf, Leaves: *leavesN, Interiors: *interiorsN,
 			SubtreeQuorum: *treeFlags.SubtreeQuorum, CoverageFloor: *treeFlags.CoverageFloor}
-		if rep.Tree, err = bench.RunScaleLoad(cfg); err != nil {
+		if rep.Tree, err = RunScaleLoad(cfg); err != nil {
 			return fmt.Errorf("tree phase: %w", err)
 		}
 		tag := fmt.Sprintf("tree(%d)", *leavesN)
@@ -113,14 +119,18 @@ func run() error {
 	}
 	if want["gate"] {
 		rep.GateStreaming, rep.GateBuffered, rep.GateHeapReduction, err =
-			bench.ScaleGate(*gateClients, *gateDim, *gateRounds)
+			ScaleGate(*gateClients, *gateDim, *gateRounds)
 		if err != nil {
 			return fmt.Errorf("gate phase: %w", err)
 		}
 		describe("gate:stream", rep.GateStreaming)
 		describe("gate:buffered", rep.GateBuffered)
-		fmt.Fprintf(os.Stderr, "gate: buffered peak heap is %.1fx the streaming fold's\n",
-			rep.GateHeapReduction)
+		fmt.Fprintf(os.Stderr, "gate: buffered peak heap is %.1fx the streaming fold's (need ≥%dx)\n",
+			rep.GateHeapReduction, minGateHeapReduction)
+		if rep.GateHeapReduction < minGateHeapReduction {
+			return fmt.Errorf("gate phase: buffered peak heap is only %.1fx the streaming fold's, need ≥%dx",
+				rep.GateHeapReduction, minGateHeapReduction)
+		}
 	}
 
 	raw, err := json.MarshalIndent(rep, "", "  ")

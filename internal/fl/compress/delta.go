@@ -307,8 +307,8 @@ func (d *Delta) DecodeInto(out []float64) {
 
 // WireBytes returns the body size this delta occupies in the binary wire
 // codec (indices, values/codes, and the quantization range — excluding
-// the fixed per-update header). Telemetry and the bench harness use it to
-// report bytes-per-round.
+// the fixed per-update header). Telemetry uses it to report
+// bytes-per-round.
 func (d *Delta) WireBytes() int {
 	n := 0
 	if d.Indices != nil {

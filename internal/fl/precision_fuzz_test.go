@@ -26,7 +26,10 @@ func FuzzNarrowWidenValidate(f *testing.F) {
 		u := Update{ClientID: 1, Params: params, NumSamples: 1}
 		errBefore := ValidateUpdate(u, len(params))
 
-		round := tensor.Widen(tensor.Narrow(params))
+		narrow := make([]float32, len(params))
+		tensor.NarrowSlice(narrow, params)
+		round := make([]float64, len(params))
+		tensor.WidenSlice(round, narrow)
 		ur := Update{ClientID: 1, Params: round, NumSamples: 1}
 		errAfter := ValidateUpdate(ur, len(round))
 

@@ -29,8 +29,8 @@ import (
 //
 // of the population quantile with probability ≥ 1−δ, per coordinate. The
 // sketch median therefore lands between the population's (½−ε)- and
-// (½+ε)-quantiles; SampleRankError exposes ε for the bench gate that
-// enforces this bound against flat robust aggregation.
+// (½+ε)-quantiles; SampleRankError exposes ε for the sketch tests that
+// hold this bound against flat robust aggregation.
 type Sketch struct {
 	// Cap is K, the maximum number of retained rows.
 	Cap int

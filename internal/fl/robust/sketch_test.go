@@ -111,78 +111,174 @@ func TestSketchInsertKeepsRowsAndReturnsDropped(t *testing.T) {
 	}
 }
 
-// Below the cap the sketch holds every row, so Median and TrimmedMean over
-// the retained rows are bit-identical to flat aggregation — the rules sort
-// each coordinate's column, so row order is immaterial.
-func TestSketchExactBelowCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const n, dim = 24, 7
-	rows := sketchRows(n, dim, rng)
-	center := make([]float64, dim)
-
-	sk := NewSketch(64)
-	for i, r := range rows {
-		sk.Add(KeyClient(i), r)
-	}
-	if !sk.Exact() {
-		t.Fatalf("sketch with %d rows under cap 64 is not exact", n)
-	}
-	for _, rule := range []Aggregator{Median{}, TrimmedMean{Frac: 0.2}, ClippedMean{MaxNorm: 1}} {
-		flat, _, err := rule.Aggregate(center, rows, nil)
-		if err != nil {
+// mergeLeaves spreads rows over `leaves` client-facing sketches and merges
+// them into one root sketch — the algebra a depth-2 tree runs per round.
+func mergeLeaves(t *testing.T, rows [][]float64, leaves, capRows int) *Sketch {
+	t.Helper()
+	root := NewSketch(capRows)
+	per := (len(rows) + leaves - 1) / leaves
+	for lo := 0; lo < len(rows); lo += per {
+		leaf := NewSketch(capRows)
+		for i := lo; i < min(lo+per, len(rows)); i++ {
+			leaf.Add(KeyClient(i), rows[i])
+		}
+		if err := root.Merge(leaf); err != nil {
 			t.Fatal(err)
 		}
-		tree, _, err := rule.Aggregate(center, sk.RowsView(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The sort-based rules see the same per-coordinate multiset, so they
-		// are bit-identical; ClippedMean sums in row order, and the sketch's
-		// key order differs from roster order, so it is only reassociated.
-		_, sums := rule.(ClippedMean)
-		for i := range flat {
-			if flat[i] == tree[i] {
-				continue
-			}
-			if sums && math.Abs(flat[i]-tree[i]) <= 1e-12*(1+math.Abs(flat[i])) {
-				continue
-			}
-			t.Fatalf("%s: coord %d: flat %v tree %v (want identical below cap)",
-				rule.Name(), i, flat[i], tree[i])
-		}
 	}
+	return root
 }
 
-// Above the cap the retained rows are a uniform subsample; the sketch
-// median must land inside the DKW quantile envelope of the population.
-func TestSketchSampledWithinRankBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n, dim, capRows = 4000, 3, 256
-	rows := sketchRows(n, dim, rng)
-	center := make([]float64, dim)
-
+// singleSketch adds every row to one sketch directly.
+func singleSketch(rows [][]float64, capRows int) *Sketch {
 	sk := NewSketch(capRows)
 	for i, r := range rows {
 		sk.Add(KeyClient(i), r)
 	}
-	if sk.Exact() || len(sk.Keys) != capRows {
-		t.Fatalf("expected a saturated sketch: rows %d retained %d", sk.Rows, len(sk.Keys))
-	}
-	eps := SampleRankError(capRows, 0.01)
-	med, _, err := Median{}.Aggregate(center, sk.RowsView(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := make([]float64, n)
-	for j := 0; j < dim; j++ {
-		for i, r := range rows {
-			col[i] = r[j]
+	return sk
+}
+
+// Below the cap the sketch holds every row — whether the rows were added
+// to one sketch or merged up from eight leaves — so Median and TrimmedMean
+// over the retained rows are bit-identical to flat aggregation: the rules
+// sort each coordinate's column, so row order is immaterial.
+func TestSketchExactBelowCap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n, dim, capRows = 24, 7, 64
+	rows := sketchRows(n, dim, rng)
+	center := make([]float64, dim)
+
+	for _, in := range []struct {
+		name string
+		sk   *Sketch
+	}{
+		{"one sketch", singleSketch(rows, capRows)},
+		{"8 leaves", mergeLeaves(t, rows, 8, capRows)},
+	} {
+		if !in.sk.Exact() {
+			t.Fatalf("%s: sketch with %d rows under cap %d is not exact", in.name, n, capRows)
 		}
-		sort.Float64s(col)
-		lo := col[int(math.Max(0, (0.5-eps)*float64(n-1)))]
-		hi := col[int(math.Min(float64(n-1), math.Ceil((0.5+eps)*float64(n-1))))]
-		if med[j] < lo || med[j] > hi {
-			t.Fatalf("coord %d: sketch median %v outside [%v, %v] (ε=%.4f)", j, med[j], lo, hi, eps)
+		for _, rule := range []Aggregator{Median{}, TrimmedMean{Frac: 0.2}, ClippedMean{MaxNorm: 1}} {
+			flat, _, err := rule.Aggregate(center, rows, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, _, err := rule.Aggregate(center, in.sk.RowsView(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The sort-based rules see the same per-coordinate multiset, so they
+			// are bit-identical; ClippedMean sums in row order, and the sketch's
+			// key order differs from roster order, so it is only reassociated.
+			_, sums := rule.(ClippedMean)
+			for i := range flat {
+				if flat[i] == tree[i] {
+					continue
+				}
+				if sums && math.Abs(flat[i]-tree[i]) <= 1e-12*(1+math.Abs(flat[i])) {
+					continue
+				}
+				t.Fatalf("%s, %s: coord %d: flat %v tree %v (want identical below cap)",
+					in.name, rule.Name(), i, flat[i], tree[i])
+			}
+		}
+	}
+}
+
+// orderStat returns the empirical q-quantile of sorted (ascending) vals,
+// widened outward to the enclosing order statistic so an envelope never
+// under-covers from rank rounding.
+func orderStat(sorted []float64, q float64, up bool) float64 {
+	r := q * float64(len(sorted)-1)
+	if up {
+		r = math.Ceil(r)
+	}
+	return sorted[min(max(int(r), 0), len(sorted)-1)]
+}
+
+// Above the cap the retained rows are a uniform subsample, so by DKW each
+// sketch quantile is within rank error ε of the population's. Every
+// coordinate must sit inside its rule's envelope, for one saturated sketch
+// and for eight saturated leaves merged into a root:
+//   - Median: between the population's (½−ε)- and (½+ε)-order statistics;
+//   - TrimmedMean{f}: within ε/(1−2f) of the kept window's width
+//     (Q(1−f) − Q(f)) of the flat trimmed mean — the largest shift that
+//     replacing an ε rank-fraction of the kept mass can induce.
+//
+// The rows are heavy-tailed (5% gross outliers), the population the robust
+// rules exist for, and the subsample must actually move the estimate.
+func TestSketchSampledWithinRankBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n, dim, capRows, delta = 4000, 8, 256, 0.01
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, dim)
+		for j := range rows[i] {
+			rows[i][j] = 0.1*float64(j) + rng.NormFloat64()
+			if rng.Float64() < 0.05 {
+				rows[i][j] += 50 * (rng.Float64()*2 - 1)
+			}
+		}
+	}
+	center := make([]float64, dim)
+	eps := SampleRankError(capRows, delta)
+	cols := make([][]float64, dim)
+	for j := range cols {
+		cols[j] = make([]float64, n)
+		for i, r := range rows {
+			cols[j][i] = r[j]
+		}
+		sort.Float64s(cols[j])
+	}
+
+	sketches := []struct {
+		name string
+		sk   *Sketch
+	}{
+		{"one sketch", singleSketch(rows, capRows)},
+		{"8 leaves", mergeLeaves(t, rows, 8, capRows)},
+	}
+	rules := []struct {
+		rule Aggregator
+		frac float64 // trimmed fraction per tail; 0 selects the median envelope
+	}{
+		{Median{}, 0},
+		{TrimmedMean{Frac: 0.2}, 0.2},
+	}
+	for _, s := range sketches {
+		if s.sk.Exact() || len(s.sk.Keys) != capRows || s.sk.Rows != n {
+			t.Fatalf("%s: expected a saturated sketch: rows %d retained %d", s.name, s.sk.Rows, len(s.sk.Keys))
+		}
+		for _, r := range rules {
+			flat, _, err := r.rule.Aggregate(center, rows, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, _, err := r.rule.Aggregate(center, s.sk.RowsView(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var maxErr float64
+			for j, col := range cols {
+				maxErr = max(maxErr, math.Abs(tree[j]-flat[j]))
+				if r.frac == 0 {
+					lo, hi := orderStat(col, 0.5-eps, false), orderStat(col, 0.5+eps, true)
+					if tree[j] < lo || tree[j] > hi {
+						t.Fatalf("%s, %s: coord %d: sketch median %v outside [%v, %v] (ε=%.4f)",
+							s.name, r.rule.Name(), j, tree[j], lo, hi, eps)
+					}
+					continue
+				}
+				width := orderStat(col, 1-r.frac, true) - orderStat(col, r.frac, false)
+				if bound := eps / (1 - 2*r.frac) * width; math.Abs(tree[j]-flat[j]) > bound {
+					t.Fatalf("%s, %s: coord %d: |sketch − flat| = %v exceeds ε/(1−2f)·width = %v",
+						s.name, r.rule.Name(), j, math.Abs(tree[j]-flat[j]), bound)
+				}
+			}
+			if maxErr == 0 {
+				t.Fatalf("%s, %s: subsampled estimate equals the flat one everywhere; the approximate regime went unexercised",
+					s.name, r.rule.Name())
+			}
 		}
 	}
 }

@@ -140,6 +140,34 @@ func TestUpdateFrameRoundTrip(t *testing.T) {
 			}
 		})
 	}
+
+	// The compression line: at a realistic 200,000-parameter model the
+	// headline topk8 frame (DefaultTopKFrac, int8 codes) must be at least
+	// 10x smaller than the dense frame it replaces.
+	const dim = 200_000
+	global, params = testVector(dim, 4), testVector(dim, 5)
+	u := fl.Update{ClientID: 1, NumSamples: 64, TrainLoss: 0.5, Params: params}
+	dense, err := AppendUpdateFrame(nil, u, nil, compress.None)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := make([]float64, dim)
+	for i := range delta {
+		delta[i] = params[i] - global[i]
+	}
+	d, err := compress.Config{Mode: compress.TopKQ8, TopKFrac: compress.DefaultTopKFrac}.Compress(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.Params = nil
+	topk8, err := AppendUpdateFrame(nil, u, d, compress.TopKQ8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dense) < 10*len(topk8) {
+		t.Fatalf("topk8 frame is %d bytes vs dense %d: %.1fx smaller, want ≥10x",
+			len(topk8), len(dense), float64(len(dense))/float64(len(topk8)))
+	}
 }
 
 func TestReadFrameRejects(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 )
 
 // RegisterPrecisionFlag installs -precision on the default flag set.
-// cmd/ciptrain and cmd/cipbench share it so both train and bench runs can
-// select the float32 compute tier with the same spelling.
+// cmd/ciptrain and cmd/cipbench share it so both training and experiment
+// runs can select the float32 compute tier with the same spelling.
 func RegisterPrecisionFlag() *string {
 	return flag.String("precision", "f64",
 		"training compute precision: f64 (default) or f32 (float32 GEMM with float64 "+

@@ -29,6 +29,19 @@ func BenchmarkMatMul256(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMul256F32 is BenchmarkMatMul256 under the F32 policy: the
+// same f64 tensors, with the GEMM running the mixed narrow/compute/widen
+// path a -precision f32 training run takes.
+func BenchmarkMatMul256F32(b *testing.B) {
+	x, y := benchMats(256)
+	SetPrecision(F32)
+	defer SetPrecision(F64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MatMul(x, y)
+	}
+}
+
 func BenchmarkMatMulTransB128(b *testing.B) {
 	x, y := benchMats(128)
 	b.ReportAllocs()

@@ -36,31 +36,3 @@ func WidenSlice(dst []float64, src []float32) {
 		dst[i] = float64(v)
 	}
 }
-
-// Narrow returns a fresh float32 copy of src.
-func Narrow(src []float64) []float32 {
-	dst := make([]float32, len(src))
-	NarrowSlice(dst, src)
-	return dst
-}
-
-// Widen returns a fresh float64 copy of src.
-func Widen(src []float32) []float64 {
-	dst := make([]float64, len(src))
-	WidenSlice(dst, src)
-	return dst
-}
-
-// NarrowTensor returns a Tensor32 copy of t.
-func NarrowTensor(t *Tensor) *Tensor32 {
-	out := New32(t.Shape...)
-	NarrowSlice(out.Data, t.Data)
-	return out
-}
-
-// WidenTensor returns a float64 Tensor copy of t.
-func WidenTensor(t *Tensor32) *Tensor {
-	out := New(t.Shape...)
-	WidenSlice(out.Data, t.Data)
-	return out
-}

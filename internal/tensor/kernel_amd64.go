@@ -110,8 +110,8 @@ func reluGateKernel(dst, y, g []float64) {
 // --- float32 tier ---------------------------------------------------------
 //
 // The f32 kernels gate on the same AVX2+FMA+OSXSAVE detection as the f64
-// ones: every instruction they add (VFMADD231PS, VBROADCASTSS, VMAXPS,
-// VCMPPS) is part of the same feature envelope.
+// ones: every instruction they add (VFMADD231PS, VBROADCASTSS) is part of
+// the same feature envelope.
 
 // microKernel32 computes the mr32×nr32 tile into c (overwriting it),
 // dispatching to the widened 8-lane-per-register AVX2+FMA kernel when the
@@ -146,50 +146,6 @@ func axpyRow32(dst, src []float32, alpha float32) {
 		return
 	}
 	axpyRow32Go(dst, src, alpha)
-}
-
-// avxRelu32 computes dst[i] = max(src[i], 0) for i in [0, n), n a multiple
-// of 8. Implemented in kernel_amd64.s.
-//
-//go:noescape
-func avxRelu32(dst, src *float32, n int)
-
-// avxReluGate32 computes dst[i] = g[i] masked by y[i] > 0 for i in [0, n),
-// n a multiple of 8. Implemented in kernel_amd64.s.
-//
-//go:noescape
-func avxReluGate32(dst, y, grad *float32, n int)
-
-// relu32Kernel rectifies with the AVX2 kernel, finishing any sub-vector
-// remainder with the portable loop.
-func relu32Kernel(dst, x []float32) {
-	if hasFMAKernel {
-		if n8 := len(x) &^ 7; n8 > 0 {
-			avxRelu32(&dst[0], &x[0], n8)
-			dst, x = dst[n8:], x[n8:]
-		}
-	}
-	relu32Go(dst, x)
-}
-
-// reluGate32Kernel gates gradients with the AVX2 kernel, finishing any
-// sub-vector remainder with the portable loop.
-func reluGate32Kernel(dst, y, g []float32) {
-	if hasFMAKernel {
-		if n8 := len(y) &^ 7; n8 > 0 {
-			avxReluGate32(&dst[0], &y[0], &g[0], n8)
-			dst, y, g = dst[n8:], y[n8:], g[n8:]
-		}
-	}
-	reluGate32Go(dst, y, g)
-}
-
-// kernelFeatures lists the SIMD features the active micro-kernels use.
-func kernelFeatures() []string {
-	if hasFMAKernel {
-		return []string{"avx2", "fma"}
-	}
-	return nil
 }
 
 // cpuidex executes CPUID with the given leaf/subleaf.

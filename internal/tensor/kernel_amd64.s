@@ -310,55 +310,6 @@ done32:
 	VZEROUPPER
 	RET
 
-// func avxRelu32(dst, src *float32, n int)
-//
-// dst[i] = max(src[i], 0) for i in [0, n); n must be a positive multiple
-// of 8. Same NaN-gates-to-zero contract as avxRelu.
-TEXT ·avxRelu32(SB), NOSPLIT, $0-24
-	MOVQ   dst+0(FP), DI
-	MOVQ   src+8(FP), SI
-	MOVQ   n+16(FP), CX
-	SHRQ   $3, CX
-	VXORPS Y0, Y0, Y0
-
-relulp32:
-	VMOVUPS (SI), Y1
-	VMAXPS  Y0, Y1, Y1
-	VMOVUPS Y1, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     relulp32
-
-	VZEROUPPER
-	RET
-
-// func avxReluGate32(dst, y, grad *float32, n int)
-//
-// dst[i] = g[i] where y[i] > 0, else 0, for i in [0, n); n must be a
-// positive multiple of 8. GT_OQ predicate, so NaN y lanes gate to zero.
-TEXT ·avxReluGate32(SB), NOSPLIT, $0-32
-	MOVQ   dst+0(FP), DI
-	MOVQ   y+8(FP), SI
-	MOVQ   grad+16(FP), DX
-	MOVQ   n+24(FP), CX
-	SHRQ   $3, CX
-	VXORPS Y0, Y0, Y0
-
-gatelp32:
-	VMOVUPS (SI), Y1
-	VCMPPS  $30, Y0, Y1, Y2      // Y2 = (y > 0) lane mask (GT_OQ)
-	VANDPS  (DX), Y2, Y3
-	VMOVUPS Y3, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     gatelp32
-
-	VZEROUPPER
-	RET
-
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

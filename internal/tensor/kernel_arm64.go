@@ -76,18 +76,3 @@ func axpyRow32(dst, src []float32, alpha float32) {
 	}
 	axpyRow32Go(dst, src, alpha)
 }
-
-// relu32Kernel rectifies with the portable loop (the rectifier is memory-
-// bound; the GEMM kernel is where NEON pays).
-func relu32Kernel(dst, x []float32) { relu32Go(dst, x) }
-
-// reluGate32Kernel gates gradients with the portable loop.
-func reluGate32Kernel(dst, y, g []float32) { reluGate32Go(dst, y, g) }
-
-// kernelFeatures lists the SIMD features the active micro-kernels use.
-func kernelFeatures() []string {
-	if hasNEONKernel {
-		return []string{"neon"}
-	}
-	return nil
-}

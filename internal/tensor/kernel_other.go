@@ -33,13 +33,3 @@ func microKernel32(c *[mr32 * nr32]float32, a0, a1, a2, a3, a4, a5, bp []float32
 func axpyRow32(dst, src []float32, alpha float32) {
 	axpyRow32Go(dst, src, alpha)
 }
-
-// relu32Kernel rectifies with the portable loop.
-func relu32Kernel(dst, x []float32) { relu32Go(dst, x) }
-
-// reluGate32Kernel gates gradients with the portable loop.
-func reluGate32Kernel(dst, y, g []float32) { reluGate32Go(dst, y, g) }
-
-// kernelFeatures lists the SIMD features the active micro-kernels use;
-// none on the portable build.
-func kernelFeatures() []string { return nil }

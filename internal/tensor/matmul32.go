@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -19,22 +18,22 @@ import (
 //     keep both FMA ports busy, and a 4×16 f32 kernel inherits the same
 //     stall, capping the tier below 2x. Twelve accumulators give the
 //     scheduler slack, so the f32 kernel reaches the FMA-port bound.
-//   - One generic driver serves two callers. The PURE path (MatMul32 and
-//     friends) instantiates it with T = float32: f32 storage in, f32 out.
-//     The MIXED path (the f64 entry points in matmul.go running under the
-//     F32 precision policy) instantiates it with T = float64: operands are
-//     narrowed once — A up front, B at pack time — the micro-kernel
-//     accumulates one k-block in f32, and storeRow32 widens the partial
-//     sums into the float64 destination, so accumulation ACROSS k-blocks
-//     (and the bias epilogue) stays float64.
+//   - The driver is generic over the destination width, and production
+//     runs one instantiation: the MIXED path (the f64 entry points in
+//     matmul.go running under the F32 precision policy) with T = float64.
+//     Operands are narrowed once — A up front, B at pack time — the
+//     micro-kernel accumulates one k-block in f32, and storeRow32 widens
+//     the partial sums into the float64 destination, so accumulation
+//     ACROSS k-blocks (and the bias epilogue) stays float64. The
+//     T = float32 instantiation (f32 in, f32 out) is the tests' pure-f32
+//     reference the mixed path is held to.
 //   - A kcBlock×nr32 packed panel of float32 is 16 KiB — the same
 //     footprint as the float64 panel — so the f64 cache-block tuning
 //     carries over unchanged.
 //
 // Determinism matches the f64 driver: every output element is computed by
 // exactly one worker with a fixed k-accumulation order, so results are
-// bit-identical for any worker count (parallel32_test.go holds this for
-// both instantiations).
+// bit-identical for any worker count (parallel32_test.go holds this).
 
 // nr32 is the f32 micro-kernel width: two 8-lane AVX2 registers, or four
 // 4-lane NEON registers. mr32 is the tile height; the f32 parallel
@@ -58,77 +57,16 @@ type gemmShape32[T elem] struct {
 	bias    []T  // optional epilogue bias, length n
 }
 
-// MatMul32 returns a·b for 2-D float32 tensors a (m×k) and b (k×n).
-func MatMul32(a, b *Tensor32) *Tensor32 {
-	m, k, n := gemmDims32("MatMul32", a, b, false)
-	out := New32(m, n)
-	gemm32(out.Data, a.Data, b.Data, gemmShape32[float32]{m: m, k: k, n: n})
-	return out
-}
-
-// MatMul32Into computes dst = a·b, reusing dst's storage (shape must be
-// m×n). dst must not alias a or b. Returns dst.
-func MatMul32Into(dst, a, b *Tensor32) *Tensor32 {
-	m, k, n := gemmDims32("MatMul32Into", a, b, false)
-	checkDst32("MatMul32Into", dst, m, n)
-	gemm32(dst.Data, a.Data, b.Data, gemmShape32[float32]{m: m, k: k, n: n})
-	return dst
-}
-
-// MatMulTransB32 returns a·bᵀ where a is m×k and b is n×k.
-func MatMulTransB32(a, b *Tensor32) *Tensor32 {
-	m, k, n := gemmDims32("MatMulTransB32", a, b, true)
-	out := New32(m, n)
-	gemm32(out.Data, a.Data, b.Data, gemmShape32[float32]{m: m, k: k, n: n, transB: true})
-	return out
-}
-
-// MatMulBias32Into computes dst = a·b + bias (bias broadcast across rows,
-// length n), fused into the GEMM epilogue. dst must not alias a or b.
-func MatMulBias32Into(dst, a, b *Tensor32, bias []float32) *Tensor32 {
-	m, k, n := gemmDims32("MatMulBias32Into", a, b, false)
-	checkDst32("MatMulBias32Into", dst, m, n)
-	if len(bias) != n {
-		panic(fmt.Sprintf("tensor: MatMulBias32Into bias length %d, want %d", len(bias), n))
-	}
-	gemm32(dst.Data, a.Data, b.Data, gemmShape32[float32]{m: m, k: k, n: n, bias: bias})
-	return dst
-}
-
-// gemmDims32 validates operand ranks/shapes and returns (m, k, n).
-func gemmDims32(op string, a, b *Tensor32, transB bool) (m, k, n int) {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: %s needs 2-D operands, got %v and %v", op, a.Shape, b.Shape))
-	}
-	m, k = a.Shape[0], a.Shape[1]
-	var kb int
-	if transB {
-		n, kb = b.Shape[0], b.Shape[1]
-	} else {
-		kb, n = b.Shape[0], b.Shape[1]
-	}
-	if kb != k {
-		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v·%v", op, a.Shape, b.Shape))
-	}
-	return m, k, n
-}
-
-func checkDst32(op string, dst *Tensor32, m, n int) {
-	if dst.Dims() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: %s destination shape %v, want [%d %d]", op, dst.Shape, m, n))
-	}
-}
-
 // gemmMixed is the F32-policy entry for the float64-facing GEMMs: narrow A
 // once into a pooled f32 buffer, then run the generic driver with float64
 // B/bias/destination (B narrows at pack time, partial sums widen at store
 // time). Called from matmul.go's gemm before its own timing starts; the
 // generic driver records the GEMM metrics instead.
 func gemmMixed(dst, a, b []float64, s gemmShape) {
-	a32 := GetTensor32(s.m * s.k)
-	NarrowSlice(a32.Data, a[:s.m*s.k])
-	gemm32(dst, a32.Data, b, gemmShape32[float64]{m: s.m, k: s.k, n: s.n, transB: s.transB, bias: s.bias})
-	PutTensor32(a32)
+	a32 := getF32(s.m * s.k)
+	NarrowSlice(a32, a[:s.m*s.k])
+	gemm32(dst, a32, b, gemmShape32[float64]{m: s.m, k: s.k, n: s.n, transB: s.transB, bias: s.bias})
+	putF32(a32)
 }
 
 // gemm32 is the blocked driver: dst (m×n, fully overwritten) =
@@ -150,30 +88,30 @@ func gemm32[T elem](dst []T, a32 []float32, b []T, s gemmShape32[T]) {
 	}
 
 	panelStride := kcBlock * nr32
-	bpack := GetTensor32(panelStride * (ncBlock/nr32 + 1))
+	bpack := getF32(panelStride * (ncBlock/nr32 + 1))
 	var task *gemmTask32[T]
 	if rowWorkers(s.m, vol) >= 2 {
 		task, _ = gemmTasks32[T]().Get().(*gemmTask32[T])
 		if task == nil {
 			task = new(gemmTask32[T])
 		}
-		task.dst, task.a32, task.bpack, task.s = dst, a32, bpack.Data, s
+		task.dst, task.a32, task.bpack, task.s = dst, a32, bpack, s
 	}
 	for jc := 0; jc < s.n; jc += ncBlock {
 		ncb := min(ncBlock, s.n-jc)
 		for pc := 0; pc < s.k; pc += kcBlock {
 			kcb := min(kcBlock, s.k-pc)
-			packB32(bpack.Data, b, pc, jc, kcb, ncb, s)
+			packB32(bpack, b, pc, jc, kcb, ncb, s)
 			first := pc == 0
 			if task == nil {
-				gemmRows32(dst, a32, bpack.Data, 0, s.m, pc, jc, kcb, ncb, s, first)
+				gemmRows32(dst, a32, bpack, 0, s.m, pc, jc, kcb, ncb, s, first)
 			} else {
 				task.pc, task.jc, task.kcb, task.ncb, task.first = pc, jc, kcb, ncb, first
 				fanOutRows(task, s.m, vol, mr32)
 			}
 		}
 	}
-	PutTensor32(bpack)
+	putF32(bpack)
 	if task != nil {
 		task.dst, task.a32, task.bpack, task.s = nil, nil, nil, gemmShape32[T]{} // pin nothing while pooled
 		gemmTasks32[T]().Put(task)
@@ -205,18 +143,9 @@ func fillBias32[T elem](dst []T, s gemmShape32[T]) {
 // zero-padded past ncb so the micro-kernel never sees a ragged panel.
 func packB32[T elem](dst []float32, b []T, pc, jc, kcb, ncb int, s gemmShape32[T]) {
 	panels := (ncb + nr32 - 1) / nr32
-	b32, pure := any(b).([]float32)
 	for jp := 0; jp < panels; jp++ {
 		w := min(nr32, ncb-jp*nr32)
 		po := jp * kcb * nr32
-		if pure && !s.transB && w == nr32 {
-			// Pure-f32 full-width panel: each packed row is a straight
-			// 16-element copy of the source row, no narrowing loop.
-			for p := 0; p < kcb; p++ {
-				copy(dst[po+p*nr32:po+p*nr32+nr32], b32[(pc+p)*s.n+jc+jp*nr32:])
-			}
-			continue
-		}
 		if s.transB {
 			// op(b) = bᵀ with b n×k: column jc+j of op(b) is row jc+j of b.
 			for j := 0; j < w; j++ {
@@ -328,15 +257,6 @@ func gemmRows32[T elem](dst []T, a32, bpack []float32, i0, i1, pc, jc, kcb, ncb 
 // or accumulating on later ones.
 func storeRow32[T elem](dst []T, c []float32, w, j int, first bool, bias []T) {
 	if first {
-		if bias == nil {
-			// Pure-f32 overwrite is a straight copy (the widening T(·) is
-			// the identity); the common single-k-block product never takes
-			// the accumulate branch at all.
-			if d32, pure := any(dst).([]float32); pure {
-				copy(d32[:w], c[:w])
-				return
-			}
-		}
 		if bias != nil {
 			for x := 0; x < w; x++ {
 				dst[x] = T(c[x]) + bias[j+x]
@@ -384,28 +304,28 @@ func transADirect32(dst, a, b []float64, m, k, n int) {
 	if timed {
 		start = time.Now()
 	}
-	a32 := GetTensor32(k * m)
-	b32 := GetTensor32(k * n)
-	d32 := GetTensor32(m * n)
-	NarrowSlice(a32.Data, a[:k*m])
-	NarrowSlice(b32.Data, b[:k*n])
-	for i := range d32.Data[:m*n] {
-		d32.Data[i] = 0
+	a32 := getF32(k * m)
+	b32 := getF32(k * n)
+	d32 := getF32(m * n)
+	NarrowSlice(a32, a[:k*m])
+	NarrowSlice(b32, b[:k*n])
+	for i := range d32 {
+		d32[i] = 0
 	}
 	for p := 0; p < k; p++ {
-		arow := a32.Data[p*m : (p+1)*m]
-		brow := b32.Data[p*n : (p+1)*n]
+		arow := a32[p*m : (p+1)*m]
+		brow := b32[p*n : (p+1)*n]
 		for i, av := range arow {
 			if av == 0 {
 				continue
 			}
-			axpyRow32(d32.Data[i*n:(i+1)*n], brow, av)
+			axpyRow32(d32[i*n:(i+1)*n], brow, av)
 		}
 	}
-	WidenSlice(dst[:m*n], d32.Data[:m*n])
-	PutTensor32(d32)
-	PutTensor32(b32)
-	PutTensor32(a32)
+	WidenSlice(dst[:m*n], d32)
+	putF32(d32)
+	putF32(b32)
+	putF32(a32)
 	if timed {
 		recordGEMM(vol, time.Since(start))
 	}

@@ -6,35 +6,49 @@ import (
 	"testing"
 )
 
-// naiveMatMul32 is the scalar float32 reference (plain triple loop,
-// ascending k) the blocked kernel is judged against.
-func naiveMatMul32(a, b *Tensor32) *Tensor32 {
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	out := New32(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var s float32
-			for p := 0; p < k; p++ {
-				s += a.Data[i*k+p] * b.Data[p*n+j]
-			}
-			out.Data[i*n+j] = s
-		}
-	}
-	return out
-}
-
-func randMat32(rng *rand.Rand, m, n int) *Tensor32 {
-	t := New32(m, n)
+func randMat(rng *rand.Rand, m, n int) *Tensor {
+	t := New(m, n)
 	t.RandNormal(rng, 0, 1)
 	return t
 }
 
-// TestMatMul32MatchesNaiveEdgeShapes drives the f32 blocked kernel through
-// shapes that stress every edge: partial mr/nr32 tiles, single rows and
-// columns, and sizes straddling the kc/nc cache blocks and the parallel
-// threshold. FMA/FMLA fuse the multiply-add rounding and the blocked
-// kernel sums k in panel order, so the comparison tolerance scales with k
-// at float32 epsilon.
+// narrowed returns a copy of t rounded through float32, so an f64
+// reference multiplies exactly the operands the f32 tier computes on.
+func narrowed(t *Tensor) *Tensor {
+	out := New(t.Shape...)
+	for i, v := range t.Data {
+		out.Data[i] = float64(float32(v))
+	}
+	return out
+}
+
+// underF32 runs fn with the F32 precision policy installed.
+func underF32(fn func()) {
+	SetPrecision(F32)
+	defer SetPrecision(F64)
+	fn()
+}
+
+// pureGEMM32 runs the f32 driver's T = float32 instantiation on a·b: f32
+// operands in, f32 product out, no widening anywhere — the pure-f32
+// reference the mixed path is held to.
+func pureGEMM32(a, b *Tensor) []float32 {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	a32, b32 := make([]float32, len(a.Data)), make([]float32, len(b.Data))
+	NarrowSlice(a32, a.Data)
+	NarrowSlice(b32, b.Data)
+	out := make([]float32, m*n)
+	gemm32(out, a32, b32, gemmShape32[float32]{m: m, k: k, n: n})
+	return out
+}
+
+// TestMatMul32MatchesNaiveEdgeShapes drives the f32 blocked driver —
+// through the mixed path (MatMul under the F32 policy) and through its
+// pure-f32 instantiation — over shapes that stress every edge: partial
+// mr32/nr32 tiles, single rows and columns, and sizes straddling the kc/nc
+// cache blocks and the parallel threshold. FMA/FMLA fuse the multiply-add
+// rounding and the blocked kernel sums k in panel order, so the comparison
+// tolerance scales with k at float32 epsilon.
 func TestMatMul32MatchesNaiveEdgeShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dims := []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 33, 63, 65, 127, 129}
@@ -45,10 +59,18 @@ func TestMatMul32MatchesNaiveEdgeShapes(t *testing.T) {
 	}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
-		a, b := randMat32(rng, m, k), randMat32(rng, k, n)
+		a, b := randMat(rng, m, k), randMat(rng, k, n)
+		want := naiveMatMul(narrowed(a), narrowed(b))
 		tol := 1e-4 * math.Sqrt(float64(k))
-		if !Equal32(MatMul32(a, b), naiveMatMul32(a, b), tol) {
-			t.Fatalf("MatMul32(%dx%d, %dx%d) diverges from naive reference", m, k, k, n)
+		var mixed *Tensor
+		underF32(func() { mixed = MatMul(a, b) })
+		if !Equal(mixed, want, tol) {
+			t.Fatalf("mixed MatMul(%dx%d, %dx%d) diverges from naive reference", m, k, k, n)
+		}
+		pure := New(m, n)
+		WidenSlice(pure.Data, pureGEMM32(a, b))
+		if !Equal(pure, want, tol) {
+			t.Fatalf("pure-f32 driver (%dx%d, %dx%d) diverges from naive reference", m, k, k, n)
 		}
 	}
 }
@@ -58,39 +80,36 @@ func TestMatMulTransB32MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, s := range [][3]int{{1, 1, 1}, {5, 9, 3}, {33, 65, 17}, {70, 70, 70}} {
 		m, k, n := s[0], s[1], s[2]
-		a, bt := randMat32(rng, m, k), randMat32(rng, n, k)
-		// Reference: materialize bᵀ and multiply naively.
-		b := New32(k, n)
-		for i := 0; i < n; i++ {
-			for p := 0; p < k; p++ {
-				b.Data[p*n+i] = bt.Data[i*k+p]
-			}
-		}
-		if !Equal32(MatMulTransB32(a, bt), naiveMatMul32(a, b), 1e-4*math.Sqrt(float64(k))) {
-			t.Fatalf("MatMulTransB32(%dx%d · (%dx%d)ᵀ) diverges from reference", m, k, n, k)
+		a, bt := randMat(rng, m, k), randMat(rng, n, k)
+		var got *Tensor
+		underF32(func() { got = MatMulTransB(a, bt) })
+		want := naiveMatMul(narrowed(a), Transpose(narrowed(bt)))
+		if !Equal(got, want, 1e-4*math.Sqrt(float64(k))) {
+			t.Fatalf("F32-policy MatMulTransB(%dx%d · (%dx%d)ᵀ) diverges from reference", m, k, n, k)
 		}
 	}
 }
 
-// TestMatMulBias32IntoEpilogue checks the fused-bias f32 epilogue.
+// TestMatMulBias32IntoEpilogue checks the f32 driver's fused-bias epilogue:
+// the bias is added in float64 as the first k-block's partials widen.
 func TestMatMulBias32IntoEpilogue(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m, k, n := 9, 33, 21
-	a, b := randMat32(rng, m, k), randMat32(rng, k, n)
-	bias := make([]float32, n)
+	a, b := randMat(rng, m, k), randMat(rng, k, n)
+	bias := make([]float64, n)
 	for i := range bias {
-		bias[i] = float32(rng.NormFloat64())
+		bias[i] = rng.NormFloat64()
 	}
-	want := naiveMatMul32(a, b)
+	want := naiveMatMul(narrowed(a), narrowed(b))
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			want.Data[i*n+j] += bias[j]
 		}
 	}
-	dst := New32(m, n)
-	MatMulBias32Into(dst, a, b, bias)
-	if !Equal32(dst, want, 1e-4*math.Sqrt(float64(k))) {
-		t.Fatal("MatMulBias32Into diverges from naive reference + bias")
+	dst := New(m, n)
+	underF32(func() { MatMulBiasInto(dst, a, b, bias) })
+	if !Equal(dst, want, 1e-4*math.Sqrt(float64(k))) {
+		t.Fatal("F32-policy MatMulBiasInto diverges from naive reference + bias")
 	}
 }
 
@@ -103,19 +122,16 @@ func TestMixedGEMMWidensPureF32(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, s := range [][3]int{{5, 7, 3}, {64, 64, 64}, {33, 256, 70}, {128, 100, 520}} {
 		m, k, n := s[0], s[1], s[2]
-		a, b := New(m, k), New(k, n)
-		a.RandNormal(rng, 0, 1)
-		b.RandNormal(rng, 0, 1)
+		a, b := randMat(rng, m, k), randMat(rng, k, n)
 
-		SetPrecision(F32)
-		mixed := MatMul(a, b)
-		SetPrecision(F64)
+		var mixed *Tensor
+		underF32(func() { mixed = MatMul(a, b) })
 
-		pure := MatMul32(NarrowTensor(a), NarrowTensor(b))
+		pure := pureGEMM32(a, b)
 		for i := range mixed.Data {
-			if mixed.Data[i] != float64(pure.Data[i]) {
+			if mixed.Data[i] != float64(pure[i]) {
 				t.Fatalf("(%d,%d,%d): mixed[%d] = %v, widened pure f32 = %v",
-					m, k, n, i, mixed.Data[i], float64(pure.Data[i]))
+					m, k, n, i, mixed.Data[i], float64(pure[i]))
 			}
 		}
 	}
@@ -188,74 +204,42 @@ func TestPrecisionParse(t *testing.T) {
 	}
 }
 
-// TestRelu32Kernels checks the f32 rectifier forward and gate against the
-// scalar definition, across the vector body and the sub-vector remainder,
-// including the NaN-gates-to-zero contract.
-func TestRelu32Kernels(t *testing.T) {
-	nan := float32(math.NaN())
-	for _, size := range []int{1, 7, 8, 9, 64, 100} {
-		x := New32(size)
-		g := New32(size)
-		rng := rand.New(rand.NewSource(int64(size)))
-		x.RandNormal(rng, 0, 1)
-		g.RandNormal(rng, 0, 1)
-		x.Data[0] = nan
-		if size > 8 {
-			x.Data[size-1] = nan
-		}
-
-		fwd := Relu32Into(New32(size), x)
-		gate := ReluGate32Into(New32(size), x, g)
-		for i, v := range x.Data {
-			wantF, wantG := float32(0), float32(0)
-			if v > 0 {
-				wantF, wantG = v, g.Data[i]
-			}
-			if fwd.Data[i] != wantF {
-				t.Fatalf("size %d: relu[%d] = %v, want %v (x=%v)", size, i, fwd.Data[i], wantF, v)
-			}
-			if gate.Data[i] != wantG {
-				t.Fatalf("size %d: gate[%d] = %v, want %v (x=%v)", size, i, gate.Data[i], wantG, v)
-			}
-		}
-	}
-}
-
-// TestAxpy32Kernel checks the f32 axpy against the scalar loop across
-// vector-body and remainder lengths.
+// TestAxpy32Kernel checks the f32 axpy behind transADirect32 against the
+// scalar loop across vector-body and remainder lengths.
 func TestAxpy32Kernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, size := range []int{1, 3, 4, 5, 16, 17, 100} {
-		a, b := New32(size), New32(size)
-		a.RandNormal(rng, 0, 1)
-		b.RandNormal(rng, 0, 1)
+		a, b := make([]float32, size), make([]float32, size)
+		for i := range a {
+			a[i], b[i] = float32(rng.NormFloat64()), float32(rng.NormFloat64())
+		}
 		want := make([]float32, size)
 		const alpha = float32(0.37)
 		for i := range want {
-			want[i] = a.Data[i] + alpha*b.Data[i]
+			want[i] = a[i] + alpha*b[i]
 		}
-		Axpy32InPlace(a, alpha, b)
+		axpyRow32(a, b, alpha)
 		for i := range want {
-			if math.Abs(float64(a.Data[i])-float64(want[i])) > 1e-6 {
-				t.Fatalf("size %d: axpy[%d] = %v, want %v", size, i, a.Data[i], want[i])
+			if math.Abs(float64(a[i])-float64(want[i])) > 1e-6 {
+				t.Fatalf("size %d: axpy[%d] = %v, want %v", size, i, a[i], want[i])
 			}
 		}
 	}
 }
 
 // TestPool32RoundTrip checks the f32 arena recycles storage like the f64
-// one: a Get after a Put of the same class reuses the buffer.
+// one: a get after a put of the same class reuses the buffer.
 func TestPool32RoundTrip(t *testing.T) {
-	a := GetTensor32(100)
-	data := &a.Data[0]
-	PutTensor32(a)
-	b := GetTensor32(120) // same power-of-two class (128)
-	defer PutTensor32(b)
-	if &b.Data[0] != data {
+	a := getF32(100)
+	data := &a[0]
+	putF32(a)
+	b := getF32(120) // same power-of-two class (128)
+	defer putF32(b)
+	if &b[0] != data {
 		t.Error("pooled f32 buffer was not reused within its size class")
 	}
-	if len(b.Data) != 120 {
-		t.Errorf("reused buffer has length %d, want 120", len(b.Data))
+	if len(b) != 120 {
+		t.Errorf("reused buffer has length %d, want 120", len(b))
 	}
 }
 
@@ -269,8 +253,10 @@ func TestConvertSemantics(t *testing.T) {
 		1e-300, -1e-300, // below f32 subnormals → ±0
 		1.5, -2.25, 0, // exactly representable
 	}
-	dst := Narrow(src)
-	back := Widen(dst)
+	dst := make([]float32, len(src))
+	NarrowSlice(dst, src)
+	back := make([]float64, len(src))
+	WidenSlice(back, dst)
 	if !math.IsNaN(back[0]) {
 		t.Error("NaN did not survive the narrow/widen round trip")
 	}
@@ -287,8 +273,5 @@ func TestConvertSemantics(t *testing.T) {
 		if back[i] != src[i] {
 			t.Errorf("exactly-representable value %v round-tripped to %v", src[i], back[i])
 		}
-	}
-	if got := Widen(Narrow([]float64{3.5})); got[0] != 3.5 {
-		t.Error("representable scalar drifted")
 	}
 }

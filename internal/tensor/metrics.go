@@ -113,9 +113,3 @@ func GEMMStats() (ops, flops uint64) {
 // HasFMAKernel reports whether the AVX2+FMA assembly micro-kernel is
 // active on this CPU (false on non-amd64 builds or older hardware).
 func HasFMAKernel() bool { return hasFMAKernel }
-
-// KernelFeatures lists the SIMD features the active micro-kernels use on
-// this host ("avx2"/"fma" on capable amd64, "neon" on arm64, empty on the
-// portable build) — recorded in the bench reports so BENCH_*.json says
-// which compute tier produced it.
-func KernelFeatures() []string { return kernelFeatures() }

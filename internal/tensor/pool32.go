@@ -2,66 +2,62 @@ package tensor
 
 import "sync"
 
-// The float32 scratch arena mirrors pool.go exactly — same size classes
-// (poolClass), same per-class retention bounds (classCap), same
-// mutex-guarded GC-immune LIFO rationale, same caller invariants
-// (DESIGN.md §9) — over float32 storage. A class's capacity is 2^class
-// ELEMENTS, so the f32 arena's resident bytes are half the f64 arena's at
-// the same fill. The shared pool counters (PoolStats, tensor_pool_*
-// metrics) account Gets/misses/Puts from both arenas.
+// The float32 scratch arena backs the f32 tier's kernel-local buffers (the
+// packed B panel, the narrowed A operand, transADirect32's staging). It
+// mirrors pool.go exactly — same size classes (poolClass), same per-class
+// retention bounds (classCap), same mutex-guarded GC-immune LIFO rationale,
+// same caller invariants (DESIGN.md §9) — over bare float32 slices. A
+// class's capacity is 2^class ELEMENTS, so the f32 arena's resident bytes
+// are half the f64 arena's at the same fill. The shared pool counters
+// (PoolStats, tensor_pool_* metrics) account Gets/misses/Puts from both
+// arenas.
 
 // classList32 is one size class's float32 freelist.
 type classList32 struct {
 	mu   sync.Mutex
-	free []*Tensor32
+	free [][]float32
 }
 
 var scratchPools32 [maxPoolClass + 1]classList32
 
-// GetTensor32 returns a float32 tensor of the given shape backed by pooled
-// storage. Contents are uninitialized. Pair every GetTensor32 with exactly
-// one PutTensor32 once the buffer is dead.
-func GetTensor32(shape ...int) *Tensor32 {
-	n := shapeVolume(shape)
+// getF32 returns a float32 slice of length n backed by pooled storage.
+// Contents are uninitialized. Pair every getF32 with exactly one putF32
+// once the buffer is dead.
+func getF32(n int) []float32 {
 	c := poolClass(n)
 	poolGets.inc()
 	if c < 0 {
 		poolMisses.inc()
-		return &Tensor32{Shape: append([]int(nil), shape...), Data: make([]float32, n)}
+		return make([]float32, n)
 	}
 	p := &scratchPools32[c]
 	p.mu.Lock()
-	var t *Tensor32
+	var s []float32
 	if last := len(p.free) - 1; last >= 0 {
-		t = p.free[last]
+		s = p.free[last]
 		p.free[last] = nil
 		p.free = p.free[:last]
 	}
 	p.mu.Unlock()
-	if t == nil {
+	if s == nil {
 		poolMisses.inc()
-		t = &Tensor32{Data: make([]float32, 1<<c)}
+		s = make([]float32, 1<<c)
 	}
-	t.Data = t.Data[:cap(t.Data)][:n]
-	t.Shape = append(t.Shape[:0], shape...)
-	return t
+	return s[:cap(s)][:n]
 }
 
-// PutTensor32 returns t's storage to the pool. t must have come from
-// GetTensor32 and must not be used afterwards.
-func PutTensor32(t *Tensor32) {
-	if t == nil {
-		return
-	}
-	c := poolClass(cap(t.Data))
-	if c < 0 || cap(t.Data) != 1<<c {
-		// Overflow allocation (or a foreign tensor): let the GC have it.
+// putF32 returns s's storage to the arena. s must have come from getF32
+// and must not be used afterwards.
+func putF32(s []float32) {
+	c := poolClass(cap(s))
+	if c < 0 || cap(s) != 1<<c {
+		// Overflow allocation (or a foreign slice): let the GC have it.
 		return
 	}
 	p := &scratchPools32[c]
 	p.mu.Lock()
 	if len(p.free) < classCap(c) {
-		p.free = append(p.free, t)
+		p.free = append(p.free, s)
 		p.mu.Unlock()
 		poolPuts.inc()
 		return
