@@ -79,17 +79,22 @@ byzantine:
 
 # byzsmoke is the fast race-enabled subset that rides in `make check`: the
 # TCP quarantine + restart-no-amnesty path (cheap deterministic clients)
-# plus the reputation state machine and injector arithmetic.
+# plus the reputation state machine and injector arithmetic. It also runs
+# one iteration of the robust rules' benchmark at the model's size, so the
+# benchmark cannot rot.
 byzsmoke:
 	$(GO) test -race -count=1 -run 'TCPByzantine|RetryJitter' ./internal/fl/transport
 	$(GO) test -race -count=1 ./internal/fl/robust ./internal/fl/faults
+	$(GO) test -count=1 -run '^$$' -bench '^BenchmarkRobustAggregate$$' -benchtime 1x ./internal/fl/robust
 
 # Short fuzz bursts over the two decoders that parse untrusted bytes: the
 # coordinator's byte-budgeted update decode (the path hostile clients
 # reach over the wire) and the checkpoint container decode (the path a
 # resuming process walks over whatever a crash left on disk), plus the
 # robust aggregators (which must never panic or emit non-finite
-# aggregates, whatever a hostile cohort sends) and the radix top-k
+# aggregates, whatever a hostile cohort sends, and whose Median and
+# TrimmedMean must equal their sort-based definitions bit for bit, Report
+# included) and the radix top-k
 # selection against its sort-based definition. Each -fuzz pattern is
 # anchored: go test refuses a pattern that matches two targets, and
 # FuzzDecodePartial is a prefix of FuzzDecodePartialStream. Raise FUZZTIME

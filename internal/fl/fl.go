@@ -200,21 +200,24 @@ func (s *Server) RunRound(round int) error {
 // endRound is the tail both round paths share once the round's updates are
 // known. Observers see the live pre-round global; the updates fold into the
 // next global — through the policy's robust rule, else through the pooled
-// mean fold, whose output swaps with the global so a steady-state round
-// allocates nothing; reputation scores the result; telemetry records the
-// round. Every reader of the updates' Params runs before it returns.
+// mean fold, whose output swaps with the global; reputation scores the
+// result, and only then does a robust round hand the global it superseded
+// to robust.Recycle, so a steady-state round allocates nothing either way;
+// telemetry records the round. Every reader of the updates' Params runs
+// before it returns.
 func (s *Server) endRound(round int, start time.Time, updates []Update, failures []ClientFailure,
 	workers int, busy time.Duration) error {
 	for _, o := range s.Observers {
 		o.ObserveRound(round, s.global, updates)
 	}
 	report := robust.Report{Contributors: len(updates)}
+	var superseded []float64
 	if p := s.Policy; p != nil && p.Robust != nil {
 		agg, rep, err := AggregateRobust(p.Robust, s.global, updates, p.quorum())
 		if err != nil {
 			return fmt.Errorf("fl: round %d: %w", round, err)
 		}
-		s.global, report = agg, rep
+		superseded, s.global, report = s.global, agg, rep
 	} else {
 		if s.fold == nil || cap(s.spare) < len(s.global) {
 			s.fold = NewFold(len(s.global))
@@ -236,6 +239,10 @@ func (s *Server) endRound(round int, start time.Time, updates []Update, failures
 	if p := s.Policy; p != nil {
 		p.scoreRound(s.global, updates, failures)
 		s.Metrics.RecordReputation(p.Reputation)
+	}
+	if superseded != nil {
+		recycleHook(superseded)
+		robust.Recycle(superseded)
 	}
 	s.Metrics.RecordRound(start, len(updates), len(failures), len(s.global))
 	s.Metrics.RecordRobust(report)

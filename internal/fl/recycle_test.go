@@ -54,10 +54,12 @@ func (o *paramsAddr) ObserveRound(_ int, _ []float64, updates []fl.Update) {
 }
 
 // TestInProcessRoundSteadyStateAllocation: two CIP clients on the
-// benchmark's VGG shape (3x32x32 inputs, 100 classes, 719,364 parameters).
-// After three warm rounds the server's side of a round — everything but the
-// clients' TrainLocal — allocates next to nothing per update, and every
-// client fills the same vector round after round.
+// benchmark's VGG shape (3x32x32 inputs, 100 classes, 719,364 parameters),
+// aggregated by the mean fold, Median and TrimmedMean. After three warm
+// rounds the server's side of a round — everything but the clients'
+// TrainLocal — allocates next to nothing per update, and every client
+// fills the same vector round after round. A robust round builds its
+// output in the global it supersedes, handed back through robust.Recycle.
 func TestInProcessRoundSteadyStateAllocation(t *testing.T) {
 	const (
 		nClient = 2
@@ -72,44 +74,55 @@ func TestInProcessRoundSteadyStateAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	shards := datasets.PartitionIID(train, nClient, rand.New(rand.NewSource(2)))
-	var trainAlloc uint64
-	clients := make([]fl.Client, nClient)
-	var initial []float64
-	for i := range clients {
-		dual := core.NewDualChannelModel(rand.New(rand.NewSource(3)), model.VGG, train.In, train.NumClasses)
-		if initial == nil {
-			initial = nn.FlattenParams(dual.Params())
+	for _, rule := range []robust.Aggregator{nil, robust.Median{}, robust.TrimmedMean{Frac: 0.25}} {
+		name := "mean-fold"
+		if rule != nil {
+			name = rule.Name()
 		}
-		c := core.NewClient(i, dual, shards[i], core.TrainConfig{Alpha: 0.9, LambdaM: 0.3, BatchSize: 32},
-			core.BlendSeed(1, i), rand.New(rand.NewSource(int64(20+i))))
-		clients[i] = meteredClient{Client: c, allocated: &trainAlloc}
-	}
-	addrs := &paramsAddr{rounds: make([][]*float64, 0, rounds)}
-	srv := fl.NewServer(initial, clients...)
-	srv.Workers = 1 // serial training, so the per-client meter sees only its own client
-	srv.Observers = []fl.RoundObserver{addrs, &fl.HistoryRecorder{}}
-	if err := srv.Run(warm); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	trainAlloc = 0
-	if err := srv.Run(rounds); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-
-	updates := uint64((rounds - warm) * nClient)
-	if b := (after.TotalAlloc - before.TotalAlloc - trainAlloc) / updates; b > 64<<10 {
-		t.Errorf("the server's round path allocates %d B per update, want ≤ 64 KiB (the update itself is %d B)",
-			b, 8*len(initial))
-	}
-	for r := warm; r < rounds; r++ {
-		for i, a := range addrs.rounds[r] {
-			if a != addrs.rounds[warm-1][i] {
-				t.Fatalf("round %d: client %d's update was not built in its recycled vector", r, i)
+		t.Run(name, func(t *testing.T) {
+			var trainAlloc uint64
+			clients := make([]fl.Client, nClient)
+			var initial []float64
+			for i := range clients {
+				dual := core.NewDualChannelModel(rand.New(rand.NewSource(3)), model.VGG, train.In, train.NumClasses)
+				if initial == nil {
+					initial = nn.FlattenParams(dual.Params())
+				}
+				c := core.NewClient(i, dual, shards[i], core.TrainConfig{Alpha: 0.9, LambdaM: 0.3, BatchSize: 32},
+					core.BlendSeed(1, i), rand.New(rand.NewSource(int64(20+i))))
+				clients[i] = meteredClient{Client: c, allocated: &trainAlloc}
 			}
-		}
+			addrs := &paramsAddr{rounds: make([][]*float64, 0, rounds)}
+			srv := fl.NewServer(initial, clients...)
+			srv.Workers = 1 // serial training, so the per-client meter sees only its own client
+			srv.Observers = []fl.RoundObserver{addrs, &fl.HistoryRecorder{}}
+			if rule != nil {
+				srv.Policy = &fl.RoundPolicy{Robust: rule}
+			}
+			if err := srv.Run(warm); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			trainAlloc = 0
+			if err := srv.Run(rounds); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+
+			updates := uint64((rounds - warm) * nClient)
+			if b := (after.TotalAlloc - before.TotalAlloc - trainAlloc) / updates; b > 64<<10 {
+				t.Errorf("the server's round path allocates %d B per update, want ≤ 64 KiB (the update itself is %d B)",
+					b, 8*len(initial))
+			}
+			for r := warm; r < rounds; r++ {
+				for i, a := range addrs.rounds[r] {
+					if a != addrs.rounds[warm-1][i] {
+						t.Fatalf("round %d: client %d's update was not built in its recycled vector", r, i)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -7,15 +7,22 @@ import (
 
 // FuzzRobustAggregate drives every robust rule with adversarial update
 // matrices — random shapes, NaN/Inf poisoning, extreme scalings — and
-// requires that no rule ever panics or emits a non-finite aggregate. The
-// fuzzer decodes its raw bytes into a params matrix: the first bytes pick
-// the shape, the rest fill coordinates through a small value codec that
-// deliberately over-samples NaN, ±Inf, and huge magnitudes.
+// requires that no rule ever panics or emits a non-finite aggregate, and
+// that Median and TrimmedMean equal their sort-based definitions bit for
+// bit, Report included. The fuzzer decodes its raw bytes into a params
+// matrix: the first bytes pick the shape (1–16 rows, both sides of
+// sort.Float64s' insertion-sort cutoff), the rest fill coordinates
+// through a small value codec that deliberately over-samples NaN, ±Inf,
+// huge magnitudes, and ties of signed zeros and small values. Every
+// output is recycled, so the next rule builds its output over stale
+// values.
 func FuzzRobustAggregate(f *testing.F) {
 	f.Add([]byte{3, 4, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{1, 1, 255})
 	f.Add([]byte{8, 2, 250, 251, 252, 253, 254, 255, 0, 0, 9, 9, 9, 9, 9, 9, 1, 1})
 	f.Add([]byte{12, 3, 128, 64, 32, 16, 8, 4, 2, 1, 250, 250, 250, 250})
+	f.Add([]byte{4, 1, 246, 247, 246, 247, 248})
+	f.Add([]byte{14, 2, 246, 247, 247, 246, 249, 246, 250, 247})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -28,6 +35,8 @@ func FuzzRobustAggregate(f *testing.F) {
 			case b >= 250:
 				return [6]float64{math.NaN(), math.Inf(1), math.Inf(-1),
 					math.MaxFloat64, -math.MaxFloat64, 1e308}[b-250]
+			case b >= 246:
+				return [4]float64{math.Copysign(0, -1), 0, 1, -1}[b-246]
 			case b >= 200:
 				return math.Pow(10, float64(b-225)) // 1e-25 .. 1e24
 			default:
@@ -78,6 +87,8 @@ func FuzzRobustAggregate(f *testing.F) {
 			if rep.Trimmed < 0 || rep.Clipped < 0 {
 				t.Fatalf("%s: negative report %+v", agg.Name(), rep)
 			}
+			Recycle(out)
+			checkAgainstDefinition(t, agg, center, params)
 		}
 		// The deviation signal downstream of aggregation must stay
 		// well-defined too: NaN distances would corrupt reputation EWMAs.

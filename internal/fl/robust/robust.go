@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -56,13 +57,15 @@ type Report struct {
 }
 
 // Aggregator is one robust aggregation rule. Aggregate combines the row
-// vectors of params (all rows must share one length) into a fresh output
-// vector. center is the pre-round global parameter vector; rules that
-// reason about update deltas (the norm-clipped mean) measure against it,
-// and every rule falls back to it on coordinates where no finite
-// contribution survives. weights carries the clients' claimed sample
-// counts; robust rules ignore it (see the package comment) but receive it
-// so the plain Mean can stay weight-compatible.
+// vectors of params (all rows must share one length) into an output vector,
+// aliasing neither center nor a row, that belongs to the caller: it may
+// hand it back with Recycle once nothing reads it. center is the pre-round
+// global parameter vector; rules that reason about update deltas (the
+// norm-clipped mean) measure against it, and every rule falls back to it
+// on coordinates where no finite contribution survives. weights carries
+// the clients' claimed sample counts; robust rules ignore it (see the
+// package comment) but receive it so the plain Mean can stay
+// weight-compatible.
 type Aggregator interface {
 	Name() string
 	Aggregate(center []float64, params [][]float64, weights []float64) ([]float64, Report, error)
@@ -139,6 +142,42 @@ func putScratch(p *[]float64) {
 	scratchPool.Put(p)
 }
 
+// outputs is the free list every rule's output is drawn from. Like
+// tensor's idle workspaces it keeps at most GOMAXPROCS vectors; the oldest
+// makes room, so vectors of a stale length cannot pin it.
+var outputs struct {
+	mu   sync.Mutex
+	list [][]float64
+}
+
+// newOutput returns an idle vector of exactly length n, else a fresh one.
+// Its contents are arbitrary: every rule writes every coordinate.
+func newOutput(n int) []float64 {
+	outputs.mu.Lock()
+	defer outputs.mu.Unlock()
+	if i := slices.IndexFunc(outputs.list, func(v []float64) bool { return len(v) == n }); i >= 0 {
+		v := outputs.list[i]
+		outputs.list = slices.Delete(outputs.list, i, i+1)
+		return v
+	}
+	return make([]float64, n)
+}
+
+// Recycle hands back an output of Aggregate or Finalize once nothing reads
+// it, for a later output to be built in; the caller must not touch v
+// afterwards. A vector already idle is not added twice.
+func Recycle(v []float64) {
+	outputs.mu.Lock()
+	defer outputs.mu.Unlock()
+	if len(v) == 0 || slices.ContainsFunc(outputs.list, func(w []float64) bool { return &w[0] == &v[0] }) {
+		return
+	}
+	for len(outputs.list) >= runtime.GOMAXPROCS(0) {
+		outputs.list = slices.Delete(outputs.list, 0, 1)
+	}
+	outputs.list = append(outputs.list, v)
+}
+
 // parallelCoords splits [0, dim) into contiguous blocks and runs fn on
 // them across workers. Coordinates are independent under every rule here,
 // so any worker count produces bit-identical output.
@@ -192,9 +231,10 @@ func (m Mean) Aggregate(center []float64, params [][]float64, _ []float64) ([]fl
 	if err != nil {
 		return nil, Report{}, err
 	}
-	out := make([]float64, dim)
+	out := newOutput(dim)
 	var maxSkipped atomicMax
 	parallelCoords(dim, m.Workers, func(lo, hi int) {
+		worst := 0
 		for i := lo; i < hi; i++ {
 			// Sum-then-divide in row order: the exact operation sequence
 			// MeanStream performs, so the batch and streaming paths are
@@ -209,13 +249,14 @@ func (m Mean) Aggregate(center []float64, params [][]float64, _ []float64) ([]fl
 				sum += v
 				n++
 			}
+			worst = max(worst, len(params)-n)
 			if n == 0 {
 				out[i] = centerAt(center, i)
 				continue
 			}
 			out[i] = finiteOr(sum/float64(n), centerAt(center, i))
 		}
-		skippedInBlock(params, lo, hi, &maxSkipped)
+		maxSkipped.max(worst)
 	})
 	return out, Report{Trimmed: maxSkipped.get(), Contributors: len(params)}, nil
 }
@@ -243,18 +284,20 @@ func (m Median) Aggregate(center []float64, params [][]float64, _ []float64) ([]
 	if err != nil {
 		return nil, Report{}, err
 	}
-	out := make([]float64, dim)
+	out := newOutput(dim)
 	var maxSkipped atomicMax
 	parallelCoords(dim, m.Workers, func(lo, hi int) {
 		sp := getScratch(len(params))
 		scratch := *sp
+		worst := 0
 		for i := lo; i < hi; i++ {
-			scratch = gatherFinite(scratch[:0], params, i)
+			var skipped int
+			scratch, skipped = sortedColumn(scratch, params, i)
+			worst = max(worst, skipped)
 			if len(scratch) == 0 {
 				out[i] = centerAt(center, i)
 				continue
 			}
-			sort.Float64s(scratch)
 			mid := len(scratch) / 2
 			if len(scratch)%2 == 1 {
 				out[i] = scratch[mid]
@@ -266,7 +309,7 @@ func (m Median) Aggregate(center []float64, params [][]float64, _ []float64) ([]
 		}
 		*sp = scratch
 		putScratch(sp)
-		skippedInBlock(params, lo, hi, &maxSkipped)
+		maxSkipped.max(worst)
 	})
 	return out, Report{Trimmed: maxSkipped.get(), Contributors: len(params)}, nil
 }
@@ -315,18 +358,20 @@ func (t TrimmedMean) Aggregate(center []float64, params [][]float64, _ []float64
 		return nil, Report{}, err
 	}
 	k := t.trim(len(params))
-	out := make([]float64, dim)
+	out := newOutput(dim)
 	var maxSkipped atomicMax
 	parallelCoords(dim, t.Workers, func(lo, hi int) {
 		sp := getScratch(len(params))
 		scratch := *sp
+		worst := 0
 		for i := lo; i < hi; i++ {
-			scratch = gatherFinite(scratch[:0], params, i)
+			var skipped int
+			scratch, skipped = sortedColumn(scratch, params, i)
+			worst = max(worst, skipped)
 			if len(scratch) == 0 {
 				out[i] = centerAt(center, i)
 				continue
 			}
-			sort.Float64s(scratch)
 			kk := k
 			if 2*kk >= len(scratch) {
 				kk = (len(scratch) - 1) / 2
@@ -340,7 +385,7 @@ func (t TrimmedMean) Aggregate(center []float64, params [][]float64, _ []float64
 		}
 		*sp = scratch
 		putScratch(sp)
-		skippedInBlock(params, lo, hi, &maxSkipped)
+		maxSkipped.max(worst)
 	})
 	rep := Report{Trimmed: 2*k + maxSkipped.get(), Contributors: t.Contributors(len(params))}
 	return out, rep, nil
@@ -405,7 +450,7 @@ func (c ClippedMean) Aggregate(center []float64, params [][]float64, _ []float64
 			nFinite++
 		}
 	}
-	out := make([]float64, dim)
+	out := newOutput(dim)
 	parallelCoords(dim, c.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if nFinite == 0 {
@@ -434,35 +479,18 @@ func (c ClippedMean) Aggregate(center []float64, params [][]float64, _ []float64
 	return out, rep, nil
 }
 
-// gatherFinite appends the finite values of column i to dst.
-func gatherFinite(dst []float64, params [][]float64, i int) []float64 {
+// sortedColumn fills dst with the finite values of column i in ascending
+// order and returns them with the number of non-finite values skipped: the
+// count falls out of the gather, so no second sweep over the rows is made.
+func sortedColumn(dst []float64, params [][]float64, i int) ([]float64, int) {
+	dst = dst[:0]
 	for _, row := range params {
-		v := row[i]
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		dst = append(dst, v)
-	}
-	return dst
-}
-
-// skippedInBlock records into m the worst per-coordinate count of
-// non-finite (skipped) contributions over [lo, hi).
-func skippedInBlock(params [][]float64, lo, hi int, m *atomicMax) {
-	worst := 0
-	for i := lo; i < hi; i++ {
-		n := 0
-		for _, row := range params {
-			v := row[i]
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				n++
-			}
-		}
-		if n > worst {
-			worst = n
+		if v := row[i]; !math.IsNaN(v) && !math.IsInf(v, 0) {
+			dst = append(dst, v)
 		}
 	}
-	m.max(worst)
+	sort.Float64s(dst)
+	return dst, len(params) - len(dst)
 }
 
 // atomicMax is a mutex-guarded running maximum (blocks race on it).

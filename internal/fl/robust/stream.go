@@ -23,6 +23,7 @@ import (
 // Stream is one in-progress streaming aggregation: Reset with the round's
 // center, Fold each row in the caller's fixed order, then Finalize. The
 // center slice is retained until Finalize and must not be mutated.
+// Finalize's output belongs to the caller, as Aggregate's does.
 type Stream interface {
 	Reset(center []float64)
 	Fold(row []float64) error
@@ -95,7 +96,7 @@ func (s *meanStream) Finalize() ([]float64, Report, error) {
 	if s.rows == 0 {
 		return nil, Report{}, ErrNoUpdates
 	}
-	out := make([]float64, len(s.acc))
+	out := newOutput(len(s.acc))
 	maxSkipped := 0
 	for i, sum := range s.acc {
 		n := int(s.cnt[i])
@@ -174,7 +175,7 @@ func (s *clippedStream) Finalize() ([]float64, Report, error) {
 	if s.rows == 0 {
 		return nil, Report{}, ErrNoUpdates
 	}
-	out := make([]float64, len(s.acc))
+	out := newOutput(len(s.acc))
 	for i, sum := range s.acc {
 		if s.nFinite == 0 {
 			out[i] = centerAt(s.center, i)

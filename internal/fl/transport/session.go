@@ -715,8 +715,10 @@ func (s *session) runRound(round int) error {
 				// never a slice anyone else was handed — accumulates next.
 				poison(s.global)
 				s.fold.Recycle(s.global)
+				s.global = agg
+			} else {
+				s.replaceGlobal(agg)
 			}
-			s.global = agg
 			report = rep
 		}
 	} else if c.AcceptPartials {
@@ -728,7 +730,7 @@ func (s *session) runRound(round int) error {
 		if err != nil {
 			return fmt.Errorf("transport: round %d: %w", round, err)
 		}
-		s.global = agg
+		s.replaceGlobal(agg)
 		report = rep
 	} else {
 		for _, o := range c.Observers {
@@ -764,7 +766,11 @@ func (s *session) runRound(round int) error {
 				return fmt.Errorf("transport: round %d: %w", round, err)
 			}
 			s.scoreReputation(agg, valid, failures)
-			s.global = agg
+			if c.Robust != nil {
+				s.replaceGlobal(agg)
+			} else {
+				s.global = agg // the weighted mean's fresh output: nothing draws it back
+			}
 			report = rep
 		}
 	}
@@ -774,6 +780,14 @@ func (s *session) runRound(round int) error {
 	c.RoundMetrics.RecordRobust(report)
 	c.RoundMetrics.RecordReputation(c.Reputation)
 	return nil
+}
+
+// replaceGlobal installs a robust rule's output as the global and hands
+// the superseded one, which nothing reads any more, to robust.Recycle.
+func (s *session) replaceGlobal(agg []float64) {
+	poison(s.global)
+	robust.Recycle(s.global)
+	s.global = agg
 }
 
 // scoreReputation feeds one buffered round's evidence to the reputation

@@ -87,8 +87,13 @@ func TestWorkspaceLegacyRoundBitIdentical(t *testing.T) {
 // leaves what a 2-client one does — at most two idle workspaces of the
 // same size — and, once the federation itself is dropped, the same heap.
 func TestWorkspaceRetentionIndependentOfRoster(t *testing.T) {
-	// Start from an empty free list, whatever ran before; hand the
-	// workspaces back afterwards.
+	// Start from an empty free list, whatever ran before — seeded with one
+	// large workspace, so the set-aside level is never zero — and hand the
+	// workspaces back afterwards. The ones set aside still count in
+	// WorkspaceStats' bytes, so that level is subtracted.
+	seed := tensor.AcquireWorkspace()
+	seed.New(1 << 20)
+	seed.Release()
 	var held []*tensor.Workspace
 	for idle, _ := tensor.WorkspaceStats(); idle > 0; idle, _ = tensor.WorkspaceStats() {
 		held = append(held, tensor.AcquireWorkspace())
@@ -98,6 +103,7 @@ func TestWorkspaceRetentionIndependentOfRoster(t *testing.T) {
 			w.Release()
 		}
 	}()
+	_, heldBytes := tensor.WorkspaceStats()
 
 	train := func(k int) (idle int, wsBytes int64, heap uint64) {
 		data := wsTestData(t, model.VGG, 16*k)
@@ -123,7 +129,7 @@ func TestWorkspaceRetentionIndependentOfRoster(t *testing.T) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		idle, wsBytes = tensor.WorkspaceStats()
-		return idle, wsBytes, ms.HeapAlloc
+		return idle, wsBytes - heldBytes, ms.HeapAlloc
 	}
 	idle2, bytes2, heap2 := train(2)
 	idle64, bytes64, heap64 := train(64)
