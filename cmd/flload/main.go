@@ -9,7 +9,9 @@
 //	tree — the same roster sharded across -leaves leaf aggregators
 //	       forwarding weighted partials to a root
 //	gate — a streaming-vs-buffered pair at -gate-clients, measuring the
-//	       peak-heap reduction the streaming fold buys
+//	       peak-heap reduction the streaming fold buys; the buffered run
+//	       attaches a round observer, so every round keeps its update
+//	       column
 //
 // Usage:
 //
@@ -31,8 +33,8 @@ import (
 
 // minGateHeapReduction is the coordinator-memory regression line the gate
 // phase holds: the buffered baseline's peak heap must be at least this
-// many times the streaming fold's, or the O(roster × params)
-// materialization has crept back into the streaming path.
+// many times the streaming fold's, or the O(roster × params) column has
+// crept into rounds that keep none.
 const minGateHeapReduction = 5
 
 type loadReport struct {

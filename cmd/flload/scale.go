@@ -10,10 +10,11 @@ package main
 // Memory accounting caveat: clients live in the same process as the
 // coordinator, so absolute numbers include client-side state (goroutine
 // stacks, per-conn read buffers and wire buffers). The comparison that
-// matters is relative: the same client fleet under BufferRounds versus
-// the streaming fold isolates the coordinator's update buffering, which
-// is the only O(roster × params) term. PeakRSSBytes (VmHWM) is
-// process-monotonic — run the streaming phase before the buffered one.
+// matters is relative: the same client fleet with and without a round
+// observer — which makes the coordinator keep every round's update column
+// — isolates the coordinator's update buffering, which is the only
+// O(roster × params) term. PeakRSSBytes (VmHWM) is process-monotonic —
+// run the streaming phase before the buffered one.
 
 import (
 	"bytes"
@@ -100,8 +101,10 @@ type ScaleConfig struct {
 	Dim int
 	// Rounds is the federation length.
 	Rounds int
-	// Buffered forces the legacy materialize-then-aggregate round path —
-	// the baseline the streaming fold is measured against.
+	// Buffered attaches a counting round observer, so the coordinator
+	// keeps every round's update column — the baseline the streaming fold
+	// is measured against. The run fails unless the observer saw every
+	// cohort update in every round.
 	Buffered bool
 	// Window is the streaming fold's admission window
 	// (Coordinator.MaxInflightUpdates); 0 keeps the default.
@@ -332,6 +335,21 @@ func launchClients(dial func(string) (net.Conn, error), id0, n int, errs *firstE
 	return wg.Wait
 }
 
+// columnCounter is the buffered baseline's round observer: attaching it
+// makes the coordinator keep each round's update column, and it records
+// whether the whole cohort reached it every round.
+type columnCounter struct {
+	want, rounds int
+	err          error
+}
+
+func (o *columnCounter) ObserveRound(round int, _ []float64, updates []fl.Update) {
+	o.rounds++
+	if len(updates) != o.want && o.err == nil {
+		o.err = fmt.Errorf("scale: round %d observer saw %d updates, want %d", round, len(updates), o.want)
+	}
+}
+
 func runScaleFlat(cfg ScaleConfig, clock *roundClock) error {
 	ln := newMemListener(cfg.Clients)
 	defer ln.Close() //nolint:errcheck
@@ -339,10 +357,13 @@ func runScaleFlat(cfg ScaleConfig, clock *roundClock) error {
 		NumClients:         cfg.Clients,
 		Rounds:             cfg.Rounds,
 		Initial:            make([]float64, cfg.Dim),
-		BufferRounds:       cfg.Buffered,
 		MaxInflightUpdates: cfg.Window,
 		ReadBufSize:        cfg.ReadBuf,
 		AfterRound:         clock.afterRound,
+	}
+	counter := &columnCounter{want: cfg.Clients}
+	if cfg.Buffered {
+		coord.Observers = []fl.RoundObserver{counter}
 	}
 	var (
 		coordErr error
@@ -362,6 +383,14 @@ func runScaleFlat(cfg ScaleConfig, clock *roundClock) error {
 	}
 	if errs.err != nil {
 		return fmt.Errorf("scale: client: %w", errs.err)
+	}
+	if cfg.Buffered {
+		if counter.err != nil {
+			return counter.err
+		}
+		if counter.rounds != cfg.Rounds {
+			return fmt.Errorf("scale: observer saw %d rounds, want %d", counter.rounds, cfg.Rounds)
+		}
 	}
 	return nil
 }

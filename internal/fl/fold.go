@@ -145,8 +145,8 @@ type Accumulator interface {
 // NewAccumulator returns a streaming accumulator for the given robust rule
 // (nil selects the sample-weighted FedAvg mean) and reports whether the
 // rule supports streaming at all. Median and the trimmed mean need the
-// full per-coordinate column and return ok=false: callers fall back to the
-// buffered path for them.
+// full per-coordinate column and return ok=false: a caller keeps the
+// round's updates and runs the batch rule over them at the round's end.
 func NewAccumulator(rule robust.Aggregator) (Accumulator, bool) {
 	if rule == nil {
 		return new(Fold), true

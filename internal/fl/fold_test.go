@@ -175,7 +175,7 @@ func TestFoldSteadyStateZeroAllocs(t *testing.T) {
 
 // TestStreamAccumulatorAdapter: NewAccumulator wraps streaming robust
 // rules and refuses partials (which only compose under the weighted
-// mean), while non-streaming rules stay on the buffered path.
+// mean), and reports that non-streaming rules have no accumulator.
 func TestStreamAccumulatorAdapter(t *testing.T) {
 	if _, ok := NewAccumulator(robust.Median{}); ok {
 		t.Fatal("median must not stream")

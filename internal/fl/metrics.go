@@ -60,9 +60,10 @@ type Metrics struct {
 	CompressionRatio *telemetry.Gauge // fl_compression_ratio
 	// RoundPeakUpdateBytes is the peak number of decoded-update bytes held
 	// in aggregator memory at any instant of the most recent round: ~W ×
-	// 8·params under the streaming fold (W = the in-flight window) versus
-	// roster × 8·params under the buffered path — the memory win the
-	// streaming refactor exists for, made observable.
+	// 8·params when every update folds and is released (W = the in-flight
+	// window) versus cohort × 8·params when the round keeps its update
+	// column for observers, reputation or a sort-based rule — the memory
+	// win the streaming fold exists for, made observable.
 	RoundPeakUpdateBytes *telemetry.Gauge // fl_round_peak_update_bytes
 	// TreeShardsLost counts aggregation-tree subtrees (partial-forwarding
 	// children) whose round contribution was lost after the accept window

@@ -13,7 +13,7 @@ import (
 // BIT-IDENTICALLY (same per-coordinate add sequence, same single divide).
 // Median and TrimmedMean are order statistics — they need the full
 // per-coordinate column — so they deliberately do not implement StreamRule
-// and the transport layer buffers (with a cap) when they are configured.
+// and a coordinator configured with one keeps the round's update column.
 //
 // Streams fold serially: one row at a time on the caller's goroutine. The
 // per-row work is a handful of flops per coordinate, dwarfed by the wire

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/cip-fl/cip/internal/fl"
 	"github.com/cip-fl/cip/internal/fl/wire"
 )
 
@@ -93,23 +92,20 @@ func (l *Leaf) ListenAndRun(addr string, ready func(boundAddr string)) ([]float6
 // aggregators on an interior node), joins the parent, and relays rounds
 // until the root signals completion: each round frame from the parent is
 // re-broadcast downward, the tier's contributions are folded into a
-// weighted partial (streaming when the local configuration allows it),
-// and the partial is sent up. It returns the last globals the root
-// broadcast. A lost parent connection is redialed with backoff — the
-// attempt budget refreshing on progress, as in RunClientRetry — and when
-// one parent's budget runs dry the node fails over to the next AltParents
-// address. A lost local quorum degrades gracefully as long as one valid
-// contribution remains (see Leaf).
+// weighted partial as they arrive, and the partial is sent up. It returns
+// the last globals the root broadcast. A lost parent connection is
+// redialed with backoff — the attempt budget refreshing on progress, as
+// in RunClientRetry — and when one parent's budget runs dry the node
+// fails over to the next AltParents address. A lost local quorum degrades
+// gracefully as long as one valid contribution remains (see Leaf).
 func (l *Leaf) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([]float64, error) {
 	c := &l.Local
-	if err := errors.Join(checkCodec(c.Codec), checkCodec(l.Retry.Codec)); err != nil {
+	if err := errors.Join(checkCodec(c.Codec), checkCodec(l.Retry.Codec), c.checkTreeParent()); err != nil {
 		return nil, err
 	}
 	switch {
 	case c.Robust != nil:
 		return nil, errors.New("transport: non-root tree nodes cannot use a robust rule: robust evaluation runs at the root over merged row sketches")
-	case c.AcceptPartials && (c.BufferRounds || len(c.Observers) > 0 || c.Reputation != nil):
-		return nil, errors.New("transport: an interior aggregator supports no observers, reputation, or forced buffering")
 	case c.Checkpoint != nil || c.Restore != nil:
 		return nil, errors.New("transport: tree nodes are stateless; checkpoint the root instead")
 	}
@@ -122,12 +118,7 @@ func (l *Leaf) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([
 		leafID:       l.ID,
 		lastCoverage: 1,
 	}
-	if acc, ok := c.streamingAccumulator(); ok {
-		s.acc = acc
-		s.fold = acc.(*fl.Fold) // Robust is nil, so the accumulator is the mean fold
-	} else {
-		s.fold = fl.NewFold(len(c.Initial))
-	}
+	s.initAggregation() // Robust is nil, so the accumulator is the mean fold
 
 	if ready != nil {
 		ready(ln.Addr().String())

@@ -61,7 +61,24 @@ func runClients(t *testing.T, addr string, clients []fl.Client, compressFor func
 // at the benchmark's model size allocates, after three warm rounds, next
 // to nothing per update — and over its whole life only what two clients'
 // worth of owned buffers explain, not a default window's worth of slots.
+// That holds for the mean fold and for every configuration that keeps the
+// round's update column (a sort-based rule, an observer, a reputation
+// tracker): the kept slots go back once the round's last reader is done.
 func TestFlatRoundSteadyStateAllocation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Coordinator)
+	}{
+		{"mean", func(*Coordinator) {}},
+		{"median", func(c *Coordinator) { c.Robust = robust.Median{} }},
+		{"history", func(c *Coordinator) { c.Observers = []fl.RoundObserver{&fl.HistoryRecorder{}} }},
+		{"reputation", func(c *Coordinator) { c.Reputation = robust.NewReputation(robust.ReputationConfig{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { flatRoundAllocation(t, tc.mut) })
+	}
+}
+
+func flatRoundAllocation(t *testing.T, mut func(*Coordinator)) {
 	const (
 		dim     = 719364
 		nClient = 2
@@ -89,6 +106,8 @@ func TestFlatRoundSteadyStateAllocation(t *testing.T) {
 			return nil
 		},
 	}
+	mut(coord)
+	runtime.GC()
 	runtime.ReadMemStats(&start)
 	addr, wait := startCoordinator(t, coord)
 	waitClients := runClients(t, addr, clients, nil)
@@ -230,10 +249,13 @@ func flatScenario(n int, compressFor func(i int) string, mut func(*Coordinator))
 
 // treeShape varies treeScenario: perLeaf clients under each of the two
 // leaves, the root's TreeSketchCap (0: the default), an interior node
-// between the root and the leaves, and a hostile extra child of the root.
+// between the root and the leaves, a hostile extra child of the root, and
+// an observer that, with a reputation tracker, makes leaf 0 keep its
+// round's update column.
 type treeShape struct {
 	perLeaf, sketchCap int
 	interior, hostile  bool
+	leafKeeps          fl.RoundObserver
 }
 
 // treeScenario is a tree of binary clients, every second one of a shard
@@ -285,10 +307,12 @@ func treeScenario(rule robust.Aggregator, shape treeShape) func(t *testing.T) []
 		}
 		var clientWaits []func()
 		for l := 0; l < leaves; l++ {
-			addr, wait := startNode(t, &Leaf{
-				ID: l, Root: parent,
-				Local: Coordinator{NumClients: shape.perLeaf, Initial: initial},
-			})
+			local := Coordinator{NumClients: shape.perLeaf, Initial: initial}
+			if l == 0 && shape.leafKeeps != nil {
+				local.Observers = []fl.RoundObserver{shape.leafKeeps}
+				local.Reputation = robust.NewReputation(robust.ReputationConfig{})
+			}
+			addr, wait := startNode(t, &Leaf{ID: l, Root: parent, Local: local})
 			nodeWaits = append(nodeWaits, wait)
 			shard := make([]fl.Client, shape.perLeaf)
 			for i := range shard {
@@ -358,13 +382,18 @@ func TestPoisonedBuffersChangeNothing(t *testing.T) {
 	scenarios := []poisonScenario{
 		// A window of 2 over 5 clients makes slots change hands mid-round.
 		{"flat-stream", flatScenario(5, mixed, func(c *Coordinator) { c.MaxInflightUpdates = 2 })},
-		{"buffered-history", flatScenario(3, mixed, func(c *Coordinator) { c.Observers = []fl.RoundObserver{rec} })},
+		{"flat-history", flatScenario(3, mixed, func(c *Coordinator) { c.Observers = []fl.RoundObserver{rec} })},
 		{"reputation", flatScenario(4, mixed, func(c *Coordinator) {
 			c.Reputation = robust.NewReputation(robust.ReputationConfig{})
 		})},
 		{"median", flatScenario(5, mixed, func(c *Coordinator) { c.Robust = robust.Median{} })},
+		{"trimmed", flatScenario(5, mixed, func(c *Coordinator) { c.Robust = robust.TrimmedMean{Frac: 0.2} })},
 		{"clipped-stream", flatScenario(4, mixed, func(c *Coordinator) { c.Robust = robust.ClippedMean{MaxNorm: 1} })},
 		{"tree-mean", treeScenario(nil, treeShape{perLeaf: 2})},
+		// A leaf that keeps its column under a median root: its reservoir
+		// holds some of the kept slots as rows, and its reputation scores
+		// every update against the leaf-local mean.
+		{"leaf-history-reputation", treeScenario(robust.Median{}, treeShape{perLeaf: 3, sketchCap: 2, leafKeeps: rec})},
 		{"tree-median", treeScenario(robust.Median{}, treeShape{perLeaf: 2})},
 		// Four rows a shard into a reservoir of two: leaf 0's third update
 		// evicts a kept slot and its fourth is rejected, and the root's
@@ -399,7 +428,7 @@ func TestPoisonedBuffersChangeNothing(t *testing.T) {
 	}
 }
 
-// TestKeptGlobalSurvivesLaterRounds: the buffered path hands observers the
+// TestKeptGlobalSurvivesLaterRounds: a round's tail hands observers the
 // session's live global — on a leaf, the buffer every broadcast is decoded
 // into in place — so a HistoryRecorder's kept global must be its own copy:
 // round 0's still reads the initial parameters three rounds later, on a

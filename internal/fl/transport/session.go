@@ -18,10 +18,10 @@ import (
 	"github.com/cip-fl/cip/internal/rng"
 )
 
-// defaultInflight is the streaming fold window when MaxInflightUpdates is
-// unset: large enough that small rosters degenerate to the legacy
-// all-concurrent behavior, small enough that peak update memory at scale
-// is a few hundred kilobytes per thousand parameters.
+// defaultInflight is the exchange window when MaxInflightUpdates is unset
+// and the round keeps no column: large enough that small rosters exchange
+// all at once, small enough that peak update memory at scale is a few
+// hundred kilobytes per thousand parameters.
 const defaultInflight = 64
 
 // rejoinHandshakeTimeout bounds how long a parked rejoin connection may
@@ -45,20 +45,27 @@ type session struct {
 	// per-round delta lands in the transport_round_bytes gauge.
 	rxTally, txTally uint64
 
-	// acc is the streaming accumulator, reused across rounds; nil means
-	// the configuration needs the buffered path.
+	// acc is the streaming accumulator, reused across rounds; nil when the
+	// rule has no stream form or runs at a tree root over the merged row
+	// reservoir (see initAggregation).
 	acc fl.Accumulator
-	// fold is the weighted-mean fold used for leaf-partial extraction: it
-	// aliases acc when the streaming rule is the plain mean, and is a
-	// dedicated fold on buffered leaf configurations.
+	// fold aliases acc when it is the weighted-mean fold: a node's partial
+	// view, and the accumulator the global ping-pongs with.
 	fold *fl.Fold
+	// keep marks a session whose rounds keep their update column for the
+	// round's tail; column holds the kept updates in cohort-ID order and
+	// unheld the vectors among them no reservoir holds, given back once
+	// the tail is done.
+	keep   bool
+	column []fl.Update
+	unheld [][]float64
 	// wantPartial marks a leaf session: rounds end by exposing the
 	// pre-division fold through partial instead of advancing global.
 	wantPartial bool
 	leafID      int
 	partial     fl.Partial
 	// leafMean is the scratch for the leaf-local mean that reputation
-	// scoring on a buffered leaf measures deviations against.
+	// scoring on a leaf measures deviations against.
 	leafMean []float64
 
 	// treeFrac/treeSeed/sketchCap hold the parent's per-round tree
@@ -80,10 +87,6 @@ type session struct {
 	// tracks any); snapshots persist it for operator forensics.
 	lastCoverage float64
 
-	// peakInflight is the largest number of simultaneously admitted
-	// exchanges the most recent streaming round reached.
-	peakInflight int
-
 	// bcast holds the round broadcast frame and tx a tree node's outgoing
 	// partial frame, re-encoded in place every round; slots recycles the
 	// vectors updates and partial sums decode into.
@@ -99,12 +102,11 @@ type session struct {
 // slotPool is a coordinator session's free list of model-sized vectors. A
 // window slot is taken when an admitted exchange's answer arrives and
 // released once that is folded and tallied (or rejected), so at most the
-// streaming window is ever out, each allocated the first time the window
-// gets that deep: two clients hold two slots. Sketch rows go back when the
+// window is ever out, each allocated the first time the window gets that
+// deep: two clients hold two slots. A kept column's slots go back after
+// the round's tail (session.releaseColumn); sketch rows go back when the
 // next round starts (session.releaseRows), or once a shard's reservoir
-// lets one go. The buffered path takes its vectors here too and never
-// releases the ones it hands on — observers, reputation and sort-based
-// rules may retain them.
+// lets one go.
 type slotPool struct {
 	mu   sync.Mutex
 	free [][]float64
@@ -157,18 +159,30 @@ func poison(v []float64) {
 	}
 }
 
-// streamingAccumulator reports whether the coordinator's configuration can
-// aggregate with a constant-memory streaming fold: no round observers
-// (they need the full update column), no reputation tracker (it scores
-// every update against the finished aggregate), no forced buffering, and
-// an aggregation rule with a streaming form (the weighted mean, or a
-// robust.StreamRule like Mean/ClippedMean). Median and TrimmedMean need
-// the full per-coordinate column and stay on the buffered path.
-func (c *Coordinator) streamingAccumulator() (fl.Accumulator, bool) {
-	if c.BufferRounds || len(c.Observers) > 0 || c.Reputation != nil {
-		return nil, false
+// checkTreeParent refuses what a node serving child aggregators cannot
+// run: observers and reputation read individual client updates, and its
+// children send only subtree partials.
+func (c *Coordinator) checkTreeParent() error {
+	if c.AcceptPartials && (len(c.Observers) > 0 || c.Reputation != nil) {
+		return errors.New("transport: a node serving child aggregators supports no observers or reputation")
 	}
-	return fl.NewAccumulator(c.Robust)
+	return nil
+}
+
+// initAggregation fixes how the session's rounds aggregate. Each
+// contribution folds into the streaming accumulator as it arrives, except
+// at a robust tree root, whose rule runs over the merged row reservoir,
+// and under a rule with no stream form (Median, TrimmedMean). A
+// client-facing node keeps its round's update column — O(cohort) memory —
+// only for the readers that need every update at the round's end:
+// observers, a reputation tracker, or a rule with no stream form.
+func (s *session) initAggregation() {
+	c := s.c
+	if !(c.AcceptPartials && c.Robust != nil) {
+		s.acc, _ = fl.NewAccumulator(c.Robust)
+		s.fold, _ = s.acc.(*fl.Fold)
+	}
+	s.keep = !c.AcceptPartials && (s.acc == nil || len(c.Observers) > 0 || c.Reputation != nil)
 }
 
 // RunWithListener is ListenAndRun over an already-bound listener, so the
@@ -176,11 +190,8 @@ func (c *Coordinator) streamingAccumulator() (fl.Accumulator, bool) {
 // touching the network stack. The listener is closed before returning
 // when the rejoin accept loop owns it.
 func (c *Coordinator) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([]float64, error) {
-	if err := checkCodec(c.Codec); err != nil {
+	if err := errors.Join(checkCodec(c.Codec), c.checkTreeParent()); err != nil {
 		return nil, err
-	}
-	if c.AcceptPartials && (c.BufferRounds || len(c.Observers) > 0 || c.Reputation != nil) {
-		return nil, errors.New("transport: partial aggregation supports no observers, reputation, or forced buffering")
 	}
 	global := make([]float64, len(c.Initial))
 	copy(global, c.Initial)
@@ -220,23 +231,14 @@ func (c *Coordinator) RunWithListener(ln net.Listener, ready func(boundAddr stri
 		resumed:      c.Restore != nil,
 		lastCoverage: 1,
 	}
-	// A robust tree root cannot stream: the rule needs the merged row
-	// reservoir, so partials are buffered and tallied into the sketch.
-	if acc, ok := c.streamingAccumulator(); ok && !(c.AcceptPartials && c.Robust != nil) {
-		s.acc = acc
-		if f, isMean := acc.(*fl.Fold); isMean {
-			s.fold = f
-		}
-	}
+	s.initAggregation()
 	every := c.CheckpointEvery
 	if every < 1 {
 		every = 1
 	}
 	// saveSnapshot persists the state as of entering nextRound. Snapshots
-	// are round-boundary-only by design: a mid-round streaming
-	// accumulator is never captured, so a restart replays the interrupted
-	// round from its start — the same semantics the buffered path always
-	// had.
+	// are round-boundary-only by design: a mid-round accumulator is never
+	// captured, so a restart replays the interrupted round from its start.
 	saveSnapshot := func(nextRound int) error {
 		if c.Checkpoint == nil {
 			return nil
@@ -540,10 +542,10 @@ func (s *session) tallyUpdate(u fl.Update) (free []float64) {
 // releaseRows runs when a round starts, after the previous round's rule
 // and partial encode have read its sketch rows, and gives each back once:
 // the held rows (kept, evicted or dropped by Merge alike) and the update
-// slots a streaming client-facing shard's reservoir kept.
+// slots a client-facing shard's reservoir kept.
 func (s *session) releaseRows() {
 	rows := s.slots.held
-	if s.sketch != nil && s.acc != nil && !s.c.AcceptPartials {
+	if s.sketch != nil && !s.c.AcceptPartials {
 		rows = append(rows, s.sketch.Vals...)
 	}
 	for _, v := range rows {
@@ -590,9 +592,11 @@ func (s *session) stampPartial(degraded bool) {
 
 // runRound executes one communication round over the current roster:
 // admit parked rejoiners, split out quarantined clients, sample the
-// cohort, exchange (streaming or buffered), enforce quorum, aggregate,
-// and record telemetry. On success s.global holds the new aggregate (or,
-// on a leaf, s.partial holds the pre-division sums for the root).
+// cohort, exchange and fold (runStream), enforce quorum, then run the
+// round's one tail (observers, aggregate, reputation, install the global,
+// give back the kept column) and record telemetry. On success s.global
+// holds the new aggregate (or, on a leaf, s.partial holds the
+// pre-division sums for the root).
 func (s *session) runRound(round int) error {
 	c := s.c
 	roundStart := time.Now()
@@ -643,34 +647,14 @@ func (s *session) runRound(round int) error {
 		maxNorm: c.MaxUpdateNorm, met: c.Metrics, slots: &s.slots,
 	}
 
-	var (
-		survivors []*clientConn
-		valid     []fl.Update
-		nValid    int
-		heldPeak  int
-	)
 	if s.acc != nil {
 		s.acc.Begin(s.global)
-		var ffs []fl.ClientFailure
-		var err error
-		survivors, ffs, nValid, err = s.runStream(rc, cohort)
-		if err != nil {
-			return err
-		}
-		failures = append(failures, ffs...)
-		heldPeak = s.peakInflight
-	} else {
-		var ffs []fl.ClientFailure
-		var nPartials int
-		var err error
-		survivors, valid, nPartials, ffs, err = s.runBuffered(rc, cohort)
-		if err != nil {
-			return err
-		}
-		failures = append(failures, ffs...)
-		nValid = len(valid) + nPartials
-		heldPeak = len(cohort)
 	}
+	survivors, ffs, nValid, err := s.runStream(rc, cohort)
+	if err != nil {
+		return err
+	}
+	failures = append(failures, ffs...)
 	s.active = append(append(survivors, idle...), blocked...)
 	sort.Slice(s.active, func(i, j int) bool { return s.active[i].id < s.active[j].id })
 	degraded := false
@@ -696,84 +680,52 @@ func (s *session) runRound(round int) error {
 				round, coverage, c.CoverageFloor, s.coveredWeight, s.plannedWeight)
 		}
 	}
-	c.RoundMetrics.RecordRoundPeakUpdateBytes(uint64(heldPeak) * 8 * uint64(len(s.global)))
-
-	var report robust.Report
-	if s.acc != nil {
-		if s.wantPartial {
-			s.partial = s.fold.PartialView(s.leafID, round)
-			s.stampPartial(degraded)
-			report = robust.Report{Contributors: nValid}
-		} else {
-			agg, rep, err := s.acc.Finalize()
-			if err != nil {
+	// The tail. Observers see the pre-round global and the kept column;
+	// every reader of the column runs before releaseColumn gives its
+	// slots back.
+	for _, o := range c.Observers {
+		if fo, ok := o.(fl.FailureObserver); ok {
+			fo.ObserveFailures(round, failures)
+		}
+	}
+	for _, o := range c.Observers {
+		o.ObserveRound(round, s.global, s.column)
+	}
+	report := robust.Report{Contributors: nValid}
+	if s.wantPartial {
+		s.partial = s.fold.PartialView(s.leafID, round)
+		s.stampPartial(degraded)
+		if c.Reputation != nil {
+			if len(s.leafMean) != len(s.global) {
+				s.leafMean = make([]float64, len(s.global))
+			}
+			if err := s.fold.FinalizeInto(s.leafMean); err != nil {
 				return fmt.Errorf("transport: round %d: %w", round, err)
 			}
-			if s.fold != nil {
-				// The mean fold ping-pongs with the global: the outgoing one
-				// — the session's own copy of Initial or an earlier aggregate,
-				// never a slice anyone else was handed — accumulates next.
-				poison(s.global)
-				s.fold.Recycle(s.global)
-				s.global = agg
-			} else {
-				s.replaceGlobal(agg)
-			}
-			report = rep
+			s.scoreReputation(s.leafMean, failures)
 		}
-	} else if c.AcceptPartials {
-		// Robust tree root: the rule runs over the merged row reservoir —
-		// exact per-client rows while the tree's total stays within the
-		// sketch capacity, a uniform K-subsample (documented rank bound)
-		// above it. Subtree-level quorum was already enforced on nValid.
-		agg, rep, err := c.Robust.Aggregate(s.global, s.sketch.RowsView(), nil)
+	} else {
+		var agg []float64
+		switch {
+		case s.acc != nil:
+			agg, report, err = s.acc.Finalize()
+		case c.AcceptPartials:
+			// Robust tree root: the rule runs over the merged row reservoir
+			// — exact per-client rows while the tree's total stays within
+			// the sketch capacity, a uniform K-subsample (documented rank
+			// bound) above it. Subtree-level quorum was already enforced on
+			// nValid.
+			agg, report, err = c.Robust.Aggregate(s.global, s.sketch.RowsView(), nil)
+		default:
+			agg, report, err = fl.AggregateRobust(c.Robust, s.global, s.column, c.MinQuorum)
+		}
 		if err != nil {
 			return fmt.Errorf("transport: round %d: %w", round, err)
 		}
-		s.replaceGlobal(agg)
-		report = rep
-	} else {
-		for _, o := range c.Observers {
-			if fo, ok := o.(fl.FailureObserver); ok {
-				fo.ObserveFailures(round, failures)
-			}
-		}
-		for _, o := range c.Observers {
-			o.ObserveRound(round, s.global, valid)
-		}
-		if s.wantPartial {
-			s.fold.Reset(len(s.global))
-			for _, u := range valid {
-				if err := s.fold.Fold(u); err != nil {
-					return fmt.Errorf("transport: round %d: %w", round, err)
-				}
-			}
-			s.partial = s.fold.PartialView(s.leafID, round)
-			s.stampPartial(degraded)
-			report = robust.Report{Contributors: nValid}
-			if c.Reputation != nil {
-				if len(s.leafMean) != len(s.global) {
-					s.leafMean = make([]float64, len(s.global))
-				}
-				if err := s.fold.FinalizeInto(s.leafMean); err != nil {
-					return fmt.Errorf("transport: round %d: %w", round, err)
-				}
-				s.scoreReputation(s.leafMean, valid, failures)
-			}
-		} else {
-			agg, rep, err := fl.AggregateRobust(c.Robust, s.global, valid, c.MinQuorum)
-			if err != nil {
-				return fmt.Errorf("transport: round %d: %w", round, err)
-			}
-			s.scoreReputation(agg, valid, failures)
-			if c.Robust != nil {
-				s.replaceGlobal(agg)
-			} else {
-				s.global = agg // the weighted mean's fresh output: nothing draws it back
-			}
-			report = rep
-		}
+		s.scoreReputation(agg, failures)
+		s.installGlobal(agg)
 	}
+	s.releaseColumn()
 
 	c.Metrics.roundBytes(atomic.LoadUint64(&s.rxTally) + atomic.LoadUint64(&s.txTally) - bytesBefore)
 	c.RoundMetrics.RecordRound(roundStart, nValid, len(failures), len(s.global))
@@ -782,25 +734,44 @@ func (s *session) runRound(round int) error {
 	return nil
 }
 
-// replaceGlobal installs a robust rule's output as the global and hands
-// the superseded one, which nothing reads any more, to robust.Recycle.
-func (s *session) replaceGlobal(agg []float64) {
+// installGlobal makes the round's aggregate the global once nothing reads
+// the one it supersedes — the session's own copy of Initial or an earlier
+// aggregate, never a slice anyone else was handed. Under the mean fold
+// that one accumulates next (Fold.Recycle ping-pong); any other rule's
+// output draws from robust.Recycle's list, so it goes back there.
+func (s *session) installGlobal(agg []float64) {
 	poison(s.global)
-	robust.Recycle(s.global)
+	if s.fold != nil {
+		s.fold.Recycle(s.global)
+	} else {
+		robust.Recycle(s.global)
+	}
 	s.global = agg
 }
 
-// scoreReputation feeds one buffered round's evidence to the reputation
-// tracker: per-client deviation from the aggregate, plus round
+// releaseColumn ends a kept round's tail: observers, the rule and
+// reputation have read the column, so its slots no reservoir holds go
+// back to the pool.
+func (s *session) releaseColumn() {
+	for _, v := range s.unheld {
+		s.slots.put(v)
+	}
+	clear(s.unheld)
+	clear(s.column)
+	s.unheld, s.column = s.unheld[:0], s.column[:0]
+}
+
+// scoreReputation feeds one round's evidence to the reputation tracker:
+// each kept update's deviation from the aggregate, plus round
 // participation for probation accounting.
-func (s *session) scoreReputation(agg []float64, valid []fl.Update, failures []fl.ClientFailure) {
+func (s *session) scoreReputation(agg []float64, failures []fl.ClientFailure) {
 	rep := s.c.Reputation
 	if rep == nil {
 		return
 	}
-	ids := make([]int, len(valid))
-	params := make([][]float64, len(valid))
-	for i, u := range valid {
+	ids := make([]int, len(s.column))
+	params := make([][]float64, len(s.column))
+	for i, u := range s.column {
 		ids[i] = u.ClientID
 		params[i] = u.Params
 	}
@@ -845,82 +816,25 @@ func (s *session) classifyFailure(cc *clientConn, round int, err error) fl.Clien
 	return fl.ClientFailure{ClientID: cc.id, Round: round, Reason: reason, Err: err}
 }
 
-// runBuffered is the legacy round body: every cohort member exchanges
-// concurrently, every update is materialized, and classification happens
-// afterwards in roster order. Configurations that need the full update
-// column (Median/TrimmedMean, observers, reputation) use it — including
-// the robust tree root, whose partial children are tallied into the round
-// sketch here (nPartials counts them toward quorum). Its memory is
-// inherently O(cohort × params), so MaxBufferedUpdates turns a silent
-// OOM into an explicit error.
-func (s *session) runBuffered(rc *roundCtx, cohort []*clientConn) (survivors []*clientConn, valid []fl.Update, nPartials int, failures []fl.ClientFailure, err error) {
-	c := s.c
-	if c.MaxBufferedUpdates > 0 && len(cohort) > c.MaxBufferedUpdates {
-		return nil, nil, 0, nil, fmt.Errorf(
-			"transport: round %d: cohort of %d exceeds MaxBufferedUpdates %d (this configuration buffers the full update column; shrink the cohort or switch to a streaming-capable rule)",
-			rc.round, len(cohort), c.MaxBufferedUpdates)
-	}
-	rc.met.inflight(len(cohort))
-	defer rc.met.inflight(0)
-	updates := make([]fl.Update, len(cohort))
-	parts := make([]fl.Partial, len(cohort))
-	errs := make([]error, len(cohort))
-	var wg sync.WaitGroup
-	for i, cc := range cohort {
-		wg.Add(1)
-		go func(i int, cc *clientConn) {
-			defer wg.Done()
-			if cc.partial {
-				errs[i] = cc.exchangePartial(rc, &parts[i])
-			} else {
-				errs[i] = cc.exchange(rc, &updates[i])
-			}
-		}(i, cc)
-	}
-	wg.Wait()
-
-	valid = make([]fl.Update, 0, len(cohort))
-	survivors = make([]*clientConn, 0, len(cohort))
-	for i, cc := range cohort {
-		err := errs[i]
-		if err == nil && cc.partial {
-			err = s.tallyPartial(parts[i])
-			rc.slots.put(parts[i].Sum) // tallied: a reservoir keeps rows, never the sums
-		}
-		if err != nil {
-			if !c.faultTolerant() {
-				return nil, nil, 0, nil, err
-			}
-			failures = append(failures, s.classifyFailure(cc, rc.round, err))
-			continue
-		}
-		if cc.partial {
-			rc.met.partialAccepted()
-			nPartials++
-		} else {
-			s.tallyUpdate(updates[i])
-			valid = append(valid, updates[i])
-		}
-		survivors = append(survivors, cc)
-	}
-	return survivors, valid, nPartials, failures, nil
-}
-
-// runStream executes one round's exchanges through the bounded streaming
-// window: a pool of min(W, cohort) workers claims cohort positions from a
-// shared counter, the ordered-admission gate keeps at most W exchanges in
-// flight (position i may start only once i < foldedBase+W, so the round
-// frame is broadcast at admission and at most ~W decoded updates are ever
-// live), and this goroutine folds each result in strict roster-position
-// order. Because the fold order is the cohort's ID order regardless of
-// arrival timing, the aggregate is bit-identical to the buffered path's.
+// runStream executes one round's exchanges through the bounded window: a
+// pool of min(W, cohort) workers claims cohort positions from a shared
+// counter, the ordered-admission gate keeps at most W exchanges in flight
+// (position i may start only once i < foldedBase+W, so the round frame is
+// broadcast at admission and at most ~W decoded updates are ever live),
+// and this goroutine takes each result in strict roster-position order:
+// it folds it (when the session has an accumulator), tallies it, then
+// frees its slot or keeps it in the round's column. Because that order is
+// the cohort's ID order regardless of arrival timing, the aggregate is
+// bit-identical to the batch rule's over the same updates. W is
+// MaxInflightUpdates (default 64), or the whole cohort when the round
+// keeps its column: that memory is O(cohort) anyway, and every member
+// then exchanges at once under its own RoundTimeout.
 //
 // Deadlock-freedom: the folder only waits on position base, and position
 // base always passes the gate (base < base+W), so some worker is always
 // able to complete it.
 func (s *session) runStream(rc *roundCtx, cohort []*clientConn) (survivors []*clientConn, failures []fl.ClientFailure, nValid int, err error) {
 	c := s.c
-	s.peakInflight = 0
 	if len(cohort) == 0 {
 		return nil, nil, 0, nil
 	}
@@ -928,7 +842,7 @@ func (s *session) runStream(rc *roundCtx, cohort []*clientConn) (survivors []*cl
 	if w <= 0 {
 		w = defaultInflight
 	}
-	if w > len(cohort) {
+	if s.keep || w > len(cohort) {
 		w = len(cohort)
 	}
 	type slot struct {
@@ -1008,20 +922,30 @@ func (s *session) runStream(rc *roundCtx, cohort []*clientConn) (survivors []*cl
 		cc := cohort[pos]
 		if sl.err == nil {
 			if cc.partial {
-				sl.err = s.acc.FoldPartial(sl.p)
+				if s.acc != nil {
+					sl.err = s.acc.FoldPartial(sl.p)
+				}
 				if sl.err == nil {
 					sl.err = s.tallyPartial(sl.p)
 				}
 				if sl.err == nil {
 					rc.met.partialAccepted()
 				}
-				rc.slots.put(sl.p.Sum)
+				rc.slots.put(sl.p.Sum) // a reservoir keeps rows, never the sums
 			} else {
 				free := sl.u.Params
-				if sl.err = s.acc.Fold(sl.u); sl.err == nil {
-					free = s.tallyUpdate(sl.u)
+				if s.acc != nil {
+					sl.err = s.acc.Fold(sl.u)
 				}
-				// Folded and tallied: free whatever no reservoir holds.
+				if sl.err == nil {
+					free = s.tallyUpdate(sl.u)
+					if s.keep {
+						s.column = append(s.column, sl.u)
+						s.unheld = append(s.unheld, free)
+						free = nil
+					}
+				}
+				// Folded and tallied: free whatever no reservoir or column holds.
 				rc.slots.put(free)
 			}
 		}
@@ -1032,9 +956,9 @@ func (s *session) runStream(rc *roundCtx, cohort []*clientConn) (survivors []*cl
 			continue
 		}
 		if !c.faultTolerant() {
-			// Fail-stop: this is the earliest error in fold order, the
-			// same error the buffered path would surface. Unblock gate
-			// waiters, cut the in-flight I/O, and drain the pool.
+			// Fail-stop: this is the earliest error in fold order,
+			// whatever the arrival order. Unblock gate waiters, cut the
+			// in-flight I/O, and drain the pool.
 			mu.Lock()
 			aborted = true
 			cond.Broadcast()
@@ -1051,6 +975,10 @@ func (s *session) runStream(rc *roundCtx, cohort []*clientConn) (survivors []*cl
 	}
 	wg.Wait()
 	rc.met.inflight(0)
-	s.peakInflight = peak
+	// A kept column holds every accepted update until the round's tail.
+	if s.keep {
+		peak = len(cohort)
+	}
+	c.RoundMetrics.RecordRoundPeakUpdateBytes(uint64(peak) * 8 * uint64(len(rc.global)))
 	return survivors, failures, nValid, nil
 }

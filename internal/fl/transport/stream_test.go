@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"github.com/cip-fl/cip/internal/fl"
+	"github.com/cip-fl/cip/internal/fl/robust"
 )
 
 // vecClient produces a deterministic update from (id, round, global), so
@@ -58,29 +60,95 @@ func runVecFederation(t *testing.T, coord *Coordinator, n int) ([]float64, []*ve
 	return global, clients
 }
 
-// TestStreamingMatchesBufferedBitExact: the streaming fold must produce
-// bit-identical globals to the legacy buffered path for every window
-// size, including w=1 (fully serialized) and w≥roster (fully
-// concurrent), regardless of client arrival order.
-func TestStreamingMatchesBufferedBitExact(t *testing.T) {
-	const n = 5
-	mk := func() *Coordinator {
-		return &Coordinator{
-			NumClients: n, Rounds: 3,
-			Initial: []float64{0.5, -1.25, 3, 0.0625},
-		}
+// TestFlatTCPMatchesInProcess is the differential oracle between the two
+// round engines: a flat TCP federation over 5 vecClients and an
+// in-process fl.Server over the same roster must agree bit for bit — the
+// final global and every HistoryRecorder record — for every aggregation
+// rule, with and without an observer and a reputation tracker, at windows
+// 1 (fully serialized), 2 and 64 (fully concurrent), whatever order the
+// clients' answers arrive in.
+func TestFlatTCPMatchesInProcess(t *testing.T) {
+	const n, rounds = 5, 3
+	initial := make([]float64, 33)
+	for i := range initial {
+		initial[i] = math.Sin(float64(i)) * 2
 	}
-	base := mk()
-	base.BufferRounds = true
-	want, _ := runVecFederation(t, base, n)
+	rules := []struct {
+		name string
+		rule robust.Aggregator
+		rep  bool // also run with a reputation tracker
+	}{
+		{"fedavg", nil, true},
+		{"mean", robust.Mean{}, false},
+		{"clipped", robust.ClippedMean{MaxNorm: 0.05}, false},
+		{"median", robust.Median{}, true},
+		{"trimmed", robust.TrimmedMean{Frac: 0.2}, false},
+	}
+	for _, r := range rules {
+		for _, rep := range []bool{false, true} {
+			if rep && !r.rep {
+				continue
+			}
+			for _, observe := range []bool{false, true} {
+				name := r.name
+				if rep {
+					name += "/reputation"
+				}
+				if observe {
+					name += "/history"
+				}
+				newRep := func() *robust.Reputation {
+					if !rep {
+						return nil
+					}
+					return robust.NewReputation(robust.ReputationConfig{})
+				}
+				// The in-process reference.
+				clients := make([]fl.Client, n)
+				for i := range clients {
+					clients[i] = &vecClient{id: i, samples: 5 + 3*i}
+				}
+				srv := fl.NewServer(initial, clients...)
+				if r.rule != nil || rep {
+					srv.Policy = &fl.RoundPolicy{Robust: r.rule, Reputation: newRep()}
+				}
+				wantRec := &fl.HistoryRecorder{KeepParams: true}
+				if observe {
+					srv.Observers = []fl.RoundObserver{wantRec}
+				}
+				if err := srv.Run(rounds); err != nil {
+					t.Fatalf("%s: in-process: %v", name, err)
+				}
+				want := srv.Global()
 
-	for _, w := range []int{1, 2, 64} {
-		coord := mk()
-		coord.MaxInflightUpdates = w
-		got, _ := runVecFederation(t, coord, n)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("window %d coord %d: streaming %v != buffered %v", w, i, got[i], want[i])
+				for _, w := range []int{1, 2, 64} {
+					t.Run(fmt.Sprintf("%s/w%d", name, w), func(t *testing.T) {
+						rec := &fl.HistoryRecorder{KeepParams: true}
+						coord := &Coordinator{
+							NumClients: n, Rounds: rounds, Initial: initial,
+							Robust: r.rule, Reputation: newRep(), MaxInflightUpdates: w,
+						}
+						if observe {
+							coord.Observers = []fl.RoundObserver{rec}
+						}
+						got, _ := runVecFederation(t, coord, n)
+						sameBits(t, "final global", got, want)
+						if len(rec.Rounds) != len(wantRec.Rounds) {
+							t.Fatalf("recorded %d rounds, in process %d", len(rec.Rounds), len(wantRec.Rounds))
+						}
+						for i, rr := range rec.Rounds {
+							wr := wantRec.Rounds[i]
+							sameBits(t, fmt.Sprintf("round %d global", rr.Round), rr.Global, wr.Global)
+							sameBits(t, fmt.Sprintf("round %d losses", rr.Round), rr.TrainLosses, wr.TrainLosses)
+							if len(rr.LocalParams) != len(wr.LocalParams) {
+								t.Fatalf("round %d: %d updates recorded, in process %d", rr.Round, len(rr.LocalParams), len(wr.LocalParams))
+							}
+							for j := range rr.LocalParams {
+								sameBits(t, fmt.Sprintf("round %d update %d", rr.Round, j), rr.LocalParams[j], wr.LocalParams[j])
+							}
+						}
+					})
+				}
 			}
 		}
 	}

@@ -235,24 +235,14 @@ type Coordinator struct {
 	// restart does not amnesty an attacker.
 	Reputation *robust.Reputation
 
-	// MaxInflightUpdates bounds how many client exchanges the streaming
-	// fold admits at once (0 means 64). Each admitted exchange holds at
-	// most one decoded update, so peak aggregator memory is
-	// ~MaxInflightUpdates × 8·params regardless of roster size. Rosters
-	// no larger than the window behave exactly like the buffered path:
-	// every client exchanges concurrently and updates fold in client-ID
-	// order.
+	// MaxInflightUpdates bounds how many client exchanges a round admits
+	// at once (0 means 64). Each admitted exchange holds at most one
+	// decoded update, folded and released in client-ID order, so peak
+	// aggregator memory is ~MaxInflightUpdates × 8·params regardless of
+	// roster size. A round that keeps its update column — observers,
+	// reputation, Median/TrimmedMean, which read every update at the
+	// round's end — holds the cohort anyway and admits all of it at once.
 	MaxInflightUpdates int
-	// BufferRounds forces the legacy buffered round path (materialize
-	// every update, then aggregate) even for configurations the streaming
-	// fold could serve. The scale harness uses it as its baseline.
-	BufferRounds bool
-	// MaxBufferedUpdates caps the cohort size a buffered round may
-	// materialize (0 = unlimited). Median/TrimmedMean, observers, and
-	// reputation genuinely need the full update column, so their memory
-	// is inherently O(cohort × params); the cap turns a silent OOM into
-	// an explicit configuration error.
-	MaxBufferedUpdates int
 	// SampleFraction, when in (0, 1), samples a per-round cohort of
 	// ~fraction × roster from the registered population: weighted without
 	// replacement by each client's NumSamples, deterministic given
@@ -269,7 +259,7 @@ type Coordinator struct {
 	// child, and the global advances by the weighted mean of the
 	// children's pre-division sums — or, when Robust is set, by the
 	// robust rule evaluated over the children's merged row sketches.
-	// Requires no observers, reputation, or forced buffering. Children may
+	// Requires no observers and no reputation. Children may
 	// themselves be AcceptPartials coordinators (interior nodes), making
 	// the tree arbitrary-depth.
 	AcceptPartials bool

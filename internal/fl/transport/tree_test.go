@@ -46,6 +46,34 @@ func startNode(t *testing.T, node *Leaf) (string, func() error) {
 	}
 }
 
+// TestTreeParentRefusesPerClientReaders: a root or interior node serves
+// child aggregators, never individual updates, so both refuse observers
+// and a reputation tracker before accepting anyone.
+func TestTreeParentRefusesPerClientReaders(t *testing.T) {
+	for _, mut := range []func(*Coordinator){
+		func(c *Coordinator) { c.Observers = []fl.RoundObserver{&fl.HistoryRecorder{}} },
+		func(c *Coordinator) { c.Reputation = robust.NewReputation(robust.ReputationConfig{}) },
+	} {
+		root := Coordinator{NumClients: 1, Rounds: 1, Initial: []float64{1}, AcceptPartials: true}
+		mut(&root)
+		interior := &Leaf{Root: "127.0.0.1:1", Local: root}
+		for name, run := range map[string]func(net.Listener) error{
+			"root":     func(ln net.Listener) error { _, err := root.RunWithListener(ln, nil); return err },
+			"interior": func(ln net.Listener) error { _, err := interior.RunWithListener(ln, nil); return err },
+		} {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = run(ln)
+			ln.Close()
+			if err == nil || !strings.Contains(err.Error(), "supports no observers or reputation") {
+				t.Fatalf("%s: got %v, want the tree-parent refusal", name, err)
+			}
+		}
+	}
+}
+
 // vecParams replicates vecClient.TrainLocal's deterministic update.
 func vecParams(id, round int, global []float64) []float64 {
 	p := make([]float64, len(global))

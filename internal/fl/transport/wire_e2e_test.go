@@ -10,6 +10,7 @@ package transport
 import (
 	"encoding/gob"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"path/filepath"
@@ -84,7 +85,7 @@ func sameBits(t *testing.T, name string, got, want []float64) {
 		t.Fatalf("%s: global length %d vs %d", name, len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s: global[%d] = %v, want %v — runs are not bit-identical",
 				name, i, got[i], want[i])
 		}
