@@ -187,7 +187,9 @@ func sortedTopK(probs []float64, k int) []float64 {
 }
 
 // GradientNorms computes the per-sample L2 norm of the full parameter
-// gradient — the white-box signal Pb-Bayes adds on top of outputs.
+// gradient — the white-box signal Pb-Bayes adds on top of outputs. The
+// backward pass asks for parameter gradients only, so the network's first
+// layer skips its input gradient.
 func GradientNorms(net nn.Layer, d *datasets.Dataset) []float64 {
 	out := make([]float64, 0, d.Len())
 	params := net.Params()
@@ -196,7 +198,7 @@ func GradientNorms(net nn.Layer, d *datasets.Dataset) []float64 {
 		nn.ZeroGrads(params)
 		logits, cache := net.Forward(x, true)
 		res := nn.SoftmaxCrossEntropy(logits, y)
-		net.Backward(cache, res.Grad)
+		nn.BackwardFor(net, cache, res.Grad, nn.ParamGrads)
 		var sq float64
 		for _, p := range params {
 			for _, g := range p.Grad.Data {

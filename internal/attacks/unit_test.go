@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/cip-fl/cip/internal/nn"
 )
 
 func TestSortDescending(t *testing.T) {
@@ -106,4 +108,29 @@ func TestNewResultThresholdSemantics(t *testing.T) {
 	if r.Counts.TP != 1 || r.Counts.TN != 1 {
 		t.Fatalf("counts = %+v", r.Counts)
 	}
+}
+
+// TestGradientNormsMatchFullBackward: asking only for parameter gradients
+// leaves every norm bit-identical to the full backward pass's.
+func TestGradientNormsMatchFullBackward(t *testing.T) {
+	f := getFixture(t)
+	d := f.members.Subset(seq(8))
+	got := GradientNorms(f.target, d)
+	params := f.target.Params()
+	for i := 0; i < d.Len(); i++ {
+		x, y := d.Batch(i, i+1)
+		nn.ZeroGrads(params)
+		logits, cache := f.target.Forward(x, true)
+		f.target.Backward(cache, nn.SoftmaxCrossEntropy(logits, y).Grad)
+		var sq float64
+		for _, p := range params {
+			for _, g := range p.Grad.Data {
+				sq += g * g
+			}
+		}
+		if want := math.Sqrt(sq); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("sample %d: norm %v, full backward gives %v", i, got[i], want)
+		}
+	}
+	nn.ZeroGrads(params)
 }

@@ -22,7 +22,8 @@ type DPStep struct {
 	// the strictest and slowest). Defaults to 1.
 	MicrobatchSize int
 
-	rng *rand.Rand
+	rng   *rand.Rand
+	accum []float64 // the step's sum of clipped gradients, kept across steps
 }
 
 // NewDPStep constructs a DP training step with its own noise source.
@@ -44,7 +45,12 @@ func (s *DPStep) Step(net nn.Layer, opt nn.Optimizer, x *tensor.Tensor, y []int)
 	n := x.Shape[0]
 	ss := x.Size() / n
 
-	accum := make([]float64, nn.NumParams(params))
+	if np := nn.NumParams(params); len(s.accum) != np {
+		s.accum = make([]float64, np)
+	} else {
+		clear(s.accum)
+	}
+	accum := s.accum
 	var lossSum float64
 	micro := 0
 	for start := 0; start < n; start += s.MicrobatchSize {

@@ -36,7 +36,7 @@ func Ablation(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "ablation",
 		Title:  "Ablation of CIP's design choices (CH-MNIST, 1 client, alpha=0.9)",
-		Header: []string{"variant", "test acc (with t)", "attack acc (without t)"},
+		Header: append([]string{"variant", "test acc (with t)"}, attackCols("attack acc (without t)")...),
 	}
 
 	type variant struct {
@@ -90,7 +90,7 @@ func Ablation(cfg Config) (*Table, error) {
 
 		testAcc := fl.Evaluate(m, d.Test, 64)
 		attack := attacks.ObMALT(m.WithT(m.ZeroT()), members, nonMembers)
-		t.AddRow(v.name, f3(testAcc), f3(attack.Accuracy()))
+		t.AddRow(append([]string{v.name, f3(testAcc)}, attackCells(attack)...)...)
 	}
 	t.Notes = append(t.Notes,
 		"the dual channel buys utility; the capped lambda_m maximization buys privacy where overfitting leaks (strongest on the CIFAR regimes, fig8) and its self-calibrated cap is what protects utility; Step I's benefit shows under non-iid heterogeneity (fig7, table3)")

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/cip-fl/cip/internal/attacks"
 	"github.com/cip-fl/cip/internal/datasets"
 )
 
@@ -130,3 +131,16 @@ func Run(id string, cfg Config) (*Table, error) {
 }
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
+
+// Every attack-accuracy column carries the field's metrics beside it: the
+// threshold-free ROC-AUC and the true-positive rate at 0.1 % and 1 %
+// false-positive rate, the low-FPR regime that LiRA (Carlini et al.) and
+// the MI survey literature report. attackCols is the header for an
+// accuracy column named acc, attackCells the matching cells.
+func attackCols(acc string) []string {
+	return []string{acc, "AUC", "TPR@0.1%", "TPR@1%"}
+}
+
+func attackCells(r attacks.Result) []string {
+	return []string{f3(r.Accuracy()), f3(r.AUC()), f3(r.TPRAtFPR(0.001)), f3(r.TPRAtFPR(0.01))}
+}

@@ -160,17 +160,13 @@ func Table2(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// passiveAccOn runs the internal passive attack against client 0 of a
-// recorded federation and returns the attack accuracy.
-func passiveAccOn(kept []fl.RoundRecord, buildNet func() nn.Layer,
-	victimShard, nonMembers *datasets.Dataset, seed int64) (float64, error) {
+// passiveOn runs the internal passive attack against client 0 of a
+// recorded federation.
+func passiveOn(kept []fl.RoundRecord, buildNet func() nn.Layer,
+	victimShard, nonMembers *datasets.Dataset, seed int64) (attacks.Result, error) {
 	m, n := equalize(victimShard, nonMembers)
-	res, err := attacks.InternalPassive{BuildNet: buildNet}.Run(kept, m, n,
+	return attacks.InternalPassive{BuildNet: buildNet}.Run(kept, m, n,
 		rand.New(rand.NewSource(seed)))
-	if err != nil {
-		return 0, err
-	}
-	return res.Accuracy(), nil
 }
 
 // lastRounds marks the final n rounds for recorder retention — the
@@ -206,8 +202,8 @@ func Fig4(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:    "fig4",
 		Title: "RQ1-internal: accuracy and attack accuracy vs #clients (non-iid)",
-		Header: []string{"defense", "#clients", "test acc",
-			"passive attack", "active attack"},
+		Header: append(append([]string{"defense", "#clients", "test acc"},
+			attackCols("passive attack")...), attackCols("active attack")...),
 	}
 
 	// Every (clientCount, defense) cell derives all randomness from cfg.Seed
@@ -254,7 +250,7 @@ func fig4Cell(cfg Config, d *datasets.Data, arch model.Arch, k, rounds, ncc int,
 			return nil, err
 		}
 		buildZero := func() nn.Layer { return crun.globalModel(nil) }
-		pass, err := passiveAccOn(crun.Recorder.KeptRounds(), buildZero,
+		pass, err := passiveOn(crun.Recorder.KeptRounds(), buildZero,
 			crun.Clients[0].Data(), matchClasses(d.Test, crun.Clients[0].Data()), cfg.Seed)
 		if err != nil {
 			return nil, err
@@ -263,8 +259,8 @@ func fig4Cell(cfg Config, d *datasets.Data, arch model.Arch, k, rounds, ncc int,
 		if err != nil {
 			return nil, err
 		}
-		return []string{fmt.Sprintf("CIP(alpha=%.1f)", alpha), fmt.Sprintf("%d", k),
-			f3(crun.evalCIP(d.Test)), f3(pass), f3(act)}, nil
+		row := []string{fmt.Sprintf("CIP(alpha=%.1f)", alpha), fmt.Sprintf("%d", k), f3(crun.evalCIP(d.Test))}
+		return append(append(row, attackCells(pass)...), attackCells(act)...), nil
 	}
 
 	dpStep := func(i int) fl.TrainStep {
@@ -292,7 +288,7 @@ func fig4Cell(cfg Config, d *datasets.Data, arch model.Arch, k, rounds, ncc int,
 	if err != nil {
 		return nil, err
 	}
-	pass, err := passiveAccOn(run.Recorder.KeptRounds(), run.Build,
+	pass, err := passiveOn(run.Recorder.KeptRounds(), run.Build,
 		run.Shards[0], matchClasses(d.Test, run.Shards[0]), cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -301,14 +297,15 @@ func fig4Cell(cfg Config, d *datasets.Data, arch model.Arch, k, rounds, ncc int,
 	if err != nil {
 		return nil, err
 	}
-	return []string{name, fmt.Sprintf("%d", k),
-		f3(run.evalLegacy(d.Test)), f3(pass), f3(act)}, nil
+	row := []string{name, fmt.Sprintf("%d", k), f3(run.evalLegacy(d.Test))}
+	return append(append(row, attackCells(pass)...), attackCells(act)...), nil
 }
 
 // legacyActiveAttack reruns a legacy federation with the Nasr active
-// (gradient-ascent) malicious server wired in and returns attack accuracy.
+// (gradient-ascent) malicious server wired in and returns the attack's
+// result.
 func legacyActiveAttack(d *datasets.Data, arch model.Arch, k, rounds int,
-	seed int64, base legacyOpts, ref *legacyRun) (float64, error) {
+	seed int64, base legacyOpts, ref *legacyRun) (attacks.Result, error) {
 	nTargets := ref.Shards[0].Len() / 2
 	if nTargets > 30 {
 		nTargets = 30
@@ -334,13 +331,9 @@ func legacyActiveAttack(d *datasets.Data, arch model.Arch, k, rounds int,
 	opts.observers = append(opts.observers, attacker)
 	opts.keepRounds = nil
 	if _, err := runLegacy(d.Train, arch, k, rounds, seed, opts); err != nil {
-		return 0, err
+		return attacks.Result{}, err
 	}
-	res, err := attacker.Result()
-	if err != nil {
-		return 0, err
-	}
-	return res.Accuracy(), nil
+	return attacker.Result()
 }
 
 // cipActiveAttack reruns a CIP federation under the active attacker, which
@@ -349,11 +342,11 @@ func legacyActiveAttack(d *datasets.Data, arch model.Arch, k, rounds int,
 // the server lowers the targets' loss and flags samples whose loss ends
 // high — the signature CIP's Step II leaves on members.
 func cipActiveAttack(d *datasets.Data, arch model.Arch, k, rounds int,
-	alpha float64, seed int64, ncc int, descend bool) (float64, error) {
+	alpha float64, seed int64, ncc int, descend bool) (attacks.Result, error) {
 	// Pre-run once to learn shard layout (deterministic by seed).
 	pre, err := runCIP(d.Train, arch, k, 1, alpha, seed, cipOpts{classesPerClient: ncc})
 	if err != nil {
-		return 0, err
+		return attacks.Result{}, err
 	}
 	victimData := pre.Clients[0].Data()
 	nTargets := victimData.Len() / 2
@@ -386,13 +379,9 @@ func cipActiveAttack(d *datasets.Data, arch model.Arch, k, rounds int,
 		classesPerClient: ncc, alter: attacker.Alter,
 		observers: []fl.RoundObserver{attacker},
 	}); err != nil {
-		return 0, err
+		return attacks.Result{}, err
 	}
-	res, err := attacker.Result()
-	if err != nil {
-		return 0, err
-	}
-	return res.Accuracy(), nil
+	return attacker.Result()
 }
 
 func seqInts(n int) []int {
@@ -423,7 +412,7 @@ func Fig5(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "fig5",
 		Title:  "RQ1-internal: CIP vs DP across architectures and epsilon (2 clients)",
-		Header: []string{"model", "defense", "test acc", "passive attack"},
+		Header: append([]string{"model", "defense", "test acc"}, attackCols("passive attack")...),
 	}
 	// Arch × defense cells are independent (all randomness comes from
 	// cfg.Seed); fan out and append rows in the original order.
@@ -447,14 +436,14 @@ func Fig5(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			pass, err := passiveAccOn(crun.Recorder.KeptRounds(),
+			pass, err := passiveOn(crun.Recorder.KeptRounds(),
 				func() nn.Layer { return crun.globalModel(nil) },
 				crun.Clients[0].Data(), matchClasses(d.Test, crun.Clients[0].Data()), cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			return []string{c.arch.String(), "CIP(alpha=0.5)",
-				f3(crun.evalCIP(d.Test)), f3(pass)}, nil
+			return append([]string{c.arch.String(), "CIP(alpha=0.5)",
+				f3(crun.evalCIP(d.Test))}, attackCells(pass)...), nil
 		}
 		steps := rounds * (d.Train.Len() / k / defaultHyper().batch)
 		sigma := defenses.NoiseMultiplierFor(c.eps, 1e-5, steps)
@@ -468,13 +457,13 @@ func Fig5(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pass, err := passiveAccOn(run.Recorder.KeptRounds(), run.Build,
+		pass, err := passiveOn(run.Recorder.KeptRounds(), run.Build,
 			run.Shards[0], matchClasses(d.Test, run.Shards[0]), cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		return []string{c.arch.String(), fmt.Sprintf("DP(eps=%g)", c.eps),
-			f3(run.evalLegacy(d.Test)), f3(pass)}, nil
+		return append([]string{c.arch.String(), fmt.Sprintf("DP(eps=%g)", c.eps),
+			f3(run.evalLegacy(d.Test))}, attackCells(pass)...), nil
 	})
 	if err != nil {
 		return nil, err
@@ -516,7 +505,7 @@ func Fig6(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "fig6",
 		Title:  "RQ1-external: CIP vs defenses on CH-MNIST (1 client, Pb-Bayes attack)",
-		Header: []string{"defense", "budget", "test acc", "attack acc"},
+		Header: append([]string{"defense", "budget", "test acc"}, attackCols("attack acc")...),
 	}
 
 	// Two phases (parallel.go): training cells are independent and fan out;
@@ -597,7 +586,7 @@ func Fig6(cfg Config) (*Table, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 5))
 	for _, r := range runs {
 		res := attacks.PbBayes(r.net, r.m, r.nm, shadow, rng)
-		t.AddRow(r.name, r.budget, f3(r.testAcc), f3(res.Accuracy()))
+		t.AddRow(append([]string{r.name, r.budget, f3(r.testAcc)}, attackCells(res)...)...)
 	}
 	return t, nil
 }

@@ -87,7 +87,7 @@ func Fig8(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "fig8",
 		Title:  "RQ3: external attack accuracy vs alpha, per dataset",
-		Header: append([]string{"dataset", "alpha"}, attackNames...),
+		Header: []string{"dataset", "alpha"},
 	}
 	// Each (dataset, α) cell loads its own data, trains its own federation
 	// and shadow model, and owns its attack RNG (cfg.Seed+7) — fully
@@ -102,6 +102,9 @@ func Fig8(cfg Config) (*Table, error) {
 			cells = append(cells, gridCell{p, a})
 		}
 	}
+	for _, name := range attackNames {
+		t.Header = append(t.Header, attackCols(name)...)
+	}
 	results, err := runIndexed(len(cells), func(i int) (*rq3Cell, error) {
 		return runRQ3Cell(cfg, cells[i].p, cells[i].a)
 	})
@@ -111,7 +114,7 @@ func Fig8(cfg Config) (*Table, error) {
 	for i, cell := range results {
 		row := []string{cells[i].p.String(), fmt.Sprintf("%.1f", cells[i].a)}
 		for _, name := range attackNames {
-			row = append(row, f3(cell.results[name].Accuracy()))
+			row = append(row, attackCells(cell.results[name])...)
 		}
 		t.AddRow(row...)
 	}
@@ -124,7 +127,7 @@ func Table4(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "table4",
 		Title:  "RQ3: attack precision/recall/F1/accuracy against CIP (alpha=0.7)",
-		Header: []string{"dataset", "attack", "precision", "recall", "f1", "accuracy"},
+		Header: append([]string{"dataset", "attack", "precision", "recall", "f1"}, attackCols("accuracy")...),
 	}
 	for _, p := range rq3Presets(cfg.Scale) {
 		cell, err := runRQ3Cell(cfg, p, 0.7)
@@ -133,9 +136,9 @@ func Table4(cfg Config) (*Table, error) {
 		}
 		for _, name := range attackNames {
 			r := cell.results[name]
-			t.AddRow(p.String(), name,
+			t.AddRow(append([]string{p.String(), name,
 				f3(r.Counts.Precision()), f3(r.Counts.Recall()),
-				f3(r.Counts.F1()), f3(r.Accuracy()))
+				f3(r.Counts.F1())}, attackCells(r)...)...)
 		}
 	}
 	return t, nil

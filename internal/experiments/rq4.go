@@ -37,7 +37,7 @@ func Table6(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "table6",
 		Title:  "RQ4 [Optimization-1]: probe + t' optimization attack accuracy (internal/external)",
-		Header: []string{"dataset", "alpha", "internal", "external"},
+		Header: append(append([]string{"dataset", "alpha"}, attackCols("internal")...), attackCols("external")...),
 	}
 	rounds := 22
 	if cfg.Scale == datasets.Full {
@@ -65,17 +65,17 @@ func Table6(cfg Config) (*Table, error) {
 
 			// Internal: probe the victim's local model from the last round.
 			kept := crun.Recorder.KeptRounds()
-			intAcc := ext.Accuracy()
+			intRes := ext
 			if len(kept) > 0 {
 				local := crun.globalModel(nil)
 				if err := nn.SetFlatParams(local.Params(), kept[len(kept)-1].LocalParams[0]); err != nil {
 					return nil, err
 				}
-				intRes := attacks.Optimization1(local, split.ShadowTrain,
+				intRes = attacks.Optimization1(local, split.ShadowTrain,
 					members, nonMembers, iters, 0.02, rng)
-				intAcc = intRes.Accuracy()
 			}
-			t.AddRow(p.String(), fmt.Sprintf("%.1f", a), f3(intAcc), f3(ext.Accuracy()))
+			row := append([]string{p.String(), fmt.Sprintf("%.1f", a)}, attackCells(intRes)...)
+			t.AddRow(append(row, attackCells(ext)...)...)
 		}
 	}
 	return t, nil
@@ -89,7 +89,7 @@ func Table7(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "table7",
 		Title:  "RQ4 [Optimization-2]: internal active alteration attack accuracy",
-		Header: []string{"dataset", "alpha", "attack acc"},
+		Header: append([]string{"dataset", "alpha"}, attackCols("attack acc")...),
 	}
 	rounds := 22
 	if cfg.Scale == datasets.Full {
@@ -101,11 +101,11 @@ func Table7(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, a := range rq4Alphas(cfg.Scale) {
-			acc, err := cipActiveAttack(d, archFor(p, cfg.Scale), 2, rounds, a, cfg.Seed, 0, true)
+			res, err := cipActiveAttack(d, archFor(p, cfg.Scale), 2, rounds, a, cfg.Seed, 0, true)
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(p.String(), fmt.Sprintf("%.1f", a), f3(acc))
+			t.AddRow(append([]string{p.String(), fmt.Sprintf("%.1f", a)}, attackCells(res)...)...)
 		}
 	}
 	return t, nil
@@ -122,7 +122,7 @@ func Table8(cfg Config) (*Table, error) {
 	}
 	header := []string{"dataset"}
 	for _, s := range ssims {
-		header = append(header, fmt.Sprintf("SSIM=%.1f", s))
+		header = append(header, attackCols(fmt.Sprintf("SSIM=%.1f", s))...)
 	}
 	t := &Table{
 		ID:     "table8",
@@ -154,7 +154,7 @@ func Table8(cfg Config) (*Table, error) {
 		for _, s := range ssims {
 			res, _ := attacks.Knowledge1(m, trueSeed, s, split.ShadowTrain,
 				members, nonMembers, adaptiveIters(cfg.Scale), 0.02, rng)
-			row = append(row, f3(res.Accuracy()))
+			row = append(row, attackCells(res)...)
 		}
 		t.AddRow(row...)
 	}
@@ -168,7 +168,7 @@ func Table9(cfg Config) (*Table, error) {
 	fracs := []float64{0.2, 0.4, 0.6, 0.8}
 	header := []string{"dataset"}
 	for _, f := range fracs {
-		header = append(header, fmt.Sprintf("%.0f%% known", f*100))
+		header = append(header, attackCols(fmt.Sprintf("%.0f%% known", f*100))...)
 	}
 	t := &Table{
 		ID:     "table9",
@@ -199,7 +199,7 @@ func Table9(cfg Config) (*Table, error) {
 			known, unknown := memberSet.Split(int(f * float64(memberSet.Len())))
 			um, nm := equalize(unknown, split.NonMembers)
 			res := attacks.Knowledge2(m, known, um, nm, adaptiveIters(cfg.Scale), 0.02, rng)
-			row = append(row, f3(res.Accuracy()))
+			row = append(row, attackCells(res)...)
 		}
 		t.AddRow(row...)
 	}
@@ -250,7 +250,9 @@ func Knowledge3Exp(cfg Config) (*Table, error) {
 	t.AddRow("test acc (substitute t')", f3(fl.Evaluate(mSub, d.Test, 64)))
 	t.AddRow("train acc (true t)", f3(fl.Evaluate(mTrue, members, 64)))
 	t.AddRow("train acc (substitute t')", f3(fl.Evaluate(mSub, members, 64)))
-	t.AddRow("attack acc (with t')", f3(res.Accuracy()))
+	for i, c := range attackCells(res) {
+		t.AddRow(attackCols("attack acc")[i]+" (with t')", c)
+	}
 	t.AddRow("SSIM(t, t')", f3(ssim))
 	return t, nil
 }
@@ -261,7 +263,7 @@ func Knowledge3Exp(cfg Config) (*Table, error) {
 func Table10(cfg Config) (*Table, error) {
 	header := []string{"dataset"}
 	for _, a := range rq4Alphas(cfg.Scale) {
-		header = append(header, fmt.Sprintf("alpha=%.1f", a))
+		header = append(header, attackCols(fmt.Sprintf("alpha=%.1f", a))...)
 	}
 	t := &Table{
 		ID:     "table10",
@@ -287,7 +289,7 @@ func Table10(cfg Config) (*Table, error) {
 			}
 			members, nonMembers := equalize(crun.Clients[0].Data(), split.NonMembers)
 			res := attacks.Knowledge4(crun.globalModel(nil), members, nonMembers)
-			row = append(row, f3(res.Accuracy()))
+			row = append(row, attackCells(res)...)
 		}
 		t.AddRow(row...)
 	}

@@ -94,12 +94,16 @@ func ROCAUC(scores []float64, labels []bool) float64 {
 	if pos == 0 || neg == 0 {
 		return 0.5
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].s < ps[j].s })
+	// NaN scores rank lowest, as one tie group: a threshold decision never
+	// calls them members (s >= threshold is false).
+	sort.Slice(ps, func(i, j int) bool {
+		return ps[i].s < ps[j].s || (math.IsNaN(ps[i].s) && !math.IsNaN(ps[j].s))
+	})
 	// Rank-sum (Mann-Whitney U) with tie handling via average ranks.
 	ranks := make([]float64, len(ps))
 	for i := 0; i < len(ps); {
-		j := i
-		for j < len(ps) && ps[j].s == ps[i].s {
+		j := i + 1
+		for j < len(ps) && (ps[j].s == ps[i].s || math.IsNaN(ps[j].s) && math.IsNaN(ps[i].s)) {
 			j++
 		}
 		avg := float64(i+j+1) / 2 // average of 1-based ranks i+1..j

@@ -76,6 +76,20 @@ func TestROCAUCTies(t *testing.T) {
 	}
 }
 
+// TestROCAUCNaNScoresRankLowest: NaN scores (a diverged model's losses)
+// form one tie group below every number, as a threshold decision treats
+// them; the rank loop used to spin forever on NaN == NaN being false.
+func TestROCAUCNaNScoresRankLowest(t *testing.T) {
+	nan := math.NaN()
+	scores := []float64{0.9, nan, 0.2, nan}
+	labels := []bool{true, true, false, false}
+	// Ranks: the two NaNs share 1.5, 0.2 is 3, 0.9 is 4; members sum 5.5,
+	// so U = 5.5 - 3 = 2.5 over 4 pairs.
+	if got := ROCAUC(scores, labels); got != 0.625 {
+		t.Errorf("AUC with NaN scores = %v, want 0.625", got)
+	}
+}
+
 func TestEMD1DIdentityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := func(seed int64) bool {

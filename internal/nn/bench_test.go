@@ -50,23 +50,52 @@ func BenchmarkForwardBackwardStep(b *testing.B) {
 	}
 }
 
-// BenchmarkConvForwardBackward isolates one Conv2D layer's train-mode
-// forward + backward, the path the scratch arena exists for: im2col
-// columns, GEMM product, reordered grad, and dW all come from the pool, so
-// steady-state allocations are just the two escaping output tensors.
-func BenchmarkConvForwardBackward(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	g := tensor.ConvGeom{InC: 8, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	c := NewConv2D(rng, g, 16)
-	x := tensor.New(16, 8, 16, 16)
-	x.RandNormal(rng, 0, 1)
-	grad := tensor.New(16, 16, 16, 16)
-	grad.RandNormal(rng, 0, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ZeroGrads(c.Params())
-		_, cache := c.Forward(x, true)
-		c.Backward(cache, grad)
+// BenchmarkConv2D times one Conv2D layer's train-mode forward plus
+// BackwardFor, for each want, at the three cip_vgg_f64 convolutions and
+// batch 32. Input and output gradient live in a workspace that is reset
+// every iteration, as in a CIP step, so a warmed iteration allocates
+// nothing; run with -benchmem to see it, and -cpu 1 for per-core numbers.
+func BenchmarkConv2D(b *testing.B) {
+	layers := []struct {
+		name string
+		g    tensor.ConvGeom
+		outC int
+	}{
+		{"3to10_32x32", tensor.ConvGeom{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}, 10},
+		{"10to10_32x32", tensor.ConvGeom{InC: 10, InH: 32, InW: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}, 10},
+		{"10to14_16x16", tensor.ConvGeom{InC: 10, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 14},
+	}
+	wants := []struct {
+		name string
+		want Grads
+	}{{"params", ParamGrads}, {"input", InputGrad}, {"all", AllGrads}}
+	for _, l := range layers {
+		for _, w := range wants {
+			b.Run(l.name+"/"+w.name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(3))
+				c := NewConv2D(rng, l.g, l.outC)
+				x := tensor.New(32, l.g.InC, l.g.InH, l.g.InW)
+				x.RandNormal(rng, 0, 1)
+				grad := tensor.New(32, l.outC, l.g.OutH(), l.g.OutW())
+				grad.RandNormal(rng, 0, 1)
+				ws := &tensor.Workspace{}
+				pass := func() {
+					wx := ws.New(x.Shape...)
+					copy(wx.Data, x.Data)
+					wg := ws.New(grad.Shape...)
+					copy(wg.Data, grad.Data)
+					_, cache := c.Forward(wx, true)
+					c.BackwardFor(cache, wg, w.want)
+					ws.Reset()
+				}
+				pass() // sizes the workspace slab
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pass()
+				}
+			})
+		}
 	}
 }
 

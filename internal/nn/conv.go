@@ -8,7 +8,8 @@ import (
 )
 
 // Conv2D is a 2-D convolution over NCHW inputs with OIHW kernels,
-// implemented via im2col lowering to a single matmul.
+// implemented by lowering each image to columns and multiplying by the
+// kernel matrix (tensor.ConvForwardInto).
 type Conv2D struct {
 	Geom tensor.ConvGeom
 	OutC int
@@ -33,32 +34,20 @@ func NewConv2D(rng *rand.Rand, g tensor.ConvGeom, outC int) *Conv2D {
 	return c
 }
 
-// The conv cache is the im2col matrix itself ([N*OH*OW, InC*KH*KW]);
-// boxing the existing pointer into the Cache interface costs no allocation,
-// and the batch size is recoverable from its row count.
+// The conv cache is the batch's columns themselves ([N, InC*KH*KW,
+// OH*OW]); boxing the existing pointer into the Cache interface costs no
+// allocation, and the batch size is its leading dimension.
 
-// Forward computes the convolution for x of shape [N, InC, InH, InW]; the
-// bias add is fused into the GEMM epilogue. Every buffer lives where x
-// does, so under a workspace the pass allocates nothing.
+// Forward computes the convolution for x of shape [N, InC, InH, InW]. Each
+// image's product is its NCHW output, bias included, so nothing is
+// reordered. Every buffer lives where x does, so under a workspace the
+// pass allocates nothing.
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
 	g := c.Geom
-	n := x.Shape[0]
-	oh, ow := g.OutH(), g.OutW()
-	spatial := oh * ow
-
-	cols := tensor.Im2Col(x, g)                  // [N*OH*OW, K]
-	prod := tensor.NewLike(x, n*spatial, c.OutC) // [N*OH*OW, OutC]
-	c.W.affineInto(prod, cols, c.B.Value.Data)
-
+	n, oh, ow := x.Shape[0], g.OutH(), g.OutW()
+	cols := tensor.NewLike(x, n, g.InC*g.KH*g.KW, oh*ow)
 	out := tensor.NewLike(x, n, c.OutC, oh, ow)
-	for b := 0; b < n; b++ {
-		for s := 0; s < spatial; s++ {
-			row := prod.Data[(b*spatial+s)*c.OutC : (b*spatial+s+1)*c.OutC]
-			for oc, v := range row {
-				out.Data[(b*c.OutC+oc)*spatial+s] = v
-			}
-		}
-	}
+	tensor.ConvForwardInto(out, cols, x, c.W.Value, c.B.Value.Data, g)
 	return out, cols
 }
 
@@ -68,41 +57,21 @@ func (c *Conv2D) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // BackwardFor implements PartialBackward: without ParamGrads it skips the
-// kernel-gradient GEMM, and without InputGrad the input-gradient GEMM and
-// col2im scatter. It consumes the cached im2col matrix: the columns are
-// dead once dW is computed, so the same storage is reused as the
-// grad-columns destination.
+// kernel and bias gradients, and without InputGrad the input-gradient
+// GEMMs and col2im. It consumes the cached columns: they are dead once dW
+// is computed, so the input gradient reuses their storage for its grad
+// columns.
 func (c *Conv2D) BackwardFor(cache Cache, grad *tensor.Tensor, want Grads) *tensor.Tensor {
 	cols := cache.(*tensor.Tensor)
 	g := c.Geom
-	spatial := g.OutH() * g.OutW()
-	n := cols.Shape[0] / spatial
-
-	// Reorder grad [N, OutC, OH, OW] into row-major [N*OH*OW, OutC].
-	gm := tensor.NewLike(grad, n*spatial, c.OutC)
-	for b := 0; b < n; b++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			base := (b*c.OutC + oc) * spatial
-			for s := 0; s < spatial; s++ {
-				gm.Data[(b*spatial+s)*c.OutC+oc] = grad.Data[base+s]
-			}
-		}
-	}
-
 	if want&ParamGrads != 0 {
-		tensor.MatMulTransAAddInto(c.W.Grad, gm, cols) // [OutC, K]
-		for r := 0; r < n*spatial; r++ {
-			row := gm.Data[r*c.OutC : (r+1)*c.OutC]
-			for oc, v := range row {
-				c.B.Grad.Data[oc] += v
-			}
-		}
+		tensor.ConvParamGradsInto(c.W.Grad, c.B.Grad.Data, cols, grad, g)
 	}
 	if want&InputGrad == 0 {
 		return nil
 	}
-	c.W.backInto(cols, gm) // grad columns [N*OH*OW, K]
-	return tensor.Col2Im(cols, n, c.Geom)
+	dx := tensor.NewLike(grad, cols.Shape[0], g.InC, g.InH, g.InW)
+	return tensor.ConvInputGradInto(dx, cols, grad, c.W.Value, g)
 }
 
 // Params returns the kernel and bias.

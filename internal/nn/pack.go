@@ -6,9 +6,10 @@ import (
 	"github.com/cip-fl/cip/internal/tensor"
 )
 
-// Weight packing. Dense and Conv2D read their weight matrix as the B
-// operand of two GEMMs, the forward x·Wᵀ and the input gradient g·W, and
-// the blocked driver packs B into panels on every call. A training step
+// Weight packing. Dense reads its weight matrix as the B operand of two
+// GEMMs, the forward x·Wᵀ and the input gradient g·W, and the blocked
+// driver packs B into panels on every call. (Conv2D's weight is the A
+// operand of its per-image products, read in place, so it is not packed.) A training step
 // reads one set of weights many times: CIP's Step II runs both Eq. 2
 // channels through both Eq. 4 terms before its optimizer step, and Step I
 // holds the weights fixed for its whole pass. Between PackWeights and
@@ -70,8 +71,7 @@ func (p *Param) packed(transB bool) *tensor.PackedB {
 	return pk
 }
 
-// affineInto sets dst = x·Valueᵀ + bias: the forward product of Dense and
-// Conv2D.
+// affineInto sets dst = x·Valueᵀ + bias: the forward product of Dense.
 func (p *Param) affineInto(dst, x *tensor.Tensor, bias []float64) {
 	if pk := p.packed(true); pk != nil {
 		tensor.MatMulPackedInto(dst, x, pk, bias)
@@ -80,7 +80,7 @@ func (p *Param) affineInto(dst, x *tensor.Tensor, bias []float64) {
 	tensor.MatMulTransBBiasInto(dst, x, p.Value, bias)
 }
 
-// backInto sets dst = g·Value: the input gradient of Dense and Conv2D.
+// backInto sets dst = g·Value: the input gradient of Dense.
 func (p *Param) backInto(dst, g *tensor.Tensor) {
 	if pk := p.packed(false); pk != nil {
 		tensor.MatMulPackedInto(dst, g, pk, nil)

@@ -31,27 +31,29 @@ func detectFMAKernel() bool {
 	return ebx7&avx2Bit != 0
 }
 
-// microKernel computes the mr×nr tile into c (overwriting it), dispatching
-// to the AVX2+FMA assembly kernel when the CPU supports it.
+// microKernel computes the mr×nr tile into c, dispatching to the AVX2+FMA
+// assembly kernel when the CPU supports it. It overwrites c, or with acc
+// continues each element's multiply-add chain from c's value.
 //
 // The FMA kernel rounds once per multiply-add, so its results can differ
 // from the portable kernel in the last ulp; callers comparing against a
 // scalar reference must use a tolerance (see the GEMM property tests).
 // Within one process the dispatch is constant, so GEMM stays bit-for-bit
 // deterministic across runs and across worker counts.
-func microKernel(c *[mr * nr]float64, a0, a1, a2, a3, bp []float64, kcb int) {
+func microKernel(c *[mr * nr]float64, a0, a1, a2, a3, bp []float64, kcb int, acc bool) {
 	if hasFMAKernel && kcb > 0 {
-		fmaKernel4x8(&a0[0], &a1[0], &a2[0], &a3[0], &bp[0], &c[0], kcb)
+		fmaKernel4x8(&a0[0], &a1[0], &a2[0], &a3[0], &bp[0], &c[0], kcb, acc)
 		return
 	}
-	microKernelGo(c, a0, a1, a2, a3, bp, kcb)
+	microKernelGo(c, a0, a1, a2, a3, bp, kcb, acc)
 }
 
 // fmaKernel4x8 accumulates c[4][8] = Σ_p a{r}[p] * bp[p*8+j] over p in
-// [0, kc) with AVX2 FMA, overwriting c. Implemented in kernel_amd64.s.
+// [0, kc) with AVX2 FMA, starting from zero (overwriting c) or, with acc,
+// from c. Implemented in kernel_amd64.s.
 //
 //go:noescape
-func fmaKernel4x8(a0, a1, a2, a3, bp, c *float64, kc int)
+func fmaKernel4x8(a0, a1, a2, a3, bp, c *float64, kc int, acc bool)
 
 // fmaAxpy computes dst[i] += alpha*src[i] for i in [0, n) with AVX2 FMA.
 // Implemented in kernel_amd64.s.

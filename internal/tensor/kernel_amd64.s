@@ -2,14 +2,16 @@
 
 #include "textflag.h"
 
-// func fmaKernel4x8(a0, a1, a2, a3, bp, c *float64, kc int)
+// func fmaKernel4x8(a0, a1, a2, a3, bp, c *float64, kc int, acc bool)
 //
 // Computes the 4×8 micro-tile c[r][j] = Σ_p a{r}[p] * bp[p*8+j] for
-// p in [0, kc), overwriting c. The eight accumulators (Y4..Y11) stay in
+// p in [0, kc), overwriting c. With acc the accumulators start from c's
+// values instead of zero, so a chain of multiply-adds carries on from an
+// earlier call bit for bit. The eight accumulators (Y4..Y11) stay in
 // registers across the whole k-loop; each iteration streams 8 packed B
 // values (two YMM loads) and broadcasts one A value per row, issuing
 // 8 FMAs = 64 double FLOPs.
-TEXT ·fmaKernel4x8(SB), NOSPLIT, $0-56
+TEXT ·fmaKernel4x8(SB), NOSPLIT, $0-57
 	MOVQ a0+0(FP), R8
 	MOVQ a1+8(FP), R9
 	MOVQ a2+16(FP), R10
@@ -17,6 +19,10 @@ TEXT ·fmaKernel4x8(SB), NOSPLIT, $0-56
 	MOVQ bp+32(FP), R12
 	MOVQ c+40(FP), R13
 	MOVQ kc+48(FP), CX
+	MOVBQZX acc+56(FP), AX
+
+	TESTQ AX, AX
+	JNZ   load
 
 	VXORPD Y4, Y4, Y4
 	VXORPD Y5, Y5, Y5
@@ -26,6 +32,17 @@ TEXT ·fmaKernel4x8(SB), NOSPLIT, $0-56
 	VXORPD Y9, Y9, Y9
 	VXORPD Y10, Y10, Y10
 	VXORPD Y11, Y11, Y11
+	JMP    loop
+
+load:
+	VMOVUPD (R13), Y4
+	VMOVUPD 32(R13), Y5
+	VMOVUPD 64(R13), Y6
+	VMOVUPD 96(R13), Y7
+	VMOVUPD 128(R13), Y8
+	VMOVUPD 160(R13), Y9
+	VMOVUPD 192(R13), Y10
+	VMOVUPD 224(R13), Y11
 
 loop:
 	VMOVUPD (R12), Y0            // b[0:4]

@@ -23,10 +23,10 @@ const hasFMAKernel = false
 // NEON kernel as follow-up). The f32 tier — what the precision policy
 // selects for training — is where arm64 leaves the pure-Go path.
 
-// microKernel computes the mr×nr tile into c (overwriting it) with the
-// portable Go kernel.
-func microKernel(c *[mr * nr]float64, a0, a1, a2, a3, bp []float64, kcb int) {
-	microKernelGo(c, a0, a1, a2, a3, bp, kcb)
+// microKernel computes the mr×nr tile into c (overwriting it, or with acc
+// continuing from its values) with the portable Go kernel.
+func microKernel(c *[mr * nr]float64, a0, a1, a2, a3, bp []float64, kcb int, acc bool) {
+	microKernelGo(c, a0, a1, a2, a3, bp, kcb, acc)
 }
 
 // axpyRow adds alpha·src into dst (equal lengths) with the portable loop.

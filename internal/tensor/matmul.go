@@ -82,8 +82,8 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 }
 
 // transADirectMaxM is the output-height ceiling for the direct aᵀ·b path.
-// The weight-gradient products (dW = gradᵀ·cols) have m = channels or
-// classes but k = batch·positions, so the blocked kernel spends more time
+// A dense layer's weight gradient (dW = gradᵀ·x) has m = output units, a
+// handful of classes at the head, so the blocked kernel spends more time
 // packing B (k·n panel writes) than on the m·n·k arithmetic; below this m
 // the whole dst stays cache-resident and rank-1 accumulation wins.
 const transADirectMaxM = 32
@@ -243,9 +243,18 @@ func checkBias(op string, bias []float64, n int) {
 type gemmShape struct {
 	m, k, n int
 	transB  bool      // b is n×k instead of k×n
-	bias    []float64 // optional epilogue bias, length n
+	bias    []float64 // optional epilogue bias, length n (m under rowBias)
+	rowBias bool      // bias is per row of dst instead of per column
 	pre     *PackedB  // B already packed (b is then unused), or nil
 	acc     bool      // add into dst instead of overwriting it; no bias
+	// chain continues every element's multiply-add chain from dst's value
+	// across k-blocks (and calls) instead of adding block sums; no bias.
+	// The f32 tier, which sums its k-blocks in float64, treats it as acc.
+	chain bool
+	// inner marks one image's product inside a convolution's own fan-out
+	// (im2col.go): it runs serially, is not timed on its own, and runs its
+	// row remainder through the tile kernel like every other row.
+	inner bool
 }
 
 // f32 reports whether the product runs in the f32 tier: a packed B fixes
@@ -276,7 +285,7 @@ func gemm(dst, a, b []float64, s gemmShape) {
 		return
 	}
 	vol := s.m * s.n * s.k
-	timed := vol >= gemmTimedVolume
+	timed := vol >= gemmTimedVolume && !s.inner
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -284,10 +293,10 @@ func gemm(dst, a, b []float64, s gemmShape) {
 
 	var bpack *Tensor
 	if s.pre == nil {
-		bpack = GetTensor(kcBlock * nr * (ncBlock/nr + 1))
+		bpack = GetTensor(packLen(s.k, s.n, nr))
 	}
 	var task *gemmTask
-	if rowWorkers(s.m, vol) >= 2 {
+	if !s.inner && rowWorkers(s.m, vol) >= 2 {
 		task = gemmTasks.Get().(*gemmTask)
 		task.dst, task.a, task.s = dst, a, s
 	}
@@ -302,7 +311,7 @@ func gemm(dst, a, b []float64, s gemmShape) {
 				bp = bpack.Data
 				packB(bp, b, pc, jc, kcb, ncb, s)
 			}
-			first := pc == 0 && !s.acc
+			first := pc == 0 && !s.acc || s.chain
 			if task == nil {
 				gemmRows(dst, a, bp, 0, s.m, pc, jc, kcb, ncb, s, first)
 			} else {
@@ -328,11 +337,14 @@ func gemm(dst, a, b []float64, s gemmShape) {
 func fillBias(dst []float64, s gemmShape) {
 	for i := 0; i < s.m; i++ {
 		row := dst[i*s.n : (i+1)*s.n]
-		if s.bias == nil {
+		switch {
+		case s.bias == nil:
+			clear(row)
+		case s.rowBias:
 			for j := range row {
-				row[j] = 0
+				row[j] = s.bias[i]
 			}
-		} else {
+		default:
 			copy(row, s.bias)
 		}
 	}
@@ -361,6 +373,15 @@ func packB(dst, b []float64, pc, jc, kcb, ncb int, s gemmShape) {
 						dst[po+p*nr+j] = 0
 					}
 				}
+			}
+			continue
+		}
+		if w == nr { // a whole panel row at a time, bounds checked once
+			for p := 0; p < kcb; p++ {
+				o := (pc+p)*s.n + jc + jp*nr
+				src := b[o : o+nr : o+nr]
+				d := dst[po+p*nr : po+p*nr+nr : po+p*nr+nr]
+				d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7]
 			}
 			continue
 		}
@@ -399,24 +420,43 @@ var gemmTasks = sync.Pool{New: func() any { return new(gemmTask) }}
 
 // gemmRows computes rows [i0, i1) of dst against the packed B block. first
 // marks the k-block that overwrites dst (folding in the bias); later
-// k-blocks accumulate.
+// k-blocks accumulate. Under s.chain each tile starts from dst's values.
+//
+// A row remainder (fewer than mr rows) runs the scalar 1×nr tile, except
+// in an inner product: there the tile kernel runs with the missing rows
+// aliased to the last valid one and only the valid rows are stored. The
+// kernel keeps one independent chain per element, so those rows round
+// exactly as they would inside a full tile (with the FMA kernel, fused);
+// a conv product's rows are channels or kernel taps, whose counts are
+// rarely multiples of mr.
 func gemmRows(dst, a, bpack []float64, i0, i1, pc, jc, kcb, ncb int, s gemmShape, first bool) {
 	panels := (ncb + nr - 1) / nr
 	var ctile [mr * nr]float64
+	var ar [mr][]float64
 	i := i0
-	for ; i+mr <= i1; i += mr {
-		a0 := a[(i+0)*s.k+pc : (i+0)*s.k+pc+kcb]
-		a1 := a[(i+1)*s.k+pc : (i+1)*s.k+pc+kcb]
-		a2 := a[(i+2)*s.k+pc : (i+2)*s.k+pc+kcb]
-		a3 := a[(i+3)*s.k+pc : (i+3)*s.k+pc+kcb]
+	for ; i < i1; i += mr {
+		rows := min(mr, i1-i)
+		if rows < mr && !s.inner {
+			break
+		}
+		for r := range ar {
+			ri := i + min(r, rows-1)
+			ar[r] = a[ri*s.k+pc : ri*s.k+pc+kcb]
+		}
 		for jp := 0; jp < panels; jp++ {
 			bp := bpack[jp*kcb*nr : (jp+1)*kcb*nr]
-			microKernel(&ctile, a0, a1, a2, a3, bp, kcb)
 			j := jc + jp*nr
 			w := min(nr, ncb-jp*nr)
-			for r := 0; r < mr; r++ {
-				storeRow(dst[(i+r)*s.n+j:], ctile[r*nr:(r+1)*nr], w, j, first, s.bias)
+			if s.chain {
+				for r := 0; r < rows; r++ {
+					c, d := ctile[r*nr:r*nr+w], dst[(i+r)*s.n+j:]
+					for x := range c {
+						c[x] = d[x]
+					}
+				}
 			}
+			microKernel(&ctile, ar[0], ar[1], ar[2], ar[3], bp, kcb, s.chain)
+			s.store(dst, &ctile, i, rows, j, w, first)
 		}
 	}
 	// Row remainder: 1×nr scalar tiles.
@@ -427,38 +467,54 @@ func gemmRows(dst, a, bpack []float64, i0, i1, pc, jc, kcb, ncb int, s gemmShape
 			microKernel1(&ctile, ar, bp, kcb)
 			j := jc + jp*nr
 			w := min(nr, ncb-jp*nr)
-			storeRow(dst[i*s.n+j:], ctile[:nr], w, j, first, s.bias)
+			s.store(dst, &ctile, i, 1, j, w, first)
 		}
 	}
 }
 
-// storeRow writes w computed lanes into dst, either overwriting (+bias) on
-// the first k-block or accumulating on later ones.
-func storeRow(dst, c []float64, w, j int, first bool, bias []float64) {
-	if first {
-		if bias != nil {
-			for x := 0; x < w; x++ {
-				dst[x] = c[x] + bias[j+x]
+// store writes the first rows × w lanes of tile c into dst at row i,
+// column j: overwriting on the first k-block, with the bias of each row or
+// of each column folded in, and accumulating on later ones.
+func (s *gemmShape) store(dst []float64, c *[mr * nr]float64, i, rows, j, w int, first bool) {
+	for r := 0; r < rows; r++ {
+		d, cr := dst[(i+r)*s.n+j:][:w], c[r*nr:][:w]
+		switch {
+		case !first:
+			for x, v := range cr {
+				d[x] += v
 			}
-			return
+		case s.bias == nil:
+			for x, v := range cr {
+				d[x] = v
+			}
+		case s.rowBias:
+			b := s.bias[i+r]
+			for x, v := range cr {
+				d[x] = v + b
+			}
+		default:
+			bias := s.bias[j : j+w]
+			for x, v := range cr {
+				d[x] = v + bias[x]
+			}
 		}
-		for x := 0; x < w; x++ {
-			dst[x] = c[x]
-		}
-		return
-	}
-	for x := 0; x < w; x++ {
-		dst[x] += c[x]
 	}
 }
 
 // microKernelGo is the portable mr×nr register tile: 32 accumulators kept
-// live across the full k-block, B streamed from the packed panel.
-func microKernelGo(c *[mr * nr]float64, a0, a1, a2, a3, bp []float64, kcb int) {
+// live across the full k-block, B streamed from the packed panel. They
+// start from zero, or from c under acc.
+func microKernelGo(c *[mr * nr]float64, a0, a1, a2, a3, bp []float64, kcb int, acc bool) {
 	var c00, c01, c02, c03, c04, c05, c06, c07 float64
 	var c10, c11, c12, c13, c14, c15, c16, c17 float64
 	var c20, c21, c22, c23, c24, c25, c26, c27 float64
 	var c30, c31, c32, c33, c34, c35, c36, c37 float64
+	if acc {
+		c00, c01, c02, c03, c04, c05, c06, c07 = c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+		c10, c11, c12, c13, c14, c15, c16, c17 = c[8], c[9], c[10], c[11], c[12], c[13], c[14], c[15]
+		c20, c21, c22, c23, c24, c25, c26, c27 = c[16], c[17], c[18], c[19], c[20], c[21], c[22], c[23]
+		c30, c31, c32, c33, c34, c35, c36, c37 = c[24], c[25], c[26], c[27], c[28], c[29], c[30], c[31]
+	}
 	for p := 0; p < kcb; p++ {
 		b := bp[p*nr : p*nr+nr : p*nr+nr]
 		av := a0[p]

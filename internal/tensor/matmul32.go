@@ -22,7 +22,7 @@ import (
 //     runs one instantiation: the MIXED path (the f64 entry points in
 //     matmul.go running under the F32 precision policy) with T = float64.
 //     Operands are narrowed once — A up front, B at pack time — the
-//     micro-kernel accumulates one k-block in f32, and storeRow32 widens
+//     micro-kernel accumulates one k-block in f32, and the store widens
 //     the partial sums into the float64 destination, so accumulation
 //     ACROSS k-blocks (and the bias epilogue) stays float64. The
 //     T = float32 instantiation (f32 in, f32 out) is the tests' pure-f32
@@ -54,9 +54,11 @@ type elem interface{ ~float32 | ~float64 }
 type gemmShape32[T elem] struct {
 	m, k, n int
 	transB  bool     // b is n×k instead of k×n
-	bias    []T      // optional epilogue bias, length n
+	bias    []T      // optional epilogue bias, length n (m under rowBias)
+	rowBias bool     // bias is per row of dst instead of per column
 	pre     *PackedB // B already packed (b is then unused), or nil
 	acc     bool     // add into dst instead of overwriting it; no bias
+	inner   bool     // serial and untimed, as gemmShape.inner
 }
 
 // gemmMixed is the F32-policy entry for the float64-facing GEMMs: narrow A
@@ -67,7 +69,8 @@ type gemmShape32[T elem] struct {
 func gemmMixed(dst, a, b []float64, s gemmShape) {
 	a32 := getF32(s.m * s.k)
 	NarrowSlice(a32, a[:s.m*s.k])
-	gemm32(dst, a32, b, gemmShape32[float64]{m: s.m, k: s.k, n: s.n, transB: s.transB, bias: s.bias, pre: s.pre, acc: s.acc})
+	gemm32(dst, a32, b, gemmShape32[float64]{m: s.m, k: s.k, n: s.n, transB: s.transB,
+		bias: s.bias, rowBias: s.rowBias, pre: s.pre, acc: s.acc || s.chain, inner: s.inner})
 	putF32(a32)
 }
 
@@ -83,7 +86,7 @@ func gemm32[T elem](dst []T, a32 []float32, b []T, s gemmShape32[T]) {
 		return
 	}
 	vol := s.m * s.n * s.k
-	timed := vol >= gemmTimedVolume
+	timed := vol >= gemmTimedVolume && !s.inner
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -91,10 +94,10 @@ func gemm32[T elem](dst []T, a32 []float32, b []T, s gemmShape32[T]) {
 
 	var bpack []float32
 	if s.pre == nil {
-		bpack = getF32(kcBlock * nr32 * (ncBlock/nr32 + 1))
+		bpack = getF32(packLen(s.k, s.n, nr32))
 	}
 	var task *gemmTask32[T]
-	if rowWorkers(s.m, vol) >= 2 {
+	if !s.inner && rowWorkers(s.m, vol) >= 2 {
 		task, _ = gemmTasks32[T]().Get().(*gemmTask32[T])
 		if task == nil {
 			task = new(gemmTask32[T])
@@ -137,11 +140,14 @@ func gemm32[T elem](dst []T, a32 []float32, b []T, s gemmShape32[T]) {
 func fillBias32[T elem](dst []T, s gemmShape32[T]) {
 	for i := 0; i < s.m; i++ {
 		row := dst[i*s.n : (i+1)*s.n]
-		if s.bias == nil {
+		switch {
+		case s.bias == nil:
+			clear(row)
+		case s.rowBias:
 			for j := range row {
-				row[j] = 0
+				row[j] = s.bias[i]
 			}
-		} else {
+		default:
 			copy(row, s.bias)
 		}
 	}
@@ -233,9 +239,7 @@ func gemmRows32[T elem](dst []T, a32, bpack []float32, i0, i1, pc, jc, kcb, ncb 
 			microKernel32(&ctile, a0, a1, a2, a3, a4, a5, bp, kcb)
 			j := jc + jp*nr32
 			w := min(nr32, ncb-jp*nr32)
-			for r := 0; r < mr32; r++ {
-				storeRow32(dst[(i+r)*s.n+j:], ctile[r*nr32:(r+1)*nr32], w, j, first, s.bias)
-			}
+			s.store(dst, &ctile, i, mr32, j, w, first)
 		}
 	}
 	// Row remainder (1..mr32-1 rows): run the full 6-row kernel with the
@@ -256,31 +260,38 @@ func gemmRows32[T elem](dst []T, a32, bpack []float32, i0, i1, pc, jc, kcb, ncb 
 			microKernel32(&ctile, rows[0], rows[1], rows[2], rows[3], rows[4], rows[5], bp, kcb)
 			j := jc + jp*nr32
 			w := min(nr32, ncb-jp*nr32)
-			for r := 0; r < rem; r++ {
-				storeRow32(dst[(i+r)*s.n+j:], ctile[r*nr32:(r+1)*nr32], w, j, first, s.bias)
-			}
+			s.store(dst, &ctile, i, rem, j, w, first)
 		}
 	}
 }
 
-// storeRow32 writes w computed lanes into dst, widening each f32 partial
-// sum to dst's precision, either overwriting (+bias) on the first k-block
-// or accumulating on later ones.
-func storeRow32[T elem](dst []T, c []float32, w, j int, first bool, bias []T) {
-	if first {
-		if bias != nil {
-			for x := 0; x < w; x++ {
-				dst[x] = T(c[x]) + bias[j+x]
+// store writes the first rows × w lanes of tile c into dst at row i,
+// column j, widening each f32 partial sum to dst's precision: overwriting
+// on the first k-block, with the bias of each row or of each column folded
+// in, and accumulating on later ones.
+func (s *gemmShape32[T]) store(dst []T, c *[mr32 * nr32]float32, i, rows, j, w int, first bool) {
+	for r := 0; r < rows; r++ {
+		d, cr := dst[(i+r)*s.n+j:][:w], c[r*nr32:][:w]
+		switch {
+		case !first:
+			for x, v := range cr {
+				d[x] += T(v)
 			}
-			return
+		case s.bias == nil:
+			for x, v := range cr {
+				d[x] = T(v)
+			}
+		case s.rowBias:
+			b := s.bias[i+r]
+			for x, v := range cr {
+				d[x] = T(v) + b
+			}
+		default:
+			bias := s.bias[j : j+w]
+			for x, v := range cr {
+				d[x] = T(v) + bias[x]
+			}
 		}
-		for x := 0; x < w; x++ {
-			dst[x] = T(c[x])
-		}
-		return
-	}
-	for x := 0; x < w; x++ {
-		dst[x] += T(c[x])
 	}
 }
 

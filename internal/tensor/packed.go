@@ -94,6 +94,11 @@ func blockOffset(k, pc, jc, ncb, w int) int {
 
 func roundUp(n, w int) int { return (n + w - 1) / w * w }
 
+// packLen is the panel buffer one (kc, nc) block of a k×n B operand needs
+// at panel width w: the largest block is min(k, kcBlock) deep and
+// min(n, ncBlock) columns wide, padded to whole panels.
+func packLen(k, n, w int) int { return min(k, kcBlock) * roundUp(min(n, ncBlock), w) }
+
 // resize returns s with length n, reallocating only when it must grow.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {

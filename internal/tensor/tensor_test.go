@@ -288,24 +288,22 @@ func TestIm2ColConvMatchesNaive(t *testing.T) {
 	x.RandNormal(rng, 0, 1)
 	w.RandNormal(rng, 0, 1)
 
-	cols := Im2Col(x, g)
-	wm := w.Reshape(outC, g.InC*g.KH*g.KW)
-	prod := MatMulTransB(cols, wm) // [n*oh*ow, outC]
-
-	oh, ow := g.OutH(), g.OutW()
-	got := New(n, outC, oh, ow)
+	// Each image's column block times the kernel matrix is its NCHW output.
+	k, s := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	cols := Im2Col(x, g) // [n, k, s]
+	wm := w.Reshape(outC, k)
+	got := New(n, outC, g.OutH(), g.OutW())
 	for b := 0; b < n; b++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				for oc := 0; oc < outC; oc++ {
-					got.Set(prod.At((b*oh+oy)*ow+ox, oc), b, oc, oy, ox)
-				}
-			}
-		}
+		colsB := FromSlice(cols.Data[b*k*s:(b+1)*k*s], k, s)
+		copy(got.Data[b*outC*s:], MatMul(wm, colsB).Data)
 	}
 	want := naiveConv(x, w, g)
 	if !Equal(got, want, 1e-9) {
 		t.Fatal("im2col-based convolution diverges from naive convolution")
+	}
+	fused := ConvForwardInto(New(n, outC, g.OutH(), g.OutW()), New(n, k, s), x, wm, make([]float64, outC), g)
+	if !Equal(fused, want, 1e-9) {
+		t.Fatal("ConvForwardInto diverges from naive convolution")
 	}
 }
 
@@ -317,8 +315,13 @@ func TestIm2ColStride2(t *testing.T) {
 	x.RandNormal(rng, 0, 1)
 	w.RandNormal(rng, 0, 1)
 	cols := Im2Col(x, g)
-	if cols.Shape[0] != g.OutH()*g.OutW() || cols.Shape[1] != g.InC*g.KH*g.KW {
-		t.Fatalf("Im2Col shape = %v, want [%d %d]", cols.Shape, g.OutH()*g.OutW(), g.InC*g.KH*g.KW)
+	k, s := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	if cols.Dims() != 3 || cols.Shape[0] != 1 || cols.Shape[1] != k || cols.Shape[2] != s {
+		t.Fatalf("Im2Col shape = %v, want [1 %d %d]", cols.Shape, k, s)
+	}
+	got := MatMul(w.Reshape(3, k), cols.Reshape(k, s))
+	if !Equal(got.Reshape(1, 3, g.OutH(), g.OutW()), naiveConv(x, w, g), 1e-9) {
+		t.Fatal("stride-2 im2col convolution diverges from naive convolution")
 	}
 }
 
