@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # whatever `staticcheck` is on PATH (and skip cleanly when there is none).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck check
+.PHONY: build test race vet staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck quickcheck check
 
 build:
 	$(GO) build ./...
@@ -165,6 +165,19 @@ wirecheck:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeUpdateStream$$' -fuzztime=5s ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodePartialStream$$' -fuzztime=5s ./internal/fl/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzTopKSelect$$' -fuzztime=5s ./internal/fl/compress
+
+# quickcheck regenerates every experiment table at quick scale and diffs
+# it against the committed experiments_quick.txt, "(<id> in <t>)" timing
+# lines removed from both sides: any other difference means a change moved
+# a table cell. About 4-6 min on 2 vCPUs.
+quickcheck:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/cipbench -exp all -preset quick > "$$tmp/run.txt" || exit 1; \
+	timing='^([a-z0-9]* in [^)]*)$$'; \
+	grep -v "$$timing" experiments_quick.txt > "$$tmp/want.txt"; \
+	grep -v "$$timing" "$$tmp/run.txt" > "$$tmp/got.txt"; \
+	diff -u "$$tmp/want.txt" "$$tmp/got.txt" \
+		|| { echo "quickcheck: regenerated tables differ from experiments_quick.txt"; exit 1; }
 
 # check is the full CI gate: static analysis, the arm64 cross-compile,
 # the race-enabled suite, a short fuzz burst, the crash-harness smoke,

@@ -18,8 +18,8 @@ import (
 	"strings"
 
 	"github.com/cip-fl/cip/internal/attacks"
-	"github.com/cip-fl/cip/internal/datasets"
 	"github.com/cip-fl/cip/internal/experiments"
+	"github.com/cip-fl/cip/internal/flcli"
 	"github.com/cip-fl/cip/internal/model"
 	"github.com/cip-fl/cip/internal/nn"
 )
@@ -68,7 +68,7 @@ func run() error {
 	needShadow := *attackName == "nn" || *attackName == "pbbayes" || *attackName == "all"
 	if needShadow {
 		build := func() nn.Layer {
-			return model.NewClassifier(rand.New(rand.NewSource(*seed+1)), shadowArch(a),
+			return model.NewClassifier(rand.New(rand.NewSource(*seed+1)), flcli.ArchFor(a.Preset),
 				d.Train.In, d.Train.NumClasses)
 		}
 		shadow, err = attacks.TrainShadow(build, st, sx, *shadowEpochs, 0.05,
@@ -99,11 +99,4 @@ func run() error {
 		fmt.Printf("%-8s %s\n", name, res)
 	}
 	return nil
-}
-
-func shadowArch(a *experiments.Artifact) model.Arch {
-	if a.Preset == datasets.Purchase50 {
-		return model.MLP
-	}
-	return model.VGG
 }

@@ -13,9 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"github.com/cip-fl/cip/internal/datasets"
 	"github.com/cip-fl/cip/internal/experiments"
 	"github.com/cip-fl/cip/internal/fl"
 	"github.com/cip-fl/cip/internal/fl/checkpoint"
@@ -26,21 +24,6 @@ func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "ciptrain:", err)
 		os.Exit(1)
-	}
-}
-
-func parsePreset(name string) (datasets.Preset, error) {
-	switch strings.ToLower(name) {
-	case "cifar100", "cifar-100":
-		return datasets.CIFAR100, nil
-	case "cifaraug", "cifar-aug":
-		return datasets.CIFARAUG, nil
-	case "chmnist", "ch-mnist":
-		return datasets.CHMNIST, nil
-	case "purchase50", "purchase-50":
-		return datasets.Purchase50, nil
-	default:
-		return 0, fmt.Errorf("unknown dataset %q (want cifar100, cifaraug, chmnist, purchase50)", name)
 	}
 }
 
@@ -67,7 +50,7 @@ func run() error {
 	precisionFlag := flcli.RegisterPrecisionFlag()
 	flag.Parse()
 
-	p, err := parsePreset(*dataset)
+	p, scale, err := flcli.ParseDataset(*dataset, *scaleName)
 	if err != nil {
 		return err
 	}
@@ -78,11 +61,6 @@ func run() error {
 	if err := sampleFlags.Validate(); err != nil {
 		return err
 	}
-	scale := datasets.Quick
-	if *scaleName == "full" {
-		scale = datasets.Full
-	}
-
 	reg, stopTelemetry, err := flcli.StartTelemetry(*metricsAddr)
 	if err != nil {
 		return err
@@ -126,7 +104,7 @@ func run() error {
 				bank.Cfg.Mode)
 		}
 	}
-	a, err := experiments.TrainArtifactDurable(p, scale, *seed, *clients, *rounds, *alpha, reg, spec, policy)
+	a, err := experiments.TrainArtifact(p, scale, *seed, *clients, *rounds, *alpha, reg, spec, policy)
 	if errors.Is(err, fl.ErrStopped) {
 		fmt.Printf("stopped at a round boundary; snapshot saved to %s — rerun with -resume to continue\n",
 			*ckptPath)

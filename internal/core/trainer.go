@@ -273,8 +273,7 @@ const calibrationFraction = 0.1
 func NewClient(id int, dual *DualChannelModel, data *datasets.Dataset,
 	cfg TrainConfig, pertSeed int64, rng *rand.Rand) *Client {
 	cfg = cfg.withDefaults()
-	shape := sampleShape(data)
-	pert := NewPerturbation(pertSeed, shape, 0, 1)
+	pert := NewPerturbation(pertSeed, data.SampleShape(), 0, 1)
 	m := NewCIPModel(dual, pert.T, cfg.Alpha)
 
 	var cal *datasets.Dataset
@@ -361,13 +360,6 @@ func (c *Client) RestoreState(blob []byte) error {
 	}
 	c.src.SetState(st.RNG)
 	return nil
-}
-
-func sampleShape(d *datasets.Dataset) []int {
-	if d.In.IsImage() {
-		return []int{d.In.C, d.In.H, d.In.W}
-	}
-	return []int{d.In.C}
 }
 
 // ID implements fl.Client.

@@ -118,7 +118,7 @@ func TestStepIISteadyStateAllocation(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	shard, _ := wsShard(t, model.VGG).Split(32)
 	dual := NewDualChannelModel(rand.New(rand.NewSource(7)), model.VGG, shard.In, shard.NumClasses)
-	m := NewCIPModel(dual, NewPerturbation(3, sampleShape(shard), 0, 1).T, 0.9)
+	m := NewCIPModel(dual, NewPerturbation(3, shard.SampleShape(), 0, 1).T, 0.9)
 	cfg := TrainConfig{Alpha: 0.9, LambdaM: 0.3}
 	opt := &nn.SGD{LR: 0.01, Momentum: 0.9}
 	rng := rand.New(rand.NewSource(1))
@@ -156,7 +156,7 @@ func TestStepISteadyStateAllocation(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	shard, _ := wsShard(t, model.VGG).Split(40)
 	dual := NewDualChannelModel(rand.New(rand.NewSource(7)), model.VGG, shard.In, shard.NumClasses)
-	m := NewCIPModel(dual, NewPerturbation(3, sampleShape(shard), 0, 1).T, 0.9)
+	m := NewCIPModel(dual, NewPerturbation(3, shard.SampleShape(), 0, 1).T, 0.9)
 	cfg := TrainConfig{Alpha: 0.9, LambdaT: 1e-6, PerturbLR: 0.02}
 	rng := rand.New(rand.NewSource(1))
 	step := func() { StepIGeneratePerturbation(m, shard, cfg, rng) }

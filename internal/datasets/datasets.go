@@ -74,7 +74,9 @@ func (d *Dataset) BatchIn(ws *tensor.Workspace, start, end int) (*tensor.Tensor,
 	return x, y
 }
 
-func (d *Dataset) sampleShape() []int {
+// SampleShape returns the shape of one sample: [C, H, W] for images, [C]
+// for tabular features.
+func (d *Dataset) SampleShape() []int {
 	if d.In.IsImage() {
 		return []int{d.In.C, d.In.H, d.In.W}
 	}
@@ -84,7 +86,7 @@ func (d *Dataset) sampleShape() []int {
 // Subset returns a new dataset containing the samples at the given indices.
 func (d *Dataset) Subset(idx []int) *Dataset {
 	ss := d.SampleSize()
-	shape := append([]int{len(idx)}, d.sampleShape()...)
+	shape := append([]int{len(idx)}, d.SampleShape()...)
 	x := tensor.New(shape...)
 	y := make([]int, len(idx))
 	for i, j := range idx {
@@ -201,7 +203,7 @@ func Concat(a, b *Dataset) *Dataset {
 	if a.In != b.In || a.NumClasses != b.NumClasses {
 		panic(fmt.Sprintf("datasets: Concat of incompatible datasets %+v vs %+v", a.In, b.In))
 	}
-	shape := append([]int{a.Len() + b.Len()}, a.sampleShape()...)
+	shape := append([]int{a.Len() + b.Len()}, a.SampleShape()...)
 	x := tensor.New(shape...)
 	copy(x.Data, a.X.Data)
 	copy(x.Data[len(a.X.Data):], b.X.Data)

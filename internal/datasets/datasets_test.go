@@ -273,6 +273,23 @@ func TestLoadPresets(t *testing.T) {
 	}
 }
 
+func TestSampleShape(t *testing.T) {
+	d, err := Load(Purchase50, Quick, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Train.SampleShape(); len(got) != 1 || got[0] != d.Train.In.C {
+		t.Errorf("tabular sample shape = %v", got)
+	}
+	img, err := Load(CHMNIST, Quick, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := img.Train.SampleShape(); len(got) != 3 {
+		t.Errorf("image sample shape = %v, want rank 3", got)
+	}
+}
+
 func TestLoadFullScalePresets(t *testing.T) {
 	for _, p := range AllPresets() {
 		t.Run(p.String(), func(t *testing.T) {

@@ -71,7 +71,7 @@ func Ablation(cfg Config) (*Table, error) {
 		}
 
 		pert := core.NewPerturbation(core.BlendSeed(cfg.Seed, 0),
-			sampleShapeOf(trainSet), 0, 1)
+			trainSet.SampleShape(), 0, 1)
 		m := core.NewCIPModel(dual, pert.T, alpha)
 		opt := &nn.SGD{LR: tc.LR(0), Momentum: tc.Momentum}
 		rng := rand.New(rand.NewSource(cfg.Seed + 20))
@@ -95,11 +95,4 @@ func Ablation(cfg Config) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"the dual channel buys utility; the capped lambda_m maximization buys privacy where overfitting leaks (strongest on the CIFAR regimes, fig8) and its self-calibrated cap is what protects utility; Step I's benefit shows under non-iid heterogeneity (fig7, table3)")
 	return t, nil
-}
-
-func sampleShapeOf(d *datasets.Dataset) []int {
-	if d.In.IsImage() {
-		return []int{d.In.C, d.In.H, d.In.W}
-	}
-	return []int{d.In.C}
 }

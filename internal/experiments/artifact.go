@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/cip-fl/cip/internal/core"
 	"github.com/cip-fl/cip/internal/datasets"
+	"github.com/cip-fl/cip/internal/fl"
 	"github.com/cip-fl/cip/internal/fl/checkpoint"
 	"github.com/cip-fl/cip/internal/model"
 	"github.com/cip-fl/cip/internal/nn"
@@ -62,77 +62,63 @@ func (a *Artifact) Data() (*datasets.Data, error) {
 	return datasets.Load(a.Preset, a.Scale, a.Seed)
 }
 
-// Net reconstructs the model. For CIP artifacts, withT selects whether the
-// saved perturbation is applied (owner's view) or the zero perturbation
-// (attacker's view).
+// Net rebuilds the model the way the runner builds it, from seed+1. For CIP
+// artifacts, withT selects whether the saved perturbation is applied
+// (owner's view) or the zero perturbation (attacker's view).
 func (a *Artifact) Net(withT bool) (nn.Layer, error) {
 	d, err := a.Data()
 	if err != nil {
 		return nil, err
 	}
-	if !a.CIP {
-		net := model.NewClassifier(rand.New(rand.NewSource(a.Seed+1)), a.Arch,
-			d.Train.In, d.Train.NumClasses)
-		if err := nn.SetFlatParams(net.Params(), a.Params); err != nil {
-			return nil, err
-		}
-		return net, nil
-	}
-	dual := core.NewDualChannelModel(rand.New(rand.NewSource(a.Seed+1)), a.Arch,
-		d.Train.In, d.Train.NumClasses)
-	if err := nn.SetFlatParams(dual.Params(), a.Params); err != nil {
+	net := a.factory().net(fedEnv{train: d.Train, arch: a.Arch, seed: a.Seed})
+	if err := nn.SetFlatParams(net.Params(), a.Params); err != nil {
 		return nil, err
 	}
-	shape := []int{d.Train.In.C}
-	if d.Train.In.IsImage() {
-		shape = []int{d.Train.In.C, d.Train.In.H, d.Train.In.W}
-	}
-	pt := nn.NewParam("t", shape...).Value
-	if withT {
-		if len(a.T) != pt.Size() {
+	if m, ok := net.(*core.CIPModel); ok && withT {
+		if len(a.T) != m.T.Size() {
 			return nil, fmt.Errorf("experiments: artifact perturbation has %d values, want %d",
-				len(a.T), pt.Size())
+				len(a.T), m.T.Size())
 		}
-		copy(pt.Data, a.T)
+		copy(m.T.Data, a.T)
 	}
-	return core.NewCIPModel(dual, pt, a.Alpha), nil
+	return net, nil
+}
+
+func (a *Artifact) factory() clientFactory {
+	if a.CIP {
+		return cipClients{a.Alpha}
+	}
+	return plain{}
 }
 
 // TrainArtifact runs a federation on the preset and returns the artifact.
 // alpha > 0 selects CIP; alpha == 0 trains the undefended legacy model.
+// When reg is non-nil the federation records round metrics and the CIP
+// trainer records Step I/II losses and epoch timings into it (cmd/ciptrain
+// serves these under -metrics-addr). A non-nil spec makes the run durable:
+// the federation snapshots through it, and an interrupted run
+// (fl.ErrStopped, process death) rerun with spec.Resume continues where
+// the last snapshot left off, producing a bit-identical artifact. policy,
+// when non-nil, attaches quorum / robust-aggregation / quarantine
+// semantics; the reputation tracker's state rides the snapshot, so a
+// resumed run keeps its quarantine decisions.
 func TrainArtifact(p datasets.Preset, scale datasets.Scale, seed int64,
-	clients, rounds int, alpha float64) (*Artifact, error) {
-	return TrainArtifactObserved(p, scale, seed, clients, rounds, alpha, nil)
-}
-
-// TrainArtifactObserved is TrainArtifact with live telemetry: when reg is
-// non-nil the federation records round metrics and the CIP trainer
-// records Step I/II losses and epoch timings into it (cmd/ciptrain serves
-// these under -metrics-addr).
-func TrainArtifactObserved(p datasets.Preset, scale datasets.Scale, seed int64,
-	clients, rounds int, alpha float64, reg *telemetry.Registry) (*Artifact, error) {
+	clients, rounds int, alpha float64, reg *telemetry.Registry,
+	spec *CheckpointSpec, policy *fl.RoundPolicy) (*Artifact, error) {
 	d, err := datasets.Load(p, scale, seed)
 	if err != nil {
 		return nil, err
 	}
 	arch := archFor(p, scale)
-	a := &Artifact{Preset: p, Scale: scale, Seed: seed, Arch: arch, Alpha: alpha}
-	if alpha > 0 {
-		run, err := runCIP(d.Train, arch, clients, rounds, alpha, seed,
-			cipOpts{augment: d.Augment, telemetry: reg})
-		if err != nil {
-			return nil, err
-		}
-		a.CIP = true
-		a.Params = run.Global
-		a.T = append([]float64(nil), run.Clients[0].Perturbation().T.Data...)
-		return a, nil
-	}
-	run, err := runLegacy(d.Train, arch, clients, rounds, seed,
-		legacyOpts{augment: d.Augment, telemetry: reg})
+	a := &Artifact{Preset: p, Scale: scale, Seed: seed, Arch: arch, CIP: alpha > 0, Alpha: alpha}
+	run, err := runFed(d.Train, arch, clients, rounds, seed, a.factory(),
+		fedOpts{augment: d.Augment, telemetry: reg, ckpt: spec, policy: policy})
 	if err != nil {
 		return nil, err
 	}
 	a.Params = run.Global
+	if a.CIP {
+		a.T = append([]float64(nil), run.cip(0).Perturbation().T.Data...)
+	}
 	return a, nil
 }

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/cip-fl/cip/internal/datasets"
 	"github.com/cip-fl/cip/internal/fl"
 	"github.com/cip-fl/cip/internal/fl/checkpoint"
-	"github.com/cip-fl/cip/internal/telemetry"
 )
 
 // CheckpointSpec makes an in-process experiment federation durable: the
@@ -34,13 +32,6 @@ type CheckpointSpec struct {
 	// AfterRound is the crash-injection hook (internal/fl/faults.CrashAt);
 	// production runs leave it nil.
 	AfterRound func(round int) error
-	// WriteHook, when non-nil, may corrupt snapshot bytes before they hit
-	// the disk (torn-write fault injection); production runs leave it nil.
-	WriteHook func([]byte) []byte
-}
-
-func (s *CheckpointSpec) manager() *checkpoint.Manager {
-	return &checkpoint.Manager{Path: s.Path, Metrics: s.Metrics, WriteHook: s.WriteHook}
 }
 
 // runServer runs srv to the absolute round count — durably when spec is
@@ -49,7 +40,7 @@ func runServer(srv *fl.Server, rounds int, spec *CheckpointSpec) error {
 	if spec == nil {
 		return srv.Run(rounds)
 	}
-	mgr := spec.manager()
+	mgr := &checkpoint.Manager{Path: spec.Path, Metrics: spec.Metrics}
 	if spec.Resume {
 		snap, err := mgr.Load()
 		switch {
@@ -71,42 +62,4 @@ func runServer(srv *fl.Server, rounds int, spec *CheckpointSpec) error {
 		Stop:       spec.Stop,
 		AfterRound: spec.AfterRound,
 	})
-}
-
-// TrainArtifactDurable is TrainArtifactObserved with durable
-// checkpointing: the federation snapshots through spec, and an interrupted
-// run (fl.ErrStopped, process death) can be rerun with spec.Resume to
-// continue where the last snapshot left off, producing a bit-identical
-// artifact. A nil spec degrades to TrainArtifactObserved. policy, when
-// non-nil, attaches quorum / robust-aggregation / quarantine semantics to
-// the federation (cmd/ciptrain builds it from -robust-agg and friends);
-// the reputation tracker's state rides the snapshot, so a resumed run
-// keeps its quarantine decisions.
-func TrainArtifactDurable(p datasets.Preset, scale datasets.Scale, seed int64,
-	clients, rounds int, alpha float64, reg *telemetry.Registry,
-	spec *CheckpointSpec, policy *fl.RoundPolicy) (*Artifact, error) {
-	d, err := datasets.Load(p, scale, seed)
-	if err != nil {
-		return nil, err
-	}
-	arch := archFor(p, scale)
-	a := &Artifact{Preset: p, Scale: scale, Seed: seed, Arch: arch, Alpha: alpha}
-	if alpha > 0 {
-		run, err := runCIP(d.Train, arch, clients, rounds, alpha, seed,
-			cipOpts{augment: d.Augment, telemetry: reg, ckpt: spec, policy: policy})
-		if err != nil {
-			return nil, err
-		}
-		a.CIP = true
-		a.Params = run.Global
-		a.T = append([]float64(nil), run.Clients[0].Perturbation().T.Data...)
-		return a, nil
-	}
-	run, err := runLegacy(d.Train, arch, clients, rounds, seed,
-		legacyOpts{augment: d.Augment, telemetry: reg, ckpt: spec, policy: policy})
-	if err != nil {
-		return nil, err
-	}
-	a.Params = run.Global
-	return a, nil
 }

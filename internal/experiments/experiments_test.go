@@ -97,23 +97,6 @@ func TestArchForScales(t *testing.T) {
 	}
 }
 
-func TestSampleShapeOf(t *testing.T) {
-	d, err := datasets.Load(datasets.Purchase50, datasets.Quick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sampleShapeOf(d.Train); len(got) != 1 || got[0] != d.Train.In.C {
-		t.Errorf("tabular sample shape = %v", got)
-	}
-	img, err := datasets.Load(datasets.CHMNIST, datasets.Quick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sampleShapeOf(img.Train); len(got) != 3 {
-		t.Errorf("image sample shape = %v, want rank 3", got)
-	}
-}
-
 func TestEqualize(t *testing.T) {
 	d, err := datasets.Load(datasets.CHMNIST, datasets.Quick, 1)
 	if err != nil {
@@ -169,7 +152,7 @@ func TestLoadArtifactRefusesRawGob(t *testing.T) {
 }
 
 func TestArtifactRoundTrip(t *testing.T) {
-	a, err := TrainArtifact(datasets.CHMNIST, datasets.Quick, 1, 1, 2, 0.5)
+	a, err := TrainArtifact(datasets.CHMNIST, datasets.Quick, 1, 1, 2, 0.5, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +192,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 }
 
 func TestLegacyArtifact(t *testing.T) {
-	a, err := TrainArtifact(datasets.Purchase50, datasets.Quick, 1, 2, 2, 0)
+	a, err := TrainArtifact(datasets.Purchase50, datasets.Quick, 1, 2, 2, 0, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

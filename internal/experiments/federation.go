@@ -11,6 +11,7 @@ import (
 	"github.com/cip-fl/cip/internal/model"
 	"github.com/cip-fl/cip/internal/nn"
 	"github.com/cip-fl/cip/internal/telemetry"
+	"github.com/cip-fl/cip/internal/tensor"
 )
 
 // hyper centralizes the training hyperparameters shared by all experiment
@@ -23,144 +24,118 @@ type hyper struct {
 
 func defaultHyper() hyper { return hyper{batch: 16, lr: 0.05, momentum: 0.9} }
 
-// legacyRun is the result of a plain (or baseline-defended) federation.
-type legacyRun struct {
-	Global   []float64
-	Recorder *fl.HistoryRecorder
-	Shards   []*datasets.Dataset
-	Build    func() nn.Layer // reconstructs the architecture
-	Clients  []*fl.LegacyClient
-}
-
-// legacyOpts configures runLegacy beyond the common path.
-type legacyOpts struct {
+// fedOpts configures runFed beyond the client factory.
+type fedOpts struct {
 	classesPerClient int // 0 = iid partition
-	stepFor          func(i int) fl.TrainStep
-	localEpochs      int
 	augment          bool
 	telemetry        *telemetry.Registry // nil disables metrics
 	keepRounds       map[int]bool        // rounds whose local params the recorder keeps
 	alter            fl.AlterFunc
 	observers        []fl.RoundObserver
-	// build overrides the default classifier factory (HDP's frozen-feature
-	// model plugs in here). It must be deterministic.
-	build func() nn.Layer
-	// ckpt, when non-nil, makes the run durable: clients are built
-	// stateful (serializable RNGs, tracked data order) and the server
-	// snapshots/resumes through it.
+	// ckpt, when non-nil, makes the run durable: the factory builds
+	// stateful clients (serializable RNGs, tracked data order) and the
+	// server snapshots/resumes through it.
 	ckpt *CheckpointSpec
 	// policy, when non-nil, attaches a RoundPolicy (quorum, robust
 	// aggregation, reputation-driven quarantine) to the server.
 	policy *fl.RoundPolicy
 }
 
-// runLegacy trains a FedAvg federation of plain classifiers (optionally
-// with a per-client defense TrainStep) and returns the final global model.
-func runLegacy(train *datasets.Dataset, arch model.Arch, nClients, rounds int,
-	seed int64, opts legacyOpts) (*legacyRun, error) {
+// fedEnv is what a client factory builds from.
+type fedEnv struct {
+	train  *datasets.Dataset // input shape and class count
+	arch   model.Arch
+	rounds int
+	seed   int64
+	opts   fedOpts
+}
+
+// clientFactory builds a federation's model and clients: a plain (or
+// baseline-defended) classifier, or a CIP client. Each factory owns its
+// seeding — the model from seed+1, the client RNGs from per-client
+// offsets — so equal seeds give bit-identical federations.
+type clientFactory interface {
+	// net returns a fresh model at the run's initial parameters, as an
+	// outside attacker queries it (CIP: with the zero perturbation).
+	net(e fedEnv) nn.Layer
+	// clients builds client i over shards[i] — stateful, checkpointable
+	// clients for a durable run — and returns the roster with each
+	// client's member set (the samples it trains on).
+	clients(e fedEnv, shards []*datasets.Dataset) ([]fl.Client, []*datasets.Dataset)
+}
+
+// plain builds plain classifiers, optionally with a per-client defense
+// TrainStep (the DP, HDP, AR, MM and RL baselines). Client i draws from
+// seed+10+i.
+type plain struct {
+	stepFor func(i int) fl.TrainStep
+	// build overrides the default classifier (HDP's frozen-feature model
+	// plugs in here). It must be deterministic.
+	build func() nn.Layer
+}
+
+func (p plain) net(e fedEnv) nn.Layer {
+	if p.build != nil {
+		return p.build()
+	}
+	return model.NewClassifier(rand.New(rand.NewSource(e.seed+1)), e.arch, e.train.In, e.train.NumClasses)
+}
+
+func (p plain) clients(e fedEnv, shards []*datasets.Dataset) ([]fl.Client, []*datasets.Dataset) {
 	h := defaultHyper()
-	rng := rand.New(rand.NewSource(seed))
-	var shards []*datasets.Dataset
-	if opts.classesPerClient > 0 {
-		shards = datasets.PartitionByClass(train, nClients, opts.classesPerClient, rng)
-	} else {
-		shards = datasets.PartitionIID(train, nClients, rng)
+	cfg := fl.ClientConfig{
+		BatchSize: h.batch,
+		LR:        fl.DecaySchedule(h.lr, e.rounds),
+		Momentum:  h.momentum,
+		Augment:   e.opts.augment,
 	}
-	build := opts.build
-	if build == nil {
-		build = func() nn.Layer {
-			return model.NewClassifier(rand.New(rand.NewSource(seed+1)), arch, train.In, train.NumClasses)
-		}
-	}
-	localEpochs := opts.localEpochs
-	if localEpochs <= 0 {
-		localEpochs = 1
-	}
-	clients := make([]fl.Client, nClients)
-	legacy := make([]*fl.LegacyClient, nClients)
-	var initial []float64
-	for i := 0; i < nClients; i++ {
-		net := build()
-		if initial == nil {
-			initial = nn.FlattenParams(net.Params())
-		}
+	out := make([]fl.Client, len(shards))
+	for i, shard := range shards {
 		var step fl.TrainStep
-		if opts.stepFor != nil {
-			step = opts.stepFor(i)
+		if p.stepFor != nil {
+			step = p.stepFor(i)
 		}
-		cfg := fl.ClientConfig{
-			BatchSize:   h.batch,
-			LocalEpochs: localEpochs,
-			LR:          fl.DecaySchedule(h.lr, rounds),
-			Momentum:    h.momentum,
-			Augment:     opts.augment,
-		}
-		var lc *fl.LegacyClient
-		if opts.ckpt != nil {
-			lc = fl.NewStatefulLegacyClient(i, net, shards[i], cfg, step, seed+int64(10+i))
+		seed := e.seed + int64(10+i)
+		if e.opts.ckpt != nil {
+			out[i] = fl.NewStatefulLegacyClient(i, p.net(e), shard, cfg, step, seed)
 		} else {
-			lc = fl.NewLegacyClient(i, net, shards[i], cfg, step,
-				rand.New(rand.NewSource(seed+int64(10+i))))
+			out[i] = fl.NewLegacyClient(i, p.net(e), shard, cfg, step, rand.New(rand.NewSource(seed)))
 		}
-		clients[i] = lc
-		legacy[i] = lc
 	}
-	rec := &fl.HistoryRecorder{KeepParams: len(opts.keepRounds) > 0, OnlyRounds: opts.keepRounds}
-	srv := fl.NewServer(initial, clients...)
-	srv.Metrics = fl.NewMetrics(opts.telemetry)
-	srv.Observers = append(srv.Observers, rec)
-	srv.Observers = append(srv.Observers, opts.observers...)
-	srv.Alter = opts.alter
-	srv.Policy = opts.policy
-	if err := runServer(srv, rounds, opts.ckpt); err != nil {
-		return nil, fmt.Errorf("experiments: legacy federation: %w", err)
-	}
-	return &legacyRun{Global: srv.Global(), Recorder: rec, Shards: shards,
-		Build: build, Clients: legacy}, nil
+	return out, shards
 }
 
-// evalLegacy loads the run's global parameters and evaluates accuracy on d.
-func (r *legacyRun) evalLegacy(d *datasets.Dataset) float64 {
-	net := r.Build()
-	if err := nn.SetFlatParams(net.Params(), r.Global); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err)) // run/arch mismatch is a bug
+// cipClients builds CIP clients blending with alpha. Client i's secret
+// perturbation comes from core.BlendSeed(seed, i) and its RNG from
+// seed+20+i.
+type cipClients struct{ alpha float64 }
+
+func (c cipClients) dual(e fedEnv) *core.DualChannelModel {
+	return core.NewDualChannelModel(rand.New(rand.NewSource(e.seed+1)), e.arch,
+		e.train.In, e.train.NumClasses)
+}
+
+func (c cipClients) net(e fedEnv) nn.Layer {
+	return core.NewCIPModel(c.dual(e), tensor.New(e.train.SampleShape()...), c.alpha)
+}
+
+func (c cipClients) clients(e fedEnv, shards []*datasets.Dataset) ([]fl.Client, []*datasets.Dataset) {
+	tc := cipTrainConfig(c.alpha, e.rounds, e.opts.augment)
+	tc.Metrics = core.NewMetrics(e.opts.telemetry)
+	out := make([]fl.Client, len(shards))
+	members := make([]*datasets.Dataset, len(shards))
+	for i, shard := range shards {
+		var cc *core.Client
+		seed := e.seed + int64(20+i)
+		if e.opts.ckpt != nil {
+			cc = core.NewStatefulClient(i, c.dual(e), shard, tc, core.BlendSeed(e.seed, i), seed)
+		} else {
+			cc = core.NewClient(i, c.dual(e), shard, tc, core.BlendSeed(e.seed, i),
+				rand.New(rand.NewSource(seed)))
+		}
+		out[i], members[i] = cc, cc.Data()
 	}
-	return fl.Evaluate(net, d, 64)
-}
-
-// globalNet returns a model loaded with the final global parameters.
-func (r *legacyRun) globalNet() nn.Layer {
-	net := r.Build()
-	if err := nn.SetFlatParams(net.Params(), r.Global); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return net
-}
-
-// cipRun is the result of a CIP federation.
-type cipRun struct {
-	Global    []float64
-	Recorder  *fl.HistoryRecorder
-	Shards    []*datasets.Dataset
-	Clients   []*core.Client
-	BuildDual func() *core.DualChannelModel
-	Alpha     float64
-}
-
-// cipOpts configures runCIP.
-type cipOpts struct {
-	classesPerClient int
-	keepRounds       map[int]bool
-	alter            fl.AlterFunc
-	observers        []fl.RoundObserver
-	augment          bool
-	telemetry        *telemetry.Registry // nil disables metrics
-	// lambdaM overrides the Eq. 4 weight (0 keeps the regime default).
-	lambdaM float64
-	// ckpt, when non-nil, makes the run durable (see legacyOpts.ckpt).
-	ckpt *CheckpointSpec
-	// policy, when non-nil, attaches a RoundPolicy (see legacyOpts.policy).
-	policy *fl.RoundPolicy
+	return out, members
 }
 
 // cipTrainConfig is the CIP hyperparameter set the experiments use: the
@@ -180,10 +155,23 @@ func cipTrainConfig(alpha float64, rounds int, augment bool) core.TrainConfig {
 	}
 }
 
-// runCIP trains a CIP federation and returns the final global model plus
-// per-client secret perturbations.
-func runCIP(train *datasets.Dataset, arch model.Arch, nClients, rounds int,
-	alpha float64, seed int64, opts cipOpts) (*cipRun, error) {
+// fedRun is the result of a federation.
+type fedRun struct {
+	Global   []float64
+	Recorder *fl.HistoryRecorder
+	Clients  []fl.Client
+	// Members holds each client's member set, in the order its client
+	// left it.
+	Members []*datasets.Dataset
+	// NewNet builds a fresh model of the run's architecture in the
+	// attacker's view (see clientFactory.net).
+	NewNet func() nn.Layer
+}
+
+// runFed trains a FedAvg federation of the factory's clients and returns
+// the final global model. The partition draws from seed.
+func runFed(train *datasets.Dataset, arch model.Arch, nClients, rounds int,
+	seed int64, f clientFactory, opts fedOpts) (*fedRun, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var shards []*datasets.Dataset
 	if opts.classesPerClient > 0 {
@@ -191,79 +179,64 @@ func runCIP(train *datasets.Dataset, arch model.Arch, nClients, rounds int,
 	} else {
 		shards = datasets.PartitionIID(train, nClients, rng)
 	}
-	buildDual := func() *core.DualChannelModel {
-		return core.NewDualChannelModel(rand.New(rand.NewSource(seed+1)), arch,
-			train.In, train.NumClasses)
-	}
-	tc := cipTrainConfig(alpha, rounds, opts.augment)
-	tc.Metrics = core.NewMetrics(opts.telemetry)
-	if opts.lambdaM > 0 {
-		tc.LambdaM = opts.lambdaM
-	}
-	clients := make([]fl.Client, nClients)
-	cips := make([]*core.Client, nClients)
-	var initial []float64
-	for i := 0; i < nClients; i++ {
-		dual := buildDual()
-		if initial == nil {
-			initial = nn.FlattenParams(dual.Params())
-		}
-		var c *core.Client
-		if opts.ckpt != nil {
-			c = core.NewStatefulClient(i, dual, shards[i], tc, core.BlendSeed(seed, i),
-				seed+int64(20+i))
-		} else {
-			c = core.NewClient(i, dual, shards[i], tc, core.BlendSeed(seed, i),
-				rand.New(rand.NewSource(seed+int64(20+i))))
-		}
-		clients[i] = c
-		cips[i] = c
-	}
+	e := fedEnv{train: train, arch: arch, rounds: rounds, seed: seed, opts: opts}
+	clients, members := f.clients(e, shards)
 	rec := &fl.HistoryRecorder{KeepParams: len(opts.keepRounds) > 0, OnlyRounds: opts.keepRounds}
-	srv := fl.NewServer(initial, clients...)
+	srv := fl.NewServer(nn.FlattenParams(f.net(e).Params()), clients...)
 	srv.Metrics = fl.NewMetrics(opts.telemetry)
 	srv.Observers = append(srv.Observers, rec)
 	srv.Observers = append(srv.Observers, opts.observers...)
 	srv.Alter = opts.alter
 	srv.Policy = opts.policy
 	if err := runServer(srv, rounds, opts.ckpt); err != nil {
-		return nil, fmt.Errorf("experiments: CIP federation: %w", err)
+		return nil, fmt.Errorf("experiments: federation: %w", err)
 	}
-	return &cipRun{Global: srv.Global(), Recorder: rec, Shards: shards,
-		Clients: cips, BuildDual: buildDual, Alpha: alpha}, nil
+	return &fedRun{Global: srv.Global(), Recorder: rec, Clients: clients, Members: members,
+		NewNet: func() nn.Layer { return f.net(e) }}, nil
 }
 
-// globalModel returns a CIPModel over the final global parameters querying
-// with the given perturbation.
-func (r *cipRun) globalModel(t []float64) *core.CIPModel {
-	dual := r.BuildDual()
-	if err := nn.SetFlatParams(dual.Params(), r.Global); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+// attackerNet returns the final global model as an outside attacker
+// queries it: a CIP model with the zero perturbation (it does not know t).
+func (r *fedRun) attackerNet() nn.Layer {
+	net := r.NewNet()
+	if err := nn.SetFlatParams(net.Params(), r.Global); err != nil {
+		panic(fmt.Sprintf("experiments: %v", err)) // run/arch mismatch is a bug
 	}
-	ref := core.NewCIPModel(dual, r.Clients[0].Perturbation().T, r.Alpha)
-	if t == nil {
-		return ref.WithT(ref.ZeroT())
-	}
-	pt := ref.ZeroT()
-	copy(pt.Data, t)
-	return ref.WithT(pt)
+	return net
 }
 
-// evalCIP evaluates the global model on d averaged over clients, each
-// querying with its own secret t — how a deployed CIP federation serves
-// inference.
-func (r *cipRun) evalCIP(d *datasets.Dataset) float64 {
-	dual := r.BuildDual()
-	if err := nn.SetFlatParams(dual.Params(), r.Global); err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+// cipNet is attackerNet typed for a CIP run, for the adaptive attacks
+// that steer t.
+func (r *fedRun) cipNet() *core.CIPModel { return r.attackerNet().(*core.CIPModel) }
+
+// clientNet returns the final global model as client i queries it: a CIP
+// client with its own secret t.
+func (r *fedRun) clientNet(i int) nn.Layer {
+	net := r.attackerNet()
+	if m, ok := net.(*core.CIPModel); ok {
+		return m.WithT(r.cip(i).Perturbation().T)
+	}
+	return net
+}
+
+// utility evaluates the final global model on d the way the federation
+// serves inference: a CIP model is averaged over clients, each querying
+// with its own secret t.
+func (r *fedRun) utility(d *datasets.Dataset) float64 {
+	net := r.attackerNet()
+	m, ok := net.(*core.CIPModel)
+	if !ok {
+		return fl.Evaluate(net, d, 64)
 	}
 	var sum float64
-	for _, c := range r.Clients {
-		m := core.NewCIPModel(dual, c.Perturbation().T, r.Alpha)
-		sum += fl.Evaluate(m, d, 64)
+	for i := range r.Clients {
+		sum += fl.Evaluate(m.WithT(r.cip(i).Perturbation().T), d, 64)
 	}
 	return sum / float64(len(r.Clients))
 }
+
+// cip returns client i of a CIP run.
+func (r *fedRun) cip(i int) *core.Client { return r.Clients[i].(*core.Client) }
 
 // attackSplit carves a loaded preset into the standard attack layout:
 // the target's training set, a disjoint shadow training set, non-member

@@ -28,12 +28,12 @@ func TestFig4AccuracyParityAcrossPrecisions(t *testing.T) {
 	global := map[tensor.Precision][]float64{}
 	for _, p := range []tensor.Precision{tensor.F64, tensor.F32} {
 		tensor.SetPrecision(p)
-		run, err := runLegacy(d.Train, archFor(datasets.CIFAR100, datasets.Quick), 2, 6, 1,
-			legacyOpts{classesPerClient: noniidClasses(d.Train.NumClasses)})
+		run, err := runFed(d.Train, archFor(datasets.CIFAR100, datasets.Quick), 2, 6, 1, plain{},
+			fedOpts{classesPerClient: noniidClasses(d.Train.NumClasses)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc[p], global[p] = run.evalLegacy(d.Test), run.Global
+		acc[p], global[p] = run.utility(d.Test), run.Global
 	}
 	if slices.Equal(global[tensor.F64], global[tensor.F32]) {
 		t.Fatal("F32 training reproduced the F64 global bit for bit; the f32 tier never ran")

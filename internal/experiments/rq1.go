@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"github.com/cip-fl/cip/internal/attacks"
-	"github.com/cip-fl/cip/internal/core"
 	"github.com/cip-fl/cip/internal/datasets"
 	"github.com/cip-fl/cip/internal/defenses"
 	"github.com/cip-fl/cip/internal/fl"
@@ -31,20 +30,20 @@ func Fig1(cfg Config) (*Table, error) {
 	}
 
 	arch := archFor(datasets.CIFAR100, cfg.Scale)
-	leg, err := runLegacy(split.TargetTrain, arch, 1, rounds, cfg.Seed, legacyOpts{})
+	leg, err := runFed(split.TargetTrain, arch, 1, rounds, cfg.Seed, plain{}, fedOpts{})
 	if err != nil {
 		return nil, err
 	}
-	legNet := leg.globalNet()
+	legNet := leg.attackerNet()
 	memBefore := fl.Losses(legNet, members, 64)
 	nonBefore := fl.Losses(legNet, nonMembers, 64)
 
-	cip, err := runCIP(split.TargetTrain, arch, 1, rounds, 0.9, cfg.Seed, cipOpts{})
+	cip, err := runFed(split.TargetTrain, arch, 1, rounds, cfg.Seed, cipClients{0.9}, fedOpts{})
 	if err != nil {
 		return nil, err
 	}
-	probe := cip.globalModel(nil) // zero-t query, the attacker's view
-	cipMembers, cipNon := equalize(cip.Clients[0].Data(), split.NonMembers)
+	probe := cip.attackerNet() // zero-t query
+	cipMembers, cipNon := equalize(cip.Members[0], split.NonMembers)
 	memAfter := fl.Losses(probe, cipMembers, 64)
 	nonAfter := fl.Losses(probe, cipNon, 64)
 
@@ -104,12 +103,13 @@ func Table1(cfg Config) (*Table, error) {
 	for _, arch := range []model.Arch{model.ResNet, model.DenseNet, model.VGG} {
 		for _, k := range clientCounts {
 			r := rounds[k]
-			run, err := runLegacy(d.Train, arch, k, r, cfg.Seed, legacyOpts{classesPerClient: noniidClasses(d.Train.NumClasses)})
+			run, err := runFed(d.Train, arch, k, r, cfg.Seed, plain{},
+				fedOpts{classesPerClient: noniidClasses(d.Train.NumClasses)})
 			if err != nil {
 				return nil, err
 			}
-			trainAcc := run.evalLegacy(d.Train)
-			testAcc := run.evalLegacy(d.Test)
+			trainAcc := run.utility(d.Train)
+			testAcc := run.utility(d.Test)
 			t.AddRow(arch.String(), fmt.Sprintf("%d", k), fmt.Sprintf("%d", r),
 				f3(trainAcc), f3(testAcc),
 				fmt.Sprintf("%d,%d,%d", r-3, r-2, r-1), "1e-2", "2e-2", "1e-6")
@@ -149,12 +149,12 @@ func Table2(cfg Config) (*Table, error) {
 		if cfg.Scale == datasets.Full {
 			rounds = 50
 		}
-		run, err := runLegacy(d.Train, arch, 1, rounds, cfg.Seed, legacyOpts{augment: d.Augment})
+		run, err := runFed(d.Train, arch, 1, rounds, cfg.Seed, plain{}, fedOpts{augment: d.Augment})
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(d.Name, arch.String(), fmt.Sprintf("%d", rounds),
-			f3(run.evalLegacy(d.Train)), f3(run.evalLegacy(d.Test)),
+			f3(run.utility(d.Train)), f3(run.utility(d.Test)),
 			"8e-2", "2e-2", "2e-2", "1e-6")
 	}
 	return t, nil
@@ -238,117 +238,73 @@ func fig4Cell(cfg Config, d *datasets.Data, arch model.Arch, k, rounds, ncc int,
 	keep := lastRounds(rounds, 3)
 	steps := rounds * (d.Train.Len() / k / defaultHyper().batch)
 	sigma := defenses.NoiseMultiplierFor(eps, 1e-5, steps)
+	dpStep := func(i int) fl.TrainStep {
+		return defenses.NewDPStep(1.0, sigma, 8, rand.New(rand.NewSource(cfg.Seed+int64(i))))
+	}
 
-	if def >= 3 {
+	var name string
+	var f clientFactory
+	switch def {
+	case 0:
+		name, f = "NoDefense", plain{}
+	case 1:
+		name, f = fmt.Sprintf("DP(eps=%g)", eps), plain{stepFor: dpStep}
+	case 2:
+		name, f = fmt.Sprintf("HDP(eps=%g)", eps), plain{stepFor: dpStep, build: func() nn.Layer {
+			return defenses.NewHDPClassifier(rand.New(rand.NewSource(cfg.Seed+1)),
+				cfg.Seed+2, d.Train.In, 128, d.Train.NumClasses)
+		}}
+	default:
 		alpha := 0.5
 		if def == 4 {
 			alpha = 0.9
 		}
-		crun, err := runCIP(d.Train, arch, k, rounds, alpha, cfg.Seed,
-			cipOpts{classesPerClient: ncc, keepRounds: keep})
-		if err != nil {
-			return nil, err
-		}
-		buildZero := func() nn.Layer { return crun.globalModel(nil) }
-		pass, err := passiveOn(crun.Recorder.KeptRounds(), buildZero,
-			crun.Clients[0].Data(), matchClasses(d.Test, crun.Clients[0].Data()), cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		act, err := cipActiveAttack(d, arch, k, rounds, alpha, cfg.Seed, ncc, false)
-		if err != nil {
-			return nil, err
-		}
-		row := []string{fmt.Sprintf("CIP(alpha=%.1f)", alpha), fmt.Sprintf("%d", k), f3(crun.evalCIP(d.Test))}
-		return append(append(row, attackCells(pass)...), attackCells(act)...), nil
+		name, f = fmt.Sprintf("CIP(alpha=%.1f)", alpha), cipClients{alpha}
 	}
-
-	dpStep := func(i int) fl.TrainStep {
-		return defenses.NewDPStep(1.0, sigma, 8, rand.New(rand.NewSource(cfg.Seed+int64(i))))
-	}
-	var name string
-	var opts legacyOpts
-	switch def {
-	case 0:
-		name = "NoDefense"
-	case 1:
-		name = fmt.Sprintf("DP(eps=%g)", eps)
-		opts.stepFor = dpStep
-	case 2:
-		name = fmt.Sprintf("HDP(eps=%g)", eps)
-		opts.build = func() nn.Layer {
-			return defenses.NewHDPClassifier(rand.New(rand.NewSource(cfg.Seed+1)),
-				cfg.Seed+2, d.Train.In, 128, d.Train.NumClasses)
-		}
-		opts.stepFor = dpStep
-	}
-	opts.classesPerClient = ncc
-	opts.keepRounds = keep
-	run, err := runLegacy(d.Train, arch, k, rounds, cfg.Seed, opts)
+	opts := fedOpts{classesPerClient: ncc, keepRounds: keep}
+	run, err := runFed(d.Train, arch, k, rounds, cfg.Seed, f, opts)
 	if err != nil {
 		return nil, err
 	}
-	pass, err := passiveOn(run.Recorder.KeptRounds(), run.Build,
-		run.Shards[0], matchClasses(d.Test, run.Shards[0]), cfg.Seed)
+	pass, err := passiveOn(run.Recorder.KeptRounds(), run.NewNet,
+		run.Members[0], matchClasses(d.Test, run.Members[0]), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	act, err := legacyActiveAttack(d, arch, k, rounds, cfg.Seed, opts, run)
+	// CIP cells draw their active-attack targets from a one-round pre-run
+	// (nil ref), plain cells from this run; changing either moves fig4's
+	// active-attack cells.
+	ref := run
+	if def >= 3 {
+		ref = nil
+	}
+	act, err := activeAttack(d, arch, k, rounds, cfg.Seed, f, opts, ref, false)
 	if err != nil {
 		return nil, err
 	}
-	row := []string{name, fmt.Sprintf("%d", k), f3(run.evalLegacy(d.Test))}
+	row := []string{name, fmt.Sprintf("%d", k), f3(run.utility(d.Test))}
 	return append(append(row, attackCells(pass)...), attackCells(act)...), nil
 }
 
-// legacyActiveAttack reruns a legacy federation with the Nasr active
-// (gradient-ascent) malicious server wired in and returns the attack's
-// result.
-func legacyActiveAttack(d *datasets.Data, arch model.Arch, k, rounds int,
-	seed int64, base legacyOpts, ref *legacyRun) (attacks.Result, error) {
-	nTargets := ref.Shards[0].Len() / 2
-	if nTargets > 30 {
-		nTargets = 30
-	}
-	nonMembers := matchClasses(d.Test, ref.Shards[0])
-	if nonMembers.Len() < nTargets {
-		nTargets = nonMembers.Len()
-	}
-	targets := datasets.Concat(
-		ref.Shards[0].Subset(seqInts(nTargets)),
-		nonMembers.Subset(seqInts(nTargets)))
-	attacker := &attacks.ActiveAttacker{
-		BuildNet:    ref.Build,
-		Targets:     targets,
-		NumMembers:  nTargets,
-		VictimID:    0,
-		StartRound:  rounds - 5,
-		AscentLR:    0.05,
-		AscentSteps: 2,
-	}
-	opts := base
-	opts.alter = attacker.Alter
-	opts.observers = append(opts.observers, attacker)
-	opts.keepRounds = nil
-	if _, err := runLegacy(d.Train, arch, k, rounds, seed, opts); err != nil {
-		return attacks.Result{}, err
-	}
-	return attacker.Result()
-}
-
-// cipActiveAttack reruns a CIP federation under the active attacker, which
-// queries with the zero perturbation (it does not know t). With
+// activeAttack reruns a federation with the Nasr active (gradient-ascent)
+// malicious server wired in and returns the attack's result. The server
+// queries with the zero perturbation (it does not know a CIP client's t).
+// The targets are the victim's (client 0's) first members in the order its
+// client left them in ref, a finished run of the same federation; a nil
+// ref pre-runs the federation for one round to learn that order. With
 // descend=true it becomes the adaptive Optimization-2 attack (Table VII):
 // the server lowers the targets' loss and flags samples whose loss ends
 // high — the signature CIP's Step II leaves on members.
-func cipActiveAttack(d *datasets.Data, arch model.Arch, k, rounds int,
-	alpha float64, seed int64, ncc int, descend bool) (attacks.Result, error) {
-	// Pre-run once to learn shard layout (deterministic by seed).
-	pre, err := runCIP(d.Train, arch, k, 1, alpha, seed, cipOpts{classesPerClient: ncc})
-	if err != nil {
-		return attacks.Result{}, err
+func activeAttack(d *datasets.Data, arch model.Arch, k, rounds int, seed int64,
+	f clientFactory, base fedOpts, ref *fedRun, descend bool) (attacks.Result, error) {
+	if ref == nil {
+		pre, err := runFed(d.Train, arch, k, 1, seed, f, fedOpts{classesPerClient: base.classesPerClient})
+		if err != nil {
+			return attacks.Result{}, err
+		}
+		ref = pre
 	}
-	victimData := pre.Clients[0].Data()
+	victimData := ref.Members[0]
 	nTargets := victimData.Len() / 2
 	if nTargets > 30 {
 		nTargets = 30
@@ -360,13 +316,8 @@ func cipActiveAttack(d *datasets.Data, arch model.Arch, k, rounds int,
 	targets := datasets.Concat(
 		victimData.Subset(seqInts(nTargets)),
 		nonMembers.Subset(seqInts(nTargets)))
-	buildZero := func() nn.Layer {
-		dual := pre.BuildDual()
-		ref := core.NewCIPModel(dual, pre.Clients[0].Perturbation().T, alpha)
-		return ref.WithT(ref.ZeroT())
-	}
 	attacker := &attacks.ActiveAttacker{
-		BuildNet:    buildZero,
+		BuildNet:    ref.NewNet,
 		Targets:     targets,
 		NumMembers:  nTargets,
 		VictimID:    0,
@@ -375,10 +326,11 @@ func cipActiveAttack(d *datasets.Data, arch model.Arch, k, rounds int,
 		AscentSteps: 2,
 		Descend:     descend,
 	}
-	if _, err := runCIP(d.Train, arch, k, rounds, alpha, seed, cipOpts{
-		classesPerClient: ncc, alter: attacker.Alter,
-		observers: []fl.RoundObserver{attacker},
-	}); err != nil {
+	opts := base
+	opts.alter = attacker.Alter
+	opts.observers = append(opts.observers, attacker)
+	opts.keepRounds = nil
+	if _, err := runFed(d.Train, arch, k, rounds, seed, f, opts); err != nil {
 		return attacks.Result{}, err
 	}
 	return attacker.Result()
@@ -430,40 +382,26 @@ func Fig5(cfg Config) (*Table, error) {
 	}
 	rows, err := runIndexed(len(cells), func(ci int) ([]string, error) {
 		c := cells[ci]
-		if c.cip {
-			crun, err := runCIP(d.Train, c.arch, k, rounds, 0.5, cfg.Seed,
-				cipOpts{classesPerClient: ncc, keepRounds: keep})
-			if err != nil {
-				return nil, err
-			}
-			pass, err := passiveOn(crun.Recorder.KeptRounds(),
-				func() nn.Layer { return crun.globalModel(nil) },
-				crun.Clients[0].Data(), matchClasses(d.Test, crun.Clients[0].Data()), cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return append([]string{c.arch.String(), "CIP(alpha=0.5)",
-				f3(crun.evalCIP(d.Test))}, attackCells(pass)...), nil
-		}
-		steps := rounds * (d.Train.Len() / k / defaultHyper().batch)
-		sigma := defenses.NoiseMultiplierFor(c.eps, 1e-5, steps)
-		run, err := runLegacy(d.Train, c.arch, k, rounds, cfg.Seed, legacyOpts{
-			classesPerClient: ncc,
-			keepRounds:       keep,
-			stepFor: func(i int) fl.TrainStep {
+		name, f := "CIP(alpha=0.5)", clientFactory(cipClients{0.5})
+		if !c.cip {
+			steps := rounds * (d.Train.Len() / k / defaultHyper().batch)
+			sigma := defenses.NoiseMultiplierFor(c.eps, 1e-5, steps)
+			name, f = fmt.Sprintf("DP(eps=%g)", c.eps), plain{stepFor: func(i int) fl.TrainStep {
 				return defenses.NewDPStep(1.0, sigma, 8, rand.New(rand.NewSource(cfg.Seed+int64(i))))
-			},
-		})
+			}}
+		}
+		run, err := runFed(d.Train, c.arch, k, rounds, cfg.Seed, f,
+			fedOpts{classesPerClient: ncc, keepRounds: keep})
 		if err != nil {
 			return nil, err
 		}
-		pass, err := passiveOn(run.Recorder.KeptRounds(), run.Build,
-			run.Shards[0], matchClasses(d.Test, run.Shards[0]), cfg.Seed)
+		pass, err := passiveOn(run.Recorder.KeptRounds(), run.NewNet,
+			run.Members[0], matchClasses(d.Test, run.Members[0]), cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		return append([]string{c.arch.String(), fmt.Sprintf("DP(eps=%g)", c.eps),
-			f3(run.evalLegacy(d.Test))}, attackCells(pass)...), nil
+		return append([]string{c.arch.String(), name, f3(run.utility(d.Test))},
+			attackCells(pass)...), nil
 	})
 	if err != nil {
 		return nil, err
@@ -519,27 +457,25 @@ func Fig6(cfg Config) (*Table, error) {
 		net          nn.Layer
 		m, nm        *datasets.Dataset
 	}
-	legacyCell := func(name, budget string, opts legacyOpts) func() (fig6Run, error) {
+	cell := func(name, budget string, f plain) func() (fig6Run, error) {
 		return func() (fig6Run, error) {
-			run, err := runLegacy(split.TargetTrain, arch, 1, rounds, cfg.Seed, opts)
+			run, err := runFed(split.TargetTrain, arch, 1, rounds, cfg.Seed, f, fedOpts{})
 			if err != nil {
 				return fig6Run{}, err
 			}
-			return fig6Run{name, budget, run.evalLegacy(d.Test),
-				run.globalNet(), members, nonMembers}, nil
+			return fig6Run{name, budget, run.utility(d.Test), run.attackerNet(), members, nonMembers}, nil
 		}
 	}
 
 	specs := []func() (fig6Run, error){
-		legacyCell("NoDefense", "-", legacyOpts{}),
+		cell("NoDefense", "-", plain{}),
 		func() (fig6Run, error) {
-			crun, err := runCIP(split.TargetTrain, arch, 1, rounds, 0.9, cfg.Seed, cipOpts{})
+			crun, err := runFed(split.TargetTrain, arch, 1, rounds, cfg.Seed, cipClients{0.9}, fedOpts{})
 			if err != nil {
 				return fig6Run{}, err
 			}
-			probe := crun.globalModel(nil)
-			cm, cn := equalize(crun.Clients[0].Data(), split.NonMembers)
-			return fig6Run{"CIP(alpha=0.9)", "-", crun.evalCIP(d.Test), probe, cm, cn}, nil
+			cm, cn := equalize(crun.Members[0], split.NonMembers)
+			return fig6Run{"CIP(alpha=0.9)", "-", crun.utility(d.Test), crun.attackerNet(), cm, cn}, nil
 		},
 	}
 	steps := rounds * (split.TargetTrain.Len() / defaultHyper().batch)
@@ -549,8 +485,8 @@ func Fig6(cfg Config) (*Table, error) {
 			return defenses.NewDPStep(1.0, sigma, 8, rand.New(rand.NewSource(cfg.Seed+int64(i))))
 		}
 		specs = append(specs,
-			legacyCell("DP", fmt.Sprintf("eps=%g", eps), legacyOpts{stepFor: dpStep}),
-			legacyCell("HDP", fmt.Sprintf("eps=%g", eps), legacyOpts{
+			cell("DP", fmt.Sprintf("eps=%g", eps), plain{stepFor: dpStep}),
+			cell("HDP", fmt.Sprintf("eps=%g", eps), plain{
 				build: func() nn.Layer {
 					return defenses.NewHDPClassifier(rand.New(rand.NewSource(cfg.Seed+1)),
 						cfg.Seed+2, d.Train.In, 128, d.Train.NumClasses)
@@ -559,21 +495,21 @@ func Fig6(cfg Config) (*Table, error) {
 			}))
 	}
 	for _, lam := range lamList {
-		specs = append(specs, legacyCell("AR", fmt.Sprintf("lambda=%g", lam), legacyOpts{
+		specs = append(specs, cell("AR", fmt.Sprintf("lambda=%g", lam), plain{
 			stepFor: func(i int) fl.TrainStep {
 				return defenses.NewAdvRegStep(lam, split.ShadowTest.Clone(), d.Train.NumClasses,
 					rand.New(rand.NewSource(cfg.Seed+int64(i))))
 			}}))
 	}
 	for _, mu := range muList {
-		specs = append(specs, legacyCell("MM", fmt.Sprintf("mu=%g", mu), legacyOpts{
+		specs = append(specs, cell("MM", fmt.Sprintf("mu=%g", mu), plain{
 			stepFor: func(i int) fl.TrainStep {
 				return defenses.NewMixupMMDStep(mu, 0.4, split.ShadowTest.Clone(), d.Train.NumClasses,
 					rand.New(rand.NewSource(cfg.Seed+int64(i))))
 			}}))
 	}
 	for _, om := range omList {
-		specs = append(specs, legacyCell("RL", fmt.Sprintf("omega=%g", om), legacyOpts{
+		specs = append(specs, cell("RL", fmt.Sprintf("omega=%g", om), plain{
 			stepFor: func(i int) fl.TrainStep {
 				return defenses.NewRelaxLossStep(om)
 			}}))

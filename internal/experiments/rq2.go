@@ -35,19 +35,19 @@ func Table3(cfg Config) (*Table, error) {
 	for _, ncc := range sweep {
 		header = append(header, fmt.Sprintf("%d", ncc))
 
-		crun, err := runCIP(d.Train, model.VGG, k, rounds, 0.3, cfg.Seed,
-			cipOpts{classesPerClient: ncc})
+		crun, err := runFed(d.Train, model.VGG, k, rounds, cfg.Seed, cipClients{0.3},
+			fedOpts{classesPerClient: ncc})
 		if err != nil {
 			return nil, err
 		}
-		cipRow = append(cipRow, f3(crun.evalCIP(d.Test)))
+		cipRow = append(cipRow, f3(crun.utility(d.Test)))
 
-		lrun, err := runLegacy(d.Train, model.VGG, k, rounds, cfg.Seed,
-			legacyOpts{classesPerClient: ncc})
+		lrun, err := runFed(d.Train, model.VGG, k, rounds, cfg.Seed, plain{},
+			fedOpts{classesPerClient: ncc})
 		if err != nil {
 			return nil, err
 		}
-		nodefRow = append(nodefRow, f3(lrun.evalLegacy(d.Test)))
+		nodefRow = append(nodefRow, f3(lrun.utility(d.Test)))
 
 		acc, err := localTrainingAcc(d, k, ncc, rounds, cfg.Seed)
 		if err != nil {
@@ -133,13 +133,13 @@ func Fig7(cfg Config) (*Table, error) {
 			label += " (non-iid)"
 		}
 
-		lrun, err := runLegacy(d.Train, model.VGG, k, rounds, cfg.Seed,
-			legacyOpts{classesPerClient: ncc})
+		lrun, err := runFed(d.Train, model.VGG, k, rounds, cfg.Seed, plain{},
+			fedOpts{classesPerClient: ncc})
 		if err != nil {
 			return nil, err
 		}
-		crun, err := runCIP(d.Train, model.VGG, k, rounds, 0.3, cfg.Seed,
-			cipOpts{classesPerClient: ncc})
+		crun, err := runFed(d.Train, model.VGG, k, rounds, cfg.Seed, cipClients{0.3},
+			fedOpts{classesPerClient: ncc})
 		if err != nil {
 			return nil, err
 		}

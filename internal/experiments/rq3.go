@@ -54,13 +54,13 @@ func runRQ3Cell(cfg Config, p datasets.Preset, alpha float64) (*rq3Cell, error) 
 	}
 	arch := archFor(p, cfg.Scale)
 
-	crun, err := runCIP(split.TargetTrain, arch, 1, rounds, alpha, cfg.Seed,
-		cipOpts{augment: d.Augment})
+	crun, err := runFed(split.TargetTrain, arch, 1, rounds, cfg.Seed, cipClients{alpha},
+		fedOpts{augment: d.Augment})
 	if err != nil {
 		return nil, err
 	}
-	probe := crun.globalModel(nil) // external attacker: zero-t queries
-	members, nonMembers := equalize(crun.Clients[0].Data(), split.NonMembers)
+	probe := crun.attackerNet() // external attacker: zero-t queries
+	members, nonMembers := equalize(crun.Members[0], split.NonMembers)
 
 	shadow, err := trainShadowFor(arch, split, shadowEpochs, cfg.Seed+100)
 	if err != nil {
@@ -68,7 +68,7 @@ func runRQ3Cell(cfg Config, p datasets.Preset, alpha float64) (*rq3Cell, error) 
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 7))
 
-	cell := &rq3Cell{results: map[string]attacks.Result{}, testAcc: crun.evalCIP(d.Test)}
+	cell := &rq3Cell{results: map[string]attacks.Result{}, testAcc: crun.utility(d.Test)}
 	cell.results["Ob-Label"] = attacks.ObLabel(probe, members, nonMembers)
 	cell.results["Ob-MALT"] = attacks.ObMALT(probe, members, nonMembers)
 	cell.results["Ob-NN"] = attacks.ObNN(probe, members, nonMembers, shadow, rng)
@@ -170,18 +170,18 @@ func Table5(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		arch := archFor(p, cfg.Scale)
-		lrun, err := runLegacy(d.Train, arch, 1, rounds, cfg.Seed, legacyOpts{augment: d.Augment})
+		lrun, err := runFed(d.Train, arch, 1, rounds, cfg.Seed, plain{}, fedOpts{augment: d.Augment})
 		if err != nil {
 			return nil, err
 		}
-		row := []string{p.String(), f3(lrun.evalLegacy(d.Test))}
+		row := []string{p.String(), f3(lrun.utility(d.Test))}
 		for _, a := range alphas {
-			crun, err := runCIP(d.Train, arch, 1, rounds, a, cfg.Seed,
-				cipOpts{augment: d.Augment})
+			crun, err := runFed(d.Train, arch, 1, rounds, cfg.Seed, cipClients{a},
+				fedOpts{augment: d.Augment})
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, f3(crun.evalCIP(d.Test)))
+			row = append(row, f3(crun.utility(d.Test)))
 		}
 		t.AddRow(row...)
 	}

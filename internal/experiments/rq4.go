@@ -50,24 +50,24 @@ func Table6(cfg Config) (*Table, error) {
 		}
 		split := splitForAttack(d)
 		for _, a := range rq4Alphas(cfg.Scale) {
-			crun, err := runCIP(split.TargetTrain, archFor(p, cfg.Scale), 2, rounds, a, cfg.Seed,
-				cipOpts{keepRounds: lastRounds(rounds, 1), augment: d.Augment})
+			crun, err := runFed(split.TargetTrain, archFor(p, cfg.Scale), 2, rounds, cfg.Seed, cipClients{a},
+				fedOpts{keepRounds: lastRounds(rounds, 1), augment: d.Augment})
 			if err != nil {
 				return nil, err
 			}
-			members, nonMembers := equalize(crun.Clients[0].Data(), split.NonMembers)
+			members, nonMembers := equalize(crun.Members[0], split.NonMembers)
 			rng := rand.New(rand.NewSource(cfg.Seed + 11))
 			iters := adaptiveIters(cfg.Scale)
 
 			// External: probe the final global model.
-			ext := attacks.Optimization1(crun.globalModel(nil), split.ShadowTrain,
+			ext := attacks.Optimization1(crun.cipNet(), split.ShadowTrain,
 				members, nonMembers, iters, 0.02, rng)
 
 			// Internal: probe the victim's local model from the last round.
 			kept := crun.Recorder.KeptRounds()
 			intRes := ext
 			if len(kept) > 0 {
-				local := crun.globalModel(nil)
+				local := crun.cipNet()
 				if err := nn.SetFlatParams(local.Params(), kept[len(kept)-1].LocalParams[0]); err != nil {
 					return nil, err
 				}
@@ -101,7 +101,8 @@ func Table7(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		for _, a := range rq4Alphas(cfg.Scale) {
-			res, err := cipActiveAttack(d, archFor(p, cfg.Scale), 2, rounds, a, cfg.Seed, 0, true)
+			res, err := activeAttack(d, archFor(p, cfg.Scale), 2, rounds, cfg.Seed,
+				cipClients{a}, fedOpts{}, nil, true)
 			if err != nil {
 				return nil, err
 			}
@@ -139,15 +140,15 @@ func Table8(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		split := splitForAttack(d)
-		crun, err := runCIP(split.TargetTrain, archFor(p, cfg.Scale), 1, rounds, 0.7, cfg.Seed,
-			cipOpts{augment: d.Augment})
+		crun, err := runFed(split.TargetTrain, archFor(p, cfg.Scale), 1, rounds, cfg.Seed, cipClients{0.7},
+			fedOpts{augment: d.Augment})
 		if err != nil {
 			return nil, err
 		}
-		members, nonMembers := equalize(crun.Clients[0].Data(), split.NonMembers)
-		pert := crun.Clients[0].Perturbation()
+		members, nonMembers := equalize(crun.Members[0], split.NonMembers)
+		pert := crun.cip(0).Perturbation()
 		trueSeed := core.NewPerturbation(pert.Seed, pert.T.Shape, 0, 1).T
-		m := crun.globalModel(nil)
+		m := crun.cipNet()
 		rng := rand.New(rand.NewSource(cfg.Seed + 13))
 
 		row := []string{p.String()}
@@ -185,15 +186,15 @@ func Table9(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		split := splitForAttack(d)
-		crun, err := runCIP(split.TargetTrain, archFor(p, cfg.Scale), 1, rounds, 0.7, cfg.Seed,
-			cipOpts{augment: d.Augment})
+		crun, err := runFed(split.TargetTrain, archFor(p, cfg.Scale), 1, rounds, cfg.Seed, cipClients{0.7},
+			fedOpts{augment: d.Augment})
 		if err != nil {
 			return nil, err
 		}
-		m := crun.globalModel(nil)
+		m := crun.cipNet()
 		rng := rand.New(rand.NewSource(cfg.Seed + 17))
 
-		memberSet := crun.Clients[0].Data()
+		memberSet := crun.Members[0]
 		row := []string{p.String()}
 		for _, f := range fracs {
 			known, unknown := memberSet.Split(int(f * float64(memberSet.Len())))
@@ -225,19 +226,19 @@ func Knowledge3Exp(cfg Config) (*Table, error) {
 	// iid partition as §V-D specifies; α = 0.9 is the deployment setting —
 	// at low α the (1+α)x−αt channel carries enough raw x for a substitute
 	// perturbation to transfer, which the paper's full-scale models resist.
-	crun, err := runCIP(split.TargetTrain, archFor(datasets.CIFAR100, cfg.Scale), k, rounds, 0.9,
-		cfg.Seed, cipOpts{})
+	crun, err := runFed(split.TargetTrain, archFor(datasets.CIFAR100, cfg.Scale), k, rounds,
+		cfg.Seed, cipClients{0.9}, fedOpts{})
 	if err != nil {
 		return nil, err
 	}
-	victim := crun.Clients[0]
-	attacker := crun.Clients[1]
-	members, nonMembers := equalize(crun.Clients[0].Data(), split.NonMembers)
+	victim := crun.cip(0)
+	attacker := crun.cip(1)
+	members, nonMembers := equalize(crun.Members[0], split.NonMembers)
 
-	mTrue := crun.globalModel(nil).WithT(victim.Perturbation().T)
-	mSub := crun.globalModel(nil).WithT(attacker.Perturbation().T)
+	mTrue := crun.clientNet(0)
+	mSub := crun.clientNet(1)
 
-	res := attacks.Knowledge3(crun.globalModel(nil), attacker.Perturbation().T,
+	res := attacks.Knowledge3(crun.cipNet(), attacker.Perturbation().T,
 		members, nonMembers)
 	ssim := metrics.SSIM(victim.Perturbation().T.Data, attacker.Perturbation().T.Data, 1)
 
@@ -282,13 +283,13 @@ func Table10(cfg Config) (*Table, error) {
 		split := splitForAttack(d)
 		row := []string{p.String()}
 		for _, a := range rq4Alphas(cfg.Scale) {
-			crun, err := runCIP(split.TargetTrain, archFor(p, cfg.Scale), 1, rounds, a, cfg.Seed,
-				cipOpts{augment: d.Augment})
+			crun, err := runFed(split.TargetTrain, archFor(p, cfg.Scale), 1, rounds, cfg.Seed, cipClients{a},
+				fedOpts{augment: d.Augment})
 			if err != nil {
 				return nil, err
 			}
-			members, nonMembers := equalize(crun.Clients[0].Data(), split.NonMembers)
-			res := attacks.Knowledge4(crun.globalModel(nil), members, nonMembers)
+			members, nonMembers := equalize(crun.Members[0], split.NonMembers)
+			res := attacks.Knowledge4(crun.cipNet(), members, nonMembers)
 			row = append(row, attackCells(res)...)
 		}
 		t.AddRow(row...)

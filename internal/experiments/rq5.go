@@ -41,11 +41,11 @@ func Table11(cfg Config) (*Table, error) {
 		overhead := float64(cp-lp) / float64(lp)
 		totalOverhead += overhead
 
-		lRounds, err := roundsToFitLegacy(d, arch, fitAcc, maxRounds, cfg.Seed)
+		lRounds, err := roundsToFit(d, arch, plain{}, fitAcc, maxRounds, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		cRounds, err := roundsToFitCIP(d, arch, fitAcc, maxRounds, cfg.Seed)
+		cRounds, err := roundsToFit(d, arch, cipClients{0.5}, fitAcc, maxRounds, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -59,58 +59,25 @@ func Table11(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// roundsToFitLegacy trains a single-client legacy model round by round and
-// returns the first round whose training accuracy reaches target.
-func roundsToFitLegacy(d *datasets.Data, arch model.Arch, target float64,
+// roundsToFit trains a single-client federation round by round and
+// returns the first round whose training accuracy reaches target. A CIP
+// client measures accuracy with its own t, as a deployed client would.
+func roundsToFit(d *datasets.Data, arch model.Arch, f clientFactory, target float64,
 	maxRounds int, seed int64) (int, error) {
-	run, err := runLegacy(d.Train, arch, 1, 1, seed, legacyOpts{})
+	run, err := runFed(d.Train, arch, 1, 1, seed, f, fedOpts{})
 	if err != nil {
 		return 0, err
 	}
 	// Continue training the same client round by round.
-	client := run.Clients[0]
-	global := run.Global
 	for r := 1; r <= maxRounds; r++ {
-		net := run.Build()
-		if err := nn.SetFlatParams(net.Params(), global); err != nil {
-			return 0, err
-		}
-		if acc := evalOn(net, d.Train); acc >= target {
+		if acc := evalOn(run.clientNet(0), d.Train); acc >= target {
 			return r, nil
 		}
-		u, err := client.TrainLocal(r, global)
+		u, err := run.Clients[0].TrainLocal(r, run.Global)
 		if err != nil {
 			return 0, err
 		}
-		global = u.Params
-	}
-	return maxRounds, nil
-}
-
-// roundsToFitCIP does the same for a CIP client (accuracy measured with
-// the client's own t, as a deployed client would).
-func roundsToFitCIP(d *datasets.Data, arch model.Arch, target float64,
-	maxRounds int, seed int64) (int, error) {
-	run, err := runCIP(d.Train, arch, 1, 1, 0.5, seed, cipOpts{})
-	if err != nil {
-		return 0, err
-	}
-	client := run.Clients[0]
-	global := run.Global
-	for r := 1; r <= maxRounds; r++ {
-		dual := run.BuildDual()
-		if err := nn.SetFlatParams(dual.Params(), global); err != nil {
-			return 0, err
-		}
-		m := core.NewCIPModel(dual, client.Perturbation().T, run.Alpha)
-		if acc := evalOn(m, d.Train); acc >= target {
-			return r, nil
-		}
-		u, err := client.TrainLocal(r, global)
-		if err != nil {
-			return 0, err
-		}
-		global = u.Params
+		run.Global = u.Params
 	}
 	return maxRounds, nil
 }

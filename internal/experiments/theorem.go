@@ -27,14 +27,14 @@ func Theorem1(cfg Config) (*Table, error) {
 	if cfg.Scale == datasets.Full {
 		rounds, guesses = 50, 20
 	}
-	crun, err := runCIP(split.TargetTrain, archFor(datasets.CIFAR100, cfg.Scale),
-		1, rounds, 0.7, cfg.Seed, cipOpts{})
+	crun, err := runFed(split.TargetTrain, archFor(datasets.CIFAR100, cfg.Scale), 1, rounds,
+		cfg.Seed, cipClients{0.7}, fedOpts{})
 	if err != nil {
 		return nil, err
 	}
-	client := crun.Clients[0]
-	members := client.Data()
-	m := crun.globalModel(nil).WithT(client.Perturbation().T)
+	client := crun.cip(0)
+	members := crun.Members[0]
+	m := crun.cipNet().WithT(client.Perturbation().T)
 
 	x, y := members.Batch(0, members.Len())
 	logitsTrue, _ := m.Forward(x, false)
