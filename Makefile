@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # whatever `staticcheck` is on PATH (and skip cleanly when there is none).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck quickcheck check
+.PHONY: build test race vet orphans staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck quickcheck check
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# orphans fails on an exported identifier under internal/ that no non-test
+# code references (orphans_test.go, stdlib go/parser only, well under a
+# second); a deliberate exception goes on that file's allow-list with its
+# reason.
+orphans:
+	$(GO) test -count=1 -run '^TestNoOrphans$$' .
 
 # staticcheck runs when the binary is on PATH and skips (successfully)
 # when it is not, so `make check` works in hermetic containers; CI
@@ -179,8 +186,9 @@ quickcheck:
 	diff -u "$$tmp/want.txt" "$$tmp/got.txt" \
 		|| { echo "quickcheck: regenerated tables differ from experiments_quick.txt"; exit 1; }
 
-# check is the full CI gate: static analysis, the arm64 cross-compile,
-# the race-enabled suite, a short fuzz burst, the crash-harness smoke,
-# the byzantine smoke, the wire-path conformance sweep, and a short
-# untraced and traced run of every repository-benchmark workload.
-check: vet staticcheck crosscheck race fuzz chaossmoke byzsmoke wirecheck benchcheck
+# check is the full CI gate: static analysis, the orphan gate, the arm64
+# cross-compile, the race-enabled suite, a short fuzz burst, the
+# crash-harness smoke, the byzantine smoke, the wire-path conformance
+# sweep, and a short untraced and traced run of every repository-benchmark
+# workload.
+check: vet orphans staticcheck crosscheck race fuzz chaossmoke byzsmoke wirecheck benchcheck

@@ -44,65 +44,6 @@ func negate(xs []float64) []float64 {
 	return out
 }
 
-// ObMALTCalibrated is Ob-MALT with a threshold calibrated on a shadow
-// bundle instead of the attacker-optimal oracle: the attacker thresholds
-// at the midpoint between the shadow model's mean member loss and mean
-// non-member loss. This is the deployable form of the attack; the oracle
-// form (ObMALT) upper-bounds it.
-func ObMALTCalibrated(net nn.Layer, members, nonMembers *datasets.Dataset,
-	shadow ShadowBundle) Result {
-	shadowMember := meanOf(lossesOf(shadow.Net, shadow.Members))
-	shadowNon := meanOf(lossesOf(shadow.Net, shadow.NonMembers))
-	threshold := -(shadowMember + shadowNon) / 2 // scores are negated losses
-	ms := negate(lossesOf(net, members))
-	ns := negate(lossesOf(net, nonMembers))
-	return newResult(ms, ns, threshold)
-}
-
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// ObLabelRobust is the boundary-distance label-only attack (Choquette-Choo
-// et al., ICML'21, the paper's [12]): with only hard labels available, the
-// attacker perturbs each input with Gaussian noise several times and
-// scores membership by how ROBUSTLY the model keeps classifying it
-// correctly — members sit farther from the decision boundary.
-func ObLabelRobust(net nn.Layer, members, nonMembers *datasets.Dataset,
-	noiseStd float64, trials int, rng *rand.Rand) Result {
-	if trials < 1 {
-		trials = 8
-	}
-	score := func(d *datasets.Dataset) []float64 {
-		out := make([]float64, d.Len())
-		for i := 0; i < d.Len(); i++ {
-			x, y := d.Batch(i, i+1)
-			robust := 0
-			for trial := 0; trial < trials; trial++ {
-				xp := x.Clone()
-				for j := range xp.Data {
-					xp.Data[j] += rng.NormFloat64() * noiseStd
-				}
-				tensor.ClampInPlace(xp, 0, 1)
-				logits, _ := net.Forward(xp, false)
-				if nn.Accuracy(logits, y) == 1 {
-					robust++
-				}
-			}
-			out[i] = float64(robust) / float64(trials)
-		}
-		return out
-	}
-	return ThresholdResult(score(members), score(nonMembers))
-}
-
 // ObCalibrated is the difficulty-calibrated loss attack (Watson et al.,
 // in the lineage of Carlini et al.'s first-principles critique): instead
 // of thresholding the raw loss, it thresholds the GAP between a sample's

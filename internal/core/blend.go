@@ -80,12 +80,6 @@ func NewPerturbation(seed int64, shape []int, lo, hi float64) *Perturbation {
 	return &Perturbation{T: t, Seed: seed}
 }
 
-// NewPerturbationLike initializes a perturbation matching another's shape
-// but from a different seed (adaptive attacks generate these).
-func NewPerturbationLike(seed int64, other *Perturbation, lo, hi float64) *Perturbation {
-	return NewPerturbation(seed, other.T.Shape, lo, hi)
-}
-
 // BlendSeed deterministically mixes a base seed with a client index so
 // every FL client gets a distinct, reproducible perturbation.
 func BlendSeed(base int64, clientID int) int64 {

@@ -350,21 +350,6 @@ func TestAdvantageRatioBound(t *testing.T) {
 	}
 }
 
-func TestAdversarialAdvantage(t *testing.T) {
-	if got := AdversarialAdvantage(0.5); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Adv(0.5) = %v, want 1", got)
-	}
-	if got := AdversarialAdvantage(0.8); math.Abs(got-4) > 1e-12 {
-		t.Errorf("Adv(0.8) = %v, want 4", got)
-	}
-	if got := AdversarialAdvantage(0); got != 0 {
-		t.Errorf("Adv(0) = %v, want 0", got)
-	}
-	if got := AdversarialAdvantage(1); !math.IsInf(got, 1) {
-		t.Errorf("Adv(1) = %v, want +Inf", got)
-	}
-}
-
 func TestCIPClientImplementsFLClient(t *testing.T) {
 	train, _ := testData(t, 4)
 	dual := newTestDual(14, train.NumClasses)

@@ -14,15 +14,3 @@ func AdvantageRatio(lossTrue, lossGuessed, temperature float64) float64 {
 	}
 	return math.Exp(-(lossGuessed - lossTrue) / temperature)
 }
-
-// AdversarialAdvantage converts a membership probability into the paper's
-// adversarial advantage Adv = Pr(m=1|θ,z) / Pr(m=0|θ,z) (Eq. 5).
-func AdversarialAdvantage(pMember float64) float64 {
-	if pMember >= 1 {
-		return math.Inf(1)
-	}
-	if pMember <= 0 {
-		return 0
-	}
-	return pMember / (1 - pMember)
-}

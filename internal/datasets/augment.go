@@ -42,24 +42,3 @@ func AugmentBatch(rng *rand.Rand, x *tensor.Tensor, in model.Input, pad int) *te
 	}
 	return out
 }
-
-// FlipHorizontal returns a horizontally mirrored copy of every image.
-func FlipHorizontal(x *tensor.Tensor, in model.Input) *tensor.Tensor {
-	if !in.IsImage() {
-		return x.Clone()
-	}
-	n := x.Shape[0]
-	out := tensor.New(x.Shape...)
-	c, h, w := in.C, in.H, in.W
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := (b*c + ch) * h * w
-			for y := 0; y < h; y++ {
-				for xx := 0; xx < w; xx++ {
-					out.Data[base+y*w+xx] = x.Data[base+y*w+(w-1-xx)]
-				}
-			}
-		}
-	}
-	return out
-}

@@ -3,7 +3,6 @@ package datasets
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"github.com/cip-fl/cip/internal/model"
 	"github.com/cip-fl/cip/internal/tensor"
@@ -226,20 +225,6 @@ func TestAugmentBatchPreservesShapeAndRange(t *testing.T) {
 	}
 	if out.Min() < 0 || out.Max() > 1 {
 		t.Fatalf("augment left [0,1]: [%v, %v]", out.Min(), out.Max())
-	}
-}
-
-func TestFlipHorizontalInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	in := model.Input{C: 2, H: 4, W: 5}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		x := tensor.New(2, 2, 4, 5)
-		x.RandUniform(r, 0, 1)
-		return tensor.Equal(FlipHorizontal(FlipHorizontal(x, in), in), x, 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rng}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 )
 
@@ -147,24 +146,6 @@ func decodePayload(payload []byte, kind string, v any) (err error) {
 		return fmt.Errorf("%w: decoding %s payload: %v", ErrCorrupt, kind, err)
 	}
 	return nil
-}
-
-// Decode reads one container from r (which must not hold trailing data
-// beyond the container) and decodes its payload into v. Reads are bounded:
-// at most maxBytes payload bytes are pulled from r regardless of what the
-// header claims.
-func Decode(r io.Reader, kind string, maxBytes int64, v any) error {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBytes
-	}
-	data, err := io.ReadAll(io.LimitReader(r, maxBytes+headerSize+1))
-	if err != nil {
-		return fmt.Errorf("checkpoint: reading container: %w", err)
-	}
-	if int64(len(data)) > maxBytes+headerSize {
-		return fmt.Errorf("%w: stream exceeds %d-byte budget", ErrTooLarge, maxBytes)
-	}
-	return DecodeBytes(data, kind, maxBytes, v)
 }
 
 // WriteFile atomically writes a container for v at path: the bytes land in

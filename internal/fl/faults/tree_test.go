@@ -54,7 +54,12 @@ func TestCutFrameTearsScheduledFrame(t *testing.T) {
 	}
 	// A torn frame must not decode: the reader sees a valid header whose
 	// declared payload never arrives.
-	if _, err := wire.ReadFrame(bytes.NewReader(data[len(frame):]), len(frame)); err == nil {
+	torn := bytes.NewReader(data[len(frame):])
+	_, _, size, err := wire.ReadHeader(torn, len(frame))
+	if err == nil {
+		_, err = io.ReadFull(torn, make([]byte, size))
+	}
+	if err == nil {
 		t.Fatal("torn frame decoded cleanly")
 	}
 	// Further writes on the cut connection fail.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -46,14 +47,16 @@ func TestCoordinatorClientDisconnect(t *testing.T) {
 
 	// Read the welcome and first round frame, then drop the connection.
 	conn, br := handPeer(t, addr, hello{ID: 0, NumSamples: 5})
-	f, err := wire.ReadFrame(br, 0)
+	typ, _, n, err := wire.ReadHeader(br, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Type != wire.MsgRound2 {
-		t.Fatalf("first frame has type %d, want a round", f.Type)
+	if typ != wire.MsgRound2 {
+		t.Fatalf("first frame has type %d, want a round", typ)
 	}
-	f.Release()
+	if _, err := io.ReadFull(br, make([]byte, n)); err != nil {
+		t.Fatal(err)
+	}
 	conn.Close()
 
 	done := make(chan struct{})

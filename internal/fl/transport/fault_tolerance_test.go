@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -193,11 +194,13 @@ func TestCoordinatorBoundsUpdateSize(t *testing.T) {
 
 	conn, br := handPeer(t, addr, hello{ID: 0, NumSamples: 5})
 	defer conn.Close()
-	f, err := wire.ReadFrame(br, 0)
+	_, _, n, err := wire.ReadHeader(br, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Release()
+	if _, err := io.ReadFull(br, make([]byte, n)); err != nil {
+		t.Fatal(err)
+	}
 	huge := fl.Update{Params: make([]float64, 1<<16), NumSamples: 5}
 	frame, err := wire.AppendUpdateFrame(nil, huge, nil, compress.None)
 	if err != nil {

@@ -590,8 +590,8 @@ func TestOnlyOwningSessionsKeepBuffers(t *testing.T) {
 		go func() {
 			defer server.Close()
 			server.Write(wire.AppendRoundFrame(nil, 0, -1, []float64{1, 2, 3})) //nolint:errcheck — the client's error is the test's
-			if f, err := wire.ReadFrame(server, 0); err == nil {
-				f.Release()
+			if _, _, n, err := wire.ReadHeader(server, 0); err == nil {
+				io.ReadFull(server, make([]byte, n)) //nolint:errcheck
 			}
 			server.Write(wire.AppendDoneFrame(nil)) //nolint:errcheck
 		}()

@@ -8,13 +8,12 @@ import (
 // Byte-buffer arena, mirroring the tensor scratch arena
 // (internal/tensor/pool.go): power-of-two size classes, each a small
 // mutex-guarded LIFO freelist. It serves the streaming decoders' staging
-// chunk and the compressed update bodies ReadUpdate reads whole (and
-// ReadFrame, which no round path calls). Nothing model-sized comes from
-// here: dense bodies, partial sums and sketch rows stream through the
-// chunk into storage owned by the session that outlives the round
-// (DESIGN.md §12.5). Like the tensor arena, the freelists are GC-immune (a
-// sync.Pool would be flushed by the training allocator's constant GC
-// pressure) and bounded per class.
+// chunk and the compressed update bodies ReadUpdate reads whole. Nothing
+// model-sized comes from here: dense bodies, partial sums and sketch rows
+// stream through the chunk into storage owned by the session that outlives
+// the round (DESIGN.md §12.5). Like the tensor arena, the freelists are
+// GC-immune (a sync.Pool would be flushed by the training allocator's
+// constant GC pressure) and bounded per class.
 //
 // Invariants (same as DESIGN.md §9's arena rules):
 //   - A pooled buffer's contents are UNINITIALIZED beyond what the

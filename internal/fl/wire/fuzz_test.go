@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -34,8 +35,8 @@ func seedGolden(f *testing.F, add func([]byte)) {
 
 // FuzzDecodeFrame hammers the full inbound path a hostile client reaches:
 // frame header parse, budget check, payload read, structural update
-// decode, densify. The invariants: never panic, never allocate a payload
-// past the byte budget, and released buffers never double-free.
+// decode, densify. The invariants: never panic, and never allocate a
+// payload past the byte budget.
 func FuzzDecodeFrame(f *testing.F) {
 	seedGolden(f, func(b []byte) { f.Add(b, 4096) })
 	f.Add([]byte{Magic, Version, MsgUpdate, 0, 0xFF, 0xFF, 0xFF, 0xFF}, 64)
@@ -43,33 +44,37 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{Magic, Version, 1, 0, 12, 0, 0, 0, 3, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, 4096)
 	f.Add([]byte{Magic, Version, 4, 0, 24, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0, 0, 0, 0}, 4096)
 	f.Fuzz(func(t *testing.T, data []byte, budget int) {
-		// Always a real budget in [1, 1 MiB]: ReadFrame treats 0 as "no
+		// Always a real budget in [1, 1 MiB]: ReadHeader treats 0 as "no
 		// limit", which would let a hostile length prefix ask the harness
 		// itself for gigabytes.
 		if budget < 0 {
 			budget = -budget
 		}
 		budget = 1 + budget%(1<<20)
-		fr, err := ReadFrame(bytes.NewReader(data), budget)
+		r := bytes.NewReader(data)
+		typ, mode, n, err := ReadHeader(r, budget)
 		if err != nil {
 			return // any error is acceptable; a panic is not
 		}
-		defer fr.Release()
-		if len(fr.Payload) > budget {
-			t.Fatalf("payload of %d bytes escaped budget %d", len(fr.Payload), budget)
+		if n > budget {
+			t.Fatalf("payload of %d bytes escaped budget %d", n, budget)
 		}
-		switch fr.Type {
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return
+		}
+		switch typ {
 		case MsgUpdate:
-			u, err := DecodeUpdate(fr.Mode, fr.Payload)
+			u, err := DecodeUpdate(mode, payload)
 			if err != nil {
 				return
 			}
 			// Structural decode may expand ≤8x (int8 codes to float64);
 			// anything more means an attacker-controlled length slipped
 			// through the size arithmetic.
-			if len(u.Params) > len(fr.Payload) || len(u.Indices) > len(fr.Payload) {
+			if len(u.Params) > len(payload) || len(u.Indices) > len(payload) {
 				t.Fatalf("update decode expanded %d payload bytes to %d params / %d indices",
-					len(fr.Payload), len(u.Params), len(u.Indices))
+					len(payload), len(u.Params), len(u.Indices))
 			}
 			// Densify must validate-or-error, never panic, whatever the
 			// decoded shape claims.
@@ -78,18 +83,18 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatal("densify returned a sparse update without error")
 			}
 		case MsgPartial2:
-			if p, err := DecodePartial2(fr.Payload); err == nil {
-				checkPartial2Expansion(t, p, len(fr.Payload))
+			if p, err := DecodePartial2(payload); err == nil {
+				checkPartial2Expansion(t, p, len(payload))
 				// Semantic validation must classify-or-error, never panic.
 				_ = fl.ValidatePartial(p, len(p.Sum), 1e6)
 			}
 		case MsgRound2:
-			if r, err := DecodeRound2(fr.Payload); err == nil {
+			if r, err := DecodeRound2(payload); err == nil {
 				// A successful round decode allocates only what the
 				// payload itself carried.
-				if 8*len(r.Params) > len(fr.Payload) {
+				if 8*len(r.Params) > len(payload) {
 					t.Fatalf("round decode expanded %d payload bytes to %d params",
-						len(fr.Payload), len(r.Params))
+						len(payload), len(r.Params))
 				}
 			}
 		}

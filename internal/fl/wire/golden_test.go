@@ -135,13 +135,13 @@ func TestGoldenFramesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		f, err := ReadFrame(bytes.NewReader(frame), len(frame))
+		typ, mode, payload, err := readFrame(bytes.NewReader(frame), len(frame))
 		if err != nil {
-			t.Fatalf("%s: ReadFrame: %v", path, err)
+			t.Fatalf("%s: reading frame: %v", path, err)
 		}
-		switch f.Type {
+		switch typ {
 		case MsgUpdate:
-			u, err := DecodeUpdate(f.Mode, f.Payload)
+			u, err := DecodeUpdate(mode, payload)
 			if err != nil {
 				t.Errorf("%s: DecodeUpdate: %v", path, err)
 				break
@@ -150,11 +150,11 @@ func TestGoldenFramesDecode(t *testing.T) {
 				t.Errorf("%s: Densify: %v", path, err)
 			}
 		case MsgDone:
-			if len(f.Payload) != 0 {
-				t.Errorf("%s: done frame carries %d payload bytes", path, len(f.Payload))
+			if len(payload) != 0 {
+				t.Errorf("%s: done frame carries %d payload bytes", path, len(payload))
 			}
 		case MsgPartial2:
-			p, err := DecodePartial2(f.Payload)
+			p, err := DecodePartial2(payload)
 			if err != nil {
 				t.Errorf("%s: DecodePartial2: %v", path, err)
 				break
@@ -163,10 +163,9 @@ func TestGoldenFramesDecode(t *testing.T) {
 				t.Errorf("%s: ValidatePartial: %v", path, err)
 			}
 		case MsgRound2:
-			if _, err := DecodeRound2(f.Payload); err != nil {
+			if _, err := DecodeRound2(payload); err != nil {
 				t.Errorf("%s: DecodeRound2: %v", path, err)
 			}
 		}
-		f.Release()
 	}
 }

@@ -42,15 +42,14 @@ func TestPartial2FrameRoundTrip(t *testing.T) {
 		}
 
 		frame := AppendPartial2Frame(nil, p)
-		f, err := ReadFrame(bytes.NewReader(frame), len(frame))
+		typ, _, payload, err := readFrame(bytes.NewReader(frame), len(frame))
 		if err != nil {
-			t.Fatalf("trial %d: ReadFrame: %v", trial, err)
+			t.Fatalf("trial %d: reading frame: %v", trial, err)
 		}
-		if f.Type != MsgPartial2 {
-			t.Fatalf("trial %d: frame type %d", trial, f.Type)
+		if typ != MsgPartial2 {
+			t.Fatalf("trial %d: frame type %d", trial, typ)
 		}
-		got, err := DecodePartial2(f.Payload)
-		f.Release()
+		got, err := DecodePartial2(payload)
 		if err != nil {
 			t.Fatalf("trial %d: DecodePartial2: %v", trial, err)
 		}
@@ -91,15 +90,14 @@ func TestRound2FrameRoundTrip(t *testing.T) {
 		SketchCap: 64, Params: []float64{0.5, -1.25, 3},
 	}
 	frame := AppendRound2Frame(nil, want)
-	f, err := ReadFrame(bytes.NewReader(frame), len(frame))
+	typ, _, payload, err := readFrame(bytes.NewReader(frame), len(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Release()
-	if f.Type != MsgRound2 {
-		t.Fatalf("frame type %d", f.Type)
+	if typ != MsgRound2 {
+		t.Fatalf("frame type %d", typ)
 	}
-	got, err := DecodeRound2(f.Payload)
+	got, err := DecodeRound2(payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,25 +84,11 @@ var (
 	ErrPayload = errors.New("wire: malformed payload")
 )
 
-// Frame is one decoded frame header plus its raw payload. Payload storage
-// is pooled: call Release when done with it.
-type Frame struct {
-	Type    byte
-	Mode    compress.Mode
-	Payload []byte
-}
-
-// Release returns the frame's payload buffer to the arena. The payload
-// (and anything aliasing it) must not be touched afterwards.
-func (f *Frame) Release() {
-	PutBuffer(f.Payload)
-	f.Payload = nil
-}
-
 // ReadHeader reads and checks one frame header. The declared payload
 // length n is checked against budget (≤ 0 means no limit) before anything
 // is read or allocated for it, so a hostile 4 GiB length prefix costs
-// nothing. The payload follows on r (ReadRound, ReadUpdate, ReadFrame).
+// nothing. The n payload bytes follow on r: ReadRound, ReadUpdate and
+// ReadPartial consume them, or the caller reads them with io.ReadFull.
 func ReadHeader(r io.Reader, budget int) (typ byte, mode compress.Mode, n int, err error) {
 	var hdr [HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -123,25 +109,10 @@ func ReadHeader(r io.Reader, budget int) (typ byte, mode compress.Mode, n int, e
 		return 0, 0, 0, fmt.Errorf("%w: compression mode %d", ErrPayload, hdr[3])
 	}
 	size := binary.LittleEndian.Uint32(hdr[4:8])
-	if budget > 0 && size > uint32(budget) {
+	if budget > 0 && uint64(size) > uint64(budget) {
 		return 0, 0, 0, fmt.Errorf("%w: payload of %d bytes, budget %d", ErrBudget, size, budget)
 	}
 	return typ, mode, int(size), nil
-}
-
-// ReadFrame reads one whole frame: ReadHeader, then the payload into a
-// pooled buffer; pair with Frame.Release.
-func ReadFrame(r io.Reader, budget int) (Frame, error) {
-	typ, mode, n, err := ReadHeader(r, budget)
-	if err != nil {
-		return Frame{}, err
-	}
-	payload := GetBuffer(n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		PutBuffer(payload)
-		return Frame{}, err
-	}
-	return Frame{Type: typ, Mode: mode, Payload: payload}, nil
 }
 
 // AppendHeader appends a frame header to dst and returns the extended

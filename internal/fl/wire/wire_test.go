@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,18 +33,31 @@ func allModes() []compress.Config {
 	}
 }
 
+// readFrame reads one whole frame the way a caller of ReadHeader does: the
+// checked header, then exactly its n payload bytes.
+func readFrame(r io.Reader, budget int) (typ byte, mode compress.Mode, payload []byte, err error) {
+	typ, mode, n, err := ReadHeader(r, budget)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	payload = make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return 0, 0, nil, err
+	}
+	return typ, mode, payload, nil
+}
+
 func TestRoundFrameRoundTrip(t *testing.T) {
 	params := testVector(37, 1)
 	frame := AppendRoundFrame(nil, 12, -1, params)
-	f, err := ReadFrame(bytes.NewReader(frame), 0)
+	typ, mode, payload, err := readFrame(bytes.NewReader(frame), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Release()
-	if f.Type != MsgRound2 || f.Mode != compress.None {
-		t.Fatalf("frame header = type %d mode %d", f.Type, f.Mode)
+	if typ != MsgRound2 || mode != compress.None {
+		t.Fatalf("frame header = type %d mode %d", typ, mode)
 	}
-	round, durable, got, err := DecodeRound(f.Payload)
+	round, durable, got, err := DecodeRound(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +72,12 @@ func TestRoundFrameRoundTrip(t *testing.T) {
 }
 
 func TestDoneFrameRoundTrip(t *testing.T) {
-	f, err := ReadFrame(bytes.NewReader(AppendDoneFrame(nil)), 16)
+	typ, _, payload, err := readFrame(bytes.NewReader(AppendDoneFrame(nil)), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Release()
-	if f.Type != MsgDone || len(f.Payload) != 0 {
-		t.Fatalf("done frame: type %d, %d payload bytes", f.Type, len(f.Payload))
+	if typ != MsgDone || len(payload) != 0 {
+		t.Fatalf("done frame: type %d, %d payload bytes", typ, len(payload))
 	}
 }
 
@@ -105,15 +118,14 @@ func TestUpdateFrameRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := ReadFrame(bytes.NewReader(frame), len(frame))
+			typ, mode, payload, err := readFrame(bytes.NewReader(frame), len(frame))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer f.Release()
-			if f.Type != MsgUpdate || f.Mode != cfg.Mode {
-				t.Fatalf("frame header = type %d mode %s", f.Type, f.Mode)
+			if typ != MsgUpdate || mode != cfg.Mode {
+				t.Fatalf("frame header = type %d mode %s", typ, mode)
 			}
-			got, err := DecodeUpdate(f.Mode, f.Payload)
+			got, err := DecodeUpdate(mode, payload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,9 +145,9 @@ func TestUpdateFrameRoundTrip(t *testing.T) {
 			if cfg.Mode != compress.None {
 				// The frame body should be exactly what Delta.WireBytes
 				// promises (plus the fixed 20-byte update header).
-				if want := d.WireBytes() + 20; len(f.Payload) != want {
+				if want := d.WireBytes() + 20; len(payload) != want {
 					t.Fatalf("%s: payload %d bytes, WireBytes promises %d",
-						cfg.Mode, len(f.Payload), want)
+						cfg.Mode, len(payload), want)
 				}
 			}
 		})
@@ -175,7 +187,7 @@ func TestReadFrameRejects(t *testing.T) {
 	good := AppendRoundFrame(nil, 0, -1, params)
 
 	t.Run("budget", func(t *testing.T) {
-		_, err := ReadFrame(bytes.NewReader(good), 8)
+		_, _, _, err := readFrame(bytes.NewReader(good), 8)
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("err = %v, want ErrBudget", err)
 		}
@@ -183,14 +195,14 @@ func TestReadFrameRejects(t *testing.T) {
 	t.Run("magic", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[0] = 0x00
-		if _, err := ReadFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrMagic) {
+		if _, _, _, err := readFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrMagic) {
 			t.Fatalf("err = %v, want ErrMagic", err)
 		}
 	})
 	t.Run("version", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[1] = 99
-		if _, err := ReadFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrVersion) {
+		if _, _, _, err := readFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrVersion) {
 			t.Fatalf("err = %v, want ErrVersion", err)
 		}
 	})
@@ -200,7 +212,7 @@ func TestReadFrameRejects(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			bad := append([]byte(nil), good...)
 			bad[2] = typ
-			if _, err := ReadFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrFrameType) {
+			if _, _, _, err := readFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrFrameType) {
 				t.Fatalf("err = %v, want ErrFrameType", err)
 			}
 		})
@@ -208,15 +220,29 @@ func TestReadFrameRejects(t *testing.T) {
 	t.Run("mode", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[3] = 200
-		if _, err := ReadFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrPayload) {
+		if _, _, _, err := readFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrPayload) {
 			t.Fatalf("err = %v, want ErrPayload", err)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		if _, err := ReadFrame(bytes.NewReader(good[:len(good)-3]), 0); err == nil {
+		if _, _, _, err := readFrame(bytes.NewReader(good[:len(good)-3]), 0); err == nil {
 			t.Fatal("truncated frame accepted")
 		}
 	})
+}
+
+// TestReadHeaderWideBudget pins the budget comparison to 64 bits: a budget
+// of 4 GiB or more must not wrap to a small uint32 and refuse an honest
+// frame (a robust tree's partial budget, K·8·(params+1), reaches it at
+// K = 64 and 8,388,608 parameters).
+func TestReadHeaderWideBudget(t *testing.T) {
+	hdr := AppendHeader(nil, MsgUpdate, compress.None, 16)
+	for _, budget := range []int{1 << 32, 1<<32 + 8} {
+		_, _, n, err := ReadHeader(bytes.NewReader(hdr), budget)
+		if err != nil || n != 16 {
+			t.Fatalf("budget %d: n = %d, err = %v; want 16, nil", budget, n, err)
+		}
+	}
 }
 
 func TestDecodeUpdateRejectsSizeLies(t *testing.T) {

@@ -45,13 +45,3 @@ func FlattenGrads(params []*Param) []float64 {
 	}
 	return out
 }
-
-// AxpyParams computes dst += alpha*src over flat parameter vectors in place.
-func AxpyParams(dst []float64, alpha float64, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("nn: AxpyParams length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i := range dst {
-		dst[i] += alpha * src[i]
-	}
-}

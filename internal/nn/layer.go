@@ -21,9 +21,9 @@ type Cache any
 
 // Layer is a differentiable network building block.
 type Layer interface {
-	// Forward computes the layer output for x. When train is true the layer
-	// may behave stochastically (dropout) or update running statistics
-	// (batch norm). The returned cache must be passed to Backward.
+	// Forward computes the layer output for x. train marks a training pass;
+	// no layer in this package behaves differently under it. The returned
+	// cache must be passed to Backward.
 	Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, Cache)
 	// Backward consumes a cache from Forward and the gradient of the loss
 	// with respect to the layer output, accumulates parameter gradients

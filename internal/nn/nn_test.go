@@ -44,8 +44,8 @@ func TestConvGradCheck(t *testing.T) {
 	net := NewSequential(
 		NewConv2D(rng, g, 3),
 		ReLU{},
-		GlobalAvgPool{},
-		NewDense(rng, 3, 4),
+		Flatten{},
+		NewDense(rng, 3*5*5, 4),
 	)
 	x := tensor.New(2, 2, 5, 5)
 	x.RandNormal(rng, 0, 1)
@@ -70,28 +70,11 @@ func TestMaxPoolGradCheck(t *testing.T) {
 	}
 }
 
-func TestBatchNormGradCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := tensor.ConvGeom{InC: 2, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	net := NewSequential(
-		NewConv2D(rng, g, 3),
-		NewBatchNorm2D(3),
-		ReLU{},
-		GlobalAvgPool{},
-		NewDense(rng, 3, 3),
-	)
-	x := tensor.New(3, 2, 4, 4)
-	x.RandNormal(rng, 0, 1)
-	if rel := GradCheck(net, x, randLabels(rng, 3, 3), 9); rel > 1e-3 {
-		t.Fatalf("BatchNorm grad check max relative error %v", rel)
-	}
-}
-
 func TestResidualGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := tensor.ConvGeom{InC: 3, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	block := &Residual{Body: NewSequential(NewConv2D(rng, g, 3), ReLU{})}
-	net := NewSequential(block, GlobalAvgPool{}, NewDense(rng, 3, 3))
+	net := NewSequential(block, Flatten{}, NewDense(rng, 3*4*4, 3))
 	x := tensor.New(2, 3, 4, 4)
 	x.RandNormal(rng, 0, 1)
 	if rel := GradCheck(net, x, randLabels(rng, 2, 3), 9); rel > 1e-4 {
@@ -103,27 +86,11 @@ func TestDenseBlockGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := tensor.ConvGeom{InC: 2, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	block := &DenseBlock{Body: NewSequential(NewConv2D(rng, g, 2), ReLU{})}
-	net := NewSequential(block, GlobalAvgPool{}, NewDense(rng, 4, 3))
+	net := NewSequential(block, Flatten{}, NewDense(rng, 4*4*4, 3))
 	x := tensor.New(2, 2, 4, 4)
 	x.RandNormal(rng, 0, 1)
 	if rel := GradCheck(net, x, randLabels(rng, 2, 3), 7); rel > 1e-4 {
 		t.Fatalf("DenseBlock grad check max relative error %v", rel)
-	}
-}
-
-func TestTanhLeakyReLUGradCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	net := NewSequential(
-		NewDense(rng, 4, 6),
-		Tanh{},
-		NewDense(rng, 6, 6),
-		LeakyReLU{Slope: 0.1},
-		NewDense(rng, 6, 3),
-	)
-	x := tensor.New(3, 4)
-	x.RandNormal(rng, 0, 1)
-	if rel := GradCheck(net, x, randLabels(rng, 3, 3), 3); rel > 1e-4 {
-		t.Fatalf("activation grad check max relative error %v", rel)
 	}
 }
 
@@ -159,7 +126,10 @@ func TestSoftmaxShiftInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	logits := tensor.New(2, 4)
 	logits.RandNormal(rng, 0, 1)
-	shifted := tensor.Apply(logits, func(v float64) float64 { return v + 1000 })
+	shifted := logits.Clone()
+	for i := range shifted.Data {
+		shifted.Data[i] += 1000
+	}
 	if !tensor.Equal(Softmax(logits), Softmax(shifted), 1e-9) {
 		t.Fatal("softmax is not shift invariant")
 	}
@@ -309,28 +279,6 @@ func TestClipGradNorm(t *testing.T) {
 	}
 }
 
-func TestDropoutEvalIsIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	d := NewDropout(rng, 0.5)
-	x := tensor.New(4, 6)
-	x.RandNormal(rng, 0, 1)
-	out, _ := d.Forward(x, false)
-	if !tensor.Equal(out, x, 0) {
-		t.Fatal("dropout modified input in eval mode")
-	}
-}
-
-func TestDropoutTrainPreservesScaleOnAverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	d := NewDropout(rng, 0.3)
-	x := tensor.New(1, 10000)
-	x.Fill(1)
-	out, _ := d.Forward(x, true)
-	if mean := out.Mean(); math.Abs(mean-1) > 0.05 {
-		t.Fatalf("inverted dropout mean = %v, want ≈1", mean)
-	}
-}
-
 // TestSharedBackboneGradAccumulation verifies the property the dual-channel
 // model depends on: forwarding two inputs through one network and
 // backpropagating both accumulates the sum of both gradient contributions.
@@ -366,22 +314,6 @@ func TestSharedBackboneGradAccumulation(t *testing.T) {
 		if math.Abs(gBoth[i]-(ga[i]+gb[i])) > 1e-10 {
 			t.Fatalf("shared-backbone grad[%d] = %v, want %v", i, gBoth[i], ga[i]+gb[i])
 		}
-	}
-}
-
-func TestBatchNormEvalUsesRunningStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	bn := NewBatchNorm2D(2)
-	x := tensor.New(4, 2, 3, 3)
-	x.RandNormal(rng, 3, 2)
-	for i := 0; i < 20; i++ {
-		bn.Forward(x, true)
-	}
-	out, _ := bn.Forward(x, false)
-	// After training on a fixed batch the eval output should be roughly
-	// normalized (running stats converge to batch stats).
-	if m := out.Mean(); math.Abs(m) > 0.3 {
-		t.Fatalf("eval-mode BN mean = %v, want ≈0", m)
 	}
 }
 

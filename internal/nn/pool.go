@@ -64,49 +64,6 @@ func (m MaxPool2D) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 // Params returns nil; pooling has no parameters.
 func (MaxPool2D) Params() []*Param { return nil }
 
-// GlobalAvgPool reduces NCHW input to [N, C] by averaging each channel's
-// spatial plane — the GAP layer of the paper's dual-channel head (Fig. 3).
-type GlobalAvgPool struct{}
-
-// Forward averages over the spatial dimensions.
-func (GlobalAvgPool) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	out := tensor.NewLike(x, n, c)
-	area := float64(h * w)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := (b*c + ch) * h * w
-			s := 0.0
-			for i := 0; i < h*w; i++ {
-				s += x.Data[base+i]
-			}
-			out.Data[b*c+ch] = s / area
-		}
-	}
-	return out, x // only its Shape is read back
-}
-
-// Backward distributes each channel gradient uniformly over its plane.
-func (GlobalAvgPool) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
-	inShape := cache.(*tensor.Tensor).Shape
-	n, c, h, w := inShape[0], inShape[1], inShape[2], inShape[3]
-	out := tensor.NewLike(grad, inShape...)
-	inv := 1.0 / float64(h*w)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			g := grad.Data[b*c+ch] * inv
-			base := (b*c + ch) * h * w
-			for i := 0; i < h*w; i++ {
-				out.Data[base+i] = g
-			}
-		}
-	}
-	return out
-}
-
-// Params returns nil; pooling has no parameters.
-func (GlobalAvgPool) Params() []*Param { return nil }
-
 // Flatten reshapes [N, ...] input to [N, D].
 type Flatten struct{}
 

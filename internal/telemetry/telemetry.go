@@ -1,7 +1,7 @@
 // Package telemetry is the repo's stdlib-only observability layer: a
 // metrics registry (counters, gauges, fixed-bucket histograms) that
 // exposes both Prometheus text exposition and expvar-style JSON over
-// HTTP, plus a leveled structured logger.
+// HTTP.
 //
 // Two design rules keep the hot paths honest:
 //
@@ -254,14 +254,6 @@ func (h *Histogram) BucketCounts() []uint64 {
 	return out
 }
 
-// Bounds returns the bucket upper bounds (without +Inf).
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return append([]float64(nil), h.bounds...)
-}
-
 func (h *Histogram) metricName() string { return h.name }
 func (h *Histogram) metricHelp() string { return h.help }
 func (h *Histogram) kind() Kind         { return KindHistogram }
@@ -277,18 +269,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	for i := range out {
 		out[i] = v
 		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n ascending bucket bounds start, start+width, ….
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("telemetry: LinearBuckets needs width > 0, n ≥ 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
 	}
 	return out
 }

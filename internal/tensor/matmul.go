@@ -741,24 +741,3 @@ func TransposeInto(dst, a *Tensor) *Tensor {
 	}
 	return dst
 }
-
-// MatVec returns a·x for a 2-D a (m×n) and a flat x of length n.
-func MatVec(a, x *Tensor) *Tensor {
-	if a.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatVec needs a 2-D matrix, got %v", a.Shape))
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	if x.Size() != n {
-		panic(fmt.Sprintf("tensor: MatVec dimension mismatch %v·%v", a.Shape, x.Shape))
-	}
-	out := New(m)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		s := 0.0
-		for j, v := range row {
-			s += v * x.Data[j]
-		}
-		out.Data[i] = s
-	}
-	return out
-}

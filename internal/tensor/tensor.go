@@ -181,26 +181,6 @@ func Add(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	assertSameShape("Sub", a, b)
-	out := NewLike(a, a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
-// Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor {
-	assertSameShape("Mul", a, b)
-	out := NewLike(a, a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
 // Scale returns a * s elementwise.
 func Scale(a *Tensor, s float64) *Tensor {
 	out := NewLike(a, a.Shape...)
@@ -230,28 +210,6 @@ func ScaleInPlace(a *Tensor, s float64) {
 	for i := range a.Data {
 		a.Data[i] *= s
 	}
-}
-
-// Apply returns f applied elementwise to a.
-func Apply(a *Tensor, f func(float64) float64) *Tensor {
-	out := NewLike(a, a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = f(a.Data[i])
-	}
-	return out
-}
-
-// Clamp returns a with every element clipped into [lo, hi].
-func Clamp(a *Tensor, lo, hi float64) *Tensor {
-	return Apply(a, func(v float64) float64 {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	})
 }
 
 // ClampInPlace clips every element of a into [lo, hi].
@@ -310,20 +268,6 @@ func (t *Tensor) Min() float64 {
 	return m
 }
 
-// Argmax returns the flat index of the first maximum element.
-func (t *Tensor) Argmax() int {
-	if len(t.Data) == 0 {
-		panic("tensor: Argmax of empty tensor")
-	}
-	best, arg := t.Data[0], 0
-	for i, v := range t.Data {
-		if v > best {
-			best, arg = v, i
-		}
-	}
-	return arg
-}
-
 // L1Norm returns the sum of absolute values.
 func (t *Tensor) L1Norm() float64 {
 	s := 0.0
@@ -371,12 +315,6 @@ func (t *Tensor) RandNormal(rng *rand.Rand, mean, std float64) {
 func (t *Tensor) HeInit(rng *rand.Rand, fanIn int) {
 	std := math.Sqrt(2.0 / float64(fanIn))
 	t.RandNormal(rng, 0, std)
-}
-
-// XavierInit fills t with Glorot-uniform initialization.
-func (t *Tensor) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
-	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	t.RandUniform(rng, -limit, limit)
 }
 
 // Equal reports whether a and b have the same shape and elementwise values
