@@ -35,10 +35,14 @@ staticcheck:
 
 # crosscheck compiles and vets the arm64 build without needing arm64
 # hardware: the NEON micro-kernels (kernel_arm64.s) only assemble under
-# GOARCH=arm64, so an amd64-only CI pass would let them rot.
+# GOARCH=arm64, so an amd64-only CI pass would let them rot. It does the
+# same for big-endian s390x, the only build of the wire codec's byte-swap
+# file (internal/fl/wire/endian_be.go); nothing runs it.
 crosscheck:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=s390x $(GO) build ./...
+	GOARCH=s390x $(GO) vet ./internal/fl/wire
 
 # The race detector slows the heavyweight experiment replays ~10-20x past
 # the default go-test timeout; they honor -short and are covered without

@@ -75,7 +75,7 @@ func ValidatePartial(p Partial, wantLen int, maxNorm float64) error {
 	}
 	var ss float64
 	for i, v := range p.Sum {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if nonFinite(v) {
 			return fmt.Errorf("fl: leaf %d partial has non-finite sum at param %d", p.LeafID, i)
 		}
 		m := v / p.Weight

@@ -131,15 +131,35 @@ func ValidateUpdate(u Update, wantLen int) error {
 		return fmt.Errorf("fl: client %d update has %d params, want %d",
 			u.ClientID, len(u.Params), wantLen)
 	}
-	for i, v := range u.Params {
-		if math.IsNaN(v) {
-			return fmt.Errorf("fl: client %d update has NaN at param %d", u.ClientID, i)
-		}
-		if math.IsInf(v, 0) {
-			return fmt.Errorf("fl: client %d update has Inf at param %d", u.ClientID, i)
-		}
+	if i := firstNonFinite(u.Params); i >= 0 {
+		return fmt.Errorf("fl: client %d update has %s at param %d", u.ClientID, nanOrInf(u.Params[i]), i)
 	}
 	return nil
+}
+
+// expMask selects a float64's exponent bits; a value with all of them set
+// is NaN or ±Inf.
+const expMask = 0x7ff << 52
+
+// nonFinite reports whether v is NaN or ±Inf, in one integer compare.
+func nonFinite(v float64) bool { return math.Float64bits(v)&expMask == expMask }
+
+// firstNonFinite returns the index of the first NaN or ±Inf in v, or -1.
+func firstNonFinite(v []float64) int {
+	for i, x := range v {
+		if nonFinite(x) {
+			return i
+		}
+	}
+	return -1
+}
+
+// nanOrInf names the kind of a non-finite value for an error message.
+func nanOrInf(v float64) string {
+	if math.IsNaN(v) {
+		return "NaN"
+	}
+	return "Inf"
 }
 
 // UpdateNorm returns the L2 norm of an update's parameter vector.

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -199,5 +200,43 @@ func TestValidateUpdate(t *testing.T) {
 		if err := ValidateUpdate(u, 3); err == nil {
 			t.Fatalf("case %d: invalid update accepted", i)
 		}
+	}
+}
+
+// TestValidationMessages: a NaN, +Inf or −Inf at the first, a middle or
+// the last coordinate is reported by ValidateUpdate, ValidateSparse (a
+// dense delta) and ValidatePartial with its kind and index in exactly
+// these words, and the extreme finite values around it are accepted.
+func TestValidationMessages(t *testing.T) {
+	base := []float64{1, math.MaxFloat64, 5e-324, math.Copysign(0, -1), -math.MaxFloat64}
+	for _, bad := range []struct {
+		v    float64
+		kind string
+	}{{math.NaN(), "NaN"}, {math.Inf(1), "Inf"}, {math.Inf(-1), "Inf"}} {
+		for _, at := range []int{0, len(base) / 2, len(base) - 1} {
+			v := append([]float64(nil), base...)
+			v[at] = bad.v
+			got := []error{
+				ValidateUpdate(Update{ClientID: 7, Params: v}, len(v)),
+				ValidateUpdate(Update{ClientID: 7, Params: v, IsDelta: true, DenseLen: len(v)}, len(v)),
+				ValidatePartial(Partial{LeafID: 2, Sum: v, Weight: 1, Count: 1}, len(v), 0),
+			}
+			want := []string{
+				fmt.Sprintf("fl: client 7 update has %s at param %d", bad.kind, at),
+				fmt.Sprintf("fl: client 7 sparse update has %s at position %d", bad.kind, at),
+				fmt.Sprintf("fl: leaf 2 partial has non-finite sum at param %d", at),
+			}
+			for i := range got {
+				if got[i] == nil || got[i].Error() != want[i] {
+					t.Errorf("%v at %d: got %v, want %q", bad.v, at, got[i], want[i])
+				}
+			}
+		}
+	}
+	if err := ValidateUpdate(Update{Params: base}, len(base)); err != nil {
+		t.Fatalf("extreme finite values rejected: %v", err)
+	}
+	if err := ValidatePartial(Partial{Sum: base, Weight: 1, Count: 1}, len(base), 0); err != nil {
+		t.Fatalf("extreme finite sums rejected: %v", err)
 	}
 }

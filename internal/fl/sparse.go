@@ -3,7 +3,6 @@ package fl
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Sparse-update validation and densification. The binary wire codec can
@@ -68,13 +67,8 @@ func ValidateSparse(u Update, wantLen int) error {
 		return fmt.Errorf("%w: client %d dense delta has %d params, want %d",
 			ErrSparseShape, u.ClientID, len(u.Params), wantLen)
 	}
-	for j, v := range u.Params {
-		if math.IsNaN(v) {
-			return fmt.Errorf("fl: client %d sparse update has NaN at position %d", u.ClientID, j)
-		}
-		if math.IsInf(v, 0) {
-			return fmt.Errorf("fl: client %d sparse update has Inf at position %d", u.ClientID, j)
-		}
+	if j := firstNonFinite(u.Params); j >= 0 {
+		return fmt.Errorf("fl: client %d sparse update has %s at position %d", u.ClientID, nanOrInf(u.Params[j]), j)
 	}
 	return nil
 }

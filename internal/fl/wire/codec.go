@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"github.com/cip-fl/cip/internal/fl"
 	"github.com/cip-fl/cip/internal/fl/compress"
@@ -81,45 +82,33 @@ const (
 	partial2HasSketch = 1 << 1
 )
 
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
+func appendU32(dst []byte, v uint32) []byte  { return binary.LittleEndian.AppendUint32(dst, v) }
+func appendU64(dst []byte, v uint64) []byte  { return binary.LittleEndian.AppendUint64(dst, v) }
+func appendF64(dst []byte, v float64) []byte { return appendU64(dst, math.Float64bits(v)) }
+
+// word is an 8-byte body element: a float64 parameter or a uint64 sketch
+// key. Bodies of words move as one copy of the vector's bytes.
+type word interface{ float64 | uint64 }
+
+// wordBytes views v's storage as bytes: on a little-endian host, the
+// vector's wire bytes; swapWords converts them on a big-endian one.
+func wordBytes[T word](v []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
 }
 
-func appendF64(dst []byte, v float64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	return append(dst, b[:]...)
-}
-
-func appendF64s(dst []byte, vs []float64) []byte {
-	for _, v := range vs {
-		dst = appendF64(dst, v)
-	}
+// appendWords appends v's wire bytes to dst.
+func appendWords[T word](dst []byte, v []T) []byte {
+	n := len(dst)
+	dst = append(dst, wordBytes(v)...)
+	swapWords(dst[n:])
 	return dst
 }
 
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
-// getF64s and getU64s fill dst from the front of b: the body conversions
-// the byte-slice and the streaming decoders share.
-func getF64s(dst []float64, b []byte) {
-	b = b[:8*len(dst)]
-	for i := range dst {
-		dst[i] = getF64(b[8*i:])
-	}
-}
-
-func getU64s(dst []uint64, b []byte) {
-	b = b[:8*len(dst)]
-	for i := range dst {
-		dst[i] = getU64(b[8*i:])
-	}
+// getWords fills dst from the wire bytes at the front of b.
+func getWords[T word](dst []T, b []byte) {
+	d := wordBytes(dst)
+	copy(d, b[:len(d)])
+	swapWords(d)
 }
 
 func getU32(b []byte) uint32  { return binary.LittleEndian.Uint32(b) }
@@ -195,16 +184,14 @@ func AppendPartial2Frame(dst []byte, p fl.Partial) []byte {
 	dst = appendF64(dst, p.Weight)
 	dst = appendF64(dst, p.ExpectWeight)
 	dst = appendU32(dst, uint32(len(p.Sum)))
-	dst = appendF64s(dst, p.Sum)
+	dst = appendWords(dst, p.Sum)
 	if p.Sketch != nil {
 		dst = appendU32(dst, uint32(p.Sketch.Cap))
 		dst = appendU32(dst, uint32(p.Sketch.Rows))
 		dst = appendU32(dst, uint32(k))
-		for _, key := range p.Sketch.Keys {
-			dst = appendU64(dst, key)
-		}
+		dst = appendWords(dst, p.Sketch.Keys)
 		for _, row := range p.Sketch.Vals {
-			dst = appendF64s(dst, row)
+			dst = appendWords(dst, row)
 		}
 	}
 	return dst
@@ -280,7 +267,7 @@ func AppendRound2Frame(dst []byte, r Round2) []byte {
 	dst = appendU64(dst, uint64(r.SampleSeed))
 	dst = appendU32(dst, uint32(r.SketchCap))
 	dst = appendU32(dst, uint32(len(r.Params)))
-	return appendF64s(dst, r.Params)
+	return appendWords(dst, r.Params)
 }
 
 // DecodeRound2 parses a round payload: ReadRound over it, into a fresh
@@ -339,7 +326,7 @@ func AppendUpdateFrame(dst []byte, u fl.Update, d *compress.Delta, mode compress
 	dst = appendF64(dst, u.TrainLoss)
 	dst = appendU32(dst, uint32(denseLen))
 	if mode == compress.None {
-		return appendF64s(dst, u.Params), nil
+		return appendWords(dst, u.Params), nil
 	}
 	if mode.Sparse() {
 		dst = appendU32(dst, uint32(k))
@@ -353,16 +340,14 @@ func AppendUpdateFrame(dst []byte, u fl.Update, d *compress.Delta, mode compress
 	}
 	switch mode.Bits() {
 	case 0:
-		dst = appendF64s(dst, d.Values)
+		dst = appendWords(dst, d.Values)
 	case 8:
 		for _, c := range d.Codes {
 			dst = append(dst, byte(c))
 		}
 	case 16:
 		for _, c := range d.Codes {
-			var b [2]byte
-			binary.LittleEndian.PutUint16(b[:], c)
-			dst = append(dst, b[:]...)
+			dst = binary.LittleEndian.AppendUint16(dst, c)
 		}
 	}
 	return dst, nil
@@ -386,16 +371,10 @@ func DecodeUpdate(mode compress.Mode, payload []byte) (u fl.Update, err error) {
 		return fl.Update{}, err
 	}
 	body := payload[updateHeadLen:]
-
-	if mode == compress.None {
-		u.Params = make([]float64, denseLen)
-		getF64s(u.Params, body)
-		return u, nil
+	if mode != compress.None {
+		u.DenseLen, u.IsDelta = denseLen, true
 	}
-
-	u.DenseLen = denseLen
-	u.IsDelta = true
-	k := denseLen // dense quantized modes carry denseLen values
+	k := denseLen // dense modes carry denseLen values
 	if mode.Sparse() {
 		if len(body) < 4 {
 			return fl.Update{}, fmt.Errorf("%w: sparse body of %d bytes", ErrTruncated, len(body))
@@ -429,9 +408,7 @@ func DecodeUpdate(mode compress.Mode, payload []byte) (u fl.Update, err error) {
 	switch mode.Bits() {
 	case 0:
 		u.Params = make([]float64, k)
-		for j := range u.Params {
-			u.Params[j] = getF64(body[8*j:])
-		}
+		getWords(u.Params, body)
 	case 8:
 		codes := make([]uint16, k)
 		for j := range codes {

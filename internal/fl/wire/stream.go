@@ -10,28 +10,31 @@ import (
 )
 
 // Streaming decoders: after ReadHeader, a round, dense update or partial
-// body is converted straight from the connection into storage its receiver
-// owns, one staging chunk at a time. DecodeRound2 and DecodePartial2 are
-// these decoders over a whole payload; DecodeUpdate shares updateHead and
-// getF64s with ReadUpdate. FuzzDecodeUpdateStream and
-// FuzzDecodePartialStream hold each pair equal whatever the chunking.
+// body is read from the connection straight into the bytes of storage its
+// receiver owns, one io.ReadFull per vector. DecodeRound2 and
+// DecodePartial2 are these decoders over a whole payload; DecodeUpdate
+// shares updateHead and the word conversion with ReadUpdate.
+// FuzzDecodeUpdateStream and FuzzDecodePartialStream hold each pair equal
+// whatever the reader's chunking.
 
-// chunkLen is the staging chunk: large enough that a buffered reader
-// passes the read through to the connection, small enough to pool cheaply.
-const chunkLen = 64 << 10
-
-// readWords fills dst with the little-endian 8-byte words r delivers next,
-// converted by get (getF64s, getU64s).
-func readWords[T any](r io.Reader, dst []T, chunk []byte, get func([]T, []byte)) error {
-	for len(dst) > 0 {
-		m := min(len(dst), len(chunk)/8)
-		if _, err := io.ReadFull(r, chunk[:8*m]); err != nil {
-			return err
-		}
-		get(dst[:m], chunk)
-		dst = dst[m:]
+// readWords fills dst with the next 8·len(dst) wire bytes r delivers,
+// read into dst's own storage. A body cut short leaves dst partly written.
+func readWords[T word](r io.Reader, dst []T) error {
+	b := wordBytes(dst)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return err
 	}
+	swapWords(b)
 	return nil
+}
+
+// readHead reads the first min(size, n) bytes of a size-byte payload into
+// a pooled n-byte buffer, which the caller returns with PutBuffer. The
+// head parsers look at no byte of it when size < n.
+func readHead(r io.Reader, size, n int) ([]byte, error) {
+	head := GetBuffer(n)
+	_, err := io.ReadFull(r, head[:min(size, n)])
+	return head, err
 }
 
 // ReadRound reads the size-byte payload of a round frame (size from
@@ -40,10 +43,9 @@ func readWords[T any](r io.Reader, dst []T, chunk []byte, get func([]T, []byte))
 // fresh vector.
 func ReadRound(r io.Reader, size int, params []float64) (rd Round2, err error) {
 	defer recoverDecode(&err)
-	chunk := GetBuffer(chunkLen)
-	defer PutBuffer(chunk)
-	head := chunk[:min(size, round2HeadLen)]
-	if _, err := io.ReadFull(r, head); err != nil {
+	head, err := readHead(r, size, round2HeadLen)
+	defer PutBuffer(head)
+	if err != nil {
 		return Round2{}, err
 	}
 	rd, n, err := roundHead(head, size)
@@ -54,15 +56,16 @@ func ReadRound(r io.Reader, size int, params []float64) (rd Round2, err error) {
 		params = make([]float64, n)
 	}
 	rd.Params = params[:n]
-	return rd, readWords(r, rd.Params, chunk, getF64s)
+	return rd, readWords(r, rd.Params)
 }
 
 // ReadUpdate reads the size-byte payload of a MsgUpdate frame. A dense
-// (mode None) body is converted into dst, which becomes the update's
-// Params; a head declaring another length than len(dst) is rejected before
-// the body is read, so a hostile denseLen allocates nothing. A compressed
-// body — small by construction — goes whole through a pooled buffer and
-// DecodeUpdate; the caller densifies it into dst (fl.DensifyInto).
+// (mode None) body is read into dst, which becomes the update's Params
+// (partly written when the body is cut short); a head declaring another
+// length than len(dst) is rejected before the body is read, so a hostile
+// denseLen allocates nothing. A compressed body — small by construction —
+// goes whole through a pooled buffer and DecodeUpdate; the caller
+// densifies it into dst (fl.DensifyInto).
 func ReadUpdate(r io.Reader, mode compress.Mode, size int, dst []float64) (u fl.Update, err error) {
 	defer recoverDecode(&err)
 	if mode != compress.None {
@@ -73,10 +76,9 @@ func ReadUpdate(r io.Reader, mode compress.Mode, size int, dst []float64) (u fl.
 		}
 		return DecodeUpdate(mode, buf)
 	}
-	chunk := GetBuffer(chunkLen)
-	defer PutBuffer(chunk)
-	head := chunk[:min(size, updateHeadLen)]
-	if _, err := io.ReadFull(r, head); err != nil {
+	head, err := readHead(r, size, updateHeadLen)
+	defer PutBuffer(head)
+	if err != nil {
 		return fl.Update{}, err
 	}
 	u, denseLen, err := updateHead(mode, head, size)
@@ -86,24 +88,21 @@ func ReadUpdate(r io.Reader, mode compress.Mode, size int, dst []float64) (u fl.
 	if denseLen != len(dst) {
 		return fl.Update{}, fmt.Errorf("%w: dense update of %d params, want %d", ErrPayload, denseLen, len(dst))
 	}
-	if err := readWords(r, dst, chunk, getF64s); err != nil {
-		return fl.Update{}, err
-	}
 	u.Params = dst
-	return u, nil
+	return u, readWords(r, dst)
 }
 
 // ReadPartial reads the size-byte payload of a MsgPartial2 frame. The sums
 // land in sum (a head declaring another length is refused before the body
 // is read), each retained sketch row in a len(sum)-long vector from row,
 // called only once every declared length has been checked against size.
-// Rows taken before a body turns out cut short are the caller's.
+// A body cut short leaves sum or the last row partly written; rows taken
+// before that are the caller's.
 func ReadPartial(r io.Reader, size int, sum []float64, row func() []float64) (p fl.Partial, err error) {
 	defer recoverDecode(&err)
-	chunk := GetBuffer(chunkLen)
-	defer PutBuffer(chunk)
-	head := chunk[:min(size, partial2HeadLen)]
-	if _, err := io.ReadFull(r, head); err != nil {
+	head, err := readHead(r, size, partial2HeadLen)
+	defer PutBuffer(head)
+	if err != nil {
 		return fl.Partial{}, err
 	}
 	p, n, hasSketch, err := partialHead(head, size)
@@ -113,14 +112,13 @@ func ReadPartial(r io.Reader, size int, sum []float64, row func() []float64) (p 
 	if n != len(sum) {
 		return fl.Partial{}, fmt.Errorf("%w: partial of %d params, want %d", ErrPayload, n, len(sum))
 	}
-	if err := readWords(r, sum, chunk, getF64s); err != nil {
+	if err := readWords(r, sum); err != nil {
 		return fl.Partial{}, err
 	}
 	if p.Sum = sum; !hasSketch {
 		return p, nil
 	}
-	head = chunk[:sketchHeadLen]
-	if _, err := io.ReadFull(r, head); err != nil {
+	if _, err := io.ReadFull(r, head[:sketchHeadLen]); err != nil {
 		return fl.Partial{}, err
 	}
 	rest, k := size-partial2HeadLen-8*n, int(getU32(head[8:]))
@@ -129,12 +127,12 @@ func ReadPartial(r io.Reader, size int, sum []float64, row func() []float64) (p 
 	}
 	sk := &robust.Sketch{Cap: int(getU32(head[0:])), Rows: int(int32(getU32(head[4:]))),
 		Keys: make([]uint64, k), Vals: make([][]float64, k)}
-	if err := readWords(r, sk.Keys, chunk, getU64s); err != nil {
+	if err := readWords(r, sk.Keys); err != nil {
 		return fl.Partial{}, err
 	}
 	for i := range sk.Vals {
 		sk.Vals[i] = row()
-		if err := readWords(r, sk.Vals[i], chunk, getF64s); err != nil {
+		if err := readWords(r, sk.Vals[i]); err != nil {
 			return fl.Partial{}, err
 		}
 	}

@@ -58,6 +58,10 @@ func (s *stepReader) Read(p []byte) (int, error) {
 	return s.r.Read(p)
 }
 
+// bigLen is a vector length whose body outgrows a buffered reader's
+// buffer, so reads pass through to the source, and is not a power of two.
+const bigLen = 64<<10/8 + 3
+
 func sameUpdate(t *testing.T, got, want fl.Update) {
 	t.Helper()
 	if got.ClientID != want.ClientID || got.NumSamples != want.NumSamples ||
@@ -80,11 +84,31 @@ func sameF64s(a, b []float64) bool {
 	return true
 }
 
+// stream is one way of delivering a payload to a streaming decoder.
+type stream struct {
+	name string
+	r    io.Reader
+}
+
+// streams delivers payload whole, one byte per read, half of each read's
+// request, and step bytes per read: the decoders' io.ReadFull into the
+// destination is the only loop over a body, and each of these drives it
+// differently.
+func streams(payload []byte, step int) []stream {
+	return []stream{
+		{"whole", bytes.NewReader(payload)},
+		{"one byte", iotest.OneByteReader(bytes.NewReader(payload))},
+		{"half", iotest.HalfReader(bytes.NewReader(payload))},
+		{"step", dribble(bytes.NewReader(payload), step)},
+	}
+}
+
 // FuzzDecodeUpdateStream: for arbitrary payload bytes under any mode,
-// ReadUpdate fed from a dribbling reader and DecodeUpdate on the same
+// ReadUpdate fed through each of streams and DecodeUpdate on the same
 // bytes agree on the accept/reject class and, on accept, on every field
-// bit for bit; a dense update of the wrong length is refused with only
-// its head consumed.
+// bit for bit; an accepted payload whose last 4 bytes never arrive (its
+// last word cut in half) is io.ErrUnexpectedEOF; a dense update of the
+// wrong length is refused with only its head consumed.
 func FuzzDecodeUpdateStream(f *testing.F) {
 	seedGolden(f, func(b []byte) {
 		if len(b) > HeaderLen && b[2] == MsgUpdate {
@@ -93,34 +117,50 @@ func FuzzDecodeUpdateStream(f *testing.F) {
 		}
 	})
 	big, _ := AppendUpdateFrame(nil, fl.Update{ClientID: 1, NumSamples: 2, TrainLoss: 3,
-		Params: testVector(chunkLen/8+3, 9)}, nil, compress.None) // a chunk and a tail
+		Params: testVector(bigLen, 9)}, nil, compress.None)
 	f.Add(byte(compress.None), big[HeaderLen:], uint16(4096))
 	f.Add(byte(compress.None), []byte{}, uint16(1))
+	// Three words read 5 bytes at a time: the cut check splits the last
+	// word across two reads, the second of them short.
+	small, _ := AppendUpdateFrame(nil, fl.Update{ClientID: 4, NumSamples: 5,
+		Params: []float64{1, math.Inf(-1), math.Copysign(0, -1)}}, nil, compress.None)
+	f.Add(byte(compress.None), small[HeaderLen:], uint16(5))
 	f.Fuzz(func(t *testing.T, modeByte byte, payload []byte, step uint16) {
 		mode := compress.Mode(modeByte)
 		want, wantErr := DecodeUpdate(mode, payload)
-		dst := make([]float64, 3)
+		n := 3
 		if wantErr == nil && mode == compress.None {
-			dst = make([]float64, len(want.Params))
+			n = len(want.Params)
 		}
-		got, gotErr := ReadUpdate(dribble(bytes.NewReader(payload), int(step)), mode, len(payload), dst)
-		if errClass(gotErr) != errClass(wantErr) {
-			t.Fatalf("mode %d: stream says %q (%v), bytes say %q (%v)",
-				modeByte, errClass(gotErr), gotErr, errClass(wantErr), wantErr)
+		for _, s := range streams(payload, int(step)) {
+			dst := make([]float64, n)
+			got, gotErr := ReadUpdate(s.r, mode, len(payload), dst)
+			if errClass(gotErr) != errClass(wantErr) {
+				t.Fatalf("mode %d, %s: stream says %q (%v), bytes say %q (%v)",
+					modeByte, s.name, errClass(gotErr), gotErr, errClass(wantErr), wantErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			sameUpdate(t, got, want)
+			if mode == compress.None && n > 0 && &got.Params[0] != &dst[0] {
+				t.Fatalf("%s: a dense update was not decoded into the caller's storage", s.name)
+			}
 		}
 		if wantErr != nil {
 			return
 		}
-		sameUpdate(t, got, want)
+		for _, s := range streams(payload[:len(payload)-4], int(step)) {
+			if _, err := ReadUpdate(s.r, mode, len(payload), make([]float64, n)); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("mode %d, %s: a payload cut mid-word reads as %v, want io.ErrUnexpectedEOF", modeByte, s.name, err)
+			}
+		}
 		if mode != compress.None {
 			return
 		}
-		if len(dst) > 0 && &got.Params[0] != &dst[0] {
-			t.Fatal("a dense update was not decoded into the caller's storage")
-		}
 		r := bytes.NewReader(payload)
-		if _, err := ReadUpdate(r, mode, len(payload), make([]float64, len(dst)+1)); errClass(err) != "payload" {
-			t.Fatalf("a %d-param update decoded into %d params: %v", len(dst), len(dst)+1, err)
+		if _, err := ReadUpdate(r, mode, len(payload), make([]float64, n+1)); errClass(err) != "payload" {
+			t.Fatalf("a %d-param update decoded into %d params: %v", n, n+1, err)
 		}
 		if read := len(payload) - r.Len(); read > updateHeadLen {
 			t.Fatalf("a wrong-length update was refused after %d bytes; the head is %d", read, updateHeadLen)
@@ -152,11 +192,12 @@ func samePartial(t *testing.T, got, want fl.Partial) {
 }
 
 // FuzzDecodePartialStream: for arbitrary partial payload bytes,
-// ReadPartial fed from a dribbling reader and DecodePartial2 on the same
+// ReadPartial fed through each of streams and DecodePartial2 on the same
 // bytes agree on the accept/reject class and, on accept, on every field
-// bit for bit. Every rejection comes before a single sketch row is taken;
-// in particular a partial one parameter off the model, or claiming one
-// retained row more than its size holds, is refused that early — the
+// bit for bit; an accepted payload whose last 4 bytes never arrive is
+// io.ErrUnexpectedEOF. Every rejection comes before a single sketch row is
+// taken; in particular a partial one parameter off the model, or claiming
+// one retained row more than its size holds, is refused that early — the
 // former with only its head consumed.
 func FuzzDecodePartialStream(f *testing.F) {
 	seedGolden(f, func(b []byte) {
@@ -166,12 +207,19 @@ func FuzzDecodePartialStream(f *testing.F) {
 		}
 	})
 	sk := robust.NewSketch(4)
-	sk.Add(robust.KeyClient(1), testVector(chunkLen/8+3, 5))
-	sk.Add(robust.KeyClient(2), testVector(chunkLen/8+3, 6))
+	sk.Add(robust.KeyClient(1), testVector(bigLen, 5))
+	sk.Add(robust.KeyClient(2), testVector(bigLen, 6))
 	big := AppendPartial2Frame(nil, fl.Partial{Round: 2, LeafID: 1, Count: 2, Weight: 3, ExpectWeight: 4,
-		Sum: testVector(chunkLen/8+3, 9), Sketch: sk}) // rows of a chunk and a tail
+		Sum: testVector(bigLen, 9), Sketch: sk})
 	f.Add(big[HeaderLen:], uint16(4096))
 	f.Add([]byte{}, uint16(1))
+	// A one-row sketch of three words read 5 bytes at a time: the cut
+	// check splits the row's last word across two reads.
+	small := robust.NewSketch(2)
+	small.Add(robust.KeyClient(3), []float64{-1, math.NaN(), 2})
+	sketched := AppendPartial2Frame(nil, fl.Partial{Round: 1, Count: 1, Weight: 1,
+		Sum: []float64{1, 2, 3}, Sketch: small})
+	f.Add(sketched[HeaderLen:], uint16(5))
 	f.Fuzz(func(t *testing.T, payload []byte, step uint16) {
 		want, wantErr := DecodePartial2(payload)
 		// The model length: what the head declares, where that is plausible.
@@ -181,23 +229,35 @@ func FuzzDecodePartialStream(f *testing.F) {
 		}
 		taken := 0
 		row := func() []float64 { taken++; return make([]float64, n) }
-		sum := make([]float64, n)
-		got, gotErr := ReadPartial(dribble(bytes.NewReader(payload), int(step)), len(payload), sum, row)
-		if errClass(gotErr) != errClass(wantErr) {
-			t.Fatalf("stream says %q (%v), bytes say %q (%v)", errClass(gotErr), gotErr, errClass(wantErr), wantErr)
+		for _, s := range streams(payload, int(step)) {
+			taken = 0
+			sum := make([]float64, n)
+			got, gotErr := ReadPartial(s.r, len(payload), sum, row)
+			if errClass(gotErr) != errClass(wantErr) {
+				t.Fatalf("%s: stream says %q (%v), bytes say %q (%v)",
+					s.name, errClass(gotErr), gotErr, errClass(wantErr), wantErr)
+			}
+			if wantErr != nil {
+				if taken != 0 {
+					t.Fatalf("%s: a refused partial took %d rows", s.name, taken)
+				}
+				continue
+			}
+			samePartial(t, got, want)
+			if n > 0 && &got.Sum[0] != &sum[0] {
+				t.Fatalf("%s: the sums were not decoded into the caller's storage", s.name)
+			}
+			if want.Sketch != nil && taken != len(want.Sketch.Keys) {
+				t.Fatalf("%s: %d retained rows took %d", s.name, len(want.Sketch.Keys), taken)
+			}
 		}
 		if wantErr != nil {
-			if taken != 0 {
-				t.Fatalf("a refused partial took %d rows", taken)
-			}
 			return
 		}
-		samePartial(t, got, want)
-		if n > 0 && &got.Sum[0] != &sum[0] {
-			t.Fatal("the sums were not decoded into the caller's storage")
-		}
-		if want.Sketch != nil && taken != len(want.Sketch.Keys) {
-			t.Fatalf("%d retained rows took %d", len(want.Sketch.Keys), taken)
+		for _, s := range streams(payload[:len(payload)-4], int(step)) {
+			if _, err := ReadPartial(s.r, len(payload), make([]float64, n), row); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s: a partial cut mid-word reads as %v, want io.ErrUnexpectedEOF", s.name, err)
+			}
 		}
 
 		taken = 0
@@ -214,7 +274,7 @@ func FuzzDecodePartialStream(f *testing.F) {
 		lie := append([]byte(nil), payload...)
 		kAt := partial2HeadLen + 8*n + 8
 		binary.LittleEndian.PutUint32(lie[kAt:], uint32(len(want.Sketch.Keys)+1))
-		if _, err := ReadPartial(bytes.NewReader(lie), len(lie), sum, row); errClass(err) != "payload" || taken != 0 {
+		if _, err := ReadPartial(bytes.NewReader(lie), len(lie), make([]float64, n), row); errClass(err) != "payload" || taken != 0 {
 			t.Fatalf("a sketch claiming one row too many: %v, %d rows taken", err, taken)
 		}
 	})
@@ -269,10 +329,10 @@ func TestStreamDecodesGoldenFrames(t *testing.T) {
 }
 
 // TestReadRoundReusesCallerStorage: a round decodes over the previous
-// round's vector when that can hold it, across chunk boundaries, with the
+// round's vector when that can hold it, read in 1000-byte pieces, with the
 // tree directive intact, and into a fresh vector when it cannot.
 func TestReadRoundReusesCallerStorage(t *testing.T) {
-	params := testVector(3*chunkLen/8+5, 4)
+	params := testVector(3*bigLen, 4)
 	owned := make([]float64, len(params)+10)
 	frame := AppendRound2Frame(nil, Round2{Round: 7, Durable: 5, SampleFrac: 0.5,
 		SampleSeed: -3, SketchCap: 9, Params: params})
@@ -310,7 +370,7 @@ func TestStreamRejectsBeforeAllocating(t *testing.T) {
 	head := make([]byte, updateHeadLen)
 	binary.LittleEndian.PutUint32(head[16:], claimed)
 	dst := make([]float64, 8)
-	ReadUpdate(bytes.NewReader(nil), compress.None, 0, dst) //nolint:errcheck — warms the staging-chunk pool
+	ReadUpdate(bytes.NewReader(nil), compress.None, 0, dst) //nolint:errcheck — warms the head buffer pool
 
 	// The least of three tries: under -race the runtime now and then
 	// allocates a few KiB of its own inside the window.

@@ -22,9 +22,10 @@
 // converts any latent panic into an error, because these bytes arrive
 // from the least-trusted peer in the system.
 //
-// Dense vectors are decoded straight from the connection into storage
-// their receiver owns (stream.go); whole-payload reads and the staging
-// chunk come from a pooled arena (buffer.go). DESIGN.md §12.5 has the table.
+// Dense vectors are read straight from the connection into the bytes of
+// storage their receiver owns, and encoded as one copy of those bytes
+// (stream.go, codec.go); payload heads and whole-payload reads come from a
+// pooled arena (buffer.go). DESIGN.md §12.5 has the table.
 package wire
 
 import (

@@ -2,11 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 
 	"github.com/cip-fl/cip/internal/fl"
 	"github.com/cip-fl/cip/internal/fl/compress"
@@ -328,4 +330,66 @@ func TestBufferPoolReuse(t *testing.T) {
 	PutBuffer(huge)
 	// Foreign non-power-of-two slices are ignored too.
 	PutBuffer(make([]byte, 1000))
+}
+
+// TestBulkWordsMatchPerWord: the bulk word codec writes exactly the bytes
+// a per-word little-endian encode writes, and reads every bit pattern back
+// unchanged — signs, subnormals and NaN payloads included — from a slice
+// and from a stream that hands over half of each request.
+func TestBulkWordsMatchPerWord(t *testing.T) {
+	special := []uint64{
+		0,                                 // +0
+		1 << 63,                           // −0
+		0x7ff0000000000000,                // +Inf
+		0xfff0000000000000,                // −Inf
+		1,                                 // the least subnormal
+		0x000fffffffffffff,                // the greatest subnormal
+		0x800fffffffffffff,                // a negative subnormal
+		math.Float64bits(math.MaxFloat64), // MaxFloat64
+		0x7ff8000000000000,                // quiet NaN
+		0x7ff00000deadbeef,                // signalling NaN with a payload
+		0xfff4000000c0ffee,                // negative signalling NaN with a payload
+	}
+	rng := rand.New(rand.NewSource(43))
+	mixed := make([]uint64, 1001)
+	for i := range mixed {
+		mixed[i] = rng.Uint64()
+	}
+	for i, b := range special {
+		mixed[91*i] = b
+	}
+	cases := [][]uint64{{}, special, mixed}
+	for _, b := range special {
+		cases = append(cases, []uint64{b})
+	}
+	for _, bits := range cases {
+		vals := make([]float64, len(bits))
+		var want []byte
+		for i, b := range bits {
+			vals[i] = math.Float64frombits(b)
+			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(vals[i]))
+		}
+		if got := appendWords([]byte{0xAA}, vals); got[0] != 0xAA || !bytes.Equal(got[1:], want) {
+			t.Fatalf("%d floats: bulk encode % x, per-word % x", len(vals), got, want)
+		}
+		if got := appendWords(nil, bits); !bytes.Equal(got, want) {
+			t.Fatalf("%d keys: bulk encode % x, per-word % x", len(bits), got, want)
+		}
+		fromSlice := make([]float64, len(bits))
+		getWords(fromSlice, want)
+		fromStream := make([]float64, len(bits))
+		keys := make([]uint64, len(bits))
+		if err := readWords(iotest.HalfReader(bytes.NewReader(want)), fromStream); err != nil {
+			t.Fatal(err)
+		}
+		if err := readWords(bytes.NewReader(want), keys); err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range bits {
+			if math.Float64bits(fromSlice[i]) != b || math.Float64bits(fromStream[i]) != b || keys[i] != b {
+				t.Fatalf("word %d of %d: %#016x decoded as %#016x (slice), %#016x (stream), %#016x (key)",
+					i, len(bits), b, math.Float64bits(fromSlice[i]), math.Float64bits(fromStream[i]), keys[i])
+			}
+		}
+	}
 }
