@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # whatever `staticcheck` is on PATH (and skip cleanly when there is none).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet orphans staticcheck crosscheck fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck quickcheck check
+.PHONY: build test race vet orphans staticcheck crosscheck portable fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck quickcheck check
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,14 @@ crosscheck:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=s390x $(GO) build ./...
 	GOARCH=s390x $(GO) vet ./internal/fl/wire
+
+# portable runs the tensor and nn tests on the 386 build, natively on an
+# amd64 host. That build has no assembly (kernel_other.go,
+# edge_other.go), so it exercises the portable Go loops behind every
+# micro-kernel and GEMM edge routine, which an AVX2 host never executes.
+# About 15 s.
+portable:
+	GOARCH=386 $(GO) test -count=1 ./internal/tensor ./internal/nn
 
 # The race detector slows the heavyweight experiment replays ~10-20x past
 # the default go-test timeout; they honor -short and are covered without
@@ -191,8 +199,8 @@ quickcheck:
 		|| { echo "quickcheck: regenerated tables differ from experiments_quick.txt"; exit 1; }
 
 # check is the full CI gate: static analysis, the orphan gate, the arm64
-# cross-compile, the race-enabled suite, a short fuzz burst, the
-# crash-harness smoke, the byzantine smoke, the wire-path conformance
-# sweep, and a short untraced and traced run of every repository-benchmark
-# workload.
-check: vet orphans staticcheck crosscheck race fuzz chaossmoke byzsmoke wirecheck benchcheck
+# cross-compile, the portable-kernel tests, the race-enabled suite, a
+# short fuzz burst, the crash-harness smoke, the byzantine smoke, the
+# wire-path conformance sweep, and a short untraced and traced run of
+# every repository-benchmark workload.
+check: vet orphans staticcheck crosscheck portable race fuzz chaossmoke byzsmoke wirecheck benchcheck

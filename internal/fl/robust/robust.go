@@ -489,8 +489,29 @@ func sortedColumn(dst []float64, params [][]float64, i int) ([]float64, int) {
 			dst = append(dst, v)
 		}
 	}
-	sort.Float64s(dst)
+	if len(dst) <= maxInsertion {
+		insertionSort(dst)
+	} else {
+		sort.Float64s(dst)
+	}
 	return dst, len(params) - len(dst)
+}
+
+// maxInsertion is the longest slice sort.Float64s sorts by insertion
+// alone. Up to this length its pdqsort runs insertionSort's exact swaps,
+// so ±0 ties land where they would have; past it, partitioning may
+// reorder them, and the call goes to sort.Float64s.
+const maxInsertion = 12
+
+// insertionSort sorts finite values ascending by the stable insertion
+// sort pdqsort runs on short slices, inline: a column of a few rows (a
+// tree root's median over its leaves) costs no call into the sort package.
+func insertionSort(x []float64) {
+	for i := 1; i < len(x); i++ {
+		for j := i; j > 0 && x[j] < x[j-1]; j-- {
+			x[j], x[j-1] = x[j-1], x[j]
+		}
+	}
 }
 
 // atomicMax is a mutex-guarded running maximum (blocks race on it).

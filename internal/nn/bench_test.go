@@ -120,3 +120,23 @@ func BenchmarkFlattenParams(b *testing.B) {
 		FlattenParams(net.Params())
 	}
 }
+
+// BenchmarkSGDMomentumStep times one momentum-SGD step over parameters
+// shaped like the Purchase-50 MLP's (600→512→256→128 and a 50-class head,
+// 478,386 values): the optimizer's whole per-batch cost.
+func BenchmarkSGDMomentumStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	net := NewSequential(NewDense(rng, 600, 512), ReLU{}, NewDense(rng, 512, 256), ReLU{},
+		NewDense(rng, 256, 128), ReLU{}, NewDense(rng, 128, 50))
+	params := net.Params()
+	for _, p := range params {
+		p.Grad.RandNormal(rng, 0, 1e-3)
+	}
+	opt := &SGD{LR: 0.01, Momentum: 0.9}
+	opt.Step(params)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Step(params)
+	}
+}

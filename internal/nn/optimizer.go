@@ -15,11 +15,10 @@ type Optimizer interface {
 	Step(params []*Param)
 }
 
-// SGD is stochastic gradient descent with optional momentum and weight decay.
+// SGD is stochastic gradient descent with optional momentum.
 type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
+	LR       float64
+	Momentum float64
 
 	velocity map[*Param]*tensor.Tensor
 }
@@ -27,14 +26,10 @@ type SGD struct {
 // NewSGD constructs an SGD optimizer.
 func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
 
-// Step applies one SGD update.
+// Step applies one SGD update: w -= LR·g, or with momentum v = Momentum·v
+// + g and w -= LR·v, one fused pass per parameter.
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
-		g := p.Grad
-		if s.WeightDecay > 0 {
-			g = g.Clone()
-			tensor.AxpyInPlace(g, s.WeightDecay, p.Value)
-		}
 		if s.Momentum > 0 {
 			if s.velocity == nil {
 				s.velocity = make(map[*Param]*tensor.Tensor)
@@ -44,11 +39,10 @@ func (s *SGD) Step(params []*Param) {
 				v = tensor.New(p.Value.Shape...)
 				s.velocity[p] = v
 			}
-			tensor.ScaleInPlace(v, s.Momentum)
-			tensor.AxpyInPlace(v, 1, g)
-			g = v
+			tensor.MomentumStep(p.Value, v, p.Grad, s.Momentum, -s.LR)
+			continue
 		}
-		tensor.AxpyInPlace(p.Value, -s.LR, g)
+		tensor.AxpyInPlace(p.Value, -s.LR, p.Grad)
 	}
 }
 

@@ -77,3 +77,41 @@ func BenchmarkCol2Im(b *testing.B) {
 		Col2ImInto(x, cols, 32, g)
 	}
 }
+
+// BenchmarkPackF32 packs a 512×600 weight into f32 panels, as a dense
+// layer's PackedB is packed once per step under the F32 policy: plain
+// (the input gradient's g·W reads W as k×n) and transposed (the forward
+// x·Wᵀ).
+func BenchmarkPackF32(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	w := randMat(rng, 512, 600)
+	SetPrecision(F32)
+	defer SetPrecision(F64)
+	for _, transB := range []bool{false, true} {
+		name := "plain"
+		if transB {
+			name = "transB"
+		}
+		b.Run(name, func(b *testing.B) {
+			var p PackedB
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.Pack(w, transB)
+			}
+		})
+	}
+}
+
+// BenchmarkWeightGradF32 is a dense layer's weight gradient on the mixed
+// path: dW (512×600) += gᵀ·x over a batch of 32, g 32×512 and x 32×600.
+// It stages gᵀ narrowed, packs x and lands every tile by accumulation.
+func BenchmarkWeightGradF32(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	g, x, dw := randMat(rng, 32, 512), randMat(rng, 32, 600), New(512, 600)
+	SetPrecision(F32)
+	defer SetPrecision(F64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MatMulTransAAddInto(dw, g, x)
+	}
+}

@@ -159,3 +159,154 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //
 //go:noescape
 func xgetbv0() (eax, edx uint32)
+
+// --- GEMM edges -------------------------------------------------------------
+//
+// The loops around the micro-kernels: packing B panels, landing tiles in
+// the destination, staging a transposed A, and the optimizer's momentum
+// step. The AVX2 routines (edge_amd64.s) take whole panels, whole tiles
+// and 4-aligned k spans; ragged panels and k tails run the portable loops
+// they replace, which they match bit for bit.
+
+//go:noescape
+func avxPackRows(dst, src *float64, ld, kcb int)
+
+//go:noescape
+func avxPackCols(dst, src *float64, ld, kc4 int)
+
+//go:noescape
+func avxPackRows32(dst *float32, src *float64, ld, kcb int)
+
+//go:noescape
+func avxPackCols32(dst *float32, src *float64, ld, kc4 int)
+
+//go:noescape
+func avxTransNarrow(dst *float32, src *float64, lds, ldd, k4 int)
+
+//go:noescape
+func avxStoreTile(dst, c, bias *float64, ld, rows, mode int)
+
+//go:noescape
+func avxStoreTile32(dst *float64, c *float32, bias *float64, ld, rows, mode int)
+
+//go:noescape
+func avxMomentum(w, v, grad *float64, mu, alpha float64, n int)
+
+// packPanel packs kcb rows of w values, ld apart in src, into the nr-wide
+// panel d (see packPanelGo).
+func packPanel(d, src []float64, ld, kcb, w int) {
+	if hasFMAKernel && w == nr && kcb > 0 {
+		_ = src[(kcb-1)*ld+nr-1]
+		_ = d[kcb*nr-1]
+		avxPackRows(&d[0], &src[0], ld, kcb)
+		return
+	}
+	packPanelGo(d, src, ld, kcb, w)
+}
+
+// packPanelT packs w columns of kcb values, each contiguous and ld apart
+// in src, into the nr-wide panel d (see packPanelTGo): 4×4 transposes
+// over the whole k steps in fours, the portable loop for the rest.
+func packPanelT(d, src []float64, ld, kcb, w int) {
+	if k4 := kcb &^ 3; hasFMAKernel && w == nr && k4 > 0 {
+		_ = src[(nr-1)*ld+k4-1]
+		_ = d[k4*nr-1]
+		avxPackCols(&d[0], &src[0], ld, k4)
+		d, src, kcb = d[k4*nr:], src[k4:], kcb-k4
+	}
+	packPanelTGo(d, src, ld, kcb, w)
+}
+
+// packPanel32 is packPanel for the f32 tier's nr32-wide panel, narrowing a
+// float64 source as it packs.
+func packPanel32[T elem](d []float32, src []T, ld, kcb, w int) {
+	if s, ok := any(src).([]float64); ok && hasFMAKernel && w == nr32 && kcb > 0 {
+		_ = s[(kcb-1)*ld+nr32-1]
+		_ = d[kcb*nr32-1]
+		avxPackRows32(&d[0], &s[0], ld, kcb)
+		return
+	}
+	packPanel32Go(d, src, ld, kcb, w)
+}
+
+// packPanelT32 is packPanelT for the f32 tier's nr32-wide panel, narrowing
+// a float64 source as it packs.
+func packPanelT32[T elem](d []float32, src []T, ld, kcb, w int) {
+	if s, ok := any(src).([]float64); ok && hasFMAKernel && w == nr32 {
+		if k4 := kcb &^ 3; k4 > 0 {
+			_ = s[(nr32-1)*ld+k4-1]
+			_ = d[k4*nr32-1]
+			avxPackCols32(&d[0], &s[0], ld, k4)
+			d, src, kcb = d[k4*nr32:], src[k4:], kcb-k4
+		}
+	}
+	packPanelT32Go(d, src, ld, kcb, w)
+}
+
+// storeTile lands the first rows × w lanes of tile c in d (row stride ld)
+// by mode (see storeTileGo).
+func storeTile(d []float64, c *[mr * nr]float64, ld, rows, w, mode int, bias []float64) {
+	if hasFMAKernel && w == nr && rows > 0 {
+		_ = d[(rows-1)*ld+nr-1]
+		var bp *float64
+		switch mode {
+		case storeRowBias:
+			_ = bias[rows-1]
+			bp = &bias[0]
+		case storeColBias:
+			_ = bias[nr-1]
+			bp = &bias[0]
+		}
+		avxStoreTile(&d[0], &c[0], bp, ld, rows, mode)
+		return
+	}
+	storeTileGo(d, c, ld, rows, w, mode, bias)
+}
+
+// storeTile32 is storeTile for the f32 tier's tile, widening each partial
+// sum into a float64 destination.
+func storeTile32[T elem](d []T, c *[mr32 * nr32]float32, ld, rows, w, mode int, bias []T) {
+	if d64, ok := any(d).([]float64); ok && hasFMAKernel && w == nr32 && rows > 0 {
+		_ = d64[(rows-1)*ld+nr32-1]
+		var bp *float64
+		switch mode {
+		case storeRowBias:
+			b64 := any(bias).([]float64)
+			_ = b64[rows-1]
+			bp = &b64[0]
+		case storeColBias:
+			b64 := any(bias).([]float64)
+			_ = b64[nr32-1]
+			bp = &b64[0]
+		}
+		avxStoreTile32(&d64[0], &c[0], bp, ld, rows, mode)
+		return
+	}
+	storeTile32Go(d, c, ld, rows, w, mode, bias)
+}
+
+// transposeNarrow writes dst (m×k) = float32(aᵀ) for a k×m: 4×4
+// transposes over the 4-aligned block, the portable loop for the edges.
+func transposeNarrow(dst []float32, a []float64, k, m int) {
+	m4, k4 := m&^3, k&^3
+	if !hasFMAKernel || m4 == 0 || k4 == 0 {
+		transposeNarrowGo(dst, a, k, m, 0, 0)
+		return
+	}
+	_ = a[(k4-1)*m+m4-1]
+	_ = dst[(m4-1)*k+k4-1]
+	for i := 0; i < m4; i += 4 {
+		avxTransNarrow(&dst[i*k], &a[i], m, k, k4)
+	}
+	transposeNarrowGo(dst, a, k, m, m4, k4)
+}
+
+// momentumStep is the fused momentum-SGD update (see momentumStepGo).
+func momentumStep(w, v, g []float64, mu, alpha float64) {
+	if hasFMAKernel && len(w) > 0 {
+		_, _ = v[len(w)-1], g[len(w)-1]
+		avxMomentum(&w[0], &v[0], &g[0], mu, alpha, len(w))
+		return
+	}
+	momentumStepGo(w, v, g, mu, alpha)
+}

@@ -99,14 +99,28 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 		transADirect(dst.Data, a.Data, b.Data, m, k, n)
 		return dst
 	}
-	// The row-major kernel wants A's rows contiguous; transpose into a
-	// pooled buffer instead of striding through a column-wise (or
-	// allocating a fresh transpose per call, as the pre-pool code did).
-	at := GetTensor(m, k)
-	TransposeInto(at, a)
-	gemm(dst.Data, at.Data, b.Data, gemmShape{m: m, k: k, n: n})
-	PutTensor(at)
+	gemmTransA(dst, a, b, gemmShape{m: m, k: k, n: n})
 	return dst
+}
+
+// gemmTransA runs the blocked kernel on aᵀ (a is k×m). The row-major
+// kernel wants A's rows contiguous, so Aᵀ is staged in a pooled buffer
+// rather than strided through column-wise: transposed as float64, or under
+// F32 transposed and narrowed in one pass into the f32 operand the mixed
+// driver reads (gemmMixed's narrowing of an already transposed copy, done
+// without the copy).
+func gemmTransA(dst, a, b *Tensor, s gemmShape) {
+	if useF32() {
+		a32 := getF32(s.m * s.k)
+		transposeNarrow(a32, a.Data, s.k, s.m)
+		gemm32(dst.Data, a32, b.Data, s.mixed())
+		putF32(a32)
+		return
+	}
+	at := GetTensor(s.m, s.k)
+	TransposeInto(at, a)
+	gemm(dst.Data, at.Data, b.Data, s)
+	PutTensor(at)
 }
 
 // MatMulTransAAddInto adds aᵀ·b into dst, where a is k×m and b is k×n:
@@ -123,10 +137,7 @@ func MatMulTransAAddInto(dst, a, b *Tensor) *Tensor {
 		return dst
 	}
 	if m > transADirectMaxM && k <= kcBlock {
-		at := GetTensor(m, k)
-		TransposeInto(at, a)
-		gemm(dst.Data, at.Data, b.Data, gemmShape{m: m, k: k, n: n, acc: true})
-		PutTensor(at)
+		gemmTransA(dst, a, b, gemmShape{m: m, k: k, n: n, acc: true})
 		return dst
 	}
 	tmp := GetTensor(m, n)
@@ -166,6 +177,24 @@ func transADirect(dst, a, b []float64, m, k, n int) {
 	}
 	if timed {
 		recordGEMM(vol, time.Since(start))
+	}
+}
+
+// transposeNarrowGo writes dst[i*k+p] = float32(a[p*m+i]) (dst m×k the
+// narrowed transpose of a k×m) for every i ≥ i0 and, in rows i < i0, for
+// every p ≥ p0: the whole product at (0, 0), the edges around a 4-aligned
+// block the vector routine covered otherwise. The portable loop behind
+// transposeNarrow.
+func transposeNarrowGo(dst []float32, a []float64, k, m, i0, p0 int) {
+	for i := 0; i < m; i++ {
+		p := 0
+		if i < i0 {
+			p = p0
+		}
+		row := dst[i*k : (i+1)*k]
+		for ; p < k; p++ {
+			row[p] = float32(a[p*m+i])
+		}
 	}
 }
 
@@ -357,43 +386,45 @@ func fillBias(dst []float64, s gemmShape) {
 func packB(dst, b []float64, pc, jc, kcb, ncb int, s gemmShape) {
 	panels := (ncb + nr - 1) / nr
 	for jp := 0; jp < panels; jp++ {
+		d, col := dst[jp*kcb*nr:(jp+1)*kcb*nr], jc+jp*nr
 		w := min(nr, ncb-jp*nr)
-		po := jp * kcb * nr
 		if s.transB {
-			// op(b) = bᵀ with b n×k: column jc+j of op(b) is row jc+j of b.
-			for j := 0; j < w; j++ {
-				src := b[(jc+jp*nr+j)*s.k+pc : (jc+jp*nr+j)*s.k+pc+kcb]
-				for p, v := range src {
-					dst[po+p*nr+j] = v
-				}
-			}
-			if w < nr {
-				for p := 0; p < kcb; p++ {
-					for j := w; j < nr; j++ {
-						dst[po+p*nr+j] = 0
-					}
-				}
-			}
-			continue
+			// op(b) = bᵀ with b n×k: column col+j of op(b) is row col+j of b.
+			packPanelT(d, b[col*s.k+pc:], s.k, kcb, w)
+		} else {
+			packPanel(d, b[pc*s.n+col:], s.n, kcb, w)
 		}
+	}
+}
+
+// packPanelGo packs kcb rows of w ≤ nr values, ld apart in src, into the
+// nr-wide panel d, zero-padding lanes w..nr: the portable loop behind
+// packPanel.
+func packPanelGo(d, src []float64, ld, kcb, w int) {
+	for p := 0; p < kcb; p++ {
+		dp := d[p*nr : p*nr+nr : p*nr+nr]
 		if w == nr { // a whole panel row at a time, bounds checked once
-			for p := 0; p < kcb; p++ {
-				o := (pc+p)*s.n + jc + jp*nr
-				src := b[o : o+nr : o+nr]
-				d := dst[po+p*nr : po+p*nr+nr : po+p*nr+nr]
-				d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = src[0], src[1], src[2], src[3], src[4], src[5], src[6], src[7]
-			}
+			sp := src[p*ld : p*ld+nr : p*ld+nr]
+			dp[0], dp[1], dp[2], dp[3], dp[4], dp[5], dp[6], dp[7] = sp[0], sp[1], sp[2], sp[3], sp[4], sp[5], sp[6], sp[7]
 			continue
 		}
+		copy(dp[:w], src[p*ld:p*ld+w])
+		clear(dp[w:])
+	}
+}
+
+// packPanelTGo packs w ≤ nr columns of kcb values — column j is the run
+// src[j*ld : j*ld+kcb] — into the nr-wide panel d, zero-padding lanes
+// w..nr: the portable loop behind packPanelT.
+func packPanelTGo(d, src []float64, ld, kcb, w int) {
+	for j := 0; j < w; j++ {
+		for p, v := range src[j*ld : j*ld+kcb] {
+			d[p*nr+j] = v
+		}
+	}
+	if w < nr {
 		for p := 0; p < kcb; p++ {
-			src := b[(pc+p)*s.n+jc+jp*nr:]
-			d := dst[po+p*nr : po+p*nr+nr]
-			for j := 0; j < w; j++ {
-				d[j] = src[j]
-			}
-			for j := w; j < nr; j++ {
-				d[j] = 0
-			}
+			clear(d[p*nr+w : p*nr+nr])
 		}
 	}
 }
@@ -472,30 +503,61 @@ func gemmRows(dst, a, bpack []float64, i0, i1, pc, jc, kcb, ncb int, s gemmShape
 	}
 }
 
+// How a tile lands in the destination. The first k-block of a product
+// overwrites dst, folding in the bias of each row or of each column; later
+// k-blocks (and accumulating products) add to it.
+const (
+	storeSet     = iota // d = c
+	storeAdd            // d += c
+	storeRowBias        // d = c + bias[r]
+	storeColBias        // d = c + bias[x]
+)
+
+// storeMode picks the tile store for a tile at row i, column j: the mode
+// and, for the bias modes, the bias slice starting at the tile's first row
+// or column.
+func storeMode[T elem](bias []T, rowBias bool, i, j int, first bool) (int, []T) {
+	switch {
+	case !first:
+		return storeAdd, nil
+	case bias == nil:
+		return storeSet, nil
+	case rowBias:
+		return storeRowBias, bias[i:]
+	default:
+		return storeColBias, bias[j:]
+	}
+}
+
 // store writes the first rows × w lanes of tile c into dst at row i,
 // column j: overwriting on the first k-block, with the bias of each row or
 // of each column folded in, and accumulating on later ones.
 func (s *gemmShape) store(dst []float64, c *[mr * nr]float64, i, rows, j, w int, first bool) {
+	mode, bias := storeMode(s.bias, s.rowBias, i, j, first)
+	storeTile(dst[i*s.n+j:], c, s.n, rows, w, mode, bias)
+}
+
+// storeTileGo lands the first rows × w lanes of tile c in d (row stride
+// ld) by mode: the portable loop behind storeTile.
+func storeTileGo(d []float64, c *[mr * nr]float64, ld, rows, w, mode int, bias []float64) {
 	for r := 0; r < rows; r++ {
-		d, cr := dst[(i+r)*s.n+j:][:w], c[r*nr:][:w]
-		switch {
-		case !first:
+		dr, cr := d[r*ld:][:w], c[r*nr:][:w]
+		switch mode {
+		case storeAdd:
 			for x, v := range cr {
-				d[x] += v
+				dr[x] += v
 			}
-		case s.bias == nil:
+		case storeSet:
+			copy(dr, cr)
+		case storeRowBias:
+			b := bias[r]
 			for x, v := range cr {
-				d[x] = v
-			}
-		case s.rowBias:
-			b := s.bias[i+r]
-			for x, v := range cr {
-				d[x] = v + b
+				dr[x] = v + b
 			}
 		default:
-			bias := s.bias[j : j+w]
+			bias := bias[:w]
 			for x, v := range cr {
-				d[x] = v + bias[x]
+				dr[x] = v + bias[x]
 			}
 		}
 	}

@@ -69,9 +69,15 @@ type gemmShape32[T elem] struct {
 func gemmMixed(dst, a, b []float64, s gemmShape) {
 	a32 := getF32(s.m * s.k)
 	NarrowSlice(a32, a[:s.m*s.k])
-	gemm32(dst, a32, b, gemmShape32[float64]{m: s.m, k: s.k, n: s.n, transB: s.transB,
-		bias: s.bias, rowBias: s.rowBias, pre: s.pre, acc: s.acc || s.chain, inner: s.inner})
+	gemm32(dst, a32, b, s.mixed())
 	putF32(a32)
+}
+
+// mixed is s as the mixed path's driver shape: chained products sum their
+// k-blocks in float64 like accumulating ones.
+func (s gemmShape) mixed() gemmShape32[float64] {
+	return gemmShape32[float64]{m: s.m, k: s.k, n: s.n, transB: s.transB,
+		bias: s.bias, rowBias: s.rowBias, pre: s.pre, acc: s.acc || s.chain, inner: s.inner}
 }
 
 // gemm32 is the blocked driver: dst (m×n, fully overwritten) =
@@ -161,34 +167,42 @@ func fillBias32[T elem](dst []T, s gemmShape32[T]) {
 func packB32[T elem](dst []float32, b []T, pc, jc, kcb, ncb int, s gemmShape32[T]) {
 	panels := (ncb + nr32 - 1) / nr32
 	for jp := 0; jp < panels; jp++ {
+		d, col := dst[jp*kcb*nr32:(jp+1)*kcb*nr32], jc+jp*nr32
 		w := min(nr32, ncb-jp*nr32)
-		po := jp * kcb * nr32
 		if s.transB {
-			// op(b) = bᵀ with b n×k: column jc+j of op(b) is row jc+j of b.
-			for j := 0; j < w; j++ {
-				src := b[(jc+jp*nr32+j)*s.k+pc : (jc+jp*nr32+j)*s.k+pc+kcb]
-				for p, v := range src {
-					dst[po+p*nr32+j] = float32(v)
-				}
-			}
-			if w < nr32 {
-				for p := 0; p < kcb; p++ {
-					for j := w; j < nr32; j++ {
-						dst[po+p*nr32+j] = 0
-					}
-				}
-			}
-			continue
+			// op(b) = bᵀ with b n×k: column col+j of op(b) is row col+j of b.
+			packPanelT32(d, b[col*s.k+pc:], s.k, kcb, w)
+		} else {
+			packPanel32(d, b[pc*s.n+col:], s.n, kcb, w)
 		}
+	}
+}
+
+// packPanel32Go packs kcb rows of w ≤ nr32 values, ld apart in src, into
+// the nr32-wide panel d, narrowing each and zero-padding lanes w..nr32:
+// the portable loop behind packPanel32.
+func packPanel32Go[T elem](d []float32, src []T, ld, kcb, w int) {
+	for p := 0; p < kcb; p++ {
+		dp := d[p*nr32 : p*nr32+nr32]
+		for j, v := range src[p*ld : p*ld+w] {
+			dp[j] = float32(v)
+		}
+		clear(dp[w:])
+	}
+}
+
+// packPanelT32Go packs w ≤ nr32 columns of kcb values — column j is the
+// run src[j*ld : j*ld+kcb] — into the nr32-wide panel d, narrowing each
+// and zero-padding lanes w..nr32: the portable loop behind packPanelT32.
+func packPanelT32Go[T elem](d []float32, src []T, ld, kcb, w int) {
+	for j := 0; j < w; j++ {
+		for p, v := range src[j*ld : j*ld+kcb] {
+			d[p*nr32+j] = float32(v)
+		}
+	}
+	if w < nr32 {
 		for p := 0; p < kcb; p++ {
-			src := b[(pc+p)*s.n+jc+jp*nr32:]
-			d := dst[po+p*nr32 : po+p*nr32+nr32]
-			for j := 0; j < w; j++ {
-				d[j] = float32(src[j])
-			}
-			for j := w; j < nr32; j++ {
-				d[j] = 0
-			}
+			clear(d[p*nr32+w : p*nr32+nr32])
 		}
 	}
 }
@@ -270,26 +284,34 @@ func gemmRows32[T elem](dst []T, a32, bpack []float32, i0, i1, pc, jc, kcb, ncb 
 // on the first k-block, with the bias of each row or of each column folded
 // in, and accumulating on later ones.
 func (s *gemmShape32[T]) store(dst []T, c *[mr32 * nr32]float32, i, rows, j, w int, first bool) {
+	mode, bias := storeMode(s.bias, s.rowBias, i, j, first)
+	storeTile32(dst[i*s.n+j:], c, s.n, rows, w, mode, bias)
+}
+
+// storeTile32Go lands the first rows × w lanes of tile c in d (row stride
+// ld) by mode, widening each partial sum to T: the portable loop behind
+// storeTile32.
+func storeTile32Go[T elem](d []T, c *[mr32 * nr32]float32, ld, rows, w, mode int, bias []T) {
 	for r := 0; r < rows; r++ {
-		d, cr := dst[(i+r)*s.n+j:][:w], c[r*nr32:][:w]
-		switch {
-		case !first:
+		dr, cr := d[r*ld:][:w], c[r*nr32:][:w]
+		switch mode {
+		case storeAdd:
 			for x, v := range cr {
-				d[x] += T(v)
+				dr[x] += T(v)
 			}
-		case s.bias == nil:
+		case storeSet:
 			for x, v := range cr {
-				d[x] = T(v)
+				dr[x] = T(v)
 			}
-		case s.rowBias:
-			b := s.bias[i+r]
+		case storeRowBias:
+			b := bias[r]
 			for x, v := range cr {
-				d[x] = T(v) + b
+				dr[x] = T(v) + b
 			}
 		default:
-			bias := s.bias[j : j+w]
+			bias := bias[:w]
 			for x, v := range cr {
-				d[x] = T(v) + bias[x]
+				dr[x] = T(v) + bias[x]
 			}
 		}
 	}

@@ -205,6 +205,29 @@ func AxpyInPlace(a *Tensor, alpha float64, b *Tensor) {
 	axpyRow(a.Data, b.Data, alpha)
 }
 
+// MomentumStep is one momentum-SGD update of w with velocity v and
+// gradient g, in one pass: v = mu·v + g, then w += alpha·v. It is
+// bit-identical to ScaleInPlace(v, mu); AxpyInPlace(v, 1, g);
+// AxpyInPlace(w, alpha, v): the same multiply, add and (where the CPU has
+// one) fused multiply-add per element, in the same order.
+func MomentumStep(w, v, g *Tensor, mu, alpha float64) {
+	assertSameShape("MomentumStep", w, v)
+	assertSameShape("MomentumStep", w, g)
+	momentumStep(w.Data, v.Data, g.Data, mu, alpha)
+}
+
+// momentumStepGo is the portable loop behind MomentumStep. The explicit
+// conversion rounds v·mu on its own, as ScaleInPlace's store does, so no
+// compiler fuses it into the add.
+func momentumStepGo(w, v, g []float64, mu, alpha float64) {
+	v, g = v[:len(w)], g[:len(w)]
+	for i := range w {
+		vi := float64(v[i]*mu) + g[i]
+		v[i] = vi
+		w[i] += alpha * vi
+	}
+}
+
 // ScaleInPlace multiplies every element of a by s.
 func ScaleInPlace(a *Tensor, s float64) {
 	for i := range a.Data {
