@@ -18,7 +18,7 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	cfg := experiments.Config{Scale: datasets.Quick, Seed: 1}
 	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.Run(id, cfg)
+		tbl, err := experiments.Registry[id](cfg)
 		if err != nil {
 			b.Fatalf("experiment %s: %v", id, err)
 		}

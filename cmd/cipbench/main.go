@@ -31,7 +31,7 @@ func run() error {
 	seed := flag.Int64("seed", 1, "base random seed")
 	repeat := flag.Int("repeat", 1, "run each experiment N times and report mean±std")
 	cacheDir := flag.String("cache-dir", "",
-		"persist each completed (experiment, scale, seed) cell here and reuse it on rerun, "+
+		"persist each completed (experiment, scale, seed, precision) cell here and reuse it on rerun, "+
 			"so an interrupted sweep resumes from the finished cells; empty disables caching")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	precisionFlag := flcli.RegisterPrecisionFlag()
@@ -70,20 +70,7 @@ func run() error {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		var (
-			t   *experiments.Table
-			err error
-		)
-		switch {
-		case *repeat > 1 && store != nil:
-			t, err = store.Repeat(id, cfg, *repeat)
-		case *repeat > 1:
-			t, err = experiments.Repeat(id, cfg, *repeat)
-		case store != nil:
-			t, err = store.Run(id, cfg)
-		default:
-			t, err = experiments.Run(id, cfg)
-		}
+		t, err := store.Repeat(id, cfg, *repeat)
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", id, err)
 		}

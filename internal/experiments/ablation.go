@@ -90,7 +90,7 @@ func Ablation(cfg Config) (*Table, error) {
 
 		testAcc := fl.Evaluate(m, d.Test, 64)
 		attack := attacks.ObMALT(m.WithT(m.ZeroT()), members, nonMembers)
-		t.AddRow(append([]string{v.name, f3(testAcc)}, attackCells(attack)...)...)
+		t.AddRow(append([]Cell{label(v.name), f3(testAcc)}, attackCells(attack)...)...)
 	}
 	t.Notes = append(t.Notes,
 		"the dual channel buys utility; the capped lambda_m maximization buys privacy where overfitting leaks (strongest on the CIFAR regimes, fig8) and its self-calibrated cap is what protects utility; Step I's benefit shows under non-iid heterogeneity (fig7, table3)")

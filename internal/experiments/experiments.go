@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section. Each experiment is a function from a Config to a
-// rendered Table whose rows/series mirror the paper's artifact; the
+// Table whose rows/series mirror the paper's artifact; the
 // mapping from experiment id to paper artifact is DESIGN.md §4, and the
 // paper-vs-measured comparison lives in EXPERIMENTS.md.
 //
@@ -18,6 +18,7 @@ import (
 
 	"github.com/cip-fl/cip/internal/attacks"
 	"github.com/cip-fl/cip/internal/datasets"
+	"github.com/cip-fl/cip/internal/metrics"
 )
 
 // Config selects the scale and base seed of an experiment run.
@@ -29,18 +30,44 @@ type Config struct {
 // Quick returns the CI-scale config used by tests and benchmarks.
 func Quick() Config { return Config{Scale: datasets.Quick, Seed: 1} }
 
-// Table is a rendered experiment artifact: the rows the paper's table or
-// figure reports.
+// Table is an experiment artifact: the rows the paper's table or figure
+// reports, as typed cells that String renders.
 type Table struct {
 	ID     string
 	Title  string
 	Header []string
-	Rows   [][]string
+	Rows   [][]Cell
 	Notes  []string
 }
 
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+// Cell is one table entry. A label is config-derived text (a grid
+// coordinate, a hyperparameter, a defense name) and passes through a
+// multi-seed aggregate verbatim. A value is a measurement: Vals holds it,
+// one sample per seed, and Verb is the fmt verb that renders it.
+type Cell struct {
+	Label string
+	Verb  string
+	Vals  []float64
+}
+
+func label(s string) Cell { return Cell{Label: s} }
+
+func value(verb string, v float64) Cell { return Cell{Verb: verb, Vals: []float64{v}} }
+
+// String renders a label as its text, a single-seed value with its verb,
+// and a multi-seed value as mean±std in that verb.
+func (c Cell) String() string {
+	switch len(c.Vals) {
+	case 0:
+		return c.Label
+	case 1:
+		return fmt.Sprintf(c.Verb, c.Vals[0])
+	}
+	return fmt.Sprintf(c.Verb+"±"+c.Verb, metrics.Mean(c.Vals), metrics.Std(c.Vals))
+}
+
+// AddRow appends a row.
+func (t *Table) AddRow(cells ...Cell) { t.Rows = append(t.Rows, cells) }
 
 // String renders the table as aligned text.
 func (t *Table) String() string {
@@ -50,10 +77,13 @@ func (t *Table) String() string {
 	for i, h := range t.Header {
 		widths[i] = len(h)
 	}
-	for _, row := range t.Rows {
+	text := make([][]string, len(t.Rows))
+	for r, row := range t.Rows {
+		text[r] = make([]string, len(row))
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			text[r][i] = c.String()
+			if i < len(widths) && len(text[r][i]) > widths[i] {
+				widths[i] = len(text[r][i])
 			}
 		}
 	}
@@ -74,7 +104,7 @@ func (t *Table) String() string {
 		b.WriteString(strings.Repeat("-", w))
 	}
 	b.WriteByte('\n')
-	for _, row := range t.Rows {
+	for _, row := range text {
 		writeRow(row)
 	}
 	for _, n := range t.Notes {
@@ -120,17 +150,7 @@ func IDs() []string {
 	return out
 }
 
-// Run executes one experiment by id.
-func Run(id string, cfg Config) (*Table, error) {
-	r, ok := Registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s)",
-			id, strings.Join(IDs(), ", "))
-	}
-	return r(cfg)
-}
-
-func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
+func f3(v float64) Cell { return value("%.3f", v) }
 
 // Every attack-accuracy column carries the field's metrics beside it: the
 // threshold-free ROC-AUC and the true-positive rate at 0.1 % and 1 %
@@ -141,6 +161,6 @@ func attackCols(acc string) []string {
 	return []string{acc, "AUC", "TPR@0.1%", "TPR@1%"}
 }
 
-func attackCells(r attacks.Result) []string {
-	return []string{f3(r.Accuracy()), f3(r.AUC()), f3(r.TPRAtFPR(0.001)), f3(r.TPRAtFPR(0.01))}
+func attackCells(r attacks.Result) []Cell {
+	return []Cell{f3(r.Accuracy()), f3(r.AUC()), f3(r.TPRAtFPR(0.001)), f3(r.TPRAtFPR(0.01))}
 }

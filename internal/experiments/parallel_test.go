@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 )
@@ -45,14 +44,14 @@ func TestRunIndexedLowestErrorWins(t *testing.T) {
 func TestRepeatRunnerParallelMatchesSerial(t *testing.T) {
 	runner := func(cfg Config) (*Table, error) {
 		tab := &Table{ID: "par", Title: "par", Header: []string{"name", "value", "value2"}}
-		tab.AddRow("metric", fmt.Sprintf("%.3f", float64(cfg.Seed)*0.125),
-			fmt.Sprintf("%.3f", float64(cfg.Seed*cfg.Seed)*0.01))
+		tab.AddRow(label("metric"), f3(float64(cfg.Seed)*0.125),
+			f3(float64(cfg.Seed*cfg.Seed)*0.01))
 		return tab, nil
 	}
 	render := func(workers int) string {
 		prev := runtime.GOMAXPROCS(workers)
 		defer runtime.GOMAXPROCS(prev)
-		out, err := RepeatRunner("par", runner, Config{Seed: 3}, 6)
+		out, err := repeatRunner("par", runner, Config{Seed: 3}, 6)
 		if err != nil {
 			t.Fatal(err)
 		}

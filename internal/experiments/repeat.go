@@ -1,27 +1,13 @@
 package experiments
 
-import (
-	"fmt"
-	"strconv"
+import "fmt"
 
-	"github.com/cip-fl/cip/internal/metrics"
-)
-
-// Repeat runs an experiment n times with consecutive seeds and aggregates
-// every numeric cell to "mean±std". Label cells must agree across runs.
-// Single-seed tables are point estimates; Repeat quantifies how much of a
-// reported gap is run-to-run noise.
-func Repeat(id string, cfg Config, n int) (*Table, error) {
-	r, ok := Registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
-	}
-	return RepeatRunner(id, r, cfg, n)
-}
-
-// RepeatRunner is Repeat for an explicit runner (used by tests and custom
-// experiments).
-func RepeatRunner(id string, r Runner, cfg Config, n int) (*Table, error) {
+// repeatRunner runs r n times with consecutive seeds and merges the
+// tables: every value cell collects one sample per seed and renders as
+// mean±std, and label cells must agree across seeds. Single-seed tables
+// are point estimates; the spread quantifies how much of a reported gap is
+// run-to-run noise. With n = 1 the one table is returned unchanged.
+func repeatRunner(id string, r Runner, cfg Config, n int) (*Table, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("experiments: Repeat needs n ≥ 1, got %d", n)
 	}
@@ -39,44 +25,35 @@ func RepeatRunner(id string, r Runner, cfg Config, n int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-
 	base := tables[0]
+	if n == 1 {
+		return base, nil
+	}
+
 	out := &Table{
 		ID:     base.ID,
 		Title:  fmt.Sprintf("%s (mean±std over %d seeds)", base.Title, n),
 		Header: base.Header,
-		Notes:  base.Notes,
 	}
-	for ri := range base.Rows {
-		row := make([]string, len(base.Rows[ri]))
-		for ci := range base.Rows[ri] {
-			vals := make([]float64, 0, n)
-			numeric := true
+	for _, note := range base.Notes {
+		out.Notes = append(out.Notes, fmt.Sprintf("seed %d: %s", cfg.Seed, note))
+	}
+	for ri, baseRow := range base.Rows {
+		row := make([]Cell, len(baseRow))
+		for ci, c := range baseRow {
+			row[ci] = Cell{Label: c.Label, Verb: c.Verb}
 			for _, t := range tables {
 				if ri >= len(t.Rows) || ci >= len(t.Rows[ri]) {
 					return nil, fmt.Errorf("experiments: repeat of %s produced ragged tables", id)
 				}
-				v, err := strconv.ParseFloat(t.Rows[ri][ci], 64)
-				if err != nil {
-					numeric = false
-					break
+				tc := t.Rows[ri][ci]
+				if tc.Label != c.Label || tc.Verb != c.Verb {
+					return nil, fmt.Errorf(
+						"experiments: repeat of %s: cell (%d,%d) differs across seeds: %q vs %q",
+						id, ri, ci, c, tc)
 				}
-				vals = append(vals, v)
+				row[ci].Vals = append(row[ci].Vals, tc.Vals...)
 			}
-			if !numeric {
-				// Label cell: runs must agree.
-				cell := base.Rows[ri][ci]
-				for _, t := range tables {
-					if t.Rows[ri][ci] != cell {
-						return nil, fmt.Errorf(
-							"experiments: repeat of %s: label cell (%d,%d) differs across seeds: %q vs %q",
-							id, ri, ci, cell, t.Rows[ri][ci])
-					}
-				}
-				row[ci] = cell
-				continue
-			}
-			row[ci] = fmt.Sprintf("%.3f±%.3f", metrics.Mean(vals), metrics.Std(vals))
 		}
 		out.Rows = append(out.Rows, row)
 	}

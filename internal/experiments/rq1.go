@@ -61,7 +61,7 @@ func Fig1(cfg Config) (*Table, error) {
 		Header: []string{"bin", "member(orig)", "nonmem(orig)", "member(CIP)", "nonmem(CIP)"},
 	}
 	for i := 0; i < bins; i++ {
-		t.AddRow(fmt.Sprintf("%d", i), f3(hb[i]), f3(nb[i]), f3(ha[i]), f3(na[i]))
+		t.AddRow(label(fmt.Sprint(i)), f3(hb[i]), f3(nb[i]), f3(ha[i]), f3(na[i]))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("overlap coefficient before CIP = %.3f, after CIP = %.3f (1 = identical distributions)",
@@ -110,9 +110,9 @@ func Table1(cfg Config) (*Table, error) {
 			}
 			trainAcc := run.utility(d.Train)
 			testAcc := run.utility(d.Test)
-			t.AddRow(arch.String(), fmt.Sprintf("%d", k), fmt.Sprintf("%d", r),
+			t.AddRow(label(arch.String()), label(fmt.Sprint(k)), label(fmt.Sprint(r)),
 				f3(trainAcc), f3(testAcc),
-				fmt.Sprintf("%d,%d,%d", r-3, r-2, r-1), "1e-2", "2e-2", "1e-6")
+				label(fmt.Sprintf("%d,%d,%d", r-3, r-2, r-1)), label("1e-2"), label("2e-2"), label("1e-6"))
 		}
 	}
 	t.Notes = append(t.Notes, "non-iid partition ("+fmt.Sprint(noniidClasses(d.Train.NumClasses))+" classes/client), paper's Table I grid at reduced scale")
@@ -153,9 +153,9 @@ func Table2(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(d.Name, arch.String(), fmt.Sprintf("%d", rounds),
+		t.AddRow(label(d.Name), label(arch.String()), label(fmt.Sprint(rounds)),
 			f3(run.utility(d.Train)), f3(run.utility(d.Test)),
-			"8e-2", "2e-2", "2e-2", "1e-6")
+			label("8e-2"), label("2e-2"), label("2e-2"), label("1e-6"))
 	}
 	return t, nil
 }
@@ -216,7 +216,7 @@ func Fig4(cfg Config) (*Table, error) {
 			cells = append(cells, cell{k, def})
 		}
 	}
-	rows, err := runIndexed(len(cells), func(i int) ([]string, error) {
+	rows, err := runIndexed(len(cells), func(i int) ([]Cell, error) {
 		return fig4Cell(cfg, d, arch, cells[i].k, rounds, ncc, eps, cells[i].def)
 	})
 	if err != nil {
@@ -234,7 +234,7 @@ func Fig4(cfg Config) (*Table, error) {
 // the paper's Fig. 4 label; α = 0.9 shows the strong-defense setting the
 // paper deploys (RQ3).
 func fig4Cell(cfg Config, d *datasets.Data, arch model.Arch, k, rounds, ncc int,
-	eps float64, def int) ([]string, error) {
+	eps float64, def int) ([]Cell, error) {
 	keep := lastRounds(rounds, 3)
 	steps := rounds * (d.Train.Len() / k / defaultHyper().batch)
 	sigma := defenses.NoiseMultiplierFor(eps, 1e-5, steps)
@@ -282,7 +282,7 @@ func fig4Cell(cfg Config, d *datasets.Data, arch model.Arch, k, rounds, ncc int,
 	if err != nil {
 		return nil, err
 	}
-	row := []string{name, fmt.Sprintf("%d", k), f3(run.utility(d.Test))}
+	row := []Cell{label(name), label(fmt.Sprint(k)), f3(run.utility(d.Test))}
 	return append(append(row, attackCells(pass)...), attackCells(act)...), nil
 }
 
@@ -380,7 +380,7 @@ func Fig5(cfg Config) (*Table, error) {
 			cells = append(cells, cell{arch: arch, eps: eps})
 		}
 	}
-	rows, err := runIndexed(len(cells), func(ci int) ([]string, error) {
+	rows, err := runIndexed(len(cells), func(ci int) ([]Cell, error) {
 		c := cells[ci]
 		name, f := "CIP(alpha=0.5)", clientFactory(cipClients{0.5})
 		if !c.cip {
@@ -400,7 +400,7 @@ func Fig5(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return append([]string{c.arch.String(), name, f3(run.utility(d.Test))},
+		return append([]Cell{label(c.arch.String()), label(name), f3(run.utility(d.Test))},
 			attackCells(pass)...), nil
 	})
 	if err != nil {
@@ -522,7 +522,7 @@ func Fig6(cfg Config) (*Table, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 5))
 	for _, r := range runs {
 		res := attacks.PbBayes(r.net, r.m, r.nm, shadow, rng)
-		t.AddRow(append([]string{r.name, r.budget, f3(r.testAcc)}, attackCells(res)...)...)
+		t.AddRow(append([]Cell{label(r.name), label(r.budget), f3(r.testAcc)}, attackCells(res)...)...)
 	}
 	return t, nil
 }

@@ -27,9 +27,9 @@ func Table3(cfg Config) (*Table, error) {
 	total := d.Train.NumClasses
 	sweep := []int{total / 5, 2 * total / 5, 3 * total / 5, 4 * total / 5, total}
 
-	cipRow := []string{"CIP (ours)"}
-	nodefRow := []string{"No Defense"}
-	localRow := []string{"Local Training"}
+	cipRow := []Cell{label("CIP (ours)")}
+	nodefRow := []Cell{label("No Defense")}
+	localRow := []Cell{label("Local Training")}
 	header := []string{"defense \\ classes/client"}
 
 	for _, ncc := range sweep {
@@ -126,11 +126,11 @@ func Fig7(cfg Config) (*Table, error) {
 		Header: []string{"distribution", "EMD (no defense)", "EMD (CIP)"},
 	}
 	for _, ncc := range []int{noniidClasses(total), total} {
-		label := fmt.Sprintf("%d classes/client", ncc)
+		dist := fmt.Sprintf("%d classes/client", ncc)
 		if ncc == total {
-			label += " (iid)"
+			dist += " (iid)"
 		} else {
-			label += " (non-iid)"
+			dist += " (non-iid)"
 		}
 
 		lrun, err := runFed(d.Train, model.VGG, k, rounds, cfg.Seed, plain{},
@@ -143,7 +143,7 @@ func Fig7(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(label, f3(meanLossEMD(lrun.Recorder, k)), f3(meanLossEMD(crun.Recorder, k)))
+		t.AddRow(label(dist), f3(meanLossEMD(lrun.Recorder, k)), f3(meanLossEMD(crun.Recorder, k)))
 	}
 	return t, nil
 }

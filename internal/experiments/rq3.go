@@ -112,7 +112,7 @@ func Fig8(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for i, cell := range results {
-		row := []string{cells[i].p.String(), fmt.Sprintf("%.1f", cells[i].a)}
+		row := []Cell{label(cells[i].p.String()), label(fmt.Sprintf("%.1f", cells[i].a))}
 		for _, name := range attackNames {
 			row = append(row, attackCells(cell.results[name])...)
 		}
@@ -136,7 +136,7 @@ func Table4(cfg Config) (*Table, error) {
 		}
 		for _, name := range attackNames {
 			r := cell.results[name]
-			t.AddRow(append([]string{p.String(), name,
+			t.AddRow(append([]Cell{label(p.String()), label(name),
 				f3(r.Counts.Precision()), f3(r.Counts.Recall()),
 				f3(r.Counts.F1())}, attackCells(r)...)...)
 		}
@@ -174,7 +174,7 @@ func Table5(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := []string{p.String(), f3(lrun.utility(d.Test))}
+		row := []Cell{label(p.String()), f3(lrun.utility(d.Test))}
 		for _, a := range alphas {
 			crun, err := runFed(d.Train, arch, 1, rounds, cfg.Seed, cipClients{a},
 				fedOpts{augment: d.Augment})

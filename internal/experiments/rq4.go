@@ -74,7 +74,7 @@ func Table6(cfg Config) (*Table, error) {
 				intRes = attacks.Optimization1(local, split.ShadowTrain,
 					members, nonMembers, iters, 0.02, rng)
 			}
-			row := append([]string{p.String(), fmt.Sprintf("%.1f", a)}, attackCells(intRes)...)
+			row := append([]Cell{label(p.String()), label(fmt.Sprintf("%.1f", a))}, attackCells(intRes)...)
 			t.AddRow(append(row, attackCells(ext)...)...)
 		}
 	}
@@ -106,7 +106,7 @@ func Table7(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(append([]string{p.String(), fmt.Sprintf("%.1f", a)}, attackCells(res)...)...)
+			t.AddRow(append([]Cell{label(p.String()), label(fmt.Sprintf("%.1f", a))}, attackCells(res)...)...)
 		}
 	}
 	return t, nil
@@ -151,7 +151,7 @@ func Table8(cfg Config) (*Table, error) {
 		m := crun.cipNet()
 		rng := rand.New(rand.NewSource(cfg.Seed + 13))
 
-		row := []string{p.String()}
+		row := []Cell{label(p.String())}
 		for _, s := range ssims {
 			res, _ := attacks.Knowledge1(m, trueSeed, s, split.ShadowTrain,
 				members, nonMembers, adaptiveIters(cfg.Scale), 0.02, rng)
@@ -195,7 +195,7 @@ func Table9(cfg Config) (*Table, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed + 17))
 
 		memberSet := crun.Members[0]
-		row := []string{p.String()}
+		row := []Cell{label(p.String())}
 		for _, f := range fracs {
 			known, unknown := memberSet.Split(int(f * float64(memberSet.Len())))
 			um, nm := equalize(unknown, split.NonMembers)
@@ -247,14 +247,14 @@ func Knowledge3Exp(cfg Config) (*Table, error) {
 		Title:  "RQ4 [Knowledge-3]: substitute t' from a malicious client (iid)",
 		Header: []string{"quantity", "value"},
 	}
-	t.AddRow("test acc (true t)", f3(fl.Evaluate(mTrue, d.Test, 64)))
-	t.AddRow("test acc (substitute t')", f3(fl.Evaluate(mSub, d.Test, 64)))
-	t.AddRow("train acc (true t)", f3(fl.Evaluate(mTrue, members, 64)))
-	t.AddRow("train acc (substitute t')", f3(fl.Evaluate(mSub, members, 64)))
+	t.AddRow(label("test acc (true t)"), f3(fl.Evaluate(mTrue, d.Test, 64)))
+	t.AddRow(label("test acc (substitute t')"), f3(fl.Evaluate(mSub, d.Test, 64)))
+	t.AddRow(label("train acc (true t)"), f3(fl.Evaluate(mTrue, members, 64)))
+	t.AddRow(label("train acc (substitute t')"), f3(fl.Evaluate(mSub, members, 64)))
 	for i, c := range attackCells(res) {
-		t.AddRow(attackCols("attack acc")[i]+" (with t')", c)
+		t.AddRow(label(attackCols("attack acc")[i]+" (with t')"), c)
 	}
-	t.AddRow("SSIM(t, t')", f3(ssim))
+	t.AddRow(label("SSIM(t, t')"), f3(ssim))
 	return t, nil
 }
 
@@ -281,7 +281,7 @@ func Table10(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		split := splitForAttack(d)
-		row := []string{p.String()}
+		row := []Cell{label(p.String())}
 		for _, a := range rq4Alphas(cfg.Scale) {
 			crun, err := runFed(split.TargetTrain, archFor(p, cfg.Scale), 1, rounds, cfg.Seed, cipClients{a},
 				fedOpts{augment: d.Augment})

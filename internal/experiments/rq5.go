@@ -49,9 +49,9 @@ func Table11(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(arch.String(), fmt.Sprintf("%d", lp), fmt.Sprintf("%d", cp),
-			fmt.Sprintf("+%.2f%%", overhead*100),
-			fmt.Sprintf("%d", lRounds), fmt.Sprintf("%d", cRounds))
+		t.AddRow(label(arch.String()), label(fmt.Sprint(lp)), label(fmt.Sprint(cp)),
+			value("%+.2f%%", overhead*100),
+			value("%.0f", float64(lRounds)), value("%.0f", float64(cRounds)))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("average parameter overhead = +%.2f%% (paper: +0.87%%); rounds-to-fit = first round reaching train accuracy %.1f (capped at %d)",

@@ -4,23 +4,28 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"github.com/cip-fl/cip/internal/fl/checkpoint"
+	"github.com/cip-fl/cip/internal/tensor"
 )
 
-// Store persists completed experiment grid cells — one rendered Table per
-// (experiment id, scale, seed) — in the checksummed checkpoint container
-// format, so a multi-hour sweep killed partway through does not redo
-// finished cells on the next run. A nil *Store disables caching; corrupt
-// or unreadable cells are treated as missing and recomputed.
+// Store persists completed experiment grid cells — one typed Table per
+// (experiment id, scale, seed, training precision) — in the checksummed
+// checkpoint container format, so a multi-hour sweep killed partway
+// through does not redo finished cells on the next run. A nil *Store
+// disables caching; corrupt or unreadable cells, including those written
+// in an older table format, are treated as missing and recomputed.
 type Store struct {
 	// Dir is the cache directory; it is created on first Save.
 	Dir string
 }
 
-// cellPath names the cache file for one grid cell.
+// cellPath names the cache file for one grid cell. The f32 and f64 tiers
+// measure different numbers, so the active precision is part of the key.
 func (s *Store) cellPath(id string, cfg Config) string {
-	return filepath.Join(s.Dir, fmt.Sprintf("%s_scale%d_seed%d.cell", id, cfg.Scale, cfg.Seed))
+	return filepath.Join(s.Dir, fmt.Sprintf("%s_scale%d_seed%d_%s.cell",
+		id, cfg.Scale, cfg.Seed, tensor.CurrentPrecision()))
 }
 
 // Load returns the cached table for a cell, with ok reporting whether a
@@ -72,22 +77,15 @@ func (s *Store) Runner(id string, r Runner) Runner {
 	}
 }
 
-// Run executes one registered experiment through the cache.
-func (s *Store) Run(id string, cfg Config) (*Table, error) {
-	r, ok := Registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
-	}
-	return s.Runner(id, r)(cfg)
-}
-
-// Repeat is Repeat with per-seed cell caching: each seed's table persists
-// as its own grid cell, so an interrupted multi-seed sweep resumes from
-// the completed seeds.
+// Repeat runs the registered experiment id over n consecutive seeds from
+// cfg.Seed and merges them (n = 1 returns the single table as is). Each
+// seed's table persists as its own grid cell, so an interrupted
+// multi-seed sweep resumes from the completed seeds.
 func (s *Store) Repeat(id string, cfg Config, n int) (*Table, error) {
 	r, ok := Registry[id]
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
+		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s)",
+			id, strings.Join(IDs(), ", "))
 	}
-	return RepeatRunner(id, s.Runner(id, r), cfg, n)
+	return repeatRunner(id, s.Runner(id, r), cfg, n)
 }

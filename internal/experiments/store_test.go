@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/cip-fl/cip/internal/datasets"
+	"github.com/cip-fl/cip/internal/fl/checkpoint"
 	"github.com/cip-fl/cip/internal/fl/faults"
+	"github.com/cip-fl/cip/internal/tensor"
 )
 
 func TestStoreCachesCompletedCells(t *testing.T) {
@@ -13,8 +16,8 @@ func TestStoreCachesCompletedCells(t *testing.T) {
 	runs := 0
 	r := s.Runner("probe", func(cfg Config) (*Table, error) {
 		runs++
-		tab := &Table{ID: "probe", Title: "probe", Header: []string{"seed"}}
-		tab.AddRow("42")
+		tab := &Table{ID: "probe", Title: "probe", Header: []string{"seed", "value"}}
+		tab.AddRow(label("seed"), value("%.0f%%", float64(cfg.Seed)))
 		return tab, nil
 	})
 	cfg := Config{Scale: datasets.Quick, Seed: 42}
@@ -30,7 +33,7 @@ func TestStoreCachesCompletedCells(t *testing.T) {
 	if runs != 1 {
 		t.Fatalf("runner executed %d times, want 1 (second call must hit the cell cache)", runs)
 	}
-	if second.Rows[0][0] != first.Rows[0][0] {
+	if !reflect.DeepEqual(second.Rows, first.Rows) {
 		t.Fatalf("cached cell %v differs from computed %v", second.Rows, first.Rows)
 	}
 
@@ -97,5 +100,45 @@ func TestStorePropagatesRunnerError(t *testing.T) {
 	// A failed run must not leave a cell behind.
 	if _, ok := s.Load("probe", Quick()); ok {
 		t.Fatal("failed run cached a cell")
+	}
+}
+
+// TestStoreKeysOnPrecision: the f32 and f64 tiers measure different
+// numbers, so a cell saved under one is a miss under the other.
+func TestStoreKeysOnPrecision(t *testing.T) {
+	prev := tensor.CurrentPrecision()
+	t.Cleanup(func() { tensor.SetPrecision(prev) })
+	s := &Store{Dir: t.TempDir()}
+	cfg := Quick()
+	tensor.SetPrecision(tensor.F64)
+	if err := s.Save("probe", cfg, &Table{ID: "probe"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Load("probe", cfg); !ok {
+		t.Fatal("f64 cell missing right after saving it")
+	}
+	tensor.SetPrecision(tensor.F32)
+	if _, ok := s.Load("probe", cfg); ok {
+		t.Fatal("f32 run was served the cell computed under f64")
+	}
+}
+
+// TestStoreTreatsTextCellAsMiss: a cell written with rendered-text rows
+// (the table format before cells were typed) is recomputed, not misread.
+func TestStoreTreatsTextCellAsMiss(t *testing.T) {
+	type textTable struct {
+		ID, Title string
+		Header    []string
+		Rows      [][]string
+		Notes     []string
+	}
+	s := &Store{Dir: t.TempDir()}
+	cfg := Quick()
+	old := textTable{ID: "probe", Title: "probe", Header: []string{"acc"}, Rows: [][]string{{"0.500"}}}
+	if err := checkpoint.WriteFile(s.cellPath("probe", cfg), checkpoint.KindTable, &old); err != nil {
+		t.Fatal(err)
+	}
+	if tab, ok := s.Load("probe", cfg); ok {
+		t.Fatalf("text-format cell read as a hit: %+v", tab)
 	}
 }

@@ -68,8 +68,8 @@ func Theorem1(cfg Config) (*Table, error) {
 			}
 		}
 		n := float64(len(lossTrue))
-		t.AddRow(fmt.Sprintf("#%d", g+1),
-			fmt.Sprintf("%.0f%%", 100*float64(holds)/n),
+		t.AddRow(label(fmt.Sprintf("#%d", g+1)),
+			value("%.0f%%", 100*float64(holds)/n),
 			f3(gapSum/n), f3(epsSum/n), f3(epsMax))
 	}
 	t.Notes = append(t.Notes,
