@@ -43,7 +43,10 @@ func run() error {
 	resume := flag.Bool("resume", false,
 		"resume from the snapshot at -checkpoint (fresh start if none exists)")
 	quorum := flag.Int("quorum", 0,
-		"minimum valid updates per round; >0 enables quorum-based partial aggregation")
+		"minimum valid updates per round; >0 enables quorum-based partial aggregation. "+
+			"0 is fail-stop (the first failing or invalid client aborts the run) unless "+
+			"-robust-agg, -quarantine-after, -compress or -sample-frac is set, which drop "+
+			"failed clients with a quorum of 1")
 	robustFlags := flcli.RegisterRobustFlags()
 	compressFlags := flcli.RegisterCompressFlags()
 	sampleFlags := flcli.RegisterSampleFlags()
@@ -92,7 +95,7 @@ func run() error {
 	var policy *fl.RoundPolicy
 	if robustAgg != nil || reputation != nil || *quorum > 0 || bank != nil || *sampleFlags.Frac > 0 {
 		policy = &fl.RoundPolicy{MinQuorum: *quorum, Robust: robustAgg, Reputation: reputation,
-			Compress: bank, SampleFraction: *sampleFlags.Frac}
+			Compress: bank, SampleFraction: *sampleFlags.Frac, SampleSeed: *sampleFlags.Seed}
 		if *sampleFlags.Frac > 0 && *sampleFlags.Frac < 1 {
 			fmt.Printf("client sampling: %.0f%% of the roster per round\n", 100**sampleFlags.Frac)
 		}

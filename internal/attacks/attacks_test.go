@@ -325,6 +325,14 @@ func TestActiveAttackerNoObservations(t *testing.T) {
 	if _, err := a.Result(); err == nil {
 		t.Fatal("expected error with no observations")
 	}
+	// A round whose aggregate holds no update from the victim (dropped as
+	// invalid, or not sampled) records nothing; another client's update in
+	// the victim's slot is not the victim's.
+	a.VictimID = 1
+	a.ObserveRound(0, nil, []fl.Update{{ClientID: 0}, {ClientID: 2}})
+	if _, err := a.Result(); err == nil {
+		t.Fatal("recorded a round without the victim's update")
+	}
 }
 
 // cipFixture trains a single-client CIP federation (the paper's external

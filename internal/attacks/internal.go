@@ -124,7 +124,6 @@ type ActiveAttacker struct {
 	// Descend flips the alteration to gradient descent (Optimization-2).
 	Descend bool
 
-	victimIdx   int
 	lossRecords [][]float64 // per observed round: per-target loss
 }
 
@@ -162,20 +161,23 @@ func (a *ActiveAttacker) Alter(round, clientID int, global []float64) []float64 
 }
 
 // ObserveRound implements fl.RoundObserver: record the victim's
-// post-training loss on every target sample.
+// post-training loss on every target sample. A round whose aggregate holds
+// no update from the victim (dropped or not sampled) records nothing.
 func (a *ActiveAttacker) ObserveRound(round int, _ []float64, updates []fl.Update) {
 	if round < a.StartRound {
 		return
 	}
-	idx := a.VictimID
-	if idx >= len(updates) {
+	for _, u := range updates {
+		if u.ClientID != a.VictimID {
+			continue
+		}
+		net := a.BuildNet()
+		if err := nn.SetFlatParams(net.Params(), u.Params); err != nil {
+			return
+		}
+		a.lossRecords = append(a.lossRecords, fl.Losses(net, a.Targets, 64))
 		return
 	}
-	net := a.BuildNet()
-	if err := nn.SetFlatParams(net.Params(), updates[idx].Params); err != nil {
-		return
-	}
-	a.lossRecords = append(a.lossRecords, fl.Losses(net, a.Targets, 64))
 }
 
 // Result scores the attack. In ascent mode members are the samples whose

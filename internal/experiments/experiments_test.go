@@ -241,3 +241,29 @@ func TestTable11RunsQuickly(t *testing.T) {
 		}
 	}
 }
+
+// TestTheorem1BoundHoldsWherePremiseHolds reads theorem1's typed cells: for
+// every guessed perturbation the max eps over members where the premise
+// holds is at most 1, as Theorem 1 states, and the members where it fails
+// are reported apart (their max eps is 0 when there are none, else >= 1).
+func TestTheorem1BoundHoldsWherePremiseHolds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs are skipped in -short mode")
+	}
+	tbl, err := Theorem1(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) == 0 || len(tbl.Header) != 6 {
+		t.Fatalf("theorem1 has %d rows, header %q", len(tbl.Rows), tbl.Header)
+	}
+	for _, row := range tbl.Rows {
+		holds, meanEps, maxEps, failMax := row[1].Vals[0], row[3].Vals[0], row[4].Vals[0], row[5].Vals[0]
+		if maxEps > 1 || meanEps > maxEps {
+			t.Fatalf("guess %s: premise-holding eps mean %v max %v, want max <= 1", row[0], meanEps, maxEps)
+		}
+		if (holds < 100) != (failMax >= 1) {
+			t.Fatalf("guess %s: premise holds on %v%% but max eps where it fails is %v", row[0], holds, failMax)
+		}
+	}
+}

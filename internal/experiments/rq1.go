@@ -327,6 +327,15 @@ func activeAttack(d *datasets.Data, arch model.Arch, k, rounds int, seed int64,
 		Descend:     descend,
 	}
 	opts := base
+	if opts.policy == nil {
+		// The ascent can drive the victim's local training to NaN (it does
+		// in four of fig4's quick-scale cells from round 17 on). The server
+		// drops such an update, as a validating coordinator with a quorum
+		// would, instead of failing the run, and the attacker scores the
+		// rounds in which it saw a finite victim update. Clean rounds run
+		// bit for bit as without a policy.
+		opts.policy = &fl.RoundPolicy{}
+	}
 	opts.alter = attacker.Alter
 	opts.observers = append(opts.observers, attacker)
 	opts.keepRounds = nil

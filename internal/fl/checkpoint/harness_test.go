@@ -24,7 +24,6 @@ import (
 	"github.com/cip-fl/cip/internal/fl/faults"
 	"github.com/cip-fl/cip/internal/model"
 	"github.com/cip-fl/cip/internal/nn"
-	"github.com/cip-fl/cip/internal/rng"
 )
 
 const (
@@ -32,11 +31,10 @@ const (
 	harnessRounds  = 6
 )
 
-// buildFederation constructs an identically seeded durable CIP federation:
-// stateful clients (serializable RNG, tracked data order, capturable
-// secret t) and a server whose client sampler runs on a serializable
-// source. Calling it twice yields two federations that, run the same way,
-// produce bit-identical results.
+// buildFederation constructs an identically seeded durable CIP federation
+// of stateful clients (serializable RNG, tracked data order, capturable
+// secret t). Calling it twice yields two federations that, run the same
+// way, produce bit-identical results.
 func buildFederation(t *testing.T) *fl.Server {
 	t.Helper()
 	train, _, err := datasets.SyntheticImages(datasets.ImageConfig{
@@ -62,10 +60,7 @@ func buildFederation(t *testing.T) *fl.Server {
 		clients[i] = core.NewStatefulClient(i, dual, shards[i], cfg,
 			core.BlendSeed(1, i), int64(20+i))
 	}
-	srv := fl.NewServer(initial, clients...)
-	srv.SampleFraction = 0.5
-	srv.SamplerSrc = rng.NewSource(3)
-	return srv
+	return fl.NewServer(initial, clients...)
 }
 
 // finalState captures a finished server's full durable state — globals
@@ -97,16 +92,14 @@ func assertBitIdentical(t *testing.T, want, got *fl.ServerState) {
 			t.Fatalf("client %d final state diverged — local training replay is not deterministic", id)
 		}
 	}
-	if want.SamplerState != got.SamplerState {
-		t.Fatalf("sampler state %d vs %d", want.SamplerState, got.SamplerState)
-	}
 }
 
-// runBaseline runs an uninterrupted durable federation to completion and
-// returns its final state.
-func runBaseline(t *testing.T, every int) *fl.ServerState {
+// runBaseline runs an uninterrupted durable federation under policy (nil
+// is fail-stop) to completion and returns its final state.
+func runBaseline(t *testing.T, every int, policy *fl.RoundPolicy) *fl.ServerState {
 	t.Helper()
 	srv := buildFederation(t)
+	srv.Policy = policy
 	mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "base.ckpt")}
 	err := srv.RunWithOptions(harnessRounds, fl.RunOptions{
 		CheckpointEvery: every,
@@ -128,15 +121,22 @@ func TestCrashResumeBitIdenticalInProcess(t *testing.T) {
 		// resumeRound is the snapshot round the restart must land on: the
 		// last checkpoint at or before the crash.
 		resumeRound int
+		// policy is shared by every run of the case; the sampling policy
+		// holds no state.
+		policy *fl.RoundPolicy
 	}{
-		{"crash on checkpoint boundary", 1, 3, 4},
+		{"crash on checkpoint boundary", 1, 3, 4, nil},
 		// With a cadence of 3, checkpoints land after rounds 2 and 5. A
 		// crash after round 3 rewinds to round 3 and replays it.
-		{"crash between checkpoints", 3, 3, 3},
+		{"crash between checkpoints", 3, 3, 3, nil},
+		// One of the two clients trains per round. The cohort is a function
+		// of (SampleSeed, round), so the replayed round and every later one
+		// draw the schedule the uninterrupted run drew.
+		{"sampled crash between checkpoints", 3, 3, 3, &fl.RoundPolicy{SampleFraction: 0.5, SampleSeed: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := runBaseline(t, tc.every)
+			want := runBaseline(t, tc.every, tc.policy)
 
 			mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "state.ckpt")}
 			save := func(st *fl.ServerState) error {
@@ -144,6 +144,7 @@ func TestCrashResumeBitIdenticalInProcess(t *testing.T) {
 			}
 
 			crashed := buildFederation(t)
+			crashed.Policy = tc.policy
 			err := crashed.RunWithOptions(harnessRounds, fl.RunOptions{
 				CheckpointEvery: tc.every,
 				Save:            save,
@@ -156,6 +157,7 @@ func TestCrashResumeBitIdenticalInProcess(t *testing.T) {
 			// Process death: everything in memory is gone. Rebuild the
 			// federation from its seeds and restore from disk.
 			resumed := buildFederation(t)
+			resumed.Policy = tc.policy
 			snap, err := mgr.Load()
 			if err != nil {
 				t.Fatal(err)
@@ -183,7 +185,7 @@ func TestCrashResumeBitIdenticalInProcess(t *testing.T) {
 // previous generation, replay the extra round deterministically, and
 // still finish bit-identical.
 func TestCrashResumeSurvivesTornSnapshot(t *testing.T) {
-	want := runBaseline(t, 1)
+	want := runBaseline(t, 1, nil)
 
 	mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "state.ckpt")}
 	save := func(st *fl.ServerState) error {
@@ -226,7 +228,7 @@ func TestCrashResumeSurvivesTornSnapshot(t *testing.T) {
 // handlers use: Stop ends the run at a round boundary with a final
 // snapshot, and a later resume finishes bit-identically.
 func TestStopResumeBitIdentical(t *testing.T) {
-	want := runBaseline(t, 2)
+	want := runBaseline(t, 2, nil)
 
 	mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "state.ckpt")}
 	save := func(st *fl.ServerState) error {

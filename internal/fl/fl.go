@@ -13,11 +13,9 @@ package fl
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/cip-fl/cip/internal/fl/robust"
-	"github.com/cip-fl/cip/internal/rng"
 )
 
 // Update is what a client returns from one round of local training.
@@ -106,18 +104,10 @@ type Server struct {
 	// Alter, when non-nil, may substitute the parameters each client
 	// receives (malicious-server active attacks).
 	Alter AlterFunc
-	// SampleFraction, when in (0, 1), trains only that fraction of clients
-	// per round (McMahan et al.'s client-sampling parameter C); 0 or ≥1
-	// trains everyone. SampleRng drives the selection (nil seeds from 0).
-	SampleFraction float64
-	SampleRng      *rand.Rand
-	// SamplerSrc, when set (and SampleRng is nil), drives client sampling
-	// through a serializable source so CaptureState can checkpoint the
-	// sampler's exact position (required for durable runs that sample).
-	SamplerSrc *rng.Source
 	// Policy, when non-nil, enables fault-tolerant rounds: failing or
 	// invalid clients are dropped and the round aggregates over the
-	// surviving quorum. Nil keeps fail-stop semantics.
+	// surviving quorum. It also carries the cohort-sampling directive. Nil
+	// keeps fail-stop rounds over the whole roster.
 	Policy *RoundPolicy
 	// Metrics, when non-nil, receives per-round telemetry (round
 	// duration, participating/dropped clients, validation rejections).
@@ -161,43 +151,102 @@ func (s *Server) Global() []float64 {
 	return out
 }
 
-// RunRound executes one communication round: broadcast, local training on
-// the (possibly sampled) clients, then weighted FedAvg aggregation.
+// failStop is the policy a nil Server.Policy runs under: no quarantine,
+// no sampling, no norm bound, plain FedAvg. RunRound never writes it.
+var failStop RoundPolicy
+
+// RunRound executes one communication round: split out quarantined
+// clients, sample the cohort, train it, then classify every outcome
+// serially in roster order — a TrainLocal error is FailTrain, an update
+// failing ValidateUpdateBounded is FailInvalid — and fold the valid
+// updates into the next global, robustly when a Byzantine-resilient rule
+// is attached. Without a Policy the first failure aborts the round with
+// an error naming the client, as on a fail-stop TCP coordinator; under a
+// RoundPolicy failures are dropped while the quorum holds.
 func (s *Server) RunRound(round int) error {
 	if len(s.Clients) == 0 {
 		return errors.New("fl: server has no clients")
 	}
 	start := time.Now()
-	participants := s.sampleClients()
-	if s.Policy != nil {
-		if err := s.runRoundQuorum(round, start, participants); err != nil {
-			return err
-		}
-		s.round = round + 1
-		return nil
+	p := s.Policy
+	if p == nil {
+		p = &failStop
 	}
+	eligible, failures := p.splitQuarantined(round, s.Clients)
+	participants, _ := SampleCohort(eligible, Client.NumSamples, p.SampleFraction, p.SampleSeed, round, p.quorum())
 	outcomes, workers, busy := s.trainParticipants(round, participants)
 	defer recycleUpdates(participants, outcomes)
-	updates := make([]Update, len(participants))
+	// Classify outcomes serially in participant order, so the valid and
+	// failure lists (and everything downstream: observers, aggregation,
+	// reputation) are independent of worker interleaving.
+	valid := make([]Update, 0, len(participants))
+	hardFailures := 0
 	for i, c := range participants {
-		if err := outcomes[i].err; err != nil {
-			return fmt.Errorf("fl: client %d round %d: %w", c.ID(), round, err)
-		}
 		u := outcomes[i].update
-		if len(u.Params) != len(s.global) {
-			return fmt.Errorf("fl: client %d returned %d params, want %d",
-				c.ID(), len(u.Params), len(s.global))
+		f := ClientFailure{ClientID: c.ID(), Round: round, Reason: FailTrain, Err: outcomes[i].err}
+		if f.Err == nil {
+			if f.Err = ValidateUpdateBounded(u, len(s.global), p.MaxUpdateNorm); f.Err != nil {
+				f.Reason = FailInvalid
+				s.Metrics.RecordValidationRejection()
+				if p.Reputation != nil {
+					p.Reputation.ObserveViolation(c.ID())
+				}
+			}
 		}
-		updates[i] = u
+		if f.Err != nil {
+			if s.Policy == nil {
+				return fmt.Errorf("fl: round %d: client %d failed (%s): %w", round, f.ClientID, f.Reason, f.Err)
+			}
+			failures = append(failures, f)
+			hardFailures++
+			continue
+		}
+		if bank := p.Compress; bank != nil {
+			// Serial, roster-ordered: the error-feedback fold mutates
+			// per-client residual state, and determinism at any worker
+			// count requires a fixed application order.
+			params, wireBytes, err := bank.RoundTrip(c.ID(), s.global, u.Params)
+			if err != nil {
+				return fmt.Errorf("fl: round %d: %w", round, err)
+			}
+			u.Params = params
+			s.Metrics.RecordCompressedUpdate(wireBytes, 8*len(params))
+		}
+		valid = append(valid, u)
 	}
-	if err := s.endRound(round, start, updates, nil, workers, busy); err != nil {
+	if hardFailures > 0 {
+		if s.failCounts == nil {
+			s.failCounts = make(map[int]int)
+		}
+		for _, f := range failures {
+			// Quarantine exclusions are policy decisions, not client
+			// failures; only genuine failures feed the cumulative counts.
+			if f.Reason != FailQuarantined {
+				s.failCounts[f.ClientID]++
+			}
+		}
+	}
+	if cap := p.MaxFailures; cap > 0 && hardFailures > cap {
+		return fmt.Errorf("fl: round %d: %d client failures exceed cap %d",
+			round, hardFailures, cap)
+	}
+	if q := p.quorum(); len(valid) < q {
+		return fmt.Errorf("fl: round %d: quorum lost: %d valid updates from %d participants, need %d",
+			round, len(valid), len(participants), q)
+	}
+	for _, o := range s.Observers {
+		if fo, ok := o.(FailureObserver); ok {
+			fo.ObserveFailures(round, failures)
+		}
+	}
+	if err := s.endRound(p, round, start, valid, failures, workers, busy); err != nil {
 		return err
 	}
 	s.round = round + 1
 	return nil
 }
 
-// endRound is the tail both round paths share once the round's updates are
+// endRound is the round's tail under policy p once its valid updates are
 // known. Observers see the live pre-round global; the updates fold into the
 // next global — through the policy's robust rule, else through the pooled
 // mean fold, whose output swaps with the global; reputation scores the
@@ -205,14 +254,14 @@ func (s *Server) RunRound(round int) error {
 // to robust.Recycle, so a steady-state round allocates nothing either way;
 // telemetry records the round. Every reader of the updates' Params runs
 // before it returns.
-func (s *Server) endRound(round int, start time.Time, updates []Update, failures []ClientFailure,
+func (s *Server) endRound(p *RoundPolicy, round int, start time.Time, updates []Update, failures []ClientFailure,
 	workers int, busy time.Duration) error {
 	for _, o := range s.Observers {
 		o.ObserveRound(round, s.global, updates)
 	}
 	report := robust.Report{Contributors: len(updates)}
 	var superseded []float64
-	if p := s.Policy; p != nil && p.Robust != nil {
+	if p.Robust != nil {
 		agg, rep, err := AggregateRobust(p.Robust, s.global, updates, p.quorum())
 		if err != nil {
 			return fmt.Errorf("fl: round %d: %w", round, err)
@@ -236,10 +285,8 @@ func (s *Server) endRound(round int, start time.Time, updates []Update, failures
 		}
 		s.global, s.spare = s.spare, s.global
 	}
-	if p := s.Policy; p != nil {
-		p.scoreRound(s.global, updates, failures)
-		s.Metrics.RecordReputation(p.Reputation)
-	}
+	ScoreReputation(p.Reputation, s.global, updates, failures)
+	s.Metrics.RecordReputation(p.Reputation)
 	if superseded != nil {
 		recycleHook(superseded)
 		robust.Recycle(superseded)
@@ -264,42 +311,6 @@ func recycleUpdates(participants []Client, outcomes []trainOutcome) {
 
 // recycleHook sees every vector at its release; tests replace it.
 var recycleHook = func([]float64) {}
-
-// sampleClients returns this round's participants in stable ID order. The
-// Server-level SampleFraction wins; when unset, the RoundPolicy's knob
-// (the flag-wired spelling) applies.
-func (s *Server) sampleClients() []Client {
-	f := s.SampleFraction
-	if f <= 0 && s.Policy != nil {
-		f = s.Policy.SampleFraction
-	}
-	if f <= 0 || f >= 1 || len(s.Clients) < 2 {
-		return s.Clients
-	}
-	n := int(f*float64(len(s.Clients)) + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	if s.SampleRng == nil {
-		if s.SamplerSrc != nil {
-			s.SampleRng = rand.New(s.SamplerSrc)
-		} else {
-			s.SampleRng = rand.New(rand.NewSource(0))
-		}
-	}
-	perm := s.SampleRng.Perm(len(s.Clients))[:n]
-	// Keep deterministic ordering so observers can index stably.
-	for i := 1; i < len(perm); i++ {
-		for j := i; j > 0 && perm[j] < perm[j-1]; j-- {
-			perm[j], perm[j-1] = perm[j-1], perm[j]
-		}
-	}
-	out := make([]Client, n)
-	for i, idx := range perm {
-		out[i] = s.Clients[idx]
-	}
-	return out
-}
 
 // Run executes communication rounds until the server has completed rounds
 // of them in total. A freshly constructed server runs rounds 0..rounds-1;

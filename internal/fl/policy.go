@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"sync"
-	"time"
 
 	"github.com/cip-fl/cip/internal/fl/compress"
 	"github.com/cip-fl/cip/internal/fl/robust"
+	"github.com/cip-fl/cip/internal/rng"
 )
 
 // FailureReason classifies why a client's contribution to a round was
@@ -52,8 +54,8 @@ type ClientFailure struct {
 // RoundPolicy relaxes the engine's fail-stop rounds into quorum-based
 // partial aggregation: failing or invalid clients are dropped from the
 // round instead of aborting the federation, as long as enough valid
-// updates survive. A nil policy on the Server keeps the legacy fail-stop
-// behavior (first client error aborts the round).
+// updates survive. A nil policy on the Server keeps fail-stop rounds: the
+// first failing or invalid client, in roster order, aborts the round.
 type RoundPolicy struct {
 	// MinQuorum is the minimum number of valid updates a round must
 	// produce for aggregation to proceed. It is an absolute count checked
@@ -61,14 +63,16 @@ type RoundPolicy struct {
 	// sampling is enabled), not the full client roster. Values < 1 are
 	// treated as 1.
 	MinQuorum int
-	// SampleFraction, when in (0, 1), trains only that sampled fraction of
-	// the roster each round (McMahan et al.'s client-sampling parameter C);
-	// 0 or ≥ 1 trains everyone. It is the policy-level spelling of
-	// Server.SampleFraction (the Server-level knob wins when both are set)
-	// and what the flserver/ciptrain -sample-frac flag populates. MinQuorum
-	// is checked against the sampled cohort, so f·roster must stay ≥ the
-	// quorum for rounds to proceed.
+	// SampleFraction, when in (0, 1), trains only a sampled cohort of
+	// about that fraction of the eligible roster each round (McMahan et
+	// al.'s client-sampling parameter C), drawn by SampleCohort exactly as
+	// the TCP coordinator draws it; 0 or ≥ 1 trains everyone. MinQuorum is
+	// checked against the cohort, which is never smaller than the quorum.
 	SampleFraction float64
+	// SampleSeed seeds the cohort draw. Each round's cohort is a pure
+	// function of (SampleSeed, round), so sampling keeps no state and a
+	// resumed run replays the same schedule.
+	SampleSeed int64
 	// MaxFailures, when > 0, additionally caps how many per-round client
 	// failures are tolerated even if the quorum is still met. 0 means no
 	// cap beyond the quorum check.
@@ -273,13 +277,13 @@ func (p *RoundPolicy) splitQuarantined(round int, participants []Client) ([]Clie
 	return eligible, excluded
 }
 
-// scoreRound feeds one completed round into the reputation tracker: each
-// valid client's distance from the aggregate, then the round-boundary
-// EWMA fold and state-machine advance over every non-quarantined
-// participant. Violations (norm/validation rejections) were already
-// observed during classification.
-func (p *RoundPolicy) scoreRound(agg []float64, valid []Update, failures []ClientFailure) {
-	rep := p.Reputation
+// ScoreReputation feeds one completed round into a reputation tracker:
+// each valid update's distance from the aggregate, then the round-boundary
+// EWMA fold and state-machine advance over every participant that was not
+// quarantined. Violations (norm and validation rejections) were observed
+// when the updates were classified. Both round engines call it; a nil
+// tracker does nothing.
+func ScoreReputation(rep *robust.Reputation, agg []float64, valid []Update, failures []ClientFailure) {
 	if rep == nil {
 		return
 	}
@@ -299,76 +303,63 @@ func (p *RoundPolicy) scoreRound(agg []float64, valid []Update, failures []Clien
 	rep.EndRound(roundIDs)
 }
 
-// runRoundQuorum is RunRound under a RoundPolicy: exclude quarantined
-// clients, train every eligible participant, drop failures and invalid
-// updates, and aggregate over the surviving quorum — robustly when a
-// Byzantine-resilient rule is attached.
-func (s *Server) runRoundQuorum(round int, start time.Time, participants []Client) error {
-	eligible, failures := s.Policy.splitQuarantined(round, participants)
-	outcomes, workers, busy := s.trainParticipants(round, eligible)
-	defer recycleUpdates(eligible, outcomes)
-	// Classify outcomes serially in participant order, so the valid and
-	// failure lists (and everything downstream: observers, aggregation,
-	// reputation) are independent of worker interleaving.
-	valid := make([]Update, 0, len(eligible))
-	hardFailures := 0
-	for i, c := range eligible {
-		if err := outcomes[i].err; err != nil {
-			failures = append(failures, ClientFailure{
-				ClientID: c.ID(), Round: round, Reason: FailTrain, Err: err,
-			})
-			hardFailures++
-			continue
-		}
-		u := outcomes[i].update
-		if err := ValidateUpdateBounded(u, len(s.global), s.Policy.MaxUpdateNorm); err != nil {
-			s.Metrics.RecordValidationRejection()
-			if s.Policy.Reputation != nil {
-				s.Policy.Reputation.ObserveViolation(c.ID())
-			}
-			failures = append(failures, ClientFailure{
-				ClientID: c.ID(), Round: round, Reason: FailInvalid, Err: err,
-			})
-			hardFailures++
-			continue
-		}
-		if bank := s.Policy.Compress; bank != nil {
-			// Serial, roster-ordered: the error-feedback fold mutates
-			// per-client residual state, and determinism at any worker
-			// count requires a fixed application order.
-			params, wireBytes, err := bank.RoundTrip(c.ID(), s.global, u.Params)
-			if err != nil {
-				return fmt.Errorf("fl: round %d: %w", round, err)
-			}
-			u.Params = params
-			s.Metrics.RecordCompressedUpdate(wireBytes, 8*len(params))
-		}
-		valid = append(valid, u)
+// SampleCohort picks one round's cohort from the eligible roster by
+// weighted sampling without replacement (Efraimidis–Spirakis: each member
+// draws the key u^(1/w), w its weight, and the top n keys win), so members
+// holding more data are proportionally likelier to train. n is
+// round(frac·len(eligible)), never below floor or 1. The draw is a pure
+// function of (seed, round): mixing the round index into the seed
+// (SplitMix64's increment) gives every round an independent stream, so
+// there is no sampler state to checkpoint and a resumed run replays the
+// same schedule. Key ties break toward the earlier roster position.
+//
+// cohort and idle partition eligible in its own order. With frac outside
+// (0, 1), fewer than two members, or a floor that covers everyone, the
+// whole roster trains and nothing is allocated. Both round engines call
+// it after the quarantine split.
+func SampleCohort[T any](eligible []T, weight func(T) int, frac float64, seed int64, round, floor int) (cohort, idle []T) {
+	if frac <= 0 || frac >= 1 || len(eligible) < 2 {
+		return eligible, nil
 	}
-	if hardFailures > 0 {
-		if s.failCounts == nil {
-			s.failCounts = make(map[int]int)
+	n := max(int(frac*float64(len(eligible))+0.5), floor, 1)
+	if n >= len(eligible) {
+		return eligible, nil
+	}
+	r := rand.New(rng.NewSource(int64(uint64(seed) ^ (uint64(round)+1)*0x9E3779B97F4A7C15)))
+	type keyed struct {
+		key float64
+		pos int
+	}
+	keys := make([]keyed, len(eligible))
+	for i, m := range eligible {
+		w := float64(weight(m))
+		if w <= 0 {
+			w = 1
 		}
-		for _, f := range failures {
-			// Quarantine exclusions are policy decisions, not client
-			// failures; only genuine failures feed the cumulative counts.
-			if f.Reason != FailQuarantined {
-				s.failCounts[f.ClientID]++
-			}
+		u := r.Float64()
+		for u == 0 {
+			u = r.Float64()
 		}
+		keys[i] = keyed{key: math.Pow(u, 1/w), pos: i}
 	}
-	if cap := s.Policy.MaxFailures; cap > 0 && hardFailures > cap {
-		return fmt.Errorf("fl: round %d: %d client failures exceed cap %d",
-			round, hardFailures, cap)
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].key != keys[j].key {
+			return keys[i].key > keys[j].key
+		}
+		return keys[i].pos < keys[j].pos
+	})
+	picked := make([]bool, len(eligible))
+	for _, k := range keys[:n] {
+		picked[k.pos] = true
 	}
-	if q := s.Policy.quorum(); len(valid) < q {
-		return fmt.Errorf("fl: round %d: quorum lost: %d valid updates from %d participants, need %d",
-			round, len(valid), len(participants), q)
-	}
-	for _, o := range s.Observers {
-		if fo, ok := o.(FailureObserver); ok {
-			fo.ObserveFailures(round, failures)
+	cohort = make([]T, 0, n)
+	idle = make([]T, 0, len(eligible)-n)
+	for i, m := range eligible {
+		if picked[i] {
+			cohort = append(cohort, m)
+		} else {
+			idle = append(idle, m)
 		}
 	}
-	return s.endRound(round, start, valid, failures, workers, busy)
+	return cohort, idle
 }

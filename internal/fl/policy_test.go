@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -122,6 +121,40 @@ func TestRoundPolicyRejectsInvalidUpdates(t *testing.T) {
 	}
 }
 
+// TestFailStopRejectsInvalidUpdates: a nil-Policy round validates every
+// update as a RoundPolicy round does, and the first failure in roster
+// order aborts the round with an error naming that client — the global a
+// NaN or mis-sized update would have produced is never installed.
+func TestFailStopRejectsInvalidUpdates(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  *faultyClient
+		want string
+	}{
+		{"nan", &faultyClient{countingClient: countingClient{id: 1}, nanAlways: true},
+			"client 1 failed (invalid): fl: client 1 update has NaN at param 0"},
+		{"oversize", &faultyClient{countingClient: countingClient{id: 1}, extraDim: 5},
+			"client 1 failed (invalid): fl: client 1 update has 7 params, want 2"},
+		{"train", &faultyClient{countingClient: countingClient{id: 1}, failAlways: true},
+			"client 1 failed (train): boom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			later := &faultyClient{countingClient: countingClient{id: 2}, nanAlways: true}
+			srv := NewServer([]float64{1, 2}, &countingClient{id: 0}, tc.bad, later)
+			err := srv.RunRound(0)
+			if err == nil {
+				t.Fatalf("round installed %v, want an error naming client 1", srv.Global())
+			}
+			if want := "fl: round 0: " + tc.want; err.Error() != want {
+				t.Fatalf("error %q, want %q", err, want)
+			}
+			if g := srv.Global(); g[0] != 1 || g[1] != 2 || srv.Round() != 0 {
+				t.Fatalf("failed round moved the server: global %v, round %d", g, srv.Round())
+			}
+		})
+	}
+}
+
 // TestSampledRoundQuorumAgainstParticipants: with client sampling on, the
 // quorum check must apply to the sampled participants, so a sampled round
 // where some participants fail still succeeds as long as enough of the
@@ -138,9 +171,7 @@ func TestSampledRoundQuorumAgainstParticipants(t *testing.T) {
 	}
 	rec := &HistoryRecorder{}
 	srv := NewServer([]float64{0}, clients...)
-	srv.SampleFraction = 0.5
-	srv.SampleRng = rand.New(rand.NewSource(3))
-	srv.Policy = &RoundPolicy{MinQuorum: 3}
+	srv.Policy = &RoundPolicy{MinQuorum: 3, SampleFraction: 0.5, SampleSeed: 3}
 	srv.Observers = append(srv.Observers, rec)
 	// Worst case a round samples both failing clients: 3 of 5 participants
 	// still succeed, which meets MinQuorum=3. Every round must pass.

@@ -213,8 +213,7 @@ func TestPoisonedRecycleChangesNothing(t *testing.T) {
 			return a
 		}},
 		{name: "sample-half", setup: func(srv *fl.Server, _ func() nn.Layer, _ *datasets.Dataset) *attacks.ActiveAttacker {
-			srv.SampleFraction = 0.5
-			srv.SampleRng = rand.New(rand.NewSource(3))
+			srv.Policy = &fl.RoundPolicy{SampleFraction: 0.5, SampleSeed: 3}
 			return nil
 		}},
 	}

@@ -1,9 +1,6 @@
 package fl
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // countingClient records how many rounds it participated in.
 type countingClient struct {
@@ -31,8 +28,7 @@ func TestClientSamplingFraction(t *testing.T) {
 		counters[i] = cc
 	}
 	srv := NewServer([]float64{1, 2, 3}, clients...)
-	srv.SampleFraction = 0.5
-	srv.SampleRng = rand.New(rand.NewSource(1))
+	srv.Policy = &RoundPolicy{SampleFraction: 0.5, SampleSeed: 1}
 	if err := srv.Run(rounds); err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +53,7 @@ func TestClientSamplingObserverSeesIDs(t *testing.T) {
 	}
 	rec := &HistoryRecorder{}
 	srv := NewServer([]float64{0}, clients...)
-	srv.SampleFraction = 0.5
-	srv.SampleRng = rand.New(rand.NewSource(2))
+	srv.Policy = &RoundPolicy{SampleFraction: 0.5, SampleSeed: 2}
 	srv.Observers = append(srv.Observers, rec)
 	if err := srv.Run(3); err != nil {
 		t.Fatal(err)

@@ -3,9 +3,6 @@ package fl
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-
-	"github.com/cip-fl/cip/internal/rng"
 )
 
 // ErrStopped is returned by RunWithOptions (and the transport coordinator)
@@ -29,18 +26,17 @@ type StatefulClient interface {
 
 // ServerState is everything the in-process engine needs to continue a
 // federation deterministically after process death: the next round index,
-// the global parameter vector, the client-sampler RNG state, the
-// cumulative per-client failure counters a RoundPolicy accumulates, and
-// each client's captured local state. internal/fl/checkpoint persists it.
+// the global parameter vector, the cumulative per-client failure counters
+// a RoundPolicy accumulates, and each client's captured local state. It
+// holds no sampler state: SampleCohort derives every round's cohort from
+// (SampleSeed, round), and gob drops the sampler fields an older snapshot
+// carries. internal/fl/checkpoint persists it.
 type ServerState struct {
 	// NextRound is the index of the first round that has not completed.
 	NextRound int
 	// Global is the aggregated global parameter vector after round
 	// NextRound-1.
 	Global []float64
-	// SamplerState is the client-sampling RNG state; valid iff HasSampler.
-	SamplerState uint64
-	HasSampler   bool
 	// FailCounts is the cumulative per-client failure count recorded under
 	// a RoundPolicy (nil when no failures were recorded).
 	FailCounts map[int]int
@@ -68,23 +64,14 @@ type ServerState struct {
 }
 
 // CaptureState snapshots the server at a round boundary. Every client must
-// implement StatefulClient, and an active client sampler must run on a
-// serializable source (SamplerSrc); otherwise the federation cannot be
-// resumed bit-identically and CaptureState says so instead of writing a
-// snapshot that silently would not.
+// implement StatefulClient; otherwise the federation cannot be resumed
+// bit-identically and CaptureState says so instead of writing a snapshot
+// that silently would not.
 func (s *Server) CaptureState() (*ServerState, error) {
 	st := &ServerState{
 		NextRound: s.round,
 		Global:    s.Global(),
 		Clients:   make(map[int][]byte, len(s.Clients)),
-	}
-	if s.samplingActive() {
-		if s.SamplerSrc == nil {
-			return nil, errors.New("fl: client sampling is active but SamplerSrc is unset; " +
-				"a stock rand.Rand cannot be checkpointed")
-		}
-		st.SamplerState = s.SamplerSrc.State()
-		st.HasSampler = true
 	}
 	if len(s.failCounts) > 0 {
 		st.FailCounts = make(map[int]int, len(s.failCounts))
@@ -126,13 +113,6 @@ func (s *Server) CaptureState() (*ServerState, error) {
 func (s *Server) RestoreState(st *ServerState) error {
 	if len(st.Global) != len(s.global) {
 		return fmt.Errorf("fl: restoring %d global params onto a model with %d", len(st.Global), len(s.global))
-	}
-	if st.HasSampler {
-		if s.SamplerSrc == nil {
-			s.SamplerSrc = rng.NewSource(0)
-		}
-		s.SamplerSrc.SetState(st.SamplerState)
-		s.SampleRng = rand.New(s.SamplerSrc)
 	}
 	byID := make(map[int]StatefulClient, len(s.Clients))
 	for _, c := range s.Clients {
@@ -184,10 +164,6 @@ func (s *Server) FailureCounts() map[int]int {
 		out[id] = n
 	}
 	return out
-}
-
-func (s *Server) samplingActive() bool {
-	return s.SampleFraction > 0 && s.SampleFraction < 1 && len(s.Clients) >= 2
 }
 
 // RunOptions configures a durable run: checkpoint cadence, the snapshot

@@ -100,7 +100,8 @@ func (l *Leaf) ListenAndRun(addr string, ready func(boundAddr string)) ([]float6
 // gracefully as long as one valid contribution remains (see Leaf).
 func (l *Leaf) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([]float64, error) {
 	c := &l.Local
-	if err := errors.Join(checkCodec(c.Codec), checkCodec(l.Retry.Codec), c.checkTreeParent()); err != nil {
+	if err := errors.Join(checkCodec(c.Codec), checkCodec(l.Retry.Codec), c.checkTreeParent(),
+		c.checkSampling()); err != nil {
 		return nil, err
 	}
 	switch {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"net"
 	"sort"
 	"sync"
@@ -15,7 +14,6 @@ import (
 	"github.com/cip-fl/cip/internal/fl/checkpoint"
 	"github.com/cip-fl/cip/internal/fl/robust"
 	"github.com/cip-fl/cip/internal/fl/wire"
-	"github.com/cip-fl/cip/internal/rng"
 )
 
 // defaultInflight is the exchange window when MaxInflightUpdates is unset
@@ -169,6 +167,18 @@ func (c *Coordinator) checkTreeParent() error {
 	return nil
 }
 
+// checkSampling refuses a fail-stop node that would sample its own
+// clients: the cohort is floored at the quorum, which without MinQuorum is
+// the whole roster, so SampleFraction would silently train everyone. A
+// node serving child aggregators only relays the directive and is exempt.
+func (c *Coordinator) checkSampling() error {
+	if !c.AcceptPartials && c.SampleFraction > 0 && c.SampleFraction < 1 && !c.faultTolerant() {
+		return fmt.Errorf("transport: SampleFraction %v needs MinQuorum > 0: a fail-stop round trains the whole roster",
+			c.SampleFraction)
+	}
+	return nil
+}
+
 // initAggregation fixes how the session's rounds aggregate. Each
 // contribution folds into the streaming accumulator as it arrives, except
 // at a robust tree root, whose rule runs over the merged row reservoir,
@@ -190,7 +200,7 @@ func (s *session) initAggregation() {
 // touching the network stack. The listener is closed before returning
 // when the rejoin accept loop owns it.
 func (c *Coordinator) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([]float64, error) {
-	if err := errors.Join(checkCodec(c.Codec), c.checkTreeParent()); err != nil {
+	if err := errors.Join(checkCodec(c.Codec), c.checkTreeParent(), c.checkSampling()); err != nil {
 		return nil, err
 	}
 	global := make([]float64, len(c.Initial))
@@ -420,68 +430,14 @@ func (s *session) admitPending(round int) {
 	sort.Slice(s.active, func(i, j int) bool { return s.active[i].id < s.active[j].id })
 }
 
-// sampleCohort picks this round's cohort from the eligible roster by
-// weighted sampling without replacement (Efraimidis–Spirakis: each client
-// draws key u^(1/w) with w = its sample count, top-n keys win), so
-// clients holding more data are proportionally likelier to participate,
-// selection is deterministic given (SampleSeed, round), and a restarted
-// coordinator resumes the same cohort schedule. The returned idle set is
-// the eligible remainder: it receives no round frame, which in this
-// synchronous protocol simply leaves those clients blocked on their next
-// read until a later round samples them.
+// sampleCohort draws this round's cohort from the eligible roster through
+// fl.SampleCohort, weighted by each client's registered sample count and
+// floored at the quorum. The idle remainder receives no round frame, which
+// in this synchronous protocol simply leaves those clients blocked on
+// their next read until a later round samples them.
 func (s *session) sampleCohort(round int, eligible []*clientConn) (cohort, idle []*clientConn) {
 	f, seed := s.effectiveSample()
-	if f <= 0 || f >= 1 || len(eligible) < 2 {
-		return eligible, nil
-	}
-	n := int(f*float64(len(eligible)) + 0.5)
-	if q := s.c.quorum(); n < q {
-		n = q
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n >= len(eligible) {
-		return eligible, nil
-	}
-	// Per-round stateless derivation: mixing the round index into the
-	// seed (SplitMix64's increment) gives every round an independent
-	// stream with no sampler state to checkpoint.
-	src := rng.NewSource(int64(uint64(seed) ^ (uint64(round)+1)*0x9E3779B97F4A7C15))
-	r := rand.New(src)
-	type keyed struct {
-		key float64
-		cc  *clientConn
-	}
-	keys := make([]keyed, len(eligible))
-	for i, cc := range eligible {
-		w := float64(cc.samples)
-		if w <= 0 {
-			w = 1
-		}
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
-		}
-		keys[i] = keyed{key: math.Pow(u, 1/w), cc: cc}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].key != keys[j].key {
-			return keys[i].key > keys[j].key
-		}
-		return keys[i].cc.id < keys[j].cc.id
-	})
-	cohort = make([]*clientConn, 0, n)
-	idle = make([]*clientConn, 0, len(eligible)-n)
-	for i := range keys {
-		if i < n {
-			cohort = append(cohort, keys[i].cc)
-		} else {
-			idle = append(idle, keys[i].cc)
-		}
-	}
-	sort.Slice(cohort, func(i, j int) bool { return cohort[i].id < cohort[j].id })
-	return cohort, idle
+	return fl.SampleCohort(eligible, func(cc *clientConn) int { return cc.samples }, f, seed, round, s.c.quorum())
 }
 
 // effectiveSample resolves which cohort-sampling directive this node
@@ -702,7 +658,7 @@ func (s *session) runRound(round int) error {
 			if err := s.fold.FinalizeInto(s.leafMean); err != nil {
 				return fmt.Errorf("transport: round %d: %w", round, err)
 			}
-			s.scoreReputation(s.leafMean, failures)
+			fl.ScoreReputation(c.Reputation, s.leafMean, s.column, failures)
 		}
 	} else {
 		var agg []float64
@@ -722,7 +678,7 @@ func (s *session) runRound(round int) error {
 		if err != nil {
 			return fmt.Errorf("transport: round %d: %w", round, err)
 		}
-		s.scoreReputation(agg, failures)
+		fl.ScoreReputation(c.Reputation, agg, s.column, failures)
 		s.installGlobal(agg)
 	}
 	s.releaseColumn()
@@ -759,30 +715,6 @@ func (s *session) releaseColumn() {
 	clear(s.unheld)
 	clear(s.column)
 	s.unheld, s.column = s.unheld[:0], s.column[:0]
-}
-
-// scoreReputation feeds one round's evidence to the reputation tracker:
-// each kept update's deviation from the aggregate, plus round
-// participation for probation accounting.
-func (s *session) scoreReputation(agg []float64, failures []fl.ClientFailure) {
-	rep := s.c.Reputation
-	if rep == nil {
-		return
-	}
-	ids := make([]int, len(s.column))
-	params := make([][]float64, len(s.column))
-	for i, u := range s.column {
-		ids[i] = u.ClientID
-		params[i] = u.Params
-	}
-	rep.ObserveDeviations(ids, robust.Distances(agg, params))
-	roundIDs := ids
-	for _, f := range failures {
-		if f.Reason != fl.FailQuarantined {
-			roundIDs = append(roundIDs, f.ClientID)
-		}
-	}
-	rep.EndRound(roundIDs)
 }
 
 // classifyFailure handles one failed exchange in fault-tolerant mode:

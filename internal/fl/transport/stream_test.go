@@ -1,14 +1,20 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"net"
+	"regexp"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/cip-fl/cip/internal/fl"
+	"github.com/cip-fl/cip/internal/fl/compress"
+	"github.com/cip-fl/cip/internal/fl/faults"
 	"github.com/cip-fl/cip/internal/fl/robust"
 )
 
@@ -35,20 +41,13 @@ func (c *vecClient) TrainLocal(round int, global []float64) (fl.Update, error) {
 // returns the final global plus the clients (for participation counts).
 func runVecFederation(t *testing.T, coord *Coordinator, n int) ([]float64, []*vecClient) {
 	t.Helper()
-	addr, wait := startCoordinator(t, coord)
 	clients := make([]*vecClient, n)
-	var cwg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	roster := make([]fl.Client, n)
+	for i := range clients {
 		clients[i] = &vecClient{id: i, samples: 5 + 3*i}
-		cwg.Add(1)
-		go func(i int) {
-			defer cwg.Done()
-			errs[i] = RunClient(addr, clients[i])
-		}(i)
+		roster[i] = clients[i]
 	}
-	global, srvErr := wait()
-	cwg.Wait()
+	global, errs, srvErr := runFederation(t, coord, roster, RetryConfig{})
 	if srvErr != nil {
 		t.Fatalf("coordinator: %v", srvErr)
 	}
@@ -58,6 +57,25 @@ func runVecFederation(t *testing.T, coord *Coordinator, n int) ([]float64, []*ve
 		}
 	}
 	return global, clients
+}
+
+// runFederation runs coord over the roster, each client dialing once with
+// rc, and returns the coordinator's result and every client's error.
+func runFederation(t *testing.T, coord *Coordinator, roster []fl.Client, rc RetryConfig) ([]float64, []error, error) {
+	t.Helper()
+	addr, wait := startCoordinator(t, coord)
+	var cwg sync.WaitGroup
+	errs := make([]error, len(roster))
+	for i, c := range roster {
+		cwg.Add(1)
+		go func() {
+			defer cwg.Done()
+			errs[i] = RunClientRetry(addr, c, rc)
+		}()
+	}
+	global, srvErr := wait()
+	cwg.Wait()
+	return global, errs, srvErr
 }
 
 // TestFlatTCPMatchesInProcess is the differential oracle between the two
@@ -133,22 +151,144 @@ func TestFlatTCPMatchesInProcess(t *testing.T) {
 						}
 						got, _ := runVecFederation(t, coord, n)
 						sameBits(t, "final global", got, want)
-						if len(rec.Rounds) != len(wantRec.Rounds) {
-							t.Fatalf("recorded %d rounds, in process %d", len(rec.Rounds), len(wantRec.Rounds))
-						}
-						for i, rr := range rec.Rounds {
-							wr := wantRec.Rounds[i]
-							sameBits(t, fmt.Sprintf("round %d global", rr.Round), rr.Global, wr.Global)
-							sameBits(t, fmt.Sprintf("round %d losses", rr.Round), rr.TrainLosses, wr.TrainLosses)
-							if len(rr.LocalParams) != len(wr.LocalParams) {
-								t.Fatalf("round %d: %d updates recorded, in process %d", rr.Round, len(rr.LocalParams), len(wr.LocalParams))
-							}
-							for j := range rr.LocalParams {
-								sameBits(t, fmt.Sprintf("round %d update %d", rr.Round, j), rr.LocalParams[j], wr.LocalParams[j])
-							}
-						}
+						sameHistory(t, rec, wantRec)
 					})
 				}
+			}
+		}
+	}
+	roundRulesMatch(t, initial)
+}
+
+// roundRulesMatch is the oracle's second table: the round rules both
+// engines run from one copy in package fl — SampleCohort, validation and
+// the fail-stop and quorum paths, and ScoreReputation above — over
+// compression {none, topk8, q16} × sampling {off, 0.5} × failures {clean,
+// fail-stop with a NaN client in round 1, MinQuorum 3 with a NaN update in
+// the final round} × windows {1, 64}. A fail-stop run samples on neither
+// engine (the coordinator refuses it; in process sampling needs a
+// RoundPolicy), and in process compression needs a RoundPolicy too, so
+// fail-stop rows run dense and unsampled. The roster is 8 clients, so a
+// sampled cohort of 4 keeps MinQuorum 3 after one invalid update. The
+// invalid update comes in the final round because the engines part after
+// it by design: TCP closes a failed client's connection and drops it from
+// the roster, in process it trains again next round.
+func roundRulesMatch(t *testing.T, initial []float64) {
+	const n, rounds, seed = 8, 3, 5
+	for _, mode := range []string{"", "topk8", "q16"} {
+		for _, frac := range []float64{0, 0.5} {
+			for _, failure := range []string{"clean", "fail-stop", "quorum"} {
+				if failure == "fail-stop" && (mode != "" || frac > 0) {
+					continue
+				}
+				name := fmt.Sprintf("rules/%s/sample%v/%s", cmp.Or(mode, "dense"), frac, failure)
+				quorum := map[string]int{"clean": 0, "fail-stop": 0, "quorum": 3}[failure]
+				if frac > 0 {
+					quorum = max(quorum, 1)
+				}
+				// roster builds a fresh federation, corrupting one client:
+				// client 2 in round 1 (fail-stop), or a member of the final
+				// round's cohort (quorum).
+				roster := func() []fl.Client {
+					clients := make([]fl.Client, n)
+					for i := range clients {
+						clients[i] = &vecClient{id: i, samples: 5 + 3*i}
+					}
+					switch failure {
+					case "fail-stop":
+						clients[2] = faults.NewCorrupt(clients[2], faults.CorruptNaN, faults.On(1))
+					case "quorum":
+						cohort, _ := fl.SampleCohort(clients, fl.Client.NumSamples, frac, seed, rounds-1, quorum)
+						bad := cohort[1].ID()
+						clients[bad] = faults.NewCorrupt(clients[bad], faults.CorruptNaN, faults.On(rounds-1))
+					}
+					return clients
+				}
+				m, err := compress.ParseMode(mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := compress.Config{Mode: m, TopKFrac: 0.25}
+				srv := fl.NewServer(initial, roster()...)
+				if mode != "" || quorum > 0 {
+					srv.Policy = &fl.RoundPolicy{MinQuorum: quorum, SampleFraction: frac, SampleSeed: seed}
+					if mode != "" {
+						srv.Policy.Compress = compress.NewBank(cfg)
+					}
+				}
+				wantRec := &fl.HistoryRecorder{KeepParams: true}
+				srv.Observers = []fl.RoundObserver{wantRec}
+				wantErr := srv.Run(rounds)
+				if (wantErr != nil) != (failure == "fail-stop") {
+					t.Fatalf("%s: in-process: %v", name, wantErr)
+				}
+				// The row exercises what it names: 4 of 8 train when sampled,
+				// and the quorum row drops one client in the final round.
+				for _, r := range wantRec.Rounds {
+					trained := len(r.LocalParams) + len(r.Dropped)
+					if dropped := len(r.Dropped) == 1; trained != map[bool]int{false: n, true: 4}[frac > 0] ||
+						dropped != (failure == "quorum" && r.Round == rounds-1) {
+						t.Fatalf("%s: round %d trained %d clients, dropped %v", name, r.Round, trained, r.Dropped)
+					}
+				}
+				for _, w := range []int{1, 64} {
+					t.Run(fmt.Sprintf("%s/w%d", name, w), func(t *testing.T) {
+						rec := &fl.HistoryRecorder{KeepParams: true}
+						coord := &Coordinator{
+							NumClients: n, Rounds: rounds, Initial: initial, MinQuorum: quorum,
+							SampleFraction: frac, SampleSeed: seed, MaxInflightUpdates: w,
+							Observers: []fl.RoundObserver{rec},
+						}
+						got, _, err := runFederation(t, coord, roster(), RetryConfig{Compress: mode, TopKFrac: cfg.TopKFrac})
+						sameHistory(t, rec, wantRec)
+						if wantErr != nil {
+							// Both engines stop in round 1 and name client 2.
+							for _, e := range []error{wantErr, err} {
+								if e == nil || !strings.Contains(e.Error(), "round 1: ") ||
+									clientNamed.FindStringSubmatch(e.Error())[1] != "2" {
+									t.Fatalf("want a round-1 failure naming client 2; in process %v, TCP %v", wantErr, err)
+								}
+							}
+							return
+						}
+						if err != nil {
+							t.Fatalf("coordinator: %v", err)
+						}
+						sameBits(t, "final global", got, srv.Global())
+					})
+				}
+			}
+		}
+	}
+}
+
+// clientNamed finds the first client an error message names.
+var clientNamed = regexp.MustCompile(`client (\d+)`)
+
+// sameHistory requires two HistoryRecorders to agree bit for bit: every
+// round's pre-round global, losses and updates, and who was dropped why.
+func sameHistory(t *testing.T, got, want *fl.HistoryRecorder) {
+	t.Helper()
+	if len(got.Rounds) != len(want.Rounds) {
+		t.Fatalf("recorded %d rounds, in process %d", len(got.Rounds), len(want.Rounds))
+	}
+	for i, rr := range got.Rounds {
+		wr := want.Rounds[i]
+		sameBits(t, fmt.Sprintf("round %d global", rr.Round), rr.Global, wr.Global)
+		sameBits(t, fmt.Sprintf("round %d losses", rr.Round), rr.TrainLosses, wr.TrainLosses)
+		if len(rr.LocalParams) != len(wr.LocalParams) {
+			t.Fatalf("round %d: %d updates recorded, in process %d", rr.Round, len(rr.LocalParams), len(wr.LocalParams))
+		}
+		for j := range rr.LocalParams {
+			sameBits(t, fmt.Sprintf("round %d update %d", rr.Round, j), rr.LocalParams[j], wr.LocalParams[j])
+		}
+		if len(rr.Dropped) != len(wr.Dropped) {
+			t.Fatalf("round %d: dropped %v, in process %v", rr.Round, rr.Dropped, wr.Dropped)
+		}
+		for j, f := range rr.Dropped {
+			if w := wr.Dropped[j]; f.ClientID != w.ClientID || f.Reason != w.Reason {
+				t.Fatalf("round %d: dropped client %d (%s), in process client %d (%s)",
+					rr.Round, f.ClientID, f.Reason, w.ClientID, w.Reason)
 			}
 		}
 	}
@@ -189,6 +329,27 @@ func TestSampledCohortsAreDeterministic(t *testing.T) {
 		if c == rounds {
 			t.Fatalf("client %d sampled every round — sampler looks degenerate: %v", i, a)
 		}
+	}
+}
+
+// TestFailStopSamplingRefused: a fail-stop node that samples its own
+// clients floors the cohort at the whole roster, so SampleFraction would
+// silently train everyone; flat coordinators and leaves refuse it before
+// accepting anyone. A tree parent only relays the directive and may
+// carry it without a quorum (TestRootSamplingDirectiveThinsShards).
+func TestFailStopSamplingRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	flat := Coordinator{NumClients: 4, Rounds: 6, Initial: []float64{1, 2}, SampleFraction: 0.5}
+	if _, err := flat.RunWithListener(ln, nil); err == nil || !strings.Contains(err.Error(), "needs MinQuorum > 0") {
+		t.Fatalf("flat fail-stop sampling: got %v, want a refusal", err)
+	}
+	leaf := &Leaf{Root: "127.0.0.1:1", Local: flat}
+	if _, err := leaf.RunWithListener(ln, nil); err == nil || !strings.Contains(err.Error(), "needs MinQuorum > 0") {
+		t.Fatalf("leaf fail-stop sampling: got %v, want a refusal", err)
 	}
 }
 

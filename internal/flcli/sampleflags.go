@@ -20,10 +20,11 @@ func RegisterSampleFlags() *SampleFlags {
 		Frac: flag.Float64("sample-frac", 0,
 			"per-round client sampling fraction in (0, 1): each round trains a cohort of "+
 				"~frac×roster, weighted by client sample counts and never below the quorum; "+
-				"0 or 1 trains everyone"),
+				"a flat flserver needs -quorum > 0 to sample, ciptrain samples with a quorum of 1 "+
+				"unless -quorum says otherwise; 0 or 1 trains everyone"),
 		Seed: flag.Int64("sample-seed", 1,
-			"cohort sampler seed; the per-round cohort is a pure function of (seed, round), "+
-				"so a resumed federation replays the same schedule"),
+			"cohort sampler seed (with -sample-frac); flserver and ciptrain draw each round's "+
+				"cohort from (seed, round) alone, so a resumed federation replays the same schedule"),
 	}
 }
 
