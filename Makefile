@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # whatever `staticcheck` is on PATH (and skip cleanly when there is none).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet orphans staticcheck crosscheck portable fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck quickcheck check
+.PHONY: build test race vet orphans staticcheck crosscheck portable convbench fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck quickcheck check
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,12 @@ crosscheck:
 # About 15 s.
 portable:
 	GOARCH=386 $(GO) test -count=1 ./internal/tensor ./internal/nn
+
+# convbench runs one iteration of every case of the convolution layer's
+# benchmark (forward, Step II and Step I backward at the VGG and sweep
+# shapes, about a second), so the benchmark cannot rot.
+convbench:
+	$(GO) test -count=1 -run '^$$' -bench '^BenchmarkConvLayer$$' -benchtime 1x ./internal/nn
 
 # The race detector slows the heavyweight experiment replays ~10-20x past
 # the default go-test timeout; they honor -short and are covered without
@@ -207,8 +213,9 @@ quickcheck:
 		|| { echo "quickcheck: cipbench -exp theorem1 -repeat 2 failed"; exit 1; }
 
 # check is the full CI gate: static analysis, the orphan gate, the arm64
-# cross-compile, the portable-kernel tests, the race-enabled suite, a
+# cross-compile, the portable-kernel tests, one pass of the convolution
+# benchmark, the race-enabled suite, a
 # short fuzz burst, the crash-harness smoke, the byzantine smoke, the
 # wire-path conformance sweep, and a short untraced and traced run of
 # every repository-benchmark workload.
-check: vet orphans staticcheck crosscheck portable race fuzz chaossmoke byzsmoke wirecheck benchcheck
+check: vet orphans staticcheck crosscheck portable convbench race fuzz chaossmoke byzsmoke wirecheck benchcheck

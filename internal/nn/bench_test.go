@@ -50,53 +50,75 @@ func BenchmarkForwardBackwardStep(b *testing.B) {
 	}
 }
 
-// BenchmarkConv2D times one Conv2D layer's train-mode forward plus
-// BackwardFor, for each want, at the three cip_vgg_f64 convolutions and
-// batch 32. Input and output gradient live in a workspace that is reset
-// every iteration, as in a CIP step, so a warmed iteration allocates
-// nothing; run with -benchmem to see it, and -cpu 1 for per-core numbers.
-func BenchmarkConv2D(b *testing.B) {
+// BenchmarkConvLayer times one Conv2D layer's train-mode forward, its
+// Step II backward (AllGrads) and its Step I backward (InputGrad) on their
+// own, at the three cip_vgg_f64 convolutions (batch 32) and at the
+// experiment sweep's (3→16 and 16→16 at 8×8 and 12×12, batch 16). The
+// cache is the layer's input, so one forward serves every timed backward.
+// Input, output gradient and everything a pass allocates live in a
+// workspace rewound after every pass, so a warmed pass allocates nothing;
+// run with -benchmem to see it, and -cpu 1 for per-core numbers.
+func BenchmarkConvLayer(b *testing.B) {
 	layers := []struct {
-		name string
-		g    tensor.ConvGeom
-		outC int
+		name        string
+		g           tensor.ConvGeom
+		outC, batch int
 	}{
-		{"3to10_32x32", tensor.ConvGeom{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}, 10},
-		{"10to10_32x32", tensor.ConvGeom{InC: 10, InH: 32, InW: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}, 10},
-		{"10to14_16x16", tensor.ConvGeom{InC: 10, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 14},
+		{"vgg_3to10_32x32", convGeom3x3(3, 32), 10, 32},
+		{"vgg_10to10_32x32", convGeom3x3(10, 32), 10, 32},
+		{"vgg_10to14_16x16", convGeom3x3(10, 16), 14, 32},
+		{"sweep_3to16_8x8", convGeom3x3(3, 8), 16, 16},
+		{"sweep_16to16_8x8", convGeom3x3(16, 8), 16, 16},
+		{"sweep_3to16_12x12", convGeom3x3(3, 12), 16, 16},
+		{"sweep_16to16_12x12", convGeom3x3(16, 12), 16, 16},
 	}
-	wants := []struct {
-		name string
-		want Grads
-	}{{"params", ParamGrads}, {"input", InputGrad}, {"all", AllGrads}}
 	for _, l := range layers {
-		for _, w := range wants {
-			b.Run(l.name+"/"+w.name, func(b *testing.B) {
-				rng := rand.New(rand.NewSource(3))
-				c := NewConv2D(rng, l.g, l.outC)
-				x := tensor.New(32, l.g.InC, l.g.InH, l.g.InW)
-				x.RandNormal(rng, 0, 1)
-				grad := tensor.New(32, l.outC, l.g.OutH(), l.g.OutW())
-				grad.RandNormal(rng, 0, 1)
+		rng := rand.New(rand.NewSource(3))
+		c := NewConv2D(rng, l.g, l.outC)
+		x := tensor.New(l.batch, l.g.InC, l.g.InH, l.g.InW)
+		x.RandNormal(rng, 0, 1)
+		grad := tensor.New(l.batch, l.outC, l.g.OutH(), l.g.OutW())
+		grad.RandNormal(rng, 0, 1)
+		passes := []struct {
+			name string
+			pass func(wx, wg *tensor.Tensor, cache Cache)
+		}{
+			{"forward", func(wx, _ *tensor.Tensor, _ Cache) { c.Forward(wx, true) }},
+			{"backward_all", func(_, wg *tensor.Tensor, cache Cache) { c.BackwardFor(cache, wg, AllGrads) }},
+			{"backward_input", func(_, wg *tensor.Tensor, cache Cache) { c.BackwardFor(cache, wg, InputGrad) }},
+		}
+		for _, p := range passes {
+			b.Run(l.name+"/"+p.name, func(b *testing.B) {
 				ws := &tensor.Workspace{}
-				pass := func() {
-					wx := ws.New(x.Shape...)
-					copy(wx.Data, x.Data)
-					wg := ws.New(grad.Shape...)
-					copy(wg.Data, grad.Data)
-					_, cache := c.Forward(wx, true)
-					c.BackwardFor(cache, wg, w.want)
+				var wx, wg *tensor.Tensor
+				var cache Cache
+				var inputs tensor.Mark
+				setup := func() {
 					ws.Reset()
+					wx, wg = ws.New(x.Shape...), ws.New(grad.Shape...)
+					copy(wx.Data, x.Data)
+					copy(wg.Data, grad.Data)
+					_, cache = c.Forward(wx, true)
+					inputs = ws.Mark()
 				}
-				pass() // sizes the workspace slab
+				setup()
+				p.pass(wx, wg, cache)
+				setup() // the slab now holds a whole pass
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					pass()
+					p.pass(wx, wg, cache)
+					ws.Rewind(inputs)
 				}
 			})
 		}
 	}
+}
+
+// convGeom3x3 is a 3×3, stride-1, pad-1 convolution over inC square
+// size×size planes, the shape of every model convolution.
+func convGeom3x3(inC, size int) tensor.ConvGeom {
+	return tensor.ConvGeom{InC: inC, InH: size, InW: size, KH: 3, KW: 3, Stride: 1, Pad: 1}
 }
 
 func BenchmarkSoftmaxCrossEntropy(b *testing.B) {

@@ -9,7 +9,8 @@ import (
 
 // Conv2D is a 2-D convolution over NCHW inputs with OIHW kernels,
 // implemented by lowering each image to columns and multiplying by the
-// kernel matrix (tensor.ConvForwardInto).
+// kernel matrix (tensor.ConvForwardInto). Its forward cache is its input,
+// so the input must stay unmodified until the backward pass has run.
 type Conv2D struct {
 	Geom tensor.ConvGeom
 	OutC int
@@ -34,21 +35,22 @@ func NewConv2D(rng *rand.Rand, g tensor.ConvGeom, outC int) *Conv2D {
 	return c
 }
 
-// The conv cache is the batch's columns themselves ([N, InC*KH*KW,
-// OH*OW]); boxing the existing pointer into the Cache interface costs no
-// allocation, and the batch size is its leading dimension.
+// The conv cache is the layer's input x itself: the backward pass lowers
+// what it needs of x again, a block of tap rows at a time, into pooled
+// scratch (tensor.ConvParamGradsInto). Boxing the existing pointer into
+// the Cache interface costs no allocation. x must not be mutated between
+// Forward and the Backward that consumes its cache; nothing in this
+// package writes into a layer's input.
 
 // Forward computes the convolution for x of shape [N, InC, InH, InW]. Each
 // image's product is its NCHW output, bias included, so nothing is
-// reordered. Every buffer lives where x does, so under a workspace the
-// pass allocates nothing.
+// reordered. The output lives where x does, so under a workspace the pass
+// allocates nothing.
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, Cache) {
 	g := c.Geom
-	n, oh, ow := x.Shape[0], g.OutH(), g.OutW()
-	cols := tensor.NewLike(x, n, g.InC*g.KH*g.KW, oh*ow)
-	out := tensor.NewLike(x, n, c.OutC, oh, ow)
-	tensor.ConvForwardInto(out, cols, x, c.W.Value, c.B.Value.Data, g)
-	return out, cols
+	out := tensor.NewLike(x, x.Shape[0], c.OutC, g.OutH(), g.OutW())
+	tensor.ConvForwardInto(out, x, c.W.Value, c.B.Value.Data, g)
+	return out, x
 }
 
 // Backward accumulates kernel/bias gradients and returns the input gradient.
@@ -57,21 +59,19 @@ func (c *Conv2D) Backward(cache Cache, grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // BackwardFor implements PartialBackward: without ParamGrads it skips the
-// kernel and bias gradients, and without InputGrad the input-gradient
-// GEMMs and col2im. It consumes the cached columns: they are dead once dW
-// is computed, so the input gradient reuses their storage for its grad
-// columns.
+// kernel and bias gradients, which alone read the cached input, and
+// without InputGrad the input-gradient GEMMs and col2im.
 func (c *Conv2D) BackwardFor(cache Cache, grad *tensor.Tensor, want Grads) *tensor.Tensor {
-	cols := cache.(*tensor.Tensor)
+	x := cache.(*tensor.Tensor)
 	g := c.Geom
 	if want&ParamGrads != 0 {
-		tensor.ConvParamGradsInto(c.W.Grad, c.B.Grad.Data, cols, grad, g)
+		tensor.ConvParamGradsInto(c.W.Grad, c.B.Grad.Data, x, grad, g)
 	}
 	if want&InputGrad == 0 {
 		return nil
 	}
-	dx := tensor.NewLike(grad, cols.Shape[0], g.InC, g.InH, g.InW)
-	return tensor.ConvInputGradInto(dx, cols, grad, c.W.Value, g)
+	dx := tensor.NewLike(grad, x.Shape...)
+	return tensor.ConvInputGradInto(dx, grad, c.W.Value, g)
 }
 
 // Params returns the kernel and bias.

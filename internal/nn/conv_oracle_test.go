@@ -301,6 +301,43 @@ func TestConv2DMatchesRowMajorOracleF32(t *testing.T) {
 	}
 }
 
+// TestConv2DCacheIsSelfContained: a forward pass on batch B between batch
+// A's forward and backward leaves A's gradients untouched — the cache
+// holds A's input, not anything the layer or its scratch reuses — so
+// backward on A's cache equals a fresh forward+backward of A bit for bit,
+// serially and fanned out.
+func TestConv2DCacheIsSelfContained(t *testing.T) {
+	g := tensor.ConvGeom{InC: 10, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	for _, workers := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(workers)
+		c := NewConv2D(rand.New(rand.NewSource(4)), g, 14)
+		xa, ga := convInputs(c, 16, 5)
+		xb, _ := convInputs(c, 16, 6)
+		run := func(interleave bool) convResult {
+			ZeroGrads(c.Params())
+			out, cache := c.Forward(xa, true)
+			out = out.Clone()
+			if interleave {
+				c.Forward(xb, true)
+			}
+			dx := c.Backward(cache, ga)
+			return convResult{out: out.Data, dx: dx.Data,
+				dw: append([]float64(nil), c.W.Grad.Data...), db: append([]float64(nil), c.B.Grad.Data...)}
+		}
+		want, got := run(false), run(true)
+		runtime.GOMAXPROCS(prev)
+		for _, f := range []struct {
+			what     string
+			got, ref []float64
+		}{{"out", got.out, want.out}, {"dX", got.dx, want.dx}, {"dW", got.dw, want.dw}, {"dB", got.db, want.db}} {
+			if i := firstBitDiff(f.got, f.ref); i >= 0 {
+				t.Fatalf("GOMAXPROCS=%d: %s after an interleaved forward differs at %d: %v vs %v",
+					workers, f.what, i, f.got[i], f.ref[i])
+			}
+		}
+	}
+}
+
 // TestConv2DWarmPassAllocatesNothing: a forward plus full backward at the
 // cip_vgg_f64 layer-2 shape, under a warmed workspace, makes no heap
 // allocation, serially or fanned out over images: the per-image loops take

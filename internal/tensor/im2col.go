@@ -42,28 +42,42 @@ func (g ConvGeom) Validate() error {
 // [K, S] block, K = InC·KH·KW kernel taps by S = OutH·OutW output
 // positions: row (c, ky, kx) holds, for every output position in raster
 // order, the input pixel that tap reads (zero where it falls in the
-// padding). A batch's columns are N such blocks back to back, [N, K, S].
+// padding). Im2Col lays a batch's columns out as N such blocks back to
+// back, [N, K, S]; the convolution itself never holds more than one
+// image's block at a time.
 //
-//   - im2col is row copies: within one output row, a tap row reads a
-//     contiguous run of one input row, shifted by kx − Pad (strided when
-//     Stride > 1), and zero-fills the ends.
-//   - col2im is the same runs added back. Taps are walked in reverse
-//     (ky, kx) order, so every pixel sums its contributions in ascending
+//   - A tap row is one routine (tapRow). When the output keeps the input
+//     width at stride 1 — every model convolution — output position
+//     p = oy·W + ox reads input pixel p + (ky−Pad)·W + (kx−Pad), so the
+//     row is one shifted copy of the channel plane with the columns that
+//     wrapped round an edge and the rows outside the image zeroed. Any
+//     other geometry copies a contiguous (strided when Stride > 1) run of
+//     one input row per output row and zero-fills its ends.
+//   - col2im adds the row runs back. Taps are walked in reverse (ky, kx)
+//     order, so every pixel sums its contributions in ascending
 //     output-position order, which the nn package's row-major reference
 //     (TestConv2DMatchesRowMajorOracle) pins bit for bit.
-//   - The forward product out_b = W·cols_b + bias is [OutC, S]: image b's
-//     NCHW output, written in place. The backward reads the output
-//     gradient g_b [OutC, S] in place the same way: dcols_b = Wᵀ·g_b
-//     feeds col2im, and dWᵀ accumulates cols_b·g_bᵀ.
+//   - The forward lowers image b into a per-worker scratch and writes
+//     out_b = W·cols_b + bias, [OutC, S]: image b's NCHW output, in place.
+//     The input gradient writes dcols_b = Wᵀ·g_b into the scratch, with
+//     the output gradient g_b [OutC, S] read in place, and col2im
+//     scatters it. The weight gradient runs over blocks of dWᵀ rows: for
+//     each image in order it regenerates the block's tap rows from x_b
+//     into the scratch and accumulates cols_b·g_bᵀ into them. The
+//     backward therefore reads the layer's input, which must not change
+//     between the forward and the backward.
 //
-// Every per-image step fans out over images, and the weight gradient over
-// rows of dWᵀ, through one pooled convTask per call; nothing is allocated
-// per image. Each per-image product is an inner GEMM (gemmShape.inner):
-// serial, untimed, and with its row remainder on the tile kernel, so every
-// element of a product is one multiply-add chain in k order, rounded the
-// same in every row. The layer's product is recorded as one GEMM of the
-// whole batch's volume, so the GEMM counters see one product per layer
-// pass, as for a dense layer.
+// Scratch is pooled and sized for one image's [K, S] block, or for one
+// block of dWᵀ rows [rows, S], so it stays in cache while the GEMM reads
+// it. Every per-image step fans out over images, and the weight gradient
+// over rows of dWᵀ, through one pooled convTask per call; nothing is
+// allocated per image. Each per-image product is an inner GEMM
+// (gemmShape.inner): serial, untimed, and with its row remainder on the
+// tile kernel, so every element of a product is one multiply-add chain in
+// k order, rounded the same in every row and whatever the row blocking.
+// The layer's product is recorded as one GEMM of the whole batch's
+// volume, so the GEMM counters see one product per layer pass, as for a
+// dense layer.
 
 // taps is K, the row count of one image's column block.
 func (g ConvGeom) taps() int { return g.InC * g.KH * g.KW }
@@ -104,7 +118,7 @@ func Im2ColInto(cols, x *Tensor, g ConvGeom) *Tensor {
 
 // Col2Im scatters columns (as produced by Im2Col) back into an NCHW image
 // tensor, accumulating overlapping contributions. It is the adjoint of
-// Im2Col and is used in the convolution backward pass.
+// Im2Col.
 func Col2Im(cols *Tensor, n int, g ConvGeom) *Tensor {
 	return Col2ImInto(NewLike(cols, n, g.InC, g.InH, g.InW), cols, n, g)
 }
@@ -124,40 +138,39 @@ func Col2ImInto(out, cols *Tensor, n int, g ConvGeom) *Tensor {
 
 // ConvForwardInto computes out = conv(x, w) + bias for NCHW images x
 // [N, InC, InH, InW] and kernels w [OutC, InC·KH·KW] into out
-// [N, OutC, OutH, OutW], keeping the batch's columns in cols (volume as
-// Im2ColInto's) for the backward pass. bias has length OutC. Returns out.
-func ConvForwardInto(out, cols, x, w *Tensor, bias []float64, g ConvGeom) *Tensor {
+// [N, OutC, OutH, OutW]. bias has length OutC. The backward pass needs
+// only x back (ConvParamGradsInto). Returns out.
+func ConvForwardInto(out, x, w *Tensor, bias []float64, g ConvGeom) *Tensor {
 	n, outC := x.Shape[0], w.Shape[0]
 	checkImages("ConvForwardInto", x, n, g)
 	checkConvWeight("ConvForwardInto", w, g)
 	checkBias("ConvForwardInto", bias, outC)
-	checkVolume("ConvForwardInto", cols, n*g.taps()*g.OutH()*g.OutW())
 	checkVolume("ConvForwardInto", out, n*outC*g.OutH()*g.OutW())
 	t := newConvTask(convForward, g, n)
-	t.x, t.cols, t.y, t.w, t.bias, t.outC = x.Data, cols.Data, out.Data, w.Data, bias, outC
+	t.x, t.y, t.w, t.bias, t.outC = x.Data, out.Data, w.Data, bias, outC
 	t.run(n, 1)
 	return out
 }
 
 // ConvParamGradsInto adds a convolution's kernel and bias gradients into
-// dw [OutC, InC·KH·KW] and db (length OutC), from the columns its forward
-// pass kept and the output gradient grad [N, OutC, OutH, OutW].
+// dw [OutC, InC·KH·KW] and db (length OutC), from the forward pass's input
+// x [N, InC, InH, InW] and the output gradient grad [N, OutC, OutH, OutW].
 //
 // Each element of dWᵀ is one multiply-add chain over (image, position) in
 // order, kept in a pooled temporary across images and kc blocks, then
 // added into dw once; db sums each channel in the same order.
-func ConvParamGradsInto(dw *Tensor, db []float64, cols, grad *Tensor, g ConvGeom) {
+func ConvParamGradsInto(dw *Tensor, db []float64, x, grad *Tensor, g ConvGeom) {
 	n, outC, k := grad.Shape[0], dw.Shape[0], g.taps()
 	checkConvWeight("ConvParamGradsInto", dw, g)
 	checkBias("ConvParamGradsInto", db, outC)
+	checkImages("ConvParamGradsInto", x, n, g)
 	s := g.OutH() * g.OutW()
-	checkVolume("ConvParamGradsInto", cols, n*k*s)
 	checkVolume("ConvParamGradsInto", grad, n*outC*s)
 
 	dwT := GetTensor(k, outC)
 	clear(dwT.Data)
 	t := newConvTask(convWeightGrad, g, n)
-	t.cols, t.y, t.w, t.outC = cols.Data, grad.Data, dwT.Data, outC
+	t.x, t.y, t.w, t.outC = x.Data, grad.Data, dwT.Data, outC
 	t.run(k, mr)
 	for oc := 0; oc < outC; oc++ {
 		dst := dw.Data[oc*k : (oc+1)*k]
@@ -179,20 +192,18 @@ func ConvParamGradsInto(dw *Tensor, db []float64, cols, grad *Tensor, g ConvGeom
 }
 
 // ConvInputGradInto sets dx [N, InC, InH, InW] to the input gradient of a
-// convolution with kernels w, given its forward columns and the output
-// gradient grad. The columns are dead once the parameter gradients are
-// taken, so each image's grad columns Wᵀ·g_b overwrite its columns in
-// cols before col2im scatters them. Returns dx.
-func ConvInputGradInto(dx, cols, grad, w *Tensor, g ConvGeom) *Tensor {
+// convolution with kernels w, given the output gradient grad
+// [N, OutC, OutH, OutW]. It needs nothing from the forward pass. Returns
+// dx.
+func ConvInputGradInto(dx, grad, w *Tensor, g ConvGeom) *Tensor {
 	n, outC := grad.Shape[0], w.Shape[0]
 	checkConvWeight("ConvInputGradInto", w, g)
 	checkImages("ConvInputGradInto", dx, n, g)
-	checkVolume("ConvInputGradInto", cols, n*g.taps()*g.OutH()*g.OutW())
 	checkVolume("ConvInputGradInto", grad, n*outC*g.OutH()*g.OutW())
 	wT := GetTensor(g.taps(), outC)
 	TransposeInto(wT, w)
 	t := newConvTask(convInputGrad, g, n)
-	t.x, t.cols, t.y, t.w, t.outC = dx.Data, cols.Data, grad.Data, wT.Data, outC
+	t.x, t.y, t.w, t.outC = dx.Data, grad.Data, wT.Data, outC
 	t.run(n, 1)
 	PutTensor(wT)
 	return dx
@@ -204,15 +215,16 @@ type convOp uint8
 const (
 	convIm2Col     convOp = iota // image b: cols_b = im2col(x_b)
 	convCol2Im                   // image b: x_b = col2im(cols_b)
-	convForward                  // image b: cols_b = im2col(x_b); y_b = W·cols_b + bias
-	convInputGrad                // image b: cols_b = Wᵀ·y_b; x_b = col2im(cols_b)
-	convWeightGrad               // rows of dWᵀ (in w): += cols_b·y_bᵀ for every b in order
+	convForward                  // image b: scratch = im2col(x_b); y_b = W·scratch + bias
+	convInputGrad                // image b: scratch = Wᵀ·y_b; x_b = col2im(scratch)
+	convWeightGrad               // rows of dWᵀ (in w): += im2col(x_b)[rows]·y_bᵀ for every b in order
 )
 
 // convTask is one conv call's arguments for the helper team. x holds the
-// input images (or their gradient), cols the columns, y the output images
-// (or their gradient), w the kernel matrix (Wᵀ for convInputGrad, the dWᵀ
-// accumulator for convWeightGrad). One task is taken from a pool per call.
+// input images (or their gradient), cols a batch's columns (Im2Col and
+// Col2Im only), y the output images (or their gradient), w the kernel
+// matrix (Wᵀ for convInputGrad, the dWᵀ accumulator for convWeightGrad).
+// One task is taken from a pool per call.
 type convTask struct {
 	fanout
 	op         convOp
@@ -262,80 +274,123 @@ func (t *convTask) rows(lo, hi int) {
 	switch t.op {
 	case convIm2Col:
 		for u := lo; u < hi; u++ {
-			im2colImage(t.cols[u*cs:(u+1)*cs], t.x[u*img:(u+1)*img], g)
+			lowerTaps(t.cols[u*cs:(u+1)*cs], t.x[u*img:(u+1)*img], 0, k, g)
 		}
 	case convCol2Im:
 		for u := lo; u < hi; u++ {
 			col2imImage(t.x[u*img:(u+1)*img], t.cols[u*cs:(u+1)*cs], g)
 		}
 	case convForward:
+		cols := GetTensor(k, s)
 		for u := lo; u < hi; u++ {
-			cols := t.cols[u*cs : (u+1)*cs]
-			im2colImage(cols, t.x[u*img:(u+1)*img], g)
+			lowerTaps(cols.Data, t.x[u*img:(u+1)*img], 0, k, g)
 			start := time.Now()
-			gemm(t.y[u*ys:(u+1)*ys], t.w, cols,
+			gemm(t.y[u*ys:(u+1)*ys], t.w, cols.Data,
 				gemmShape{m: t.outC, k: k, n: s, bias: t.bias, rowBias: true, inner: true})
 			spent += time.Since(start)
 		}
+		PutTensor(cols)
 	case convInputGrad:
+		cols := GetTensor(k, s)
 		for u := lo; u < hi; u++ {
-			cols := t.cols[u*cs : (u+1)*cs]
 			start := time.Now()
-			gemm(cols, t.w, t.y[u*ys:(u+1)*ys], gemmShape{m: k, k: t.outC, n: s, inner: true})
+			gemm(cols.Data, t.w, t.y[u*ys:(u+1)*ys], gemmShape{m: k, k: t.outC, n: s, inner: true})
 			spent += time.Since(start)
-			col2imImage(t.x[u*img:(u+1)*img], cols, g)
+			col2imImage(t.x[u*img:(u+1)*img], cols.Data, g)
 		}
+		PutTensor(cols)
 	case convWeightGrad:
 		// Rows [lo, hi) of dWᵀ over every image in order, so each element
 		// is one chain over (image, position) at any worker count.
-		start := time.Now()
+		cols := GetTensor(hi-lo, s)
 		for b := 0; b < t.n; b++ {
-			gemm(t.w[lo*t.outC:hi*t.outC], t.cols[b*cs+lo*s:b*cs+hi*s], t.y[b*ys:(b+1)*ys],
+			lowerTaps(cols.Data, t.x[b*img:(b+1)*img], lo, hi, g)
+			start := time.Now()
+			gemm(t.w[lo*t.outC:hi*t.outC], cols.Data, t.y[b*ys:(b+1)*ys],
 				gemmShape{m: hi - lo, k: s, n: t.outC, transB: true, chain: true, inner: true})
+			spent += time.Since(start)
 		}
-		spent = time.Since(start)
+		PutTensor(cols)
 	}
 	t.gemmNS.Add(int64(spent))
 }
 
-// im2colImage lowers one image [InC, InH, InW] into its [K, S] columns.
-func im2colImage(cols, img []float64, g ConvGeom) {
+// lowerTaps writes rows [lo, hi) of one image's [K, S] columns into dst,
+// row lo first. img is the image, [InC, InH, InW].
+func lowerTaps(dst, img []float64, lo, hi int, g ConvGeom) {
+	s := g.OutH() * g.OutW()
+	plane := g.InH * g.InW
+	for r := lo; r < hi; r++ {
+		c, ky, kx := r/(g.KH*g.KW), r/g.KW%g.KH, r%g.KW
+		tapRow(dst[(r-lo)*s:][:s], img[c*plane:(c+1)*plane], ky, kx, g)
+	}
+}
+
+// tapRow writes the column row of tap (ky, kx) over channel plane ch
+// [InH, InW] into dst [S]: for every output position in raster order, the
+// pixel the tap reads, or zero in the padding.
+func tapRow(dst, ch []float64, ky, kx int, g ConvGeom) {
+	if g.Stride != 1 || g.OutW() != g.InW {
+		tapRowRuns(dst, ch, ky, kx, g)
+		return
+	}
+	// Output rows [y0, y1) read input rows inside the image; position p
+	// of those reads pixel p + d.
+	ow := g.InW
+	y0 := min(g.OutH(), max(0, g.Pad-ky))
+	y1 := max(y0, min(g.OutH(), g.InH+g.Pad-ky))
+	a, b := y0*ow, y1*ow
+	d := (ky-g.Pad)*ow + kx - g.Pad
+	// Clamp the copy to the plane; what the clamp drops is a wrapped
+	// column, zeroed below like the others.
+	ca := min(b, max(a, -d))
+	cb := max(ca, min(b, len(ch)-d))
+	clear(dst[:a])
+	if ca < cb {
+		copy(dst[ca:cb], ch[ca+d:cb+d])
+	}
+	clear(dst[b:])
+	lo, hi := g.span(kx)
+	for p := a; p < b; p += ow {
+		for x := p; x < p+lo; x++ {
+			dst[x] = 0
+		}
+		for x := p + hi; x < p+ow; x++ {
+			dst[x] = 0
+		}
+	}
+}
+
+// tapRowRuns is tapRow for any geometry: per output row, a run of one
+// input row (strided when Stride > 1) with its ends zero-filled.
+func tapRowRuns(dst, ch []float64, ky, kx int, g ConvGeom) {
 	oh, ow := g.OutH(), g.OutW()
-	s := oh * ow
-	chLen := g.InH * g.InW
-	for c := 0; c < g.InC; c++ {
-		ch := img[c*chLen : (c+1)*chLen]
-		for ky := 0; ky < g.KH; ky++ {
-			for kx := 0; kx < g.KW; kx++ {
-				row := cols[((c*g.KH+ky)*g.KW+kx)*s:][:s]
-				lo, hi := g.span(kx)
-				ix := lo*g.Stride + kx - g.Pad
-				for oy := 0; oy < oh; oy++ {
-					dst := row[oy*ow : (oy+1)*ow]
-					iy := oy*g.Stride + ky - g.Pad
-					if iy < 0 || iy >= g.InH {
-						clear(dst)
-						continue
-					}
-					clear(dst[:lo])
-					clear(dst[hi:])
-					src := ch[iy*g.InW : (iy+1)*g.InW]
-					if g.Stride == 1 {
-						copy(dst[lo:hi], src[ix:])
-						continue
-					}
-					for ox, x := lo, ix; ox < hi; ox, x = ox+1, x+g.Stride {
-						dst[ox] = src[x]
-					}
-				}
-			}
+	lo, hi := g.span(kx)
+	ix := lo*g.Stride + kx - g.Pad
+	for oy := 0; oy < oh; oy++ {
+		row := dst[oy*ow : (oy+1)*ow]
+		iy := oy*g.Stride + ky - g.Pad
+		if iy < 0 || iy >= g.InH {
+			clear(row)
+			continue
+		}
+		clear(row[:lo])
+		clear(row[hi:])
+		src := ch[iy*g.InW : (iy+1)*g.InW]
+		if g.Stride == 1 {
+			copy(row[lo:hi], src[ix:])
+			continue
+		}
+		for ox, x := lo, ix; ox < hi; ox, x = ox+1, x+g.Stride {
+			row[ox] = src[x]
 		}
 	}
 }
 
 // col2imImage zeroes one image [InC, InH, InW] and adds its [K, S] columns
-// into it, the adjoint of im2colImage. Taps run in reverse (ky, kx) order:
-// a pixel's contributions then arrive in ascending output-position order.
+// into it, the adjoint of the lowering. Taps run in reverse (ky, kx)
+// order: a pixel's contributions then arrive in ascending output-position
+// order.
 func col2imImage(img, cols []float64, g ConvGeom) {
 	oh, ow := g.OutH(), g.OutW()
 	s := oh * ow

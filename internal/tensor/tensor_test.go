@@ -273,7 +273,7 @@ func TestIm2ColConvMatchesNaive(t *testing.T) {
 	if !Equal(got, want, 1e-9) {
 		t.Fatal("im2col-based convolution diverges from naive convolution")
 	}
-	fused := ConvForwardInto(New(n, outC, g.OutH(), g.OutW()), New(n, k, s), x, wm, make([]float64, outC), g)
+	fused := ConvForwardInto(New(n, outC, g.OutH(), g.OutW()), x, wm, make([]float64, outC), g)
 	if !Equal(fused, want, 1e-9) {
 		t.Fatal("ConvForwardInto diverges from naive convolution")
 	}
@@ -294,6 +294,75 @@ func TestIm2ColStride2(t *testing.T) {
 	got := MatMul(w.Reshape(3, k), cols.Reshape(k, s))
 	if !Equal(got.Reshape(1, 3, g.OutH(), g.OutW()), naiveConv(x, w, g), 1e-9) {
 		t.Fatal("stride-2 im2col convolution diverges from naive convolution")
+	}
+}
+
+// TestTapRowMatchesRowRuns: tapRow — the shifted plane copy where the
+// output keeps the input width at stride 1, the per-row runs elsewhere —
+// writes every element of every tap row with the bits of the per-row runs
+// and of the definition (the pixel the tap reads, +0 in the padding), over
+// a NaN-filled destination. lowerTaps of any tap block equals those rows
+// of Im2Col.
+func TestTapRowMatchesRowRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, tc := range []struct {
+		name string
+		g    ConvGeom
+	}{
+		{"3x3pad1", ConvGeom{InC: 2, InH: 6, InW: 7, KH: 3, KW: 3, Stride: 1, Pad: 1}},
+		{"stride2", ConvGeom{InC: 2, InH: 9, InW: 9, KH: 3, KW: 3, Stride: 2, Pad: 1}},
+		{"pad0", ConvGeom{InC: 2, InH: 7, InW: 7, KH: 3, KW: 3, Stride: 1, Pad: 0}},
+		{"5x5pad2", ConvGeom{InC: 2, InH: 8, InW: 6, KH: 5, KW: 5, Stride: 1, Pad: 2}},
+		{"3x2", ConvGeom{InC: 2, InH: 8, InW: 8, KH: 3, KW: 2, Stride: 1, Pad: 1}},
+		{"2x3", ConvGeom{InC: 2, InH: 5, InW: 6, KH: 2, KW: 3, Stride: 1, Pad: 1}},
+		{"1x1", ConvGeom{InC: 3, InH: 4, InW: 5, KH: 1, KW: 1, Stride: 1, Pad: 0}},
+		{"narrow", ConvGeom{InC: 1, InH: 3, InW: 2, KH: 5, KW: 5, Stride: 1, Pad: 2}},
+		{"flat", ConvGeom{InC: 1, InH: 1, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}},
+	} {
+		g := tc.g
+		oh, ow := g.OutH(), g.OutW()
+		s, plane := oh*ow, g.InH*g.InW
+		x := New(1, g.InC, g.InH, g.InW)
+		x.RandNormal(rng, 0, 1)
+		for c := 0; c < g.InC; c++ {
+			ch := x.Data[c*plane : (c+1)*plane]
+			for ky := 0; ky < g.KH; ky++ {
+				for kx := 0; kx < g.KW; kx++ {
+					got, runs := make([]float64, s), make([]float64, s)
+					for i := range got {
+						got[i], runs[i] = math.NaN(), math.NaN()
+					}
+					tapRow(got, ch, ky, kx, g)
+					tapRowRuns(runs, ch, ky, kx, g)
+					for p := range got {
+						oy, ox := p/ow, p%ow
+						iy, ix := oy*g.Stride+ky-g.Pad, ox*g.Stride+kx-g.Pad
+						var want float64
+						if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
+							want = ch[iy*g.InW+ix]
+						}
+						wb := math.Float64bits(want)
+						if math.Float64bits(got[p]) != wb || math.Float64bits(runs[p]) != wb {
+							t.Fatalf("%s: tap (c%d, %d, %d) position %d: tapRow %v, row runs %v, want %v",
+								tc.name, c, ky, kx, p, got[p], runs[p], want)
+						}
+					}
+				}
+			}
+		}
+		k := g.taps()
+		cols := Im2Col(x, g)
+		for trial := 0; trial < 4; trial++ {
+			lo := rng.Intn(k)
+			hi := lo + 1 + rng.Intn(k-lo)
+			block := make([]float64, (hi-lo)*s)
+			lowerTaps(block, x.Data, lo, hi, g)
+			for i, v := range block {
+				if math.Float64bits(v) != math.Float64bits(cols.Data[lo*s+i]) {
+					t.Fatalf("%s: taps [%d, %d) differ from Im2Col at %d", tc.name, lo, hi, i)
+				}
+			}
+		}
 	}
 }
 
