@@ -44,7 +44,10 @@ import (
 //   - Root-coordinated sampling: the root's SampleFraction/SampleSeed
 //     ride the round broadcast down the tree; client-facing shards
 //     apply it with their leaf ID mixed into the seed (quorum-clamped
-//     per shard), so one directive thins the whole population.
+//     per shard), so one directive thins the whole population. A
+//     fail-stop shard (MinQuorum 0) would train its whole roster, so it
+//     fails the round instead, as a flat fail-stop node refuses its own
+//     SampleFraction at start-up.
 //
 // Reputation and quarantine stay at the client-facing tier (the only one
 // that sees individual updates); every parent validates each partial

@@ -171,10 +171,15 @@ func (c *Coordinator) checkTreeParent() error {
 // clients: the cohort is floored at the quorum, which without MinQuorum is
 // the whole roster, so SampleFraction would silently train everyone. A
 // node serving child aggregators only relays the directive and is exempt.
-func (c *Coordinator) checkSampling() error {
-	if !c.AcceptPartials && c.SampleFraction > 0 && c.SampleFraction < 1 && !c.faultTolerant() {
+func (c *Coordinator) checkSampling() error { return c.checkSampleFraction(c.SampleFraction) }
+
+// checkSampleFraction is checkSampling for the fraction the node would
+// apply: its own SampleFraction, or on a leaf the directive its parent
+// sends each round, which fails that round the same way.
+func (c *Coordinator) checkSampleFraction(frac float64) error {
+	if !c.AcceptPartials && frac > 0 && frac < 1 && !c.faultTolerant() {
 		return fmt.Errorf("transport: SampleFraction %v needs MinQuorum > 0: a fail-stop round trains the whole roster",
-			c.SampleFraction)
+			frac)
 	}
 	return nil
 }
@@ -578,6 +583,12 @@ func (s *session) runRound(round int) error {
 			}
 			eligible = append(eligible, cc)
 		}
+	}
+	// Start-up refused a fail-stop node's own SampleFraction; a leaf's
+	// per-round directive from its parent is refused here.
+	applied, _ := s.effectiveSample()
+	if err := c.checkSampleFraction(applied); err != nil {
+		return fmt.Errorf("transport: round %d: parent's sampling directive: %w", round, err)
 	}
 	cohort, idle := s.sampleCohort(round, eligible)
 

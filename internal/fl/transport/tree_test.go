@@ -606,12 +606,12 @@ func testMidPartialKill(t *testing.T, inProcess bool) {
 func TestMidPartialFrameKillOverTCP(t *testing.T)   { testMidPartialKill(t, false) }
 func TestMidPartialFrameKillInProcess(t *testing.T) { testMidPartialKill(t, true) }
 
-// TestRootSamplingDirectiveThinsShards: the root's SampleFraction rides
-// the round broadcast down the tree and each client-facing leaf draws its
-// own quorum-clamped cohort — exactly two of four clients per leaf per
-// round here, with the leaf-mixed seed rotating membership.
-func TestRootSamplingDirectiveThinsShards(t *testing.T) {
-	const leaves, perLeaf, rounds = 2, 4, 8
+// runSampledTree runs a root with SampleFraction 0.5 over two leaves of
+// four clients each, the leaves at the given MinQuorum, and returns each
+// leaf's clients and error and the root's error.
+func runSampledTree(t *testing.T, leafQuorum, rounds int) (shards [][]fl.Client, leafErrs []error, rootErr error) {
+	t.Helper()
+	const leaves, perLeaf = 2, 4
 	initial := []float64{1, -2, 3}
 	root := &Coordinator{
 		NumClients: leaves, Rounds: rounds,
@@ -621,7 +621,7 @@ func TestRootSamplingDirectiveThinsShards(t *testing.T) {
 	}
 	rootAddr, rootWait := startCoordinator(t, root)
 
-	shards := make([][]fl.Client, leaves)
+	shards = make([][]fl.Client, leaves)
 	waits := make([]func() error, leaves)
 	clientErrs := make([][]error, leaves)
 	for l := 0; l < leaves; l++ {
@@ -634,24 +634,39 @@ func TestRootSamplingDirectiveThinsShards(t *testing.T) {
 		waits[l] = startLeaf(t, &Leaf{
 			ID: l, Root: rootAddr,
 			Local: Coordinator{
-				NumClients: perLeaf, MinQuorum: 2,
+				NumClients: perLeaf, MinQuorum: leafQuorum,
 				Initial: append([]float64(nil), initial...),
 			},
 		}, shards[l], clientErrs[l])
 	}
 
-	if _, rootErr := rootWait(); rootErr != nil {
+	_, rootErr = rootWait()
+	leafErrs = make([]error, leaves)
+	for l, wait := range waits {
+		leafErrs[l] = wait()
+	}
+	return shards, leafErrs, rootErr
+}
+
+// TestRootSamplingDirectiveThinsShards: the root's SampleFraction rides
+// the round broadcast down the tree and each client-facing leaf draws its
+// own quorum-clamped cohort — exactly two of four clients per leaf per
+// round here, with the leaf-mixed seed rotating membership.
+func TestRootSamplingDirectiveThinsShards(t *testing.T) {
+	const rounds = 8
+	shards, leafErrs, rootErr := runSampledTree(t, 2, rounds)
+	if rootErr != nil {
 		t.Fatalf("root: %v", rootErr)
 	}
-	for l, wait := range waits {
-		if err := wait(); err != nil {
+	for l, err := range leafErrs {
+		if err != nil {
 			t.Fatalf("leaf %d: %v", l, err)
 		}
 	}
 
-	for l := 0; l < leaves; l++ {
+	for l, shard := range shards {
 		total, touched := 0, 0
-		for _, c := range shards[l] {
+		for _, c := range shard {
 			n := int(c.(*vecClient).rounds)
 			total += n
 			if n > 0 {
@@ -660,10 +675,31 @@ func TestRootSamplingDirectiveThinsShards(t *testing.T) {
 		}
 		if total != 2*rounds {
 			t.Fatalf("leaf %d trained %d client-rounds, want %d (frac 0.5 of %d, quorum-clamped)",
-				l, total, 2*rounds, perLeaf)
+				l, total, 2*rounds, len(shard))
 		}
 		if touched < 3 {
 			t.Fatalf("leaf %d only ever sampled %d distinct clients; the per-round draw is not rotating", l, touched)
+		}
+	}
+}
+
+// TestRootSamplingDirectiveRefusedByFailStopLeaf: the same tree with
+// fail-stop leaves (MinQuorum 0). Such a leaf's cohort is its whole
+// roster, so instead of silently training every client it fails its first
+// round with checkSampling's error, and no client trains a round.
+func TestRootSamplingDirectiveRefusedByFailStopLeaf(t *testing.T) {
+	shards, leafErrs, rootErr := runSampledTree(t, 0, 8)
+	if rootErr == nil {
+		t.Fatal("root completed a federation whose leaves refused its sampling directive")
+	}
+	for l, err := range leafErrs {
+		if err == nil || !strings.Contains(err.Error(), "SampleFraction 0.5 needs MinQuorum > 0") {
+			t.Fatalf("leaf %d: err = %v, want the fail-stop sampling refusal", l, err)
+		}
+		for _, c := range shards[l] {
+			if n := c.(*vecClient).rounds; n != 0 {
+				t.Fatalf("leaf %d: client %d trained %d rounds under a refused directive", l, c.(*vecClient).id, n)
+			}
 		}
 	}
 }

@@ -20,7 +20,8 @@ func RegisterSampleFlags() *SampleFlags {
 		Frac: flag.Float64("sample-frac", 0,
 			"per-round client sampling fraction in (0, 1): each round trains a cohort of "+
 				"~frac×roster, weighted by client sample counts and never below the quorum; "+
-				"a flat flserver needs -quorum > 0 to sample, ciptrain samples with a quorum of 1 "+
+				"a flat flserver, and every leaf under a sampling root, needs -quorum > 0 to sample; "+
+				"ciptrain samples with a quorum of 1 "+
 				"unless -quorum says otherwise; 0 or 1 trains everyone"),
 		Seed: flag.Int64("sample-seed", 1,
 			"cohort sampler seed (with -sample-frac); flserver and ciptrain draw each round's "+
