@@ -61,15 +61,15 @@ func (g ConvGeom) Validate() error {
 //     out_b = W·cols_b + bias, [OutC, S]: image b's NCHW output, in place.
 //     The input gradient writes dcols_b = Wᵀ·g_b into the scratch, with
 //     the output gradient g_b [OutC, S] read in place, and col2im
-//     scatters it. The weight gradient runs over blocks of dWᵀ rows: for
-//     each image in order it regenerates the block's tap rows from x_b
+//     scatters it. The weight gradient fans out over rows of dWᵀ: for
+//     each image in order a worker regenerates its rows' taps from x_b
 //     into the scratch and accumulates cols_b·g_bᵀ into them. The
 //     backward therefore reads the layer's input, which must not change
 //     between the forward and the backward.
 //
 // Scratch is pooled and sized for one image's [K, S] block, or for one
-// block of dWᵀ rows [rows, S], so it stays in cache while the GEMM reads
-// it. Every per-image step fans out over images, and the weight gradient
+// worker's rows of dWᵀ [rows, S], so it stays in cache while the GEMM
+// reads it. Every per-image step fans out over images, and the weight gradient
 // over rows of dWᵀ, through one pooled convTask per call; nothing is
 // allocated per image. Each per-image product is an inner GEMM
 // (gemmShape.inner): serial, untimed, and with its row remainder on the

@@ -7,9 +7,9 @@ import (
 
 // The scratch pool hands out pooled tensors for buffers that live inside
 // one kernel call (packed GEMM panels, the Aᵀ staging transpose, the f32
-// tier's narrowed operands). Everything a pass keeps longer than that —
-// activations, im2col columns, gradients — lives in a step's Workspace
-// instead (workspace.go).
+// tier's narrowed operands, a convolution worker's columns). Everything a
+// pass keeps longer than that — activations, gradients — lives in a
+// step's Workspace instead (workspace.go).
 //
 // Buffers are binned by power-of-two capacity; GetTensor returns a tensor
 // whose backing slice comes from the smallest class that fits, and
