@@ -83,9 +83,9 @@ func (g ConvGeom) Validate() error {
 func (g ConvGeom) taps() int { return g.InC * g.KH * g.KW }
 
 // span returns the output columns [lo, hi) at which tap column kx lands
-// inside an input row: 0 ≤ ox·Stride + kx − Pad < InW.
-func (g ConvGeom) span(kx int) (lo, hi int) {
-	ow := g.OutW()
+// inside an input row: 0 ≤ ox·Stride + kx − Pad < InW. ow is g.OutW(),
+// which callers hoist out of their loops.
+func (g ConvGeom) span(kx, ow int) (lo, hi int) {
 	off := kx - g.Pad
 	if off < 0 {
 		lo = min(ow, (-off+g.Stride-1)/g.Stride)
@@ -318,27 +318,32 @@ func (t *convTask) rows(lo, hi int) {
 // lowerTaps writes rows [lo, hi) of one image's [K, S] columns into dst,
 // row lo first. img is the image, [InC, InH, InW].
 func lowerTaps(dst, img []float64, lo, hi int, g ConvGeom) {
-	s := g.OutH() * g.OutW()
-	plane := g.InH * g.InW
+	oh, ow := g.OutH(), g.OutW()
+	s, plane := oh*ow, g.InH*g.InW
+	c, ky, kx := lo/(g.KH*g.KW), lo/g.KW%g.KH, lo%g.KW
 	for r := lo; r < hi; r++ {
-		c, ky, kx := r/(g.KH*g.KW), r/g.KW%g.KH, r%g.KW
-		tapRow(dst[(r-lo)*s:][:s], img[c*plane:(c+1)*plane], ky, kx, g)
+		tapRow(dst[(r-lo)*s:][:s], img[c*plane:(c+1)*plane], ky, kx, oh, ow, g)
+		if kx++; kx == g.KW {
+			if kx, ky = 0, ky+1; ky == g.KH {
+				ky, c = 0, c+1
+			}
+		}
 	}
 }
 
 // tapRow writes the column row of tap (ky, kx) over channel plane ch
 // [InH, InW] into dst [S]: for every output position in raster order, the
-// pixel the tap reads, or zero in the padding.
-func tapRow(dst, ch []float64, ky, kx int, g ConvGeom) {
-	if g.Stride != 1 || g.OutW() != g.InW {
-		tapRowRuns(dst, ch, ky, kx, g)
+// pixel the tap reads, or zero in the padding. oh and ow are g.OutH() and
+// g.OutW().
+func tapRow(dst, ch []float64, ky, kx, oh, ow int, g ConvGeom) {
+	if g.Stride != 1 || ow != g.InW {
+		tapRowRuns(dst, ch, ky, kx, oh, ow, g)
 		return
 	}
 	// Output rows [y0, y1) read input rows inside the image; position p
 	// of those reads pixel p + d.
-	ow := g.InW
-	y0 := min(g.OutH(), max(0, g.Pad-ky))
-	y1 := max(y0, min(g.OutH(), g.InH+g.Pad-ky))
+	y0 := min(oh, max(0, g.Pad-ky))
+	y1 := max(y0, min(oh, g.InH+g.Pad-ky))
 	a, b := y0*ow, y1*ow
 	d := (ky-g.Pad)*ow + kx - g.Pad
 	// Clamp the copy to the plane; what the clamp drops is a wrapped
@@ -350,7 +355,7 @@ func tapRow(dst, ch []float64, ky, kx int, g ConvGeom) {
 		copy(dst[ca:cb], ch[ca+d:cb+d])
 	}
 	clear(dst[b:])
-	lo, hi := g.span(kx)
+	lo, hi := g.span(kx, ow)
 	for p := a; p < b; p += ow {
 		for x := p; x < p+lo; x++ {
 			dst[x] = 0
@@ -363,9 +368,8 @@ func tapRow(dst, ch []float64, ky, kx int, g ConvGeom) {
 
 // tapRowRuns is tapRow for any geometry: per output row, a run of one
 // input row (strided when Stride > 1) with its ends zero-filled.
-func tapRowRuns(dst, ch []float64, ky, kx int, g ConvGeom) {
-	oh, ow := g.OutH(), g.OutW()
-	lo, hi := g.span(kx)
+func tapRowRuns(dst, ch []float64, ky, kx, oh, ow int, g ConvGeom) {
+	lo, hi := g.span(kx, ow)
 	ix := lo*g.Stride + kx - g.Pad
 	for oy := 0; oy < oh; oy++ {
 		row := dst[oy*ow : (oy+1)*ow]
@@ -401,7 +405,7 @@ func col2imImage(img, cols []float64, g ConvGeom) {
 		for ky := g.KH - 1; ky >= 0; ky-- {
 			for kx := g.KW - 1; kx >= 0; kx-- {
 				row := cols[((c*g.KH+ky)*g.KW+kx)*s:][:s]
-				lo, hi := g.span(kx)
+				lo, hi := g.span(kx, ow)
 				if lo == hi {
 					continue
 				}

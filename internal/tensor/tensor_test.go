@@ -332,8 +332,8 @@ func TestTapRowMatchesRowRuns(t *testing.T) {
 					for i := range got {
 						got[i], runs[i] = math.NaN(), math.NaN()
 					}
-					tapRow(got, ch, ky, kx, g)
-					tapRowRuns(runs, ch, ky, kx, g)
+					tapRow(got, ch, ky, kx, oh, ow, g)
+					tapRowRuns(runs, ch, ky, kx, oh, ow, g)
 					for p := range got {
 						oy, ox := p/ow, p%ow
 						iy, ix := oy*g.Stride+ky-g.Pad, ox*g.Stride+kx-g.Pad
