@@ -87,6 +87,10 @@ func (g ConvGeom) taps() int { return g.InC * g.KH * g.KW }
 // which callers hoist out of their loops.
 func (g ConvGeom) span(kx, ow int) (lo, hi int) {
 	off := kx - g.Pad
+	if g.Stride == 1 { // the model's convolutions: no division
+		lo = min(ow, max(0, -off))
+		return lo, max(lo, min(ow, g.InW-off))
+	}
 	if off < 0 {
 		lo = min(ow, (-off+g.Stride-1)/g.Stride)
 	}
