@@ -104,7 +104,7 @@ func (l *Leaf) ListenAndRun(addr string, ready func(boundAddr string)) ([]float6
 func (l *Leaf) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([]float64, error) {
 	c := &l.Local
 	if err := errors.Join(checkCodec(c.Codec), checkCodec(l.Retry.Codec), c.checkTreeParent(),
-		c.checkSampling()); err != nil {
+		c.checkSampling(c.SampleFraction)); err != nil {
 		return nil, err
 	}
 	switch {

@@ -168,15 +168,12 @@ func (c *Coordinator) checkTreeParent() error {
 }
 
 // checkSampling refuses a fail-stop node that would sample its own
-// clients: the cohort is floored at the quorum, which without MinQuorum is
-// the whole roster, so SampleFraction would silently train everyone. A
-// node serving child aggregators only relays the directive and is exempt.
-func (c *Coordinator) checkSampling() error { return c.checkSampleFraction(c.SampleFraction) }
-
-// checkSampleFraction is checkSampling for the fraction the node would
-// apply: its own SampleFraction, or on a leaf the directive its parent
-// sends each round, which fails that round the same way.
-func (c *Coordinator) checkSampleFraction(frac float64) error {
+// clients by frac — its own SampleFraction at start-up, or on a leaf the
+// directive its parent sends each round: the cohort is floored at the
+// quorum, which without MinQuorum is the whole roster, so the fraction
+// would silently train everyone. A node serving child aggregators only
+// relays the directive and is exempt.
+func (c *Coordinator) checkSampling(frac float64) error {
 	if !c.AcceptPartials && frac > 0 && frac < 1 && !c.faultTolerant() {
 		return fmt.Errorf("transport: SampleFraction %v needs MinQuorum > 0: a fail-stop round trains the whole roster",
 			frac)
@@ -205,7 +202,7 @@ func (s *session) initAggregation() {
 // touching the network stack. The listener is closed before returning
 // when the rejoin accept loop owns it.
 func (c *Coordinator) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([]float64, error) {
-	if err := errors.Join(checkCodec(c.Codec), c.checkTreeParent(), c.checkSampling()); err != nil {
+	if err := errors.Join(checkCodec(c.Codec), c.checkTreeParent(), c.checkSampling(c.SampleFraction)); err != nil {
 		return nil, err
 	}
 	global := make([]float64, len(c.Initial))
@@ -587,7 +584,7 @@ func (s *session) runRound(round int) error {
 	// Start-up refused a fail-stop node's own SampleFraction; a leaf's
 	// per-round directive from its parent is refused here.
 	applied, _ := s.effectiveSample()
-	if err := c.checkSampleFraction(applied); err != nil {
+	if err := c.checkSampling(applied); err != nil {
 		return fmt.Errorf("transport: round %d: parent's sampling directive: %w", round, err)
 	}
 	cohort, idle := s.sampleCohort(round, eligible)
