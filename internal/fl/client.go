@@ -261,22 +261,11 @@ func TrainEpochs(net nn.Layer, opt nn.Optimizer, step TrainStep,
 
 // Evaluate returns the accuracy of net on d, processed in batches.
 func Evaluate(net nn.Layer, d *datasets.Dataset, batchSize int) float64 {
-	if batchSize <= 0 {
-		batchSize = 64
-	}
-	ws := tensor.AcquireWorkspace()
-	defer ws.Release()
 	correct := 0
-	for start := 0; start < d.Len(); start += batchSize {
-		end := start + batchSize
-		if end > d.Len() {
-			end = d.Len()
-		}
-		x, y := d.BatchIn(ws, start, end)
+	eachBatch(d, batchSize, func(x *tensor.Tensor, y []int) {
 		logits, _ := net.Forward(x, false)
-		correct += int(nn.Accuracy(logits, y)*float64(end-start) + 0.5)
-		ws.Reset()
-	}
+		correct += int(nn.Accuracy(logits, y)*float64(len(y)) + 0.5)
+	})
 	if d.Len() == 0 {
 		return 0
 	}
@@ -285,23 +274,12 @@ func Evaluate(net nn.Layer, d *datasets.Dataset, batchSize int) float64 {
 
 // MeanLoss returns the mean per-sample cross-entropy of net on d.
 func MeanLoss(net nn.Layer, d *datasets.Dataset, batchSize int) float64 {
-	if batchSize <= 0 {
-		batchSize = 64
-	}
-	ws := tensor.AcquireWorkspace()
-	defer ws.Release()
 	var sum float64
-	for start := 0; start < d.Len(); start += batchSize {
-		end := start + batchSize
-		if end > d.Len() {
-			end = d.Len()
-		}
-		x, y := d.BatchIn(ws, start, end)
+	eachBatch(d, batchSize, func(x *tensor.Tensor, y []int) {
 		for _, l := range nn.PerSampleLosses(net, x, y) {
 			sum += l
 		}
-		ws.Reset()
-	}
+	})
 	if d.Len() == 0 {
 		return 0
 	}
@@ -311,20 +289,23 @@ func MeanLoss(net nn.Layer, d *datasets.Dataset, batchSize int) float64 {
 // Losses returns the per-sample cross-entropy losses of net on d — the
 // probe every loss-threshold membership inference attack builds on.
 func Losses(net nn.Layer, d *datasets.Dataset, batchSize int) []float64 {
+	out := make([]float64, 0, d.Len())
+	eachBatch(d, batchSize, func(x *tensor.Tensor, y []int) {
+		out = append(out, nn.PerSampleLosses(net, x, y)...)
+	})
+	return out
+}
+
+// eachBatch hands fn d's batches of batchSize samples (≤ 0 means 64) in
+// order, each drawn into a pooled workspace that is reset once fn returns.
+func eachBatch(d *datasets.Dataset, batchSize int, fn func(x *tensor.Tensor, y []int)) {
 	if batchSize <= 0 {
 		batchSize = 64
 	}
 	ws := tensor.AcquireWorkspace()
 	defer ws.Release()
-	out := make([]float64, 0, d.Len())
 	for start := 0; start < d.Len(); start += batchSize {
-		end := start + batchSize
-		if end > d.Len() {
-			end = d.Len()
-		}
-		x, y := d.BatchIn(ws, start, end)
-		out = append(out, nn.PerSampleLosses(net, x, y)...)
+		fn(d.BatchIn(ws, start, min(start+batchSize, d.Len())))
 		ws.Reset()
 	}
-	return out
 }

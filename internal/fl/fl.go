@@ -13,9 +13,9 @@ package fl
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"time"
-
-	"github.com/cip-fl/cip/internal/fl/robust"
 )
 
 // Update is what a client returns from one round of local training.
@@ -116,213 +116,159 @@ type Server struct {
 	// (each client owns its model, optimizer, and RNG, so local training is
 	// an independent map over participants). 0 means GOMAXPROCS. Results
 	// are bit-identical for every worker count: parameters are altered in
-	// a serial pre-pass, updates land in an index-addressed slice, and
-	// observers and aggregation run serially in roster order.
+	// a serial pre-pass, and updates are classified, folded and observed
+	// serially in cohort order.
 	Workers int
 
-	global []float64
-	// fold and spare are the pooled aggregation state: the fold's
-	// accumulator and the output buffer FinalizeInto fills, swapped with
-	// global each round so steady-state aggregation allocates nothing.
-	// Safe because TrainLocal, AlterFunc and observers may read the
-	// global only until they return, so nothing retains the swapped
-	// buffers.
-	fold  *Fold
-	spare []float64
+	// core holds the global, the failure counts and the round machinery
+	// shared with the TCP coordinator.
+	core RoundCore
 	// round is the next round index to run; Run loops it up to its total,
 	// so a server restored from a checkpoint continues where it left off.
 	round int
-	// failCounts accumulates per-client failures across rounds under a
-	// RoundPolicy; it is part of the durable state (ServerState).
-	failCounts map[int]int
 }
 
 // NewServer creates a server with the given initial global parameters.
 func NewServer(initial []float64, clients ...Client) *Server {
-	g := make([]float64, len(initial))
-	copy(g, initial)
-	return &Server{Clients: clients, global: g}
+	s := &Server{Clients: clients}
+	s.core.Global = append([]float64(nil), initial...)
+	return s
 }
 
 // Global returns a copy of the current global parameter vector.
 func (s *Server) Global() []float64 {
-	out := make([]float64, len(s.global))
-	copy(out, s.global)
-	return out
+	return append([]float64(nil), s.core.Global...)
 }
 
 // failStop is the policy a nil Server.Policy runs under: no quarantine,
 // no sampling, no norm bound, plain FedAvg. RunRound never writes it.
 var failStop RoundPolicy
 
-// RunRound executes one communication round: split out quarantined
-// clients, sample the cohort, train it, then classify every outcome
-// serially in roster order — a TrainLocal error is FailTrain, an update
-// failing ValidateUpdateBounded is FailInvalid — and fold the valid
-// updates into the next global, robustly when a Byzantine-resilient rule
-// is attached. Without a Policy the first failure aborts the round with
-// an error naming the client, as on a fail-stop TCP coordinator; under a
+// RunRound executes one communication round through the round core: split
+// out quarantined clients, sample the cohort, alter each member's
+// broadcast in a serial pre-pass (active attacks are stateful, so their
+// call order must not depend on scheduling), train the cohort on up to
+// Workers goroutines, and classify every outcome serially in cohort order
+// — a TrainLocal error is FailTrain, an update failing
+// ValidateUpdateBounded is FailInvalid — folding the valid ones into the
+// next global, robustly when a Byzantine-resilient rule is attached.
+// Without a Policy the first failure aborts the round with an error
+// naming the client, as on a fail-stop TCP coordinator; under a
 // RoundPolicy failures are dropped while the quorum holds.
 func (s *Server) RunRound(round int) error {
 	if len(s.Clients) == 0 {
 		return errors.New("fl: server has no clients")
 	}
-	start := time.Now()
-	p := s.Policy
-	if p == nil {
-		p = &failStop
-	}
-	eligible, failures := p.splitQuarantined(round, s.Clients)
-	participants, _ := SampleCohort(eligible, Client.NumSamples, p.SampleFraction, p.SampleSeed, round, p.quorum())
-	outcomes, workers, busy := s.trainParticipants(round, participants)
-	defer recycleUpdates(participants, outcomes)
-	// Classify outcomes serially in participant order, so the valid and
-	// failure lists (and everything downstream: observers, aggregation,
-	// reputation) are independent of worker interleaving.
-	valid := make([]Update, 0, len(participants))
-	hardFailures := 0
-	for i, c := range participants {
-		u := outcomes[i].update
-		f := ClientFailure{ClientID: c.ID(), Round: round, Reason: FailTrain, Err: outcomes[i].err}
-		if f.Err == nil {
-			if f.Err = ValidateUpdateBounded(u, len(s.global), p.MaxUpdateNorm); f.Err != nil {
-				f.Reason = FailInvalid
-				s.Metrics.RecordValidationRejection()
-				if p.Reputation != nil {
-					p.Reputation.ObserveViolation(c.ID())
-				}
-			}
-		}
-		if f.Err != nil {
-			if s.Policy == nil {
-				return fmt.Errorf("fl: round %d: client %d failed (%s): %w", round, f.ClientID, f.Reason, f.Err)
-			}
-			failures = append(failures, f)
-			hardFailures++
-			continue
-		}
-		if bank := p.Compress; bank != nil {
-			// Serial, roster-ordered: the error-feedback fold mutates
-			// per-client residual state, and determinism at any worker
-			// count requires a fixed application order.
-			params, wireBytes, err := bank.RoundTrip(c.ID(), s.global, u.Params)
-			if err != nil {
-				return fmt.Errorf("fl: round %d: %w", round, err)
-			}
-			u.Params = params
-			s.Metrics.RecordCompressedUpdate(wireBytes, 8*len(params))
-		}
-		valid = append(valid, u)
-	}
-	if hardFailures > 0 {
-		if s.failCounts == nil {
-			s.failCounts = make(map[int]int)
-		}
-		for _, f := range failures {
-			// Quarantine exclusions are policy decisions, not client
-			// failures; only genuine failures feed the cumulative counts.
-			if f.Reason != FailQuarantined {
-				s.failCounts[f.ClientID]++
+	r, p := s.sync()
+	r.Begin(round)
+	eligible, _ := SplitQuarantined(r, s.Clients, Client.ID)
+	cohort, _ := SampleCohort(eligible, Client.NumSamples, p.SampleFraction, p.SampleSeed, round, p.quorum())
+	params := make([][]float64, len(cohort))
+	for i, c := range cohort {
+		params[i] = r.Global
+		if s.Alter != nil {
+			if altered := s.Alter(round, c.ID(), r.Global); altered != nil {
+				params[i] = altered
 			}
 		}
 	}
-	if cap := p.MaxFailures; cap > 0 && hardFailures > cap {
-		return fmt.Errorf("fl: round %d: %d client failures exceed cap %d",
-			round, hardFailures, cap)
+	trained := make([]Update, len(cohort))
+	defer recycleUpdates(cohort, trained)
+	workers := s.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if q := p.quorum(); len(valid) < q {
-		return fmt.Errorf("fl: round %d: quorum lost: %d valid updates from %d participants, need %d",
-			round, len(valid), len(participants), q)
-	}
-	for _, o := range s.Observers {
-		if fo, ok := o.(FailureObserver); ok {
-			fo.ObserveFailures(round, failures)
+	workers = min(workers, len(cohort))
+	var busy atomic.Int64
+	_, err := RunWindow(len(cohort), Window{Workers: workers, Size: len(cohort)}, func(pos int) error {
+		t0 := time.Now()
+		u, err := cohort[pos].TrainLocal(round, params[pos])
+		busy.Add(int64(time.Since(t0)))
+		if err == nil {
+			u.ClientID = cohort[pos].ID()
+			trained[pos] = u
 		}
+		return err
+	}, func(pos int, err error) error {
+		return s.take(p, round, cohort[pos], trained[pos], err)
+	})
+	if err != nil {
+		return fmt.Errorf("fl: round %d: %w", round, err)
 	}
-	if err := s.endRound(p, round, start, valid, failures, workers, busy); err != nil {
+	if _, err := r.Check(len(cohort), p.quorum(), p.MaxFailures, false); err != nil {
 		return err
 	}
+	r.Observe()
+	agg, rep, err := r.Aggregate(p.quorum())
+	if err != nil {
+		return fmt.Errorf("fl: round %d: %w", round, err)
+	}
+	r.Advance(agg)
+	r.End(rep)
+	s.Metrics.RecordWorkerPool(workers, time.Duration(busy.Load()), time.Since(r.start))
 	s.round = round + 1
 	return nil
 }
 
-// endRound is the round's tail under policy p once its valid updates are
-// known. Observers see the live pre-round global; the updates fold into the
-// next global — through the policy's robust rule, else through the pooled
-// mean fold, whose output swaps with the global; reputation scores the
-// result, and only then does a robust round hand the global it superseded
-// to robust.Recycle, so a steady-state round allocates nothing either way;
-// telemetry records the round. Every reader of the updates' Params runs
-// before it returns.
-func (s *Server) endRound(p *RoundPolicy, round int, start time.Time, updates []Update, failures []ClientFailure,
-	workers int, busy time.Duration) error {
-	for _, o := range s.Observers {
-		o.ObserveRound(round, s.global, updates)
+// sync points the core at the server's current configuration and returns
+// it with the policy rounds run under: Policy, or failStop when nil.
+func (s *Server) sync() (*RoundCore, *RoundPolicy) {
+	p := s.Policy
+	if p == nil {
+		p = &failStop
 	}
-	report := robust.Report{Contributors: len(updates)}
-	var superseded []float64
-	if p.Robust != nil {
-		agg, rep, err := AggregateRobust(p.Robust, s.global, updates, p.quorum())
+	s.core.Observers, s.core.Reputation, s.core.Metrics = s.Observers, p.Reputation, s.Metrics
+	s.core.SetRule(p.Robust, false)
+	return &s.core, p
+}
+
+// take classifies one cohort member's training outcome, in cohort order:
+// a failure aborts a fail-stop round and is recorded under a policy; a
+// valid update takes the compressed wire path's lossy round trip when the
+// policy has one — serially, because its error feedback mutates
+// per-client residuals — and folds.
+func (s *Server) take(p *RoundPolicy, round int, c Client, u Update, err error) error {
+	reason := FailTrain
+	if err == nil {
+		if err = ValidateUpdateBounded(u, len(s.core.Global), p.MaxUpdateNorm); err != nil {
+			reason = FailInvalid
+		}
+	}
+	if err != nil {
+		if s.Policy == nil {
+			return fmt.Errorf("client %d failed (%s): %w", c.ID(), reason, err)
+		}
+		s.core.Fail(ClientFailure{ClientID: c.ID(), Round: round, Reason: reason, Err: err})
+		return nil
+	}
+	if bank := p.Compress; bank != nil {
+		params, wireBytes, err := bank.RoundTrip(c.ID(), s.core.Global, u.Params)
 		if err != nil {
-			return fmt.Errorf("fl: round %d: %w", round, err)
+			return err
 		}
-		superseded, s.global, report = s.global, agg, rep
-	} else {
-		if s.fold == nil || cap(s.spare) < len(s.global) {
-			s.fold = NewFold(len(s.global))
-			s.spare = make([]float64, len(s.global))
-		} else {
-			s.fold.Reset(len(s.global))
-			s.spare = s.spare[:len(s.global)]
-		}
-		for _, u := range updates {
-			if err := s.fold.Fold(u); err != nil {
-				return fmt.Errorf("fl: round %d: %w", round, err)
-			}
-		}
-		if err := s.fold.FinalizeInto(s.spare); err != nil {
-			return fmt.Errorf("fl: round %d: %w", round, err)
-		}
-		s.global, s.spare = s.spare, s.global
+		u.Params = params
+		s.Metrics.RecordCompressedUpdate(wireBytes, 8*len(params))
 	}
-	ScoreReputation(p.Reputation, s.global, updates, failures)
-	s.Metrics.RecordReputation(p.Reputation)
-	if superseded != nil {
-		recycleHook(superseded)
-		robust.Recycle(superseded)
-	}
-	s.Metrics.RecordRound(start, len(updates), len(failures), len(s.global))
-	s.Metrics.RecordRobust(report)
-	s.Metrics.RecordWorkerPool(workers, busy, time.Since(start))
-	return nil
+	_, err = s.core.Fold(u)
+	return err
 }
 
-// recycleUpdates gives every participant that is an UpdateRecycler its own
-// returned Params back; the caller runs it once the round has no reader
-// left.
-func recycleUpdates(participants []Client, outcomes []trainOutcome) {
-	for i, c := range participants {
-		if r, ok := c.(UpdateRecycler); ok && outcomes[i].err == nil {
-			recycleHook(outcomes[i].update.Params)
-			r.RecycleUpdate(outcomes[i].update.Params)
+// recycleUpdates gives every cohort member that is an UpdateRecycler its
+// own trained Params back; RunRound defers it past the round's last
+// reader.
+func recycleUpdates(cohort []Client, trained []Update) {
+	for i, c := range cohort {
+		if r, ok := c.(UpdateRecycler); ok && trained[i].Params != nil {
+			recycleHook(trained[i].Params)
+			r.RecycleUpdate(trained[i].Params)
 		}
 	}
 }
-
-// recycleHook sees every vector at its release; tests replace it.
-var recycleHook = func([]float64) {}
 
 // Run executes communication rounds until the server has completed rounds
 // of them in total. A freshly constructed server runs rounds 0..rounds-1;
 // a server restored from a checkpoint continues from its restored round.
-func (s *Server) Run(rounds int) error {
-	for s.round < rounds {
-		if err := s.RunRound(s.round); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (s *Server) Run(rounds int) error { return s.RunWithOptions(rounds, RunOptions{}) }
 
 // Aggregate computes the sample-weighted FedAvg mean of the updates. All
 // update vectors must share one length; a mismatch is reported as an error

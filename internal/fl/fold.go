@@ -134,9 +134,6 @@ type Accumulator interface {
 	// FoldPartial folds one leaf partial. Only the weighted-mean
 	// accumulator supports it; robust stream rules reject partials.
 	FoldPartial(p Partial) error
-	// Count is the number of client updates folded so far (partials
-	// contribute their Count).
-	Count() int
 	// Finalize completes the round and returns the aggregate. The
 	// accumulator must be Begin'd again before reuse.
 	Finalize() ([]float64, robust.Report, error)
@@ -195,11 +192,9 @@ func (f *Fold) Reset(dim int) {
 // weighted mean needs no center), only its length matters.
 func (f *Fold) Begin(center []float64) { f.Reset(len(center)) }
 
-// Count implements Accumulator.
+// Count is the number of client updates folded so far (partials
+// contribute their Count).
 func (f *Fold) Count() int { return f.count }
-
-// Dim returns the parameter dimension the fold accumulates.
-func (f *Fold) Dim() int { return len(f.acc) }
 
 // Fold folds one update into the running weighted sums. The validation and
 // arithmetic mirror the batch Aggregate exactly (same error cases, same
@@ -216,10 +211,7 @@ func (f *Fold) Fold(u Update) error {
 		return fmt.Errorf("fl: aggregate: client %d update has %d params, want %d",
 			u.ClientID, len(u.Params), len(f.acc))
 	}
-	w := float64(u.NumSamples)
-	if w <= 0 {
-		w = 1
-	}
+	w := SampleWeight(u.NumSamples)
 	f.total += w
 	acc := f.acc
 	for i, v := range u.Params {
@@ -248,6 +240,10 @@ func (f *Fold) FoldPartial(p Partial) error {
 	f.count += p.Count
 	return nil
 }
+
+// SampleWeight is a member's FedAvg weight: its sample count, or 1 when it
+// claims none. Both engines weigh folds, sampling and coverage by it.
+func SampleWeight(n int) float64 { return float64(max(n, 1)) }
 
 // errZeroFold mirrors the batch Aggregate's zero-updates error.
 var errZeroFold = errors.New("fl: aggregate of zero updates")
@@ -318,8 +314,6 @@ func (a *streamAccum) FoldPartial(p Partial) error {
 	return fmt.Errorf("fl: %s cannot fold leaf partials; hierarchical aggregation requires the weighted-mean rule",
 		a.rule.Name())
 }
-
-func (a *streamAccum) Count() int { return a.st.Count() }
 
 func (a *streamAccum) Finalize() ([]float64, robust.Report, error) {
 	out, rep, err := a.st.Finalize()

@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"fmt"
+	"maps"
 )
 
 // ErrStopped is returned by RunWithOptions (and the transport coordinator)
@@ -68,26 +69,13 @@ type ServerState struct {
 // bit-identically and CaptureState says so instead of writing a snapshot
 // that silently would not.
 func (s *Server) CaptureState() (*ServerState, error) {
-	st := &ServerState{
-		NextRound: s.round,
-		Global:    s.Global(),
-		Clients:   make(map[int][]byte, len(s.Clients)),
+	r, p := s.sync()
+	st := &ServerState{NextRound: s.round, Clients: make(map[int][]byte, len(s.Clients))}
+	if err := r.Capture(st); err != nil {
+		return nil, err
 	}
-	if len(s.failCounts) > 0 {
-		st.FailCounts = make(map[int]int, len(s.failCounts))
-		for id, n := range s.failCounts {
-			st.FailCounts[id] = n
-		}
-	}
-	if s.Policy != nil && s.Policy.Reputation != nil {
-		blob, err := s.Policy.Reputation.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("fl: capturing reputation state: %w", err)
-		}
-		st.Reputation = blob
-	}
-	if s.Policy != nil && s.Policy.Compress != nil {
-		blob, err := s.Policy.Compress.Snapshot()
+	if p.Compress != nil {
+		blob, err := p.Compress.Snapshot()
 		if err != nil {
 			return nil, fmt.Errorf("fl: capturing compression state: %w", err)
 		}
@@ -111,8 +99,9 @@ func (s *Server) CaptureState() (*ServerState, error) {
 // seeds, same configuration) to a captured boundary. After RestoreState,
 // Run and RunWithOptions continue from st.NextRound.
 func (s *Server) RestoreState(st *ServerState) error {
-	if len(st.Global) != len(s.global) {
-		return fmt.Errorf("fl: restoring %d global params onto a model with %d", len(st.Global), len(s.global))
+	r, p := s.sync()
+	if err := r.Restore(st); err != nil {
+		return err
 	}
 	byID := make(map[int]StatefulClient, len(s.Clients))
 	for _, c := range s.Clients {
@@ -129,26 +118,12 @@ func (s *Server) RestoreState(st *ServerState) error {
 			return fmt.Errorf("fl: restoring client %d state: %w", id, err)
 		}
 	}
-	if st.Reputation != nil && s.Policy != nil && s.Policy.Reputation != nil {
-		if err := s.Policy.Reputation.Restore(st.Reputation); err != nil {
-			return fmt.Errorf("fl: restoring reputation state: %w", err)
-		}
-	}
-	if st.Compress != nil && s.Policy != nil && s.Policy.Compress != nil {
-		if err := s.Policy.Compress.Restore(st.Compress); err != nil {
+	if st.Compress != nil && p.Compress != nil {
+		if err := p.Compress.Restore(st.Compress); err != nil {
 			return fmt.Errorf("fl: restoring compression state: %w", err)
 		}
 	}
-	copy(s.global, st.Global)
 	s.round = st.NextRound
-	if st.FailCounts != nil {
-		s.failCounts = make(map[int]int, len(st.FailCounts))
-		for id, n := range st.FailCounts {
-			s.failCounts[id] = n
-		}
-	} else {
-		s.failCounts = nil
-	}
 	return nil
 }
 
@@ -157,14 +132,8 @@ func (s *Server) RestoreState(st *ServerState) error {
 func (s *Server) Round() int { return s.round }
 
 // FailureCounts returns a copy of the cumulative per-client failure
-// counters accumulated under a RoundPolicy.
-func (s *Server) FailureCounts() map[int]int {
-	out := make(map[int]int, len(s.failCounts))
-	for id, n := range s.failCounts {
-		out[id] = n
-	}
-	return out
-}
+// counters accumulated under a RoundPolicy (nil before any failure).
+func (s *Server) FailureCounts() map[int]int { return maps.Clone(s.core.FailCounts) }
 
 // RunOptions configures a durable run: checkpoint cadence, the snapshot
 // sink, a graceful-stop channel, and a post-round hook for fault
@@ -190,50 +159,19 @@ type RunOptions struct {
 
 // RunWithOptions executes communication rounds up to totalRounds (an
 // absolute round count: a restored server continues from its checkpointed
-// round rather than round 0), writing durable snapshots on the configured
-// cadence. A run killed at any point and resumed from its last snapshot
-// produces bit-identical results to an uninterrupted run.
+// round rather than round 0) through RunLoop, writing durable snapshots on
+// the configured cadence. A run killed at any point and resumed from its
+// last snapshot produces bit-identical results to an uninterrupted run.
 func (s *Server) RunWithOptions(totalRounds int, opts RunOptions) error {
-	every := opts.CheckpointEvery
-	if every < 1 {
-		every = 1
-	}
-	checkpoint := func() error {
-		st, err := s.CaptureState()
-		if err != nil {
-			return err
-		}
-		return opts.Save(st)
-	}
-	for s.round < totalRounds {
-		r := s.round
-		if err := s.RunRound(r); err != nil {
-			return err
-		}
-		wrote := false
-		if opts.Save != nil && ((r+1)%every == 0 || r == totalRounds-1) {
-			if err := checkpoint(); err != nil {
-				return fmt.Errorf("fl: checkpoint after round %d: %w", r, err)
-			}
-			wrote = true
-		}
-		if opts.AfterRound != nil {
-			if err := opts.AfterRound(r); err != nil {
+	var save func(int) error
+	if opts.Save != nil {
+		save = func(int) error {
+			st, err := s.CaptureState()
+			if err != nil {
 				return err
 			}
-		}
-		if opts.Stop != nil {
-			select {
-			case <-opts.Stop:
-				if opts.Save != nil && !wrote {
-					if err := checkpoint(); err != nil {
-						return fmt.Errorf("fl: final checkpoint after round %d: %w", r, err)
-					}
-				}
-				return ErrStopped
-			default:
-			}
+			return opts.Save(st)
 		}
 	}
-	return nil
+	return RunLoop(s.round, totalRounds, opts, s.RunRound, save)
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
-	"time"
 
 	"github.com/cip-fl/cip/internal/fl/wire"
 )
@@ -113,35 +111,13 @@ func (l *Leaf) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([
 	case c.Checkpoint != nil || c.Restore != nil:
 		return nil, errors.New("transport: tree nodes are stateless; checkpoint the root instead")
 	}
-	s := &session{
-		c:            c,
-		global:       append([]float64(nil), c.Initial...),
-		failCounts:   make(map[int]int),
-		durable:      -1,
-		wantPartial:  true,
-		leafID:       l.ID,
-		lastCoverage: 1,
-	}
-	s.initAggregation() // Robust is nil, so the accumulator is the mean fold
-
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-	active, err := c.acceptClients(ln, welcome{NextRound: 0}, &s.rxTally, &s.txTally)
+	s := newSession(c) // Robust is nil: the mean fold
+	s.wantPartial, s.leafID = true, l.ID
+	closeAll, err := s.open(ln, ready, welcome{NextRound: 0})
 	if err != nil {
 		return nil, err
 	}
-	s.active = active
-	defer s.closeConns()
-	sort.Slice(s.active, func(i, j int) bool { return s.active[i].id < s.active[j].id })
-	if c.AcceptRejoins {
-		s.acceptDone = make(chan struct{})
-		go s.acceptLoop(ln)
-		defer func() {
-			ln.Close() //nolint:errcheck — unblocks the accept loop; double close is benign
-			<-s.acceptDone
-		}()
-	}
+	defer closeAll()
 
 	rc := l.Retry.withDefaults()
 	parents := append([]string{l.Root}, l.AltParents...)
@@ -149,13 +125,7 @@ func (l *Leaf) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([
 	rootToken := ""
 	var lastErr error
 	for attempt := 1; attempt <= rc.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			rc.Metrics.retryAttempt()
-			if !sleepOrStop(rc.backoff(attempt-1), rc.Stop) {
-				return nil, ErrClientStopped
-			}
-		}
-		if stopped(rc.Stop) {
+		if !rc.pause(attempt) {
 			return nil, ErrClientStopped
 		}
 		progressed, finished, err := l.rootSession(s, rc, parents[parent], &rootToken)
@@ -163,7 +133,7 @@ func (l *Leaf) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([
 			if derr := s.sendDone(); derr != nil {
 				return nil, derr
 			}
-			return s.global, nil
+			return s.core.Global, nil
 		}
 		if errors.Is(err, ErrClientStopped) || errors.As(err, &errFatal{}) {
 			return nil, err
@@ -191,24 +161,8 @@ func (l *Leaf) rootSession(s *session, rc RetryConfig, addr string, rootToken *s
 		return false, false, fmt.Errorf("transport: leaf %d dialing parent %s: %w", l.ID, addr, err)
 	}
 	defer conn.Close()
-	stop := rc.Stop
-	if stop != nil {
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			select {
-			case <-stop:
-				conn.SetReadDeadline(time.Now()) //nolint:errcheck
-			case <-done:
-			}
-		}()
-	}
-	stopErr := func(err error) error {
-		if stopped(stop) {
-			return ErrClientStopped
-		}
-		return err
-	}
+	stopErr, unwatch := watchStop(conn, rc.Stop)
+	defer unwatch()
 
 	samples := 0
 	for _, cc := range s.active {
@@ -243,13 +197,13 @@ func (l *Leaf) rootSession(s *session, rc RetryConfig, addr string, rootToken *s
 		// previous round's; its durable announce passes through so shard
 		// clients bound their rollback captures against the root's
 		// snapshots.
-		rd, err := wire.ReadRound(br, size, s.global)
+		rd, err := wire.ReadRound(br, size, s.core.Global)
 		if invalid(err) {
 			return progressed, false, errFatal{fmt.Errorf("transport: leaf %d decoding round frame: %w", l.ID, err)}
 		} else if err != nil {
 			return progressed, false, stopErr(fmt.Errorf("transport: leaf %d reading round frame: %w", l.ID, err))
 		}
-		s.global = rd.Params
+		s.core.Global = rd.Params
 		s.durable = rd.Durable
 		s.treeFrac, s.treeSeed, s.sketchCap = rd.SampleFrac, rd.SampleSeed, rd.SketchCap
 		if rerr := s.runRound(rd.Round); rerr != nil {

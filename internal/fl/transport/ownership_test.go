@@ -525,7 +525,7 @@ func TestSlotPoolRecyclesAndBounds(t *testing.T) {
 		}
 	}
 
-	shard := &session{c: &Coordinator{}, acc: fl.NewFold(dim)}
+	shard := &session{c: &Coordinator{}}
 	shardSet := seed(&shard.slots, window+capRows)
 	for round := 0; ; round++ {
 		shard.releaseRows()

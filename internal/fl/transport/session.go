@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,10 +31,12 @@ const rejoinHandshakeTimeout = 10 * time.Second
 // session is the run state of one coordinator federation: the roster, the
 // evolving global, the rejoin parking lot, and the per-round fold.
 type session struct {
-	c          *Coordinator
-	global     []float64
-	active     []*clientConn
-	failCounts map[int]int
+	c      *Coordinator
+	active []*clientConn
+	// core holds the global, the failure counts and the round machinery
+	// shared with the in-process engine: the ordered exchange window, the
+	// in-order fold, the quorum check and the round's tail.
+	core fl.RoundCore
 	// durable is the highest round covered by a snapshot on disk (-1 when
 	// nothing is durable); leaves overwrite it with the root's announce.
 	durable int
@@ -42,21 +45,6 @@ type session struct {
 	// rxTally/txTally accumulate every wire byte either direction; the
 	// per-round delta lands in the transport_round_bytes gauge.
 	rxTally, txTally uint64
-
-	// acc is the streaming accumulator, reused across rounds; nil when the
-	// rule has no stream form or runs at a tree root over the merged row
-	// reservoir (see initAggregation).
-	acc fl.Accumulator
-	// fold aliases acc when it is the weighted-mean fold: a node's partial
-	// view, and the accumulator the global ping-pongs with.
-	fold *fl.Fold
-	// keep marks a session whose rounds keep their update column for the
-	// round's tail; column holds the kept updates in cohort-ID order and
-	// unheld the vectors among them no reservoir holds, given back once
-	// the tail is done.
-	keep   bool
-	column []fl.Update
-	unheld [][]float64
 	// wantPartial marks a leaf session: rounds end by exposing the
 	// pre-division fold through partial instead of advancing global.
 	wantPartial bool
@@ -93,22 +81,19 @@ type session struct {
 
 	pendingMu sync.Mutex
 	pending   []*clientConn
-	// acceptDone is closed when the rejoin accept loop exits.
-	acceptDone chan struct{}
 }
 
 // slotPool is a coordinator session's free list of model-sized vectors. A
 // window slot is taken when an admitted exchange's answer arrives and
 // released once that is folded and tallied (or rejected), so at most the
 // window is ever out, each allocated the first time the window gets that
-// deep: two clients hold two slots. A kept column's slots go back after
-// the round's tail (session.releaseColumn); sketch rows go back when the
-// next round starts (session.releaseRows), or once a shard's reservoir
-// lets one go.
+// deep: two clients hold two slots. A kept column's slots and sketch rows
+// are held until the next round starts (session.releaseRows), or until a
+// shard's reservoir lets a row go.
 type slotPool struct {
 	mu   sync.Mutex
 	free [][]float64
-	held [][]float64 // rows taken by row this round
+	held [][]float64 // vectors held this round
 }
 
 func (p *slotPool) get(n int) []float64 {
@@ -137,10 +122,18 @@ func (p *slotPool) put(v []float64) {
 // row takes an n-long sketch row, held until the next round starts.
 func (p *slotPool) row(n int) []float64 {
 	v := p.get(n)
+	p.hold(v)
+	return v
+}
+
+// hold keeps v out of the free list until the next round starts.
+func (p *slotPool) hold(v []float64) {
+	if v == nil {
+		return
+	}
 	p.mu.Lock()
 	p.held = append(p.held, v)
 	p.mu.Unlock()
-	return v
 }
 
 // poisonReleased is a test hook, never set outside tests: every dense
@@ -181,20 +174,16 @@ func (c *Coordinator) checkSampling(frac float64) error {
 	return nil
 }
 
-// initAggregation fixes how the session's rounds aggregate. Each
-// contribution folds into the streaming accumulator as it arrives, except
-// at a robust tree root, whose rule runs over the merged row reservoir,
-// and under a rule with no stream form (Median, TrimmedMean). A
-// client-facing node keeps its round's update column — O(cohort) memory —
-// only for the readers that need every update at the round's end:
-// observers, a reputation tracker, or a rule with no stream form.
-func (s *session) initAggregation() {
-	c := s.c
-	if !(c.AcceptPartials && c.Robust != nil) {
-		s.acc, _ = fl.NewAccumulator(c.Robust)
-		s.fold, _ = s.acc.(*fl.Fold)
-	}
-	s.keep = !c.AcceptPartials && (s.acc == nil || len(c.Observers) > 0 || c.Reputation != nil)
+// newSession builds a coordinator session from Initial, aggregating by the
+// coordinator's rule: streamed, except at a robust tree root, whose rule
+// runs over the merged row reservoir, and under a rule with no stream
+// form (see fl.RoundCore.SetRule).
+func newSession(c *Coordinator) *session {
+	s := &session{c: c, durable: -1, lastCoverage: 1}
+	s.core.Global = append([]float64(nil), c.Initial...)
+	s.core.Observers, s.core.Reputation, s.core.Metrics = c.Observers, c.Reputation, c.RoundMetrics
+	s.core.SetRule(c.Robust, c.AcceptPartials)
+	return s
 }
 
 // RunWithListener is ListenAndRun over an already-bound listener, so the
@@ -205,137 +194,79 @@ func (c *Coordinator) RunWithListener(ln net.Listener, ready func(boundAddr stri
 	if err := errors.Join(checkCodec(c.Codec), c.checkTreeParent(), c.checkSampling(c.SampleFraction)); err != nil {
 		return nil, err
 	}
-	global := make([]float64, len(c.Initial))
-	copy(global, c.Initial)
+	s := newSession(c)
 	startRound := 0
-	token := ""
-	failCounts := make(map[int]int)
 	if c.Restore != nil {
-		st := &c.Restore.State
-		if len(st.Global) != len(c.Initial) {
-			return nil, fmt.Errorf("transport: snapshot has %d global params, coordinator expects %d",
-				len(st.Global), len(c.Initial))
+		if err := s.core.Restore(&c.Restore.State); err != nil {
+			return nil, fmt.Errorf("transport: %w", err)
 		}
-		copy(global, st.Global)
-		startRound = st.NextRound
-		token = c.Restore.Token
-		for id, n := range st.FailCounts {
-			failCounts[id] = n
-		}
-		if c.Reputation != nil && st.Reputation != nil {
-			if err := c.Reputation.Restore(st.Reputation); err != nil {
-				return nil, fmt.Errorf("transport: restoring reputation state: %w", err)
-			}
-		}
+		startRound = c.Restore.State.NextRound
+		s.token, s.resumed, s.durable = c.Restore.Token, true, startRound-1
 	} else if c.Checkpoint != nil {
 		t, err := newToken()
 		if err != nil {
 			return nil, err
 		}
-		token = t
+		s.token = t
 	}
-	s := &session{
-		c:            c,
-		global:       global,
-		failCounts:   failCounts,
-		durable:      startRound - 1,
-		token:        token,
-		resumed:      c.Restore != nil,
-		lastCoverage: 1,
-	}
-	s.initAggregation()
-	every := c.CheckpointEvery
-	if every < 1 {
-		every = 1
-	}
-	// saveSnapshot persists the state as of entering nextRound. Snapshots
-	// are round-boundary-only by design: a mid-round accumulator is never
-	// captured, so a restart replays the interrupted round from its start.
-	saveSnapshot := func(nextRound int) error {
-		if c.Checkpoint == nil {
+	// save persists the state as of entering nextRound.
+	var save func(nextRound int) error
+	if c.Checkpoint != nil {
+		save = func(nextRound int) error {
+			snap := &checkpoint.Snapshot{Token: s.token}
+			snap.State.NextRound, snap.State.LastCoverage = nextRound, s.lastCoverage
+			if err := s.core.Capture(&snap.State); err != nil {
+				return err
+			}
+			if err := c.Checkpoint.Save(snap); err != nil {
+				return err
+			}
+			s.durable = nextRound - 1
 			return nil
 		}
-		snap := &checkpoint.Snapshot{Token: token}
-		snap.State.NextRound = nextRound
-		snap.State.Global = append([]float64(nil), s.global...)
-		snap.State.LastCoverage = s.lastCoverage
-		if len(s.failCounts) > 0 {
-			snap.State.FailCounts = make(map[int]int, len(s.failCounts))
-			for id, n := range s.failCounts {
-				snap.State.FailCounts[id] = n
-			}
-		}
-		if c.Reputation != nil {
-			blob, err := c.Reputation.Snapshot()
-			if err != nil {
-				return fmt.Errorf("transport: capturing reputation state: %w", err)
-			}
-			snap.State.Reputation = blob
-		}
-		if err := c.Checkpoint.Save(snap); err != nil {
-			return fmt.Errorf("transport: checkpoint after round %d: %w", nextRound-1, err)
-		}
-		s.durable = nextRound - 1
-		return nil
 	}
 
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-	active, err := c.acceptClients(ln, welcome{
-		Token: token, NextRound: startRound, Resumed: s.resumed,
-	}, &s.rxTally, &s.txTally)
+	closeAll, err := s.open(ln, ready, welcome{Token: s.token, NextRound: startRound, Resumed: s.resumed})
 	if err != nil {
 		return nil, err
 	}
-	s.active = active
-	defer s.closeConns()
-	// Deterministic aggregation order regardless of connect order.
-	sort.Slice(s.active, func(i, j int) bool { return s.active[i].id < s.active[j].id })
-
-	if c.AcceptRejoins {
-		s.acceptDone = make(chan struct{})
-		go s.acceptLoop(ln)
-		defer func() {
-			ln.Close() //nolint:errcheck — unblocks the accept loop; double close is benign
-			<-s.acceptDone
-		}()
+	defer closeAll()
+	opts := fl.RunOptions{CheckpointEvery: c.CheckpointEvery, Stop: c.Stop, AfterRound: c.AfterRound}
+	if err := fl.RunLoop(startRound, c.Rounds, opts, s.runRound, save); err != nil {
+		return nil, err
 	}
-
-	for round := startRound; round < c.Rounds; round++ {
-		if err := s.runRound(round); err != nil {
-			return nil, err
-		}
-		wrote := false
-		if c.Checkpoint != nil && ((round+1)%every == 0 || round == c.Rounds-1) {
-			if err := saveSnapshot(round + 1); err != nil {
-				return nil, err
-			}
-			wrote = true
-		}
-		if c.AfterRound != nil {
-			if err := c.AfterRound(round); err != nil {
-				return nil, err
-			}
-		}
-		if c.Stop != nil {
-			select {
-			case <-c.Stop:
-				if !wrote {
-					if err := saveSnapshot(round + 1); err != nil {
-						return nil, err
-					}
-				}
-				return nil, fl.ErrStopped
-			default:
-			}
-		}
-	}
-
 	if err := s.sendDone(); err != nil {
 		return nil, err
 	}
-	return s.global, nil
+	return s.core.Global, nil
+}
+
+// open reports the bound address to ready, admits the initial roster —
+// in client-ID order, so folds are deterministic whatever the connect
+// order — and starts the rejoin accept loop under AcceptRejoins. The
+// returned closeAll stops that loop (closing the listener unblocks it) and
+// tears down every connection.
+func (s *session) open(ln net.Listener, ready func(string), w welcome) (closeAll func(), err error) {
+	if ready != nil {
+		ready(ln.Addr().String())
+	}
+	if s.active, err = s.c.acceptClients(ln, w, &s.rxTally, &s.txTally); err != nil {
+		return nil, err
+	}
+	sort.Slice(s.active, func(i, j int) bool { return s.active[i].id < s.active[j].id })
+	if !s.c.AcceptRejoins {
+		return s.closeConns, nil
+	}
+	done := make(chan struct{})
+	go func() {
+		s.acceptLoop(ln)
+		close(done)
+	}()
+	return func() {
+		ln.Close() //nolint:errcheck — a double close is benign
+		<-done
+		s.closeConns()
+	}, nil
 }
 
 // closeConns tears down every roster and parked connection at run end.
@@ -371,7 +302,6 @@ func (s *session) sendDone() error {
 // parked; admission happens at the next round boundary. The loop exits
 // when the listener closes.
 func (s *session) acceptLoop(ln net.Listener) {
-	defer close(s.acceptDone)
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -412,16 +342,10 @@ func (s *session) admitPending(round int) {
 			cc.conn.Close()
 			continue
 		}
-		replaced := false
-		for i, old := range s.active {
-			if old.id == cc.id {
-				old.conn.Close()
-				s.active[i] = cc
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
+		if i := slices.IndexFunc(s.active, func(old *clientConn) bool { return old.id == cc.id }); i >= 0 {
+			s.active[i].conn.Close()
+			s.active[i] = cc
+		} else {
 			s.active = append(s.active, cc)
 		}
 		if cc.hadToken && s.resumed {
@@ -430,16 +354,6 @@ func (s *session) admitPending(round int) {
 		s.c.Metrics.connAccepted()
 	}
 	sort.Slice(s.active, func(i, j int) bool { return s.active[i].id < s.active[j].id })
-}
-
-// sampleCohort draws this round's cohort from the eligible roster through
-// fl.SampleCohort, weighted by each client's registered sample count and
-// floored at the quorum. The idle remainder receives no round frame, which
-// in this synchronous protocol simply leaves those clients blocked on
-// their next read until a later round samples them.
-func (s *session) sampleCohort(round int, eligible []*clientConn) (cohort, idle []*clientConn) {
-	f, seed := s.effectiveSample()
-	return fl.SampleCohort(eligible, func(cc *clientConn) int { return cc.samples }, f, seed, round, s.c.quorum())
 }
 
 // effectiveSample resolves which cohort-sampling directive this node
@@ -458,25 +372,16 @@ func (s *session) effectiveSample() (frac float64, seed int64) {
 	return s.c.SampleFraction, s.c.SampleSeed
 }
 
-// distSample is the sampling directive a node broadcasts in its round
-// frame this round: the root's own configuration, relayed unchanged by
-// interior nodes so the whole tree acts on one directive.
-func (s *session) distSample() (frac float64, seed int64) {
+// distDirective is the tree directive a node broadcasts in its round frame
+// this round — the sampling fraction and seed, and the row-reservoir
+// capacity: the root's own configuration, relayed unchanged by leaves and
+// interior nodes so the whole tree acts on one directive. The capacity
+// also sizes the local reservoir and the inbound partial byte budget.
+func (s *session) distDirective() (frac float64, seed int64, sketchCap int) {
 	if s.wantPartial {
-		return s.treeFrac, s.treeSeed
+		return s.treeFrac, s.treeSeed, s.sketchCap
 	}
-	return s.c.SampleFraction, s.c.SampleSeed
-}
-
-// distSketchCap is the row-reservoir capacity in force this round: the
-// parent's directive on leaves and interior nodes, the configured
-// capacity at the root. It sizes the local reservoir, the inbound partial
-// byte budget, and the capacity distributed onward.
-func (s *session) distSketchCap() int {
-	if s.wantPartial {
-		return s.sketchCap
-	}
-	return s.c.treeSketchCap()
+	return s.c.SampleFraction, s.c.SampleSeed, s.c.treeSketchCap()
 }
 
 // tallyUpdate credits one accepted client update to the round's coverage
@@ -485,10 +390,7 @@ func (s *session) distSketchCap() int {
 // a client-keyed sketch row. It returns the vector no reservoir holds: the
 // update's own, one it evicted, or nil.
 func (s *session) tallyUpdate(u fl.Update) (free []float64) {
-	w := float64(u.NumSamples)
-	if w <= 0 {
-		w = 1
-	}
+	w := fl.SampleWeight(u.NumSamples)
 	s.plannedWeight += w
 	s.coveredWeight += w
 	if s.sketch == nil {
@@ -497,10 +399,11 @@ func (s *session) tallyUpdate(u fl.Update) (free []float64) {
 	return s.sketch.Insert(robust.KeyClient(u.ClientID), u.Params)
 }
 
-// releaseRows runs when a round starts, after the previous round's rule
-// and partial encode have read its sketch rows, and gives each back once:
-// the held rows (kept, evicted or dropped by Merge alike) and the update
-// slots a client-facing shard's reservoir kept.
+// releaseRows runs when a round starts, after the previous round's tail
+// and partial encode have read its column and sketch rows, and gives each
+// back once: the held vectors (column slots, and rows kept, evicted or
+// dropped by Merge alike) and the update slots a client-facing shard's
+// reservoir kept.
 func (s *session) releaseRows() {
 	rows := s.slots.held
 	if s.sketch != nil && !s.c.AcceptPartials {
@@ -539,60 +442,39 @@ func (s *session) tallyPartial(p fl.Partial) error {
 	return nil
 }
 
-// stampPartial finishes the round's outgoing partial with its coverage
-// fields: the planned (pre-failure) cohort weight, the degradation flag,
-// and the round's row reservoir.
-func (s *session) stampPartial(degraded bool) {
-	s.partial.ExpectWeight = s.plannedWeight
-	s.partial.Degraded = degraded
-	s.partial.Sketch = s.sketch
-}
-
-// runRound executes one communication round over the current roster:
-// admit parked rejoiners, split out quarantined clients, sample the
-// cohort, exchange and fold (runStream), enforce quorum, then run the
-// round's one tail (observers, aggregate, reputation, install the global,
-// give back the kept column) and record telemetry. On success s.global
-// holds the new aggregate (or, on a leaf, s.partial holds the
-// pre-division sums for the root).
+// runRound executes one communication round over the current roster
+// through the round core: admit parked rejoiners, split out quarantined
+// clients, sample the cohort, exchange and fold (exchangeAll), enforce
+// quorum, then run the round's one tail (observers, aggregate,
+// reputation, install the global, give back the kept column) and record
+// telemetry. On success the core's Global holds the new aggregate (or, on
+// a leaf, s.partial holds the pre-division sums for the root).
 func (s *session) runRound(round int) error {
-	c := s.c
-	roundStart := time.Now()
+	c, r := s.c, &s.core
+	r.Begin(round)
 	s.admitPending(round)
 	bytesBefore := atomic.LoadUint64(&s.rxTally) + atomic.LoadUint64(&s.txTally)
 
 	// Quarantined clients are skipped for the round: no round message,
 	// no update, no influence. Their connections stay open so a later
 	// probation can re-admit them without a reconnect.
-	eligible := s.active
-	var blocked []*clientConn
-	var failures []fl.ClientFailure
-	if c.Reputation != nil {
-		eligible = make([]*clientConn, 0, len(s.active))
-		for _, cc := range s.active {
-			if c.Reputation.Blocked(cc.id) {
-				blocked = append(blocked, cc)
-				failures = append(failures, fl.ClientFailure{
-					ClientID: cc.id, Round: round, Reason: fl.FailQuarantined,
-					Err: fmt.Errorf("transport: client %d is quarantined", cc.id),
-				})
-				continue
-			}
-			eligible = append(eligible, cc)
-		}
-	}
+	eligible, blocked := fl.SplitQuarantined(r, s.active, func(cc *clientConn) int { return cc.id })
 	// Start-up refused a fail-stop node's own SampleFraction; a leaf's
 	// per-round directive from its parent is refused here.
-	applied, _ := s.effectiveSample()
-	if err := c.checkSampling(applied); err != nil {
+	frac, seed := s.effectiveSample()
+	if err := c.checkSampling(frac); err != nil {
 		return fmt.Errorf("transport: round %d: parent's sampling directive: %w", round, err)
 	}
-	cohort, idle := s.sampleCohort(round, eligible)
+	// The cohort is weighted by each client's registered sample count and
+	// floored at the quorum. The idle remainder receives no round frame,
+	// which in this synchronous protocol leaves those clients blocked on
+	// their next read until a later round samples them.
+	cohort, idle := fl.SampleCohort(eligible, func(cc *clientConn) int { return cc.samples }, frac, seed, round, c.quorum())
 
 	s.plannedWeight, s.coveredWeight = 0, 0
 	s.releaseRows()
 	s.sketch = nil
-	distCap := s.distSketchCap()
+	distFrac, distSeed, distCap := s.distDirective()
 	if distCap > 0 {
 		s.sketch = robust.NewSketch(distCap)
 	}
@@ -600,37 +482,27 @@ func (s *session) runRound(round int) error {
 	if c.AcceptPartials {
 		budget = c.partialBudget(distCap)
 	}
-	frac, seed := s.distSample()
 	s.bcast = wire.AppendRound2Frame(s.bcast[:0], wire.Round2{
-		Round: round, Durable: s.durable, Params: s.global,
-		SampleFrac: frac, SampleSeed: seed, SketchCap: distCap,
+		Round: round, Durable: s.durable, Params: r.Global,
+		SampleFrac: distFrac, SampleSeed: distSeed, SketchCap: distCap,
 	})
 	rc := &roundCtx{
-		round: round, global: s.global, bcast: s.bcast,
+		round: round, global: r.Global, bcast: s.bcast,
 		timeout: c.RoundTimeout, budget: budget,
 		maxNorm: c.MaxUpdateNorm, met: c.Metrics, slots: &s.slots,
 	}
-
-	if s.acc != nil {
-		s.acc.Begin(s.global)
-	}
-	survivors, ffs, nValid, err := s.runStream(rc, cohort)
+	survivors, err := s.exchangeAll(rc, cohort)
 	if err != nil {
 		return err
 	}
-	failures = append(failures, ffs...)
 	s.active = append(append(survivors, idle...), blocked...)
 	sort.Slice(s.active, func(i, j int) bool { return s.active[i].id < s.active[j].id })
-	degraded := false
-	if nValid < c.quorum() {
-		if !(s.wantPartial && nValid >= 1) {
-			return fmt.Errorf("transport: round %d: quorum lost: %d valid updates, need %d",
-				round, nValid, c.quorum())
-		}
-		// Graceful degradation: a below-quorum tree node forwards what it
-		// has — flagged Degraded, its planned weight intact — instead of
-		// stalling or leaving the tree.
-		degraded = true
+	// Graceful degradation: a below-quorum tree node forwards what it has
+	// — flagged Degraded, its planned weight intact — instead of stalling
+	// or leaving the tree.
+	degraded, err := r.Check(len(cohort), c.quorum(), 0, s.wantPartial)
+	if err != nil {
+		return err
 	}
 	coverage := 1.0
 	if s.plannedWeight > 0 {
@@ -644,281 +516,161 @@ func (s *session) runRound(round int) error {
 				round, coverage, c.CoverageFloor, s.coveredWeight, s.plannedWeight)
 		}
 	}
-	// The tail. Observers see the pre-round global and the kept column;
-	// every reader of the column runs before releaseColumn gives its
-	// slots back.
-	for _, o := range c.Observers {
-		if fo, ok := o.(fl.FailureObserver); ok {
-			fo.ObserveFailures(round, failures)
-		}
-	}
-	for _, o := range c.Observers {
-		o.ObserveRound(round, s.global, s.column)
-	}
-	report := robust.Report{Contributors: nValid}
+	// The tail. The kept column's slots go back when the next round
+	// starts, after every reader of the column.
+	r.Observe()
+	var report robust.Report
 	if s.wantPartial {
-		s.partial = s.fold.PartialView(s.leafID, round)
-		s.stampPartial(degraded)
+		// The outgoing partial carries the round's coverage fields: the
+		// planned (pre-failure) cohort weight, the degradation flag and the
+		// row reservoir.
+		fold := r.MeanFold()
+		s.partial = fold.PartialView(s.leafID, round)
+		s.partial.ExpectWeight, s.partial.Degraded, s.partial.Sketch = s.plannedWeight, degraded, s.sketch
 		if c.Reputation != nil {
-			if len(s.leafMean) != len(s.global) {
-				s.leafMean = make([]float64, len(s.global))
+			// A leaf scores its clients against the leaf-local mean.
+			if len(s.leafMean) != len(r.Global) {
+				s.leafMean = make([]float64, len(r.Global))
 			}
-			if err := s.fold.FinalizeInto(s.leafMean); err != nil {
+			if err := fold.FinalizeInto(s.leafMean); err != nil {
 				return fmt.Errorf("transport: round %d: %w", round, err)
 			}
-			fl.ScoreReputation(c.Reputation, s.leafMean, s.column, failures)
+			r.Score(s.leafMean)
 		}
 	} else {
 		var agg []float64
-		switch {
-		case s.acc != nil:
-			agg, report, err = s.acc.Finalize()
-		case c.AcceptPartials:
+		if c.AcceptPartials && c.Robust != nil {
 			// Robust tree root: the rule runs over the merged row reservoir
 			// — exact per-client rows while the tree's total stays within
 			// the sketch capacity, a uniform K-subsample (documented rank
-			// bound) above it. Subtree-level quorum was already enforced on
-			// nValid.
-			agg, report, err = c.Robust.Aggregate(s.global, s.sketch.RowsView(), nil)
-		default:
-			agg, report, err = fl.AggregateRobust(c.Robust, s.global, s.column, c.MinQuorum)
+			// bound) above it. Subtree-level quorum was already enforced.
+			agg, report, err = c.Robust.Aggregate(r.Global, s.sketch.RowsView(), nil)
+		} else {
+			agg, report, err = r.Aggregate(c.MinQuorum)
 		}
 		if err != nil {
 			return fmt.Errorf("transport: round %d: %w", round, err)
 		}
-		fl.ScoreReputation(c.Reputation, agg, s.column, failures)
-		s.installGlobal(agg)
+		poison(r.Global)
+		r.Advance(agg)
 	}
-	s.releaseColumn()
-
 	c.Metrics.roundBytes(atomic.LoadUint64(&s.rxTally) + atomic.LoadUint64(&s.txTally) - bytesBefore)
-	c.RoundMetrics.RecordRound(roundStart, nValid, len(failures), len(s.global))
-	c.RoundMetrics.RecordRobust(report)
-	c.RoundMetrics.RecordReputation(c.Reputation)
+	r.End(report)
 	return nil
 }
 
-// installGlobal makes the round's aggregate the global once nothing reads
-// the one it supersedes — the session's own copy of Initial or an earlier
-// aggregate, never a slice anyone else was handed. Under the mean fold
-// that one accumulates next (Fold.Recycle ping-pong); any other rule's
-// output draws from robust.Recycle's list, so it goes back there.
-func (s *session) installGlobal(agg []float64) {
-	poison(s.global)
-	if s.fold != nil {
-		s.fold.Recycle(s.global)
-	} else {
-		robust.Recycle(s.global)
-	}
-	s.global = agg
-}
-
-// releaseColumn ends a kept round's tail: observers, the rule and
-// reputation have read the column, so its slots no reservoir holds go
-// back to the pool.
-func (s *session) releaseColumn() {
-	for _, v := range s.unheld {
-		s.slots.put(v)
-	}
-	clear(s.unheld)
-	clear(s.column)
-	s.unheld, s.column = s.unheld[:0], s.column[:0]
-}
-
 // classifyFailure handles one failed exchange in fault-tolerant mode:
-// close the connection, record telemetry and reputation evidence, and
-// return the failure record.
+// close the connection, record the transport's telemetry, and return the
+// failure record.
 func (s *session) classifyFailure(cc *clientConn, round int, err error) fl.ClientFailure {
 	c := s.c
 	cc.conn.Close()
 	reason := failureReason(err)
-	switch reason {
-	case fl.FailTimeout:
+	if reason == fl.FailTimeout {
 		c.Metrics.stragglerDropped()
-	case fl.FailInvalid:
-		c.RoundMetrics.RecordValidationRejection()
-		if c.Reputation != nil {
-			c.Reputation.ObserveViolation(cc.id)
-		}
 	}
 	// The failed member's registered weight was planned but never arrives,
 	// pulling the round's coverage below 1; losing a partial child means a
 	// whole subtree dropped out mid-round.
-	w := float64(cc.samples)
-	if w <= 0 {
-		w = 1
-	}
-	s.plannedWeight += w
+	s.plannedWeight += fl.SampleWeight(cc.samples)
 	if cc.partial {
 		c.RoundMetrics.RecordTreeShardLost()
 	}
-	s.failCounts[cc.id]++
 	return fl.ClientFailure{ClientID: cc.id, Round: round, Reason: reason, Err: err}
 }
 
-// runStream executes one round's exchanges through the bounded window: a
-// pool of min(W, cohort) workers claims cohort positions from a shared
-// counter, the ordered-admission gate keeps at most W exchanges in flight
-// (position i may start only once i < foldedBase+W, so the round frame is
-// broadcast at admission and at most ~W decoded updates are ever live),
-// and this goroutine takes each result in strict roster-position order:
-// it folds it (when the session has an accumulator), tallies it, then
-// frees its slot or keeps it in the round's column. Because that order is
-// the cohort's ID order regardless of arrival timing, the aggregate is
-// bit-identical to the batch rule's over the same updates. W is
-// MaxInflightUpdates (default 64), or the whole cohort when the round
-// keeps its column: that memory is O(cohort) anyway, and every member
-// then exchanges at once under its own RoundTimeout.
-//
-// Deadlock-freedom: the folder only waits on position base, and position
-// base always passes the gate (base < base+W), so some worker is always
-// able to complete it.
-func (s *session) runStream(rc *roundCtx, cohort []*clientConn) (survivors []*clientConn, failures []fl.ClientFailure, nValid int, err error) {
+// exchangeAll runs one round's exchanges through the round core's ordered
+// window (fl.RunWindow) and takes each result in cohort order — the
+// cohort's ID order, whatever the arrival timing, so the aggregate is
+// bit-identical to the batch rule's over the same updates. The round
+// frame is broadcast at admission, so at most the window's decoded
+// updates are ever live. The window is MaxInflightUpdates (default 64), or
+// the whole cohort when the round keeps its column: that memory is
+// O(cohort) anyway, and every member then exchanges at once under its own
+// RoundTimeout. A fail-stop failure cuts every cohort connection, which
+// ends the exchanges still in flight.
+func (s *session) exchangeAll(rc *roundCtx, cohort []*clientConn) (survivors []*clientConn, err error) {
 	c := s.c
-	if len(cohort) == 0 {
-		return nil, nil, 0, nil
-	}
 	w := c.MaxInflightUpdates
 	if w <= 0 {
 		w = defaultInflight
 	}
-	if s.keep || w > len(cohort) {
+	if s.core.Keeps() {
 		w = len(cohort)
 	}
-	type slot struct {
-		u    fl.Update
-		p    fl.Partial
-		err  error
-		done bool
+	type result struct {
+		u   fl.Update
+		p   fl.Partial
+		err error
 	}
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		ring     = make([]slot, w)
-		base     int
-		claimed  = int64(-1)
-		aborted  bool
-		inflight int
-		peak     int
-	)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				pos := int(atomic.AddInt64(&claimed, 1))
-				if pos >= len(cohort) {
-					return
-				}
-				mu.Lock()
-				for pos >= base+w && !aborted {
-					cond.Wait()
-				}
-				if aborted {
-					mu.Unlock()
-					return
-				}
-				inflight++
-				if inflight > peak {
-					peak = inflight
-				}
-				rc.met.inflight(inflight)
-				mu.Unlock()
-				cc := cohort[pos]
-				var sl slot
-				if cc.partial {
-					sl.err = cc.exchangePartial(rc, &sl.p)
-				} else {
-					sl.err = cc.exchange(rc, &sl.u)
-				}
-				sl.done = true
-				// Ring slots cannot collide: the gate bounds live
-				// positions to [base, base+w), and distinct positions in
-				// a w-wide window map to distinct slots mod w.
-				mu.Lock()
-				ring[pos%w] = sl
-				cond.Broadcast()
-				mu.Unlock()
+	peak, err := fl.RunWindow(len(cohort), fl.Window{
+		Workers: w, Size: w, Inflight: rc.met.inflight,
+		Abort: func() {
+			for _, cc := range cohort {
+				cc.conn.Close()
 			}
-		}()
-	}
-	advance := func() {
-		mu.Lock()
-		base++
-		inflight--
-		rc.met.inflight(inflight)
-		cond.Broadcast()
-		mu.Unlock()
-	}
-	for pos := 0; pos < len(cohort); pos++ {
-		mu.Lock()
-		for !ring[pos%w].done {
-			cond.Wait()
-		}
-		sl := ring[pos%w]
-		ring[pos%w] = slot{}
-		mu.Unlock()
+		},
+	}, func(pos int) (res result) {
+		res.err = cohort[pos].exchange(rc, &res.u, &res.p)
+		return res
+	}, func(pos int, res result) error {
 		cc := cohort[pos]
-		if sl.err == nil {
+		if res.err == nil {
 			if cc.partial {
-				if s.acc != nil {
-					sl.err = s.acc.FoldPartial(sl.p)
-				}
-				if sl.err == nil {
-					sl.err = s.tallyPartial(sl.p)
-				}
-				if sl.err == nil {
-					rc.met.partialAccepted()
-				}
-				rc.slots.put(sl.p.Sum) // a reservoir keeps rows, never the sums
+				res.err = s.foldPartial(res.p)
 			} else {
-				free := sl.u.Params
-				if s.acc != nil {
-					sl.err = s.acc.Fold(sl.u)
-				}
-				if sl.err == nil {
-					free = s.tallyUpdate(sl.u)
-					if s.keep {
-						s.column = append(s.column, sl.u)
-						s.unheld = append(s.unheld, free)
-						free = nil
-					}
-				}
-				// Folded and tallied: free whatever no reservoir or column holds.
-				rc.slots.put(free)
+				res.err = s.foldUpdate(res.u)
 			}
 		}
-		if sl.err == nil {
-			nValid++
+		if res.err == nil {
 			survivors = append(survivors, cc)
-			advance()
-			continue
+			return nil
 		}
 		if !c.faultTolerant() {
-			// Fail-stop: this is the earliest error in fold order,
-			// whatever the arrival order. Unblock gate waiters, cut the
-			// in-flight I/O, and drain the pool.
-			mu.Lock()
-			aborted = true
-			cond.Broadcast()
-			mu.Unlock()
-			for _, other := range cohort {
-				other.conn.Close()
-			}
-			wg.Wait()
-			rc.met.inflight(0)
-			return nil, nil, 0, sl.err
+			return res.err // the earliest error in fold order, whatever the arrival order
 		}
-		failures = append(failures, s.classifyFailure(cc, rc.round, sl.err))
-		advance()
+		s.core.Fail(s.classifyFailure(cc, rc.round, res.err))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	rc.met.inflight(0)
 	// A kept column holds every accepted update until the round's tail.
-	if s.keep {
+	if s.core.Keeps() {
 		peak = len(cohort)
 	}
 	c.RoundMetrics.RecordRoundPeakUpdateBytes(uint64(peak) * 8 * uint64(len(rc.global)))
-	return survivors, failures, nValid, nil
+	return survivors, nil
+}
+
+// foldUpdate folds and tallies one client update, then frees its slot —
+// or, when the round keeps it, holds whatever vector no reservoir holds
+// until the next round.
+func (s *session) foldUpdate(u fl.Update) error {
+	kept, err := s.core.Fold(u)
+	if err != nil {
+		s.slots.put(u.Params)
+		return err
+	}
+	free := s.tallyUpdate(u)
+	if kept {
+		s.slots.hold(free)
+	} else {
+		s.slots.put(free)
+	}
+	return nil
+}
+
+// foldPartial tallies and folds one child partial, then frees its sums: a
+// reservoir keeps rows, never the sums.
+func (s *session) foldPartial(p fl.Partial) error {
+	defer s.slots.put(p.Sum)
+	if err := s.tallyPartial(p); err != nil {
+		return err
+	}
+	if err := s.core.FoldPartial(p); err != nil {
+		return err
+	}
+	s.c.Metrics.partialAccepted()
+	return nil
 }

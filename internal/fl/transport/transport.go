@@ -461,20 +461,24 @@ type roundCtx struct {
 	met     *Metrics
 }
 
-// exchange runs one round against one client: broadcast the round frame,
-// then decode the (possibly compressed) update into a window slot — on
-// success out.Params, the folder's to release — and validate it.
-// RoundTimeout (when set) covers the whole exchange through connection
-// deadlines.
-func (cc *clientConn) exchange(rc *roundCtx, out *fl.Update) error {
+// exchange runs one round against one roster member: broadcast the
+// round's shared frame, then read the answer — a client's (possibly
+// compressed) update into u, or a child aggregator's MsgPartial2 into p —
+// decoded into window slots that become the folder's to release, and
+// validated. RoundTimeout (when set) covers the whole exchange through
+// connection deadlines.
+func (cc *clientConn) exchange(rc *roundCtx, u *fl.Update, p *fl.Partial) error {
 	if rc.timeout > 0 {
 		cc.conn.SetDeadline(time.Now().Add(rc.timeout)) //nolint:errcheck
 		defer cc.conn.SetDeadline(time.Time{})          //nolint:errcheck
 	}
-	if err := cc.sendRound(rc); err != nil {
-		return err
+	if _, err := cc.w.Write(rc.bcast); err != nil {
+		return fmt.Errorf("transport: sending round %d to client %d: %w", rc.round, cc.id, err)
 	}
-	u, mode, err := decodeUpdate(cc.br, cc.lim, rc.budget, cc.cfg.Mode, cc.id, rc.global, rc.maxNorm, rc.slots)
+	if cc.partial {
+		return cc.readPartial(rc, p)
+	}
+	got, mode, err := decodeUpdate(cc.br, cc.lim, rc.budget, cc.cfg.Mode, cc.id, rc.global, rc.maxNorm, rc.slots)
 	if err != nil {
 		if !invalid(err) {
 			rc.met.decodeFailure()
@@ -485,31 +489,14 @@ func (cc *clientConn) exchange(rc *roundCtx, out *fl.Update) error {
 	if mode != compress.None {
 		rc.met.compressedUpdate()
 	}
-	*out = u
+	*u = got
 	return nil
 }
 
-// sendRound writes the round's shared broadcast frame.
-func (cc *clientConn) sendRound(rc *roundCtx) error {
-	if _, err := cc.w.Write(rc.bcast); err != nil {
-		return fmt.Errorf("transport: sending round %d to client %d: %w", rc.round, cc.id, err)
-	}
-	return nil
-}
-
-// exchangePartial is the parent side of one child exchange: broadcast the
-// round frame, then stream the child's MsgPartial2 into slots — the sums
-// into a window slot, the folder's to release, its sketch rows into held
-// rows — and validate it (round match, weight/count positivity,
-// finiteness, implied-mean norm bound).
-func (cc *clientConn) exchangePartial(rc *roundCtx, out *fl.Partial) error {
-	if rc.timeout > 0 {
-		cc.conn.SetDeadline(time.Now().Add(rc.timeout)) //nolint:errcheck
-		defer cc.conn.SetDeadline(time.Time{})          //nolint:errcheck
-	}
-	if err := cc.sendRound(rc); err != nil {
-		return err
-	}
+// readPartial streams a child's MsgPartial2 into slots — the sums into a
+// window slot, its sketch rows into held rows — and validates it (round
+// match, weight/count positivity, finiteness, implied-mean norm bound).
+func (cc *clientConn) readPartial(rc *roundCtx, out *fl.Partial) error {
 	cc.lim.allow(wire.HeaderLen + rc.budget)
 	typ, _, size, err := wire.ReadHeader(cc.br, int(rc.budget))
 	if err == nil && typ != wire.MsgPartial2 {
@@ -892,13 +879,7 @@ func RunClientRetry(addr string, client fl.Client, rc RetryConfig) error {
 	defer liveSessions.Add(-1)
 	var err error
 	for attempt := 1; attempt <= rc.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			rc.Metrics.retryAttempt()
-			if !sleepOrStop(rc.backoff(attempt-1), rc.Stop) {
-				return ErrClientStopped
-			}
-		}
-		if stopped(rc.Stop) {
+		if !rc.pause(attempt) {
 			return ErrClientStopped
 		}
 		joinedBefore, roundBefore := st.joined, st.nextRound
@@ -946,26 +927,12 @@ func sleepOrStop(d time.Duration, stop <-chan struct{}) bool {
 	}
 }
 
-// clientFrameBudget bounds one inbound frame on the client side. Clients
-// do not know the model size before the first round frame arrives, so the
-// bound is a generous constant rather than model-derived.
-const clientFrameBudget = 1 << 30
-
-// runSession runs one connect-train session, updating st as the federation
-// progresses so a later session can resume.
-func runSession(addr string, client fl.Client, rc RetryConfig, st *sessionState) error {
-	stop := rc.Stop
-	conn, err := rc.Dial(addr)
-	if err != nil {
-		return fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-
-	// While this session blocks in a read, a Stop signal unblocks it by
-	// expiring the read deadline; the session then reports ErrClientStopped.
+// watchStop makes a Stop signal unblock a session waiting in a read on
+// conn, by expiring the read deadline. stopErr turns the read error that
+// follows into ErrClientStopped; unwatch ends the watch.
+func watchStop(conn net.Conn, stop <-chan struct{}) (stopErr func(error) error, unwatch func()) {
+	done := make(chan struct{})
 	if stop != nil {
-		done := make(chan struct{})
-		defer close(done)
 		go func() {
 			select {
 			case <-stop:
@@ -974,12 +941,42 @@ func runSession(addr string, client fl.Client, rc RetryConfig, st *sessionState)
 			}
 		}()
 	}
-	stopErr := func(err error) error {
+	return func(err error) error {
 		if stopped(stop) {
 			return ErrClientStopped
 		}
 		return err
+	}, func() { close(done) }
+}
+
+// pause precedes a dial attempt (1-based): a retry is counted and sleeps
+// out its backoff first. It reports false once Stop fires.
+func (rc RetryConfig) pause(attempt int) bool {
+	if attempt > 1 {
+		rc.Metrics.retryAttempt()
+		if !sleepOrStop(rc.backoff(attempt-1), rc.Stop) {
+			return false
+		}
 	}
+	return !stopped(rc.Stop)
+}
+
+// clientFrameBudget bounds one inbound frame on the client side. Clients
+// do not know the model size before the first round frame arrives, so the
+// bound is a generous constant rather than model-derived.
+const clientFrameBudget = 1 << 30
+
+// runSession runs one connect-train session, updating st as the federation
+// progresses so a later session can resume.
+func runSession(addr string, client fl.Client, rc RetryConfig, st *sessionState) error {
+	conn, err := rc.Dial(addr)
+	if err != nil {
+		return fmt.Errorf("transport: dial %s: %w", addr, err)
+	}
+	defer conn.Close()
+
+	stopErr, unwatch := watchStop(conn, rc.Stop)
+	defer unwatch()
 
 	// The welcome decode may read ahead; the frame loop must read from the
 	// same buffer or it would miss the first round frame, which can arrive
