@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # whatever `staticcheck` is on PATH (and skip cleanly when there is none).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet orphans staticcheck crosscheck portable convbench fuzz chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck quickcheck check
+.PHONY: build test race vet orphans staticcheck crosscheck portable convbench fuzz oracle chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck quickcheck check
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,15 @@ convbench:
 # still runs under race here.
 race:
 	$(GO) test -race -short -timeout 20m ./...
+
+# oracle runs the differential oracle between the two round engines — the
+# flat TCP federation against the in-process server, every rule, window,
+# compression, sampling, failure, kill→resume and tree row, bit for bit —
+# and the round core's exchange-window test, five times under the race
+# detector, so a bug that only shows under some goroutine schedule
+# surfaces before merge. About 15 s.
+oracle:
+	$(GO) test -race -count=5 -run 'TestFlatTCPMatchesInProcess|TestRunWindow' ./internal/fl/...
 
 # chaos runs the crash-injection harness under the race detector: kill the
 # federation mid-run (in-process and over TCP), restart from the durable
@@ -214,8 +223,8 @@ quickcheck:
 
 # check is the full CI gate: static analysis, the orphan gate, the arm64
 # cross-compile, the portable-kernel tests, one pass of the convolution
-# benchmark, the race-enabled suite, a
-# short fuzz burst, the crash-harness smoke, the byzantine smoke, the
-# wire-path conformance sweep, and a short untraced and traced run of
+# benchmark, the race-enabled suite, the engine oracle five times under
+# race, a short fuzz burst, the crash-harness smoke, the byzantine smoke,
+# the wire-path conformance sweep, and a short untraced and traced run of
 # every repository-benchmark workload.
-check: vet orphans staticcheck crosscheck portable convbench race fuzz chaossmoke byzsmoke wirecheck benchcheck
+check: vet orphans staticcheck crosscheck portable convbench race oracle fuzz chaossmoke byzsmoke wirecheck benchcheck
