@@ -161,15 +161,6 @@ func (m *Metrics) RecordRoundCoverage(coverage float64) {
 	m.RoundCoverage.Set(coverage)
 }
 
-// RecordRobust records one round's robust-aggregation report. Nil-safe.
-func (m *Metrics) RecordRobust(rep robust.Report) {
-	if m == nil {
-		return
-	}
-	m.RobustTrimmed.Add(uint64(rep.Trimmed))
-	m.RobustClipped.Add(uint64(rep.Clipped))
-}
-
 // RecordReputation publishes the reputation tracker's current quarantine
 // count and per-client anomaly scores. Per-client gauges are registered
 // lazily as fl_client_anomaly_score{client="N"} — the registry's raw-name
@@ -197,9 +188,9 @@ func (m *Metrics) RecordReputation(r *robust.Reputation) {
 }
 
 // RecordRound records one completed round: its wall time since start, how
-// many updates were aggregated, how many clients were dropped, and the
-// model's parameter count. Nil-safe.
-func (m *Metrics) RecordRound(start time.Time, participating, dropped, params int) {
+// many updates were aggregated, how many clients were dropped, the
+// model's parameter count, and the robust rule's report. Nil-safe.
+func (m *Metrics) RecordRound(start time.Time, participating, dropped, params int, rep robust.Report) {
 	if m == nil {
 		return
 	}
@@ -208,6 +199,8 @@ func (m *Metrics) RecordRound(start time.Time, participating, dropped, params in
 	m.ClientsParticipating.Set(float64(participating))
 	m.ClientsDropped.Add(uint64(dropped))
 	m.UpdateParams.Set(float64(params))
+	m.RobustTrimmed.Add(uint64(rep.Trimmed))
+	m.RobustClipped.Add(uint64(rep.Clipped))
 }
 
 // RecordWorkerPool records one round's worker-pool shape: the pool size,
