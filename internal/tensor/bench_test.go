@@ -115,3 +115,18 @@ func BenchmarkWeightGradF32(b *testing.B) {
 		MatMulTransAAddInto(dw, g, x)
 	}
 }
+
+// BenchmarkGEMMInputGrad is one image's input-gradient product in the
+// cip_vgg_f64 10→10 convolution over 32×32 images, as the layer runs it:
+// dcols_b [90, 1024] = Wᵀ [90, 10] · g_b [10, 1024], an inner product
+// (serial, its two-row remainder on the tile routine). k is 10, so each
+// tile's store and dispatch weigh as much as its multiply-adds.
+func BenchmarkGEMMInputGrad(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	wT, g, dcols := randMat(rng, 90, 10), randMat(rng, 10, 1024), New(90, 1024)
+	s := gemmShape{m: 90, k: 10, n: 1024, inner: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		gemm(dcols.Data, wT.Data, g.Data, s)
+	}
+}

@@ -231,86 +231,6 @@ tnarrow:
 	VZEROUPPER
 	RET
 
-// func avxStoreTile(dst, c, bias *float64, ld, rows, mode int)
-//
-// Lands rows × 8 of a 4×8 float64 tile (row stride 8) in dst (row stride
-// ld), by mode: storeSet d = c, storeAdd d += c, storeRowBias d = c +
-// bias[r], storeColBias d = c + bias[x]. rows > 0.
-TEXT ·avxStoreTile(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ c+8(FP), SI
-	MOVQ bias+16(FP), BX
-	MOVQ ld+24(FP), DX
-	MOVQ rows+32(FP), CX
-	MOVQ mode+40(FP), AX
-	SHLQ $3, DX
-
-	CMPQ AX, $1
-	JEQ  st64add
-	CMPQ AX, $2
-	JEQ  st64row
-	CMPQ AX, $3
-	JEQ  st64col
-
-st64set:
-	VMOVUPD (SI), Y0
-	VMOVUPD 32(SI), Y1
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	ADDQ    $64, SI
-	ADDQ    DX, DI
-	DECQ    CX
-	JNZ     st64set
-	JMP     st64done
-
-st64add:
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VADDPD  (SI), Y0, Y0
-	VADDPD  32(SI), Y1, Y1
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	ADDQ    $64, SI
-	ADDQ    DX, DI
-	DECQ    CX
-	JNZ     st64add
-	JMP     st64done
-
-st64row:
-	VBROADCASTSD (BX), Y2
-	VMOVUPD      (SI), Y0
-	VMOVUPD      32(SI), Y1
-	VADDPD       Y2, Y0, Y0
-	VADDPD       Y2, Y1, Y1
-	VMOVUPD      Y0, (DI)
-	VMOVUPD      Y1, 32(DI)
-	ADDQ         $8, BX
-	ADDQ         $64, SI
-	ADDQ         DX, DI
-	DECQ         CX
-	JNZ          st64row
-	JMP          st64done
-
-st64col:
-	VMOVUPD (BX), Y2
-	VMOVUPD 32(BX), Y3
-
-st64colrow:
-	VMOVUPD (SI), Y0
-	VMOVUPD 32(SI), Y1
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y3, Y1, Y1
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	ADDQ    $64, SI
-	ADDQ    DX, DI
-	DECQ    CX
-	JNZ     st64colrow
-
-st64done:
-	VZEROUPPER
-	RET
-
 // WIDEN16 widens one 16-lane float32 tile row at SI into Y0..Y3.
 #define WIDEN16 \
 	VCVTPS2PD (SI), Y0   \
@@ -330,8 +250,10 @@ st64done:
 
 // func avxStoreTile32(dst *float64, c *float32, bias *float64, ld, rows, mode int)
 //
-// avxStoreTile for the f32 tier's 6×16 tile (row stride 16), widening each
-// partial sum to float64 before the mode's add. rows > 0.
+// Lands rows × 16 of a 6×16 float32 tile (row stride 16) in the float64
+// dst (row stride ld), widening each partial sum before the mode's add:
+// storeSet d = c, storeAdd d += c, storeRowBias d = c + bias[r],
+// storeColBias d = c + bias[x]. rows > 0.
 TEXT ·avxStoreTile32(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ c+8(FP), SI

@@ -196,12 +196,13 @@ var storeCases = []storeCase{
 	{name: "column bias", first: true, bias: true},
 }
 
-// TestStoreMatchesPortable lands f64 and f32 tiles in every store mode,
-// for every row count up to the tile height (rows < mr is a remainder
-// tile), full-width and ragged, at an interior column of a destination
-// with a wider row stride. Tile values include edge values (NaN only in
-// the tile, so no addition sees two NaNs); the f32 tile holds float32
-// subnormals, infinities and NaNs with payloads to widen.
+// TestStoreMatchesPortable lands f32 tiles in every store mode, for every
+// row count up to the tile height (rows < mr32 is a remainder tile),
+// full-width and ragged, at an interior column of a destination with a
+// wider row stride. Tile values include edge values (NaN only in the tile,
+// so no addition sees two NaNs): float32 subnormals, infinities and NaNs
+// with payloads to widen. The f64 tile stores are part of the sweep
+// (TestSweepMatchesDefinition).
 func TestStoreMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	const ld, i, j = 61, 3, 20
@@ -223,32 +224,6 @@ func TestStoreMatchesPortable(t *testing.T) {
 				var b []float64
 				if sc.bias {
 					b = bias
-				}
-
-				if rows <= mr {
-					w := nr
-					if !full {
-						w = 5
-					}
-					var c [mr * nr]float64
-					copy(c[:], edgeData(rng, len(c)))
-					s := gemmShape{m: i + mr, n: ld, bias: b, rowBias: sc.rowBias, acc: sc.acc, chain: sc.chain}
-					first := sc.first && !s.acc || s.chain // as gemm sets it
-					got, want := append([]float64(nil), dst0...), append([]float64(nil), dst0...)
-					s.store(got, &c, i, rows, j, w, first)
-					mode, mb := storeMode(s.bias, s.rowBias, i, j, first)
-					storeTileGo(want[i*ld+j:], &c, ld, rows, w, mode, mb)
-					if x := firstDiff64(got, want); x >= 0 {
-						t.Fatalf("f64 %s: element %d differs from the portable loop", name, x)
-					}
-					for r := 0; r < rows; r++ {
-						for x := 0; x < w; x++ {
-							d, v := dst0[(i+r)*ld+j+x], c[r*nr+x]
-							if def := storeDefinition(d, v, b, sc.rowBias, i+r, j+x, first); math.Float64bits(want[(i+r)*ld+j+x]) != math.Float64bits(def) {
-								t.Fatalf("f64 %s: portable loop differs from the definition at row %d lane %d", name, r, x)
-							}
-						}
-					}
 				}
 
 				w := nr32
@@ -396,6 +371,57 @@ func TestMomentumStepMatchesSeparatePasses(t *testing.T) {
 			}
 			if i := firstDiff64(w.Data, wantW.Data); i >= 0 {
 				t.Fatalf("mu=%v n=%d: weight %d is %v, want %v", mu, n, i, w.Data[i], wantW.Data[i])
+			}
+		}
+	}
+}
+
+// TestAddRowsMatchesRowLoop: col2im's per-tap add of rows runs writes the
+// bits of its portable row loop (one axpyRow(·, ·, 1) per run) and of the
+// definition dst + src, for runs of 0 through 17 (the 8- and 4-lane bodies
+// and the scalar tail, alone and together) and 32, one to five rows, equal
+// and unequal strides. Values are edge values, NaNs with payloads
+// included; where a NaN meets a NaN of another payload only NaN-ness is
+// held to the definition. The source is never written, and nothing in the
+// destination outside the runs.
+func TestAddRowsMatchesRowLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	runs := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 32}
+	for _, run := range runs {
+		for rows := 1; rows <= 5; rows++ {
+			for _, ld := range [][2]int{{run, run}, {run + 3, run + 1}, {run + 1, run + 6}} {
+				ldd, lds := max(ld[0], 1), max(ld[1], 1)
+				name := fmt.Sprintf("run=%d rows=%d ldd=%d lds=%d", run, rows, ldd, lds)
+				const off = 2 // the first run's offset in dst and src
+				dst0 := edgeData(rng, off+rows*ldd+3)
+				src := edgeData(rng, off+rows*lds+3)
+				src0 := append([]float64(nil), src...)
+				got, want := append([]float64(nil), dst0...), append([]float64(nil), dst0...)
+				addRows(got[off:], src[off:], ldd, lds, run, rows)
+				addRowsGo(want[off:], src[off:], ldd, lds, run, rows)
+				if i := firstDiff64(got, want); i >= 0 {
+					t.Fatalf("%s: element %d is %#x, the row loop wrote %#x", name, i,
+						math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+				if i := firstDiff64(src, src0); i >= 0 {
+					t.Fatalf("%s: source element %d was written", name, i)
+				}
+				for i := range dst0 {
+					r, x := (i-off)/ldd, (i-off)%ldd
+					if i < off || r >= rows || x >= run {
+						if math.Float64bits(got[i]) != math.Float64bits(dst0[i]) {
+							t.Fatalf("%s: element %d outside the runs was written", name, i)
+						}
+						continue
+					}
+					d, v := dst0[i], src[off+r*lds+x]
+					def := d + v
+					if nanMeet(d, v) && !math.IsNaN(got[i]) ||
+						!nanMeet(d, v) && math.Float64bits(got[i]) != math.Float64bits(def) {
+						t.Fatalf("%s: row %d lane %d is %#x, want %#x", name, r, x,
+							math.Float64bits(got[i]), math.Float64bits(def))
+					}
+				}
 			}
 		}
 	}

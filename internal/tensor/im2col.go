@@ -414,6 +414,16 @@ func col2imImage(img, cols []float64, g ConvGeom) {
 					continue
 				}
 				ix := lo*g.Stride + kx - g.Pad
+				if g.Stride == 1 && ow == g.InW {
+					// Output rows [y0, y1) read input rows inside the
+					// image, each a run of hi − lo, in one call.
+					y0 := min(oh, max(0, g.Pad-ky))
+					y1 := max(y0, min(oh, g.InH+g.Pad-ky))
+					if y0 < y1 {
+						addRows(ch[(y0+ky-g.Pad)*g.InW+ix:], row[y0*ow+lo:], g.InW, ow, hi-lo, y1-y0)
+					}
+					continue
+				}
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*g.Stride + ky - g.Pad
 					if iy < 0 || iy >= g.InH {
@@ -432,6 +442,15 @@ func col2imImage(img, cols []float64, g ConvGeom) {
 				}
 			}
 		}
+	}
+}
+
+// addRowsGo adds rows runs of run values, lds apart in src, into dst, ldd
+// apart, one axpyRow(·, ·, 1) per run: the portable loop behind addRows.
+// 1·v is exact, so each fused add rounds as += v.
+func addRowsGo(dst, src []float64, ldd, lds, run, rows int) {
+	for r := 0; r < rows; r++ {
+		axpyRow(dst[r*ldd:r*ldd+run], src[r*lds:r*lds+run], 1)
 	}
 }
 

@@ -31,29 +31,52 @@ func detectFMAKernel() bool {
 	return ebx7&avx2Bit != 0
 }
 
-// microKernel computes the mr×nr tile into c, dispatching to the AVX2+FMA
-// assembly kernel when the CPU supports it. It overwrites c, or with acc
-// continues each element's multiply-add chain from c's value.
+// sweep computes one tile row of a product's (kc, nc) block into d (see
+// sweepGo), running the whole row in the AVX2+FMA assembly routine when
+// the CPU supports it: the 4×8 accumulators stay in registers across the
+// k-block and land in d in the block's mode, panel after panel.
 //
-// The FMA kernel rounds once per multiply-add, so its results can differ
-// from the portable kernel in the last ulp; callers comparing against a
+// The FMA routine rounds once per multiply-add, so its results can differ
+// from the portable loop in the last ulp; callers comparing against a
 // scalar reference must use a tolerance (see the GEMM property tests).
 // Within one process the dispatch is constant, so GEMM stays bit-for-bit
 // deterministic across runs and across worker counts.
-func microKernel(c *[mr * nr]float64, a0, a1, a2, a3, bp []float64, kcb int, acc bool) {
-	if hasFMAKernel && kcb > 0 {
-		fmaKernel4x8(&a0[0], &a1[0], &a2[0], &a3[0], &bp[0], &c[0], kcb, acc)
+func sweep(d []float64, a *[mr][]float64, bpack []float64, ld, kcb, ncb, rows, mode int, bias []float64) {
+	if !hasFMAKernel {
+		sweepGo(d, a, bpack, ld, kcb, ncb, rows, mode, bias)
 		return
 	}
-	microKernelGo(c, a0, a1, a2, a3, bp, kcb, acc)
+	_ = d[(rows-1)*ld+ncb-1]
+	_ = bpack[roundUp(ncb, nr)*kcb-1]
+	for r := range a {
+		_ = a[r][kcb-1]
+	}
+	// A missing row of a remainder tile aliases the last valid one: its A
+	// row (set by the caller), its offset in d and its row bias.
+	var o [mr]int
+	for r := range o {
+		o[r] = min(r, rows-1) * ld
+	}
+	var rb [mr]float64
+	var bp *float64
+	switch mode {
+	case storeRowBias:
+		for r := range rb {
+			rb[r] = bias[min(r, rows-1)]
+		}
+		bp = &rb[0]
+	case storeColBias:
+		_ = bias[ncb-1]
+		bp = &bias[0]
+	}
+	fmaSweep4x8(&d[0], &a[0][0], &a[1][0], &a[2][0], &a[3][0], &bpack[0], bp, o[1], o[2], o[3], kcb, ncb, mode)
 }
 
-// fmaKernel4x8 accumulates c[4][8] = Σ_p a{r}[p] * bp[p*8+j] over p in
-// [0, kc) with AVX2 FMA, starting from zero (overwriting c) or, with acc,
-// from c. Implemented in kernel_amd64.s.
+// fmaSweep4x8 lands the 4×8 tiles of one tile row against every packed
+// panel in d, by mode. Implemented in kernel_amd64.s.
 //
 //go:noescape
-func fmaKernel4x8(a0, a1, a2, a3, bp, c *float64, kc int, acc bool)
+func fmaSweep4x8(d, a0, a1, a2, a3, bp, bias *float64, o1, o2, o3, kc, nc, mode int)
 
 // fmaAxpy computes dst[i] += alpha*src[i] for i in [0, n) with AVX2 FMA.
 // Implemented in kernel_amd64.s.
@@ -62,8 +85,8 @@ func fmaKernel4x8(a0, a1, a2, a3, bp, c *float64, kc int, acc bool)
 func fmaAxpy(dst, src *float64, alpha float64, n int)
 
 // axpyRow adds alpha·src into dst (equal lengths), dispatching to the FMA
-// kernel when the CPU supports it. Like microKernel, the FMA path rounds
-// once per multiply-add, so it can differ from the portable loop in the
+// kernel when the CPU supports it. Like sweep, the FMA path rounds once
+// per multiply-add, so it can differ from the portable loop in the
 // last ulp.
 func axpyRow(dst, src []float64, alpha float64) {
 	if hasFMAKernel && len(dst) > 0 {
@@ -71,6 +94,25 @@ func axpyRow(dst, src []float64, alpha float64) {
 		return
 	}
 	axpyRowGo(dst, src, alpha)
+}
+
+// fmaAddRows adds rows runs of run values, lds apart in src, into dst,
+// ldd apart, with AVX2 FMA. Implemented in kernel_amd64.s.
+//
+//go:noescape
+func fmaAddRows(dst, src *float64, ldd, lds, run, rows int)
+
+// addRows adds rows runs of run values, lds apart in src, into dst, ldd
+// apart (see addRowsGo), in one call to the FMA routine when the CPU
+// supports it. src is only read.
+func addRows(dst, src []float64, ldd, lds, run, rows int) {
+	if hasFMAKernel && run > 0 && rows > 0 {
+		_ = dst[(rows-1)*ldd+run-1]
+		_ = src[(rows-1)*lds+run-1]
+		fmaAddRows(&dst[0], &src[0], ldd, lds, run, rows)
+		return
+	}
+	addRowsGo(dst, src, ldd, lds, run, rows)
 }
 
 // avxRelu computes dst[i] = max(src[i], 0) for i in [0, n), n a multiple
@@ -117,7 +159,7 @@ func reluGateKernel(dst, y, g []float64) {
 
 // microKernel32 computes the mr32×nr32 tile into c (overwriting it),
 // dispatching to the widened 8-lane-per-register AVX2+FMA kernel when the
-// CPU supports it. Same rounding caveat as microKernel: FMA fuses the
+// CPU supports it. Same rounding caveat as sweep: FMA fuses the
 // multiply-add, so results differ from the portable kernel in the last
 // ulp but stay bit-identical within one process.
 func microKernel32(c *[mr32 * nr32]float32, a0, a1, a2, a3, a4, a5, bp []float32, kcb int) {
@@ -184,9 +226,6 @@ func avxPackCols32(dst *float32, src *float64, ld, kc4 int)
 func avxTransNarrow(dst *float32, src *float64, lds, ldd, k4 int)
 
 //go:noescape
-func avxStoreTile(dst, c, bias *float64, ld, rows, mode int)
-
-//go:noescape
 func avxStoreTile32(dst *float64, c *float32, bias *float64, ld, rows, mode int)
 
 //go:noescape
@@ -241,26 +280,6 @@ func packPanelT32[T elem](d []float32, src []T, ld, kcb, w int) {
 		}
 	}
 	packPanelT32Go(d, src, ld, kcb, w)
-}
-
-// storeTile lands the first rows × w lanes of tile c in d (row stride ld)
-// by mode (see storeTileGo).
-func storeTile(d []float64, c *[mr * nr]float64, ld, rows, w, mode int, bias []float64) {
-	if hasFMAKernel && w == nr && rows > 0 {
-		_ = d[(rows-1)*ld+nr-1]
-		var bp *float64
-		switch mode {
-		case storeRowBias:
-			_ = bias[rows-1]
-			bp = &bias[0]
-		case storeColBias:
-			_ = bias[nr-1]
-			bp = &bias[0]
-		}
-		avxStoreTile(&d[0], &c[0], bp, ld, rows, mode)
-		return
-	}
-	storeTileGo(d, c, ld, rows, w, mode, bias)
 }
 
 // storeTile32 is storeTile for the f32 tier's tile, widening each partial

@@ -2,82 +2,304 @@
 
 #include "textflag.h"
 
-// func fmaKernel4x8(a0, a1, a2, a3, bp, c *float64, kc int, acc bool)
+// func fmaSweep4x8(d, a0, a1, a2, a3, bp, bias *float64, o1, o2, o3, kc, nc, mode int)
 //
-// Computes the 4×8 micro-tile c[r][j] = Σ_p a{r}[p] * bp[p*8+j] for
-// p in [0, kc), overwriting c. With acc the accumulators start from c's
-// values instead of zero, so a chain of multiply-adds carries on from an
-// earlier call bit for bit. The eight accumulators (Y4..Y11) stay in
-// registers across the whole k-loop; each iteration streams 8 packed B
-// values (two YMM loads) and broadcasts one A value per row, issuing
-// 8 FMAs = 64 double FLOPs.
-TEXT ·fmaKernel4x8(SB), NOSPLIT, $0-57
-	MOVQ a0+0(FP), R8
-	MOVQ a1+8(FP), R9
-	MOVQ a2+16(FP), R10
-	MOVQ a3+24(FP), R11
-	MOVQ bp+32(FP), R12
-	MOVQ c+40(FP), R13
-	MOVQ kc+48(FP), CX
-	MOVBQZX acc+56(FP), AX
+// One 4-row tile row of a product's (kc, nc) block: for every 8-wide
+// packed panel of bp (kc rows of 8, panel after panel), the 4×8 tile
+// c[r][j] = Σ_p a{r}[p] * panel[p*8+j] over p in [0, kc), landed straight
+// in d by mode. Row r of the tile lives at d + o{r}·8 (o0 = 0); a missing
+// row of a remainder tile aliases the last valid one, both in its A row and
+// in its offset, so it computes and stores that row's bits again. Modes:
+// 0 d = c, 1 d = d + c, 2 d = c + bias[r], 3 d = c + bias[j] (bias advances
+// a panel at a time), 4 chain: the accumulators start from d and d = c.
+// A ragged last panel (nc mod 8 lanes) loads and stores through lane masks.
+//
+// The accumulators (Y4..Y11) carry one fused multiply-add chain per
+// element in p order, with the operand roles of the per-tile kernel this
+// replaces; every load of dst lands before any store, so aliased rows read
+// what valid ones read. kc ≥ 1, nc ≥ 1.
 
-	TESTQ AX, AX
-	JNZ   load
+// KSTEP is one k step at byte offset boff into the packed panel and aoff
+// into the A rows: 8 packed B values (two loads), one broadcast A value
+// per row, 8 FMAs = 64 double FLOPs.
+#define KSTEP(boff, aoff) \
+	VMOVUPD      boff(R12), Y0      \
+	VMOVUPD      (boff+32)(R12), Y1 \
+	VBROADCASTSD aoff(R8), Y2       \
+	VBROADCASTSD aoff(R9), Y3       \
+	VFMADD231PD  Y0, Y2, Y4         \
+	VFMADD231PD  Y1, Y2, Y5         \
+	VFMADD231PD  Y0, Y3, Y6         \
+	VFMADD231PD  Y1, Y3, Y7         \
+	VBROADCASTSD aoff(R10), Y2      \
+	VBROADCASTSD aoff(R11), Y3      \
+	VFMADD231PD  Y0, Y2, Y8         \
+	VFMADD231PD  Y1, Y2, Y9         \
+	VFMADD231PD  Y0, Y3, Y10        \
+	VFMADD231PD  Y1, Y3, Y11
 
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	VXORPD Y8, Y8, Y8
-	VXORPD Y9, Y9, Y9
-	VXORPD Y10, Y10, Y10
+// KLOOP runs the k-block two steps per iteration, then an odd last step,
+// leaving R12 at the next panel. The steps run in p order, so the chains
+// are those of a one-step loop.
+#define KLOOP(pair, last, done) \
+	SHRQ $1, CX         \
+	JZ   last           \
+pair:                   \
+	KSTEP(0, 0)         \
+	KSTEP(64, 8)        \
+	ADDQ $16, R8        \
+	ADDQ $16, R9        \
+	ADDQ $16, R10       \
+	ADDQ $16, R11       \
+	ADDQ $128, R12      \
+	DECQ CX             \
+	JNZ  pair           \
+last:                   \
+	MOVQ kc+80(FP), CX  \
+	ANDQ $1, CX         \
+	JZ   done           \
+	KSTEP(0, 0)         \
+	ADDQ $64, R12       \
+done:
+
+// SWEEPSTART points R8..R11 at the A rows and CX at kc for a new panel.
+#define SWEEPSTART \
+	MOVQ a0+8(FP), R8   \
+	MOVQ a1+16(FP), R9  \
+	MOVQ a2+24(FP), R10 \
+	MOVQ a3+32(FP), R11 \
+	MOVQ kc+80(FP), CX
+
+#define ZERO8 \
+	VXORPD Y4, Y4, Y4    \
+	VXORPD Y5, Y5, Y5    \
+	VXORPD Y6, Y6, Y6    \
+	VXORPD Y7, Y7, Y7    \
+	VXORPD Y8, Y8, Y8    \
+	VXORPD Y9, Y9, Y9    \
+	VXORPD Y10, Y10, Y10 \
 	VXORPD Y11, Y11, Y11
-	JMP    loop
 
-load:
-	VMOVUPD (R13), Y4
-	VMOVUPD 32(R13), Y5
-	VMOVUPD 64(R13), Y6
-	VMOVUPD 96(R13), Y7
-	VMOVUPD 128(R13), Y8
-	VMOVUPD 160(R13), Y9
-	VMOVUPD 192(R13), Y10
-	VMOVUPD 224(R13), Y11
+// The tile's eight halves in d: row 0 at DI, rows 1..3 DX, R13 and AX
+// elements further on.
+#define LOADFULL \
+	VMOVUPD (DI), Y4           \
+	VMOVUPD 32(DI), Y5         \
+	VMOVUPD (DI)(DX*8), Y6     \
+	VMOVUPD 32(DI)(DX*8), Y7   \
+	VMOVUPD (DI)(R13*8), Y8    \
+	VMOVUPD 32(DI)(R13*8), Y9  \
+	VMOVUPD (DI)(AX*8), Y10    \
+	VMOVUPD 32(DI)(AX*8), Y11
 
-loop:
-	VMOVUPD (R12), Y0            // b[0:4]
-	VMOVUPD 32(R12), Y1          // b[4:8]
+#define STOREFULL \
+	VMOVUPD Y4, (DI)           \
+	VMOVUPD Y5, 32(DI)         \
+	VMOVUPD Y6, (DI)(DX*8)     \
+	VMOVUPD Y7, 32(DI)(DX*8)   \
+	VMOVUPD Y8, (DI)(R13*8)    \
+	VMOVUPD Y9, 32(DI)(R13*8)  \
+	VMOVUPD Y10, (DI)(AX*8)    \
+	VMOVUPD Y11, 32(DI)(AX*8)
 
-	VBROADCASTSD (R8), Y2        // a0[p]
-	VBROADCASTSD (R9), Y3        // a1[p]
-	VFMADD231PD Y0, Y2, Y4
-	VFMADD231PD Y1, Y2, Y5
-	VFMADD231PD Y0, Y3, Y6
-	VFMADD231PD Y1, Y3, Y7
+// The same under the lane masks Y12 (lanes 0..3) and Y13 (lanes 4..7):
+// masked-off lanes are neither read nor written.
+#define LOADMASK \
+	VMASKMOVPD (DI), Y12, Y4          \
+	VMASKMOVPD 32(DI), Y13, Y5        \
+	VMASKMOVPD (DI)(DX*8), Y12, Y6    \
+	VMASKMOVPD 32(DI)(DX*8), Y13, Y7  \
+	VMASKMOVPD (DI)(R13*8), Y12, Y8   \
+	VMASKMOVPD 32(DI)(R13*8), Y13, Y9 \
+	VMASKMOVPD (DI)(AX*8), Y12, Y10   \
+	VMASKMOVPD 32(DI)(AX*8), Y13, Y11
 
-	VBROADCASTSD (R10), Y2       // a2[p]
-	VBROADCASTSD (R11), Y3       // a3[p]
-	VFMADD231PD Y0, Y2, Y8
-	VFMADD231PD Y1, Y2, Y9
-	VFMADD231PD Y0, Y3, Y10
-	VFMADD231PD Y1, Y3, Y11
+#define STOREMASK \
+	VMASKMOVPD Y4, Y12, (DI)          \
+	VMASKMOVPD Y5, Y13, 32(DI)        \
+	VMASKMOVPD Y6, Y12, (DI)(DX*8)    \
+	VMASKMOVPD Y7, Y13, 32(DI)(DX*8)  \
+	VMASKMOVPD Y8, Y12, (DI)(R13*8)   \
+	VMASKMOVPD Y9, Y13, 32(DI)(R13*8) \
+	VMASKMOVPD Y10, Y12, (DI)(AX*8)   \
+	VMASKMOVPD Y11, Y13, 32(DI)(AX*8)
 
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $64, R12
-	DECQ CX
-	JNZ  loop
+// ADDFULL and ADDMASK set acc = d + acc for one half-row at mem, d loaded
+// into Y14 first: d is the add's first source, as in the tile store's
+// d += c.
+#define ADDFULL(mem, acc) \
+	VMOVUPD mem, Y14     \
+	VADDPD  acc, Y14, acc
 
-	VMOVUPD Y4, (R13)
-	VMOVUPD Y5, 32(R13)
-	VMOVUPD Y6, 64(R13)
-	VMOVUPD Y7, 96(R13)
-	VMOVUPD Y8, 128(R13)
-	VMOVUPD Y9, 160(R13)
-	VMOVUPD Y10, 192(R13)
-	VMOVUPD Y11, 224(R13)
+#define ADDMASK(mem, mask, acc) \
+	VMASKMOVPD mem, mask, Y14 \
+	VADDPD     acc, Y14, acc
+
+// ROWBIAS adds each row's broadcast bias (four values at BX) with the
+// accumulator as the first source, as in the tile store's c + bias[r].
+#define ROWBIAS \
+	VBROADCASTSD (BX), Y14     \
+	VADDPD       Y14, Y4, Y4   \
+	VADDPD       Y14, Y5, Y5   \
+	VBROADCASTSD 8(BX), Y14    \
+	VADDPD       Y14, Y6, Y6   \
+	VADDPD       Y14, Y7, Y7   \
+	VBROADCASTSD 16(BX), Y14   \
+	VADDPD       Y14, Y8, Y8   \
+	VADDPD       Y14, Y9, Y9   \
+	VBROADCASTSD 24(BX), Y14   \
+	VADDPD       Y14, Y10, Y10 \
+	VADDPD       Y14, Y11, Y11
+
+// COLBIAS adds the panel's column bias, held in Y14 and Y15, likewise.
+#define COLBIAS \
+	VADDPD Y14, Y4, Y4   \
+	VADDPD Y15, Y5, Y5   \
+	VADDPD Y14, Y6, Y6   \
+	VADDPD Y15, Y7, Y7   \
+	VADDPD Y14, Y8, Y8   \
+	VADDPD Y15, Y9, Y9   \
+	VADDPD Y14, Y10, Y10 \
+	VADDPD Y15, Y11, Y11
+
+// sweepmask<>+8·(8−w) is the lane mask of a w-lane panel: w all-ones
+// quadwords, then zeros.
+DATA sweepmask<>+0(SB)/8, $-1
+DATA sweepmask<>+8(SB)/8, $-1
+DATA sweepmask<>+16(SB)/8, $-1
+DATA sweepmask<>+24(SB)/8, $-1
+DATA sweepmask<>+32(SB)/8, $-1
+DATA sweepmask<>+40(SB)/8, $-1
+DATA sweepmask<>+48(SB)/8, $-1
+DATA sweepmask<>+56(SB)/8, $-1
+DATA sweepmask<>+64(SB)/8, $0
+DATA sweepmask<>+72(SB)/8, $0
+DATA sweepmask<>+80(SB)/8, $0
+DATA sweepmask<>+88(SB)/8, $0
+DATA sweepmask<>+96(SB)/8, $0
+DATA sweepmask<>+104(SB)/8, $0
+DATA sweepmask<>+112(SB)/8, $0
+DATA sweepmask<>+120(SB)/8, $0
+GLOBL sweepmask<>(SB), RODATA|NOPTR, $128
+
+TEXT ·fmaSweep4x8(SB), NOSPLIT, $0-104
+	MOVQ d+0(FP), DI
+	MOVQ bp+40(FP), R12
+	MOVQ bias+48(FP), BX
+	MOVQ o1+56(FP), DX
+	MOVQ o2+64(FP), R13
+	MOVQ o3+72(FP), AX
+	MOVQ nc+88(FP), SI
+	SHRQ $3, SI                  // whole panels
+	JZ   swragged
+
+swpanel:
+	SWEEPSTART
+	CMPQ mode+96(FP), $4
+	JEQ  swchain
+	ZERO8
+	JMP  swk
+
+swchain:
+	LOADFULL
+
+swk:
+	KLOOP(swkpair, swklast, swkdone)
+
+	MOVQ mode+96(FP), CX
+	CMPQ CX, $1
+	JEQ  swadd
+	CMPQ CX, $2
+	JEQ  swrow
+	CMPQ CX, $3
+	JEQ  swcol
+	STOREFULL                    // set and chain
+	JMP  swnext
+
+swadd:
+	ADDFULL((DI), Y4)
+	ADDFULL(32(DI), Y5)
+	ADDFULL((DI)(DX*8), Y6)
+	ADDFULL(32(DI)(DX*8), Y7)
+	ADDFULL((DI)(R13*8), Y8)
+	ADDFULL(32(DI)(R13*8), Y9)
+	ADDFULL((DI)(AX*8), Y10)
+	ADDFULL(32(DI)(AX*8), Y11)
+	STOREFULL
+	JMP swnext
+
+swrow:
+	ROWBIAS
+	STOREFULL
+	JMP swnext
+
+swcol:
+	VMOVUPD (BX), Y14
+	VMOVUPD 32(BX), Y15
+	COLBIAS
+	STOREFULL
+	ADDQ    $64, BX
+
+swnext:
+	ADDQ $64, DI
+	DECQ SI
+	JNZ  swpanel
+
+swragged:
+	MOVQ nc+88(FP), CX
+	ANDQ $7, CX
+	JZ   swdone
+	NEGQ CX
+	LEAQ sweepmask<>+64(SB), SI
+	VMOVDQU (SI)(CX*8), Y12
+	VMOVDQU 32(SI)(CX*8), Y13
+
+	SWEEPSTART
+	CMPQ mode+96(FP), $4
+	JEQ  swmchain
+	ZERO8
+	JMP  swmk
+
+swmchain:
+	LOADMASK
+
+swmk:
+	KLOOP(swmkpair, swmklast, swmkdone)
+
+	MOVQ mode+96(FP), CX
+	CMPQ CX, $1
+	JEQ  swmadd
+	CMPQ CX, $2
+	JEQ  swmrow
+	CMPQ CX, $3
+	JEQ  swmcol
+	STOREMASK                    // set and chain
+	JMP  swdone
+
+swmadd:
+	ADDMASK((DI), Y12, Y4)
+	ADDMASK(32(DI), Y13, Y5)
+	ADDMASK((DI)(DX*8), Y12, Y6)
+	ADDMASK(32(DI)(DX*8), Y13, Y7)
+	ADDMASK((DI)(R13*8), Y12, Y8)
+	ADDMASK(32(DI)(R13*8), Y13, Y9)
+	ADDMASK((DI)(AX*8), Y12, Y10)
+	ADDMASK(32(DI)(AX*8), Y13, Y11)
+	STOREMASK
+	JMP swdone
+
+swmrow:
+	ROWBIAS
+	STOREMASK
+	JMP swdone
+
+swmcol:
+	VMASKMOVPD (BX), Y12, Y14
+	VMASKMOVPD 32(BX), Y13, Y15
+	COLBIAS
+	STOREMASK
+
+swdone:
 	VZEROUPPER
 	RET
 
@@ -122,6 +344,77 @@ tailloop:
 	JNZ          tailloop
 
 done:
+	VZEROUPPER
+	RET
+
+// func fmaAddRows(dst, src *float64, ldd, lds, run, rows int)
+//
+// Adds rows runs of run values, lds apart in src, into dst, ldd apart:
+// dst[r*ldd+i] = 1·src[r*lds+i] + dst[r*ldd+i], one fused multiply-add
+// per element with fmaAxpy's operand roles, so every lane rounds (and
+// propagates a NaN) as fmaAxpy(dst, src, 1, run) does row by row. Each run
+// takes 8 lanes at a time, then 4, then scalars. src is only read. rows > 0.
+TEXT ·fmaAddRows(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ ldd+16(FP), R8
+	MOVQ lds+24(FP), R9
+	MOVQ run+32(FP), R10
+	MOVQ rows+40(FP), R11
+	SHLQ $3, R8
+	SHLQ $3, R9
+	MOVQ $0x3ff0000000000000, AX // 1.0
+	MOVQ AX, X0
+	VBROADCASTSD X0, Y0
+
+addrow:
+	MOVQ DI, R12
+	MOVQ SI, R13
+	MOVQ R10, CX
+	SHRQ $3, CX
+	JZ   addquad
+
+add8:
+	VMOVUPD     (R13), Y1
+	VMOVUPD     32(R13), Y2
+	VFMADD213PD (R12), Y0, Y1
+	VFMADD213PD 32(R12), Y0, Y2
+	VMOVUPD     Y1, (R12)
+	VMOVUPD     Y2, 32(R12)
+	ADDQ        $64, R13
+	ADDQ        $64, R12
+	DECQ        CX
+	JNZ         add8
+
+addquad:
+	MOVQ R10, CX
+	ANDQ $7, CX
+	JZ   addnext
+	CMPQ CX, $4
+	JLT  add1
+	VMOVUPD     (R13), Y1
+	VFMADD213PD (R12), Y0, Y1
+	VMOVUPD     Y1, (R12)
+	ADDQ        $32, R13
+	ADDQ        $32, R12
+	SUBQ        $4, CX
+	JZ          addnext
+
+add1:
+	VMOVSD      (R13), X1
+	VFMADD213SD (R12), X0, X1
+	VMOVSD      X1, (R12)
+	ADDQ        $8, R13
+	ADDQ        $8, R12
+	DECQ        CX
+	JNZ         add1
+
+addnext:
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ R11
+	JNZ  addrow
+
 	VZEROUPPER
 	RET
 

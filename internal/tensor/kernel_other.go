@@ -6,12 +6,6 @@ package tensor
 // is in use; only the amd64 build has one.
 const hasFMAKernel = false
 
-// microKernel computes the mr×nr tile into c (overwriting it, or with acc
-// continuing from its values) with the portable Go kernel.
-func microKernel(c *[mr * nr]float64, a0, a1, a2, a3, bp []float64, kcb int, acc bool) {
-	microKernelGo(c, a0, a1, a2, a3, bp, kcb, acc)
-}
-
 // axpyRow adds alpha·src into dst (equal lengths) with the portable loop.
 func axpyRow(dst, src []float64, alpha float64) {
 	axpyRowGo(dst, src, alpha)

@@ -452,17 +452,16 @@ var gemmTasks = sync.Pool{New: func() any { return new(gemmTask) }}
 // gemmRows computes rows [i0, i1) of dst against the packed B block. first
 // marks the k-block that overwrites dst (folding in the bias); later
 // k-blocks accumulate. Under s.chain each tile starts from dst's values.
+// Each mr-row tile row is one sweep over the block's panels.
 //
 // A row remainder (fewer than mr rows) runs the scalar 1×nr tile, except
-// in an inner product: there the tile kernel runs with the missing rows
-// aliased to the last valid one and only the valid rows are stored. The
-// kernel keeps one independent chain per element, so those rows round
-// exactly as they would inside a full tile (with the FMA kernel, fused);
-// a conv product's rows are channels or kernel taps, whose counts are
-// rarely multiples of mr.
+// in an inner product: there the sweep runs with the missing rows aliased
+// to the last valid one and only the valid rows are stored. The kernel
+// keeps one independent chain per element, so those rows round exactly as
+// they would inside a full tile (with the FMA routine, fused); a conv
+// product's rows are channels or kernel taps, whose counts are rarely
+// multiples of mr.
 func gemmRows(dst, a, bpack []float64, i0, i1, pc, jc, kcb, ncb int, s gemmShape, first bool) {
-	panels := (ncb + nr - 1) / nr
-	var ctile [mr * nr]float64
 	var ar [mr][]float64
 	i := i0
 	for ; i < i1; i += mr {
@@ -474,23 +473,15 @@ func gemmRows(dst, a, bpack []float64, i0, i1, pc, jc, kcb, ncb int, s gemmShape
 			ri := i + min(r, rows-1)
 			ar[r] = a[ri*s.k+pc : ri*s.k+pc+kcb]
 		}
-		for jp := 0; jp < panels; jp++ {
-			bp := bpack[jp*kcb*nr : (jp+1)*kcb*nr]
-			j := jc + jp*nr
-			w := min(nr, ncb-jp*nr)
-			if s.chain {
-				for r := 0; r < rows; r++ {
-					c, d := ctile[r*nr:r*nr+w], dst[(i+r)*s.n+j:]
-					for x := range c {
-						c[x] = d[x]
-					}
-				}
-			}
-			microKernel(&ctile, ar[0], ar[1], ar[2], ar[3], bp, kcb, s.chain)
-			s.store(dst, &ctile, i, rows, j, w, first)
+		mode, bias := storeMode(s.bias, s.rowBias, i, jc, first)
+		if s.chain {
+			mode = storeChain
 		}
+		sweep(dst[i*s.n+jc:], &ar, bpack, s.n, kcb, ncb, rows, mode, bias)
 	}
 	// Row remainder: 1×nr scalar tiles.
+	panels := (ncb + nr - 1) / nr
+	var ctile [mr * nr]float64
 	for ; i < i1; i++ {
 		ar := a[i*s.k+pc : i*s.k+pc+kcb]
 		for jp := 0; jp < panels; jp++ {
@@ -503,6 +494,34 @@ func gemmRows(dst, a, bpack []float64, i0, i1, pc, jc, kcb, ncb int, s gemmShape
 	}
 }
 
+// sweepGo is the portable loop behind sweep: rows rows of d (row stride
+// ld; the block's first column) from the mr A rows a — a remainder tile's
+// missing rows aliased to its last valid one — against every nr-wide panel
+// of the packed (kcb, ncb) block, one microKernel and one storeTile per
+// panel. Under storeChain each tile starts from d's values and overwrites
+// them; under storeColBias, bias starts at the block's first column.
+func sweepGo(d []float64, a *[mr][]float64, bpack []float64, ld, kcb, ncb, rows, mode int, bias []float64) {
+	var c [mr * nr]float64
+	chain := mode == storeChain
+	for j := 0; j < ncb; j += nr {
+		w := min(nr, ncb-j)
+		if chain {
+			for r := 0; r < rows; r++ {
+				copy(c[r*nr:r*nr+w], d[r*ld+j:])
+			}
+		}
+		microKernel(&c, a[0], a[1], a[2], a[3], bpack[j*kcb:(j+nr)*kcb], kcb, chain)
+		m, b := mode, bias
+		switch mode {
+		case storeChain:
+			m = storeSet
+		case storeColBias:
+			b = bias[j:]
+		}
+		storeTile(d[j:], &c, ld, rows, w, m, b)
+	}
+}
+
 // How a tile lands in the destination. The first k-block of a product
 // overwrites dst, folding in the bias of each row or of each column; later
 // k-blocks (and accumulating products) add to it.
@@ -511,6 +530,7 @@ const (
 	storeAdd            // d += c
 	storeRowBias        // d = c + bias[r]
 	storeColBias        // d = c + bias[x]
+	storeChain          // c starts from d, then d = c (sweep only)
 )
 
 // storeMode picks the tile store for a tile at row i, column j: the mode
@@ -537,9 +557,9 @@ func (s *gemmShape) store(dst []float64, c *[mr * nr]float64, i, rows, j, w int,
 	storeTile(dst[i*s.n+j:], c, s.n, rows, w, mode, bias)
 }
 
-// storeTileGo lands the first rows × w lanes of tile c in d (row stride
-// ld) by mode: the portable loop behind storeTile.
-func storeTileGo(d []float64, c *[mr * nr]float64, ld, rows, w, mode int, bias []float64) {
+// storeTile lands the first rows × w lanes of tile c in d (row stride ld)
+// by mode.
+func storeTile(d []float64, c *[mr * nr]float64, ld, rows, w, mode int, bias []float64) {
 	for r := 0; r < rows; r++ {
 		dr, cr := d[r*ld:][:w], c[r*nr:][:w]
 		switch mode {
@@ -563,10 +583,10 @@ func storeTileGo(d []float64, c *[mr * nr]float64, ld, rows, w, mode int, bias [
 	}
 }
 
-// microKernelGo is the portable mr×nr register tile: 32 accumulators kept
+// microKernel is the portable mr×nr register tile: 32 accumulators kept
 // live across the full k-block, B streamed from the packed panel. They
 // start from zero, or from c under acc.
-func microKernelGo(c *[mr * nr]float64, a0, a1, a2, a3, bp []float64, kcb int, acc bool) {
+func microKernel(c *[mr * nr]float64, a0, a1, a2, a3, bp []float64, kcb int, acc bool) {
 	var c00, c01, c02, c03, c04, c05, c06, c07 float64
 	var c10, c11, c12, c13, c14, c15, c16, c17 float64
 	var c20, c21, c22, c23, c24, c25, c26, c27 float64
