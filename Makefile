@@ -54,9 +54,10 @@ portable:
 
 # convbench runs one iteration of every case of the convolution layer's
 # benchmark (forward, Step II and Step I backward at the VGG and sweep
-# shapes, about a second), so the benchmark cannot rot.
+# shapes), of the 2×2 max-pool's and of the conv input gradient's
+# per-image GEMM (about a second), so the benchmarks cannot rot.
 convbench:
-	$(GO) test -count=1 -run '^$$' -bench '^BenchmarkConvLayer$$' -benchtime 1x ./internal/nn
+	$(GO) test -count=1 -run '^$$' -bench '^(BenchmarkConvLayer|BenchmarkMaxPool2D|BenchmarkGEMMInputGrad)$$' -benchtime 1x ./internal/nn ./internal/tensor
 
 # The race detector slows the heavyweight experiment replays ~10-20x past
 # the default go-test timeout; they honor -short and are covered without

@@ -154,11 +154,10 @@ func TestTreeChaosDepth3(t *testing.T) {
 		intAddrs[id] = addr
 		return &chaosNode{stop: stop, wait: wait}
 	}
-	// restartLeaf tears down the old instance and brings up a replacement
-	// over the same client objects; the first replacement's parent link
-	// starts partitioned and heals one round later.
+	// restartLeaf brings up a replacement for a killed leaf, over the same
+	// client objects; the first replacement's parent link starts
+	// partitioned and heals one round later.
 	restartLeaf := func(l, round int) {
-		leaves[l].wait() //nolint:errcheck — ErrClientStopped by construction
 		var dial func(string) (net.Conn, error)
 		if firstLeaf {
 			firstLeaf = false
@@ -191,10 +190,15 @@ func TestTreeChaosDepth3(t *testing.T) {
 			// shard clients, redial upward, park as rejoiners.
 			time.Sleep(500 * time.Millisecond)
 		}
+		// A stop lands asynchronously: the node's watcher cuts its parent
+		// read. Each kill waits until its victims are down, so the next
+		// round's broadcast cannot reach a victim before its stop does
+		// (a victim that ran one more round went unrecorded as lost).
 		if round >= 1 && round <= killWindow {
 			for _, v := range leafPlan.Victims(round - 1) {
 				v := v
 				close(leaves[v].stop)
+				leaves[v].wait() //nolint:errcheck — ErrClientStopped by construction
 				restarts[round+1] = append(restarts[round+1], func() { restartLeaf(v, round+1) })
 			}
 			if len(intPlan.Victims(round-1)) > 0 {
@@ -204,10 +208,10 @@ func TestTreeChaosDepth3(t *testing.T) {
 				close(interior0.stop)
 				close(leaves[0].stop)
 				close(leaves[1].stop)
+				interior0.wait() //nolint:errcheck
+				leaves[0].wait() //nolint:errcheck
+				leaves[1].wait() //nolint:errcheck
 				restarts[round+1] = append(restarts[round+1], func() {
-					interior0.wait() //nolint:errcheck
-					leaves[0].wait() //nolint:errcheck
-					leaves[1].wait() //nolint:errcheck
 					interior0 = launchInterior(0, rootAddr)
 					leaves[0] = launchShard(0, nil)
 					leaves[1] = launchShard(1, nil)

@@ -126,6 +126,7 @@ func BenchmarkGEMMInputGrad(b *testing.B) {
 	wT, g, dcols := randMat(rng, 90, 10), randMat(rng, 10, 1024), New(90, 1024)
 	s := gemmShape{m: 90, k: 10, n: 1024, inner: true}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gemm(dcols.Data, wT.Data, g.Data, s)
 	}

@@ -414,9 +414,9 @@ func col2imImage(img, cols []float64, g ConvGeom) {
 					continue
 				}
 				ix := lo*g.Stride + kx - g.Pad
-				if g.Stride == 1 && ow == g.InW {
+				if g.Stride == 1 {
 					// Output rows [y0, y1) read input rows inside the
-					// image, each a run of hi − lo, in one call.
+					// image, each a run of hi − lo, added in one call.
 					y0 := min(oh, max(0, g.Pad-ky))
 					y1 := max(y0, min(oh, g.InH+g.Pad-ky))
 					if y0 < y1 {
@@ -431,11 +431,6 @@ func col2imImage(img, cols []float64, g ConvGeom) {
 					}
 					src := row[oy*ow+lo : oy*ow+hi]
 					dst := ch[iy*g.InW : (iy+1)*g.InW]
-					if g.Stride == 1 {
-						// 1·v is exact, so the fused add rounds as += v.
-						axpyRow(dst[ix:ix+len(src)], src, 1)
-						continue
-					}
 					for x, v := range src {
 						dst[ix+x*g.Stride] += v
 					}

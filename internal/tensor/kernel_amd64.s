@@ -15,9 +15,11 @@
 // A ragged last panel (nc mod 8 lanes) loads and stores through lane masks.
 //
 // The accumulators (Y4..Y11) carry one fused multiply-add chain per
-// element in p order, with the operand roles of the per-tile kernel this
-// replaces; every load of dst lands before any store, so aliased rows read
-// what valid ones read. kc ≥ 1, nc ≥ 1.
+// element in p order. Every instruction keeps fixed operand roles (A, B
+// and the accumulator in the FMA; d, then the tile, in the add; the tile,
+// then the bias, in a bias add), which fixes the NaN payload x86 returns
+// where NaNs meet. Every load of dst lands before any store, so aliased
+// rows read what valid ones read. kc ≥ 1, nc ≥ 1.
 
 // KSTEP is one k step at byte offset boff into the packed panel and aoff
 // into the A rows: 8 packed B values (two loads), one broadcast A value

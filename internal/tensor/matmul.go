@@ -18,10 +18,17 @@ import (
 //     cases; padded lanes are masked at store time. A B reused across
 //     many products (a layer's weights) can be packed once for all of its
 //     blocks instead (PackedB, packed.go).
-//   - The micro-kernel computes an mr×nr tile of C with all accumulators in
-//     registers. On amd64 with AVX2+FMA it is the 4×8 assembly kernel in
-//     kernel_amd64.s; everywhere else (and for row remainders) the pure-Go
-//     kernels below run.
+//   - Each mr-row tile row of a block is one sweep across the block's
+//     panels: per panel, an mr×nr tile of C with all accumulators in
+//     registers across the k-block, stored straight into dst in the
+//     block's mode (set, add, row or column bias, or chain) before the
+//     next panel starts. On amd64 with AVX2+FMA the whole sweep is one
+//     call to the 4×8 assembly routine in kernel_amd64.s, so a product
+//     with a short k (a conv input gradient's k is OutC, 10 or 14) pays
+//     one call per tile row instead of a call, a tile buffer and a store
+//     per tile. Everywhere else the pure-Go sweep below runs (microKernel
+//     then storeTile per panel), as does the scalar 1×nr tile of a dense
+//     product's row remainder.
 //   - Rows are split across the helper team per (kc, nc) block. Every
 //     output element is computed by exactly one worker with a fixed
 //     k-accumulation order, so results are bit-identical for any worker
