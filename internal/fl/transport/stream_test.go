@@ -87,13 +87,47 @@ func runFederation(t *testing.T, coord *Coordinator, roster []fl.Client, rc Retr
 	return global, errs, srvErr
 }
 
+// everyRow wraps a rule with no stream form and records how many rows
+// each round's one call aggregates.
+type everyRow struct {
+	robust.Aggregator
+	rows []int
+}
+
+func (a *everyRow) Aggregate(center []float64, params [][]float64, w []float64) ([]float64, robust.Report, error) {
+	a.rows = append(a.rows, len(params))
+	return a.Aggregator.Aggregate(center, params, w)
+}
+
+// exactRows wraps rule, when it has no stream form, and returns a check
+// that each of rounds rounds ran it once over all n of the round's rows:
+// a flat round's rows are never subsampled.
+func exactRows(t *testing.T, rule robust.Aggregator, n, rounds int) (robust.Aggregator, func()) {
+	if _, streams := rule.(robust.StreamRule); rule == nil || streams {
+		return rule, func() {}
+	}
+	a := &everyRow{Aggregator: rule}
+	return a, func() {
+		t.Helper()
+		if len(a.rows) != rounds {
+			t.Fatalf("%s ran %d times in %d rounds", rule.Name(), len(a.rows), rounds)
+		}
+		for r, got := range a.rows {
+			if got != n {
+				t.Fatalf("round %d: %s aggregated %d rows, want all %d", r, rule.Name(), got, n)
+			}
+		}
+	}
+}
+
 // TestFlatTCPMatchesInProcess is the differential oracle between the two
 // round engines: a flat TCP federation over 5 vecClients and an
 // in-process fl.Server over the same roster must agree bit for bit — the
 // final global and every HistoryRecorder record — for every aggregation
 // rule, with and without an observer and a reputation tracker, at windows
 // 1 (fully serialized), 2 and 64 (fully concurrent), whatever order the
-// clients' answers arrive in.
+// clients' answers arrive in. A rule with no stream form runs once a
+// round over every row on both engines.
 func TestFlatTCPMatchesInProcess(t *testing.T) {
 	const n, rounds = 5, 3
 	initial := make([]float64, 33)
@@ -136,8 +170,9 @@ func TestFlatTCPMatchesInProcess(t *testing.T) {
 					clients[i] = &vecClient{id: i, samples: 5 + 3*i}
 				}
 				srv := fl.NewServer(initial, clients...)
+				rule, exact := exactRows(t, r.rule, n, rounds)
 				if r.rule != nil || rep {
-					srv.Policy = &fl.RoundPolicy{Robust: r.rule, Reputation: newRep()}
+					srv.Policy = &fl.RoundPolicy{Robust: rule, Reputation: newRep()}
 				}
 				wantRec := &fl.HistoryRecorder{KeepParams: true}
 				if observe {
@@ -146,19 +181,22 @@ func TestFlatTCPMatchesInProcess(t *testing.T) {
 				if err := srv.Run(rounds); err != nil {
 					t.Fatalf("%s: in-process: %v", name, err)
 				}
+				exact()
 				want := srv.Global()
 
 				for _, w := range []int{1, 2, 64} {
 					t.Run(fmt.Sprintf("%s/w%d", name, w), func(t *testing.T) {
 						rec := &fl.HistoryRecorder{KeepParams: true}
+						rule, exact := exactRows(t, r.rule, n, rounds)
 						coord := &Coordinator{
 							NumClients: n, Rounds: rounds, Initial: initial,
-							Robust: r.rule, Reputation: newRep(), MaxInflightUpdates: w,
+							Robust: rule, Reputation: newRep(), MaxInflightUpdates: w,
 						}
 						if observe {
 							coord.Observers = []fl.RoundObserver{rec}
 						}
 						got, _ := runVecFederation(t, coord, n)
+						exact()
 						sameBits(t, "final global", got, want)
 						sameHistory(t, rec, wantRec)
 					})
@@ -169,6 +207,7 @@ func TestFlatTCPMatchesInProcess(t *testing.T) {
 	roundRulesMatch(t, initial)
 	resumeMatches(t, initial)
 	treeMatches(t, initial)
+	sketchBoundMatches(t, initial)
 }
 
 // resumeMatches is the oracle's kill→resume table over compression
@@ -348,6 +387,126 @@ func treeMatches(t *testing.T, initial []float64) {
 				sameBits(t, "final global", got, want)
 			})
 		}
+	}
+}
+
+// rankClient's update ignores the global it trains from, so a tree and a
+// flat federation over the same roster see the same rows every round
+// whatever their globals; it keeps each round's global, which from round 1
+// on is the previous round's aggregate. Its coordinates are uncorrelated
+// across clients, so each coordinate's order statistic is a different
+// client's.
+type rankClient struct {
+	id   int
+	seen [][]float64
+}
+
+func (c *rankClient) ID() int         { return c.id }
+func (c *rankClient) NumSamples() int { return 1 + c.id%3 }
+func (c *rankClient) TrainLocal(round int, global []float64) (fl.Update, error) {
+	c.seen = append(c.seen, append([]float64(nil), global...))
+	p := make([]float64, len(global))
+	for i := range p {
+		p[i] = math.Sin(float64((c.id+1)*(i+7)) + 0.37*float64(round))
+	}
+	return fl.Update{Params: p, NumSamples: c.NumSamples(), TrainLoss: 1}, nil
+}
+
+// sketchBoundMatches is the oracle's row above the sketch capacity: a
+// depth-2 tree (root ← interior ← 2 leaves ← 20 rankClients each) with a
+// reservoir of K = 16 rows, below every tier's row count, under Median
+// and TrimmedMean. Every round's root aggregate must lie, coordinate by
+// coordinate, between the (½−ε)- and (½+ε)-quantiles of the in-process
+// flat run's rows that round, ε = robust.SampleRankError(K, 0.05); and it
+// must be the rule over exactly the K client rows with the smallest keys,
+// whatever tier dropped the others.
+func sketchBoundMatches(t *testing.T, initial []float64) {
+	const leaves, perLeaf, capRows, rounds, delta = 2, 20, 16, 3, 0.05
+	eps := robust.SampleRankError(capRows, delta)
+	for _, rule := range []robust.Aggregator{robust.Median{}, robust.TrimmedMean{Frac: 0.2}} {
+		roster := make([]fl.Client, leaves*perLeaf)
+		for i := range roster {
+			roster[i] = &rankClient{id: i}
+		}
+		srv := fl.NewServer(initial, roster...)
+		srv.Policy = &fl.RoundPolicy{Robust: rule}
+		rec := &fl.HistoryRecorder{KeepParams: true}
+		srv.Observers = []fl.RoundObserver{rec}
+		if err := srv.Run(rounds); err != nil {
+			t.Fatal(err)
+		}
+		t.Run("tree/above-capacity/"+rule.Name(), func(t *testing.T) {
+			root := &Coordinator{
+				NumClients: 1, Rounds: rounds, Initial: initial,
+				AcceptPartials: true, Robust: rule, TreeSketchCap: capRows,
+			}
+			rootAddr, rootWait := startCoordinator(t, root)
+			interiorAddr, interiorWait := startNode(t, &Leaf{
+				Root: rootAddr, Local: Coordinator{NumClients: leaves, Initial: initial, AcceptPartials: true},
+			})
+			waits := []func() error{interiorWait}
+			clients := make([]*rankClient, leaves*perLeaf)
+			errs := make([][]error, leaves)
+			for l := range leaves {
+				shard := make([]fl.Client, perLeaf)
+				for i := range shard {
+					clients[l*perLeaf+i] = &rankClient{id: l*perLeaf + i}
+					shard[i] = clients[l*perLeaf+i]
+				}
+				errs[l] = make([]error, perLeaf)
+				waits = append(waits, startLeaf(t, &Leaf{
+					ID: l, Root: interiorAddr, Local: Coordinator{NumClients: perLeaf, Initial: initial},
+				}, shard, errs[l]))
+			}
+			final, err := rootWait()
+			if err != nil {
+				t.Fatalf("root: %v", err)
+			}
+			for i, wait := range waits {
+				if err := wait(); err != nil {
+					t.Fatalf("tree node %d: %v", i, err)
+				}
+			}
+			for l := range errs {
+				for i, err := range errs[l] {
+					if err != nil {
+						t.Fatalf("leaf %d client %d: %v", l, i, err)
+					}
+				}
+			}
+			for r, want := range rec.Rounds {
+				got := final
+				if r+1 < rounds {
+					got = clients[0].seen[r+1]
+				}
+				rows := want.LocalParams
+				sk := robust.NewSketch(capRows)
+				for id, row := range rows {
+					sk.Add(robust.KeyClient(id), row)
+				}
+				sub, _, err := rule.Aggregate(want.Global, sk.RowsView(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, fmt.Sprintf("round %d: the rule over the %d smallest keys", r, capRows), got, sub)
+				n := float64(len(rows))
+				for i, v := range got {
+					below, atMost := 0, 0
+					for _, row := range rows {
+						if row[i] < v {
+							below++
+						}
+						if row[i] <= v {
+							atMost++
+						}
+					}
+					if float64(atMost) < (0.5-eps)*n || float64(below) > (0.5+eps)*n {
+						t.Fatalf("round %d coord %d: %v has %d of %d flat rows below it and %d at most, outside ½ ± %.3f",
+							r, i, v, below, len(rows), atMost, eps)
+					}
+				}
+			}
+		})
 	}
 }
 
