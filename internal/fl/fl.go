@@ -160,7 +160,7 @@ func (s *Server) RunRound(round int) error {
 		return errors.New("fl: server has no clients")
 	}
 	r, p := s.sync()
-	r.Begin(round)
+	r.Begin(round, 0)
 	eligible, _ := SplitQuarantined(r, s.Clients, Client.ID)
 	cohort, _ := SampleCohort(eligible, Client.NumSamples, p.SampleFraction, p.SampleSeed, round, p.quorum())
 	params := make([][]float64, len(cohort))
@@ -218,7 +218,7 @@ func (s *Server) sync() (*RoundCore, *RoundPolicy) {
 		p = &failStop
 	}
 	s.core.Observers, s.core.Reputation, s.core.Metrics = s.Observers, p.Reputation, s.Metrics
-	s.core.SetRule(p.Robust, false)
+	s.core.SetRule(p.Robust)
 	return &s.core, p
 }
 

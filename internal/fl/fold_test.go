@@ -65,11 +65,9 @@ func TestFoldPartialTree(t *testing.T) {
 	}
 
 	root := NewFold(dim)
-	root.Begin(make([]float64, dim))
 	perShard := n / shards
 	for s := 0; s < shards; s++ {
 		leaf := NewFold(dim)
-		leaf.Begin(make([]float64, dim))
 		for _, u := range ups[s*perShard : (s+1)*perShard] {
 			if err := leaf.Fold(u); err != nil {
 				t.Fatal(err)
@@ -86,12 +84,15 @@ func TestFoldPartialTree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if root.Count() != n {
-		t.Fatalf("root count %d, want %d", root.Count(), n)
+	if c := root.PartialView(0, 7).Count; c != n {
+		t.Fatalf("root count %d, want %d", c, n)
 	}
-	tree, _, err := root.Finalize()
+	tree, rep, err := root.Finalize()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Contributors != n {
+		t.Fatalf("root contributors %d, want %d", rep.Contributors, n)
 	}
 	for i := range flat {
 		if diff := math.Abs(tree[i] - flat[i]); diff > 1e-12*(1+math.Abs(flat[i])) {
@@ -173,30 +174,41 @@ func TestFoldSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStreamAccumulatorAdapter: NewAccumulator wraps streaming robust
-// rules and refuses partials (which only compose under the weighted
-// mean), and reports that non-streaming rules have no accumulator.
-func TestStreamAccumulatorAdapter(t *testing.T) {
-	if _, ok := NewAccumulator(robust.Median{}); ok {
-		t.Fatal("median must not stream")
+// TestRoundCoreFinishers: the round core folds a streaming robust rule's
+// updates as they are taken and refuses child partials, which carry no
+// rows without a reservoir; a rule with no stream form keeps every row of
+// a flat round until its tail.
+func TestRoundCoreFinishers(t *testing.T) {
+	var r RoundCore
+	r.Global = []float64{1, 1}
+	r.SetRule(robust.Mean{})
+	r.Begin(0, 0)
+	if r.Keeps() || r.Reservoir() != nil {
+		t.Fatal("a streaming rule keeps its rows")
 	}
-	acc, ok := NewAccumulator(robust.Mean{})
-	if !ok {
-		t.Fatal("mean must stream")
-	}
-	center := []float64{1, 1}
-	acc.Begin(center)
-	if err := acc.Fold(Update{ClientID: 0, Params: []float64{3, 5}, NumSamples: 4}); err != nil {
+	if _, err := r.Fold(Update{ClientID: 0, Params: []float64{3, 5}, NumSamples: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := acc.FoldPartial(Partial{Sum: []float64{1, 1}, Weight: 1, Count: 1}); err == nil {
+	if err := r.FoldPartial(Partial{Sum: []float64{1, 1}, Weight: 1, Count: 1}); err == nil {
 		t.Fatal("robust stream accepted a partial")
 	}
-	out, rep, err := acc.Finalize()
+	out, rep, err := r.Aggregate(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Contributors != 1 || out[0] != 3 || out[1] != 5 {
-		t.Fatalf("adapter result %v %+v", out, rep)
+		t.Fatalf("stream result %v %+v", out, rep)
+	}
+
+	r.SetRule(robust.Median{})
+	r.Begin(1, 0)
+	ups := foldUpdates(5, 2, 3)
+	for _, u := range ups {
+		if free, err := r.Fold(u); err != nil || free != nil {
+			t.Fatalf("fold: freed %v, %v", free, err)
+		}
+	}
+	if sk := r.Reservoir(); !r.Keeps() || sk == nil || !sk.Exact() || sk.Rows != len(ups) {
+		t.Fatalf("a flat median round's reservoir %+v does not hold all %d rows", sk, len(ups))
 	}
 }

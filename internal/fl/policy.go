@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"github.com/cip-fl/cip/internal/fl/compress"
 	"github.com/cip-fl/cip/internal/fl/robust"
@@ -34,11 +33,13 @@ const (
 	FailQuarantined FailureReason = "quarantined"
 )
 
-// ErrQuorumAfterTrim is wrapped by AggregateRobust when a robust rule's
-// trimming leaves fewer contributors than MinQuorum. The pre-validation
-// quorum check can pass while this fails: n valid updates minus 2·⌊f·n⌋
-// trimmed tails may fall under the quorum, and aggregating anyway would
-// report a round backed by fewer honest inputs than the policy promises.
+// ErrQuorumAfterTrim is wrapped by RoundCore.Aggregate when a robust
+// rule's trimming leaves a flat round fewer contributors than MinQuorum.
+// The pre-validation quorum check can pass while this fails: n valid
+// updates minus 2·⌊f·n⌋ trimmed tails may fall under the quorum, and
+// aggregating anyway would report a round backed by fewer honest inputs
+// than the policy promises. A tree root does not check it: its MinQuorum
+// counts child aggregators, whose own quorums were met in their subtrees.
 var ErrQuorumAfterTrim = errors.New("fl: quorum lost after trim")
 
 // ClientFailure describes one client's failure in one round. Observers that
@@ -186,60 +187,6 @@ func ValidateUpdateBounded(u Update, wantLen int, maxNorm float64) error {
 	}
 	return nil
 }
-
-// AggregateRobust aggregates valid updates under a robust rule (the
-// weighted mean is Aggregate). The post-trim contributor count is checked
-// against minQuorum (values < 1 mean 1) BEFORE aggregating, surfacing
-// ErrQuorumAfterTrim — the pre-validation count alone can satisfy the
-// quorum while trimming leaves too few real contributors behind.
-func AggregateRobust(agg robust.Aggregator, center []float64, updates []Update,
-	minQuorum int) ([]float64, robust.Report, error) {
-	if len(updates) == 0 {
-		return nil, robust.Report{}, errZeroFold
-	}
-	for _, u := range updates {
-		if u.Sparse() {
-			return nil, robust.Report{}, fmt.Errorf(
-				"fl: robust aggregate: client %d update is sparse/delta; densify before aggregation",
-				u.ClientID)
-		}
-	}
-	if minQuorum < 1 {
-		minQuorum = 1
-	}
-	if c := agg.Contributors(len(updates)); c < minQuorum {
-		return nil, robust.Report{}, fmt.Errorf(
-			"%w: %s keeps %d contributors of %d valid updates, need %d",
-			ErrQuorumAfterTrim, agg.Name(), c, len(updates), minQuorum)
-	}
-	h := headerPool.Get().(*robustHeaders)
-	params, weights := h.params[:0], h.weights[:0]
-	for _, u := range updates {
-		params = append(params, u.Params)
-		weights = append(weights, SampleWeight(u.NumSamples))
-	}
-	out, rep, err := agg.Aggregate(center, params, weights)
-	for i := range params {
-		params[i] = nil // drop update references before pooling
-	}
-	h.params, h.weights = params[:0], weights[:0]
-	headerPool.Put(h)
-	if err != nil {
-		return nil, rep, fmt.Errorf("fl: %s aggregation: %w", agg.Name(), err)
-	}
-	return out, rep, nil
-}
-
-// robustHeaders is the pooled params/weights header pair AggregateRobust
-// hands a robust rule; pooling it removes the two per-round header
-// allocations from the steady state (rules only read the headers, so they
-// are safe to recycle as soon as Aggregate returns).
-type robustHeaders struct {
-	params  [][]float64
-	weights []float64
-}
-
-var headerPool = sync.Pool{New: func() any { return new(robustHeaders) }}
 
 // SampleCohort picks one round's cohort from the eligible roster by
 // weighted sampling without replacement (Efraimidis–Spirakis: each member

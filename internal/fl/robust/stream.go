@@ -5,15 +5,14 @@ import (
 	"math"
 )
 
-// Streaming counterparts of the rules whose algebra permits them. Mean and
-// ClippedMean reduce each coordinate with commutative-group accumulators
-// (sums and counts), so they can fold rows one at a time and hold O(dim)
-// state; their batch Aggregate methods were restructured to sum-then-divide
-// so that folding rows in roster order reproduces the batch result
-// BIT-IDENTICALLY (same per-coordinate add sequence, same single divide).
-// Median and TrimmedMean are order statistics — they need the full
-// per-coordinate column — so they deliberately do not implement StreamRule
-// and a coordinator configured with one keeps the round's update column.
+// Streaming forms of the rules whose algebra permits them. Mean and
+// ClippedMean reduce each coordinate with sums and counts, so they fold
+// rows one at a time and hold O(dim) state; a stream is their only form —
+// their batch Aggregate folds the rows through it in order — so batch and
+// stream are one computation: the same per-coordinate add sequence, then
+// one divide. Median and TrimmedMean are order statistics — they need the
+// full per-coordinate column — so they deliberately do not implement
+// StreamRule, and the round core keeps the round's rows for them.
 //
 // Streams fold serially: one row at a time on the caller's goroutine. The
 // per-row work is a handful of flops per coordinate, dwarfed by the wire
@@ -27,8 +26,6 @@ import (
 type Stream interface {
 	Reset(center []float64)
 	Fold(row []float64) error
-	// Count is the number of rows folded since Reset.
-	Count() int
 	Finalize() ([]float64, Report, error)
 }
 
@@ -50,8 +47,7 @@ var (
 func (m Mean) NewStream() Stream { return &meanStream{} }
 
 // meanStream folds the unweighted mean: per-coordinate finite sums and
-// counts, divided at finalize — the operation sequence Mean.Aggregate
-// performs per coordinate, hence bit-identical to it.
+// counts, divided at finalize.
 type meanStream struct {
 	center []float64
 	acc    []float64
@@ -59,9 +55,12 @@ type meanStream struct {
 	rows   int
 }
 
-func (s *meanStream) Reset(center []float64) {
+func (s *meanStream) Reset(center []float64) { s.reset(center, len(center)) }
+
+// reset readies the stream for dim-parameter rows; a center shorter than
+// dim falls back to 0 on the missing coordinates.
+func (s *meanStream) reset(center []float64, dim int) {
 	s.center = center
-	dim := len(center)
 	s.acc = resizeF64(s.acc, dim)
 	if cap(s.cnt) >= dim {
 		s.cnt = s.cnt[:dim]
@@ -73,8 +72,6 @@ func (s *meanStream) Reset(center []float64) {
 	}
 	s.rows = 0
 }
-
-func (s *meanStream) Count() int { return s.rows }
 
 func (s *meanStream) Fold(row []float64) error {
 	if len(row) != len(s.acc) {
@@ -135,8 +132,6 @@ func (s *clippedStream) Reset(center []float64) {
 	s.clipped = 0
 }
 
-func (s *clippedStream) Count() int { return s.rows }
-
 func (s *clippedStream) Fold(row []float64) error {
 	if len(row) != len(s.acc) {
 		return fmt.Errorf("robust: row %d has %d params, want %d", s.rows, len(row), len(s.acc))
@@ -160,8 +155,7 @@ func (s *clippedStream) Fold(row []float64) error {
 	}
 	if scale == 0 {
 		// Delta norm overflowed to +Inf: the clipped contribution is exactly
-		// zero, and skipping the row avoids Inf·0 = NaN (same special case
-		// as the batch rule).
+		// zero, and skipping the row avoids Inf·0 = NaN.
 		return nil
 	}
 	acc, center := s.acc, s.center

@@ -104,6 +104,20 @@ func TestDensify(t *testing.T) {
 	})
 }
 
+// coreAggregate runs one flat round of a RoundCore under rule over
+// updates, centered on global, and returns its aggregate.
+func coreAggregate(rule robust.Aggregator, global []float64, updates []Update, minQuorum int) ([]float64, robust.Report, error) {
+	r := RoundCore{Global: global}
+	r.SetRule(rule)
+	r.Begin(0, 0)
+	for _, u := range updates {
+		if _, err := r.Fold(u); err != nil {
+			return nil, robust.Report{}, err
+		}
+	}
+	return r.Aggregate(minQuorum)
+}
+
 // TestAggregateRejectsSparse: the misfold fix — an un-densified update
 // reaching either aggregation path is an explicit error, never a silent
 // wrong answer.
@@ -113,9 +127,9 @@ func TestAggregateRejectsSparse(t *testing.T) {
 	if _, err := Aggregate([]Update{dense, sparse}); err == nil {
 		t.Fatal("Aggregate accepted a sparse update")
 	}
-	if _, _, err := AggregateRobust(robust.Median{}, []float64{0, 0},
+	if _, _, err := coreAggregate(robust.Median{}, []float64{0, 0},
 		[]Update{dense, sparse}, 1); err == nil {
-		t.Fatal("AggregateRobust accepted a sparse update")
+		t.Fatal("the round core's robust rule accepted a sparse update")
 	}
 	// Delta-but-dense shapes are rejected too.
 	delta := Update{ClientID: 2, Params: []float64{1, 2}, IsDelta: true, DenseLen: 2, NumSamples: 1}
@@ -162,7 +176,7 @@ func TestCompressedThroughRobustFold(t *testing.T) {
 		updates[i] = u
 	}
 	for _, agg := range []robust.Aggregator{robust.Median{}, robust.TrimmedMean{Frac: 0.34}} {
-		got, _, err := AggregateRobust(agg, global, updates, 1)
+		got, _, err := coreAggregate(agg, global, updates, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

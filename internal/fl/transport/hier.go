@@ -35,10 +35,12 @@ import (
 //     order, with a fresh backoff ramp per parent. Session tokens are
 //     checked across failovers, so every address must front the same
 //     federation session.
-//   - Row sketches: when the root runs a robust rule, a bottom-k row
-//     reservoir (internal/fl/robust.Sketch) rides each partial and merges
-//     losslessly at every tier, letting median/trimmed-mean evaluate at
-//     the root over per-client rows the mean-only partials cannot carry.
+//   - Row sketches: when the root runs a robust rule, every node's round
+//     core keeps a bottom-k row reservoir (internal/fl/robust.Sketch), the
+//     same one a flat node keeps with room for every row. It rides each
+//     partial and merges at every tier, and the root's core runs its rule
+//     once over the merged rows — per-client rows the mean-only partials
+//     cannot carry.
 //   - Root-coordinated sampling: the root's SampleFraction/SampleSeed
 //     ride the round broadcast down the tree; client-facing shards
 //     apply it with their leaf ID mixed into the seed (quorum-clamped

@@ -473,11 +473,13 @@ func TestKeptGlobalSurvivesLaterRounds(t *testing.T) {
 
 // TestSlotPoolRecyclesAndBounds: the free list hands back what was put
 // (poisoned first, when the hook is on) and never keeps a slot of another
-// dimension. Sketch rows come back exactly once: a streaming client-facing
-// shard — 7 updates a round through a window of 2 into a reservoir of K =
-// 3 — never has more than window + K slots out, and a parent taking rows
-// for merged, dropped, rejected and implied-mean rows alike finds all of
-// them free, once each, when the next round starts.
+// dimension. Reservoir rows come back exactly once: a streaming
+// client-facing shard — 7 updates a round through a window of 2 into its
+// round core's reservoir of K = 3 — never has more than window + K slots
+// out, and a parent taking rows for merged, dropped and rejected sketch
+// rows alike — and folding a sketchless partial, whose implied-mean row
+// is the core's own — finds all of them free, once each, when the next
+// round starts.
 func TestSlotPoolRecyclesAndBounds(t *testing.T) {
 	var p slotPool
 	a, b := p.get(8), p.get(8)
@@ -525,7 +527,12 @@ func TestSlotPoolRecyclesAndBounds(t *testing.T) {
 		}
 	}
 
-	shard := &session{c: &Coordinator{}}
+	newNode := func(c *Coordinator) *session {
+		s := newSession(c)
+		s.core.Global = make([]float64, dim)
+		return s
+	}
+	shard := newNode(&Coordinator{})
 	shardSet := seed(&shard.slots, window+capRows)
 	for round := 0; ; round++ {
 		shard.releaseRows()
@@ -533,28 +540,29 @@ func TestSlotPoolRecyclesAndBounds(t *testing.T) {
 		if round == rounds {
 			break
 		}
-		shard.sketch = robust.NewSketch(capRows)
+		shard.core.Begin(round, capRows)
 		for base := 0; base < cohort; base += window {
 			var inflight [][]float64
 			for range min(window, cohort-base) {
 				inflight = append(inflight, shard.slots.get(dim))
 			}
 			for i, v := range inflight {
-				u := fl.Update{ClientID: round*cohort + base + i, NumSamples: 1, Params: v}
-				shard.slots.put(shard.tallyUpdate(u))
+				if err := shard.foldUpdate(fl.Update{ClientID: round*cohort + base + i, NumSamples: 1, Params: v}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
 
-	parent := &session{c: &Coordinator{AcceptPartials: true}}
-	parentSet := seed(&parent.slots, 3*capRows+2)
+	parent := newNode(&Coordinator{AcceptPartials: true})
+	parentSet := seed(&parent.slots, 3*capRows+1)
 	for round := 0; ; round++ {
 		parent.releaseRows()
 		allBack("parent", round, &parent.slots, parentSet)
 		if round == rounds {
 			break
 		}
-		parent.sketch = robust.NewSketch(capRows)
+		parent.core.Begin(round, capRows)
 		for child := 0; child < 3; child++ {
 			p := fl.Partial{LeafID: child, Weight: 1, Sum: parent.slots.get(dim)}
 			if child < 2 { // child 2 is rejected after its rows were taken
@@ -567,13 +575,14 @@ func TestSlotPoolRecyclesAndBounds(t *testing.T) {
 				}
 			}
 			if child < 2 {
-				if err := parent.tallyPartial(p); err != nil {
+				if err := parent.foldPartial(p); err != nil {
 					t.Fatal(err)
 				}
+			} else {
+				parent.slots.put(p.Sum)
 			}
-			parent.slots.put(p.Sum)
 		}
-		if err := parent.tallyPartial(fl.Partial{LeafID: 7, Weight: 1, Sum: make([]float64, dim)}); err != nil {
+		if err := parent.foldPartial(fl.Partial{LeafID: 7, Weight: 1, Count: 1, Sum: parent.slots.get(dim)}); err != nil {
 			t.Fatal(err)
 		}
 	}

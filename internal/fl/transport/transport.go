@@ -223,9 +223,11 @@ type Coordinator struct {
 	// (counted as validation rejections). 0 disables the bound.
 	MaxUpdateNorm float64
 	// Robust, when non-nil, replaces the sample-weighted FedAvg mean with
-	// a Byzantine-resilient rule (internal/fl/robust). When the rule
-	// trims, the post-trim contributor count is checked against MinQuorum
-	// (fl.ErrQuorumAfterTrim).
+	// a Byzantine-resilient rule (internal/fl/robust). On a flat
+	// coordinator, when the rule trims, the post-trim contributor count is
+	// checked against MinQuorum (fl.ErrQuorumAfterTrim). A tree root does
+	// not check it: its MinQuorum counts child aggregators, and each
+	// child's quorum was met in its own subtree.
 	Robust robust.Aggregator
 	// Reputation, when non-nil, scores per-client anomaly evidence and
 	// enforces quarantine on the wire: quarantined clients receive no
@@ -239,9 +241,10 @@ type Coordinator struct {
 	// at once (0 means 64). Each admitted exchange holds at most one
 	// decoded update, folded and released in client-ID order, so peak
 	// aggregator memory is ~MaxInflightUpdates × 8·params regardless of
-	// roster size. A round that keeps its update column — observers,
-	// reputation, Median/TrimmedMean, which read every update at the
-	// round's end — holds the cohort anyway and admits all of it at once.
+	// roster size. A round that holds every update until its end — in its
+	// column for observers or reputation, or in its row reservoir for
+	// Median/TrimmedMean — holds the cohort anyway and admits all of it at
+	// once.
 	MaxInflightUpdates int
 	// SampleFraction, when in (0, 1), samples a per-round cohort of
 	// ~fraction × roster from the registered population: weighted without

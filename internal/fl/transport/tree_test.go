@@ -335,6 +335,62 @@ func TestTreeMedianMatchesFlatRobust(t *testing.T) {
 	}
 }
 
+// TestRootSkipsPostTrimQuorum pins where the post-trim quorum check runs.
+// A flat coordinator refuses a round whose trimming leaves fewer
+// contributors than MinQuorum: 3 rows under trimmed(0.4) keep 1, below 2
+// (fl.ErrQuorumAfterTrim). A tree root over the same 3 rows, from 2
+// leaves that each met their own quorum, counts its MinQuorum of 2 in
+// child aggregators and finalizes — bit-identical to the flat rule run
+// without a quorum.
+func TestRootSkipsPostTrimQuorum(t *testing.T) {
+	const rounds = 2
+	rule := robust.TrimmedMean{Frac: 0.4}
+	initial := []float64{0.5, -1.25, 3, 0.0625}
+	flat := func(quorum int) ([]float64, error) {
+		roster := append(vecShard(0), &vecClient{id: 2, samples: 11})
+		coord := &Coordinator{NumClients: 3, MinQuorum: quorum, Rounds: rounds, Initial: initial, Robust: rule}
+		global, _, err := runFederation(t, coord, roster, RetryConfig{})
+		return global, err
+	}
+	if _, err := flat(2); !errors.Is(err, fl.ErrQuorumAfterTrim) {
+		t.Fatalf("flat coordinator with MinQuorum 2: got %v, want ErrQuorumAfterTrim", err)
+	}
+	want, err := flat(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	root := &Coordinator{
+		NumClients: 2, MinQuorum: 2, Rounds: rounds, Initial: initial,
+		AcceptPartials: true, Robust: rule,
+	}
+	rootAddr, rootWait := startCoordinator(t, root)
+	shards := [][]fl.Client{vecShard(0), {&vecClient{id: 2, samples: 11}}}
+	waits := make([]func() error, len(shards))
+	clientErrs := make([][]error, len(shards))
+	for l, shard := range shards {
+		clientErrs[l] = make([]error, len(shard))
+		waits[l] = startLeaf(t, &Leaf{
+			ID: l, Root: rootAddr, Local: Coordinator{NumClients: len(shard), Initial: initial},
+		}, shard, clientErrs[l])
+	}
+	got, err := rootWait()
+	if err != nil {
+		t.Fatalf("root below its post-trim quorum: %v", err)
+	}
+	for l, wait := range waits {
+		if err := wait(); err != nil {
+			t.Fatalf("leaf %d: %v", l, err)
+		}
+		for i, err := range clientErrs[l] {
+			if err != nil {
+				t.Fatalf("leaf %d client %d: %v", l, i, err)
+			}
+		}
+	}
+	sameBits(t, "root over 3 trimmed rows", got, want)
+}
+
 // startProxy forwards TCP connections to target until stopped; stopping
 // kills the live connections, simulating a dead parent whose address no
 // longer answers.
