@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # whatever `staticcheck` is on PATH (and skip cleanly when there is none).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet orphans staticcheck crosscheck portable convbench fuzz oracle chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck quickcheck check
+.PHONY: build test race vet orphans staticcheck crosscheck portable convbench fuzz oracle alloccheck chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck quickcheck check
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,13 @@ race:
 # surfaces before merge. About 15 s.
 oracle:
 	$(GO) test -race -count=5 -run 'TestFlatTCPMatchesInProcess|TestRunWindow' ./internal/fl/...
+
+# alloccheck runs the steady-state allocation bounds and the buffer
+# ownership tests ten times each, so a buffer first allocated in a late
+# round (a rare window depth, a miss in the client idle list) fails here
+# before merge rather than in one CI run of several. About a minute.
+alloccheck:
+	$(GO) test -count=10 -run 'SteadyStateAllocation|SlotPool|Poisoned|IdleSessions' ./internal/fl/...
 
 # chaos runs the crash-injection harness under the race detector: kill the
 # federation mid-run (in-process and over TCP), restart from the durable
@@ -225,7 +232,8 @@ quickcheck:
 # check is the full CI gate: static analysis, the orphan gate, the arm64
 # cross-compile, the portable-kernel tests, one pass of the convolution
 # benchmark, the race-enabled suite, the engine oracle five times under
-# race, a short fuzz burst, the crash-harness smoke, the byzantine smoke,
-# the wire-path conformance sweep, and a short untraced and traced run of
-# every repository-benchmark workload.
-check: vet orphans staticcheck crosscheck portable convbench race oracle fuzz chaossmoke byzsmoke wirecheck benchcheck
+# race, the allocation bounds ten times, a short fuzz burst, the
+# crash-harness smoke, the byzantine smoke, the wire-path conformance
+# sweep, and a short untraced and traced run of every repository-benchmark
+# workload.
+check: vet orphans staticcheck crosscheck portable convbench race oracle alloccheck fuzz chaossmoke byzsmoke wirecheck benchcheck

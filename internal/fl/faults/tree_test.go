@@ -55,7 +55,7 @@ func TestCutFrameTearsScheduledFrame(t *testing.T) {
 	// A torn frame must not decode: the reader sees a valid header whose
 	// declared payload never arrives.
 	torn := bytes.NewReader(data[len(frame):])
-	_, _, size, err := wire.ReadHeader(torn, len(frame))
+	_, _, size, err := wire.NewReader(torn).Header(len(frame))
 	if err == nil {
 		_, err = io.ReadFull(torn, make([]byte, size))
 	}

@@ -54,7 +54,7 @@ func NewSketch(capRows int) *Sketch {
 }
 
 // Reset empties the sketch for a new round of at most capRows rows (0:
-// it keeps none, and nothing may be added), keeping its storage.
+// it keeps none), keeping its storage.
 func (s *Sketch) Reset(capRows int) {
 	clear(s.Vals)
 	s.Cap, s.Rows, s.Keys, s.Vals = capRows, 0, s.Keys[:0], s.Vals[:0]
@@ -109,7 +109,7 @@ func (s *Sketch) Add(key uint64, row []float64) { s.Insert(key, append([]float64
 // (honest trees never produce ties — the key function is a bijection).
 func (s *Sketch) Insert(key uint64, row []float64) (dropped []float64) {
 	s.Rows++
-	if len(s.Keys) == s.Cap && key >= s.Keys[len(s.Keys)-1] {
+	if len(s.Keys) == s.Cap && (s.Cap == 0 || key >= s.Keys[s.Cap-1]) {
 		return row // would be evicted immediately
 	}
 	// Binary search for the first index with Keys[i] > key (stable).
@@ -137,38 +137,23 @@ func (s *Sketch) Insert(key uint64, row []float64) (dropped []float64) {
 	return dropped
 }
 
-// Merge folds other into s: the union's Cap-smallest keys survive, and the
-// represented row counts add. Merge order cannot change the outcome for
-// honest inputs (distinct keys); on ties s's rows win. other is not
-// modified, but s may alias its retained rows afterwards.
+// Merge folds other into s: each of other's retained rows is inserted in
+// turn, so the union's Cap-smallest keys survive, and the represented row
+// counts add. Merge order cannot change the outcome for honest inputs
+// (distinct keys); Insert is stable, so on ties s's rows win. other is not
+// modified, but s may hold its retained rows afterwards; s's storage is
+// reused, so merging into a reset sketch allocates nothing once warm.
 func (s *Sketch) Merge(other *Sketch) error {
-	if other == nil || len(other.Keys) == 0 {
-		if other != nil {
-			s.Rows += other.Rows
-		}
+	if other == nil {
 		return nil
 	}
-	if d, od := s.Dim(), other.Dim(); d != 0 && od != d {
-		return fmt.Errorf("robust: sketch merge dimension mismatch: %d vs %d", d, od)
+	if d := s.Dim(); d != 0 && len(other.Keys) > 0 && other.Dim() != d {
+		return fmt.Errorf("robust: sketch merge dimension mismatch: %d vs %d", d, other.Dim())
 	}
-	keys := make([]uint64, 0, min(len(s.Keys)+len(other.Keys), s.Cap))
-	vals := make([][]float64, 0, cap(keys))
-	i, j := 0, 0
-	for len(keys) < s.Cap && (i < len(s.Keys) || j < len(other.Keys)) {
-		takeOther := i >= len(s.Keys) ||
-			(j < len(other.Keys) && other.Keys[j] < s.Keys[i])
-		if takeOther {
-			keys = append(keys, other.Keys[j])
-			vals = append(vals, other.Vals[j])
-			j++
-		} else {
-			keys = append(keys, s.Keys[i])
-			vals = append(vals, s.Vals[i])
-			i++
-		}
+	for i, key := range other.Keys {
+		s.Insert(key, other.Vals[i])
 	}
-	s.Keys, s.Vals = keys, vals
-	s.Rows += other.Rows
+	s.Rows += other.Rows - len(other.Keys)
 	return nil
 }
 

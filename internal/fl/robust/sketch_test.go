@@ -111,6 +111,45 @@ func TestSketchInsertKeepsRowsAndReturnsDropped(t *testing.T) {
 	}
 }
 
+// TestSketchMergeReusesStorage: merging child sketches into a reset
+// sketch allocates nothing once warm, and on a tied key the receiver's
+// row wins.
+func TestSketchMergeReusesStorage(t *testing.T) {
+	rows := sketchRows(6, 3, rand.New(rand.NewSource(3)))
+	left, right := NewSketch(4), NewSketch(4)
+	for i, r := range rows {
+		if i%2 == 0 {
+			left.Insert(KeyClient(i), r)
+		} else {
+			right.Insert(KeyClient(i), r)
+		}
+	}
+	var root Sketch
+	merge := func() {
+		root.Reset(4)
+		if err := root.Merge(left); err != nil {
+			t.Fatal(err)
+		}
+		if err := root.Merge(right); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merge()
+	if allocs := testing.AllocsPerRun(100, merge); allocs != 0 {
+		t.Fatalf("Reset + Merge into a reused sketch allocates %v objects, want 0", allocs)
+	}
+	if root.Rows != len(rows) || len(root.Keys) != 4 {
+		t.Fatalf("merged sketch represents %d rows and keeps %d, want %d and 4", root.Rows, len(root.Keys), len(rows))
+	}
+
+	mine, theirs := NewSketch(1), NewSketch(1)
+	mine.Insert(KeyClient(7), rows[0])
+	theirs.Insert(KeyClient(7), rows[1])
+	if err := mine.Merge(theirs); err != nil || &mine.Vals[0][0] != &rows[0][0] || mine.Rows != 2 {
+		t.Fatalf("on a tied key the merged-in row won (%v)", err)
+	}
+}
+
 // mergeLeaves spreads rows over `leaves` client-facing sketches and merges
 // them into one root sketch — the algebra a depth-2 tree runs per round.
 func mergeLeaves(t *testing.T, rows [][]float64, leaves, capRows int) *Sketch {

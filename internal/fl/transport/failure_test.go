@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/gob"
 	"io"
 	"net"
 	"sync"
@@ -11,6 +12,17 @@ import (
 	"github.com/cip-fl/cip/internal/fl"
 	"github.com/cip-fl/cip/internal/fl/wire"
 )
+
+// clientHandshake is a client's side of the handshake: h, offering the
+// binary codec, out; the welcome read back through br.
+func clientHandshake(conn net.Conn, br *bufio.Reader, h hello) (welcome, error) {
+	h.Codec = wire.CodecBinary
+	var w welcome
+	if err := gob.NewEncoder(conn).Encode(h); err != nil {
+		return w, err
+	}
+	return w, gob.NewDecoder(br).Decode(&w)
+}
 
 // handPeer is a hand-rolled client: it performs the real handshake and
 // returns the connection's buffered reader positioned at the first round
@@ -47,7 +59,7 @@ func TestCoordinatorClientDisconnect(t *testing.T) {
 
 	// Read the welcome and first round frame, then drop the connection.
 	conn, br := handPeer(t, addr, hello{ID: 0, NumSamples: 5})
-	typ, _, n, err := wire.ReadHeader(br, 0)
+	typ, _, n, err := wire.NewReader(br).Header(0)
 	if err != nil {
 		t.Fatal(err)
 	}

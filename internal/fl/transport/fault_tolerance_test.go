@@ -194,7 +194,7 @@ func TestCoordinatorBoundsUpdateSize(t *testing.T) {
 
 	conn, br := handPeer(t, addr, hello{ID: 0, NumSamples: 5})
 	defer conn.Close()
-	_, _, n, err := wire.ReadHeader(br, 0)
+	_, _, n, err := wire.NewReader(br).Header(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,9 @@ func encodeUpdate(t testing.TB, u fl.Update) []byte {
 // slot, and validation against a 4-parameter model.
 func decodeFrom(data []byte, budget int64) (fl.Update, error) {
 	lim := &budgetReader{r: bytes.NewReader(data)}
-	var slots slotPool
-	u, _, err := decodeUpdate(bufio.NewReader(lim), lim, budget, compress.None, 7,
-		make([]float64, 4), 0, &slots)
+	cc := &clientConn{id: 7, lim: lim, fr: wire.NewReader(bufio.NewReader(lim))}
+	var body []byte
+	u, _, err := cc.decodeUpdate(&roundCtx{global: make([]float64, 4), budget: budget, slots: &slotPool{}}, &body)
 	return u, err
 }
 
@@ -125,5 +125,13 @@ func TestDecodeUpdateSeedCorpus(t *testing.T) {
 	}
 	if _, err := decodeFrom([]byte{0xff, 0x00, 0xde, 0xad}, 1<<20); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestInvalidNilAllocatesNothing: the check every answered round frame
+// runs on a successful decode allocates nothing.
+func TestInvalidNilAllocatesNothing(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { invalid(nil) }); allocs != 0 {
+		t.Fatalf("invalid(nil) allocates %v objects, want 0", allocs)
 	}
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -122,105 +121,50 @@ func (l *Leaf) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([
 	defer closeAll()
 
 	rc := l.Retry.withDefaults()
-	parents := append([]string{l.Root}, l.AltParents...)
-	parent := 0
 	rootToken := ""
-	var lastErr error
-	for attempt := 1; attempt <= rc.MaxAttempts; attempt++ {
-		if !rc.pause(attempt) {
-			return nil, ErrClientStopped
+	err = rc.retry(append([]string{l.Root}, l.AltParents...), func(addr string) (bool, error) {
+		samples := 0
+		for _, cc := range s.active {
+			samples += cc.samples
 		}
-		progressed, finished, err := l.rootSession(s, rc, parents[parent], &rootToken)
-		if finished {
-			if derr := s.sendDone(); derr != nil {
-				return nil, derr
+		h := hello{ID: l.ID, NumSamples: samples, Partial: true}
+		answered, err := joinParent(rc, addr, fmt.Sprintf("leaf %d", l.ID), h, &rootToken, func(w welcome) (participant, error) {
+			if !w.Partial {
+				return nil, errFatal{fmt.Errorf(
+					"transport: coordinator at %s did not confirm the partial protocol (not a tree parent)", addr)}
 			}
-			return s.core.Global, nil
-		}
-		if errors.Is(err, ErrClientStopped) || errors.As(err, &errFatal{}) {
-			return nil, err
-		}
-		if progressed {
-			attempt = 1 // refresh the backoff budget, as RunClientRetry does
-		}
-		lastErr = err
-		if attempt == rc.MaxAttempts && parent+1 < len(parents) {
-			// This parent's consecutive-failure budget is spent: fail over
-			// to the next address with a fresh budget and backoff ramp.
-			parent++
-			attempt = 0
-		}
+			return s, nil
+		})
+		return answered > 0, err
+	})
+	if err == nil {
+		err = s.sendDone()
 	}
-	return nil, lastErr
+	if err != nil {
+		return nil, err
+	}
+	return s.core.Global, nil
 }
 
-// rootSession runs one dial-relay session against the parent at addr.
-// progressed reports whether at least one round completed (refreshing the
-// retry budget); finished reports a clean MsgDone end.
-func (l *Leaf) rootSession(s *session, rc RetryConfig, addr string, rootToken *string) (progressed, finished bool, err error) {
-	conn, err := rc.Dial(addr)
-	if err != nil {
-		return false, false, fmt.Errorf("transport: leaf %d dialing parent %s: %w", l.ID, addr, err)
-	}
-	defer conn.Close()
-	stopErr, unwatch := watchStop(conn, rc.Stop)
-	defer unwatch()
+// take, answer and done make a tree node's session the participant of its
+// session with the parent. The parent's broadcast is this round's center,
+// decoded over the previous round's global; the answer is the round's
+// partial.
+func (s *session) take() []float64 { return s.core.Global }
 
-	samples := 0
-	for _, cc := range s.active {
-		samples += cc.samples
+func (s *session) answer(rd wire.Round2) ([]byte, error) {
+	// The durable announce passes through so shard clients bound their
+	// rollback captures against the root's snapshots.
+	s.core.Global, s.durable = rd.Params, rd.Durable
+	s.treeFrac, s.treeSeed, s.sketchCap = rd.SampleFrac, rd.SampleSeed, rd.SketchCap
+	if err := s.runRound(rd.Round); err != nil {
+		// Unrecoverable round failure (no valid contribution, local
+		// coverage floor, ...): the node leaves the tree and lets the
+		// parent's coverage accounting decide.
+		return nil, errFatal{err}
 	}
-	br := bufio.NewReader(conn)
-	w, err := clientHandshake(conn, br, hello{ID: l.ID, NumSamples: samples, Token: *rootToken, Partial: true})
-	if err != nil {
-		return false, false, stopErr(fmt.Errorf("transport: leaf %d %w", l.ID, err))
-	}
-	if !w.Partial {
-		return false, false, errFatal{fmt.Errorf(
-			"transport: coordinator at %s did not confirm the partial protocol (not a tree parent)", addr)}
-	}
-	if *rootToken == "" {
-		*rootToken = w.Token
-	} else if w.Token != *rootToken {
-		return false, false, errFatal{errors.New("transport: parent session token changed mid-federation")}
-	}
-
-	for {
-		typ, _, size, err := wire.ReadHeader(br, clientFrameBudget)
-		if err != nil {
-			return progressed, false, stopErr(fmt.Errorf("transport: leaf %d reading round frame: %w", l.ID, err))
-		}
-		if typ == wire.MsgDone {
-			return progressed, true, nil
-		} else if typ != wire.MsgRound2 {
-			return progressed, false, errFatal{fmt.Errorf("transport: leaf %d: unexpected frame type %d from parent", l.ID, typ)}
-		}
-		// The parent's broadcast is this round's center, decoded over the
-		// previous round's; its durable announce passes through so shard
-		// clients bound their rollback captures against the root's
-		// snapshots.
-		rd, err := wire.ReadRound(br, size, s.core.Global)
-		if invalid(err) {
-			return progressed, false, errFatal{fmt.Errorf("transport: leaf %d decoding round frame: %w", l.ID, err)}
-		} else if err != nil {
-			return progressed, false, stopErr(fmt.Errorf("transport: leaf %d reading round frame: %w", l.ID, err))
-		}
-		s.core.Global = rd.Params
-		s.durable = rd.Durable
-		s.treeFrac, s.treeSeed, s.sketchCap = rd.SampleFrac, rd.SampleSeed, rd.SketchCap
-		if rerr := s.runRound(rd.Round); rerr != nil {
-			// Unrecoverable round failure (no valid contribution, local
-			// coverage floor, ...): the node leaves the tree and lets the
-			// parent's coverage accounting decide.
-			return progressed, false, errFatal{rerr}
-		}
-		s.tx = wire.AppendPartial2Frame(s.tx[:0], s.partial)
-		// One Write per frame: a connection cut mid-call tears the frame
-		// on the wire, which the parent's byte-budgeted reader discards
-		// whole (the torn-frame chaos tests depend on this).
-		if _, werr := conn.Write(s.tx); werr != nil {
-			return progressed, false, stopErr(fmt.Errorf("transport: leaf %d sending partial: %w", l.ID, werr))
-		}
-		progressed = true
-	}
+	s.tx = wire.AppendPartial2Frame(s.tx[:0], s.partial)
+	return s.tx, nil
 }
+
+func (s *session) done(int, bool) {}

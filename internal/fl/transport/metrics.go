@@ -78,81 +78,14 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	}
 }
 
-func (m *Metrics) inflight(n int) {
-	if m == nil {
-		return
-	}
-	m.InflightUpdates.Set(float64(n))
-}
+// noMetrics stands in for a nil *Metrics: its counters and gauges are nil,
+// and telemetry records nothing through nil ones.
+var noMetrics Metrics
 
-func (m *Metrics) partialAccepted() {
+// or returns m, or noMetrics when m is nil.
+func (m *Metrics) or() *Metrics {
 	if m == nil {
-		return
+		return &noMetrics
 	}
-	m.Partials.Inc()
-}
-
-func (m *Metrics) compressedUpdate() {
-	if m == nil {
-		return
-	}
-	m.CompressedUpdates.Inc()
-}
-
-func (m *Metrics) roundBytes(n uint64) {
-	if m == nil {
-		return
-	}
-	m.RoundBytes.Set(float64(n))
-}
-
-// txBytesCounter returns the byte counter countWriters feed, or nil.
-func (m *Metrics) txBytesCounter() *telemetry.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.TxBytes
-}
-
-func (m *Metrics) rejoin() {
-	if m == nil {
-		return
-	}
-	m.Rejoins.Inc()
-}
-
-func (m *Metrics) connAccepted() {
-	if m == nil {
-		return
-	}
-	m.ConnsAccepted.Inc()
-}
-
-func (m *Metrics) decodeFailure() {
-	if m == nil {
-		return
-	}
-	m.DecodeFailures.Inc()
-}
-
-func (m *Metrics) retryAttempt() {
-	if m == nil {
-		return
-	}
-	m.RetryAttempts.Inc()
-}
-
-func (m *Metrics) stragglerDropped() {
-	if m == nil {
-		return
-	}
-	m.StragglersDropped.Inc()
-}
-
-// decodeBytesCounter returns the byte counter budgetReaders feed, or nil.
-func (m *Metrics) decodeBytesCounter() *telemetry.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.DecodeBytes
+	return m
 }

@@ -13,6 +13,8 @@ package transport
 
 import (
 	"bufio"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -352,11 +354,12 @@ func rejectedChild(addr string) {
 	if _, err := clientHandshake(conn, br, hello{ID: 9, NumSamples: 5, Partial: true}); err != nil {
 		return
 	}
-	typ, _, size, err := wire.ReadHeader(br, 0)
+	fr := wire.NewReader(br)
+	typ, _, size, err := fr.Header(0)
 	if err != nil || typ != wire.MsgRound2 {
 		return
 	}
-	rd, err := wire.ReadRound(br, size, nil)
+	rd, err := fr.Round(size, nil)
 	if err != nil {
 		return
 	}
@@ -588,44 +591,149 @@ func TestSlotPoolRecyclesAndBounds(t *testing.T) {
 	}
 }
 
-// TestOnlyOwningSessionsKeepBuffers: a session keeps its params and tx
-// between rounds only when it holds one of the process's few ownership
-// places — the rest (a load harness's 10⁵ in-process clients) drop both
-// once their update is sent — and a finished RunClientRetry gives its
-// place back.
-func TestOnlyOwningSessionsKeepBuffers(t *testing.T) {
-	for _, keep := range []bool{true, false} {
+// TestIdleSessionsHoldNoModelVector: a client session holds its round
+// buffers only from a round frame's arrival until its update's Write
+// returns. Twelve concurrent sessions hold nothing while they wait for
+// their next frame; a lone session's round k+1 decodes into round k's
+// params; and a failed dial and a Stop each leave every pair of buffers on
+// the idle list.
+func TestIdleSessionsHoldNoModelVector(t *testing.T) {
+	const sessions, dim = 12, 1000
+	params := make([]float64, dim)
+	nodes := make([]*sessionState, sessions)
+	errs := make([]error, sessions)
+	var wg, waiting sync.WaitGroup
+	proceed := make(chan struct{})
+	for i := range nodes {
 		server, client := net.Pipe()
+		nodes[i] = &sessionState{client: &vecClient{id: i, samples: 3}, captures: make(map[int][]byte)}
+		wg.Add(2)
+		waiting.Add(1)
 		go func() {
+			defer wg.Done()
 			defer server.Close()
-			server.Write(wire.AppendRoundFrame(nil, 0, -1, []float64{1, 2, 3})) //nolint:errcheck — the client's error is the test's
-			if _, _, n, err := wire.ReadHeader(server, 0); err == nil {
-				io.ReadFull(server, make([]byte, n)) //nolint:errcheck
+			fr := wire.NewReader(server)
+			answer := func() {
+				if _, _, n, err := fr.Header(0); err == nil {
+					io.ReadFull(server, make([]byte, n)) //nolint:errcheck — the session's error is the test's
+				}
 			}
+			server.Write(wire.AppendRoundFrame(nil, 0, -1, params)) //nolint:errcheck
+			answer()
+			next := wire.AppendRoundFrame(nil, 1, -1, params)
+			// The first byte is consumed only once the session is reading
+			// its next frame's header.
+			server.Write(next[:1]) //nolint:errcheck
+			waiting.Done()
+			<-proceed
+			server.Write(next[1:]) //nolint:errcheck
+			answer()
 			server.Write(wire.AppendDoneFrame(nil)) //nolint:errcheck
 		}()
-		st := &sessionState{captures: make(map[int][]byte), keepBuffers: keep}
-		err := runRounds(client, client, &vecClient{id: 1, samples: 3}, compress.Config{},
-			func(err error) error { return err }, st)
-		client.Close()
-		if err != nil {
-			t.Fatalf("keepBuffers=%v: %v", keep, err)
+		go func(i int) {
+			defer wg.Done()
+			defer client.Close()
+			_, errs[i] = answerRounds(client, wire.NewReader(client), "client", nodes[i],
+				func(err error) error { return err })
+		}(i)
+	}
+	waiting.Wait()
+	for i, n := range nodes {
+		if n.bufs != nil {
+			t.Errorf("session %d holds %d params and a %d-byte frame while it waits for a round",
+				i, len(n.bufs.params), len(n.bufs.tx))
 		}
-		if kept := st.params != nil && st.tx != nil; kept != keep {
-			t.Fatalf("keepBuffers=%v: session ended holding params=%v tx=%v", keep, st.params != nil, st.tx != nil)
+	}
+	close(proceed)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
 		}
 	}
 
-	before := liveSessions.Load()
-	err := RunClientRetry("nowhere", &vecClient{}, RetryConfig{MaxAttempts: 1,
-		Dial: func(string) (net.Conn, error) { return nil, net.ErrClosed }})
-	if err == nil || liveSessions.Load() != before {
-		t.Fatalf("a failed session (%v) left %d live sessions, want %d", err, liveSessions.Load(), before)
+	// A lone session: every round decodes into the storage the last one did.
+	lone := &addrClient{vecClient: vecClient{id: 1, samples: 3}}
+	server, client := net.Pipe()
+	go func() {
+		defer server.Close()
+		fr := wire.NewReader(server)
+		for round := range 3 {
+			server.Write(wire.AppendRoundFrame(nil, round, -1, params)) //nolint:errcheck
+			if _, _, n, err := fr.Header(0); err == nil {
+				io.ReadFull(server, make([]byte, n)) //nolint:errcheck
+			}
+		}
+		server.Write(wire.AppendDoneFrame(nil)) //nolint:errcheck
+	}()
+	joinBufs(1)
+	_, err := answerRounds(client, wire.NewReader(client), "client",
+		&sessionState{client: lone, captures: make(map[int][]byte)}, func(err error) error { return err })
+	joinBufs(-1)
+	client.Close()
+	if err != nil || len(lone.seen) != 3 {
+		t.Fatalf("lone session: %v after %d rounds", err, len(lone.seen))
 	}
+	for k := 1; k < 3; k++ {
+		if lone.seen[k] != lone.seen[0] {
+			t.Fatalf("round %d decoded into other storage than round 0", k)
+		}
+	}
+
+	// Nothing else runs now, so a session that ended holds no pair and the
+	// list keeps none for it.
+	givenBack := func(what string, err error) {
+		t.Helper()
+		idleBufs.mu.Lock()
+		defer idleBufs.mu.Unlock()
+		if idleBufs.held != 0 || idleBufs.members != 0 || len(idleBufs.list) != 0 {
+			t.Fatalf("after %s (%v): %d pairs held, %d members, %d idle pairs; want none",
+				what, err, idleBufs.held, idleBufs.members, len(idleBufs.list))
+		}
+	}
+	givenBack("the lone session", nil)
+	err = RunClientRetry("nowhere", &vecClient{}, RetryConfig{MaxAttempts: 1,
+		Dial: func(string) (net.Conn, error) { return nil, net.ErrClosed }})
+	if err == nil {
+		t.Fatal("a failed dial succeeded")
+	}
+	givenBack("a failed dial", err)
+
+	// Stopped halfway through a round frame's body, while holding a pair.
+	stop := make(chan struct{})
+	server, client = net.Pipe()
+	go func() {
+		defer server.Close()
+		if gob.NewDecoder(server).Decode(&hello{}) != nil ||
+			gob.NewEncoder(server).Encode(welcome{Codec: wire.CodecBinary}) != nil {
+			return
+		}
+		frame := wire.AppendRoundFrame(nil, 0, -1, params)
+		server.Write(frame[:len(frame)/2]) //nolint:errcheck
+		close(stop)
+		io.Copy(io.Discard, server) //nolint:errcheck — until the session hangs up
+	}()
+	err = RunClientRetry("pipe", &vecClient{id: 2, samples: 3}, RetryConfig{MaxAttempts: 1, Stop: stop,
+		Dial: func(string) (net.Conn, error) { return client, nil }})
+	if !errors.Is(err, ErrClientStopped) {
+		t.Fatalf("a stopped session returned %v", err)
+	}
+	givenBack("a Stop", err)
+}
+
+// addrClient is a vecClient that records where each round's global lives.
+type addrClient struct {
+	vecClient
+	seen []*float64
+}
+
+func (c *addrClient) TrainLocal(round int, global []float64) (fl.Update, error) {
+	c.seen = append(c.seen, &global[0])
+	return c.vecClient.TrainLocal(round, global)
 }
 
 // TestEncodeErrorLeavesTxReusable: an update the codec refuses to encode
-// (a delta whose shape does not match the mode) must leave the session's
+// (a delta whose shape does not match the mode) must leave the round's
 // tx buffer exactly as reusable as before — the pooled version of this
 // path leaked its buffer on every such error.
 func TestEncodeErrorLeavesTxReusable(t *testing.T) {
@@ -642,27 +750,35 @@ func TestEncodeErrorLeavesTxReusable(t *testing.T) {
 	}()
 	params := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	u := fl.Update{ClientID: 3, NumSamples: 10, TrainLoss: 1, Params: params}
-	st := &sessionState{captures: make(map[int][]byte)}
-	if err := sendUpdate(client, u, params, compress.Config{}, st); err != nil {
+	var bufs roundBufs
+	st := &sessionState{captures: make(map[int][]byte), bufs: &bufs}
+	send := func() error {
+		frame, err := st.updateFrame(u, params)
+		if err == nil {
+			_, err = client.Write(frame)
+		}
+		return err
+	}
+	if err := send(); err != nil {
 		t.Fatal(err)
 	}
-	tx := &st.tx[0]
+	tx := &bufs.tx[0]
 	dense, err := compress.Config{Mode: compress.Q8}.Compress(params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := st.encodeUpdate(u, dense, compress.TopK); err == nil {
+		if _, err := bufs.encode(u, dense, compress.TopK); err == nil {
 			t.Fatal("a q8 delta encoded as top-k")
 		}
-		if &st.tx[0] != tx {
-			t.Fatal("an encode error replaced the session's tx buffer")
+		if &bufs.tx[0] != tx {
+			t.Fatal("an encode error replaced the round's tx buffer")
 		}
 	}
-	if err := sendUpdate(client, u, params, compress.Config{}, st); err != nil {
+	if err := send(); err != nil {
 		t.Fatal(err)
 	}
-	if &st.tx[0] != tx {
+	if &bufs.tx[0] != tx {
 		t.Fatal("the tx buffer was reallocated after the encode errors")
 	}
 }

@@ -1,9 +1,9 @@
 package transport
 
 // The compressed client's residual is advanced in place by
-// sendUpdate. These tests hold the two properties that rests on: a
-// steady-state round allocates nothing the size of the model, and a
-// rollback capture is always a copy of the residual, never an alias.
+// sessionState.updateFrame. These tests hold the two properties that
+// rests on: a steady-state round allocates nothing the size of the model,
+// and a rollback capture is always a copy of the residual, never an alias.
 
 import (
 	"io"
@@ -46,14 +46,18 @@ func TestSendUpdateBinaryAllocatesNoDenseVector(t *testing.T) {
 		params[i] = global[i] + r.NormFloat64()*1e-2
 	}
 	cfg := compress.Config{Mode: compress.TopKQ8, TopKFrac: 0.01}.WithDefaults()
-	st := &sessionState{captures: make(map[int][]byte)}
+	st := &sessionState{cfg: cfg, captures: make(map[int][]byte), bufs: new(roundBufs)}
 	u := fl.Update{ClientID: 0, NumSamples: 10, TrainLoss: 1, Params: params}
 	send := func() {
-		if err := sendUpdate(conn, u, global, cfg, st); err != nil {
+		frame, err := st.updateFrame(u, global)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
 	}
-	send() // first round: allocates the residual and warms the frame pool
+	send() // first round: allocates the residual and the frame buffer
 	live := &st.residual[0]
 
 	const runs = 10

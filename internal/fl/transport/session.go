@@ -71,9 +71,11 @@ type session struct {
 
 	// bcast holds the round broadcast frame and tx a tree node's outgoing
 	// partial frame, re-encoded in place every round; slots recycles the
-	// vectors updates and partial sums decode into.
+	// vectors updates and partial sums decode into, and bodies[i] is the
+	// bytes the exchange in window slot i reads a compressed update into.
 	bcast, tx []byte
 	slots     slotPool
+	bodies    [][]byte
 
 	pendingMu sync.Mutex
 	pending   []*clientConn
@@ -82,11 +84,12 @@ type session struct {
 // slotPool is a coordinator session's free list of model-sized vectors. A
 // window slot is taken when an admitted exchange's answer arrives and
 // released once that is folded and tallied (or rejected), so at most the
-// window is ever out, each allocated the first time the window gets that
-// deep: two clients hold two slots. The vectors the round core keeps — a
-// kept column's slots, a client-facing node's reservoir rows, a parent's
-// decoded sketch rows — are held until the next round starts
-// (session.releaseRows), or until a shard's reservoir lets a row go.
+// window is ever out: round 0 allocates them, and its end provisions the
+// whole window (exchangeAll), so no later round does. The vectors the
+// round core keeps — a kept column's slots, a client-facing node's
+// reservoir rows, a parent's decoded sketch rows — are held until the next
+// round starts (session.releaseRows), or until a shard's reservoir lets a
+// row go.
 type slotPool struct {
 	mu   sync.Mutex
 	free [][]float64
@@ -101,7 +104,7 @@ func (p *slotPool) get(n int) []float64 {
 	}
 	p.mu.Unlock()
 	if len(v) != n {
-		v = make([]float64, n) // first use at this window depth (or a stale dimension)
+		v = make([]float64, n) // round 0, or a stale dimension
 	}
 	return v
 }
@@ -110,7 +113,7 @@ func (p *slotPool) put(v []float64) {
 	if v == nil {
 		return
 	}
-	poison(v)
+	poison(v, math.NaN())
 	p.mu.Lock()
 	p.free = append(p.free, v)
 	p.mu.Unlock()
@@ -133,16 +136,17 @@ func (p *slotPool) hold(v []float64) {
 	p.mu.Unlock()
 }
 
-// poisonReleased is a test hook, never set outside tests: every dense
-// buffer the wire path recycles — a released slot, a client's params once
-// its update is sent, the global a finalized round replaced — is filled
-// with NaN first, so anything still aliasing one reads poison.
+// poisonReleased is a test hook, never set outside tests: every buffer
+// the wire path recycles — a released slot, a client's params and update
+// frame once it is sent, the global a finalized round replaced — is filled
+// with bad first (NaN, or 0xFF: no frame's magic), so anything still
+// aliasing one reads poison.
 var poisonReleased atomic.Bool
 
-func poison(v []float64) {
+func poison[T any](v []T, bad T) {
 	if poisonReleased.Load() {
 		for i := range v {
-			v[i] = math.NaN()
+			v[i] = bad
 		}
 	}
 }
@@ -344,9 +348,9 @@ func (s *session) admitPending(round int) {
 			s.active = append(s.active, cc)
 		}
 		if cc.hadToken && s.resumed {
-			s.c.Metrics.rejoin()
+			s.c.Metrics.or().Rejoins.Inc()
 		}
-		s.c.Metrics.connAccepted()
+		s.c.Metrics.or().ConnsAccepted.Inc()
 	}
 	sort.Slice(s.active, func(i, j int) bool { return s.active[i].id < s.active[j].id })
 }
@@ -439,7 +443,7 @@ func (s *session) runRound(round int) error {
 	rc := &roundCtx{
 		round: round, global: r.Global, bcast: s.bcast,
 		timeout: c.RoundTimeout, budget: budget,
-		maxNorm: c.MaxUpdateNorm, met: c.Metrics, slots: &s.slots,
+		maxNorm: c.MaxUpdateNorm, met: c.Metrics.or(), slots: &s.slots,
 	}
 	survivors, err := s.exchangeAll(rc, cohort)
 	if err != nil {
@@ -493,10 +497,10 @@ func (s *session) runRound(round int) error {
 		if err != nil {
 			return fmt.Errorf("transport: round %d: %w", round, err)
 		}
-		poison(r.Global)
+		poison(r.Global, math.NaN())
 		r.Advance(agg)
 	}
-	c.Metrics.roundBytes(atomic.LoadUint64(&s.rxTally) + atomic.LoadUint64(&s.txTally) - bytesBefore)
+	c.Metrics.or().RoundBytes.Set(float64(atomic.LoadUint64(&s.rxTally) + atomic.LoadUint64(&s.txTally) - bytesBefore))
 	r.End(report)
 	return nil
 }
@@ -509,7 +513,7 @@ func (s *session) classifyFailure(cc *clientConn, round int, err error) fl.Clien
 	cc.conn.Close()
 	reason := failureReason(err)
 	if reason == fl.FailTimeout {
-		c.Metrics.stragglerDropped()
+		c.Metrics.or().StragglersDropped.Inc()
 	}
 	// The failed member's registered weight was planned but never arrives,
 	// pulling the round's coverage below 1; losing a partial child means a
@@ -541,20 +545,26 @@ func (s *session) exchangeAll(rc *roundCtx, cohort []*clientConn) (survivors []*
 	if s.core.Keeps() {
 		w = len(cohort)
 	}
+	w = min(w, len(cohort))
+	// Position pos+w is admitted only once pos is taken, so the exchange
+	// at pos has window slot pos%w's body bytes to itself.
+	if len(s.bodies) < w {
+		s.bodies = append(s.bodies, make([][]byte, w-len(s.bodies))...)
+	}
 	type result struct {
 		u   fl.Update
 		p   fl.Partial
 		err error
 	}
 	peak, err := fl.RunWindow(len(cohort), fl.Window{
-		Workers: w, Size: w, Inflight: rc.met.inflight,
+		Workers: w, Size: w, Inflight: func(n int) { rc.met.InflightUpdates.Set(float64(n)) },
 		Abort: func() {
 			for _, cc := range cohort {
 				cc.conn.Close()
 			}
 		},
 	}, func(pos int) (res result) {
-		res.err = cohort[pos].exchange(rc, &res.u, &res.p)
+		res.err = cohort[pos].exchange(rc, &s.bodies[pos%w], &res.u, &res.p)
 		return res
 	}, func(pos int, res result) error {
 		cc := cohort[pos]
@@ -583,6 +593,21 @@ func (s *session) exchangeAll(rc *roundCtx, cohort []*clientConn) (survivors []*
 		peak = len(cohort)
 	}
 	c.RoundMetrics.RecordRoundPeakUpdateBytes(uint64(peak) * 8 * uint64(len(rc.global)))
+	// Provision the next round like this one, so that no window depth is
+	// first reached after round 0: on top of the rows this round holds, a
+	// whole window of answers — on a client-facing node, whose rows are
+	// answers, no more than the cohort. No exchange is in flight now.
+	free := w
+	if !c.AcceptPartials {
+		kept := len(s.slots.held)
+		if sk := s.core.Reservoir(); sk != nil {
+			kept += len(sk.Vals)
+		}
+		free = min(w, len(cohort)-kept)
+	}
+	for len(s.slots.free) < free {
+		s.slots.free = append(s.slots.free, make([]float64, len(rc.global)))
+	}
 	return survivors, nil
 }
 
@@ -621,6 +646,6 @@ func (s *session) foldPartial(p fl.Partial) error {
 	}
 	s.plannedWeight += expect
 	s.coveredWeight += p.Weight
-	s.c.Metrics.partialAccepted()
+	s.c.Metrics.or().Partials.Inc()
 	return nil
 }

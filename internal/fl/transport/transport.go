@@ -51,14 +51,17 @@ package transport
 
 import (
 	"bufio"
+	"cmp"
 	crand "crypto/rand"
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -373,13 +376,15 @@ type clientConn struct {
 	id      int
 	samples int
 	lim     *budgetReader
-	// br is the single buffered reader over lim shared by the gob
-	// handshake and the frame path. The hello decode reads through it, so
-	// the frame reader MUST go through the same buffer — raw reads on lim
-	// would miss any bytes the decoder read ahead.
-	br   *bufio.Reader
+	// fr reads the connection's frames through the one buffered reader
+	// over lim that the gob handshake also read through — raw reads on lim
+	// would miss any bytes the hello decode read ahead.
+	fr   *wire.Reader
 	w    *countWriter
 	conn net.Conn
+	// sketch is what a child aggregator's partial decodes its rows into,
+	// refilled by every partial and merged before the next one is read.
+	sketch robust.Sketch
 	// cfg is the accepted compression config (Mode None when
 	// uncompressed).
 	cfg compress.Config
@@ -391,32 +396,20 @@ type clientConn struct {
 	hadToken bool
 }
 
-// newConnReader sizes one connection's buffered reader. The default 4 KiB
-// is right for a handful of TCP peers; a 100k-connection load harness
-// shrinks it so roster memory stays proportional to the window, not the
-// population.
-func newConnReader(r io.Reader, size int) *bufio.Reader {
-	if size > 0 {
-		return bufio.NewReaderSize(r, size)
-	}
-	return bufio.NewReader(r)
-}
-
 // decodeUpdate is the byte-budgeted inbound path for one client update:
 // check the frame header against the byte budget, take a len(global)-long
 // slot once the frame has arrived, decode the payload straight off the
-// connection into it (a dense body streamed in, a compressed one densified
-// against the broadcast global, which validates the sparse indices) — it
-// becomes the update's Params, the caller's to release — then stamp the
-// authoritative client ID and validate. Hostile bytes can only produce an
-// error: declared lengths meet the budget and the model before anything
-// is read or allocated for them, and the wire decoders run under a panic
-// guard (fuzzed by FuzzDecodeUpdate, FuzzDecodeFrame and
-// FuzzDecodeUpdateStream).
-func decodeUpdate(r io.Reader, lim *budgetReader, budget int64, accepted compress.Mode,
-	clientID int, global []float64, maxNorm float64, slots *slotPool) (u fl.Update, mode compress.Mode, err error) {
-	lim.allow(wire.HeaderLen + budget)
-	typ, mode, size, err := wire.ReadHeader(r, int(budget))
+// connection into it (a dense body streamed in, a compressed one read into
+// body — its window slot's bytes — and densified against the broadcast
+// global, which validates the sparse indices) — it becomes the update's
+// Params, the caller's to release — then stamp the authoritative client ID
+// and validate. Hostile bytes can only produce an error: declared lengths
+// meet the budget and the model before anything is read or allocated for
+// them, and the wire decoders run under a panic guard (fuzzed by
+// FuzzDecodeUpdate, FuzzDecodeFrame and FuzzDecodeUpdateStream).
+func (cc *clientConn) decodeUpdate(rc *roundCtx, body *[]byte) (u fl.Update, mode compress.Mode, err error) {
+	cc.lim.allow(wire.HeaderLen + rc.budget)
+	typ, mode, size, err := cc.fr.Header(int(rc.budget))
 	if err != nil {
 		return fl.Update{}, compress.None, err
 	}
@@ -426,24 +419,24 @@ func decodeUpdate(r io.Reader, lim *budgetReader, budget int64, accepted compres
 	// A client may always fall back to an uncompressed update (mode None)
 	// — e.g. for a final fine-grained round — but cannot unilaterally
 	// switch to a mode the handshake did not accept.
-	if mode != accepted && mode != compress.None {
+	if mode != cc.cfg.Mode && mode != compress.None {
 		return fl.Update{}, mode, errInvalid{fmt.Errorf(
-			"wire: client %d sent mode %s, negotiated %s", clientID, mode, accepted)}
+			"wire: client %d sent mode %s, negotiated %s", cc.id, mode, cc.cfg.Mode)}
 	}
-	dst := slots.get(len(global))
+	dst := rc.slots.get(len(rc.global))
 	defer func() {
 		if err != nil {
-			slots.put(dst)
+			rc.slots.put(dst)
 		}
 	}()
-	if u, err = wire.ReadUpdate(r, mode, size, dst); err != nil {
+	if u, err = cc.fr.Update(mode, size, dst, body); err != nil {
 		return fl.Update{}, mode, err
 	}
-	u.ClientID = clientID
-	if u, err = fl.DensifyInto(dst, u, global); err != nil {
+	u.ClientID = cc.id
+	if u, err = fl.DensifyInto(dst, u, rc.global); err != nil {
 		return fl.Update{}, mode, errInvalid{err}
 	}
-	if err = fl.ValidateUpdateBounded(u, len(global), maxNorm); err != nil {
+	if err = fl.ValidateUpdateBounded(u, len(rc.global), rc.maxNorm); err != nil {
 		return fl.Update{}, mode, errInvalid{err}
 	}
 	return u, mode, nil
@@ -466,11 +459,11 @@ type roundCtx struct {
 
 // exchange runs one round against one roster member: broadcast the
 // round's shared frame, then read the answer — a client's (possibly
-// compressed) update into u, or a child aggregator's MsgPartial2 into p —
-// decoded into window slots that become the folder's to release, and
-// validated. RoundTimeout (when set) covers the whole exchange through
-// connection deadlines.
-func (cc *clientConn) exchange(rc *roundCtx, u *fl.Update, p *fl.Partial) error {
+// compressed, read into body) update into u, or a child aggregator's
+// MsgPartial2 into p — decoded into window slots that become the folder's
+// to release, and validated. RoundTimeout (when set) covers the whole
+// exchange through connection deadlines.
+func (cc *clientConn) exchange(rc *roundCtx, body *[]byte, u *fl.Update, p *fl.Partial) (err error) {
 	if rc.timeout > 0 {
 		cc.conn.SetDeadline(time.Now().Add(rc.timeout)) //nolint:errcheck
 		defer cc.conn.SetDeadline(time.Time{})          //nolint:errcheck
@@ -478,59 +471,56 @@ func (cc *clientConn) exchange(rc *roundCtx, u *fl.Update, p *fl.Partial) error 
 	if _, err := cc.w.Write(rc.bcast); err != nil {
 		return fmt.Errorf("transport: sending round %d to client %d: %w", rc.round, cc.id, err)
 	}
+	mode, what := compress.None, "update from client"
 	if cc.partial {
-		return cc.readPartial(rc, p)
+		*p, err = cc.readPartial(rc)
+		what = "partial from leaf"
+	} else {
+		*u, mode, err = cc.decodeUpdate(rc, body)
 	}
-	got, mode, err := decodeUpdate(cc.br, cc.lim, rc.budget, cc.cfg.Mode, cc.id, rc.global, rc.maxNorm, rc.slots)
-	if err != nil {
-		if !invalid(err) {
-			rc.met.decodeFailure()
-			return fmt.Errorf("transport: reading update from client %d: %w", cc.id, err)
-		}
+	switch {
+	case invalid(err):
 		return fmt.Errorf("transport: round %d: %w", rc.round, err)
+	case err != nil:
+		rc.met.DecodeFailures.Inc()
+		return fmt.Errorf("transport: reading %s %d: %w", what, cc.id, err)
+	case mode != compress.None:
+		rc.met.CompressedUpdates.Inc()
 	}
-	if mode != compress.None {
-		rc.met.compressedUpdate()
-	}
-	*u = got
 	return nil
 }
 
 // readPartial streams a child's MsgPartial2 into slots — the sums into a
-// window slot, its sketch rows into held rows — and validates it (round
-// match, weight/count positivity, finiteness, implied-mean norm bound).
-func (cc *clientConn) readPartial(rc *roundCtx, out *fl.Partial) error {
+// window slot, its sketch into the connection's sketch with rows in held
+// slots — and validates it (round match, weight/count positivity,
+// finiteness, implied-mean norm bound).
+func (cc *clientConn) readPartial(rc *roundCtx) (p fl.Partial, err error) {
 	cc.lim.allow(wire.HeaderLen + rc.budget)
-	typ, _, size, err := wire.ReadHeader(cc.br, int(rc.budget))
-	if err == nil && typ != wire.MsgPartial2 {
-		err = errInvalid{fmt.Errorf("wire: expected partial frame, got type %d", typ)}
+	typ, _, size, err := cc.fr.Header(int(rc.budget))
+	if err != nil {
+		return fl.Partial{}, err
 	}
-	var p fl.Partial
-	var dst []float64
-	if err == nil {
-		dst = rc.slots.get(len(rc.global))
-		p, err = wire.ReadPartial(cc.br, size, dst, func() []float64 { return rc.slots.row(len(rc.global)) })
+	if typ != wire.MsgPartial2 {
+		return fl.Partial{}, errInvalid{fmt.Errorf("wire: expected partial frame, got type %d", typ)}
 	}
-	if err == nil {
-		// The leaf ID is stamped from the authenticated connection, so one
-		// leaf cannot impersonate another in failure accounting.
-		p.LeafID = cc.id
-		if p.Round != rc.round {
-			err = errInvalid{fmt.Errorf("fl: leaf %d sent a partial for round %d", cc.id, p.Round)}
-		} else if verr := fl.ValidatePartial(p, len(rc.global), rc.maxNorm); verr != nil {
-			err = errInvalid{verr}
+	dst := rc.slots.get(len(rc.global))
+	defer func() {
+		if err != nil {
+			rc.slots.put(dst)
 		}
+	}()
+	if p, err = cc.fr.Partial(size, dst, &cc.sketch, func() []float64 { return rc.slots.row(len(rc.global)) }); err != nil {
+		return fl.Partial{}, err
 	}
-	if err == nil {
-		*out = p
-		return nil
+	// The leaf ID is stamped from the authenticated connection, so one
+	// leaf cannot impersonate another in failure accounting.
+	if p.LeafID = cc.id; p.Round != rc.round {
+		return fl.Partial{}, errInvalid{fmt.Errorf("fl: leaf %d sent a partial for round %d", cc.id, p.Round)}
 	}
-	rc.slots.put(dst)
-	if invalid(err) {
-		return fmt.Errorf("transport: round %d: %w", rc.round, err)
+	if err = fl.ValidatePartial(p, len(rc.global), rc.maxNorm); err != nil {
+		return fl.Partial{}, errInvalid{err}
 	}
-	rc.met.decodeFailure()
-	return fmt.Errorf("transport: reading partial from leaf %d: %w", cc.id, err)
+	return p, nil
 }
 
 // errInvalid tags validation failures so failureReason can classify them.
@@ -544,6 +534,9 @@ func (e errInvalid) Unwrap() error { return e.err }
 // truncated payload) — rather than the connection: a body cut mid-stream
 // is an I/O error.
 func invalid(err error) bool {
+	if err == nil {
+		return false // before errors.As, whose target escapes to the heap
+	}
 	return errors.As(err, &errInvalid{}) || errors.Is(err, wire.ErrBudget) ||
 		errors.Is(err, wire.ErrPayload) || errors.Is(err, wire.ErrTruncated)
 }
@@ -566,14 +559,14 @@ func failureReason(err error) fl.FailureReason {
 // does NOT send the welcome — rejoin admission defers the welcome to a
 // round boundary, where the promised NextRound is stable.
 func (c *Coordinator) handshake(conn net.Conn, token string, rxTally, txTally *uint64) (*clientConn, error) {
-	lim := &budgetReader{r: conn, bytes: c.Metrics.decodeBytesCounter(), tally: rxTally}
-	cw := &countWriter{w: conn, bytes: c.Metrics.txBytesCounter(), tally: txTally}
-	br := newConnReader(lim, c.ReadBufSize)
-	cc := &clientConn{lim: lim, br: br, w: cw, conn: conn}
+	lim := &budgetReader{r: conn, bytes: c.Metrics.or().DecodeBytes, tally: rxTally}
+	cw := &countWriter{w: conn, bytes: c.Metrics.or().TxBytes, tally: txTally}
+	br := bufio.NewReaderSize(lim, cmp.Or(max(c.ReadBufSize, 0), 4096)) // 4096: bufio's default
+	cc := &clientConn{lim: lim, fr: wire.NewReader(br), w: cw, conn: conn}
 	lim.allow(maxHelloBytes)
 	var h hello
 	if err := gob.NewDecoder(br).Decode(&h); err != nil {
-		c.Metrics.decodeFailure()
+		c.Metrics.or().DecodeFailures.Inc()
 		return nil, fmt.Errorf("transport: reading hello: %w", err)
 	}
 	if h.Token != "" && h.Token != token {
@@ -675,12 +668,12 @@ func (c *Coordinator) acceptClients(ln net.Listener, w welcome, rxTally, txTally
 			return conns, herr
 		}
 		if cc.hadToken && w.Resumed {
-			c.Metrics.rejoin()
+			c.Metrics.or().Rejoins.Inc()
 		}
 		seen[cc.id] = true
 		conn.SetReadDeadline(time.Time{}) //nolint:errcheck
 		conns = append(conns, cc)
-		c.Metrics.connAccepted()
+		c.Metrics.or().ConnsAccepted.Inc()
 	}
 	return conns, nil
 }
@@ -811,8 +804,12 @@ func (e errFatal) Unwrap() error { return e.err }
 // sessionState is what a client carries across reconnects of one
 // federation session: the session token, its training position, and
 // rollback captures of its local state for every round the coordinator has
-// not yet made durable.
+// not yet made durable. It answers the coordinator's rounds, with optional
+// compressed (error-feedback) updates; the round frame's tree directive is
+// for aggregators, and a client ignores it.
 type sessionState struct {
+	client    fl.Client
+	cfg       compress.Config // what the current connection's welcome settled
 	token     string
 	nextRound int
 	joined    bool
@@ -833,24 +830,86 @@ type sessionState struct {
 	residual    []float64
 	resCaptures map[int][]float64
 	resFree     [][]float64
-	// params and tx are the session's wire buffers, reused every
-	// round and across reconnects: the broadcast is decoded into params
-	// (what TrainLocal is handed) and the update frame encoded into tx. A
-	// session without keepBuffers drops both once its update is sent.
-	params      []float64
-	tx          []byte
-	keepBuffers bool
+	// bufs is the round's wire storage, held from a round frame's arrival
+	// until the update's Write returns; nil while the session waits.
+	bufs *roundBufs
 }
 
-// maxOwningSessions bounds how many client sessions of one process keep
-// their wire buffers between rounds. A deployed client is alone in its
-// process and always does; of a load harness's 10⁵ in-process clients all
-// but the first few allocate per round instead, so a client waiting for
-// its next round holds nothing the size of the model. liveSessions counts
-// the RunClientRetry calls in flight.
-const maxOwningSessions = 8
+// roundBufs is one client round's wire storage: the round frame decodes
+// into params (what TrainLocal is handed) and the update frame is encoded
+// into tx.
+type roundBufs struct {
+	params []float64
+	tx     []byte
+}
 
-var liveSessions atomic.Int32
+// idleBufs is the process's free list of client round buffers, in the
+// tensor.Workspace acquire/release idiom: a session takes a pair when a
+// round frame arrives and gives it back once its update's Write returns.
+// The list keeps min(members, 2·peak) pairs in all — members the sessions
+// answering rounds, peak the most pairs ever held at once — so each of a
+// few in-process sessions finds one however their rounds overlap, while
+// 10⁵ load-harness sessions share about twice what those in flight hold.
+var idleBufs struct {
+	mu                  sync.Mutex
+	list                []*roundBufs
+	members, held, peak int
+}
+
+// keep is how many pairs the list keeps in all; mu is held.
+func keep() int { return min(idleBufs.members, 2*idleBufs.peak) }
+
+// joinBufs adds d sessions to those answering rounds (-1 when one stops),
+// dropping idle pairs the list no longer keeps.
+func joinBufs(d int) {
+	idleBufs.mu.Lock()
+	defer idleBufs.mu.Unlock()
+	idleBufs.members += d
+	for n := len(idleBufs.list); n > 0 && idleBufs.held+n > keep(); n-- {
+		idleBufs.list[n-1] = nil
+		idleBufs.list = idleBufs.list[:n-1]
+	}
+}
+
+func takeBufs() *roundBufs {
+	idleBufs.mu.Lock()
+	defer idleBufs.mu.Unlock()
+	idleBufs.held++
+	idleBufs.peak = max(idleBufs.peak, idleBufs.held)
+	if n := len(idleBufs.list); n > 0 {
+		b := idleBufs.list[n-1]
+		idleBufs.list[n-1] = nil
+		idleBufs.list = idleBufs.list[:n-1]
+		return b
+	}
+	return new(roundBufs)
+}
+
+// release gives b back; b must not be used afterwards. While the list is
+// short of what it keeps, pairs sized like b are made beneath it, so the
+// next session to take one gets b itself.
+func (b *roundBufs) release() {
+	poison(b.params, math.NaN())
+	poison(b.tx, 0xFF)
+	idleBufs.mu.Lock()
+	defer idleBufs.mu.Unlock()
+	idleBufs.held--
+	for idleBufs.held+len(idleBufs.list)+1 < keep() {
+		idleBufs.list = append(idleBufs.list, &roundBufs{make([]float64, len(b.params)), make([]byte, 0, cap(b.tx))})
+	}
+	if idleBufs.held+len(idleBufs.list) < keep() {
+		idleBufs.list = append(idleBufs.list, b)
+	}
+}
+
+// encode builds the update frame in tx; an encode error leaves tx as it
+// was.
+func (b *roundBufs) encode(u fl.Update, d *compress.Delta, mode compress.Mode) (frame []byte, err error) {
+	if frame, err = wire.AppendUpdateFrame(b.tx[:0], u, d, mode); err == nil {
+		b.tx = frame
+	}
+	return frame, err
+}
 
 // RunClient connects a local fl.Client to a coordinator at addr and
 // participates until the coordinator signals completion. It makes a single
@@ -875,57 +934,80 @@ func RunClientRetry(addr string, client fl.Client, rc RetryConfig) error {
 		return err
 	}
 	rc = rc.withDefaults()
-	st := &sessionState{
-		captures:    make(map[int][]byte),
-		keepBuffers: liveSessions.Add(1) <= maxOwningSessions,
-	}
-	defer liveSessions.Add(-1)
+	st := &sessionState{client: client, captures: make(map[int][]byte)}
+	joinBufs(1)
+	defer joinBufs(-1)
+	h := hello{ID: client.ID(), NumSamples: client.NumSamples(), Compress: rc.Compress, TopKFrac: rc.TopKFrac}
+	return rc.retry([]string{addr}, func(addr string) (progressed bool, err error) {
+		joinedBefore, roundBefore := st.joined, st.nextRound
+		_, err = joinParent(rc, addr, fmt.Sprintf("client %d", h.ID), h, &st.token, func(w welcome) (participant, error) {
+			st.cfg = compress.Config{}
+			if w.Compress != "" {
+				mode, err := compress.ParseMode(w.Compress)
+				if err != nil {
+					return nil, errFatal{fmt.Errorf("transport: coordinator accepted unknown compression: %w", err)}
+				}
+				st.cfg = compress.Config{Mode: mode, TopKFrac: w.TopKFrac}.WithDefaults()
+			}
+			if w.NextRound < st.nextRound {
+				// The coordinator lost rounds this client already trained;
+				// rewind to the capture matching its resume point.
+				if err := rollback(client, st, w.NextRound, st.cfg.Mode != compress.None); err != nil {
+					return nil, errFatal{err}
+				}
+			}
+			st.nextRound = w.NextRound
+			return st, nil
+		})
+		if err != nil && st.joined && st.token == "" {
+			// Legacy fail-stop session: the coordinator cannot resume, so a
+			// mid-federation drop is final.
+			err = errFatal{err}
+		}
+		return st.joined != joinedBefore || st.nextRound > roundBefore, err
+	})
+}
+
+// retry runs session against parents[0] until one ends cleanly, is stopped
+// or fails fatally, with backoff between attempts. A session that made
+// progress refreshes the attempt budget, so a long outage is bounded by
+// MaxAttempts consecutive futile dials; once one parent's budget is spent,
+// the next address gets a fresh budget and backoff ramp.
+func (rc RetryConfig) retry(parents []string, session func(addr string) (progressed bool, err error)) error {
 	var err error
-	for attempt := 1; attempt <= rc.MaxAttempts; attempt++ {
-		if !rc.pause(attempt) {
+	for attempt, parent := 1, 0; attempt <= rc.MaxAttempts; attempt++ {
+		if attempt > 1 { // a retry is counted and sleeps out its backoff first
+			rc.Metrics.or().RetryAttempts.Inc()
+			t := time.NewTimer(rc.backoff(attempt - 1))
+			select {
+			case <-t.C:
+			case <-rc.Stop:
+				t.Stop()
+			}
+		}
+		if stopped(rc.Stop) {
 			return ErrClientStopped
 		}
-		joinedBefore, roundBefore := st.joined, st.nextRound
-		err = runSession(addr, client, rc, st)
+		var progressed bool
+		progressed, err = session(parents[parent])
 		if err == nil || errors.Is(err, ErrClientStopped) || errors.As(err, &errFatal{}) {
 			return err
 		}
-		if st.joined && st.token == "" {
-			// Legacy fail-stop session: the coordinator cannot resume, so a
-			// mid-federation drop is final.
-			return err
+		if progressed {
+			attempt = 1
 		}
-		if st.joined != joinedBefore || st.nextRound > roundBefore {
-			attempt = 1 // progress: refresh the backoff budget
+		if attempt == rc.MaxAttempts && parent+1 < len(parents) {
+			parent, attempt = parent+1, 0
 		}
 	}
 	return err
 }
 
 func stopped(stop <-chan struct{}) bool {
-	if stop == nil {
-		return false
-	}
 	select {
 	case <-stop:
 		return true
 	default:
-		return false
-	}
-}
-
-// sleepOrStop sleeps for d, returning false early if stop fires.
-func sleepOrStop(d time.Duration, stop <-chan struct{}) bool {
-	if stop == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-stop:
 		return false
 	}
 }
@@ -952,173 +1034,156 @@ func watchStop(conn net.Conn, stop <-chan struct{}) (stopErr func(error) error, 
 	}, func() { close(done) }
 }
 
-// pause precedes a dial attempt (1-based): a retry is counted and sleeps
-// out its backoff first. It reports false once Stop fires.
-func (rc RetryConfig) pause(attempt int) bool {
-	if attempt > 1 {
-		rc.Metrics.retryAttempt()
-		if !sleepOrStop(rc.backoff(attempt-1), rc.Stop) {
-			return false
-		}
-	}
-	return !stopped(rc.Stop)
-}
-
 // clientFrameBudget bounds one inbound frame on the client side. Clients
 // do not know the model size before the first round frame arrives, so the
 // bound is a generous constant rather than model-derived.
 const clientFrameBudget = 1 << 30
 
-// runSession runs one connect-train session, updating st as the federation
-// progresses so a later session can resume.
-func runSession(addr string, client fl.Client, rc RetryConfig, st *sessionState) error {
+// joinParent runs one session with the parent at addr: dial, hello and
+// welcome — h carries *token, which the first welcome sets and every later
+// one must repeat — then the rounds of the participant node builds from
+// the welcome, until MsgDone. answered counts the rounds it answered.
+func joinParent(rc RetryConfig, addr, who string, h hello, token *string,
+	node func(welcome) (participant, error)) (answered int, err error) {
 	conn, err := rc.Dial(addr)
 	if err != nil {
-		return fmt.Errorf("transport: dial %s: %w", addr, err)
+		return 0, fmt.Errorf("transport: %s dialing parent %s: %w", who, addr, err)
 	}
 	defer conn.Close()
-
 	stopErr, unwatch := watchStop(conn, rc.Stop)
 	defer unwatch()
 
-	// The welcome decode may read ahead; the frame loop must read from the
-	// same buffer or it would miss the first round frame, which can arrive
-	// right behind the welcome.
+	// The welcome decode may read ahead; the frame reader must read from
+	// the same buffer or it would miss the first round frame, which can
+	// arrive right behind the welcome.
 	br := bufio.NewReader(conn)
-	w, err := clientHandshake(conn, br, hello{
-		ID: client.ID(), NumSamples: client.NumSamples(), Token: st.token,
-		Compress: rc.Compress, TopKFrac: rc.TopKFrac,
-	})
-	if err != nil {
-		return stopErr(fmt.Errorf("transport: %w", err))
-	}
-	if w.Codec != wire.CodecBinary {
-		return errFatal{errors.New("transport: coordinator does not speak the binary frame protocol")}
-	}
-	if st.token == "" {
-		st.token = w.Token
-	} else if w.Token != st.token {
-		return errFatal{fmt.Errorf("transport: coordinator session token changed mid-federation")}
-	}
-	var cfg compress.Config
-	if w.Compress != "" {
-		mode, err := compress.ParseMode(w.Compress)
-		if err != nil {
-			return errFatal{fmt.Errorf("transport: coordinator accepted unknown compression: %w", err)}
-		}
-		cfg = compress.Config{Mode: mode, TopKFrac: w.TopKFrac}.WithDefaults()
-	}
-	if w.NextRound < st.nextRound {
-		// The coordinator lost rounds this client already trained; rewind
-		// to the capture matching its resume point.
-		if err := rollback(client, st, w.NextRound, cfg.Mode != compress.None); err != nil {
-			return errFatal{err}
-		}
-	}
-	st.nextRound = w.NextRound
-	return runRounds(conn, br, client, cfg, stopErr, st)
-}
-
-// clientHandshake sends the hello — always offering the binary codec —
-// and reads the welcome through br, the connection's one buffered reader.
-// Errors are unprefixed; the caller names the dialing side.
-func clientHandshake(conn net.Conn, br *bufio.Reader, h hello) (welcome, error) {
-	h.Codec = wire.CodecBinary
+	h.Codec, h.Token = wire.CodecBinary, *token
 	if err := gob.NewEncoder(conn).Encode(h); err != nil {
-		return welcome{}, fmt.Errorf("sending hello: %w", err)
+		return 0, stopErr(fmt.Errorf("transport: %s sending hello: %w", who, err))
 	}
 	var w welcome
-	if err := gob.NewDecoder(br).Decode(&w); err != nil {
-		return welcome{}, fmt.Errorf("reading welcome: %w", err)
+	switch err := gob.NewDecoder(br).Decode(&w); {
+	case err != nil:
+		return 0, stopErr(fmt.Errorf("transport: %s reading welcome: %w", who, err))
+	case w.Codec != wire.CodecBinary:
+		return 0, errFatal{errors.New("transport: parent does not speak the binary frame protocol")}
+	case *token != "" && w.Token != *token:
+		return 0, errFatal{errors.New("transport: parent session token changed mid-federation")}
 	}
-	return w, nil
+	*token = w.Token
+	p, err := node(w)
+	if err != nil {
+		return 0, err
+	}
+	return answerRounds(conn, wire.NewReader(br), who, p, stopErr)
 }
 
-// runRounds is a client session's round loop: wire frames both
-// directions, with optional compressed (error-feedback) updates. The
-// round frame's tree directive is for aggregators; a client ignores it.
-func runRounds(conn net.Conn, r io.Reader, client fl.Client, cfg compress.Config,
-	stopErr func(error) error, st *sessionState) error {
+// participant is the node side of answerRounds: take supplies the storage
+// a round frame decodes into once its header has arrived, answer computes
+// the reply frame, and done runs once per take, after the reply's Write
+// returns (sent) or the round fails, to give back what the round took.
+type participant interface {
+	take() []float64
+	answer(rd wire.Round2) ([]byte, error)
+	done(round int, sent bool)
+}
+
+// answerRounds is the one round loop of everything that answers a parent:
+// a client session and a tree node's session with its parent. Each frame:
+// the header; MsgDone ends the loop with a nil error; a round frame is
+// decoded into the storage p takes, p computes the answer, and the answer
+// goes out in one Write — a connection cut mid-call tears the frame on the
+// wire, which the parent's byte-budgeted reader discards whole (the
+// torn-frame chaos tests depend on this). answered counts the rounds sent.
+func answerRounds(conn net.Conn, fr *wire.Reader, who string, p participant,
+	stopErr func(error) error) (answered int, err error) {
 	for {
-		typ, _, size, err := wire.ReadHeader(r, clientFrameBudget)
+		typ, _, size, err := fr.Header(clientFrameBudget)
+		switch {
+		case err != nil:
+			return answered, stopErr(fmt.Errorf("transport: %s reading round frame: %w", who, err))
+		case typ == wire.MsgDone:
+			return answered, nil
+		case typ != wire.MsgRound2:
+			return answered, errFatal{fmt.Errorf("transport: %s: unexpected frame type %d mid-federation", who, typ)}
+		}
+		rd, err := fr.Round(size, p.take())
+		switch {
+		case invalid(err):
+			err = errFatal{fmt.Errorf("transport: %s decoding round frame: %w", who, err)}
+		case err != nil:
+			err = stopErr(fmt.Errorf("transport: %s reading round frame: %w", who, err))
+		default:
+			var frame []byte
+			if frame, err = p.answer(rd); err == nil {
+				if _, werr := conn.Write(frame); werr != nil {
+					err = stopErr(fmt.Errorf("transport: %s sending its answer: %w", who, werr))
+				}
+			}
+		}
+		p.done(rd.Round, err == nil)
 		if err != nil {
-			return stopErr(fmt.Errorf("transport: reading round frame: %w", err))
+			return answered, err
 		}
-		st.joined = true
-		if typ == wire.MsgDone {
-			return nil
-		}
-		if typ != wire.MsgRound2 {
-			return errFatal{fmt.Errorf("transport: unexpected frame type %d mid-federation", typ)}
-		}
-		rd, err := wire.ReadRound(r, size, st.params)
-		if invalid(err) {
-			return errFatal{fmt.Errorf("transport: decoding round frame: %w", err)}
-		} else if err != nil {
-			return stopErr(fmt.Errorf("transport: reading round frame: %w", err))
-		}
-		st.params = rd.Params
-		round, params := rd.Round, rd.Params
-		pruneCaptures(st, rd.Durable)
-		u, err := client.TrainLocal(round, params)
-		if err != nil {
-			return errFatal{fmt.Errorf("transport: local training round %d: %w", round, err)}
-		}
-		if err := sendUpdate(conn, u, params, cfg, st); err != nil {
-			return stopErr(err)
-		}
-		poison(params)
-		if !st.keepBuffers {
-			st.params, st.tx = nil, nil
-		}
-		st.nextRound = round + 1
-		var resid []float64
-		if cfg.Mode != compress.None {
-			resid = st.residual
-		}
-		capture(client, st, round, resid)
+		answered++
 	}
 }
 
-// sendUpdate encodes one update frame and sends it in one Write.
-// Uncompressed sessions send the raw dense parameters; compressed ones
-// send the delta against the broadcast global with the error-feedback
-// residual folded in, and keep what the lossy codec dropped as the new
-// residual.
-func sendUpdate(conn net.Conn, u fl.Update, broadcast []float64,
-	cfg compress.Config, st *sessionState) error {
+func (st *sessionState) take() []float64 {
+	st.joined = true
+	st.bufs = takeBufs()
+	return st.bufs.params
+}
+
+func (st *sessionState) answer(rd wire.Round2) ([]byte, error) {
+	st.bufs.params = rd.Params
+	pruneCaptures(st, rd.Durable)
+	u, err := st.client.TrainLocal(rd.Round, rd.Params)
+	if err != nil {
+		return nil, errFatal{fmt.Errorf("transport: local training round %d: %w", rd.Round, err)}
+	}
+	return st.updateFrame(u, rd.Params)
+}
+
+func (st *sessionState) done(round int, sent bool) {
+	st.bufs.release()
+	st.bufs = nil
+	if !sent {
+		return
+	}
+	st.nextRound = round + 1
+	var resid []float64
+	if st.cfg.Mode != compress.None {
+		resid = st.residual
+	}
+	capture(st.client, st, round, resid)
+}
+
+// updateFrame encodes one update frame into the round's tx. Uncompressed
+// sessions send the raw dense parameters; compressed ones send the delta
+// against the broadcast global with the error-feedback residual folded in,
+// and keep what the lossy codec dropped as the new residual.
+func (st *sessionState) updateFrame(u fl.Update, broadcast []float64) ([]byte, error) {
 	var d *compress.Delta
-	if cfg.Mode != compress.None {
+	if st.cfg.Mode != compress.None {
 		if len(u.Params) != len(broadcast) {
-			return errFatal{fmt.Errorf("transport: client %d produced %d params for a %d-param model",
+			return nil, errFatal{fmt.Errorf("transport: client %d produced %d params for a %d-param model",
 				u.ClientID, len(u.Params), len(broadcast))}
 		}
 		// The residual advances here, in place, before the frame is
 		// written; a send failure after this point is fine — the round
 		// will be replayed from a rollback capture, which restores it.
 		var err error
-		d, st.residual, err = cfg.CompressInPlace(u.Params, broadcast, st.residual)
+		d, st.residual, err = st.cfg.CompressInPlace(u.Params, broadcast, st.residual)
 		if err != nil {
-			return errFatal{fmt.Errorf("transport: compressing update: %w", err)}
+			return nil, errFatal{fmt.Errorf("transport: compressing update: %w", err)}
 		}
 	}
-	frame, err := st.encodeUpdate(u, d, cfg.Mode)
+	frame, err := st.bufs.encode(u, d, st.cfg.Mode)
 	if err != nil {
-		return errFatal{fmt.Errorf("transport: encoding update: %w", err)}
+		return nil, errFatal{fmt.Errorf("transport: encoding update: %w", err)}
 	}
-	if _, err := conn.Write(frame); err != nil {
-		return fmt.Errorf("transport: sending update: %w", err)
-	}
-	return nil
-}
-
-// encodeUpdate builds the update frame in the session-owned tx buffer; an
-// encode error leaves the buffer as it was.
-func (st *sessionState) encodeUpdate(u fl.Update, d *compress.Delta, mode compress.Mode) (frame []byte, err error) {
-	if frame, err = wire.AppendUpdateFrame(st.tx[:0], u, d, mode); err == nil {
-		st.tx = frame
-	}
-	return frame, err
+	return frame, nil
 }
 
 // pruneCaptures drops rollback captures (state and residual) for rounds

@@ -9,6 +9,7 @@ import (
 
 	"github.com/cip-fl/cip/internal/fl"
 	"github.com/cip-fl/cip/internal/fl/compress"
+	"github.com/cip-fl/cip/internal/fl/robust"
 )
 
 // Payload codecs. Layouts (little-endian throughout):
@@ -200,14 +201,15 @@ func AppendPartial2Frame(dst []byte, p fl.Partial) []byte {
 // DecodePartial2 parses a MsgPartial2 payload. Structural checks only
 // (exact size arithmetic, bounded allocation, panic guard); semantic
 // validation — including the sketch's sorted-keys/finiteness/row-count
-// invariants — is fl.ValidatePartial's job at the parent. It is ReadPartial
-// over the payload, with sums and rows in storage of their own.
+// invariants — is fl.ValidatePartial's job at the parent. It is
+// Reader.Partial over the payload, with sums, sketch and rows in storage
+// of their own.
 func DecodePartial2(payload []byte) (fl.Partial, error) {
 	_, n, _, err := partialHead(payload, len(payload))
 	if err != nil {
 		return fl.Partial{}, err
 	}
-	return ReadPartial(bytes.NewReader(payload), len(payload), make([]float64, n),
+	return NewReader(bytes.NewReader(payload)).Partial(len(payload), make([]float64, n), new(robust.Sketch),
 		func() []float64 { return make([]float64, n) })
 }
 
@@ -270,10 +272,10 @@ func AppendRound2Frame(dst []byte, r Round2) []byte {
 	return appendWords(dst, r.Params)
 }
 
-// DecodeRound2 parses a round payload: ReadRound over it, into a fresh
+// DecodeRound2 parses a round payload: Reader.Round over it, into a fresh
 // vector.
 func DecodeRound2(payload []byte) (Round2, error) {
-	return ReadRound(bytes.NewReader(payload), len(payload), nil)
+	return NewReader(bytes.NewReader(payload)).Round(len(payload), nil)
 }
 
 // UpdatePayloadLen returns the update payload size for a dense length and

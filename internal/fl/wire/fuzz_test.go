@@ -44,7 +44,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{Magic, Version, 1, 0, 12, 0, 0, 0, 3, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, 4096)
 	f.Add([]byte{Magic, Version, 4, 0, 24, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0, 0, 0, 0}, 4096)
 	f.Fuzz(func(t *testing.T, data []byte, budget int) {
-		// Always a real budget in [1, 1 MiB]: ReadHeader treats 0 as "no
+		// Always a real budget in [1, 1 MiB]: Header treats 0 as "no
 		// limit", which would let a hostile length prefix ask the harness
 		// itself for gigabytes.
 		if budget < 0 {
@@ -52,7 +52,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		budget = 1 + budget%(1<<20)
 		r := bytes.NewReader(data)
-		typ, mode, n, err := ReadHeader(r, budget)
+		typ, mode, n, err := NewReader(r).Header(budget)
 		if err != nil {
 			return // any error is acceptable; a panic is not
 		}

@@ -104,7 +104,7 @@ func streams(payload []byte, step int) []stream {
 }
 
 // FuzzDecodeUpdateStream: for arbitrary payload bytes under any mode,
-// ReadUpdate fed through each of streams and DecodeUpdate on the same
+// Reader.Update fed through each of streams and DecodeUpdate on the same
 // bytes agree on the accept/reject class and, on accept, on every field
 // bit for bit; an accepted payload whose last 4 bytes never arrive (its
 // last word cut in half) is io.ErrUnexpectedEOF; a dense update of the
@@ -132,9 +132,10 @@ func FuzzDecodeUpdateStream(f *testing.F) {
 		if wantErr == nil && mode == compress.None {
 			n = len(want.Params)
 		}
+		var body []byte // one exchange's body bytes, reused stream after stream
 		for _, s := range streams(payload, int(step)) {
 			dst := make([]float64, n)
-			got, gotErr := ReadUpdate(s.r, mode, len(payload), dst)
+			got, gotErr := NewReader(s.r).Update(mode, len(payload), dst, &body)
 			if errClass(gotErr) != errClass(wantErr) {
 				t.Fatalf("mode %d, %s: stream says %q (%v), bytes say %q (%v)",
 					modeByte, s.name, errClass(gotErr), gotErr, errClass(wantErr), wantErr)
@@ -151,7 +152,7 @@ func FuzzDecodeUpdateStream(f *testing.F) {
 			return
 		}
 		for _, s := range streams(payload[:len(payload)-4], int(step)) {
-			if _, err := ReadUpdate(s.r, mode, len(payload), make([]float64, n)); !errors.Is(err, io.ErrUnexpectedEOF) {
+			if _, err := NewReader(s.r).Update(mode, len(payload), make([]float64, n), &body); !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("mode %d, %s: a payload cut mid-word reads as %v, want io.ErrUnexpectedEOF", modeByte, s.name, err)
 			}
 		}
@@ -159,7 +160,7 @@ func FuzzDecodeUpdateStream(f *testing.F) {
 			return
 		}
 		r := bytes.NewReader(payload)
-		if _, err := ReadUpdate(r, mode, len(payload), make([]float64, n+1)); errClass(err) != "payload" {
+		if _, err := NewReader(r).Update(mode, len(payload), make([]float64, n+1), &body); errClass(err) != "payload" {
 			t.Fatalf("a %d-param update decoded into %d params: %v", n, n+1, err)
 		}
 		if read := len(payload) - r.Len(); read > updateHeadLen {
@@ -192,8 +193,9 @@ func samePartial(t *testing.T, got, want fl.Partial) {
 }
 
 // FuzzDecodePartialStream: for arbitrary partial payload bytes,
-// ReadPartial fed through each of streams and DecodePartial2 on the same
-// bytes agree on the accept/reject class and, on accept, on every field
+// Reader.Partial fed through each of streams — into one sketch, reset by
+// every read as a connection's is — and DecodePartial2 on the same bytes
+// agree on the accept/reject class and, on accept, on every field
 // bit for bit; an accepted payload whose last 4 bytes never arrive is
 // io.ErrUnexpectedEOF. Every rejection comes before a single sketch row is
 // taken; in particular a partial one parameter off the model, or claiming
@@ -229,10 +231,11 @@ func FuzzDecodePartialStream(f *testing.F) {
 		}
 		taken := 0
 		row := func() []float64 { taken++; return make([]float64, n) }
+		var sk robust.Sketch
 		for _, s := range streams(payload, int(step)) {
 			taken = 0
 			sum := make([]float64, n)
-			got, gotErr := ReadPartial(s.r, len(payload), sum, row)
+			got, gotErr := NewReader(s.r).Partial(len(payload), sum, &sk, row)
 			if errClass(gotErr) != errClass(wantErr) {
 				t.Fatalf("%s: stream says %q (%v), bytes say %q (%v)",
 					s.name, errClass(gotErr), gotErr, errClass(wantErr), wantErr)
@@ -255,14 +258,14 @@ func FuzzDecodePartialStream(f *testing.F) {
 			return
 		}
 		for _, s := range streams(payload[:len(payload)-4], int(step)) {
-			if _, err := ReadPartial(s.r, len(payload), make([]float64, n), row); !errors.Is(err, io.ErrUnexpectedEOF) {
+			if _, err := NewReader(s.r).Partial(len(payload), make([]float64, n), &sk, row); !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("%s: a partial cut mid-word reads as %v, want io.ErrUnexpectedEOF", s.name, err)
 			}
 		}
 
 		taken = 0
 		r := bytes.NewReader(payload)
-		if _, err := ReadPartial(r, len(payload), make([]float64, n+1), row); errClass(err) != "payload" || taken != 0 {
+		if _, err := NewReader(r).Partial(len(payload), make([]float64, n+1), &sk, row); errClass(err) != "payload" || taken != 0 {
 			t.Fatalf("a %d-param partial read against %d params: %v, %d rows taken", n, n+1, err, taken)
 		}
 		if read := len(payload) - r.Len(); read > partial2HeadLen {
@@ -274,7 +277,7 @@ func FuzzDecodePartialStream(f *testing.F) {
 		lie := append([]byte(nil), payload...)
 		kAt := partial2HeadLen + 8*n + 8
 		binary.LittleEndian.PutUint32(lie[kAt:], uint32(len(want.Sketch.Keys)+1))
-		if _, err := ReadPartial(bytes.NewReader(lie), len(lie), make([]float64, n), row); errClass(err) != "payload" || taken != 0 {
+		if _, err := NewReader(bytes.NewReader(lie)).Partial(len(lie), make([]float64, n), &sk, row); errClass(err) != "payload" || taken != 0 {
 			t.Fatalf("a sketch claiming one row too many: %v, %d rows taken", err, taken)
 		}
 	})
@@ -286,36 +289,37 @@ func FuzzDecodePartialStream(f *testing.F) {
 func TestStreamDecodesGoldenFrames(t *testing.T) {
 	n := 0
 	for name, frame := range goldenFrames(t) {
-		r := dribble(bytes.NewReader(frame), 1)
-		typ, mode, size, err := ReadHeader(r, len(frame))
+		r := NewReader(dribble(bytes.NewReader(frame), 1))
+		typ, mode, size, err := r.Header(len(frame))
 		if err != nil {
-			t.Fatalf("%s: ReadHeader: %v", name, err)
+			t.Fatalf("%s: Header: %v", name, err)
 		}
 		payload := frame[HeaderLen:]
 		switch typ {
 		case MsgRound2:
 			want, _ := DecodeRound2(payload)
-			got, err := ReadRound(r, size, nil)
+			got, err := r.Round(size, nil)
 			if err != nil || !sameF64s(got.Params, want.Params) {
-				t.Fatalf("%s: ReadRound = %+v, %v; want %+v", name, got, err, want)
+				t.Fatalf("%s: Round = %+v, %v; want %+v", name, got, err, want)
 			}
 			got.Params, want.Params = nil, nil
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: ReadRound head %+v, want %+v", name, got, want)
+				t.Fatalf("%s: Round head %+v, want %+v", name, got, want)
 			}
 		case MsgUpdate:
 			want, _ := DecodeUpdate(mode, payload)
-			got, err := ReadUpdate(r, mode, size, make([]float64, len(goldenVector())))
+			var body []byte
+			got, err := r.Update(mode, size, make([]float64, len(goldenVector())), &body)
 			if err != nil {
-				t.Fatalf("%s: ReadUpdate: %v", name, err)
+				t.Fatalf("%s: Update: %v", name, err)
 			}
 			sameUpdate(t, got, want)
 		case MsgPartial2:
 			want, _ := DecodePartial2(payload)
 			dim := len(goldenVector())
-			got, err := ReadPartial(r, size, make([]float64, dim), func() []float64 { return make([]float64, dim) })
+			got, err := r.Partial(size, make([]float64, dim), new(robust.Sketch), func() []float64 { return make([]float64, dim) })
 			if err != nil {
-				t.Fatalf("%s: ReadPartial: %v", name, err)
+				t.Fatalf("%s: Partial: %v", name, err)
 			}
 			samePartial(t, got, want)
 		default:
@@ -336,12 +340,12 @@ func TestReadRoundReusesCallerStorage(t *testing.T) {
 	owned := make([]float64, len(params)+10)
 	frame := AppendRound2Frame(nil, Round2{Round: 7, Durable: 5, SampleFrac: 0.5,
 		SampleSeed: -3, SketchCap: 9, Params: params})
-	r := dribble(bytes.NewReader(frame), 1000)
-	typ, _, size, err := ReadHeader(r, 0)
+	r := NewReader(dribble(bytes.NewReader(frame), 1000))
+	typ, _, size, err := r.Header(0)
 	if err != nil || typ != MsgRound2 {
-		t.Fatalf("ReadHeader = type %d, %v", typ, err)
+		t.Fatalf("Header = type %d, %v", typ, err)
 	}
-	rd, err := ReadRound(r, size, owned[:3])
+	rd, err := r.Round(size, owned[:3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +356,7 @@ func TestReadRoundReusesCallerStorage(t *testing.T) {
 		t.Fatalf("round head decoded as %+v", rd)
 	}
 	frame = AppendRoundFrame(nil, 0, -1, params)
-	rd, err = ReadRound(bytes.NewReader(frame[HeaderLen:]), len(frame)-HeaderLen, make([]float64, 4))
+	rd, err = NewReader(bytes.NewReader(frame[HeaderLen:])).Round(len(frame)-HeaderLen, make([]float64, 4))
 	if err != nil || !sameF64s(rd.Params, params) {
 		t.Fatalf("a round larger than the caller's storage: %v", err)
 	}
@@ -370,7 +374,7 @@ func TestStreamRejectsBeforeAllocating(t *testing.T) {
 	head := make([]byte, updateHeadLen)
 	binary.LittleEndian.PutUint32(head[16:], claimed)
 	dst := make([]float64, 8)
-	ReadUpdate(bytes.NewReader(nil), compress.None, 0, dst) //nolint:errcheck — warms the head buffer pool
+	var body []byte
 
 	// The least of three tries: under -race the runtime now and then
 	// allocates a few KiB of its own inside the window.
@@ -378,8 +382,8 @@ func TestStreamRejectsBeforeAllocating(t *testing.T) {
 	for range 3 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, _, budgetErr := ReadHeader(bytes.NewReader(hdr), 1<<20)
-		_, lenErr := ReadUpdate(bytes.NewReader(head), compress.None, size, dst)
+		_, _, _, budgetErr := NewReader(bytes.NewReader(hdr)).Header(1 << 20)
+		_, lenErr := NewReader(bytes.NewReader(head)).Update(compress.None, size, dst, &body)
 		runtime.ReadMemStats(&after)
 		if errClass(budgetErr) != "budget" || errClass(lenErr) != "payload" {
 			t.Fatalf("hostile lengths: header %v, update %v", budgetErr, lenErr)
@@ -392,11 +396,11 @@ func TestStreamRejectsBeforeAllocating(t *testing.T) {
 
 	frame, _ := AppendUpdateFrame(nil, fl.Update{Params: testVector(100, 1)}, nil, compress.None)
 	cut := frame[HeaderLen : len(frame)-9]
-	_, err := ReadUpdate(bytes.NewReader(cut), compress.None, len(frame)-HeaderLen, make([]float64, 100))
+	_, err := NewReader(bytes.NewReader(cut)).Update(compress.None, len(frame)-HeaderLen, make([]float64, 100), &body)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("a body cut mid-stream reads as %v, want io.ErrUnexpectedEOF", err)
 	}
-	_, err = ReadRound(bytes.NewReader(nil), Round2PayloadLen(4), nil)
+	_, err = NewReader(bytes.NewReader(nil)).Round(Round2PayloadLen(4), nil)
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("a round with no bytes behind its header reads as %v, want io.EOF", err)
 	}

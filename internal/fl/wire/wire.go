@@ -24,8 +24,9 @@
 //
 // Dense vectors are read straight from the connection into the bytes of
 // storage their receiver owns, and encoded as one copy of those bytes
-// (stream.go, codec.go); payload heads and whole-payload reads come from a
-// pooled arena (buffer.go). DESIGN.md §12.5 has the table.
+// (stream.go, codec.go). Each connection's Reader owns its frames' header
+// and head bytes; a compressed update body is read into bytes its caller
+// owns. DESIGN.md §12.5 has the table.
 package wire
 
 import (
@@ -85,14 +86,28 @@ var (
 	ErrPayload = errors.New("wire: malformed payload")
 )
 
-// ReadHeader reads and checks one frame header. The declared payload
-// length n is checked against budget (≤ 0 means no limit) before anything
-// is read or allocated for it, so a hostile 4 GiB length prefix costs
-// nothing. The n payload bytes follow on r: ReadRound, ReadUpdate and
-// ReadPartial consume them, or the caller reads them with io.ReadFull.
-func ReadHeader(r io.Reader, budget int) (typ byte, mode compress.Mode, n int, err error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// Reader reads the frames of one connection. It owns the bytes a frame is
+// parsed from before its body — the 8-byte header and the payload's fixed
+// head, at most 36 bytes — so reading a frame allocates neither; bodies go
+// to storage the caller supplies (stream.go). A Reader serves one
+// goroutine at a time.
+type Reader struct {
+	r    io.Reader
+	hdr  [HeaderLen]byte
+	head [partial2HeadLen]byte
+}
+
+// NewReader returns a frame reader over r, the connection's one buffered
+// reader when a handshake reads through it too.
+func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+
+// Header reads and checks one frame header. The declared payload length n
+// is checked against budget (≤ 0 means no limit) before anything is read
+// or allocated for it, so a hostile 4 GiB length prefix costs nothing. The
+// n payload bytes follow: Round, Update or Partial consumes them.
+func (fr *Reader) Header(budget int) (typ byte, mode compress.Mode, n int, err error) {
+	hdr := fr.hdr[:]
+	if _, err := io.ReadFull(fr.r, hdr); err != nil {
 		return 0, 0, 0, err
 	}
 	if hdr[0] != Magic {

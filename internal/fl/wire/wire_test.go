@@ -35,10 +35,10 @@ func allModes() []compress.Config {
 	}
 }
 
-// readFrame reads one whole frame the way a caller of ReadHeader does: the
+// readFrame reads one whole frame the way a caller of Reader.Header does: the
 // checked header, then exactly its n payload bytes.
 func readFrame(r io.Reader, budget int) (typ byte, mode compress.Mode, payload []byte, err error) {
-	typ, mode, n, err := ReadHeader(r, budget)
+	typ, mode, n, err := NewReader(r).Header(budget)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -240,7 +240,7 @@ func TestReadFrameRejects(t *testing.T) {
 func TestReadHeaderWideBudget(t *testing.T) {
 	hdr := AppendHeader(nil, MsgUpdate, compress.None, 16)
 	for _, budget := range []int{1 << 32, 1<<32 + 8} {
-		_, _, n, err := ReadHeader(bytes.NewReader(hdr), budget)
+		_, _, n, err := NewReader(bytes.NewReader(hdr)).Header(budget)
 		if err != nil || n != 16 {
 			t.Fatalf("budget %d: n = %d, err = %v; want 16, nil", budget, n, err)
 		}
@@ -308,28 +308,6 @@ func TestDecodeUpdateQuantizedNaNRangeSurfacesDownstream(t *testing.T) {
 	if _, err := fl.Densify(u, make([]float64, 8)); err == nil {
 		t.Fatal("NaN-range update densified without error")
 	}
-}
-
-func TestBufferPoolReuse(t *testing.T) {
-	b := GetBuffer(1000)
-	if len(b) != 1000 || cap(b) != 1024 {
-		t.Fatalf("len,cap = %d,%d", len(b), cap(b))
-	}
-	b[0] = 0xAB
-	PutBuffer(b)
-	b2 := GetBuffer(900)
-	if cap(b2) != 1024 {
-		t.Fatalf("expected class reuse, cap = %d", cap(b2))
-	}
-	PutBuffer(b2)
-	// Oversized requests fall through and PutBuffer ignores them.
-	huge := GetBuffer(1 << 27)
-	if len(huge) != 1<<27 {
-		t.Fatalf("oversized len = %d", len(huge))
-	}
-	PutBuffer(huge)
-	// Foreign non-power-of-two slices are ignored too.
-	PutBuffer(make([]byte, 1000))
 }
 
 // TestBulkWordsMatchPerWord: the bulk word codec writes exactly the bytes
