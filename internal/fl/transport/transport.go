@@ -856,8 +856,8 @@ var idleBufs struct {
 	members, held, peak int
 }
 
-// keep is how many pairs the list keeps in all; mu is held.
-func keep() int { return min(idleBufs.members, 2*idleBufs.peak) }
+// bufsKept is how many pairs the list keeps in all; mu is held.
+func bufsKept() int { return min(idleBufs.members, 2*idleBufs.peak) }
 
 // joinBufs adds d sessions to those answering rounds (-1 when one stops),
 // dropping idle pairs the list no longer keeps.
@@ -865,7 +865,7 @@ func joinBufs(d int) {
 	idleBufs.mu.Lock()
 	defer idleBufs.mu.Unlock()
 	idleBufs.members += d
-	for n := len(idleBufs.list); n > 0 && idleBufs.held+n > keep(); n-- {
+	for n := len(idleBufs.list); n > 0 && idleBufs.held+n > bufsKept(); n-- {
 		idleBufs.list[n-1] = nil
 		idleBufs.list = idleBufs.list[:n-1]
 	}
@@ -894,10 +894,10 @@ func (b *roundBufs) release() {
 	idleBufs.mu.Lock()
 	defer idleBufs.mu.Unlock()
 	idleBufs.held--
-	for idleBufs.held+len(idleBufs.list)+1 < keep() {
+	for idleBufs.held+len(idleBufs.list)+1 < bufsKept() {
 		idleBufs.list = append(idleBufs.list, &roundBufs{make([]float64, len(b.params)), make([]byte, 0, cap(b.tx))})
 	}
-	if idleBufs.held+len(idleBufs.list) < keep() {
+	if idleBufs.held+len(idleBufs.list) < bufsKept() {
 		idleBufs.list = append(idleBufs.list, b)
 	}
 }
