@@ -55,9 +55,11 @@ portable:
 # convbench runs one iteration of every case of the convolution layer's
 # benchmark (forward, Step II and Step I backward at the VGG and sweep
 # shapes), of the 2×2 max-pool's and of the conv input gradient's
-# per-image GEMM (about a second), so the benchmarks cannot rot.
+# per-image GEMM, and of the f32 tier's GEMM benchmarks (MatMul256 and the
+# MLP's weight gradient and first-layer forward under F32), about a
+# second in all, so the benchmarks cannot rot.
 convbench:
-	$(GO) test -count=1 -run '^$$' -bench '^(BenchmarkConvLayer|BenchmarkMaxPool2D|BenchmarkGEMMInputGrad)$$' -benchtime 1x ./internal/nn ./internal/tensor
+	$(GO) test -count=1 -run '^$$' -bench '^(BenchmarkConvLayer|BenchmarkMaxPool2D|BenchmarkGEMMInputGrad|BenchmarkMatMul256F32|BenchmarkWeightGradF32|BenchmarkDenseForwardF32)$$' -benchtime 1x ./internal/nn ./internal/tensor
 
 # The race detector slows the heavyweight experiment replays ~10-20x past
 # the default go-test timeout; they honor -short and are covered without

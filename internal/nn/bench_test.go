@@ -162,3 +162,25 @@ func BenchmarkSGDMomentumStep(b *testing.B) {
 		opt.Step(params)
 	}
 }
+
+// BenchmarkDenseForwardF32 is the Purchase-50 MLP's first layer forward
+// under the F32 policy, x·Wᵀ + b with x [32, 600] and W [512, 600]: the
+// mixed-path GEMM [32, 600]·[600, 512] with the bias in its epilogue, on
+// weights packed once (PackWeights) as a training step holds them, into a
+// preallocated output.
+func BenchmarkDenseForwardF32(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	d := NewDense(rng, 600, 512)
+	x, out := tensor.New(32, 600), tensor.New(32, 512)
+	x.RandNormal(rng, 0, 1)
+	tensor.SetPrecision(tensor.F32)
+	defer tensor.SetPrecision(tensor.F64)
+	PackWeights(d.Params())
+	defer UnpackWeights(d.Params())
+	d.W.affineInto(out, x, d.B.Value.Data) // packs W
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.W.affineInto(out, x, d.B.Value.Data)
+	}
+}

@@ -2,14 +2,14 @@
 
 #include "textflag.h"
 
-// The GEMM's edges: B-panel packing, tile stores, A's transpose-and-narrow
-// and the fused momentum step, each the vector form of a portable Go loop
+// The GEMM's edges: B-panel packing, A's transpose-and-narrow and the
+// fused momentum step, each the vector form of a portable Go loop
 // (matmul.go, matmul32.go, tensor.go) that it matches bit for bit. Every
-// conversion is a single IEEE rounding (VCVTPD2PS) or exact (VCVTPS2PD),
-// like Go's float32() and float64() conversions; every add and multiply
-// is the same single-rounding operation as the scalar loop's. The Go
-// wrappers in kernel_amd64.go check bounds and hand these routines only
-// whole panels, whole tiles and 4-aligned spans.
+// conversion is a single IEEE rounding (VCVTPD2PS), like Go's float32()
+// conversion; every add and multiply is the same single-rounding
+// operation as the scalar loop's. The Go wrappers in kernel_amd64.go
+// check bounds and hand these routines only whole panels and 4-aligned
+// spans. (The tile stores are part of the sweeps in kernel_amd64.s.)
 
 // TRANSPOSE4 transposes the 4×4 block of float64 held in rows s0..s3, in
 // place, using t0..t3 as scratch: afterwards s{q} holds element q of every
@@ -228,96 +228,6 @@ tnarrow:
 	DECQ       CX
 	JNZ        tnarrow
 
-	VZEROUPPER
-	RET
-
-// WIDEN16 widens one 16-lane float32 tile row at SI into Y0..Y3.
-#define WIDEN16 \
-	VCVTPS2PD (SI), Y0   \
-	VCVTPS2PD 16(SI), Y1 \
-	VCVTPS2PD 32(SI), Y2 \
-	VCVTPS2PD 48(SI), Y3
-
-// STORE16 writes Y0..Y3 to the 16 float64 at DI and steps to the next
-// tile row and destination row.
-#define STORE16 \
-	VMOVUPD Y0, (DI)   \
-	VMOVUPD Y1, 32(DI) \
-	VMOVUPD Y2, 64(DI) \
-	VMOVUPD Y3, 96(DI) \
-	ADDQ    $64, SI    \
-	ADDQ    DX, DI
-
-// func avxStoreTile32(dst *float64, c *float32, bias *float64, ld, rows, mode int)
-//
-// Lands rows × 16 of a 6×16 float32 tile (row stride 16) in the float64
-// dst (row stride ld), widening each partial sum before the mode's add:
-// storeSet d = c, storeAdd d += c, storeRowBias d = c + bias[r],
-// storeColBias d = c + bias[x]. rows > 0.
-TEXT ·avxStoreTile32(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ c+8(FP), SI
-	MOVQ bias+16(FP), BX
-	MOVQ ld+24(FP), DX
-	MOVQ rows+32(FP), CX
-	MOVQ mode+40(FP), AX
-	SHLQ $3, DX
-
-	CMPQ AX, $1
-	JEQ  st32add
-	CMPQ AX, $2
-	JEQ  st32row
-	CMPQ AX, $3
-	JEQ  st32col
-
-st32set:
-	WIDEN16
-	STORE16
-	DECQ CX
-	JNZ  st32set
-	JMP  st32done
-
-st32add:
-	WIDEN16
-	VADDPD (DI), Y0, Y0
-	VADDPD 32(DI), Y1, Y1
-	VADDPD 64(DI), Y2, Y2
-	VADDPD 96(DI), Y3, Y3
-	STORE16
-	DECQ   CX
-	JNZ    st32add
-	JMP    st32done
-
-st32row:
-	VBROADCASTSD (BX), Y4
-	WIDEN16
-	VADDPD       Y4, Y0, Y0
-	VADDPD       Y4, Y1, Y1
-	VADDPD       Y4, Y2, Y2
-	VADDPD       Y4, Y3, Y3
-	STORE16
-	ADDQ         $8, BX
-	DECQ         CX
-	JNZ          st32row
-	JMP          st32done
-
-st32col:
-	VMOVUPD (BX), Y4
-	VMOVUPD 32(BX), Y5
-	VMOVUPD 64(BX), Y6
-	VMOVUPD 96(BX), Y7
-
-st32colrow:
-	WIDEN16
-	VADDPD Y4, Y0, Y0
-	VADDPD Y5, Y1, Y1
-	VADDPD Y6, Y2, Y2
-	VADDPD Y7, Y3, Y3
-	STORE16
-	DECQ   CX
-	JNZ    st32colrow
-
-st32done:
 	VZEROUPPER
 	RET
 

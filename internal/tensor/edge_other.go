@@ -21,10 +21,6 @@ func sweep(d []float64, a *[mr][]float64, bpack []float64, ld, kcb, ncb, rows, m
 	sweepGo(d, a, bpack, ld, kcb, ncb, rows, mode, bias)
 }
 
-func storeTile32[T elem](d []T, c *[mr32 * nr32]float32, ld, rows, w, mode int, bias []T) {
-	storeTile32Go(d, c, ld, rows, w, mode, bias)
-}
-
 func addRows(dst, src []float64, ldd, lds, run, rows int) { addRowsGo(dst, src, ldd, lds, run, rows) }
 
 func transposeNarrow(dst []float32, a []float64, k, m int) { transposeNarrowGo(dst, a, k, m, 0, 0) }

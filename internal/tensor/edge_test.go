@@ -173,102 +173,6 @@ func TestPackMatchesPortable(t *testing.T) {
 	}
 }
 
-// storeCase is one way a product lands its tiles.
-type storeCase struct {
-	name    string
-	first   bool
-	bias    bool
-	rowBias bool
-	acc     bool
-	chain   bool
-}
-
-// storeCases covers every store mode: the overwrite of a first k-block,
-// the accumulation of a later one or of an accumulating product, a
-// chained tile (the kernel continued from dst, then overwrites it), and
-// the row and column bias epilogues.
-var storeCases = []storeCase{
-	{name: "overwrite", first: true},
-	{name: "acc", acc: true},
-	{name: "later k-block", first: false},
-	{name: "chain", first: true, chain: true},
-	{name: "row bias", first: true, bias: true, rowBias: true},
-	{name: "column bias", first: true, bias: true},
-}
-
-// TestStoreMatchesPortable lands f32 tiles in every store mode, for every
-// row count up to the tile height (rows < mr32 is a remainder tile),
-// full-width and ragged, at an interior column of a destination with a
-// wider row stride. Tile values include edge values (NaN only in the tile,
-// so no addition sees two NaNs): float32 subnormals, infinities and NaNs
-// with payloads to widen. The f64 tile stores are part of the sweep
-// (TestSweepMatchesDefinition).
-func TestStoreMatchesPortable(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	const ld, i, j = 61, 3, 20
-	finite := func(n int) []float64 {
-		out := edgeData(rng, n)
-		for x, v := range out {
-			if math.IsNaN(v) {
-				out[x] = -1.25
-			}
-		}
-		return out
-	}
-	for _, sc := range storeCases {
-		for rows := 1; rows <= mr32; rows++ {
-			for _, full := range []bool{true, false} {
-				name := fmt.Sprintf("%s rows=%d full=%v", sc.name, rows, full)
-				dst0 := finite((i + mr32) * ld)
-				bias := finite(ld)
-				var b []float64
-				if sc.bias {
-					b = bias
-				}
-
-				w := nr32
-				if !full {
-					w = 11
-				}
-				var c [mr32 * nr32]float32
-				NarrowSlice(c[:], edgeData(rng, len(c)))
-				s := gemmShape{m: i + mr32, n: ld, bias: b, rowBias: sc.rowBias, acc: sc.acc, chain: sc.chain}.mixed()
-				first := sc.first && !s.acc // as gemm32 sets it
-				got, want := append([]float64(nil), dst0...), append([]float64(nil), dst0...)
-				s.store(got, &c, i, rows, j, w, first)
-				mode, mb := storeMode(s.bias, s.rowBias, i, j, first)
-				storeTile32Go(want[i*ld+j:], &c, ld, rows, w, mode, mb)
-				if x := firstDiff64(got, want); x >= 0 {
-					t.Fatalf("f32 %s: element %d differs from the portable loop", name, x)
-				}
-				for r := 0; r < rows; r++ {
-					for x := 0; x < w; x++ {
-						d, v := dst0[(i+r)*ld+j+x], float64(c[r*nr32+x])
-						if def := storeDefinition(d, v, b, sc.rowBias, i+r, j+x, first); math.Float64bits(want[(i+r)*ld+j+x]) != math.Float64bits(def) {
-							t.Fatalf("f32 %s: portable loop differs from the definition at row %d lane %d", name, r, x)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// storeDefinition is one destination element after a tile store: d the
-// element before, v the tile's (widened) value.
-func storeDefinition(d, v float64, bias []float64, rowBias bool, row, col int, first bool) float64 {
-	switch {
-	case !first:
-		return d + v
-	case bias == nil:
-		return v
-	case rowBias:
-		return v + bias[row]
-	default:
-		return v + bias[col]
-	}
-}
-
 // TestTransposeNarrowMatchesPortable: staging Aᵀ for the mixed path in one
 // transpose-and-narrow pass writes the bits TransposeInto then NarrowSlice
 // wrote, over shapes with and without 4-aligned edges, edge values

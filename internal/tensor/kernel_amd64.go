@@ -2,33 +2,63 @@
 
 package tensor
 
-// The AVX2 micro-kernel needs FMA3, AVX2, and OS support for saving YMM
-// state. Detection runs once at init; hasFMAKernel is read-only afterwards.
-var hasFMAKernel = detectFMAKernel()
+// The AVX2 routines need FMA3, AVX2, and OS support for saving YMM state;
+// the f32 tier's AVX-512 sweep also needs AVX-512F and DQ and OS support
+// for saving ZMM and opmask state. Detection runs once at init;
+// hasFMAKernel and sweep32Body are read-only afterwards.
+var hasFMAKernel, sweep32Body = detectCPU()
 
-func detectFMAKernel() bool {
+// tileRows32 is the running f32 sweep's tile height.
+var tileRows32 = sweep32Rows(sweep32Body)
+
+// sweep32Rows is the tile height of an f32 sweep body.
+func sweep32Rows(body int) int {
+	if body == body32AVX512 {
+		return mrA32
+	}
+	return mr32
+}
+
+func detectCPU() (fma bool, body int) {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
 	_, _, ecx1, _ := cpuidex(1, 0)
-	const (
-		fmaBit     = 1 << 12
-		osxsaveBit = 1 << 27
-		avxBit     = 1 << 28
-	)
-	if ecx1&fmaBit == 0 || ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return false
+	var ebx7, xcr0 uint32
+	if maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuidex(7, 0)
 	}
-	// XCR0 bits 1 (SSE) and 2 (AVX) must both be set: the OS saves YMM
-	// registers across context switches.
-	xcr0, _ := xgetbv0()
-	if xcr0&0x6 != 0x6 {
-		return false
+	if ecx1&osxsaveBit != 0 {
+		xcr0, _ = xgetbv0()
 	}
-	_, ebx7, _, _ := cpuidex(7, 0)
-	const avx2Bit = 1 << 5
-	return ebx7&avx2Bit != 0
+	return decodeCPU(ecx1, ebx7, xcr0)
+}
+
+// CPUID leaf 1 ECX, leaf 7 EBX and XCR0 bits the kernels depend on.
+const (
+	fmaBit      = 1 << 12 // leaf 1 ECX: FMA3
+	osxsaveBit  = 1 << 27 // leaf 1 ECX: XGETBV usable
+	avxBit      = 1 << 28 // leaf 1 ECX: AVX
+	avx2Bit     = 1 << 5  // leaf 7 EBX: AVX2
+	avx512fBit  = 1 << 16 // leaf 7 EBX: AVX-512 Foundation
+	avx512dqBit = 1 << 17 // leaf 7 EBX: AVX-512 DQ (VEXTRACTF32X8)
+	xcr0YMM     = 0x06    // XCR0: SSE and AVX state
+	xcr0ZMM     = 0xe0    // XCR0: opmask, ZMM0-15 upper halves, ZMM16-31
+)
+
+// decodeCPU reads the feature bits: fma is the AVX2+FMA envelope every
+// amd64 routine here needs (hasFMAKernel), body the f32 sweep that runs.
+// XCR0 must show the OS saves the registers a body uses, or the body's
+// instructions fault or lose state on a context switch. A caller without
+// leaf 7 passes ebx7 = 0; one without OSXSAVE passes xcr0 = 0.
+func decodeCPU(ecx1, ebx7, xcr0 uint32) (fma bool, body int) {
+	fma = ecx1&(fmaBit|osxsaveBit|avxBit) == fmaBit|osxsaveBit|avxBit &&
+		xcr0&xcr0YMM == xcr0YMM && ebx7&avx2Bit != 0
+	switch {
+	case !fma:
+		return false, body32Go
+	case ebx7&(avx512fBit|avx512dqBit) == avx512fBit|avx512dqBit && xcr0&xcr0ZMM == xcr0ZMM:
+		return true, body32AVX512
+	}
+	return true, body32AVX2
 }
 
 // sweep computes one tile row of a product's (kc, nc) block into d (see
@@ -152,29 +182,84 @@ func reluGateKernel(dst, y, g []float64) {
 }
 
 // --- float32 tier ---------------------------------------------------------
-//
-// The f32 kernels gate on the same AVX2+FMA+OSXSAVE detection as the f64
-// ones: every instruction they add (VFMADD231PS, VBROADCASTSS) is part of
-// the same feature envelope.
 
-// microKernel32 computes the mr32×nr32 tile into c (overwriting it),
-// dispatching to the widened 8-lane-per-register AVX2+FMA kernel when the
-// CPU supports it. Same rounding caveat as sweep: FMA fuses the
-// multiply-add, so results differ from the portable kernel in the last
-// ulp but stay bit-identical within one process.
-func microKernel32(c *[mr32 * nr32]float32, a0, a1, a2, a3, a4, a5, bp []float32, kcb int) {
-	if hasFMAKernel && kcb > 0 {
-		fmaKernel6x16(&a0[0], &a1[0], &a2[0], &a3[0], &a4[0], &a5[0], &bp[0], &c[0], kcb)
+// The f32 sweep's bodies (sweep32Body).
+const (
+	body32Go     = iota // the portable panel loop, sweep32Go
+	body32AVX2          // fmaSweep6x16: 6×16 tiles in twelve YMM accumulators
+	body32AVX512        // avx512Sweep8x32: 8×32 tiles over panel pairs in sixteen ZMM ones
+)
+
+// sweep32 computes one tile row of a product's (kc, nc) block into d (see
+// sweep32Go) in the body chosen at init. On the mixed path (float64 d)
+// the assembly body walks the whole row: the accumulators stay in
+// registers across the k-block and each tile widens straight into d in
+// the block's mode. The pure-f32 instantiation (float32 d, the tests'
+// reference) computes each tile with the same body and lands it with the
+// portable store, so the two paths keep the same partial sums.
+//
+// Both assembly bodies round once per multiply-add, so their results can
+// differ from the portable loop in the last ulp; they equal each other
+// bit for bit. Within one process the dispatch is constant, so GEMM stays
+// bit-for-bit deterministic across runs and across worker counts.
+func sweep32[T elem](d []T, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []T) {
+	if sweep32Body == body32Go {
+		sweep32Go(d, a, bpack, ld, kcb, ncb, rows, mode, bias)
 		return
 	}
-	microKernel32Go(c, a0, a1, a2, a3, a4, a5, bp, kcb)
+	if d64, ok := any(d).([]float64); ok {
+		sweepAsm32(sweep32Body, d64, a, bpack, ld, kcb, ncb, rows, mode, any(bias).([]float64))
+		return
+	}
+	sweepTiles32(d, a, bpack, ld, kcb, ncb, rows, mode, bias, true)
 }
 
-// fmaKernel6x16 accumulates c[6][16] = Σ_p a{r}[p] * bp[p*16+j] over p in
-// [0, kc) with AVX2 FMA, overwriting c. Implemented in kernel_amd64.s.
+// sweepAsm32 runs the f32 sweep body into the float64 d, after checking
+// every bound the assembly relies on. kcb ≥ 1.
+func sweepAsm32(body int, d []float64, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []float64) {
+	_ = d[(rows-1)*ld+ncb-1]
+	_ = bpack[roundUp(ncb, nr32)*kcb-1]
+	for r := range a {
+		_ = a[r][kcb-1]
+	}
+	var bp *float64
+	switch mode {
+	case storeRowBias:
+		_ = bias[rows-1]
+		bp = &bias[0]
+	case storeColBias:
+		_ = bias[ncb-1]
+		bp = &bias[0]
+	}
+	if body == body32AVX512 {
+		avx512Sweep8x32(&d[0], a, &bpack[0], bp, ld, kcb, ncb, rows, mode)
+		return
+	}
+	fmaSweep6x16(&d[0], a, &bpack[0], bp, ld, kcb, ncb, rows, mode)
+}
+
+// fusedTile32 computes the mr32×nr32 tile of one panel into c with the
+// assembly body, for the pure-f32 instantiation: set mode into a float64
+// tile (widening is exact), narrowed back.
+func fusedTile32(c *[mrA32 * nr32]float32, a *[mrA32][]float32, bp []float32, kcb int) {
+	var t [mrA32 * nr32]float64
+	sweepAsm32(sweep32Body, t[:], a, bp, nr32, kcb, nr32, tileRows32, storeSet, nil)
+	for i, v := range t {
+		c[i] = float32(v)
+	}
+}
+
+// fmaSweep6x16 lands the 6×16 tiles of one tile row against every packed
+// panel in d, by mode, with AVX2+FMA. Implemented in kernel_amd64.s.
 //
 //go:noescape
-func fmaKernel6x16(a0, a1, a2, a3, a4, a5, bp, c *float32, kc int)
+func fmaSweep6x16(d *float64, a *[mrA32][]float32, bp *float32, bias *float64, ld, kc, nc, rows, mode int)
+
+// avx512Sweep8x32 is fmaSweep6x16 with AVX-512: 8×32 tiles, two panels
+// at a time. Implemented in kernel_amd64.s.
+//
+//go:noescape
+func avx512Sweep8x32(d *float64, a *[mrA32][]float32, bp *float32, bias *float64, ld, kc, nc, rows, mode int)
 
 // fmaAxpy32 computes dst[i] += alpha*src[i] for i in [0, n) with AVX2 FMA.
 // Implemented in kernel_amd64.s.
@@ -204,11 +289,10 @@ func xgetbv0() (eax, edx uint32)
 
 // --- GEMM edges -------------------------------------------------------------
 //
-// The loops around the micro-kernels: packing B panels, landing tiles in
-// the destination, staging a transposed A, and the optimizer's momentum
-// step. The AVX2 routines (edge_amd64.s) take whole panels, whole tiles
-// and 4-aligned k spans; ragged panels and k tails run the portable loops
-// they replace, which they match bit for bit.
+// The loops around the sweeps: packing B panels, staging a transposed A,
+// and the optimizer's momentum step. The AVX2 routines (edge_amd64.s)
+// take whole panels and 4-aligned k spans; ragged panels and k tails run
+// the portable loops they replace, which they match bit for bit.
 
 //go:noescape
 func avxPackRows(dst, src *float64, ld, kcb int)
@@ -224,9 +308,6 @@ func avxPackCols32(dst *float32, src *float64, ld, kc4 int)
 
 //go:noescape
 func avxTransNarrow(dst *float32, src *float64, lds, ldd, k4 int)
-
-//go:noescape
-func avxStoreTile32(dst *float64, c *float32, bias *float64, ld, rows, mode int)
 
 //go:noescape
 func avxMomentum(w, v, grad *float64, mu, alpha float64, n int)
@@ -280,28 +361,6 @@ func packPanelT32[T elem](d []float32, src []T, ld, kcb, w int) {
 		}
 	}
 	packPanelT32Go(d, src, ld, kcb, w)
-}
-
-// storeTile32 is storeTile for the f32 tier's tile, widening each partial
-// sum into a float64 destination.
-func storeTile32[T elem](d []T, c *[mr32 * nr32]float32, ld, rows, w, mode int, bias []T) {
-	if d64, ok := any(d).([]float64); ok && hasFMAKernel && w == nr32 && rows > 0 {
-		_ = d64[(rows-1)*ld+nr32-1]
-		var bp *float64
-		switch mode {
-		case storeRowBias:
-			b64 := any(bias).([]float64)
-			_ = b64[rows-1]
-			bp = &b64[0]
-		case storeColBias:
-			b64 := any(bias).([]float64)
-			_ = b64[nr32-1]
-			bp = &b64[0]
-		}
-		avxStoreTile32(&d64[0], &c[0], bp, ld, rows, mode)
-		return
-	}
-	storeTile32Go(d, c, ld, rows, w, mode, bias)
 }
 
 // transposeNarrow writes dst (m×k) = float32(aᵀ) for a k×m: 4×4

@@ -471,28 +471,27 @@ gatelp:
 	VZEROUPPER
 	RET
 
-// func fmaKernel6x16(a0, a1, a2, a3, a4, a5, bp, c *float32, kc int)
+// The f32 tier's tile-row sweeps. Both land one 6-row tile row of a
+// product's (kc, nc) block in the float64 dst: for every 16-wide packed
+// panel of bp (kc rows of 16 float32, panel after panel), the tile
+// c[r][j] = Σ_p a_r[p] * panel[p*16+j] over p in [0, kc), accumulated in
+// float32 from zero, then widened (VCVTPS2PD, exact) and stored by mode:
+// 0 d = c, 1 d = c + d, 2 d = c + bias[r], 3 d = c + bias[j]. Row r of
+// the tile is at d + r·ld; only the first rows rows are stored, so a
+// remainder tile's missing A rows (aliased by the caller to its last valid
+// one) cost multiply-adds and nothing else.
 //
-// The widened float32 micro-tile: c[r][j] = Σ_p a{r}[p] * bp[p*16+j] for
-// p in [0, kc), overwriting c. Each k step streams 16 packed B values
-// (two YMM loads) and broadcasts one A value per row, issuing 12 FMAs =
-// 192 single FLOPs with 8 float32 lanes per register.
-//
-// The tile is 6×16 rather than mirroring the f64 kernel's 4-row shape
-// because of the FMA latency×throughput product: with 2 FMA ports and
-// ~4-cycle latency the scheduler needs more than 8 independent
-// accumulator chains to keep both ports saturated, and a 4-row f32 tile
-// has exactly 8 — inheriting the f64 kernel's port stall and capping the
-// tier below 2x. Twelve accumulators (Y4..Y15) give the scheduler slack.
-// The body is also unrolled 2× with offset addressing so pointer bumps
-// and the loop branch amortize over two k steps.
-//
-// The k-summation order is identical to a rolled loop (p ascending), so
-// unrolling changes nothing about which floats are added when —
-// bit-reproducibility is untouched.
+// Each element carries one fused multiply-add chain in p order, with A,
+// then B, then the accumulator as the FMA's operands, and the widened tile
+// is the first source of the store's add, d or the bias the second: the
+// operand roles, and so the NaN payloads, of the 6×16 tile and widening
+// store they replace. The two sweeps therefore write the same bits.
+// a points at the six A row slices ([6][]float32: pointers 24 bytes
+// apart). kc ≥ 1, nc ≥ 1, 1 ≤ rows ≤ 6.
 
-// FMASTEP32 is one k step at byte offset off into the packed B panel and
-// byte offset aoff into the six A rows.
+// FMASTEP32 is one k step of the AVX2 sweep at byte offset off into the
+// packed panel and aoff into the six A rows: 16 packed B values (two YMM
+// loads), one broadcast A value per row, 12 FMAs = 192 single FLOPs.
 #define FMASTEP32(off, aoff) \
 	VMOVUPS      off(R12), Y0       \
 	VMOVUPS      (off+32)(R12), Y1  \
@@ -508,24 +507,103 @@ gatelp:
 	VFMADD231PS  Y1, Y2, Y9         \
 	VFMADD231PS  Y0, Y3, Y10        \
 	VFMADD231PS  Y1, Y3, Y11        \
-	VBROADCASTSS aoff(DX), Y2      \
-	VBROADCASTSS aoff(SI), Y3      \
+	VBROADCASTSS aoff(DX), Y2       \
+	VBROADCASTSS aoff(SI), Y3       \
 	VFMADD231PS  Y0, Y2, Y12        \
 	VFMADD231PS  Y1, Y2, Y13        \
 	VFMADD231PS  Y0, Y3, Y14        \
 	VFMADD231PS  Y1, Y3, Y15
 
-TEXT ·fmaKernel6x16(SB), NOSPLIT, $0-72
-	MOVQ a0+0(FP), R8
-	MOVQ a1+8(FP), R9
-	MOVQ a2+16(FP), R10
-	MOVQ a3+24(FP), R11
-	MOVQ a4+32(FP), DX
-	MOVQ a5+40(FP), SI
-	MOVQ bp+48(FP), R12
-	MOVQ c+56(FP), R13
-	MOVQ kc+64(FP), CX
+// AROWS points R8..R11, DX and SI at the six A rows of the slice array
+// at AX.
+#define AROWS \
+	MOVQ 0(AX), R8   \
+	MOVQ 24(AX), R9  \
+	MOVQ 48(AX), R10 \
+	MOVQ 72(AX), R11 \
+	MOVQ 96(AX), DX  \
+	MOVQ 120(AX), SI
 
+// WIDEN6 widens the AVX2 sweep's row in Y4 (lanes 0..7) and Y5 (lanes
+// 8..15) into the float64 lanes Y0..Y3.
+#define WIDEN6 \
+	VEXTRACTF128 $1, Y4, X1 \
+	VCVTPS2PD    X4, Y0     \
+	VCVTPS2PD    X1, Y1     \
+	VEXTRACTF128 $1, Y5, X3 \
+	VCVTPS2PD    X5, Y2     \
+	VCVTPS2PD    X3, Y3
+
+// NEXTROW6 moves the AVX2 sweep's next row into Y4, Y5.
+#define NEXTROW6 \
+	VMOVAPS Y6, Y4   \
+	VMOVAPS Y7, Y5   \
+	VMOVAPS Y8, Y6   \
+	VMOVAPS Y9, Y7   \
+	VMOVAPS Y10, Y8  \
+	VMOVAPS Y11, Y9  \
+	VMOVAPS Y12, Y10 \
+	VMOVAPS Y13, Y11 \
+	VMOVAPS Y14, Y12 \
+	VMOVAPS Y15, Y13
+
+// MASKADD6 sets Y{acc} = Y{acc} + mem for the lanes of quarter off/32 of
+// a ragged panel, mem read under the quarter's mask (SI + off).
+#define MASKADD6(mem, off, acc) \
+	VMOVDQU    off(SI), Y4   \
+	VMASKMOVPD mem, Y4, Y5   \
+	VADDPD     Y5, acc, acc
+
+// sweepmask32<>+8·(16−w) is the lane mask of a w-lane panel's four
+// quarters: w all-ones quadwords, then zeros.
+DATA sweepmask32<>+0(SB)/8, $-1
+DATA sweepmask32<>+8(SB)/8, $-1
+DATA sweepmask32<>+16(SB)/8, $-1
+DATA sweepmask32<>+24(SB)/8, $-1
+DATA sweepmask32<>+32(SB)/8, $-1
+DATA sweepmask32<>+40(SB)/8, $-1
+DATA sweepmask32<>+48(SB)/8, $-1
+DATA sweepmask32<>+56(SB)/8, $-1
+DATA sweepmask32<>+64(SB)/8, $-1
+DATA sweepmask32<>+72(SB)/8, $-1
+DATA sweepmask32<>+80(SB)/8, $-1
+DATA sweepmask32<>+88(SB)/8, $-1
+DATA sweepmask32<>+96(SB)/8, $-1
+DATA sweepmask32<>+104(SB)/8, $-1
+DATA sweepmask32<>+112(SB)/8, $-1
+DATA sweepmask32<>+120(SB)/8, $-1
+DATA sweepmask32<>+128(SB)/8, $0
+DATA sweepmask32<>+136(SB)/8, $0
+DATA sweepmask32<>+144(SB)/8, $0
+DATA sweepmask32<>+152(SB)/8, $0
+DATA sweepmask32<>+160(SB)/8, $0
+DATA sweepmask32<>+168(SB)/8, $0
+DATA sweepmask32<>+176(SB)/8, $0
+DATA sweepmask32<>+184(SB)/8, $0
+DATA sweepmask32<>+192(SB)/8, $0
+DATA sweepmask32<>+200(SB)/8, $0
+DATA sweepmask32<>+208(SB)/8, $0
+DATA sweepmask32<>+216(SB)/8, $0
+DATA sweepmask32<>+224(SB)/8, $0
+DATA sweepmask32<>+232(SB)/8, $0
+DATA sweepmask32<>+240(SB)/8, $0
+DATA sweepmask32<>+248(SB)/8, $0
+GLOBL sweepmask32<>(SB), RODATA|NOPTR, $256
+
+// func fmaSweep6x16(d *float64, a *[mr32][]float32, bp *float32, bias *float64, ld, kc, nc, rows, mode int)
+//
+// The AVX2 sweep: one 6×16 tile per panel in the twelve accumulators
+// Y4..Y15, two k steps per loop iteration. Rows land one at a time from
+// Y4, Y5 (the rest move down a row pair after each); a ragged last panel
+// (nc mod 16 lanes) loads and stores through VMASKMOVPD lane masks.
+// DI is the panel's byte offset into a dst row and into a column bias.
+TEXT ·fmaSweep6x16(SB), NOSPLIT, $0-72
+	MOVQ bp+16(FP), R12
+	XORQ DI, DI
+
+f6panel:
+	MOVQ   a+8(FP), AX
+	AROWS
 	VXORPS Y4, Y4, Y4
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
@@ -538,15 +616,13 @@ TEXT ·fmaKernel6x16(SB), NOSPLIT, $0-72
 	VXORPS Y13, Y13, Y13
 	VXORPS Y14, Y14, Y14
 	VXORPS Y15, Y15, Y15
+	MOVQ   kc+40(FP), CX
+	SHRQ   $1, CX
+	JZ     f6klast
 
-	MOVQ CX, BX
-	SHRQ $1, CX
-	JZ   ktail32
-
-kpair32:
+f6kpair:
 	FMASTEP32(0, 0)
 	FMASTEP32(64, 4)
-
 	ADDQ $8, R8
 	ADDQ $8, R9
 	ADDQ $8, R10
@@ -555,27 +631,350 @@ kpair32:
 	ADDQ $8, SI
 	ADDQ $128, R12
 	DECQ CX
-	JNZ  kpair32
+	JNZ  f6kpair
 
-ktail32:
-	ANDQ $1, BX
-	JZ   kstore32
-
+f6klast:
+	MOVQ kc+40(FP), CX
+	ANDQ $1, CX
+	JZ   f6store
 	FMASTEP32(0, 0)
+	ADDQ $64, R12                // R12 is at the next panel
 
-kstore32:
-	VMOVUPS Y4, (R13)
-	VMOVUPS Y5, 32(R13)
-	VMOVUPS Y6, 64(R13)
-	VMOVUPS Y7, 96(R13)
-	VMOVUPS Y8, 128(R13)
-	VMOVUPS Y9, 160(R13)
-	VMOVUPS Y10, 192(R13)
-	VMOVUPS Y11, 224(R13)
-	VMOVUPS Y12, 256(R13)
-	VMOVUPS Y13, 288(R13)
-	VMOVUPS Y14, 320(R13)
-	VMOVUPS Y15, 352(R13)
+f6store:
+	MOVQ d+0(FP), R8
+	MOVQ ld+32(FP), R9
+	SHLQ $3, R9
+	MOVQ rows+56(FP), R10
+	MOVQ bias+24(FP), R11
+	MOVQ mode+64(FP), BX
+	MOVQ DI, CX
+	SHRQ $3, CX
+	MOVQ nc+48(FP), AX
+	SUBQ CX, AX                  // lanes left in the block
+	CMPQ AX, $16
+	JLT  f6ragged
+
+f6row:
+	WIDEN6
+	CMPQ BX, $1
+	JEQ  f6add
+	CMPQ BX, $2
+	JEQ  f6rowbias
+	CMPQ BX, $3
+	JEQ  f6colbias
+	JMP  f6put
+
+f6add:
+	VADDPD (R8)(DI*1), Y0, Y0
+	VADDPD 32(R8)(DI*1), Y1, Y1
+	VADDPD 64(R8)(DI*1), Y2, Y2
+	VADDPD 96(R8)(DI*1), Y3, Y3
+	JMP    f6put
+
+f6rowbias:
+	VBROADCASTSD (R11), Y4
+	VADDPD       Y4, Y0, Y0
+	VADDPD       Y4, Y1, Y1
+	VADDPD       Y4, Y2, Y2
+	VADDPD       Y4, Y3, Y3
+	ADDQ         $8, R11
+	JMP          f6put
+
+f6colbias:
+	VADDPD (R11)(DI*1), Y0, Y0
+	VADDPD 32(R11)(DI*1), Y1, Y1
+	VADDPD 64(R11)(DI*1), Y2, Y2
+	VADDPD 96(R11)(DI*1), Y3, Y3
+
+f6put:
+	VMOVUPD Y0, (R8)(DI*1)
+	VMOVUPD Y1, 32(R8)(DI*1)
+	VMOVUPD Y2, 64(R8)(DI*1)
+	VMOVUPD Y3, 96(R8)(DI*1)
+	NEXTROW6
+	ADDQ    R9, R8
+	DECQ    R10
+	JNZ     f6row
+
+	ADDQ $128, DI
+	MOVQ DI, CX
+	SHRQ $3, CX
+	CMPQ CX, nc+48(FP)
+	JLT  f6panel
+	JMP  f6done
+
+f6ragged:
+	LEAQ sweepmask32<>+128(SB), SI
+	SHLQ $3, AX
+	SUBQ AX, SI                  // SI = the mask of an AX/8-lane panel
+
+f6mrow:
+	WIDEN6
+	CMPQ BX, $1
+	JEQ  f6madd
+	CMPQ BX, $2
+	JEQ  f6mrowbias
+	CMPQ BX, $3
+	JEQ  f6mcolbias
+	JMP  f6mput
+
+f6madd:
+	MASKADD6((R8)(DI*1), 0, Y0)
+	MASKADD6(32(R8)(DI*1), 32, Y1)
+	MASKADD6(64(R8)(DI*1), 64, Y2)
+	MASKADD6(96(R8)(DI*1), 96, Y3)
+	JMP f6mput
+
+f6mrowbias:
+	VBROADCASTSD (R11), Y4
+	VADDPD       Y4, Y0, Y0
+	VADDPD       Y4, Y1, Y1
+	VADDPD       Y4, Y2, Y2
+	VADDPD       Y4, Y3, Y3
+	ADDQ         $8, R11
+	JMP          f6mput
+
+f6mcolbias:
+	MASKADD6((R11)(DI*1), 0, Y0)
+	MASKADD6(32(R11)(DI*1), 32, Y1)
+	MASKADD6(64(R11)(DI*1), 64, Y2)
+	MASKADD6(96(R11)(DI*1), 96, Y3)
+
+f6mput:
+	VMOVDQU    (SI), Y4
+	VMASKMOVPD Y0, Y4, (R8)(DI*1)
+	VMOVDQU    32(SI), Y4
+	VMASKMOVPD Y1, Y4, 32(R8)(DI*1)
+	VMOVDQU    64(SI), Y4
+	VMASKMOVPD Y2, Y4, 64(R8)(DI*1)
+	VMOVDQU    96(SI), Y4
+	VMASKMOVPD Y3, Y4, 96(R8)(DI*1)
+	NEXTROW6
+	ADDQ       R9, R8
+	DECQ       R10
+	JNZ        f6mrow
+
+f6done:
+	VZEROUPPER
+	RET
+
+// Z8STEP is one k step of the AVX-512 sweep at byte offset off into both
+// packed panels of a pair (the second BX bytes past the first) and aoff
+// into the eight A rows (R8..R11, DX, SI, AX, R13): 32 packed B values
+// (two ZMM loads), one broadcast A value per row, 16 FMAs = 512 single
+// FLOPs. Row r's accumulators are Z(4+2r) (first panel) and Z(5+2r)
+// (second).
+#define Z8STEP(off, aoff) \
+	VMOVUPS      off(R12), Z0        \
+	VMOVUPS      off(R12)(BX*1), Z1  \
+	VBROADCASTSS aoff(R8), Z2        \
+	VBROADCASTSS aoff(R9), Z3        \
+	VFMADD231PS  Z0, Z2, Z4          \
+	VFMADD231PS  Z1, Z2, Z5          \
+	VFMADD231PS  Z0, Z3, Z6          \
+	VFMADD231PS  Z1, Z3, Z7          \
+	VBROADCASTSS aoff(R10), Z2       \
+	VBROADCASTSS aoff(R11), Z3       \
+	VFMADD231PS  Z0, Z2, Z8          \
+	VFMADD231PS  Z1, Z2, Z9          \
+	VFMADD231PS  Z0, Z3, Z10         \
+	VFMADD231PS  Z1, Z3, Z11         \
+	VBROADCASTSS aoff(DX), Z2        \
+	VBROADCASTSS aoff(SI), Z3        \
+	VFMADD231PS  Z0, Z2, Z12         \
+	VFMADD231PS  Z1, Z2, Z13         \
+	VFMADD231PS  Z0, Z3, Z14         \
+	VFMADD231PS  Z1, Z3, Z15         \
+	VBROADCASTSS aoff(AX), Z2        \
+	VBROADCASTSS aoff(R13), Z3       \
+	VFMADD231PS  Z0, Z2, Z16         \
+	VFMADD231PS  Z1, Z2, Z17         \
+	VFMADD231PS  Z0, Z3, Z18         \
+	VFMADD231PS  Z1, Z3, Z19
+
+// WIDEN8 widens the row in Z4 and Z5 into the float64 lanes Z20..Z23.
+#define WIDEN8 \
+	VCVTPS2PD     Y4, Z20     \
+	VEXTRACTF32X8 $1, Z4, Y21 \
+	VCVTPS2PD     Y21, Z21    \
+	VCVTPS2PD     Y5, Z22     \
+	VEXTRACTF32X8 $1, Z5, Y23 \
+	VCVTPS2PD     Y23, Z23
+
+// NEXTROW8 moves the AVX-512 sweep's next row into Z4, Z5.
+#define NEXTROW8 \
+	VMOVAPS Z6, Z4   \
+	VMOVAPS Z7, Z5   \
+	VMOVAPS Z8, Z6   \
+	VMOVAPS Z9, Z7   \
+	VMOVAPS Z10, Z8  \
+	VMOVAPS Z11, Z9  \
+	VMOVAPS Z12, Z10 \
+	VMOVAPS Z13, Z11 \
+	VMOVAPS Z14, Z12 \
+	VMOVAPS Z15, Z13 \
+	VMOVAPS Z16, Z14 \
+	VMOVAPS Z17, Z15 \
+	VMOVAPS Z18, Z16 \
+	VMOVAPS Z19, Z17
+
+// func avx512Sweep8x32(d *float64, a *[mrA32][]float32, bp *float32, bias *float64, ld, kc, nc, rows, mode int)
+//
+// The AVX-512 sweep: the same 16-wide panels, two at a time, as an 8×32
+// tile in the sixteen accumulators Z4..Z19, two k steps per loop
+// iteration. A lone last panel runs as a pair whose second panel reads the
+// first again (BX = 0) and stores nothing. Every dst and column-bias
+// access goes through the opmasks K1..K4, one per eight columns of the
+// pair, set from the lanes left in the block, so a ragged panel needs no
+// separate path. DI is the pair's byte offset into a dst row and into a
+// column bias. The pair's first panel lives in the frame (base), since
+// the k loop holds every general register.
+TEXT ·avx512Sweep8x32(SB), NOSPLIT, $8-72
+	MOVQ bp+16(FP), AX
+	MOVQ AX, base-8(SP)
+	XORQ DI, DI
+
+z8pair:
+	MOVQ DI, CX
+	SHRQ $3, CX
+	MOVQ nc+48(FP), AX
+	SUBQ CX, AX                  // lanes left in the block
+	MOVQ kc+40(FP), BX
+	SHLQ $6, BX                  // one panel's bytes
+	CMPQ AX, $16
+	JGT  z8mask
+	XORQ BX, BX
+
+z8mask:
+	MOVL $-1, CX                 // the low min(AX, 32) bits, one per lane
+	CMPQ AX, $32
+	JGE  z8kmov
+	MOVQ AX, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	MOVL AX, CX
+
+z8kmov:
+	KMOVW CX, K1
+	SHRL  $8, CX
+	KMOVW CX, K2
+	SHRL  $8, CX
+	KMOVW CX, K3
+	SHRL  $8, CX
+	KMOVW CX, K4
+
+	MOVQ   a+8(FP), AX
+	MOVQ   168(AX), R13
+	AROWS
+	MOVQ   144(AX), AX
+	MOVQ   base-8(SP), R12
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+	VPXORD Z16, Z16, Z16
+	VPXORD Z17, Z17, Z17
+	VPXORD Z18, Z18, Z18
+	VPXORD Z19, Z19, Z19
+	MOVQ   kc+40(FP), CX
+	SHRQ   $1, CX
+	JZ     z8klast
+
+z8kpair:
+	Z8STEP(0, 0)
+	Z8STEP(64, 4)
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R10
+	ADDQ $8, R11
+	ADDQ $8, DX
+	ADDQ $8, SI
+	ADDQ $8, AX
+	ADDQ $8, R13
+	ADDQ $128, R12
+	DECQ CX
+	JNZ  z8kpair
+
+z8klast:
+	MOVQ kc+40(FP), CX
+	ANDQ $1, CX
+	JZ   z8store
+	Z8STEP(0, 0)
+
+z8store:
+	MOVQ kc+40(FP), CX
+	SHLQ $7, CX
+	ADDQ CX, base-8(SP)          // the next pair's first panel
+	MOVQ d+0(FP), R8
+	MOVQ ld+32(FP), R9
+	SHLQ $3, R9
+	MOVQ rows+56(FP), R10
+	MOVQ bias+24(FP), R11
+	MOVQ mode+64(FP), AX
+	CMPQ AX, $3
+	JNE  z8row
+	VMOVUPD (R11)(DI*1), K1, Z24
+	VMOVUPD 64(R11)(DI*1), K2, Z25
+	VMOVUPD 128(R11)(DI*1), K3, Z26
+	VMOVUPD 192(R11)(DI*1), K4, Z27
+
+z8row:
+	WIDEN8
+	CMPQ AX, $1
+	JEQ  z8add
+	CMPQ AX, $2
+	JEQ  z8rowbias
+	CMPQ AX, $3
+	JEQ  z8colbias
+	JMP  z8put
+
+z8add:
+	VADDPD (R8)(DI*1), Z20, K1, Z20
+	VADDPD 64(R8)(DI*1), Z21, K2, Z21
+	VADDPD 128(R8)(DI*1), Z22, K3, Z22
+	VADDPD 192(R8)(DI*1), Z23, K4, Z23
+	JMP    z8put
+
+z8rowbias:
+	VBROADCASTSD (R11), Z28
+	VADDPD       Z28, Z20, Z20
+	VADDPD       Z28, Z21, Z21
+	VADDPD       Z28, Z22, Z22
+	VADDPD       Z28, Z23, Z23
+	ADDQ         $8, R11
+	JMP          z8put
+
+z8colbias:
+	VADDPD Z24, Z20, Z20
+	VADDPD Z25, Z21, Z21
+	VADDPD Z26, Z22, Z22
+	VADDPD Z27, Z23, Z23
+
+z8put:
+	VMOVUPD Z20, K1, (R8)(DI*1)
+	VMOVUPD Z21, K2, 64(R8)(DI*1)
+	VMOVUPD Z22, K3, 128(R8)(DI*1)
+	VMOVUPD Z23, K4, 192(R8)(DI*1)
+	NEXTROW8
+	ADDQ    R9, R8
+	DECQ    R10
+	JNZ     z8row
+
+	ADDQ $256, DI
+	MOVQ DI, CX
+	SHRQ $3, CX
+	CMPQ CX, nc+48(FP)
+	JLT  z8pair
+
 	VZEROUPPER
 	RET
 

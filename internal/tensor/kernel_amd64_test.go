@@ -62,3 +62,67 @@ func TestMomentumStepNaNPayloads(t *testing.T) {
 		}
 	}
 }
+
+// fusedSweeps32 are the f32 sweep's assembly bodies, each skipped on a
+// host that cannot run it.
+func fusedSweeps32() []fusedSweep32 {
+	asm := func(body int) func(d []float64, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []float64) {
+		return func(d []float64, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []float64) {
+			sweepAsm32(body, d, a, bpack, ld, kcb, ncb, rows, mode, bias)
+		}
+	}
+	out := []fusedSweep32{
+		{name: "avx2", run: asm(body32AVX2), rows: sweep32Rows(body32AVX2)},
+		{name: "avx512", run: asm(body32AVX512), rows: sweep32Rows(body32AVX512)},
+	}
+	if !hasFMAKernel {
+		out[0].skip = "no AVX2+FMA on this CPU"
+		out[1].skip = out[0].skip
+	}
+	if sweep32Body != body32AVX512 {
+		out[1].skip = "no AVX-512F+DQ with OS-saved ZMM and opmask state on this CPU"
+	}
+	return out
+}
+
+// TestDecodeCPU pins the dispatch rule to the feature bits: the AVX2
+// routines need FMA, AVX, OSXSAVE, AVX2 and XCR0's SSE and AVX state; the
+// AVX-512 sweep also AVX-512F, DQ and XCR0's opmask and ZMM state, and
+// falls back to AVX2 without them.
+func TestDecodeCPU(t *testing.T) {
+	const (
+		ecx    = fmaBit | osxsaveBit | avxBit
+		ebx    = avx2Bit | avx512fBit | avx512dqBit
+		xcr0   = xcr0YMM | xcr0ZMM
+		noZMM  = xcr0YMM
+		avx512 = avx512fBit | avx512dqBit
+	)
+	cases := []struct {
+		name             string
+		ecx1, ebx7, xcr0 uint32
+		fma              bool
+		body             int
+	}{
+		{"everything", ecx, ebx, xcr0, true, body32AVX512},
+		{"AVX-512F without XCR0 bits 5-7", ecx, ebx, noZMM, true, body32AVX2},
+		{"AVX-512F without opmask state", ecx, ebx, xcr0 &^ 0x20, true, body32AVX2},
+		{"AVX-512F without ZMM0-15 upper halves", ecx, ebx, xcr0 &^ 0x40, true, body32AVX2},
+		{"AVX-512F without ZMM16-31", ecx, ebx, xcr0 &^ 0x80, true, body32AVX2},
+		{"AVX-512F without DQ", ecx, ebx &^ avx512dqBit, xcr0, true, body32AVX2},
+		{"AVX-512DQ without F", ecx, ebx &^ avx512fBit, xcr0, true, body32AVX2},
+		{"AVX2 and FMA, no AVX-512", ecx, avx2Bit, noZMM, true, body32AVX2},
+		{"AVX2 without FMA", ecx &^ fmaBit, ebx, xcr0, false, body32Go},
+		{"FMA without AVX2", ecx, avx512, xcr0, false, body32Go},
+		{"no AVX", ecx &^ avxBit, ebx, xcr0, false, body32Go},
+		{"no OSXSAVE", ecx &^ osxsaveBit, ebx, 0, false, body32Go},
+		{"OS saves no YMM state", ecx, ebx, 0x2, false, body32Go},
+		{"no leaf 7", ecx, 0, xcr0, false, body32Go},
+		{"nothing", 0, 0, 0, false, body32Go},
+	}
+	for _, c := range cases {
+		fma, body := decodeCPU(c.ecx1, c.ebx7, c.xcr0)
+		if fma != c.fma || body != c.body {
+			t.Errorf("%s: decodeCPU = (%v, %d), want (%v, %d)", c.name, fma, body, c.fma, c.body)
+		}
+	}
+}

@@ -34,17 +34,22 @@ func reluKernel(dst, x []float64) { reluGo(dst, x) }
 // reluGateKernel gates gradients with the portable loop.
 func reluGateKernel(dst, y, g []float64) { reluGateGo(dst, y, g) }
 
-// microKernel32 computes the mr32×nr32 tile into c (overwriting it),
-// dispatching to the NEON FMLA kernel. Like the amd64 FMA kernel, FMLA
-// fuses the multiply-add rounding step, so results can differ from the
-// portable kernel in the last ulp; dispatch is constant per process, so
-// GEMM stays bit-for-bit deterministic across runs and worker counts.
-func microKernel32(c *[mr32 * nr32]float32, a0, a1, a2, a3, a4, a5, bp []float32, kcb int) {
-	if hasNEONKernel && kcb > 0 {
-		neonKernel6x16(&a0[0], &a1[0], &a2[0], &a3[0], &a4[0], &a5[0], &bp[0], &c[0], kcb)
-		return
-	}
-	microKernel32Go(c, a0, a1, a2, a3, a4, a5, bp, kcb)
+// tileRows32 is the f32 sweep's tile height.
+const tileRows32 = mr32
+
+// sweep32 computes one tile row of a product's block with the portable
+// panel loop, each tile on the NEON FMLA kernel. Like the amd64 sweeps,
+// FMLA fuses the multiply-add rounding step, so results can differ from
+// the portable kernel in the last ulp; dispatch is constant per process,
+// so GEMM stays bit-for-bit deterministic across runs and worker counts.
+func sweep32[T elem](d []T, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []T) {
+	sweepTiles32(d, a, bpack, ld, kcb, ncb, rows, mode, bias, hasNEONKernel)
+}
+
+// fusedTile32 computes the mr32×nr32 tile into c (overwriting it) with
+// the NEON kernel.
+func fusedTile32(c *[mrA32 * nr32]float32, a *[mrA32][]float32, bp []float32, kcb int) {
+	neonKernel6x16(&a[0][0], &a[1][0], &a[2][0], &a[3][0], &a[4][0], &a[5][0], &bp[0], &c[0], kcb)
 }
 
 // neonKernel6x16 accumulates c[6][16] = Σ_p a{r}[p] * bp[p*16+j] over p in

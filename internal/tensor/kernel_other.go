@@ -2,8 +2,8 @@
 
 package tensor
 
-// hasFMAKernel reports whether a fused-multiply-add assembly micro-kernel
-// is in use; only the amd64 build has one.
+// hasFMAKernel reports whether the fused-multiply-add assembly routines
+// are in use; only the amd64 build has them.
 const hasFMAKernel = false
 
 // axpyRow adds alpha·src into dst (equal lengths) with the portable loop.
@@ -17,10 +17,19 @@ func reluKernel(dst, x []float64) { reluGo(dst, x) }
 // reluGateKernel gates gradients with the portable loop.
 func reluGateKernel(dst, y, g []float64) { reluGateGo(dst, y, g) }
 
-// microKernel32 computes the mr32×nr32 tile into c (overwriting it) with
-// the portable Go kernel.
-func microKernel32(c *[mr32 * nr32]float32, a0, a1, a2, a3, a4, a5, bp []float32, kcb int) {
-	microKernel32Go(c, a0, a1, a2, a3, a4, a5, bp, kcb)
+// tileRows32 is the f32 sweep's tile height.
+const tileRows32 = mr32
+
+// sweep32 computes one tile row of a product's block with the portable
+// body.
+func sweep32[T elem](d []T, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []T) {
+	sweep32Go(d, a, bpack, ld, kcb, ncb, rows, mode, bias)
+}
+
+// fusedTile32 is the portable tile: this build has no fused one, and
+// sweep32 never asks for it.
+func fusedTile32(c *[mrA32 * nr32]float32, a *[mrA32][]float32, bp []float32, kcb int) {
+	microKernel32(c, a, bp, kcb)
 }
 
 // axpyRow32 adds alpha·src into dst (equal lengths) with the portable loop.

@@ -35,14 +35,16 @@ import (
 // exactly one worker with a fixed k-accumulation order, so results are
 // bit-identical for any worker count (parallel32_test.go holds this).
 
-// nr32 is the f32 micro-kernel width: two 8-lane AVX2 registers, or four
-// 4-lane NEON registers. mr32 is the tile height; the f32 parallel
-// fan-out aligns its chunks to mr32 (not the f64 mr) so row grouping —
-// and therefore which rows run the assembly tile versus the scalar
-// remainder — is identical at every worker count.
+// nr32 is the f32 packed panel's width: two 8-lane AVX2 registers, one
+// 16-lane AVX-512 register, or four 4-lane NEON registers. mr32 is the
+// tile height of the portable, NEON and AVX2 bodies, mrA32 that of the
+// AVX-512 body and the A rows one sweep32 call takes; tileRows32 is the
+// running body's. The f32 parallel fan-out aligns its chunks to
+// tileRows32, so row grouping is the same at every worker count.
 const (
-	nr32 = 16
-	mr32 = 6
+	nr32  = 16
+	mr32  = 6
+	mrA32 = 8
 )
 
 // elem constrains the generic driver to the two storage widths.
@@ -125,7 +127,7 @@ func gemm32[T elem](dst []T, a32 []float32, b []T, s gemmShape32[T]) {
 				gemmRows32(dst, a32, bp, 0, s.m, pc, jc, kcb, ncb, s, first)
 			} else {
 				task.bpack, task.pc, task.jc, task.kcb, task.ncb, task.first = bp, pc, jc, kcb, ncb, first
-				fanOutRows(task, s.m, vol, mr32)
+				fanOutRows(task, s.m, vol, tileRows32)
 			}
 		}
 	}
@@ -236,62 +238,60 @@ func gemmTasks32[T elem]() *sync.Pool {
 // gemmRows32 computes rows [i0, i1) of dst against the packed B block.
 // first marks the k-block that overwrites dst (folding in the bias); later
 // k-blocks accumulate — in dst's own precision, so the mixed path sums its
-// f32 k-block partials in float64.
+// f32 k-block partials in float64. Each tileRows32-row tile row is one
+// sweep32 over the block's panels.
+//
+// A row remainder (fewer rows) runs the same sweep with the missing A rows
+// aliased to the last valid one, and only the valid rows are stored.
+// Every tile element keeps one independent chain, so the valid rows'
+// results are bit-identical to a full tile's, and the remainder stays on
+// the assembly sweep instead of a scalar loop.
 func gemmRows32[T elem](dst []T, a32, bpack []float32, i0, i1, pc, jc, kcb, ncb int, s gemmShape32[T], first bool) {
-	panels := (ncb + nr32 - 1) / nr32
-	var ctile [mr32 * nr32]float32
-	i := i0
-	for ; i+mr32 <= i1; i += mr32 {
-		a0 := a32[(i+0)*s.k+pc : (i+0)*s.k+pc+kcb]
-		a1 := a32[(i+1)*s.k+pc : (i+1)*s.k+pc+kcb]
-		a2 := a32[(i+2)*s.k+pc : (i+2)*s.k+pc+kcb]
-		a3 := a32[(i+3)*s.k+pc : (i+3)*s.k+pc+kcb]
-		a4 := a32[(i+4)*s.k+pc : (i+4)*s.k+pc+kcb]
-		a5 := a32[(i+5)*s.k+pc : (i+5)*s.k+pc+kcb]
-		for jp := 0; jp < panels; jp++ {
-			bp := bpack[jp*kcb*nr32 : (jp+1)*kcb*nr32]
-			microKernel32(&ctile, a0, a1, a2, a3, a4, a5, bp, kcb)
-			j := jc + jp*nr32
-			w := min(nr32, ncb-jp*nr32)
-			s.store(dst, &ctile, i, mr32, j, w, first)
+	var ar [mrA32][]float32
+	for i := i0; i < i1; i += tileRows32 {
+		rows := min(tileRows32, i1-i)
+		for r := range ar {
+			ri := i + min(r, rows-1)
+			ar[r] = a32[ri*s.k+pc : ri*s.k+pc+kcb]
 		}
-	}
-	// Row remainder (1..mr32-1 rows): run the full 6-row kernel with the
-	// missing row slices aliased to the last valid row — the kernel only
-	// reads A and keeps one independent accumulator chain per row, so the
-	// valid rows' results are bit-identical to a full tile's — then store
-	// just the valid rows. This keeps the remainder on the assembly kernel
-	// instead of a scalar loop (at m=256, mr32=6 leaves 4 remainder rows;
-	// scalar ones cost more than the other 252 combined saved).
-	if rem := i1 - i; rem > 0 {
-		var rows [mr32][]float32
-		for r := 0; r < mr32; r++ {
-			ri := min(i+r, i1-1)
-			rows[r] = a32[ri*s.k+pc : ri*s.k+pc+kcb]
-		}
-		for jp := 0; jp < panels; jp++ {
-			bp := bpack[jp*kcb*nr32 : (jp+1)*kcb*nr32]
-			microKernel32(&ctile, rows[0], rows[1], rows[2], rows[3], rows[4], rows[5], bp, kcb)
-			j := jc + jp*nr32
-			w := min(nr32, ncb-jp*nr32)
-			s.store(dst, &ctile, i, rem, j, w, first)
-		}
+		mode, bias := storeMode(s.bias, s.rowBias, i, jc, first)
+		sweep32(dst[i*s.n+jc:], &ar, bpack, s.n, kcb, ncb, rows, mode, bias)
 	}
 }
 
-// store writes the first rows × w lanes of tile c into dst at row i,
-// column j, widening each f32 partial sum to dst's precision: overwriting
-// on the first k-block, with the bias of each row or of each column folded
-// in, and accumulating on later ones.
-func (s *gemmShape32[T]) store(dst []T, c *[mr32 * nr32]float32, i, rows, j, w int, first bool) {
-	mode, bias := storeMode(s.bias, s.rowBias, i, j, first)
-	storeTile32(dst[i*s.n+j:], c, s.n, rows, w, mode, bias)
+// sweep32Go is the portable body behind sweep32: rows ≤ mr32 rows of d
+// (row stride ld; the block's first column) from the A rows a — a
+// remainder tile's missing rows aliased to its last valid one — against
+// every nr32-wide panel of the packed (kcb, ncb) block, one microKernel32
+// and one storeTile32 per panel. Under storeColBias, bias starts at the
+// block's first column.
+func sweep32Go[T elem](d []T, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []T) {
+	sweepTiles32(d, a, bpack, ld, kcb, ncb, rows, mode, bias, false)
 }
 
-// storeTile32Go lands the first rows × w lanes of tile c in d (row stride
-// ld) by mode, widening each partial sum to T: the portable loop behind
-// storeTile32.
-func storeTile32Go[T elem](d []T, c *[mr32 * nr32]float32, ld, rows, w, mode int, bias []T) {
+// sweepTiles32 is sweep32Go's panel loop, with each tile computed by
+// fusedTile32, the build's fused multiply-add tile of tileRows32 rows,
+// when fused is set.
+func sweepTiles32[T elem](d []T, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []T, fused bool) {
+	var c [mrA32 * nr32]float32
+	for j := 0; j < ncb; j += nr32 {
+		bp := bpack[j*kcb : (j+nr32)*kcb]
+		if fused {
+			fusedTile32(&c, a, bp, kcb)
+		} else {
+			microKernel32(&c, a, bp, kcb)
+		}
+		b := bias
+		if mode == storeColBias {
+			b = bias[j:]
+		}
+		storeTile32(d[j:], &c, ld, rows, min(nr32, ncb-j), mode, b)
+	}
+}
+
+// storeTile32 lands the first rows × w lanes of tile c in d (row stride
+// ld) by mode, widening each partial sum to T.
+func storeTile32[T elem](d []T, c *[mrA32 * nr32]float32, ld, rows, w, mode int, bias []T) {
 	for r := 0; r < rows; r++ {
 		dr, cr := d[r*ld:][:w], c[r*nr32:][:w]
 		switch mode {
@@ -317,24 +317,23 @@ func storeTile32Go[T elem](d []T, c *[mr32 * nr32]float32, ld, rows, w, mode int
 	}
 }
 
-// microKernel32Go is the portable mr32×nr32 tile. Unlike the float64
-// kernel it keeps the accumulators in a stack array rather than named
-// scalars; it is the fallback for CPUs without the assembly kernels, not a
-// path the supported architectures hit.
-func microKernel32Go(c *[mr32 * nr32]float32, a0, a1, a2, a3, a4, a5, bp []float32, kcb int) {
+// microKernel32 is the portable mr32×nr32 tile, in c's first mr32 rows.
+// Unlike the float64 kernel it keeps the accumulators in a stack array
+// rather than named scalars; it is the fallback for CPUs without the
+// assembly sweeps, not a path the supported architectures hit.
+func microKernel32(c *[mrA32 * nr32]float32, a *[mrA32][]float32, bp []float32, kcb int) {
 	var acc [mr32 * nr32]float32
 	for p := 0; p < kcb; p++ {
 		b := bp[p*nr32 : p*nr32+nr32 : p*nr32+nr32]
-		a := [mr32]float32{a0[p], a1[p], a2[p], a3[p], a4[p], a5[p]}
 		for r := 0; r < mr32; r++ {
-			av := a[r]
+			av := a[r][p]
 			cr := acc[r*nr32 : (r+1)*nr32]
 			for x, bv := range b {
 				cr[x] += av * bv
 			}
 		}
 	}
-	*c = acc
+	copy(c[:], acc[:])
 }
 
 // transADirect32 is the F32-policy version of transADirect: both operands

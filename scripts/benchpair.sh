@@ -4,7 +4,11 @@
 # benchmark/README.md): PARENT and HEAD are each built from their own
 # committed tree, then run at seeds 1..PAIRS with the side that runs first
 # alternating per seed. It prints, for every end-to-end metric, each side's
-# quartiles and median and how many pairs HEAD won (ties count for neither).
+# quartiles and median and how many pairs HEAD won (ties count for neither),
+# and, per seed, every gauge (digests, core.*, attacks.*) whose value
+# differs between the two sides' runs. It exits 1 if any run exited
+# non-zero or did not report "correct":true, after printing the tail of
+# that run's log.
 #
 # Everything it writes goes under a fresh directory in $TMPDIR (default
 # /tmp): the two source trees and binaries, deleted on exit, and the result
@@ -32,14 +36,24 @@ echo "benchpair: $workload, $pairs pairs, $parent ($(git -C "$root" rev-parse --
 echo "benchpair: result lines in $tmp"
 
 # run SIDE SEED: one untraced run with the side's own catalogue; the last
-# stdout line is the run's result object.
+# stdout line is the run's result object. A failed run is added to $failed.
+failed=
 run() {
 	if ! (cd "$tmp/$1-src" && "$tmp/$1" -workload "$workload" -seed "$2" -trace 0 -out "$tmp/out") \
 		>"$tmp/$1.$2.log" 2>&1; then
 		echo "benchpair: $1 seed $2 exited non-zero (log: $tmp/$1.$2.log)"
+		failed="$failed $1.$2"
 	fi
 	tail -n 1 "$tmp/$1.$2.log" >"$tmp/$1.$2.json"
-	grep -q '"correct":true' "$tmp/$1.$2.json" || echo "benchpair: $1 seed $2 did not report \"correct\":true"
+	if ! grep -q '"correct":true' "$tmp/$1.$2.json"; then
+		echo "benchpair: $1 seed $2 did not report \"correct\":true"
+		case " $failed " in *" $1.$2 "*) ;; *) failed="$failed $1.$2" ;; esac
+	fi
+}
+
+# gauges SIDE SEED: the run's gauges, one "name":"value" per line.
+gauges() {
+	sed -n 's/^run .*"gauges":{\([^}]*\)}.*/\1/p' "$tmp/$1.$2.log" | tr ',' '\n' | sort
 }
 
 seed=1
@@ -94,3 +108,28 @@ sed -n '/"end_to_end"/,/]/s/.*"name": "\([^"]*\)".*"better": "\([a-z]*\)".*/\1 \
 				printf "%-22s %-6s %-36s %-36s %d/%d\n", metric, better, quartiles(p, n), quartiles(h, n), wins, n
 			}'
 	done
+
+# Gauges repeat exactly at one seed, so a difference between the sides is a
+# change in what the workload computes.
+seed=1
+same=0
+while [ "$seed" -le "$pairs" ]; do
+	gauges parent "$seed" >"$tmp/parent.$seed.gauges"
+	gauges head "$seed" >"$tmp/head.$seed.gauges"
+	diff=$(comm -3 "$tmp/parent.$seed.gauges" "$tmp/head.$seed.gauges" | sed 's/^[[:space:]]*"\([^"]*\)".*/\1/' | sort -u | tr '\n' ' ')
+	if [ -n "$diff" ]; then
+		echo "benchpair: seed $seed gauges differ: $diff"
+	elif [ -s "$tmp/head.$seed.gauges" ]; then
+		same=$((same + 1))
+	fi
+	seed=$((seed + 1))
+done
+echo "benchpair: gauges equal on $same of $pairs seeds"
+
+if [ -n "$failed" ]; then
+	for f in $failed; do
+		echo "benchpair: $f failed; the tail of $tmp/$f.log:"
+		tail -n 20 "$tmp/$f.log"
+	done
+	exit 1
+fi
