@@ -63,15 +63,15 @@ func TestMomentumStepNaNPayloads(t *testing.T) {
 	}
 }
 
-// fusedSweeps32 are the f32 sweep's assembly bodies, each skipped on a
+// asmSweeps32 are the f32 sweep's assembly bodies, each skipped on a
 // host that cannot run it.
-func fusedSweeps32() []fusedSweep32 {
+func asmSweeps32() []sweepBody32 {
 	asm := func(body int) func(d []float64, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []float64) {
 		return func(d []float64, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []float64) {
 			sweepAsm32(body, d, a, bpack, ld, kcb, ncb, rows, mode, bias)
 		}
 	}
-	out := []fusedSweep32{
+	out := []sweepBody32{
 		{name: "avx2", run: asm(body32AVX2), rows: sweep32Rows(body32AVX2)},
 		{name: "avx512", run: asm(body32AVX512), rows: sweep32Rows(body32AVX512)},
 	}

@@ -690,8 +690,8 @@ func parallelRows(rows, volume int, fn func(lo, hi int)) {
 	parallelRowsAligned(rows, volume, mr, fn)
 }
 
-// parallelRowsAligned is parallelRows with an explicit tile height: the
-// f64 driver aligns chunks to mr, the f32 driver to its taller mr32 tile.
+// parallelRowsAligned is parallelRows with an explicit tile height to
+// align chunks to.
 func parallelRowsAligned(rows, volume, align int, fn func(lo, hi int)) {
 	if rowWorkers(rows, volume) < 2 {
 		fn(0, rows)

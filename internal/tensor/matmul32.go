@@ -7,22 +7,22 @@ import (
 
 // The float32 compute tier's GEMM. It reuses the Goto/BLIS decomposition,
 // cache-block sizes, and row-parallel fan-out of the float64 driver in
-// matmul.go — only the element width and the micro-tile change:
+// matmul.go — only the element width and the tiles change:
 //
-//   - The micro-kernel is mr32×nr32 = 6×16: with 8 float32 lanes per AVX2
-//     register (4 per NEON register) a 16-wide tile costs the same two
-//     register loads per packed-B row as the float64 kernel's 8-wide tile,
-//     while each FMA moves twice the FLOPs. The tile is 6 rows instead of
-//     the f64 kernel's 4 because 8 accumulator registers sit exactly at
-//     the FMA-latency × throughput product — the f64 kernel can't quite
-//     keep both FMA ports busy, and a 4×16 f32 kernel inherits the same
-//     stall, capping the tier below 2x. Twelve accumulators give the
-//     scheduler slack, so the f32 kernel reaches the FMA-port bound.
+//   - B packs into 16-wide panels (nr32), and each tile row of a block is
+//     one sweep32 call over all of its panels, in a body chosen at init
+//     (DESIGN §14.2): on AVX-512 hosts 8×32 tiles over panel pairs in
+//     sixteen ZMM accumulators; on other AVX2+FMA hosts 6×16 tiles in
+//     twelve YMM accumulators (a 4-row tile's 8 sit right at the FMA
+//     latency × throughput product and stall, as the f64 kernel does);
+//     elsewhere the portable panel loop, with NEON 6×16 tiles on arm64.
+//     The assembly bodies keep the accumulators in registers across the
+//     k-block and widen each tile straight into dst.
 //   - The driver is generic over the destination width, and production
 //     runs one instantiation: the MIXED path (the f64 entry points in
 //     matmul.go running under the F32 precision policy) with T = float64.
 //     Operands are narrowed once — A up front, B at pack time — the
-//     micro-kernel accumulates one k-block in f32, and the store widens
+//     sweep accumulates one k-block in f32, and its store widens
 //     the partial sums into the float64 destination, so accumulation
 //     ACROSS k-blocks (and the bias epilogue) stays float64. The
 //     T = float32 instantiation (f32 in, f32 out) is the tests' pure-f32

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// fusedSweep32 is one body of the f32 sweep, run into a float64
+// sweepBody32 is one body of the f32 sweep, run into a float64
 // destination with tiles of up to rows rows; skip says why this host
 // cannot run it ("" when it can).
-type fusedSweep32 struct {
+type sweepBody32 struct {
 	name string
 	run  func(d []float64, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []float64)
 	rows int
@@ -187,17 +187,17 @@ func store32Definition(v float32, d, b float64, mode int, fused bool) (float64, 
 // destination element outside the tile, a remainder tile's missing rows
 // included, must keep its bits.
 func TestSweep32MatchesDefinition(t *testing.T) {
-	portable := fusedSweep32{name: "go", run: func(d []float64, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []float64) {
+	portable := sweepBody32{name: "go", run: func(d []float64, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []float64) {
 		sweep32Go(d, a, bpack, ld, kcb, ncb, rows, mode, bias)
 	}, rows: mr32}
-	fused := fusedSweeps32()
-	for bi, body := range append([]fusedSweep32{portable}, fused...) {
+	fused := asmSweeps32()
+	for bi, body := range append([]sweepBody32{portable}, fused...) {
 		isFused := bi > 0
 		t.Run(body.name, func(t *testing.T) {
 			if body.skip != "" {
 				t.Skip(body.skip)
 			}
-			var ref *fusedSweep32 // the body this one must equal bit for bit
+			var ref *sweepBody32 // the body this one must equal bit for bit
 			if isFused && bi > 1 {
 				ref = &fused[0]
 			}
@@ -212,7 +212,7 @@ var sweepModes32 = []struct {
 	mode int
 }{{"set", storeSet}, {"add", storeAdd}, {"row bias", storeRowBias}, {"column bias", storeColBias}}
 
-func checkSweep32(t *testing.T, body fusedSweep32, ref *fusedSweep32, fused bool) {
+func checkSweep32(t *testing.T, body sweepBody32, ref *sweepBody32, fused bool) {
 	rng := rand.New(rand.NewSource(78))
 	const i0, j0, below = 2, 3, 2 // the tile's row and column in dst; rows past it
 	exactNaNs, meets := 0, map[int]int{}
