@@ -238,9 +238,9 @@ func sweepAsm32(body int, d []float64, a *[mrA32][]float32, bpack []float32, ld,
 	fmaSweep6x16(&d[0], a, &bpack[0], bp, ld, kcb, ncb, rows, mode)
 }
 
-// fusedTile32 computes the mr32×nr32 tile of one panel into c with the
-// assembly body, for the pure-f32 instantiation: set mode into a float64
-// tile (widening is exact), narrowed back.
+// fusedTile32 computes the tileRows32×nr32 tile of one panel into c with
+// the assembly body, for the pure-f32 instantiation: set mode into a
+// float64 tile (widening is exact), narrowed back.
 func fusedTile32(c *[mrA32 * nr32]float32, a *[mrA32][]float32, bp []float32, kcb int) {
 	var t [mrA32 * nr32]float64
 	sweepAsm32(sweep32Body, t[:], a, bp, nr32, kcb, nr32, tileRows32, storeSet, nil)
