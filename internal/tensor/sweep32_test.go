@@ -71,12 +71,12 @@ func fma32(a, b, c float32) float32 {
 	return f
 }
 
-// sweep32Data is one generated block: mrA32 A rows of kcb values and
-// `panels` packed panels, whose padding lanes past ncb hold data too.
+// sweep32Data is one generated block: mrA32 A rows of kcb values and the
+// packed panels of ncb columns, whose padding lanes past ncb hold data too.
 type sweep32Data struct {
-	kcb, ncb, panels int
-	a                [mrA32][]float32
-	bpack            []float32
+	kcb, ncb int
+	a        [mrA32][]float32
+	bpack    []float32
 }
 
 // edgeData32 narrows edge values and normals to float32, each element an
@@ -105,7 +105,7 @@ func edgeData32(rng *rand.Rand, n, every, nans int) []float32 {
 }
 
 func newSweep32Data(rng *rand.Rand, kcb, panels, w int) *sweep32Data {
-	s := &sweep32Data{kcb: kcb, ncb: (panels-1)*nr32 + w, panels: panels}
+	s := &sweep32Data{kcb: kcb, ncb: (panels-1)*nr32 + w}
 	// About two edge values per chain, so long chains still mostly stay
 	// finite and round.
 	every := max(kcb, 3)
