@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # whatever `staticcheck` is on PATH (and skip cleanly when there is none).
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test race vet orphans staticcheck crosscheck portable convbench fuzz oracle alloccheck chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck quickcheck check
+.PHONY: build test race vet orphans staticcheck crosscheck portable sweepbodies convbench fuzz oracle alloccheck chaos treechaos chaossmoke byzantine byzsmoke benchmark benchcheck benchpair wirecheck quickcheck check
 
 build:
 	$(GO) build ./...
@@ -52,14 +52,24 @@ crosscheck:
 portable:
 	GOARCH=386 $(GO) test -count=1 ./internal/tensor ./internal/nn
 
+# sweepbodies runs both tiers' sweep definition tests, one subtest per
+# body, and the dispatch rule's test, and prints the line each body's
+# subtest ended on (PASS, or SKIP with the reason) and the body this host
+# runs: a runner without AVX-512 skips that body's test, and the output
+# says so. A few seconds.
+sweepbodies:
+	@out=$$($(GO) test -count=1 -v -run 'TestSweep(32)?MatchesDefinition|TestDecodeCPU' ./internal/tensor); status=$$?; \
+	echo "$$out" | grep -E -e '--- (PASS|SKIP|FAIL)' -e '_test.go:[0-9]+: (no |this host)'; \
+	[ $$status -eq 0 ] || { echo "$$out"; echo "sweepbodies: the sweep tests failed"; exit 1; }
+
 # convbench runs one iteration of every case of the convolution layer's
 # benchmark (forward, Step II and Step I backward at the VGG and sweep
-# shapes), of the 2×2 max-pool's and of the conv input gradient's
-# per-image GEMM, and of the f32 tier's GEMM benchmarks (MatMul256 and the
-# MLP's weight gradient and first-layer forward under F32), about a
+# shapes), of the 2×2 max-pool's, of the nine per-image f64 GEMMs of the
+# VGG convolutions, and of the f32 tier's GEMM benchmarks (MatMul256 and
+# the MLP's weight gradient and first-layer forward under F32), about a
 # second in all, so the benchmarks cannot rot.
 convbench:
-	$(GO) test -count=1 -run '^$$' -bench '^(BenchmarkConvLayer|BenchmarkMaxPool2D|BenchmarkGEMMInputGrad|BenchmarkMatMul256F32|BenchmarkWeightGradF32|BenchmarkDenseForwardF32)$$' -benchtime 1x ./internal/nn ./internal/tensor
+	$(GO) test -count=1 -run '^$$' -bench '^(BenchmarkConvLayer|BenchmarkMaxPool2D|BenchmarkGEMMConvF64|BenchmarkMatMul256F32|BenchmarkWeightGradF32|BenchmarkDenseForwardF32)$$' -benchtime 1x ./internal/nn ./internal/tensor
 
 # The race detector slows the heavyweight experiment replays ~10-20x past
 # the default go-test timeout; they honor -short and are covered without
@@ -232,10 +242,10 @@ quickcheck:
 		|| { echo "quickcheck: cipbench -exp theorem1 -repeat 2 failed"; exit 1; }
 
 # check is the full CI gate: static analysis, the orphan gate, the arm64
-# cross-compile, the portable-kernel tests, one pass of the convolution
-# benchmark, the race-enabled suite, the engine oracle five times under
+# cross-compile, the portable-kernel tests, the sweep bodies' tests with
+# what each ran, one pass of the convolution benchmark, the race-enabled suite, the engine oracle five times under
 # race, the allocation bounds ten times, a short fuzz burst, the
 # crash-harness smoke, the byzantine smoke, the wire-path conformance
 # sweep, and a short untraced and traced run of every repository-benchmark
 # workload.
-check: vet orphans staticcheck crosscheck portable convbench race oracle alloccheck fuzz chaossmoke byzsmoke wirecheck benchcheck
+check: vet orphans staticcheck crosscheck portable sweepbodies convbench race oracle alloccheck fuzz chaossmoke byzsmoke wirecheck benchcheck

@@ -116,18 +116,54 @@ func BenchmarkWeightGradF32(b *testing.B) {
 	}
 }
 
-// BenchmarkGEMMInputGrad is one image's input-gradient product in the
-// cip_vgg_f64 10→10 convolution over 32×32 images, as the layer runs it:
-// dcols_b [90, 1024] = Wᵀ [90, 10] · g_b [10, 1024], an inner product
-// (serial, its two-row remainder on the tile routine). k is 10, so each
-// tile's store and dispatch weigh as much as its multiply-adds.
-func BenchmarkGEMMInputGrad(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	wT, g, dcols := randMat(rng, 90, 10), randMat(rng, 10, 1024), New(90, 1024)
-	s := gemmShape{m: 90, k: 10, n: 1024, inner: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gemm(dcols.Data, wT.Data, g.Data, s)
+// BenchmarkGEMMConvF64 runs the nine per-image products of cip_vgg_f64's
+// three convolutions over 32×32 images (10, 10 and 14 output channels;
+// 3, 10 and 10 input channels, the third at 16×16) as the layers run
+// them: inner products, serial, the row remainder on the tile routine.
+// The forward is y_b [OutC, S] = W · cols_b + bias per row; the input
+// gradient dcols_b [K, S] = Wᵀ · g_b, whose k is OutC, so each tile's
+// store weighs as much as its multiply-adds; the weight gradient chains
+// one worker's rows of dWᵀ [K/2, OutC] through cols_b · g_bᵀ at two
+// workers (conv1's 27 taps stay on one). B is packed once, outside the
+// timed loop, so the products time the sweep; the per-call pack is in
+// internal/nn's BenchmarkConvLayer.
+func BenchmarkGEMMConvF64(b *testing.B) {
+	cases := []struct {
+		name    string
+		m, k, n int
+		s       gemmShape
+	}{
+		{name: "fwd_conv1", m: 10, k: 27, n: 1024, s: gemmShape{rowBias: true}},
+		{name: "fwd_conv2", m: 10, k: 90, n: 1024, s: gemmShape{rowBias: true}},
+		{name: "fwd_conv3", m: 14, k: 90, n: 256, s: gemmShape{rowBias: true}},
+		{name: "dX_conv1", m: 27, k: 10, n: 1024},
+		{name: "dX_conv2", m: 90, k: 10, n: 1024},
+		{name: "dX_conv3", m: 90, k: 14, n: 256},
+		{name: "dW_conv1", m: 27, k: 1024, n: 10, s: gemmShape{transB: true, chain: true}},
+		{name: "dW_conv2", m: 45, k: 1024, n: 10, s: gemmShape{transB: true, chain: true}},
+		{name: "dW_conv3", m: 45, k: 256, n: 14, s: gemmShape{transB: true, chain: true}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(6))
+			a, dst := randMat(rng, c.m, c.k), New(c.m, c.n)
+			op := randMat(rng, c.k, c.n)
+			if c.s.transB {
+				op = randMat(rng, c.n, c.k)
+			}
+			var p PackedB
+			p.Pack(op, c.s.transB)
+			s := c.s
+			s.m, s.k, s.n, s.pre, s.inner = c.m, c.k, c.n, &p, true
+			if s.rowBias {
+				s.bias = randMat(rng, 1, c.m).Data
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gemm(dst.Data, a.Data, nil, s)
+			}
+			b.ReportMetric(2*float64(c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }

@@ -17,7 +17,7 @@ func packPanelT32[T elem](d []float32, src []T, ld, kcb, w int) {
 	packPanelT32Go(d, src, ld, kcb, w)
 }
 
-func sweep(d []float64, a *[mr][]float64, bpack []float64, ld, kcb, ncb, rows, mode int, bias []float64) {
+func sweep(d []float64, a *[mrA][]float64, bpack []float64, ld, kcb, ncb, rows, mode int, bias []float64) {
 	sweepGo(d, a, bpack, ld, kcb, ncb, rows, mode, bias)
 }
 

@@ -175,7 +175,7 @@ func ConvParamGradsInto(dw *Tensor, db []float64, x, grad *Tensor, g ConvGeom) {
 	clear(dwT.Data)
 	t := newConvTask(convWeightGrad, g, n)
 	t.x, t.y, t.w, t.outC = x.Data, grad.Data, dwT.Data, outC
-	t.run(k, mr)
+	t.run(k, tileRows)
 	for oc := 0; oc < outC; oc++ {
 		dst := dw.Data[oc*k : (oc+1)*k]
 		for kk := range dst {

@@ -305,6 +305,257 @@ swdone:
 	VZEROUPPER
 	RET
 
+// func avx512Sweep8x16(d *float64, a *[mrA][]float64, bp, bias *float64, ld, kc, nc, rows, mode int)
+//
+// fmaSweep4x8 with AVX-512: the same 8-wide panels, two at a time, as an
+// 8×16 tile in the sixteen accumulators Z4..Z19 (row r's in Z(4+2r) for
+// the first panel and Z(5+2r) for the second), two k steps per loop
+// iteration. A lone last panel runs as a pair whose second panel reads the
+// first again (BX = 0) and stores nothing. Every dst, chain and
+// column-bias access goes through the opmasks K1 and K2, one per panel,
+// set from the lanes left in the block, so a ragged panel needs no
+// separate path. Row r of the tile is at d + r·ld, and only the first rows
+// rows are loaded or stored, each row in place from its own accumulators:
+// a remainder tile's missing A rows (aliased by the caller to its last
+// valid one) cost multiply-adds and nothing else. Modes and operand roles
+// are fmaSweep4x8's (A, then B, then the accumulator in the FMA; d, then
+// the tile, in the add; the tile, then the bias, in a bias add), so every
+// element runs the same chain and lands the same bits, NaN payloads
+// included. DI is the pair's byte offset into a dst row and into a column
+// bias; the pair's first panel lives in the frame (base), since the k
+// loop holds every general register. a points at the eight A row slices
+// (pointers 24 bytes apart). kc ≥ 1, nc ≥ 1, 1 ≤ rows ≤ 8.
+
+// Z16STEP is one k step at byte offset off into both packed panels of a
+// pair (the second BX bytes past the first) and aoff into the eight A rows
+// (R8..R11, DX, SI, AX, R13): 16 packed B values (two ZMM loads), one
+// broadcast A value per row, 16 FMAs = 256 double FLOPs.
+#define Z16STEP(off, aoff) \
+	VMOVUPD      off(R12), Z0        \
+	VMOVUPD      off(R12)(BX*1), Z1  \
+	VBROADCASTSD aoff(R8), Z2        \
+	VBROADCASTSD aoff(R9), Z3        \
+	VFMADD231PD  Z0, Z2, Z4          \
+	VFMADD231PD  Z1, Z2, Z5          \
+	VFMADD231PD  Z0, Z3, Z6          \
+	VFMADD231PD  Z1, Z3, Z7          \
+	VBROADCASTSD aoff(R10), Z2       \
+	VBROADCASTSD aoff(R11), Z3       \
+	VFMADD231PD  Z0, Z2, Z8          \
+	VFMADD231PD  Z1, Z2, Z9          \
+	VFMADD231PD  Z0, Z3, Z10         \
+	VFMADD231PD  Z1, Z3, Z11         \
+	VBROADCASTSD aoff(DX), Z2        \
+	VBROADCASTSD aoff(SI), Z3        \
+	VFMADD231PD  Z0, Z2, Z12         \
+	VFMADD231PD  Z1, Z2, Z13         \
+	VFMADD231PD  Z0, Z3, Z14         \
+	VFMADD231PD  Z1, Z3, Z15         \
+	VBROADCASTSD aoff(AX), Z2        \
+	VBROADCASTSD aoff(R13), Z3       \
+	VFMADD231PD  Z0, Z2, Z16         \
+	VFMADD231PD  Z1, Z2, Z17         \
+	VFMADD231PD  Z0, Z3, Z18         \
+	VFMADD231PD  Z1, Z3, Z19
+
+// The per-row steps of the load and store passes, for the row at R8 (its
+// panels DI and DI+64 bytes in) whose accumulators are lo and hi.
+// Z16LOAD starts a chain from d; Z16PUT stores set and chain tiles.
+#define Z16LOAD(lo, hi) \
+	VMOVUPD.Z (R8)(DI*1), K1, lo   \
+	VMOVUPD.Z 64(R8)(DI*1), K2, hi
+
+#define Z16PUT(lo, hi) \
+	VMOVUPD lo, K1, (R8)(DI*1)   \
+	VMOVUPD hi, K2, 64(R8)(DI*1)
+
+// Z16ADD lands acc = d + acc, d loaded into Z20, Z21 first: d is the
+// add's first source, as in fmaSweep4x8.
+#define Z16ADD(lo, hi) \
+	VMOVUPD.Z (R8)(DI*1), K1, Z20   \
+	VMOVUPD.Z 64(R8)(DI*1), K2, Z21 \
+	VADDPD    lo, Z20, lo           \
+	VADDPD    hi, Z21, hi           \
+	Z16PUT(lo, hi)
+
+// Z16ROWBIAS adds the row's broadcast bias (at R11, which moves on a row)
+// with the tile as the first source, and lands the row.
+#define Z16ROWBIAS(lo, hi) \
+	VBROADCASTSD (R11), Z20     \
+	VADDPD       Z20, lo, lo    \
+	VADDPD       Z20, hi, hi    \
+	ADDQ         $8, R11        \
+	Z16PUT(lo, hi)
+
+// Z16COLBIAS adds the pair's column bias, held in Z24 and Z25, likewise.
+#define Z16COLBIAS(lo, hi) \
+	VADDPD Z24, lo, lo \
+	VADDPD Z25, hi, hi \
+	Z16PUT(lo, hi)
+
+// Z16ROWS runs step over the tile's rows, the first at R8 and the rest R9
+// bytes apart, until R10 rows have run, then jumps to done.
+#define Z16ROWS(step, done) \
+	step(Z4, Z5)   \
+	DECQ R10       \
+	JZ   done      \
+	ADDQ R9, R8    \
+	step(Z6, Z7)   \
+	DECQ R10       \
+	JZ   done      \
+	ADDQ R9, R8    \
+	step(Z8, Z9)   \
+	DECQ R10       \
+	JZ   done      \
+	ADDQ R9, R8    \
+	step(Z10, Z11) \
+	DECQ R10       \
+	JZ   done      \
+	ADDQ R9, R8    \
+	step(Z12, Z13) \
+	DECQ R10       \
+	JZ   done      \
+	ADDQ R9, R8    \
+	step(Z14, Z15) \
+	DECQ R10       \
+	JZ   done      \
+	ADDQ R9, R8    \
+	step(Z16, Z17) \
+	DECQ R10       \
+	JZ   done      \
+	ADDQ R9, R8    \
+	step(Z18, Z19) \
+	JMP  done
+
+TEXT ·avx512Sweep8x16(SB), NOSPLIT, $8-72
+	MOVQ bp+16(FP), AX
+	MOVQ AX, base-8(SP)
+	XORQ DI, DI
+
+z16pair:
+	MOVQ DI, CX
+	SHRQ $3, CX
+	MOVQ nc+48(FP), AX
+	SUBQ CX, AX                  // lanes left in the block
+	MOVQ kc+40(FP), BX
+	SHLQ $6, BX                  // one panel's bytes
+	CMPQ AX, $8
+	JGT  z16mask
+	XORQ BX, BX
+
+z16mask:
+	MOVL $0xffff, CX             // the low min(AX, 16) bits, one per lane
+	CMPQ AX, $16
+	JGE  z16kmov
+	MOVQ AX, CX
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+	MOVL AX, CX
+
+z16kmov:
+	KMOVW  CX, K1
+	SHRL   $8, CX
+	KMOVW  CX, K2
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	CMPQ   mode+64(FP), $4
+	JNE    z16arows
+	MOVQ d+0(FP), R8             // the tile's first row
+	MOVQ ld+32(FP), R9
+	SHLQ $3, R9                  // its row stride in bytes
+	MOVQ rows+56(FP), R10        // its row count
+	Z16ROWS(Z16LOAD, z16arows)
+
+z16arows:
+	MOVQ a+8(FP), AX
+	MOVQ 0(AX), R8
+	MOVQ 24(AX), R9
+	MOVQ 48(AX), R10
+	MOVQ 72(AX), R11
+	MOVQ 96(AX), DX
+	MOVQ 120(AX), SI
+	MOVQ 168(AX), R13
+	MOVQ 144(AX), AX
+	MOVQ base-8(SP), R12
+	MOVQ kc+40(FP), CX
+	SHRQ $1, CX
+	JZ   z16klast
+
+z16kpair:
+	Z16STEP(0, 0)
+	Z16STEP(64, 8)
+	ADDQ $16, R8
+	ADDQ $16, R9
+	ADDQ $16, R10
+	ADDQ $16, R11
+	ADDQ $16, DX
+	ADDQ $16, SI
+	ADDQ $16, AX
+	ADDQ $16, R13
+	ADDQ $128, R12
+	DECQ CX
+	JNZ  z16kpair
+
+z16klast:
+	MOVQ kc+40(FP), CX
+	ANDQ $1, CX
+	JZ   z16store
+	Z16STEP(0, 0)
+
+z16store:
+	MOVQ kc+40(FP), CX
+	SHLQ $7, CX
+	ADDQ CX, base-8(SP)          // the next pair's first panel
+	MOVQ d+0(FP), R8             // the tile's first row
+	MOVQ ld+32(FP), R9
+	SHLQ $3, R9                  // its row stride in bytes
+	MOVQ rows+56(FP), R10        // its row count
+	MOVQ bias+24(FP), R11
+	MOVQ mode+64(FP), AX
+	CMPQ AX, $1
+	JEQ  z16add
+	CMPQ AX, $2
+	JEQ  z16rowbias
+	CMPQ AX, $3
+	JEQ  z16colbias
+	Z16ROWS(Z16PUT, z16next)     // set and chain
+
+z16add:
+	Z16ROWS(Z16ADD, z16next)
+
+z16rowbias:
+	Z16ROWS(Z16ROWBIAS, z16next)
+
+z16colbias:
+	VMOVUPD.Z (R11)(DI*1), K1, Z24
+	VMOVUPD.Z 64(R11)(DI*1), K2, Z25
+	Z16ROWS(Z16COLBIAS, z16next)
+
+z16next:
+	ADDQ $128, DI
+	MOVQ DI, CX
+	SHRQ $3, CX
+	CMPQ CX, nc+48(FP)
+	JLT  z16pair
+
+	VZEROUPPER
+	RET
+
 // func fmaAxpy(dst, src *float64, alpha float64, n int)
 //
 // dst[i] += alpha * src[i] for i in [0, n). The 8-wide body issues two

@@ -7,26 +7,37 @@ import (
 )
 
 // TestScalarKernelMatchesFMA verifies the Go fallback micro-kernel against
-// the AVX2+FMA assembly path on machines that have it. Both run the same
-// blocked schedule, so the only divergence is FMA's fused rounding step.
+// the assembly path on machines that have it. Both run the same blocked
+// schedule, so the only divergence is FMA's fused rounding step.
 func TestScalarKernelMatchesFMA(t *testing.T) {
 	if !hasFMAKernel {
 		t.Skip("no FMA micro-kernel on this CPU")
 	}
-	defer func() { hasFMAKernel = true }()
 	rng := rand.New(rand.NewSource(9))
 	for _, s := range [][3]int{{17, 33, 29}, {64, 64, 64}, {70, 257, 64}} {
 		a, b := New(s[0], s[1]), New(s[1], s[2])
 		a.RandNormal(rng, 0, 1)
 		b.RandNormal(rng, 0, 1)
 		fma := MatMul(a, b)
-		hasFMAKernel = false
-		scalar := MatMul(a, b)
-		hasFMAKernel = true
+		var scalar *Tensor
+		withBody(bodyGo, func() { scalar = MatMul(a, b) })
 		if !Equal(fma, scalar, 1e-10) {
 			t.Fatalf("FMA and scalar micro-kernels diverge on %v", s)
 		}
 	}
+}
+
+// withBody runs fn with the sweeps of both tiers, their tile heights and
+// hasFMAKernel set as decodeCPU sets them for body, then restores them.
+func withBody(body int, fn func()) {
+	fma, prev := hasFMAKernel, sweepBody
+	defer func() {
+		hasFMAKernel, sweepBody = fma, prev
+		tileRows, tileRows32 = sweepRows(prev), sweep32Rows(prev)
+	}()
+	hasFMAKernel, sweepBody = body != bodyGo, body
+	tileRows, tileRows32 = sweepRows(body), sweep32Rows(body)
+	fn()
 }
 
 // TestMomentumStepNaNPayloads: where a velocity, gradient or weight is a
@@ -72,23 +83,46 @@ func asmSweeps32() []sweepBody32 {
 		}
 	}
 	out := []sweepBody32{
-		{name: "avx2", run: asm(body32AVX2), rows: sweep32Rows(body32AVX2)},
-		{name: "avx512", run: asm(body32AVX512), rows: sweep32Rows(body32AVX512)},
+		{name: "avx2", run: asm(bodyAVX2), rows: sweep32Rows(bodyAVX2)},
+		{name: "avx512", run: asm(bodyAVX512), rows: sweep32Rows(bodyAVX512)},
 	}
-	if !hasFMAKernel {
-		out[0].skip = "no AVX2+FMA on this CPU"
-		out[1].skip = out[0].skip
-	}
-	if sweep32Body != body32AVX512 {
-		out[1].skip = "no AVX-512F+DQ with OS-saved ZMM and opmask state on this CPU"
-	}
+	out[0].skip, out[1].skip = asmSkips()
 	return out
+}
+
+// asmSweeps are the f64 sweep's assembly bodies, each skipped on a host
+// that cannot run it.
+func asmSweeps() []sweepBody64 {
+	asm := func(body int) func(d []float64, a *[mrA][]float64, bpack []float64, ld, kcb, ncb, rows, mode int, bias []float64) {
+		return func(d []float64, a *[mrA][]float64, bpack []float64, ld, kcb, ncb, rows, mode int, bias []float64) {
+			sweepAsm(body, d, a, bpack, ld, kcb, ncb, rows, mode, bias)
+		}
+	}
+	out := []sweepBody64{
+		{name: "avx2", run: asm(bodyAVX2), rows: sweepRows(bodyAVX2), fused: true},
+		{name: "avx512", run: asm(bodyAVX512), rows: sweepRows(bodyAVX512), fused: true},
+	}
+	out[0].skip, out[1].skip = asmSkips()
+	return out
+}
+
+// asmSkips says why this host cannot run the AVX2 and the AVX-512 bodies
+// ("" where it can).
+func asmSkips() (avx2, avx512 string) {
+	if !hasFMAKernel {
+		avx2 = "no AVX2+FMA on this CPU"
+		return avx2, avx2
+	}
+	if sweepBody != bodyAVX512 {
+		avx512 = "no AVX-512F+DQ with OS-saved ZMM and opmask state on this CPU"
+	}
+	return avx2, avx512
 }
 
 // TestDecodeCPU pins the dispatch rule to the feature bits: the AVX2
 // routines need FMA, AVX, OSXSAVE, AVX2 and XCR0's SSE and AVX state; the
-// AVX-512 sweep also AVX-512F, DQ and XCR0's opmask and ZMM state, and
-// falls back to AVX2 without them.
+// AVX-512 sweeps also AVX-512F, DQ and XCR0's opmask and ZMM state, and
+// fall back to AVX2 without them. One decode fixes both tiers' tiles.
 func TestDecodeCPU(t *testing.T) {
 	const (
 		ecx    = fmaBit | osxsaveBit | avxBit
@@ -103,21 +137,21 @@ func TestDecodeCPU(t *testing.T) {
 		fma              bool
 		body             int
 	}{
-		{"everything", ecx, ebx, xcr0, true, body32AVX512},
-		{"AVX-512F without XCR0 bits 5-7", ecx, ebx, noZMM, true, body32AVX2},
-		{"AVX-512F without opmask state", ecx, ebx, xcr0 &^ 0x20, true, body32AVX2},
-		{"AVX-512F without ZMM0-15 upper halves", ecx, ebx, xcr0 &^ 0x40, true, body32AVX2},
-		{"AVX-512F without ZMM16-31", ecx, ebx, xcr0 &^ 0x80, true, body32AVX2},
-		{"AVX-512F without DQ", ecx, ebx &^ avx512dqBit, xcr0, true, body32AVX2},
-		{"AVX-512DQ without F", ecx, ebx &^ avx512fBit, xcr0, true, body32AVX2},
-		{"AVX2 and FMA, no AVX-512", ecx, avx2Bit, noZMM, true, body32AVX2},
-		{"AVX2 without FMA", ecx &^ fmaBit, ebx, xcr0, false, body32Go},
-		{"FMA without AVX2", ecx, avx512, xcr0, false, body32Go},
-		{"no AVX", ecx &^ avxBit, ebx, xcr0, false, body32Go},
-		{"no OSXSAVE", ecx &^ osxsaveBit, ebx, 0, false, body32Go},
-		{"OS saves no YMM state", ecx, ebx, 0x2, false, body32Go},
-		{"no leaf 7", ecx, 0, xcr0, false, body32Go},
-		{"nothing", 0, 0, 0, false, body32Go},
+		{"everything", ecx, ebx, xcr0, true, bodyAVX512},
+		{"AVX-512F without XCR0 bits 5-7", ecx, ebx, noZMM, true, bodyAVX2},
+		{"AVX-512F without opmask state", ecx, ebx, xcr0 &^ 0x20, true, bodyAVX2},
+		{"AVX-512F without ZMM0-15 upper halves", ecx, ebx, xcr0 &^ 0x40, true, bodyAVX2},
+		{"AVX-512F without ZMM16-31", ecx, ebx, xcr0 &^ 0x80, true, bodyAVX2},
+		{"AVX-512F without DQ", ecx, ebx &^ avx512dqBit, xcr0, true, bodyAVX2},
+		{"AVX-512DQ without F", ecx, ebx &^ avx512fBit, xcr0, true, bodyAVX2},
+		{"AVX2 and FMA, no AVX-512", ecx, avx2Bit, noZMM, true, bodyAVX2},
+		{"AVX2 without FMA", ecx &^ fmaBit, ebx, xcr0, false, bodyGo},
+		{"FMA without AVX2", ecx, avx512, xcr0, false, bodyGo},
+		{"no AVX", ecx &^ avxBit, ebx, xcr0, false, bodyGo},
+		{"no OSXSAVE", ecx &^ osxsaveBit, ebx, 0, false, bodyGo},
+		{"OS saves no YMM state", ecx, ebx, 0x2, false, bodyGo},
+		{"no leaf 7", ecx, 0, xcr0, false, bodyGo},
+		{"nothing", 0, 0, 0, false, bodyGo},
 	}
 	for _, c := range cases {
 		fma, body := decodeCPU(c.ecx1, c.ebx7, c.xcr0)
@@ -125,4 +159,26 @@ func TestDecodeCPU(t *testing.T) {
 			t.Errorf("%s: decodeCPU = (%v, %d), want (%v, %d)", c.name, fma, body, c.fma, c.body)
 		}
 	}
+
+	tiles := []struct {
+		name             string
+		ecx1, ebx7, xcr0 uint32
+		body, f64, f32   int
+	}{
+		{"AVX-512F+DQ with XCR0 bits 5-7", ecx, ebx, xcr0, bodyAVX512, 8, 8},
+		{"AVX-512F+DQ without XCR0 bits 5-7", ecx, ebx, noZMM, bodyAVX2, 4, 6},
+		{"AVX2 without FMA", ecx &^ fmaBit, ebx, xcr0, bodyGo, 4, 6},
+	}
+	for _, c := range tiles {
+		_, body := decodeCPU(c.ecx1, c.ebx7, c.xcr0)
+		if f64, f32 := sweepRows(body), sweep32Rows(body); body != c.body || f64 != c.f64 || f32 != c.f32 {
+			t.Errorf("%s: body %d with tiles of %d (f64) and %d (f32) rows, want body %d with %d and %d",
+				c.name, body, f64, f32, c.body, c.f64, c.f32)
+		}
+	}
+	if tileRows != sweepRows(sweepBody) || tileRows32 != sweep32Rows(sweepBody) {
+		t.Errorf("running tiles %d (f64) and %d (f32), want those of body %d", tileRows, tileRows32, sweepBody)
+	}
+	t.Logf("this host runs the %s bodies: f64 tiles of %d rows, f32 tiles of %d",
+		[...]string{bodyGo: "go", bodyAVX2: "avx2", bodyAVX512: "avx512"}[sweepBody], tileRows, tileRows32)
 }

@@ -17,8 +17,8 @@ func reluKernel(dst, x []float64) { reluGo(dst, x) }
 // reluGateKernel gates gradients with the portable loop.
 func reluGateKernel(dst, y, g []float64) { reluGateGo(dst, y, g) }
 
-// tileRows32 is the f32 sweep's tile height.
-const tileRows32 = mr32
+// tileRows and tileRows32 are the f64 and f32 sweeps' tile heights.
+const tileRows, tileRows32 = mr, mr32
 
 // sweep32 computes one tile row of a product's block with the portable
 // body.

@@ -18,16 +18,18 @@ import (
 //     cases; padded lanes are masked at store time. A B reused across
 //     many products (a layer's weights) can be packed once for all of its
 //     blocks instead (PackedB, packed.go).
-//   - Each mr-row tile row of a block is one sweep across the block's
-//     panels: per panel, an mr×nr tile of C with all accumulators in
+//   - Each tile row of a block is one sweep across the block's panels:
+//     per panel (or pair of panels), a tile of C with all accumulators in
 //     registers across the k-block, stored straight into dst in the
 //     block's mode (set, add, row or column bias, or chain) before the
-//     next panel starts. On amd64 with AVX2+FMA the whole sweep is one
-//     call to the 4×8 assembly routine in kernel_amd64.s, so a product
-//     with a short k (a conv input gradient's k is OutC, 10 or 14) pays
-//     one call per tile row instead of a call, a tile buffer and a store
-//     per tile. Everywhere else the pure-Go sweep below runs (microKernel
-//     then storeTile per panel), as does the scalar 1×nr tile of a dense
+//     next panel starts. On amd64 the whole sweep is one call to an
+//     assembly body in kernel_amd64.s, chosen once at init by the rule
+//     the f32 tier shares (decodeCPU): 8×16 tiles over two panels at a
+//     time with AVX-512, 4×8 tiles with AVX2+FMA. So a product with a
+//     short k (a conv input gradient's k is OutC, 10 or 14) pays one call
+//     per tile row instead of a call, a tile buffer and a store per tile.
+//     Everywhere else the pure-Go sweep below runs (microKernel then
+//     storeTile per panel), as does the scalar 1×nr tile of a dense
 //     product's row remainder.
 //   - Rows are split across the helper team per (kc, nc) block. Every
 //     output element is computed by exactly one worker with a fixed
@@ -37,9 +39,16 @@ import (
 // Transposed operands never materialize a transposed copy on the heap:
 // MatMulTransA packs Aᵀ into a pooled scratch buffer and MatMulTransB packs
 // B's rows directly into column panels.
+//
+// nr is the packed panel's width: one AVX2 register pair or one AVX-512
+// register of float64. mr is the tile height of the portable and AVX2
+// bodies, mrA that of the AVX-512 body and the A rows one sweep call
+// takes; tileRows is the running body's. The parallel fan-outs align
+// their chunks to tileRows.
 const (
-	mr = 4 // micro-kernel rows
-	nr = 8 // micro-kernel cols (one AVX2 register pair of float64)
+	mr  = 4
+	mrA = 8
+	nr  = 8
 
 	// kcBlock × nr panel ≈ 16 KiB: two panels plus the A rows stay L1/L2
 	// resident. ncBlock bounds the packed block to kcBlock×ncBlock ≈ 1 MiB.
@@ -352,7 +361,7 @@ func gemm(dst, a, b []float64, s gemmShape) {
 				gemmRows(dst, a, bp, 0, s.m, pc, jc, kcb, ncb, s, first)
 			} else {
 				task.bpack, task.pc, task.jc, task.kcb, task.ncb, task.first = bp, pc, jc, kcb, ncb, first
-				fanOutRows(task, s.m, vol, mr)
+				fanOutRows(task, s.m, vol, tileRows)
 			}
 		}
 	}
@@ -459,22 +468,26 @@ var gemmTasks = sync.Pool{New: func() any { return new(gemmTask) }}
 // gemmRows computes rows [i0, i1) of dst against the packed B block. first
 // marks the k-block that overwrites dst (folding in the bias); later
 // k-blocks accumulate. Under s.chain each tile starts from dst's values.
-// Each mr-row tile row is one sweep over the block's panels.
+// Each tile row of up to tileRows rows is one sweep over the block's
+// panels.
 //
-// A row remainder (fewer than mr rows) runs the scalar 1×nr tile, except
-// in an inner product: there the sweep runs with the missing rows aliased
-// to the last valid one and only the valid rows are stored. The kernel
-// keeps one independent chain per element, so those rows round exactly as
-// they would inside a full tile (with the FMA routine, fused); a conv
-// product's rows are channels or kernel taps, whose counts are rarely
-// multiples of mr.
+// In an inner product a row remainder runs the same sweep with its
+// missing rows aliased to the last valid one, and only the valid rows are
+// stored. The kernel keeps one independent chain per element, so those
+// rows round exactly as they would inside a full tile (with the assembly
+// bodies, fused); a conv product's rows are channels or kernel taps,
+// whose counts are rarely multiples of the tile height. Elsewhere the
+// sweep takes whole groups of mr rows and the last rows (fewer than mr)
+// run the scalar 1×nr tile, so every body fuses the same rows.
 func gemmRows(dst, a, bpack []float64, i0, i1, pc, jc, kcb, ncb int, s gemmShape, first bool) {
-	var ar [mr][]float64
+	var ar [mrA][]float64
 	i := i0
-	for ; i < i1; i += mr {
-		rows := min(mr, i1-i)
-		if rows < mr && !s.inner {
-			break
+	for i < i1 {
+		rows := min(tileRows, i1-i)
+		if !s.inner {
+			if rows &^= mr - 1; rows == 0 {
+				break
+			}
 		}
 		for r := range ar {
 			ri := i + min(r, rows-1)
@@ -485,6 +498,7 @@ func gemmRows(dst, a, bpack []float64, i0, i1, pc, jc, kcb, ncb int, s gemmShape
 			mode = storeChain
 		}
 		sweep(dst[i*s.n+jc:], &ar, bpack, s.n, kcb, ncb, rows, mode, bias)
+		i += rows
 	}
 	// Row remainder: 1×nr scalar tiles.
 	panels := (ncb + nr - 1) / nr
@@ -501,13 +515,14 @@ func gemmRows(dst, a, bpack []float64, i0, i1, pc, jc, kcb, ncb int, s gemmShape
 	}
 }
 
-// sweepGo is the portable loop behind sweep: rows rows of d (row stride
-// ld; the block's first column) from the mr A rows a — a remainder tile's
-// missing rows aliased to its last valid one — against every nr-wide panel
+// sweepGo is the portable loop behind sweep: rows ≤ mr rows of d (row
+// stride ld; the block's first column) from the first mr A rows of a — a
+// remainder tile's missing rows aliased to its last valid one — against
+// every nr-wide panel
 // of the packed (kcb, ncb) block, one microKernel and one storeTile per
 // panel. Under storeChain each tile starts from d's values and overwrites
 // them; under storeColBias, bias starts at the block's first column.
-func sweepGo(d []float64, a *[mr][]float64, bpack []float64, ld, kcb, ncb, rows, mode int, bias []float64) {
+func sweepGo(d []float64, a *[mrA][]float64, bpack []float64, ld, kcb, ncb, rows, mode int, bias []float64) {
 	var c [mr * nr]float64
 	chain := mode == storeChain
 	for j := 0; j < ncb; j += nr {

@@ -132,3 +132,47 @@ func TestMatMulTransBBiasIntoMatchesNaive(t *testing.T) {
 		PutTensor(dst)
 	}
 }
+
+// TestGEMMDeterministicAcrossWorkers pins the f64 tier's determinism
+// contract at the conv layers' row counts (10 and 14 channels, 45 and 90
+// taps, none a multiple of every tile height): a plain product with a
+// column bias over two k-blocks and two n-blocks, and a convolution's
+// weight gradient, whose fan-out splits the rows of dWᵀ (the taps) and
+// chains each element over the images. At 2 and 3 workers both must be
+// bit-identical to the serial run.
+func TestGEMMDeterministicAcrossWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	for _, m := range []int{10, 14, 45, 90} {
+		a, b := randMat(rng, m, 300), randMat(rng, 300, 600)
+		bias := randMat(rng, 1, 600).Data
+		gemm := func() *Tensor { return MatMulBiasInto(New(m, 600), a, b, bias) }
+
+		// m taps: m input channels under a 1×1 kernel, or m/9 under 3×3.
+		g := ConvGeom{InC: m, InH: 32, InW: 32, KH: 1, KW: 1, Stride: 1}
+		if m%9 == 0 {
+			g.InC, g.KH, g.KW, g.Pad = m/9, 3, 3, 1
+		}
+		const n, outC = 8, 10
+		x := randMat(rng, n, g.InC*g.InH*g.InW).Reshape(n, g.InC, g.InH, g.InW)
+		grad := randMat(rng, n, outC*g.OutH()*g.OutW()).Reshape(n, outC, g.OutH(), g.OutW())
+		weightGrad := func() *Tensor {
+			dw := New(outC, g.taps())
+			ConvParamGradsInto(dw, make([]float64, outC), x, grad, g)
+			return dw
+		}
+
+		runtime.GOMAXPROCS(1)
+		refGEMM, refDW := gemm(), weightGrad()
+		for _, workers := range []int{2, 3} {
+			runtime.GOMAXPROCS(workers)
+			if i := sameBits(gemm(), refGEMM); i >= 0 {
+				t.Fatalf("m=%d GOMAXPROCS=%d: GEMM element %d differs in bits from the serial run", m, workers, i)
+			}
+			if i := sameBits(weightGrad(), refDW); i >= 0 {
+				t.Fatalf("taps=%d GOMAXPROCS=%d: weight-gradient element %d differs in bits from the serial run", m, workers, i)
+			}
+		}
+	}
+}

@@ -102,22 +102,52 @@ func plantNaNs(rng *rand.Rand, v []float64, n int) {
 	}
 }
 
-// TestSweepMatchesDefinition runs one tile row of a block through the
-// dispatched sweep and through its portable loop, in every mode, for
-// 1–4 valid rows (fewer is an inner product's aliased remainder tile), 1,
-// 2 and 5 panels with a last panel 1–8 lanes wide, and k-blocks of 1, 3,
-// 10, 14, 90 and 256. Operands, destination and bias mix signed zeros,
-// infinities, subnormals, huge values and normals, with a few planted NaNs
-// of distinct payloads; the packed panels' padding lanes hold data too,
-// which no store may leak. The dispatched sweep must equal math.FMA's
-// chain per element by Float64bits (the rounded product-then-sum chain on
-// a build without the FMA routine), the portable loop must equal the
-// rounded chain, and every destination element outside the tile, a
-// remainder tile's missing rows included, must keep its bits. NaN payloads
-// are compared too: for the FMA routine by x86's operand-order rule, for
-// Go arithmetic only where a single payload can arrive (elsewhere only
-// NaN-ness).
+// sweepBody64 is one body of the f64 sweep, with tiles of up to rows
+// rows; fused marks the assembly bodies, skip says why this host cannot
+// run one ("" when it can).
+type sweepBody64 struct {
+	name  string
+	run   func(d []float64, a *[mrA][]float64, bpack []float64, ld, kcb, ncb, rows, mode int, bias []float64)
+	rows  int
+	fused bool
+	skip  string
+}
+
+// TestSweepMatchesDefinition runs one tile row of a block through each
+// body of the f64 sweep — the portable panel loop and, on amd64, the AVX2
+// and AVX-512 assembly — in every mode, for every row count up to the
+// body's tile height (4, or 8 for AVX-512; fewer is an inner product's
+// remainder tile, its missing A rows aliased to the last valid one), 1–5
+// panels (an odd count gives the AVX-512 body a lone last panel) with a
+// last panel 1–8 lanes wide, and k-blocks of 1, 2, 3, 10, 14, 27, 90 and
+// 256. Operands, destination and bias mix signed zeros, infinities,
+// subnormals, huge values and normals, with planted NaNs of distinct
+// payloads; the packed panels' padding lanes hold data too, which no
+// store may leak. Every tile element must equal its definition by
+// Float64bits: math.FMA's chain for the assembly bodies, with x86's NaN
+// rule for their operand roles, the rounded product-then-sum chain for
+// the portable one, NaN payloads compared where only one can arrive. The
+// AVX-512 body must equal the AVX2 body bit for bit (an 8-row tile against
+// two 4-row AVX2 calls), and every destination element outside the tile,
+// a remainder tile's missing rows included, must keep its bits.
 func TestSweepMatchesDefinition(t *testing.T) {
+	portable := sweepBody64{name: "go", run: sweepGo, rows: mr}
+	fused := asmSweeps()
+	for bi, body := range append([]sweepBody64{portable}, fused...) {
+		t.Run(body.name, func(t *testing.T) {
+			if body.skip != "" {
+				t.Skip(body.skip)
+			}
+			var ref *sweepBody64 // the body this one must equal bit for bit
+			if bi > 1 {
+				ref = &fused[0]
+			}
+			checkSweep(t, body, ref)
+		})
+	}
+}
+
+func checkSweep(t *testing.T, body sweepBody64, ref *sweepBody64) {
 	rng := rand.New(rand.NewSource(76))
 	const i0, j0, below = 2, 3, 2 // the tile's row and column in dst; rows past it
 	finite := func(n int) []float64 {
@@ -129,26 +159,26 @@ func TestSweepMatchesDefinition(t *testing.T) {
 		}
 		return out
 	}
-	exactNaNs := 0
-	for _, kcb := range []int{1, 3, 10, 14, 90, 256} {
-		for _, panels := range []int{1, 2, 5} {
+	exactNaNs, meets := 0, map[int]int{}
+	for _, kcb := range []int{1, 2, 3, 10, 14, 27, 90, 256} {
+		for panels := 1; panels <= 5; panels++ {
 			for w := 1; w <= nr; w++ {
 				ncb := (panels-1)*nr + w
 				ld := j0 + ncb + 5
 				bpack := finite(panels * kcb * nr)
 				plantNaNs(rng, bpack, 2)
-				a := finite(mr * kcb)
+				a := finite(mrA * kcb)
 				plantNaNs(rng, a, 2)
-				for rows := 1; rows <= mr; rows++ {
-					var ar [mr][]float64
+				for rows := 1; rows <= body.rows; rows++ {
+					var ar [mrA][]float64
 					for r := range ar {
 						ri := min(r, rows-1)
 						ar[r] = a[ri*kcb : (ri+1)*kcb]
 					}
 					for _, sm := range sweepModes {
 						name := fmt.Sprintf("%s kcb=%d ncb=%d rows=%d", sm.name, kcb, ncb, rows)
-						dst0 := finite((i0 + mr + below) * ld)
-						plantNaNs(rng, dst0[i0*ld:(i0+rows)*ld], 1)
+						dst0 := finite((i0 + mrA + below) * ld)
+						plantNaNs(rng, dst0[i0*ld:(i0+rows)*ld], 2)
 						var bias []float64
 						switch sm.mode {
 						case storeRowBias:
@@ -159,15 +189,28 @@ func TestSweepMatchesDefinition(t *testing.T) {
 							plantNaNs(rng, bias, 1)
 						}
 						got := append([]float64(nil), dst0...)
-						sweep(got[i0*ld+j0:], &ar, bpack, ld, kcb, ncb, rows, sm.mode, bias)
-						port := append([]float64(nil), dst0...)
-						sweepGo(port[i0*ld+j0:], &ar, bpack, ld, kcb, ncb, rows, sm.mode, bias)
-
+						body.run(got[i0*ld+j0:], &ar, bpack, ld, kcb, ncb, rows, sm.mode, bias)
+						if ref != nil {
+							want := append([]float64(nil), dst0...)
+							for r0 := 0; r0 < rows; r0 += ref.rows {
+								n, ra, rb := min(ref.rows, rows-r0), ar, bias
+								for r := range ra {
+									ra[r] = ar[r0+min(r, n-1)]
+								}
+								if sm.mode == storeRowBias {
+									rb = bias[r0:]
+								}
+								ref.run(want[(i0+r0)*ld+j0:], &ra, bpack, ld, kcb, ncb, n, sm.mode, rb)
+							}
+							if e := firstDiff64(got, want); e >= 0 {
+								t.Fatalf("%s: element %d is %#x, the %s body wrote %#x", name, e,
+									math.Float64bits(got[e]), ref.name, math.Float64bits(want[e]))
+							}
+						}
 						for e := range dst0 {
 							r, c := e/ld-i0, e%ld-j0
 							if r < 0 || r >= rows || c < 0 || c >= ncb {
-								if math.Float64bits(got[e]) != math.Float64bits(dst0[e]) ||
-									math.Float64bits(port[e]) != math.Float64bits(dst0[e]) {
+								if math.Float64bits(got[e]) != math.Float64bits(dst0[e]) {
 									t.Fatalf("%s: element %d outside the tile was written", name, e)
 								}
 								continue
@@ -181,19 +224,23 @@ func TestSweepMatchesDefinition(t *testing.T) {
 							case storeColBias:
 								b = bias[c]
 							}
-							for _, side := range []struct {
-								name  string
-								v     float64
-								fused bool
-							}{{"dispatched", got[e], hasFMAKernel}, {"portable", port[e], false}} {
-								want, exact := sweepDefinition(ar[r], bpack, kcb, c/nr, c%nr, init, d, b, sm.mode, side.fused)
-								if exact && math.Float64bits(side.v) != math.Float64bits(want) ||
-									!exact && !math.IsNaN(side.v) {
-									t.Fatalf("%s: %s sweep row %d column %d is %v (%#x), want %v (%#x)",
-										name, side.name, r, c, side.v, math.Float64bits(side.v), want, math.Float64bits(want))
+							want, exact := sweepDefinition(ar[r], bpack, kcb, c/nr, c%nr, init, d, b, sm.mode, body.fused)
+							if exact && math.Float64bits(got[e]) != math.Float64bits(want) ||
+								!exact && !math.IsNaN(got[e]) {
+								t.Fatalf("%s: row %d column %d is %v (%#x), want %v (%#x)",
+									name, r, c, got[e], math.Float64bits(got[e]), want, math.Float64bits(want))
+							}
+							if exact && math.IsNaN(want) {
+								exactNaNs++
+								o := b // the store's second operand
+								if sm.mode == storeAdd {
+									o = d
 								}
-								if exact && math.IsNaN(want) {
-									exactNaNs++
+								if sm.mode != storeSet && sm.mode != storeChain {
+									chain, _ := sweepDefinition(ar[r], bpack, kcb, c/nr, c%nr, 0, 0, 0, storeSet, body.fused)
+									if nanMeet(chain, o) {
+										meets[sm.mode]++
+									}
 								}
 							}
 						}
@@ -204,5 +251,8 @@ func TestSweepMatchesDefinition(t *testing.T) {
 	}
 	if exactNaNs == 0 {
 		t.Fatal("no NaN result was compared by its payload")
+	}
+	if body.fused && (meets[storeAdd] == 0 || meets[storeRowBias] == 0 || meets[storeColBias] == 0) {
+		t.Fatalf("too few NaN tiles met a NaN operand of another payload in a store: %v", meets)
 	}
 }
