@@ -2,24 +2,11 @@
 
 package tensor
 
-// The GEMM's row sweep and edges and the momentum step run the portable
-// loops on every build without the AVX2 routines (kernel_amd64.s,
-// edge_amd64.s).
+// The GEMM's edges and the momentum step run the portable loops on every
+// build without the AVX2 routines (edge_amd64.s).
 
-func packPanel(d, src []float64, ld, kcb, w int)  { packPanelGo(d, src, ld, kcb, w) }
-func packPanelT(d, src []float64, ld, kcb, w int) { packPanelTGo(d, src, ld, kcb, w) }
-
-func packPanel32[T elem](d []float32, src []T, ld, kcb, w int) {
-	packPanel32Go(d, src, ld, kcb, w)
-}
-
-func packPanelT32[T elem](d []float32, src []T, ld, kcb, w int) {
-	packPanelT32Go(d, src, ld, kcb, w)
-}
-
-func sweep(d []float64, a *[mrA][]float64, bpack []float64, ld, kcb, ncb, rows, mode int, bias []float64) {
-	sweepGo(d, a, bpack, ld, kcb, ncb, rows, mode, bias)
-}
+func packPanel[P, T elem](d []P, src []T, ld, kcb, w int)  { packGo(d, src, ld, kcb, w, false) }
+func packPanelT[P, T elem](d []P, src []T, ld, kcb, w int) { packGo(d, src, ld, kcb, w, true) }
 
 func addRows(dst, src []float64, ldd, lds, run, rows int) { addRowsGo(dst, src, ldd, lds, run, rows) }
 

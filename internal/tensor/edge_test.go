@@ -87,7 +87,7 @@ func packDefinition(b []float64, k, n, pc, jc, kcb, ncb, w int, transB bool) []f
 	return out
 }
 
-// packPortable is packB / packB32's panel walk with the portable loops.
+// packPortable is packB's panel walk in both tiers with the portable loops.
 func packPortable(b []float64, k, n, pc, jc, kcb, ncb int, transB bool) ([]float64, []float32) {
 	d64 := make([]float64, roundUp(ncb, nr)*kcb)
 	for jp := 0; jp*nr < ncb; jp++ {
@@ -160,7 +160,7 @@ func TestPackMatchesPortable(t *testing.T) {
 						t.Fatalf("%s: portable f32 pack differs from the definition at %d", name, i)
 					}
 					got32 := make([]float32, len(want32))
-					packB32(got32, b, pc, jc, kcb, ncb, gemmShape32[float64]{k: k, n: n, transB: transB})
+					packB(got32, b, pc, jc, kcb, ncb, gemmShape{k: k, n: n, transB: transB})
 					if i := firstDiff32(got32, go32); i >= 0 {
 						t.Fatalf("%s: f32 pack differs from the portable loop at %d", name, i)
 					}
@@ -221,7 +221,7 @@ func TestNarrowingEdgeValues(t *testing.T) {
 				kk, nn = n, k // b read as 16 rows of n: op(b) is n×16
 			}
 			got := make([]float32, roundUp(nn, nr32)*kk)
-			packB32(got, b, 0, 0, kk, nn, gemmShape32[float64]{k: kk, n: nn, transB: transB})
+			packB(got, b, 0, 0, kk, nn, gemmShape{k: kk, n: nn, transB: transB})
 			want := make([]float32, len(got))
 			NarrowSlice(want, packDefinition(b, kk, nn, 0, 0, kk, nn, nr32, transB))
 			if i := firstDiff32(got, want); i >= 0 {

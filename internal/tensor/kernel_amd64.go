@@ -14,7 +14,7 @@ var tileRows, tileRows32 = sweepRows(sweepBody), sweep32Rows(sweepBody)
 
 // The sweep bodies, one level for both tiers (sweepBody).
 const (
-	bodyGo     = iota // the portable panel loops, sweepGo and sweep32Go
+	bodyGo     = iota // the portable panel loop, sweepGo
 	bodyAVX2          // fmaSweep4x8 (f64, 4×8 tiles) and fmaSweep6x16 (f32, 6×16), in YMM accumulators
 	bodyAVX512        // avx512Sweep8x16 (f64, 8×16) and avx512Sweep8x32 (f32, 8×32), over panel pairs in ZMM ones
 )
@@ -79,31 +79,37 @@ func decodeCPU(ecx1, ebx7, xcr0 uint32) (fma bool, body int) {
 }
 
 // sweep computes one tile row of a product's (kc, nc) block into d (see
-// sweepGo) in the body chosen at init: the whole row in one assembly call
+// sweepGo) in the body chosen at init, for either tier. Into a float64 d —
+// the f64 tier and the mixed path — the whole row is one assembly call
 // whose accumulators stay in registers across the k-block and land in d
-// in the block's mode, panel after panel (AVX2, 4×8 tiles) or panel pair
-// after panel pair (AVX-512, 8×16 tiles).
+// in the block's mode, panel after panel (AVX2: f64 4×8 and f32 6×16
+// tiles) or panel pair after panel pair (AVX-512: 8×16 and 8×32). The
+// pure-f32 instantiation (float32 d, the tests' reference) computes each
+// tile with the same body and lands it with the portable store, so the
+// two paths keep the same partial sums.
 //
-// Both assembly bodies round once per multiply-add, so their results can
-// differ from the portable loop in the last ulp; they equal each other bit
-// for bit. Callers comparing against a scalar reference must use a
-// tolerance (see the GEMM property tests). Within one process the
-// dispatch is constant, so GEMM stays bit-for-bit deterministic across
+// The assembly bodies round once per multiply-add, so their results can
+// differ from the portable loop in the last ulp; a tier's bodies equal
+// each other bit for bit. Callers comparing against a scalar reference
+// must use a tolerance (see the GEMM property tests). Within one process
+// the dispatch is constant, so GEMM stays bit-for-bit deterministic across
 // runs and across worker counts.
-func sweep(d []float64, a *[mrA][]float64, bpack []float64, ld, kcb, ncb, rows, mode int, bias []float64) {
-	if sweepBody == bodyGo {
-		sweepGo(d, a, bpack, ld, kcb, ncb, rows, mode, bias)
+func sweep[P, T elem](d []T, a *[mrA][]P, bpack []P, ld, kcb, ncb, rows, mode int, bias []float64) {
+	if d64, ok := any(d).([]float64); ok && sweepBody != bodyGo {
+		sweepAsm(sweepBody, d64, a, bpack, ld, kcb, ncb, rows, mode, bias)
 		return
 	}
-	sweepAsm(sweepBody, d, a, bpack, ld, kcb, ncb, rows, mode, bias)
+	sweepGo(d, a, bpack, ld, kcb, ncb, rows, mode, bias, sweepBody != bodyGo)
 }
 
-// sweepAsm runs an f64 assembly sweep body, after checking every bound the
-// assembly relies on. kcb ≥ 1, 1 ≤ rows ≤ sweepRows(body).
-func sweepAsm(body int, d []float64, a *[mrA][]float64, bpack []float64, ld, kcb, ncb, rows, mode int, bias []float64) {
+// sweepAsm runs the assembly sweep body of P's tier into the float64 d,
+// after checking every bound the assembly relies on. kcb ≥ 1, 1 ≤ rows ≤
+// the body's tile height (sweepRows, sweep32Rows).
+func sweepAsm[P elem](body int, d []float64, a *[mrA][]P, bpack []P, ld, kcb, ncb, rows, mode int, bias []float64) {
+	w, _ := tier[P]()
 	_ = d[(rows-1)*ld+ncb-1]
-	_ = bpack[roundUp(ncb, nr)*kcb-1]
-	for _, ar := range a[:sweepRows(body)] {
+	_ = bpack[roundUp(ncb, w)*kcb-1]
+	for _, ar := range a {
 		_ = ar[kcb-1]
 	}
 	var bp *float64
@@ -115,25 +121,36 @@ func sweepAsm(body int, d []float64, a *[mrA][]float64, bpack []float64, ld, kcb
 		_ = bias[ncb-1]
 		bp = &bias[0]
 	}
-	if body == bodyAVX512 {
-		avx512Sweep8x16(&d[0], a, &bpack[0], bp, ld, kcb, ncb, rows, mode)
-		return
-	}
-	// For fmaSweep4x8 a missing row of a remainder tile aliases the last
-	// valid one: its A row (set by the caller), its offset in d and its row
-	// bias.
-	var o [mr]int
-	for r := range o {
-		o[r] = min(r, rows-1) * ld
-	}
-	var rb [mr]float64
-	if mode == storeRowBias {
-		for r := range rb {
-			rb[r] = bias[min(r, rows-1)]
+	switch a := any(a).(type) {
+	case *[mrA][]float32:
+		b := &any(bpack).([]float32)[0]
+		if body == bodyAVX512 {
+			avx512Sweep8x32(&d[0], a, b, bp, ld, kcb, ncb, rows, mode)
+		} else {
+			fmaSweep6x16(&d[0], a, b, bp, ld, kcb, ncb, rows, mode)
 		}
-		bp = &rb[0]
+	case *[mrA][]float64:
+		b := &any(bpack).([]float64)[0]
+		if body == bodyAVX512 {
+			avx512Sweep8x16(&d[0], a, b, bp, ld, kcb, ncb, rows, mode)
+			return
+		}
+		// For fmaSweep4x8 a missing row of a remainder tile aliases the
+		// last valid one: its A row (set by the caller), its offset in d
+		// and its row bias.
+		var o [mr]int
+		for r := range o {
+			o[r] = min(r, rows-1) * ld
+		}
+		var rb [mr]float64
+		if mode == storeRowBias {
+			for r := range rb {
+				rb[r] = bias[min(r, rows-1)]
+			}
+			bp = &rb[0]
+		}
+		fmaSweep4x8(&d[0], &a[0][0], &a[1][0], &a[2][0], &a[3][0], b, bp, o[1], o[2], o[3], kcb, ncb, mode)
 	}
-	fmaSweep4x8(&d[0], &a[0][0], &a[1][0], &a[2][0], &a[3][0], &bpack[0], bp, o[1], o[2], o[3], kcb, ncb, mode)
 }
 
 // fmaSweep4x8 lands the 4×8 tiles of one tile row against every packed
@@ -223,60 +240,12 @@ func reluGateKernel(dst, y, g []float64) {
 
 // --- float32 tier ---------------------------------------------------------
 
-// sweep32 computes one tile row of a product's (kc, nc) block into d (see
-// sweep32Go) in the body chosen at init. On the mixed path (float64 d)
-// the assembly body walks the whole row: the accumulators stay in
-// registers across the k-block and each tile widens straight into d in
-// the block's mode. The pure-f32 instantiation (float32 d, the tests'
-// reference) computes each tile with the same body and lands it with the
-// portable store, so the two paths keep the same partial sums.
-//
-// Both assembly bodies round once per multiply-add, so their results can
-// differ from the portable loop in the last ulp; they equal each other
-// bit for bit. Within one process the dispatch is constant, so GEMM stays
-// bit-for-bit deterministic across runs and across worker counts.
-func sweep32[T elem](d []T, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []T) {
-	if sweepBody == bodyGo {
-		sweep32Go(d, a, bpack, ld, kcb, ncb, rows, mode, bias)
-		return
-	}
-	if d64, ok := any(d).([]float64); ok {
-		sweepAsm32(sweepBody, d64, a, bpack, ld, kcb, ncb, rows, mode, any(bias).([]float64))
-		return
-	}
-	sweepTiles32(d, a, bpack, ld, kcb, ncb, rows, mode, bias, true)
-}
-
-// sweepAsm32 runs the f32 sweep body into the float64 d, after checking
-// every bound the assembly relies on. kcb ≥ 1.
-func sweepAsm32(body int, d []float64, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []float64) {
-	_ = d[(rows-1)*ld+ncb-1]
-	_ = bpack[roundUp(ncb, nr32)*kcb-1]
-	for r := range a {
-		_ = a[r][kcb-1]
-	}
-	var bp *float64
-	switch mode {
-	case storeRowBias:
-		_ = bias[rows-1]
-		bp = &bias[0]
-	case storeColBias:
-		_ = bias[ncb-1]
-		bp = &bias[0]
-	}
-	if body == bodyAVX512 {
-		avx512Sweep8x32(&d[0], a, &bpack[0], bp, ld, kcb, ncb, rows, mode)
-		return
-	}
-	fmaSweep6x16(&d[0], a, &bpack[0], bp, ld, kcb, ncb, rows, mode)
-}
-
 // fusedTile32 computes the tileRows32×nr32 tile of one panel into c with
 // the assembly body, for the pure-f32 instantiation: set mode into a
 // float64 tile (widening is exact), narrowed back.
 func fusedTile32(c *[mrA32 * nr32]float32, a *[mrA32][]float32, bp []float32, kcb int) {
 	var t [mrA32 * nr32]float64
-	sweepAsm32(sweepBody, t[:], a, bp, nr32, kcb, nr32, tileRows32, storeSet, nil)
+	sweepAsm(sweepBody, t[:], a, bp, nr32, kcb, nr32, tileRows32, storeSet, nil)
 	for i, v := range t {
 		c[i] = float32(v)
 	}
@@ -345,55 +314,45 @@ func avxTransNarrow(dst *float32, src *float64, lds, ldd, k4 int)
 //go:noescape
 func avxMomentum(w, v, grad *float64, mu, alpha float64, n int)
 
-// packPanel packs kcb rows of w values, ld apart in src, into the nr-wide
-// panel d (see packPanelGo).
-func packPanel(d, src []float64, ld, kcb, w int) {
-	if hasFMAKernel && w == nr && kcb > 0 {
-		_ = src[(kcb-1)*ld+nr-1]
-		_ = d[kcb*nr-1]
-		avxPackRows(&d[0], &src[0], ld, kcb)
+// packPanel packs kcb rows of w values, ld apart in src, into the panel d
+// of P's width (see packPanelGo and packPanel32Go, which narrows): a whole
+// panel of a float64 source in one AVX2 call.
+func packPanel[P, T elem](d []P, src []T, ld, kcb, w int) {
+	pw, _ := tier[P]()
+	if s, ok := any(src).([]float64); ok && hasFMAKernel && w == pw && kcb > 0 {
+		_ = s[(kcb-1)*ld+pw-1]
+		_ = d[kcb*pw-1]
+		switch d := any(d).(type) {
+		case []float64:
+			avxPackRows(&d[0], &s[0], ld, kcb)
+		case []float32:
+			avxPackRows32(&d[0], &s[0], ld, kcb)
+		}
 		return
 	}
-	packPanelGo(d, src, ld, kcb, w)
+	packGo(d, src, ld, kcb, w, false)
 }
 
 // packPanelT packs w columns of kcb values, each contiguous and ld apart
-// in src, into the nr-wide panel d (see packPanelTGo): 4×4 transposes
+// in src, into the panel d of P's width (see packPanelTGo and
+// packPanelT32Go): for a whole panel of a float64 source, 4×4 transposes
 // over the whole k steps in fours, the portable loop for the rest.
-func packPanelT(d, src []float64, ld, kcb, w int) {
-	if k4 := kcb &^ 3; hasFMAKernel && w == nr && k4 > 0 {
-		_ = src[(nr-1)*ld+k4-1]
-		_ = d[k4*nr-1]
-		avxPackCols(&d[0], &src[0], ld, k4)
-		d, src, kcb = d[k4*nr:], src[k4:], kcb-k4
-	}
-	packPanelTGo(d, src, ld, kcb, w)
-}
-
-// packPanel32 is packPanel for the f32 tier's nr32-wide panel, narrowing a
-// float64 source as it packs.
-func packPanel32[T elem](d []float32, src []T, ld, kcb, w int) {
-	if s, ok := any(src).([]float64); ok && hasFMAKernel && w == nr32 && kcb > 0 {
-		_ = s[(kcb-1)*ld+nr32-1]
-		_ = d[kcb*nr32-1]
-		avxPackRows32(&d[0], &s[0], ld, kcb)
-		return
-	}
-	packPanel32Go(d, src, ld, kcb, w)
-}
-
-// packPanelT32 is packPanelT for the f32 tier's nr32-wide panel, narrowing
-// a float64 source as it packs.
-func packPanelT32[T elem](d []float32, src []T, ld, kcb, w int) {
-	if s, ok := any(src).([]float64); ok && hasFMAKernel && w == nr32 {
+func packPanelT[P, T elem](d []P, src []T, ld, kcb, w int) {
+	pw, _ := tier[P]()
+	if s, ok := any(src).([]float64); ok && hasFMAKernel && w == pw {
 		if k4 := kcb &^ 3; k4 > 0 {
-			_ = s[(nr32-1)*ld+k4-1]
-			_ = d[k4*nr32-1]
-			avxPackCols32(&d[0], &s[0], ld, k4)
-			d, src, kcb = d[k4*nr32:], src[k4:], kcb-k4
+			_ = s[(pw-1)*ld+k4-1]
+			_ = d[k4*pw-1]
+			switch d := any(d).(type) {
+			case []float64:
+				avxPackCols(&d[0], &s[0], ld, k4)
+			case []float32:
+				avxPackCols32(&d[0], &s[0], ld, k4)
+			}
+			d, src, kcb = d[k4*pw:], src[k4:], kcb-k4
 		}
 	}
-	packPanelT32Go(d, src, ld, kcb, w)
+	packGo(d, src, ld, kcb, w, true)
 }
 
 // transposeNarrow writes dst (m×k) = float32(aᵀ) for a k×m: 4×4

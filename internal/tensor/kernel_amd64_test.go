@@ -9,6 +9,13 @@ import (
 // TestScalarKernelMatchesFMA verifies the Go fallback micro-kernel against
 // the assembly path on machines that have it. Both run the same blocked
 // schedule, so the only divergence is FMA's fused rounding step.
+//
+// It also pins the f64 row remainder under each body: in a dense product
+// whose m is not a multiple of mr (m mod 4 = 1, 2, 3; k over two k-blocks;
+// a column bias; a ragged last panel) the last m mod 4 rows are the
+// unfused scalar chain, each k-block's products rounded then summed in k
+// order, the first block's sum plus the bias and later blocks' sums added
+// to it, by Float64bits. A body that fused those rows would differ.
 func TestScalarKernelMatchesFMA(t *testing.T) {
 	if !hasFMAKernel {
 		t.Skip("no FMA micro-kernel on this CPU")
@@ -23,6 +30,46 @@ func TestScalarKernelMatchesFMA(t *testing.T) {
 		withBody(bodyGo, func() { scalar = MatMul(a, b) })
 		if !Equal(fma, scalar, 1e-10) {
 			t.Fatalf("FMA and scalar micro-kernels diverge on %v", s)
+		}
+	}
+
+	avx2Skip, avx512Skip := asmSkips()
+	bodies := []struct {
+		name string
+		body int
+		skip string
+	}{{"go", bodyGo, ""}, {"avx2", bodyAVX2, avx2Skip}, {"avx512", bodyAVX512, avx512Skip}}
+	const k, n = kcBlock + 44, 21
+	for _, m := range []int{13, 6, 3} {
+		a, b := randMat(rng, m, k), randMat(rng, k, n)
+		bias := randMat(rng, 1, n).Data
+		for _, body := range bodies {
+			if body.skip != "" {
+				t.Logf("remainder under the %s body skipped: %s", body.name, body.skip)
+				continue
+			}
+			got := New(m, n)
+			withBody(body.body, func() { MatMulBiasInto(got, a, b, bias) })
+			for i := m &^ (mr - 1); i < m; i++ {
+				for j := 0; j < n; j++ {
+					var want float64
+					for pc := 0; pc < k; pc += kcBlock {
+						var acc float64
+						for p := pc; p < min(pc+kcBlock, k); p++ {
+							acc += float64(a.Data[i*k+p] * b.Data[p*n+j])
+						}
+						if pc == 0 {
+							want = acc + bias[j]
+						} else {
+							want += acc
+						}
+					}
+					if g := got.Data[i*n+j]; math.Float64bits(g) != math.Float64bits(want) {
+						t.Fatalf("%s body, m=%d: remainder row %d column %d is %v (%#x), the unfused chain %v (%#x)",
+							body.name, m, i, j, g, math.Float64bits(g), want, math.Float64bits(want))
+					}
+				}
+			}
 		}
 	}
 }
@@ -79,7 +126,7 @@ func TestMomentumStepNaNPayloads(t *testing.T) {
 func asmSweeps32() []sweepBody32 {
 	asm := func(body int) func(d []float64, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []float64) {
 		return func(d []float64, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []float64) {
-			sweepAsm32(body, d, a, bpack, ld, kcb, ncb, rows, mode, bias)
+			sweepAsm(body, d, a, bpack, ld, kcb, ncb, rows, mode, bias)
 		}
 	}
 	out := []sweepBody32{

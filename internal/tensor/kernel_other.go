@@ -20,14 +20,14 @@ func reluGateKernel(dst, y, g []float64) { reluGateGo(dst, y, g) }
 // tileRows and tileRows32 are the f64 and f32 sweeps' tile heights.
 const tileRows, tileRows32 = mr, mr32
 
-// sweep32 computes one tile row of a product's block with the portable
-// body.
-func sweep32[T elem](d []T, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []T) {
-	sweep32Go(d, a, bpack, ld, kcb, ncb, rows, mode, bias)
+// sweep computes one tile row of a product's block with the portable
+// body, in either tier.
+func sweep[P, T elem](d []T, a *[mrA][]P, bpack []P, ld, kcb, ncb, rows, mode int, bias []float64) {
+	sweepGo(d, a, bpack, ld, kcb, ncb, rows, mode, bias, false)
 }
 
 // fusedTile32 is the portable tile: this build has no fused one, and
-// sweep32 never asks for it.
+// sweep never asks for it.
 func fusedTile32(c *[mrA32 * nr32]float32, a *[mrA32][]float32, bp []float32, kcb int) {
 	microKernel32(c, a, bp, kcb)
 }

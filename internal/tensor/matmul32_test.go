@@ -29,7 +29,7 @@ func underF32(fn func()) {
 	fn()
 }
 
-// pureGEMM32 runs the f32 driver's T = float32 instantiation on a·b: f32
+// pureGEMM32 runs the driver's pure-f32 instantiation on a·b: f32
 // operands in, f32 product out, no widening anywhere — the pure-f32
 // reference the mixed path is held to.
 func pureGEMM32(a, b *Tensor) []float32 {
@@ -38,7 +38,7 @@ func pureGEMM32(a, b *Tensor) []float32 {
 	NarrowSlice(a32, a.Data)
 	NarrowSlice(b32, b.Data)
 	out := make([]float32, m*n)
-	gemm32(out, a32, b32, gemmShape32[float32]{m: m, k: k, n: n})
+	gemmBlocked(out, a32, b32, gemmShape{m: m, k: k, n: n})
 	return out
 }
 

@@ -39,24 +39,23 @@ func (p *PackedB) Pack(b *Tensor, transB bool) {
 	}
 	p.k, p.n, p.transB, p.f32, p.valid = k, n, transB, useF32(), true
 	if p.f32 {
-		w := nr32
-		p.d32 = resize(p.d32, k*roundUp(n, w))
-		s := gemmShape32[float64]{k: k, n: n, transB: transB}
-		for jc := 0; jc < n; jc += ncBlock {
-			ncb := min(ncBlock, n-jc)
-			for pc := 0; pc < k; pc += kcBlock {
-				packB32(p.d32[blockOffset(k, pc, jc, ncb, w):], b.Data, pc, jc, min(kcBlock, k-pc), ncb, s)
-			}
-		}
-		return
+		p.d32 = resize(p.d32, k*roundUp(n, nr32))
+		packBlocks(p.d32, b.Data, k, n, transB)
+	} else {
+		p.d64 = resize(p.d64, k*roundUp(n, nr))
+		packBlocks(p.d64, b.Data, k, n, transB)
 	}
-	w := nr
-	p.d64 = resize(p.d64, k*roundUp(n, w))
+}
+
+// packBlocks packs every (kc, nc) block of op(b), k×n, into dst in P's
+// panel layout, each block at its blockOffset.
+func packBlocks[P elem](dst []P, b []float64, k, n int, transB bool) {
+	w, _ := tier[P]()
 	s := gemmShape{k: k, n: n, transB: transB}
 	for jc := 0; jc < n; jc += ncBlock {
 		ncb := min(ncBlock, n-jc)
 		for pc := 0; pc < k; pc += kcBlock {
-			packB(p.d64[blockOffset(k, pc, jc, ncb, w):], b.Data, pc, jc, min(kcBlock, k-pc), ncb, s)
+			packB(dst[blockOffset(k, pc, jc, ncb, w):], b, pc, jc, min(kcBlock, k-pc), ncb, s)
 		}
 	}
 }

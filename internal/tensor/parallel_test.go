@@ -38,39 +38,52 @@ func TestRowWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelRowsPartition checks that the chunks handed to fn tile
-// [0, rows) exactly once, that every interior boundary is micro-kernel
-// aligned (no mr-row tile straddles two workers), and that the chunk count
-// never exceeds the worker cap.
+// recordRows is a row task that records the chunks it is handed.
+type recordRows struct {
+	fanout
+	mu     sync.Mutex
+	chunks [][2]int
+}
+
+func (t *recordRows) rows(lo, hi int) {
+	t.mu.Lock()
+	t.chunks = append(t.chunks, [2]int{lo, hi})
+	t.mu.Unlock()
+}
+
+// TestParallelRowsPartition checks that the chunks fanOutRows hands out
+// tile [0, rows) exactly once, that every interior boundary is aligned to
+// the tile height asked for — the portable heights mr and mr32 and the
+// running bodies' tileRows and tileRows32, which the GEMM fan-outs use —
+// so no tile straddles two workers, and that the chunk count never
+// exceeds the worker cap.
 func TestParallelRowsPartition(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
 
-	for _, rows := range []int{16, 70, 100, 257} {
-		var mu sync.Mutex
-		var chunks [][2]int
-		parallelRows(rows, 1<<30, func(lo, hi int) {
-			mu.Lock()
-			chunks = append(chunks, [2]int{lo, hi})
-			mu.Unlock()
-		})
-		sort.Slice(chunks, func(i, j int) bool { return chunks[i][0] < chunks[j][0] })
-		next := 0
-		for _, c := range chunks {
-			if c[0] != next {
-				t.Fatalf("rows=%d: chunk starts at %d, want %d (chunks %v)",
-					rows, c[0], next, chunks)
+	for _, align := range []int{mr, tileRows, mr32, tileRows32} {
+		for _, rows := range []int{16, 70, 100, 257} {
+			task := new(recordRows)
+			fanOutRows(task, rows, 1<<30, align)
+			chunks := task.chunks
+			sort.Slice(chunks, func(i, j int) bool { return chunks[i][0] < chunks[j][0] })
+			next := 0
+			for _, c := range chunks {
+				if c[0] != next {
+					t.Fatalf("align=%d rows=%d: chunk starts at %d, want %d (chunks %v)",
+						align, rows, c[0], next, chunks)
+				}
+				if c[1] != rows && (c[1]-c[0])%align != 0 {
+					t.Fatalf("align=%d rows=%d: interior chunk %v not %d-row aligned", align, rows, c, align)
+				}
+				next = c[1]
 			}
-			if c[1] != rows && (c[1]-c[0])%mr != 0 {
-				t.Fatalf("rows=%d: interior chunk %v not %d-row aligned", rows, c, mr)
+			if next != rows {
+				t.Fatalf("align=%d rows=%d: coverage ends at %d", align, rows, next)
 			}
-			next = c[1]
-		}
-		if next != rows {
-			t.Fatalf("rows=%d: coverage ends at %d", rows, next)
-		}
-		if len(chunks) > 8 {
-			t.Fatalf("rows=%d: %d chunks exceed the worker cap 8", rows, len(chunks))
+			if len(chunks) > 8 {
+				t.Fatalf("align=%d rows=%d: %d chunks exceed the worker cap 8", align, rows, len(chunks))
+			}
 		}
 	}
 }

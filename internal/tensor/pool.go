@@ -34,13 +34,48 @@ import (
 // larger requests fall through to plain allocation.
 const maxPoolClass = 23
 
-// classList is one size class's freelist.
-type classList struct {
+// freelist is one arena's size classes, each a mutex-guarded LIFO of idle
+// buffers. The f64 arena pools *Tensor (GetTensor), the f32 arena bare
+// []float32 (getF32); both share the classes (poolClass), the retention
+// bounds (classCap) and the pool counters (PoolStats, tensor_pool_*
+// metrics). A class's capacity is 2^class ELEMENTS, so the f32 arena's
+// resident bytes are half the f64 arena's at the same fill.
+type freelist[V any] [maxPoolClass + 1]struct {
 	mu   sync.Mutex
-	free []*Tensor
+	free []V
 }
 
-var scratchPools [maxPoolClass + 1]classList
+var (
+	scratchPools   freelist[*Tensor]
+	scratchPools32 freelist[[]float32]
+)
+
+// take pops class c's most recently returned buffer, if it has one.
+func (f *freelist[V]) take(c int) (v V, ok bool) {
+	p := &f[c]
+	p.mu.Lock()
+	if last := len(p.free) - 1; last >= 0 {
+		v, ok = p.free[last], true
+		clear(p.free[last:])
+		p.free = p.free[:last]
+	}
+	p.mu.Unlock()
+	return v, ok
+}
+
+// give returns v to class c, unless the class already retains
+// classCap(c) buffers: then the GC has it.
+func (f *freelist[V]) give(c int, v V) {
+	p := &f[c]
+	p.mu.Lock()
+	if len(p.free) < classCap(c) {
+		p.free = append(p.free, v)
+		p.mu.Unlock()
+		poolPuts.inc()
+		return
+	}
+	p.mu.Unlock()
+}
 
 // classCap bounds how many idle buffers a class retains: small classes keep
 // more (they're cheap and heavily cycled), big ones at most two so the
@@ -77,16 +112,8 @@ func GetTensor(shape ...int) *Tensor {
 		poolMisses.inc()
 		return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
 	}
-	p := &scratchPools[c]
-	p.mu.Lock()
-	var t *Tensor
-	if last := len(p.free) - 1; last >= 0 {
-		t = p.free[last]
-		p.free[last] = nil
-		p.free = p.free[:last]
-	}
-	p.mu.Unlock()
-	if t == nil {
+	t, ok := scratchPools.take(c)
+	if !ok {
 		poolMisses.inc()
 		t = &Tensor{Data: make([]float64, 1<<c)}
 	}
@@ -106,13 +133,55 @@ func PutTensor(t *Tensor) {
 		// Overflow allocation (or a foreign tensor): let the GC have it.
 		return
 	}
-	p := &scratchPools[c]
-	p.mu.Lock()
-	if len(p.free) < classCap(c) {
-		p.free = append(p.free, t)
-		p.mu.Unlock()
-		poolPuts.inc()
+	scratchPools.give(c, t)
+}
+
+// getF32 returns a float32 slice of length n backed by pooled storage, the
+// f32 tier's scratch (packed panels, the narrowed A operand,
+// transADirect32's staging). Contents are uninitialized. Pair every getF32
+// with exactly one putF32 once the buffer is dead.
+func getF32(n int) []float32 {
+	c := poolClass(n)
+	poolGets.inc()
+	if c < 0 {
+		poolMisses.inc()
+		return make([]float32, n)
+	}
+	s, ok := scratchPools32.take(c)
+	if !ok {
+		poolMisses.inc()
+		s = make([]float32, 1<<c)
+	}
+	return s[:cap(s)][:n]
+}
+
+// putF32 returns s's storage to the arena. s must have come from getF32
+// and must not be used afterwards.
+func putF32(s []float32) {
+	c := poolClass(cap(s))
+	if c < 0 || cap(s) != 1<<c {
+		// Overflow allocation (or a foreign slice): let the GC have it.
 		return
 	}
-	p.mu.Unlock()
+	scratchPools32.give(c, s)
+}
+
+// getPanels takes n elements of packed-panel scratch from P's arena:
+// GetTensor's for float64, whose tensor t putPanels needs back, or
+// getF32's.
+func getPanels[P elem](n int) (p []P, t *Tensor) {
+	if is32[P]() {
+		return any(getF32(n)).([]P), nil
+	}
+	t = GetTensor(n)
+	return any(t.Data).([]P), t
+}
+
+// putPanels returns what getPanels took to its arena.
+func putPanels[P elem](p []P, t *Tensor) {
+	if t != nil {
+		PutTensor(t)
+		return
+	}
+	putF32(any(p).([]float32))
 }

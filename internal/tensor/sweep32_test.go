@@ -188,7 +188,7 @@ func store32Definition(v float32, d, b float64, mode int, fused bool) (float64, 
 // included, must keep its bits.
 func TestSweep32MatchesDefinition(t *testing.T) {
 	portable := sweepBody32{name: "go", run: func(d []float64, a *[mrA32][]float32, bpack []float32, ld, kcb, ncb, rows, mode int, bias []float64) {
-		sweep32Go(d, a, bpack, ld, kcb, ncb, rows, mode, bias)
+		sweepGo(d, a, bpack, ld, kcb, ncb, rows, mode, bias, false)
 	}, rows: mr32}
 	fused := asmSweeps32()
 	for bi, body := range append([]sweepBody32{portable}, fused...) {

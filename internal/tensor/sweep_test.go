@@ -131,7 +131,9 @@ type sweepBody64 struct {
 // two 4-row AVX2 calls), and every destination element outside the tile,
 // a remainder tile's missing rows included, must keep its bits.
 func TestSweepMatchesDefinition(t *testing.T) {
-	portable := sweepBody64{name: "go", run: sweepGo, rows: mr}
+	portable := sweepBody64{name: "go", run: func(d []float64, a *[mrA][]float64, bpack []float64, ld, kcb, ncb, rows, mode int, bias []float64) {
+		sweepGo(d, a, bpack, ld, kcb, ncb, rows, mode, bias, false)
+	}, rows: mr}
 	fused := asmSweeps()
 	for bi, body := range append([]sweepBody64{portable}, fused...) {
 		t.Run(body.name, func(t *testing.T) {

@@ -8,9 +8,13 @@ import (
 )
 
 // TestHelperTeamUnderConcurrentCallers: more callers than helpers issue
-// parallel GEMMs (both precisions) and im2col at once. Nothing deadlocks,
-// every result is bit-identical to the serial one, and the team stays
-// within GOMAXPROCS-1 long-lived helpers however many products run.
+// parallel GEMMs (both precisions) and im2col at once. Under the F64
+// policy each caller interleaves the three products of two concurrently
+// training clients: an f64 product, a product against a B packed under
+// F32 (the mixed driver, beside the f64 one), and a convolution's weight
+// gradient (chain mode). Nothing deadlocks, every result is bit-identical
+// to the serial one, and the team stays within GOMAXPROCS-1 long-lived
+// helpers however many products run.
 func TestHelperTeamUnderConcurrentCallers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a, b := New(130, 300), New(300, 70) // two k-blocks, above the parallel threshold
@@ -19,14 +23,26 @@ func TestHelperTeamUnderConcurrentCallers(t *testing.T) {
 	img := New(8, 3, 16, 16)
 	img.RandNormal(rng, 0, 1)
 	g := ConvGeom{InC: 3, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	const outC = 10
+	grad := New(8, outC, g.OutH(), g.OutW())
+	grad.RandNormal(rng, 0, 1)
+	weightGrad := func() *Tensor {
+		dw := New(outC, g.taps())
+		ConvParamGradsInto(dw, make([]float64, outC), img, grad, g)
+		return dw
+	}
 
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 	want64 := MatMul(a, b)
 	SetPrecision(F32)
 	want32 := MatMul(a, b)
+	var packed PackedB
+	packed.Pack(b, false)
 	SetPrecision(F64)
+	wantPacked := MatMulPackedInto(New(130, 70), a, &packed, nil)
 	wantCols := Im2Col(img, g)
+	wantDW := weightGrad()
 
 	runtime.GOMAXPROCS(4)
 	before := teamSize.Load() // earlier tests may have run at a higher GOMAXPROCS
@@ -40,8 +56,16 @@ func TestHelperTeamUnderConcurrentCallers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if !Equal(MatMul(a, b), want64, 0) {
+				if sameBits(MatMul(a, b), want64) >= 0 {
 					t.Error("parallel f64 product differs from the serial one")
+					return
+				}
+				if sameBits(MatMulPackedInto(New(130, 70), a, &packed, nil), wantPacked) >= 0 {
+					t.Error("parallel product against an F32-packed B differs from the serial one")
+					return
+				}
+				if sameBits(weightGrad(), wantDW) >= 0 {
+					t.Error("parallel conv weight gradient differs from the serial one")
 					return
 				}
 				if !Equal(Im2Col(img, g), wantCols, 0) {
@@ -60,7 +84,7 @@ func TestHelperTeamUnderConcurrentCallers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if !Equal(MatMul(a, b), want32, 0) {
+				if sameBits(MatMul(a, b), want32) >= 0 {
 					t.Error("parallel mixed-precision product differs from the serial one")
 					return
 				}
