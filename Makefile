@@ -16,11 +16,12 @@ vet:
 	$(GO) vet ./...
 
 # orphans fails on an exported identifier under internal/ that no non-test
-# code references (orphans_test.go, stdlib go/parser only, well under a
-# second); a deliberate exception goes on that file's allow-list with its
-# reason.
+# code references (orphans_test.go), and on an option field that no
+# non-test code sets (options_test.go); both use stdlib go/parser only and
+# run well under a second. A deliberate exception goes on the file's
+# allow-list with its reason.
 orphans:
-	$(GO) test -count=1 -run '^TestNoOrphans$$' .
+	$(GO) test -count=1 -run '^(TestNoOrphans|TestNoUnsetOptions)$$' .
 
 # staticcheck runs when the binary is on PATH and skips (successfully)
 # when it is not, so `make check` works in hermetic containers; CI
@@ -241,7 +242,7 @@ quickcheck:
 	$(GO) run ./cmd/cipbench -exp theorem1 -preset quick -repeat 2 > /dev/null \
 		|| { echo "quickcheck: cipbench -exp theorem1 -repeat 2 failed"; exit 1; }
 
-# check is the full CI gate: static analysis, the orphan gate, the arm64
+# check is the full CI gate: static analysis, the orphan and options gates, the arm64
 # cross-compile, the portable-kernel tests, the sweep bodies' tests with
 # what each ran, one pass of the convolution benchmark, the race-enabled suite, the engine oracle five times under
 # race, the allocation bounds ten times, a short fuzz burst, the

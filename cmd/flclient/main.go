@@ -97,7 +97,6 @@ func run() error {
 	retry := transport.RetryConfig{
 		MaxAttempts: *dialRetries,
 		BaseDelay:   *retryBase,
-		Rng:         rand.New(rand.NewSource(*seed + int64(1000+*id))),
 		Stop:        flcli.ShutdownSignal(),
 		Metrics:     transport.NewMetrics(reg),
 	}

@@ -96,7 +96,6 @@ func run() error {
 			retry := transport.RetryConfig{
 				MaxAttempts: 5,
 				BaseDelay:   100 * time.Millisecond,
-				Rng:         rand.New(rand.NewSource(seed + int64(1000+i))),
 			}
 			if err := transport.RunClientRetry(addr, c, retry); err != nil {
 				log.Printf("client %d: %v", i, err)

@@ -32,6 +32,3 @@ import "github.com/cip-fl/cip/internal/tensor"
 
 // SetTrainingPrecision selects the compute tier for subsequent training.
 func SetTrainingPrecision(p tensor.Precision) { tensor.SetPrecision(p) }
-
-// TrainingPrecision reports the active compute tier.
-func TrainingPrecision() tensor.Precision { return tensor.CurrentPrecision() }

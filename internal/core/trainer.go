@@ -44,13 +44,6 @@ type TrainConfig struct {
 	LR          func(round int) float64
 	Momentum    float64
 	Augment     bool
-	AugmentPad  int
-
-	// ClipNorm bounds the global gradient L2 norm of each Step II update.
-	// The α=0.9 blended task occasionally produces exploding batches on
-	// small backbones; clipping makes training robust across seeds.
-	// Zero selects the default of 5; negative disables clipping.
-	ClipNorm float64
 
 	// Metrics, when non-nil, receives the trainer's telemetry (Step I/II
 	// losses, original-CE loss, epoch wall time). Nil disables recording.
@@ -73,14 +66,13 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.LR == nil {
 		c.LR = func(int) float64 { return 0.05 }
 	}
-	if c.AugmentPad <= 0 {
-		c.AugmentPad = 1
-	}
-	if c.ClipNorm == 0 {
-		c.ClipNorm = 5
-	}
 	return c
 }
+
+// stepIIClipNorm bounds the global gradient L2 norm of each Step II
+// update. The α=0.9 blended task occasionally produces exploding batches
+// on small backbones; clipping makes training robust across seeds.
+const stepIIClipNorm = 5
 
 // StepIGeneratePerturbation performs one pass of Step I (Eq. 3): holding
 // the model fixed, update t by SGD to minimize the blended training loss
@@ -107,7 +99,7 @@ func StepIGeneratePerturbation(m *CIPModel, data *datasets.Dataset, cfg TrainCon
 			}
 			x, y := data.BatchIn(ws, start, end)
 			if cfg.Augment {
-				x = datasets.AugmentBatch(rng, x, data.In, cfg.AugmentPad)
+				x = datasets.AugmentBatch(rng, x, data.In)
 			}
 			m.ZeroTGrad()
 			logits, cache := m.Forward(x, true)
@@ -167,7 +159,7 @@ func StepIILearnModel(m *CIPModel, data *datasets.Dataset, cfg TrainConfig,
 		}
 		x, y := data.BatchIn(ws, start, end)
 		if cfg.Augment {
-			x = datasets.AugmentBatch(rng, x, data.In, cfg.AugmentPad)
+			x = datasets.AugmentBatch(rng, x, data.In)
 		}
 		batch := ws.Mark()
 		nn.ZeroGrads(params)
@@ -220,9 +212,7 @@ func StepIILearnModel(m *CIPModel, data *datasets.Dataset, cfg TrainConfig,
 		}
 
 		nn.UnpackWeights(params)
-		if cfg.ClipNorm > 0 {
-			nn.ClipGradNorm(params, cfg.ClipNorm)
-		}
+		nn.ClipGradNorm(params, stepIIClipNorm)
 		opt.Step(params)
 		sum += loss
 		batches++

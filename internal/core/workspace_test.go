@@ -72,7 +72,7 @@ func sameBits(a, b []float64) bool {
 // non-finite here. `make check` runs this under the race detector.
 func TestWorkspaceRoundBitIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	defer SetTrainingPrecision(TrainingPrecision())
+	defer SetTrainingPrecision(tensor.CurrentPrecision())
 	for _, arch := range []model.Arch{model.VGG, model.ResNet, model.DenseNet, model.MLP} {
 		for _, prec := range []tensor.Precision{tensor.F64, tensor.F32} {
 			for _, procs := range []int{1, 4} {

@@ -7,20 +7,24 @@ import (
 	"github.com/cip-fl/cip/internal/tensor"
 )
 
+// augmentPad is the zero padding, in pixels, around AugmentBatch's
+// random crop.
+const augmentPad = 1
+
 // AugmentBatch applies the paper's CIFAR-AUG pipeline, scaled to our
-// resolution: random crop after zero padding by pad pixels, then a random
-// horizontal flip, independently per sample. Tabular inputs are returned
-// unchanged.
-func AugmentBatch(rng *rand.Rand, x *tensor.Tensor, in model.Input, pad int) *tensor.Tensor {
-	if !in.IsImage() || pad < 0 {
+// resolution: random crop after zero padding by augmentPad pixels, then a
+// random horizontal flip, independently per sample. Tabular inputs are
+// returned unchanged.
+func AugmentBatch(rng *rand.Rand, x *tensor.Tensor, in model.Input) *tensor.Tensor {
+	if !in.IsImage() {
 		return x
 	}
 	n := x.Shape[0]
 	out := tensor.NewLike(x, x.Shape...)
 	c, h, w := in.C, in.H, in.W
 	for b := 0; b < n; b++ {
-		dy := rng.Intn(2*pad+1) - pad
-		dx := rng.Intn(2*pad+1) - pad
+		dy := rng.Intn(2*augmentPad+1) - augmentPad
+		dx := rng.Intn(2*augmentPad+1) - augmentPad
 		flip := rng.Intn(2) == 1
 		for ch := 0; ch < c; ch++ {
 			base := (b*c + ch) * h * w

@@ -219,7 +219,7 @@ func TestAugmentBatchPreservesShapeAndRange(t *testing.T) {
 	in := model.Input{C: 3, H: 6, W: 6}
 	x := tensor.New(4, 3, 6, 6)
 	x.RandUniform(rng, 0, 1)
-	out := AugmentBatch(rng, x, in, 1)
+	out := AugmentBatch(rng, x, in)
 	if !out.SameShape(x) {
 		t.Fatalf("augment changed shape %v -> %v", x.Shape, out.Shape)
 	}
@@ -232,7 +232,7 @@ func TestAugmentTabularIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	x := tensor.New(3, 10)
 	x.RandUniform(rng, 0, 1)
-	out := AugmentBatch(rng, x, model.Input{C: 10}, 2)
+	out := AugmentBatch(rng, x, model.Input{C: 10})
 	if out != x {
 		t.Fatal("tabular augmentation should be a no-op returning the input")
 	}

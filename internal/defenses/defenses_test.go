@@ -46,8 +46,8 @@ func TestDPStepNoNoiseMatchesClippedDescent(t *testing.T) {
 
 	netA := model.NewClassifier(rand.New(rand.NewSource(3)), model.VGG, train.In, train.NumClasses)
 	netB := model.NewClassifier(rand.New(rand.NewSource(3)), model.VGG, train.In, train.NumClasses)
-	optA := nn.NewSGD(0.05)
-	optB := nn.NewSGD(0.05)
+	optA := &nn.SGD{LR: 0.05}
+	optB := &nn.SGD{LR: 0.05}
 
 	// Per-example averaging of per-example gradients equals the batch
 	// gradient, so with no clipping and no noise the updates coincide.
@@ -70,7 +70,7 @@ func TestDPStepClipBoundsUpdateNorm(t *testing.T) {
 	step := NewDPStep(clip, 0, 1, rng)
 	net := model.NewClassifier(rand.New(rand.NewSource(5)), model.VGG, train.In, train.NumClasses)
 	before := nn.FlattenParams(net.Params())
-	opt := nn.NewSGD(1.0)
+	opt := &nn.SGD{LR: 1.0}
 	x, y := train.Batch(0, 8)
 	step.Step(net, opt, x, y)
 	after := nn.FlattenParams(net.Params())
@@ -289,8 +289,8 @@ func TestRelaxLossZeroOmegaIsPlainDescent(t *testing.T) {
 	x, y := train.Batch(0, 16)
 	netA := model.NewClassifier(rand.New(rand.NewSource(25)), model.VGG, train.In, train.NumClasses)
 	netB := model.NewClassifier(rand.New(rand.NewSource(25)), model.VGG, train.In, train.NumClasses)
-	NewRelaxLossStep(0).Step(netA, nn.NewSGD(0.05), x, y)
-	fl.PlainStep{}.Step(netB, nn.NewSGD(0.05), x, y)
+	NewRelaxLossStep(0).Step(netA, &nn.SGD{LR: 0.05}, x, y)
+	fl.PlainStep{}.Step(netB, &nn.SGD{LR: 0.05}, x, y)
 	pa, pb := nn.FlattenParams(netA.Params()), nn.FlattenParams(netB.Params())
 	for i := range pa {
 		if math.Abs(pa[i]-pb[i]) > 1e-12 {

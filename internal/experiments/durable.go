@@ -29,9 +29,9 @@ type CheckpointSpec struct {
 	// Metrics, when non-nil, receives checkpoint write/restore/corruption
 	// telemetry.
 	Metrics *checkpoint.Metrics
-	// AfterRound is the crash-injection hook (internal/fl/faults.CrashAt);
-	// production runs leave it nil.
-	AfterRound func(round int) error
+	// afterRound is the crash-injection hook (internal/fl/faults.CrashAt)
+	// the kill→resume tests set; production runs leave it nil.
+	afterRound func(round int) error
 }
 
 // runServer runs srv to the absolute round count — durably when spec is
@@ -60,6 +60,6 @@ func runServer(srv *fl.Server, rounds int, spec *CheckpointSpec) error {
 			return mgr.Save(&checkpoint.Snapshot{State: *st})
 		},
 		Stop:       spec.Stop,
-		AfterRound: spec.AfterRound,
+		AfterRound: spec.afterRound,
 	})
 }

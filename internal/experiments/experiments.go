@@ -27,9 +27,6 @@ type Config struct {
 	Seed  int64
 }
 
-// Quick returns the CI-scale config used by tests and benchmarks.
-func Quick() Config { return Config{Scale: datasets.Quick, Seed: 1} }
-
 // Table is an experiment artifact: the rows the paper's table or figure
 // reports, as typed cells that String renders.
 type Table struct {

@@ -50,7 +50,7 @@ func TestRegistryMatchesDesignDoc(t *testing.T) {
 // an id that is not registered fails with an error and no table.
 func TestRunUnknownExperiment(t *testing.T) {
 	var s *Store
-	tab, err := s.Repeat("nope", Quick(), 1)
+	tab, err := s.Repeat("nope", Config{Scale: datasets.Quick, Seed: 1}, 1)
 	if err == nil {
 		t.Fatal("expected error for unknown experiment id")
 	}
@@ -228,7 +228,7 @@ func TestTable11RunsQuickly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are skipped in -short mode")
 	}
-	tbl, err := Table11(Quick())
+	tbl, err := Table11(Config{Scale: datasets.Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestTheorem1BoundHoldsWherePremiseHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment runs are skipped in -short mode")
 	}
-	tbl, err := Theorem1(Quick())
+	tbl, err := Theorem1(Config{Scale: datasets.Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/cip-fl/cip/internal/datasets"
 )
 
 func stubRunner(vals map[int64]float64) Runner {
@@ -88,7 +90,7 @@ func TestRepeatRunnerValidatesN(t *testing.T) {
 // the known ones, with and without a cell cache.
 func TestRepeatUnknownID(t *testing.T) {
 	for _, s := range []*Store{nil, {Dir: t.TempDir()}} {
-		_, err := s.Repeat("nope", Quick(), 1)
+		_, err := s.Repeat("nope", Config{Scale: datasets.Quick, Seed: 1}, 1)
 		if err == nil || !strings.Contains(err.Error(), "theorem1") {
 			t.Fatalf("store %v: err = %v, want an unknown-id error listing the known ids", s, err)
 		}

@@ -114,12 +114,12 @@ func TestRunnerCrashResumeBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(dir, "run.ckpt")
-			if _, err := run(&CheckpointSpec{Path: path, AfterRound: faults.CrashAt(1)}); !errors.Is(err, faults.ErrCrash) {
+			if _, err := run(&CheckpointSpec{Path: path, afterRound: faults.CrashAt(1)}); !errors.Is(err, faults.ErrCrash) {
 				t.Fatalf("crashed run: err = %v, want ErrCrash", err)
 			}
 			var resumed []int
 			got, err := run(&CheckpointSpec{Path: path, Resume: true,
-				AfterRound: func(r int) error { resumed = append(resumed, r); return nil }})
+				afterRound: func(r int) error { resumed = append(resumed, r); return nil }})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -78,14 +78,14 @@ func TestStoreNilDisablesCaching(t *testing.T) {
 		return &Table{ID: "probe"}, nil
 	})
 	for i := 0; i < 2; i++ {
-		if _, err := r(Quick()); err != nil {
+		if _, err := r(Config{Scale: datasets.Quick, Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if runs != 2 {
 		t.Fatalf("nil store executed runner %d times, want 2 (no caching)", runs)
 	}
-	if _, ok := s.Load("probe", Quick()); ok {
+	if _, ok := s.Load("probe", Config{Scale: datasets.Quick, Seed: 1}); ok {
 		t.Fatal("nil store reported a cache hit")
 	}
 }
@@ -94,11 +94,11 @@ func TestStorePropagatesRunnerError(t *testing.T) {
 	s := &Store{Dir: t.TempDir()}
 	boom := errors.New("boom")
 	r := s.Runner("probe", func(cfg Config) (*Table, error) { return nil, boom })
-	if _, err := r(Quick()); !errors.Is(err, boom) {
+	if _, err := r(Config{Scale: datasets.Quick, Seed: 1}); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the runner's error", err)
 	}
 	// A failed run must not leave a cell behind.
-	if _, ok := s.Load("probe", Quick()); ok {
+	if _, ok := s.Load("probe", Config{Scale: datasets.Quick, Seed: 1}); ok {
 		t.Fatal("failed run cached a cell")
 	}
 }
@@ -109,7 +109,7 @@ func TestStoreKeysOnPrecision(t *testing.T) {
 	prev := tensor.CurrentPrecision()
 	t.Cleanup(func() { tensor.SetPrecision(prev) })
 	s := &Store{Dir: t.TempDir()}
-	cfg := Quick()
+	cfg := Config{Scale: datasets.Quick, Seed: 1}
 	tensor.SetPrecision(tensor.F64)
 	if err := s.Save("probe", cfg, &Table{ID: "probe"}); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestStoreTreatsTextCellAsMiss(t *testing.T) {
 		Notes     []string
 	}
 	s := &Store{Dir: t.TempDir()}
-	cfg := Quick()
+	cfg := Config{Scale: datasets.Quick, Seed: 1}
 	old := textTable{ID: "probe", Title: "probe", Header: []string{"acc"}, Rows: [][]string{{"0.500"}}}
 	if err := checkpoint.WriteFile(s.cellPath("probe", cfg), checkpoint.KindTable, &old); err != nil {
 		t.Fatal(err)

@@ -132,7 +132,7 @@ func TestByzantineConvergenceWithinEpsilon(t *testing.T) {
 				srv := byzServer(t, train, attack, &fl.RoundPolicy{
 					MinQuorum:  4,
 					Robust:     rule,
-					Reputation: robust.NewReputation(robust.ReputationConfig{}),
+					Reputation: robust.NewReputation(0),
 				}, false)
 				if err := srv.Run(byzRounds); err != nil {
 					t.Fatal(err)
@@ -188,7 +188,7 @@ func TestByzantineQuarantineSurvivesCheckpoint(t *testing.T) {
 		return &fl.RoundPolicy{
 			MinQuorum:  byzN / 2,
 			Robust:     robust.Median{},
-			Reputation: robust.NewReputation(robust.ReputationConfig{}),
+			Reputation: robust.NewReputation(0),
 		}
 	}
 

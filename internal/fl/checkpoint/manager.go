@@ -78,16 +78,12 @@ func (m *Metrics) recordCorruption() {
 type Manager struct {
 	// Path is where the current snapshot lives.
 	Path string
-	// MaxBytes bounds how large a snapshot Load will accept (≤ 0 means
-	// DefaultMaxBytes).
-	MaxBytes int64
 	// Metrics, when non-nil, receives write/restore/corruption telemetry.
 	Metrics *Metrics
-	// WriteHook, when non-nil, may transform the encoded container bytes
-	// immediately before they hit the disk. It exists for the
-	// crash-injection harness (internal/fl/faults truncates or bit-flips
-	// through it); production code leaves it nil.
-	WriteHook func([]byte) []byte
+	// writeHook, when non-nil, may transform the encoded container bytes
+	// immediately before they hit the disk. It exists for the torn-write
+	// tests (internal/fl/faults.Truncated); production code leaves it nil.
+	writeHook func([]byte) []byte
 }
 
 // PrevPath returns where the previous snapshot generation is kept.
@@ -100,8 +96,8 @@ func (m *Manager) Save(snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	if m.WriteHook != nil {
-		data = m.WriteHook(data)
+	if m.writeHook != nil {
+		data = m.writeHook(data)
 	}
 	if err := writeFileBytes(m.Path, data); err != nil {
 		return err
@@ -110,9 +106,9 @@ func (m *Manager) Save(snap *Snapshot) error {
 	return nil
 }
 
-// Load reads the newest valid snapshot. A corrupt or truncated current
-// file is counted and skipped in favor of Path+".prev"; only when neither
-// generation validates does Load fail. os.ErrNotExist (unwrapped via
+// Load reads the newest valid snapshot of at most DefaultMaxBytes. A
+// corrupt or truncated current file is counted and skipped in favor of
+// Path+".prev"; only when neither generation validates does Load fail. os.ErrNotExist (unwrapped via
 // errors.Is) means no snapshot has ever been written.
 func (m *Manager) Load() (*Snapshot, error) {
 	snap, err := m.loadOne(m.Path)
@@ -141,7 +137,7 @@ func (m *Manager) Load() (*Snapshot, error) {
 
 func (m *Manager) loadOne(path string) (*Snapshot, error) {
 	var snap Snapshot
-	if err := ReadFile(path, KindSnapshot, m.MaxBytes, &snap); err != nil {
+	if err := ReadFile(path, KindSnapshot, DefaultMaxBytes, &snap); err != nil {
 		return nil, err
 	}
 	return &snap, nil

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/cip-fl/cip/internal/fl/faults"
 	"github.com/cip-fl/cip/internal/telemetry"
 )
 
@@ -73,13 +74,13 @@ func TestManagerTornWriteFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second save tears: only the first 60% of the container lands.
-	m.WriteHook = func(b []byte) []byte { return b[:len(b)*6/10] }
+	m.writeHook = faults.Truncated(0.6)
 	newer := sampleSnapshot()
 	newer.State.NextRound = 12
 	if err := m.Save(newer); err != nil {
 		t.Fatal(err)
 	}
-	m.WriteHook = nil
+	m.writeHook = nil
 
 	snap, err := m.Load()
 	if err != nil {

@@ -47,8 +47,6 @@ type ClientConfig struct {
 	Momentum float64
 	// Augment applies the CIFAR-AUG crop/flip pipeline each epoch.
 	Augment bool
-	// AugmentPad is the crop padding when Augment is set (default 1).
-	AugmentPad int
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
@@ -60,9 +58,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.LR == nil {
 		c.LR = func(int) float64 { return 0.05 }
-	}
-	if c.AugmentPad <= 0 {
-		c.AugmentPad = 1
 	}
 	return c
 }
@@ -248,7 +243,7 @@ func TrainEpochs(net nn.Layer, opt nn.Optimizer, step TrainStep,
 			}
 			x, y := data.BatchIn(ws, start, end)
 			if cfg.Augment {
-				x = datasets.AugmentBatch(rng, x, data.In, cfg.AugmentPad)
+				x = datasets.AugmentBatch(rng, x, data.In)
 			}
 			sum += step.Step(net, opt, x, y)
 			batches++

@@ -25,7 +25,7 @@ func CrashAt(n int) func(round int) error {
 	}
 }
 
-// Truncated returns a checkpoint.Manager WriteHook that simulates a torn
+// Truncated returns a checkpoint.Manager write hook that simulates a torn
 // write: only the leading frac of the encoded snapshot reaches the disk.
 // frac is clamped to [0, 1].
 func Truncated(frac float64) func([]byte) []byte {
@@ -40,7 +40,7 @@ func Truncated(frac float64) func([]byte) []byte {
 	}
 }
 
-// BitFlip returns a checkpoint.Manager WriteHook that flips one bit of the
+// BitFlip returns a checkpoint.Manager write hook that flips one bit of the
 // encoded snapshot at the given byte offset (taken modulo the snapshot
 // length), simulating silent media corruption the CRC must catch.
 func BitFlip(offset int) func([]byte) []byte {

@@ -195,7 +195,7 @@ func (s *Server) RunRound(round int) error {
 	if err != nil {
 		return fmt.Errorf("fl: round %d: %w", round, err)
 	}
-	if _, err := r.Check(len(cohort), p.quorum(), p.MaxFailures, false); err != nil {
+	if _, err := r.Check(len(cohort), p.quorum(), false); err != nil {
 		return err
 	}
 	r.Observe()

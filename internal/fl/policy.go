@@ -74,10 +74,6 @@ type RoundPolicy struct {
 	// function of (SampleSeed, round), so sampling keeps no state and a
 	// resumed run replays the same schedule.
 	SampleSeed int64
-	// MaxFailures, when > 0, additionally caps how many per-round client
-	// failures are tolerated even if the quorum is still met. 0 means no
-	// cap beyond the quorum check.
-	MaxFailures int
 	// MaxUpdateNorm, when > 0, drops updates whose parameter-vector L2
 	// norm exceeds it as FailInvalid. Exploding or poisoned updates can
 	// pass the NaN/Inf check with finite but enormous values; a norm bound

@@ -79,20 +79,6 @@ func TestRoundPolicyQuorumLost(t *testing.T) {
 	}
 }
 
-func TestRoundPolicyMaxFailuresCap(t *testing.T) {
-	clients := []Client{
-		&countingClient{id: 0},
-		&countingClient{id: 1},
-		&faultyClient{countingClient: countingClient{id: 2}, failAlways: true},
-		&faultyClient{countingClient: countingClient{id: 3}, failAlways: true},
-	}
-	srv := NewServer([]float64{0}, clients...)
-	srv.Policy = &RoundPolicy{MinQuorum: 1, MaxFailures: 1}
-	if err := srv.Run(1); err == nil {
-		t.Fatal("expected error: 2 failures exceed MaxFailures=1")
-	}
-}
-
 func TestRoundPolicyRejectsInvalidUpdates(t *testing.T) {
 	clients := []Client{
 		&countingClient{id: 0},

@@ -198,7 +198,7 @@ func TestPoisonedRecycleChangesNothing(t *testing.T) {
 			return nil
 		}},
 		{name: "reputation", setup: func(srv *fl.Server, _ func() nn.Layer, _ *datasets.Dataset) *attacks.ActiveAttacker {
-			srv.Policy = &fl.RoundPolicy{Reputation: robust.NewReputation(robust.ReputationConfig{})}
+			srv.Policy = &fl.RoundPolicy{Reputation: robust.NewReputation(0)}
 			return nil
 		}},
 		{name: "topk8-bank", setup: func(srv *fl.Server, _ func() nn.Layer, _ *datasets.Dataset) *attacks.ActiveAttacker {

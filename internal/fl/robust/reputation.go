@@ -15,16 +15,13 @@ const (
 	// Healthy clients participate normally.
 	Healthy Health = iota
 	// Suspect clients participate but are being watched: their EWMA
-	// anomaly score has crossed SuspectScore.
+	// anomaly score has crossed suspectScore.
 	Suspect
 	// Quarantined clients are excluded from rounds entirely: they are not
 	// trained (in-process) or exchanged with (TCP), and their updates
-	// never reach the aggregate.
+	// never reach the aggregate. Quarantine is permanent, the
+	// conservative choice for unattended deployments.
 	Quarantined
-	// Probation clients are re-admitted after serving a quarantine term,
-	// under a zero-tolerance rule: one violation or a score relapse sends
-	// them straight back to Quarantined.
-	Probation
 )
 
 // String implements fmt.Stringer.
@@ -36,64 +33,28 @@ func (h Health) String() string {
 		return "suspect"
 	case Quarantined:
 		return "quarantined"
-	case Probation:
-		return "probation"
 	default:
 		return fmt.Sprintf("health(%d)", int(h))
 	}
 }
 
-// ReputationConfig tunes the anomaly EWMA and the quarantine state
-// machine. The zero value selects the documented defaults.
-type ReputationConfig struct {
-	// Alpha is the EWMA smoothing factor in (0, 1]: score ← (1−α)·score +
-	// α·sample. Default 0.4 — a persistent attacker crosses SuspectScore
-	// in two rounds; one noisy round decays away in three.
-	Alpha float64
-	// SuspectScore is the EWMA level at or above which a healthy client
-	// turns suspect (and a suspect stays suspect). Default 0.5.
-	SuspectScore float64
-	// ReleaseScore is the EWMA level below which a suspect returns to
-	// healthy and a probationer may complete probation. Default 0.25.
-	ReleaseScore float64
-	// QuarantineAfter is how many consecutive suspect rounds trigger
-	// quarantine. Default 2.
-	QuarantineAfter int
-	// QuarantineTerm is how many rounds a quarantined client sits out
-	// before probation. 0 keeps quarantine permanent (no probation) —
-	// the conservative default for unattended deployments.
-	QuarantineTerm int
-	// ProbationRounds is how many consecutive clean probation rounds
-	// restore a client to healthy. Default 3.
-	ProbationRounds int
-	// DeviationSpan scales the deviation signal: a client whose distance
-	// from the robust aggregate is (1+DeviationSpan)× the round's median
+const (
+	// repAlpha is the EWMA smoothing factor: score ← (1−α)·score +
+	// α·sample. At 0.4 a persistent attacker crosses suspectScore in two
+	// rounds; one noisy round decays away in three.
+	repAlpha = 0.4
+	// suspectScore is the EWMA level at or above which a healthy client
+	// turns suspect (and a suspect stays suspect).
+	suspectScore = 0.5
+	// releaseScore is the EWMA level below which a suspect returns to
+	// healthy.
+	releaseScore = 0.25
+	// deviationSpan scales the deviation signal: a client whose distance
+	// from the robust aggregate is (1+deviationSpan)× the round's median
 	// distance scores a full 1.0 anomaly sample; at the median or below
-	// it scores 0. Default 3 (i.e. 4× the median distance saturates).
-	DeviationSpan float64
-}
-
-func (c ReputationConfig) withDefaults() ReputationConfig {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.4
-	}
-	if c.SuspectScore <= 0 {
-		c.SuspectScore = 0.5
-	}
-	if c.ReleaseScore <= 0 {
-		c.ReleaseScore = 0.25
-	}
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = 2
-	}
-	if c.ProbationRounds <= 0 {
-		c.ProbationRounds = 3
-	}
-	if c.DeviationSpan <= 0 {
-		c.DeviationSpan = 3
-	}
-	return c
-}
+	// it scores 0. At 3, 4× the median distance saturates.
+	deviationSpan = 3
+)
 
 // ClientRep is one client's durable reputation record. Fields are
 // exported so the whole tracker gob-encodes into the PR 4 checkpoint
@@ -104,8 +65,7 @@ type ClientRep struct {
 	// State is the client's quarantine state.
 	State Health
 	// Streak counts consecutive rounds in the state-specific sense:
-	// suspect rounds (Suspect), rounds served (Quarantined), or clean
-	// rounds (Probation).
+	// suspect rounds (Suspect) or rounds served (Quarantined).
 	Streak int
 	// Violations counts hard violations (validation/norm-bound
 	// rejections) over the client's lifetime, for ops visibility.
@@ -113,23 +73,30 @@ type ClientRep struct {
 }
 
 // Reputation scores per-client anomaly evidence and drives the
-// healthy → suspect → quarantined → probation state machine. It is not
-// internally synchronized: the engine and the coordinator both feed it
-// from their serial per-round sections.
+// healthy → suspect → quarantined state machine. It is not internally
+// synchronized: the engine and the coordinator both feed it from their
+// serial per-round sections.
 type Reputation struct {
-	cfg     ReputationConfig
-	clients map[int]*ClientRep
+	// quarantineAfter is how many consecutive suspect rounds trigger
+	// quarantine.
+	quarantineAfter int
+	clients         map[int]*ClientRep
 	// pending holds this round's worst anomaly sample per client,
 	// folded into the EWMA by EndRound.
 	pending map[int]float64
 }
 
-// NewReputation builds a tracker; the zero config selects defaults.
-func NewReputation(cfg ReputationConfig) *Reputation {
+// NewReputation builds a tracker that quarantines a client after
+// quarantineAfter consecutive suspect rounds; quarantineAfter <= 0
+// selects 2.
+func NewReputation(quarantineAfter int) *Reputation {
+	if quarantineAfter <= 0 {
+		quarantineAfter = 2
+	}
 	return &Reputation{
-		cfg:     cfg.withDefaults(),
-		clients: make(map[int]*ClientRep),
-		pending: make(map[int]float64),
+		quarantineAfter: quarantineAfter,
+		clients:         make(map[int]*ClientRep),
+		pending:         make(map[int]float64),
 	}
 }
 
@@ -170,7 +137,7 @@ func (r *Reputation) ObserveViolation(id int) {
 // ObserveDeviations converts the participants' distances from the robust
 // aggregate into anomaly samples: each distance is compared against the
 // round's median distance (the scale honest clients set), and the excess
-// is normalized by DeviationSpan. ids[i] owns dists[i].
+// is normalized by deviationSpan. ids[i] owns dists[i].
 func (r *Reputation) ObserveDeviations(ids []int, dists []float64) {
 	if len(ids) != len(dists) || len(ids) == 0 {
 		return
@@ -199,13 +166,13 @@ func (r *Reputation) ObserveDeviations(ids []int, dists []float64) {
 			r.Observe(id, 1)
 			continue
 		}
-		r.Observe(id, (d/med-1)/r.cfg.DeviationSpan)
+		r.Observe(id, (d/med-1)/deviationSpan)
 	}
 }
 
 // EndRound folds this round's samples into the EWMA for every listed
 // participant (participants with no recorded sample decay toward 0) and
-// advances the state machine. Quarantined clients serve their term
+// advances the state machine. Quarantined clients count rounds served
 // whether or not they are listed. It returns the ids whose Health
 // changed this round, in ascending order (for logging/metrics).
 func (r *Reputation) EndRound(participants []int) []int {
@@ -213,7 +180,7 @@ func (r *Reputation) EndRound(participants []int) []int {
 	for _, id := range participants {
 		seen[id] = true
 		c := r.client(id)
-		c.Score = (1-r.cfg.Alpha)*c.Score + r.cfg.Alpha*r.pending[id]
+		c.Score = (1-repAlpha)*c.Score + repAlpha*r.pending[id]
 	}
 	var changed []int
 	ids := make([]int, 0, len(r.clients))
@@ -229,10 +196,10 @@ func (r *Reputation) EndRound(participants []int) []int {
 			if !seen[id] {
 				break
 			}
-			if c.Score >= r.cfg.SuspectScore {
+			if c.Score >= suspectScore {
 				c.State = Suspect
 				c.Streak = 1
-				if c.Streak >= r.cfg.QuarantineAfter {
+				if c.Streak >= r.quarantineAfter {
 					c.State = Quarantined
 					c.Streak = 0
 				}
@@ -241,39 +208,18 @@ func (r *Reputation) EndRound(participants []int) []int {
 			if !seen[id] {
 				break
 			}
-			if c.Score >= r.cfg.SuspectScore {
+			if c.Score >= suspectScore {
 				c.Streak++
-				if c.Streak >= r.cfg.QuarantineAfter {
+				if c.Streak >= r.quarantineAfter {
 					c.State = Quarantined
 					c.Streak = 0
 				}
-			} else if c.Score < r.cfg.ReleaseScore {
+			} else if c.Score < releaseScore {
 				c.State = Healthy
 				c.Streak = 0
 			}
 		case Quarantined:
 			c.Streak++ // rounds served, participant or not
-			if r.cfg.QuarantineTerm > 0 && c.Streak >= r.cfg.QuarantineTerm {
-				c.State = Probation
-				c.Streak = 0
-				// Re-enter with a score at the release boundary: one clean
-				// streak restores the client, one relapse re-quarantines.
-				c.Score = r.cfg.ReleaseScore
-			}
-		case Probation:
-			if !seen[id] {
-				break
-			}
-			if r.pending[id] >= 1 || c.Score >= r.cfg.SuspectScore {
-				c.State = Quarantined
-				c.Streak = 0
-				break
-			}
-			c.Streak++
-			if c.Streak >= r.cfg.ProbationRounds && c.Score < r.cfg.ReleaseScore {
-				c.State = Healthy
-				c.Streak = 0
-			}
 		}
 		if c.State != before {
 			changed = append(changed, id)

@@ -29,7 +29,7 @@ func cleanRound(r *Reputation, ids []int) {
 }
 
 func TestQuarantineProgression(t *testing.T) {
-	r := NewReputation(ReputationConfig{})
+	r := NewReputation(0)
 	ids := []int{0, 1, 2, 3, 4}
 	if r.StateOf(3) != Healthy {
 		t.Fatalf("unknown client state = %v, want healthy", r.StateOf(3))
@@ -62,7 +62,7 @@ func TestQuarantineProgression(t *testing.T) {
 			t.Fatalf("honest client %d is blocked", id)
 		}
 	}
-	// Default QuarantineTerm=0: quarantine is permanent.
+	// Quarantine is permanent.
 	for i := 0; i < 20; i++ {
 		cleanRound(r, []int{0, 1, 2, 4})
 	}
@@ -72,14 +72,14 @@ func TestQuarantineProgression(t *testing.T) {
 }
 
 func TestSuspectRecovers(t *testing.T) {
-	r := NewReputation(ReputationConfig{})
+	r := NewReputation(0)
 	ids := []int{0, 1, 2}
 	attackRound(r, ids, 1)
 	attackRound(r, ids, 1)
 	if r.StateOf(1) != Suspect {
 		t.Fatalf("state = %v, want suspect", r.StateOf(1))
 	}
-	// A suspect that turns clean decays below ReleaseScore and recovers
+	// A suspect that turns clean decays below releaseScore and recovers
 	// before reaching quarantine.
 	for i := 0; i < 4; i++ {
 		cleanRound(r, ids)
@@ -102,43 +102,8 @@ func quarantine(t *testing.T, r *Reputation, ids []int, bad int) {
 	}
 }
 
-func TestProbationReleaseAndRelapse(t *testing.T) {
-	cfg := ReputationConfig{QuarantineTerm: 2, ProbationRounds: 2}
-	ids := []int{0, 1, 2, 3}
-
-	// Path 1: serve the term, stay clean through probation, return healthy.
-	r := NewReputation(cfg)
-	quarantine(t, r, ids, 2)
-	cleanRound(r, []int{0, 1, 3}) // term round 1 (not a participant)
-	cleanRound(r, []int{0, 1, 3}) // term round 2 → probation
-	if got := r.StateOf(2); got != Probation {
-		t.Fatalf("after serving term: state = %v, want probation", got)
-	}
-	if r.Blocked(2) {
-		t.Fatal("probationer should not be blocked")
-	}
-	cleanRound(r, ids)
-	cleanRound(r, ids)
-	if got := r.StateOf(2); got != Healthy {
-		t.Fatalf("after clean probation: state = %v (score %.3f), want healthy", got, r.ScoreOf(2))
-	}
-
-	// Path 2: relapse during probation goes straight back to quarantine.
-	r = NewReputation(cfg)
-	quarantine(t, r, ids, 2)
-	cleanRound(r, []int{0, 1, 3})
-	cleanRound(r, []int{0, 1, 3})
-	if r.StateOf(2) != Probation {
-		t.Fatalf("state = %v, want probation", r.StateOf(2))
-	}
-	attackRound(r, ids, 2) // zero tolerance: one violation re-quarantines
-	if got := r.StateOf(2); got != Quarantined {
-		t.Fatalf("after probation relapse: state = %v, want quarantined", got)
-	}
-}
-
 func TestViolationsEscalate(t *testing.T) {
-	r := NewReputation(ReputationConfig{})
+	r := NewReputation(0)
 	ids := []int{0, 1}
 	for i := 0; i < 3 && !r.Blocked(1); i++ {
 		r.ObserveViolation(1)
@@ -153,7 +118,7 @@ func TestViolationsEscalate(t *testing.T) {
 }
 
 func TestEndRoundReportsChanges(t *testing.T) {
-	r := NewReputation(ReputationConfig{})
+	r := NewReputation(0)
 	ids := []int{0, 1, 2}
 	attackRound(r, ids, 0) // score 0.4, no transitions yet
 	r.ObserveDeviations(ids, []float64{100, 1, 1})
@@ -163,7 +128,7 @@ func TestEndRoundReportsChanges(t *testing.T) {
 }
 
 func TestObserveDeviationsDegenerate(t *testing.T) {
-	r := NewReputation(ReputationConfig{})
+	r := NewReputation(0)
 	// All-zero distances: no honest scale, nobody should be flagged.
 	r.ObserveDeviations([]int{0, 1}, []float64{0, 0})
 	r.EndRound([]int{0, 1})
@@ -180,7 +145,7 @@ func TestObserveDeviationsDegenerate(t *testing.T) {
 }
 
 func TestSnapshotRestoreRoundtrip(t *testing.T) {
-	r := NewReputation(ReputationConfig{})
+	r := NewReputation(0)
 	ids := []int{0, 1, 2, 3, 4}
 	quarantine(t, r, ids, 4)
 	attackRound(r, ids, 2) // leave a partial score on client 2 too
@@ -191,7 +156,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 
 	// A restart must not amnesty the attacker: restore into a fresh tracker
 	// and check every record survived bit-for-bit.
-	fresh := NewReputation(ReputationConfig{})
+	fresh := NewReputation(0)
 	if err := fresh.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +187,7 @@ func TestSnapshotRestoreRoundtrip(t *testing.T) {
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
-	r := NewReputation(ReputationConfig{})
+	r := NewReputation(0)
 	if err := r.Restore([]byte("not gob")); err == nil {
 		t.Fatal("Restore accepted garbage")
 	}
@@ -231,7 +196,7 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 func TestHealthString(t *testing.T) {
 	for h, want := range map[Health]string{
 		Healthy: "healthy", Suspect: "suspect", Quarantined: "quarantined",
-		Probation: "probation", Health(42): "health(42)",
+		Health(42): "health(42)",
 	} {
 		if h.String() != want {
 			t.Fatalf("Health(%d).String() = %q, want %q", int(h), h.String(), want)

@@ -189,12 +189,10 @@ func Recycle(v []float64) {
 }
 
 // parallelCoords splits [0, dim) into contiguous blocks and runs fn on
-// them across workers. Coordinates are independent under every rule here,
-// so any worker count produces bit-identical output.
-func parallelCoords(dim, workers int, fn func(lo, hi int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// them across GOMAXPROCS workers. Coordinates are independent under every
+// rule here, so any worker count produces bit-identical output.
+func parallelCoords(dim int, fn func(lo, hi int)) {
+	workers := runtime.GOMAXPROCS(0)
 	const minBlock = 1024
 	if workers > dim/minBlock {
 		workers = dim / minBlock
@@ -248,10 +246,7 @@ func (Mean) Aggregate(center []float64, params [][]float64, _ []float64) ([]floa
 // statistic (mean of the two middles for even n). Any minority of
 // arbitrary values per coordinate moves the output at most to an honest
 // client's value — breakdown point ⌈n/2⌉.
-type Median struct {
-	// Workers bounds the coordinate-parallel fan-out (0 = GOMAXPROCS).
-	Workers int
-}
+type Median struct{}
 
 // Name implements Aggregator.
 func (Median) Name() string { return "median" }
@@ -262,14 +257,14 @@ func (Median) Name() string { return "median" }
 func (Median) Contributors(n int) int { return n }
 
 // Aggregate implements Aggregator.
-func (m Median) Aggregate(center []float64, params [][]float64, _ []float64) ([]float64, Report, error) {
+func (Median) Aggregate(center []float64, params [][]float64, _ []float64) ([]float64, Report, error) {
 	dim, err := checkShape(params)
 	if err != nil {
 		return nil, Report{}, err
 	}
 	out := newOutput(dim)
 	var maxSkipped atomicMax
-	parallelCoords(dim, m.Workers, func(lo, hi int) {
+	parallelCoords(dim, func(lo, hi int) {
 		sp := getScratch(len(params))
 		scratch := *sp
 		worst := 0
@@ -304,8 +299,6 @@ func (m Median) Aggregate(center []float64, params [][]float64, _ []float64) ([]
 type TrimmedMean struct {
 	// Frac is the fraction trimmed from EACH tail, clamped to [0, 0.5).
 	Frac float64
-	// Workers bounds the coordinate-parallel fan-out (0 = GOMAXPROCS).
-	Workers int
 }
 
 // Name implements Aggregator.
@@ -343,7 +336,7 @@ func (t TrimmedMean) Aggregate(center []float64, params [][]float64, _ []float64
 	k := t.trim(len(params))
 	out := newOutput(dim)
 	var maxSkipped atomicMax
-	parallelCoords(dim, t.Workers, func(lo, hi int) {
+	parallelCoords(dim, func(lo, hi int) {
 		sp := getScratch(len(params))
 		scratch := *sp
 		worst := 0

@@ -3,6 +3,7 @@ package robust
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -113,39 +114,41 @@ func TestTrimZeroReducesToMean(t *testing.T) {
 }
 
 // Determinism contract: the coordinate-parallel rules are bit-identical
-// at any worker count.
+// at any worker count. parallelCoords runs GOMAXPROCS workers, so the
+// test varies GOMAXPROCS.
 func TestWorkerCountDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(3))
-	dim := 5000 // large enough that parallelCoords actually splits
+	dim := 5000 // large enough that parallelCoords splits into 4 blocks
 	center := randVec(rng, dim)
 	params := randMatrix(rng, 9, dim)
 	params[2][17] = math.NaN() // exercise the skip path too
 	params[5][4000] = math.Inf(1)
-	build := func(workers int) []Aggregator {
-		return []Aggregator{
-			Median{Workers: workers},
-			TrimmedMean{Frac: 0.2, Workers: workers},
+	aggs := []Aggregator{Median{}, TrimmedMean{Frac: 0.2}}
+	runtime.GOMAXPROCS(1)
+	want := make([][]float64, len(aggs))
+	wantRep := make([]Report, len(aggs))
+	for k, agg := range aggs {
+		var err error
+		if want[k], wantRep[k], err = agg.Aggregate(center, params, nil); err != nil {
+			t.Fatalf("%s serial: %v", agg.Name(), err)
 		}
 	}
-	base := build(1)
-	for _, workers := range []int{2, 3, 8, 64} {
-		for k, agg := range build(workers) {
-			want, wantRep, err := base[k].Aggregate(center, params, nil)
-			if err != nil {
-				t.Fatalf("%s serial: %v", agg.Name(), err)
-			}
+	for _, workers := range []int{2, 3, 4} {
+		runtime.GOMAXPROCS(workers)
+		for k, agg := range aggs {
 			got, gotRep, err := agg.Aggregate(center, params, nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", agg.Name(), workers, err)
 			}
-			for i := range want {
-				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			for i := range want[k] {
+				if math.Float64bits(want[k][i]) != math.Float64bits(got[i]) {
 					t.Fatalf("%s: workers=%d differs at coordinate %d: %v vs %v",
-						agg.Name(), workers, i, want[i], got[i])
+						agg.Name(), workers, i, want[k][i], got[i])
 				}
 			}
-			if wantRep != gotRep {
-				t.Fatalf("%s: workers=%d report %+v, serial %+v", agg.Name(), workers, gotRep, wantRep)
+			if wantRep[k] != gotRep {
+				t.Fatalf("%s: workers=%d report %+v, serial %+v", agg.Name(), workers, gotRep, wantRep[k])
 			}
 		}
 	}

@@ -173,7 +173,6 @@ type RoundCore struct {
 	column   []Update
 	failures []ClientFailure
 	valid    int
-	failed   int
 }
 
 // allRows is a flat node's reservoir capacity: every row of the round.
@@ -211,7 +210,7 @@ func sameRule(a, b robust.Aggregator) bool {
 // observers and a reputation tracker, which read every update at the tail.
 func (r *RoundCore) Begin(round, rowCap int) {
 	r.round, r.start = round, time.Now()
-	r.failures, r.valid, r.failed = nil, 0, 0
+	r.failures, r.valid = nil, 0
 	r.keep = len(r.Observers) > 0 || r.Reputation != nil
 	if rowCap <= 0 && r.fold == nil && r.stream == nil {
 		rowCap = allRows
@@ -330,21 +329,17 @@ func (r *RoundCore) Fail(f ClientFailure) {
 		}
 	}
 	r.failures = append(r.failures, f)
-	r.failed++
 	if r.FailCounts == nil {
 		r.FailCounts = make(map[int]int)
 	}
 	r.FailCounts[f.ClientID]++
 }
 
-// Check ends the round's classification: more than maxFailures failures
-// (when > 0), or fewer than quorum valid contributions from participants,
-// fail the round — except that a tree node (degrade) still holding one
-// valid contribution forwards it, reported degraded.
-func (r *RoundCore) Check(participants, quorum, maxFailures int, degrade bool) (degraded bool, err error) {
-	if maxFailures > 0 && r.failed > maxFailures {
-		return false, fmt.Errorf("fl: round %d: %d client failures exceed cap %d", r.round, r.failed, maxFailures)
-	}
+// Check ends the round's classification: fewer than quorum valid
+// contributions from participants fail the round — except that a tree
+// node (degrade) still holding one valid contribution forwards it,
+// reported degraded.
+func (r *RoundCore) Check(participants, quorum int, degrade bool) (degraded bool, err error) {
 	if r.valid >= quorum {
 		return false, nil
 	}

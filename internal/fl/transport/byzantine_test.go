@@ -9,6 +9,7 @@ package transport
 import (
 	"errors"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -97,7 +98,7 @@ func runByzFederation(t *testing.T, coord *Coordinator, retry func(i int) RetryC
 }
 
 func TestTCPByzantineQuarantine(t *testing.T) {
-	rep := robust.NewReputation(robust.ReputationConfig{})
+	rep := robust.NewReputation(0)
 	coord := &Coordinator{
 		NumClients: tbN, Rounds: 8,
 		Initial:    make([]float64, tbDim),
@@ -106,8 +107,7 @@ func TestTCPByzantineQuarantine(t *testing.T) {
 		Reputation: rep,
 	}
 	global := runByzFederation(t, coord, func(i int) RetryConfig {
-		return RetryConfig{MaxAttempts: 5, BaseDelay: 5 * time.Millisecond,
-			JitterSrc: rng.NewSource(int64(300 + i))}
+		return RetryConfig{MaxAttempts: 5, BaseDelay: 5 * time.Millisecond}
 	})
 
 	if !rep.Blocked(tbBad) {
@@ -149,19 +149,18 @@ func TestTCPByzantineQuarantineSurvivesRestart(t *testing.T) {
 		}
 	}
 	retry := func(i int) RetryConfig {
-		return RetryConfig{MaxAttempts: 50, BaseDelay: 5 * time.Millisecond,
-			JitterSrc: rng.NewSource(int64(700 + i))}
+		return RetryConfig{MaxAttempts: 50, BaseDelay: 5 * time.Millisecond}
 	}
 
 	// Reference: uninterrupted durable run.
 	refMgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "ref.ckpt")}
-	want := runByzFederation(t, build(refMgr, robust.NewReputation(robust.ReputationConfig{}), nil, nil), retry)
+	want := runByzFederation(t, build(refMgr, robust.NewReputation(0), nil, nil), retry)
 
 	// Crashing run: the attacker is quarantined at the end of round 2; the
 	// crash after round 4 rewinds to the round-3 snapshot, so the restarted
 	// coordinator replays round 4 and must already know about the attacker.
 	mgr := &checkpoint.Manager{Path: filepath.Join(t.TempDir(), "state.ckpt")}
-	rep1 := robust.NewReputation(robust.ReputationConfig{})
+	rep1 := robust.NewReputation(0)
 	first := build(mgr, rep1, faults.CrashAt(4), nil)
 	addrCh := make(chan string, 1)
 	var (
@@ -203,7 +202,7 @@ func TestTCPByzantineQuarantineSurvivesRestart(t *testing.T) {
 	}
 
 	// Fresh tracker: only the snapshot can carry the quarantine across.
-	rep2 := robust.NewReputation(robust.ReputationConfig{})
+	rep2 := robust.NewReputation(0)
 	second := build(mgr, rep2, nil, snap)
 	var got []float64
 	wg.Add(1)
@@ -242,57 +241,40 @@ func TestTCPByzantineQuarantineSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestRetryJitterDeterministic pins the satellite fix: backoff jitter runs
-// on an injectable internal/rng source, so two configs seeded identically
-// produce identical backoff schedules, and the default (nil sources) is
-// fixed-seed rather than ambient randomness.
+// TestRetryJitterDeterministic: the backoff jitter is seeded with the
+// participant's own ID (a client's ID, a leaf's ID complemented), so
+// participants that lost the same parent redial on different schedules,
+// one participant reproduces its own, and every delay stays within
+// [1-retryJitter, 1+retryJitter] of its un-jittered value.
 func TestRetryJitterDeterministic(t *testing.T) {
-	schedule := func(rc RetryConfig) []time.Duration {
-		rc = rc.withDefaults()
+	rc := RetryConfig{}.withDefaults()
+	schedule := func(seed int64) []time.Duration {
+		jitter, _ := rng.New(seed)
 		out := make([]time.Duration, 8)
 		for i := range out {
-			out[i] = rc.backoff(i + 1)
+			out[i] = rc.backoff(i+1, jitter)
 		}
 		return out
 	}
-	a := schedule(RetryConfig{JitterSrc: rng.NewSource(42)})
-	b := schedule(RetryConfig{JitterSrc: rng.NewSource(42)})
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at backoff %d: %v vs %v", i, a[i], b[i])
+	seeds := map[string]int64{"client 1": 1, "client 2": 2, "leaf 1": ^int64(1)}
+	for who, seed := range seeds {
+		a, b := schedule(seed), schedule(seed)
+		if !slices.Equal(a, b) {
+			t.Fatalf("%s does not reproduce its schedule: %v vs %v", who, a, b)
 		}
-	}
-	c := schedule(RetryConfig{JitterSrc: rng.NewSource(43)})
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
+		for other, o := range seeds {
+			if other != who && slices.Equal(a, schedule(o)) {
+				t.Fatalf("%s and %s back off in lockstep: %v", who, other, a)
+			}
 		}
-	}
-	if same {
-		t.Fatal("different seeds produced an identical jitter schedule")
-	}
-	d1, d2 := schedule(RetryConfig{}), schedule(RetryConfig{})
-	for i := range d1 {
-		if d1[i] != d2[i] {
-			t.Fatalf("default jitter is not reproducible at backoff %d: %v vs %v", i, d1[i], d2[i])
-		}
-	}
-	// The jittered delay stays within the documented multiplicative band.
-	rc := (RetryConfig{JitterSrc: rng.NewSource(7)}).withDefaults()
-	for attempt := 1; attempt < 10; attempt++ {
 		base := rc.BaseDelay
-		for i := 1; i < attempt && base < rc.MaxDelay; i++ {
-			base *= 2
-		}
-		if base > rc.MaxDelay {
-			base = rc.MaxDelay
-		}
-		d := rc.backoff(attempt)
-		lo := time.Duration(float64(base) * (1 - rc.Jitter))
-		hi := time.Duration(float64(base) * (1 + rc.Jitter))
-		if d < lo || d > hi {
-			t.Fatalf("backoff(%d) = %v outside [%v, %v]", attempt, d, lo, hi)
+		for i, d := range a {
+			lo := time.Duration(float64(base) * (1 - retryJitter))
+			hi := time.Duration(float64(base) * (1 + retryJitter))
+			if d < lo || d > hi {
+				t.Fatalf("%s: backoff(%d) = %v outside [%v, %v]", who, i+1, d, lo, hi)
+			}
+			base = min(2*base, maxRetryDelay)
 		}
 	}
 }

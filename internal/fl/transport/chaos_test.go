@@ -58,7 +58,7 @@ func TestChaosFederationConverges(t *testing.T) {
 			cwg.Add(1)
 			go func(i int, c fl.Client) {
 				defer cwg.Done()
-				clientErrs[i] = RunClient(addr, c)
+				clientErrs[i] = RunClientRetry(addr, c, RetryConfig{})
 			}(i, c)
 		}
 		cwg.Wait()

@@ -155,9 +155,9 @@ func TestRunClientPropagatesTrainError(t *testing.T) {
 	}()
 	addr := <-addrCh
 
-	err := RunClient(addr, &failingClient{id: 0})
+	err := RunClientRetry(addr, &failingClient{id: 0}, RetryConfig{})
 	if err == nil {
-		t.Fatal("RunClient should propagate the training error")
+		t.Fatal("RunClientRetry should propagate the training error")
 	}
 	wg.Wait()
 }

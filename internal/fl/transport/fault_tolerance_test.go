@@ -77,7 +77,7 @@ func TestCoordinatorDropsStragglerAndContinues(t *testing.T) {
 		cwg.Add(1)
 		go func(i int, c fl.Client) {
 			defer cwg.Done()
-			clientErrs[i] = RunClient(addr, c)
+			clientErrs[i] = RunClientRetry(addr, c, RetryConfig{})
 		}(i, c)
 	}
 	global, srvErr := wait()
@@ -129,7 +129,7 @@ func TestAcceptWindowStartsWithQuorum(t *testing.T) {
 		cwg.Add(1)
 		go func(i int) {
 			defer cwg.Done()
-			if err := RunClient(addr, &echoClient{id: i}); err != nil {
+			if err := RunClientRetry(addr, &echoClient{id: i}, RetryConfig{}); err != nil {
 				t.Errorf("client %d: %v", i, err)
 			}
 		}(i)
@@ -175,7 +175,7 @@ func TestCoordinatorToleratesGarbageHello(t *testing.T) {
 	}
 	garbage.Close()
 
-	if err := RunClient(addr, &echoClient{id: 0}); err != nil {
+	if err := RunClientRetry(addr, &echoClient{id: 0}, RetryConfig{}); err != nil {
 		t.Fatalf("honest client: %v", err)
 	}
 	if _, err := wait(); err != nil {
@@ -183,13 +183,11 @@ func TestCoordinatorToleratesGarbageHello(t *testing.T) {
 	}
 }
 
-// TestCoordinatorBoundsUpdateSize: an update larger than the configured
-// byte budget must be rejected instead of allocated.
+// TestCoordinatorBoundsUpdateSize: an update larger than the byte budget
+// derived from the model (64 KiB + 16·params, 64 KiB + 32 B here) must be
+// rejected instead of allocated.
 func TestCoordinatorBoundsUpdateSize(t *testing.T) {
-	coord := &Coordinator{
-		NumClients: 1, Rounds: 1, Initial: []float64{1, 2},
-		MaxUpdateBytes: 2 << 10,
-	}
+	coord := &Coordinator{NumClients: 1, Rounds: 1, Initial: []float64{1, 2}}
 	addr, wait := startCoordinator(t, coord)
 
 	conn, br := handPeer(t, addr, hello{ID: 0, NumSamples: 5})
@@ -201,7 +199,7 @@ func TestCoordinatorBoundsUpdateSize(t *testing.T) {
 	if _, err := io.ReadFull(br, make([]byte, n)); err != nil {
 		t.Fatal(err)
 	}
-	huge := fl.Update{Params: make([]float64, 1<<16), NumSamples: 5}
+	huge := fl.Update{Params: make([]float64, 1<<16), NumSamples: 5} // a 512 KiB body
 	frame, err := wire.AppendUpdateFrame(nil, huge, nil, compress.None)
 	if err != nil {
 		t.Fatal(err)
@@ -241,8 +239,6 @@ func TestRunClientRetryConnectsToLateServer(t *testing.T) {
 	err = RunClientRetry(<-addrCh, &echoClient{id: 0}, RetryConfig{
 		MaxAttempts: 20,
 		BaseDelay:   50 * time.Millisecond,
-		MaxDelay:    100 * time.Millisecond,
-		Rng:         rand.New(rand.NewSource(4)),
 	})
 	if err != nil {
 		t.Fatalf("retrying client should reach the late server: %v", err)
@@ -260,7 +256,6 @@ func TestRunClientRetryGivesUp(t *testing.T) {
 	err := RunClientRetry("127.0.0.1:1", &echoClient{id: 0}, RetryConfig{
 		MaxAttempts: 3,
 		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    20 * time.Millisecond,
 	})
 	if err == nil {
 		t.Fatal("expected dial failure")
@@ -295,7 +290,7 @@ func TestFlakyConnDropIsToleratedByQuorum(t *testing.T) {
 	cwg.Add(2)
 	go func() {
 		defer cwg.Done()
-		clientErrs[0] = RunClient(addr, &echoClient{id: 0})
+		clientErrs[0] = RunClientRetry(addr, &echoClient{id: 0}, RetryConfig{})
 	}()
 	go func() {
 		defer cwg.Done()

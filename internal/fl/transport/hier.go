@@ -72,10 +72,10 @@ type Leaf struct {
 	// and non-root nodes are deliberately stateless across rounds (every
 	// round's partial depends only on the root's broadcast).
 	Local Coordinator
-	// Retry controls dialing the parent: backoff, jitter, and the Stop
-	// channel for clean shutdown (partials are never compressed).
-	// MaxAttempts is the consecutive-failure budget per parent address
-	// (refreshed whenever a session makes round progress).
+	// Retry controls dialing the parent: backoff and the Stop channel for
+	// clean shutdown (partials are never compressed). MaxAttempts is the
+	// consecutive-failure budget per parent address (refreshed whenever a
+	// session makes round progress).
 	Retry RetryConfig
 }
 
@@ -122,7 +122,9 @@ func (l *Leaf) RunWithListener(ln net.Listener, ready func(boundAddr string)) ([
 
 	rc := l.Retry.withDefaults()
 	rootToken := ""
-	err = rc.retry(append([]string{l.Root}, l.AltParents...), func(addr string) (bool, error) {
+	// A leaf seeds its backoff jitter with its ID's complement: client IDs
+	// are non-negative, so no client shares a leaf's schedule.
+	err = rc.retry(^int64(l.ID), append([]string{l.Root}, l.AltParents...), func(addr string) (bool, error) {
 		samples := 0
 		for _, cc := range s.active {
 			samples += cc.samples

@@ -35,7 +35,7 @@ func startLeaf(t *testing.T, leaf *Leaf, shard []fl.Client, clientErrs []error) 
 		cwg.Add(1)
 		go func(i int, c fl.Client) {
 			defer cwg.Done()
-			clientErrs[i] = RunClient(addr, c)
+			clientErrs[i] = RunClientRetry(addr, c, RetryConfig{})
 		}(i, c)
 	}
 	return func() error {

@@ -74,7 +74,7 @@ func TestFlatRoundSteadyStateAllocation(t *testing.T) {
 		{"mean", func(*Coordinator) {}},
 		{"median", func(c *Coordinator) { c.Robust = robust.Median{} }},
 		{"history", func(c *Coordinator) { c.Observers = []fl.RoundObserver{&fl.HistoryRecorder{}} }},
-		{"reputation", func(c *Coordinator) { c.Reputation = robust.NewReputation(robust.ReputationConfig{}) }},
+		{"reputation", func(c *Coordinator) { c.Reputation = robust.NewReputation(0) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) { flatRoundAllocation(t, tc.mut) })
 	}
@@ -312,7 +312,7 @@ func treeScenario(rule robust.Aggregator, shape treeShape) func(t *testing.T) []
 			local := Coordinator{NumClients: shape.perLeaf, Initial: initial}
 			if l == 0 && shape.leafKeeps != nil {
 				local.Observers = []fl.RoundObserver{shape.leafKeeps}
-				local.Reputation = robust.NewReputation(robust.ReputationConfig{})
+				local.Reputation = robust.NewReputation(0)
 			}
 			addr, wait := startNode(t, &Leaf{ID: l, Root: parent, Local: local})
 			nodeWaits = append(nodeWaits, wait)
@@ -387,7 +387,7 @@ func TestPoisonedBuffersChangeNothing(t *testing.T) {
 		{"flat-stream", flatScenario(5, mixed, func(c *Coordinator) { c.MaxInflightUpdates = 2 })},
 		{"flat-history", flatScenario(3, mixed, func(c *Coordinator) { c.Observers = []fl.RoundObserver{rec} })},
 		{"reputation", flatScenario(4, mixed, func(c *Coordinator) {
-			c.Reputation = robust.NewReputation(robust.ReputationConfig{})
+			c.Reputation = robust.NewReputation(0)
 		})},
 		{"median", flatScenario(5, mixed, func(c *Coordinator) { c.Robust = robust.Median{} })},
 		{"trimmed", flatScenario(5, mixed, func(c *Coordinator) { c.Robust = robust.TrimmedMean{Frac: 0.2} })},

@@ -77,7 +77,7 @@ func TestCoordinatorRestartResumesBitIdentical(t *testing.T) {
 		cwg.Add(1)
 		go func(c fl.Client) {
 			defer cwg.Done()
-			if err := RunClient(addr, c); err != nil {
+			if err := RunClientRetry(addr, c, RetryConfig{}); err != nil {
 				t.Error(err)
 			}
 		}(c)
@@ -115,7 +115,6 @@ func TestCoordinatorRestartResumesBitIdentical(t *testing.T) {
 			clientErrs[i] = RunClientRetry(addr2, c, RetryConfig{
 				MaxAttempts: 50,
 				BaseDelay:   5 * time.Millisecond,
-				Rng:         rand.New(rand.NewSource(int64(900 + i))),
 			})
 		}(i, c)
 	}

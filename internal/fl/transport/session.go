@@ -416,8 +416,7 @@ func (s *session) runRound(round int) error {
 	bytesBefore := atomic.LoadUint64(&s.rxTally) + atomic.LoadUint64(&s.txTally)
 
 	// Quarantined clients are skipped for the round: no round message,
-	// no update, no influence. Their connections stay open so a later
-	// probation can re-admit them without a reconnect.
+	// no update, no influence. Their connections stay open until Done.
 	eligible, blocked := fl.SplitQuarantined(r, s.active, func(cc *clientConn) int { return cc.id })
 	// Start-up refused a fail-stop node's own SampleFraction; a leaf's
 	// per-round directive from its parent is refused here.
@@ -454,7 +453,7 @@ func (s *session) runRound(round int) error {
 	// Graceful degradation: a below-quorum tree node forwards what it has
 	// — flagged Degraded, its planned weight intact — instead of stalling
 	// or leaving the tree.
-	degraded, err := r.Check(len(cohort), c.quorum(), 0, s.wantPartial)
+	degraded, err := r.Check(len(cohort), c.quorum(), s.wantPartial)
 	if err != nil {
 		return err
 	}

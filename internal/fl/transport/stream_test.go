@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"net"
 	"path/filepath"
 	"regexp"
@@ -162,7 +161,7 @@ func TestFlatTCPMatchesInProcess(t *testing.T) {
 					if !rep {
 						return nil
 					}
-					return robust.NewReputation(robust.ReputationConfig{})
+					return robust.NewReputation(0)
 				}
 				// The in-process reference.
 				clients := make([]fl.Client, n)
@@ -293,7 +292,6 @@ func resumeMatches(t *testing.T, initial []float64) {
 						errs[i] = RunClientRetry(addr, &vecClient{id: i, samples: 5 + 3*i}, RetryConfig{
 							Compress: mode, TopKFrac: cfg.TopKFrac,
 							MaxAttempts: 50, BaseDelay: 5 * time.Millisecond,
-							Rng: rand.New(rand.NewSource(int64(300 + i))),
 						})
 					}()
 				}
@@ -719,7 +717,7 @@ func TestRejoinJoinsMidFederation(t *testing.T) {
 	coord.AfterRound = func(round int) error {
 		if round == 1 && !launched {
 			launched = true
-			go func() { lateErr <- RunClient(addr, late) }()
+			go func() { lateErr <- RunClientRetry(addr, late, RetryConfig{}) }()
 			// Give the hello/park handshake time to land so the round-2
 			// boundary admits the newcomer.
 			time.Sleep(500 * time.Millisecond)
@@ -735,7 +733,7 @@ func TestRejoinJoinsMidFederation(t *testing.T) {
 		cwg.Add(1)
 		go func(i int) {
 			defer cwg.Done()
-			errs[i] = RunClient(addr, &vecClient{id: i, samples: 10})
+			errs[i] = RunClientRetry(addr, &vecClient{id: i, samples: 10}, RetryConfig{})
 		}(i)
 	}
 	_, srvErr := wait()

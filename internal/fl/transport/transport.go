@@ -216,9 +216,6 @@ type Coordinator struct {
 	// full NumClients roster; when the window closes the federation starts
 	// anyway as long as at least MinQuorum clients are connected.
 	AcceptWindow time.Duration
-	// MaxUpdateBytes bounds the encoded size of one client update; 0
-	// derives a generous bound from len(Initial).
-	MaxUpdateBytes int64
 	// Codec may be "binary" or empty; both mean the internal/fl/wire
 	// frames, the only protocol. Any other value is a configuration error.
 	Codec string
@@ -234,10 +231,10 @@ type Coordinator struct {
 	Robust robust.Aggregator
 	// Reputation, when non-nil, scores per-client anomaly evidence and
 	// enforces quarantine on the wire: quarantined clients receive no
-	// round message (their connection stays open, so a later probation
-	// re-admits them) and contribute nothing to the aggregate. The
-	// tracker's state is persisted in the coordinator snapshot, so a
-	// restart does not amnesty an attacker.
+	// round message (their connection stays open until Done) and
+	// contribute nothing to the aggregate. The tracker's state is
+	// persisted in the coordinator snapshot, so a restart does not
+	// amnesty an attacker.
 	Reputation *robust.Reputation
 
 	// MaxInflightUpdates bounds how many client exchanges a round admits
@@ -335,10 +332,8 @@ func (c *Coordinator) quorum() int {
 	return c.NumClients
 }
 
+// updateBudget bounds the encoded size of one client update.
 func (c *Coordinator) updateBudget() int64 {
-	if c.MaxUpdateBytes > 0 {
-		return c.MaxUpdateBytes
-	}
 	// A dense update frame is 8 bytes per parameter plus a 20-byte head;
 	// 16×params plus slack admits any honest update with a wide margin.
 	return 64<<10 + 16*int64(len(c.Initial))
@@ -706,26 +701,19 @@ func (c *Coordinator) ListenAndRun(addr string, ready func(boundAddr string)) ([
 	return c.RunWithListener(ln, ready)
 }
 
-// RetryConfig controls RunClientRetry's dial behavior: attempts, the
-// exponential backoff schedule, and its jitter.
+// RetryConfig controls RunClientRetry's dial behavior: attempts and the
+// exponential backoff schedule. Each delay is jittered by a factor in
+// [1-retryJitter, 1+retryJitter], drawn from a source seeded with the
+// participant's own ID, so clients and leaves that lost the same parent
+// do not redial in lockstep, and one participant's schedule is
+// reproducible.
 type RetryConfig struct {
 	// MaxAttempts is the total number of connection attempts; values ≤ 1
 	// mean a single attempt (no retry).
 	MaxAttempts int
 	// BaseDelay is the delay before the first retry (default 200ms); each
-	// further retry doubles it up to MaxDelay (default 5s).
+	// further retry doubles it up to maxRetryDelay.
 	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Jitter randomizes each delay multiplicatively in
-	// [1-Jitter, 1+Jitter]; 0 defaults to 0.2, negative disables jitter.
-	Jitter float64
-	// JitterSrc is the injectable randomness behind the jitter — an
-	// internal/rng SplitMix64 source, so tests can seed (and if need be
-	// serialize) the exact backoff schedule. Nil uses seed 1. Do not share
-	// one source between concurrently retrying clients.
-	JitterSrc *rng.Source
-	// Rng, when non-nil, overrides JitterSrc entirely (legacy hook).
-	Rng *rand.Rand
 	// Dial overrides the dialer (fault-injection hook); nil dials TCP.
 	Dial func(addr string) (net.Conn, error)
 	// Codec may be "binary" or empty; both mean the internal/fl/wire
@@ -746,6 +734,13 @@ type RetryConfig struct {
 	Metrics *Metrics
 }
 
+const (
+	// maxRetryDelay caps the doubling backoff.
+	maxRetryDelay = 5 * time.Second
+	// retryJitter is the half-width of the multiplicative jitter band.
+	retryJitter = 0.2
+)
+
 func (rc RetryConfig) withDefaults() RetryConfig {
 	if rc.MaxAttempts < 1 {
 		rc.MaxAttempts = 1
@@ -753,40 +748,23 @@ func (rc RetryConfig) withDefaults() RetryConfig {
 	if rc.BaseDelay <= 0 {
 		rc.BaseDelay = 200 * time.Millisecond
 	}
-	if rc.MaxDelay <= 0 {
-		rc.MaxDelay = 5 * time.Second
-	}
-	if rc.Jitter == 0 {
-		rc.Jitter = 0.2
-	}
-	if rc.Jitter < 0 {
-		rc.Jitter = 0
-	}
-	if rc.Rng == nil {
-		if rc.JitterSrc == nil {
-			rc.JitterSrc = rng.NewSource(1)
-		}
-		rc.Rng = rand.New(rc.JitterSrc)
-	}
 	if rc.Dial == nil {
 		rc.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
 	return rc
 }
 
-// backoff returns the sleep before the attempt-th retry (attempt ≥ 1).
-func (rc RetryConfig) backoff(attempt int) time.Duration {
+// backoff returns the sleep before the attempt-th retry (attempt ≥ 1),
+// jittered by one draw from jitter.
+func (rc RetryConfig) backoff(attempt int, jitter *rand.Rand) time.Duration {
 	d := rc.BaseDelay
-	for i := 1; i < attempt && d < rc.MaxDelay; i++ {
+	for i := 1; i < attempt && d < maxRetryDelay; i++ {
 		d *= 2
 	}
-	if d > rc.MaxDelay {
-		d = rc.MaxDelay
+	if d > maxRetryDelay {
+		d = maxRetryDelay
 	}
-	if rc.Jitter > 0 {
-		d = time.Duration(float64(d) * (1 + rc.Jitter*(rc.Rng.Float64()*2-1)))
-	}
-	return d
+	return time.Duration(float64(d) * (1 + retryJitter*(jitter.Float64()*2-1)))
 }
 
 // ErrClientStopped is returned by RunClientRetry when the client is shut
@@ -911,17 +889,12 @@ func (b *roundBufs) encode(u fl.Update, d *compress.Delta, mode compress.Mode) (
 	return frame, err
 }
 
-// RunClient connects a local fl.Client to a coordinator at addr and
-// participates until the coordinator signals completion. It makes a single
-// connection attempt; see RunClientRetry for backoff.
-func RunClient(addr string, client fl.Client) error {
-	return RunClientRetry(addr, client, RetryConfig{MaxAttempts: 1})
-}
-
-// RunClientRetry is RunClient with dial retry and restart recovery:
-// connection attempts that fail before the coordinator has started the
-// federation are retried with exponential backoff and jitter, so clients
-// can be launched before the server is up. Against a durable coordinator
+// RunClientRetry connects a local fl.Client to a coordinator at addr and
+// participates until the coordinator signals completion, with dial retry
+// and restart recovery (RetryConfig{} makes a single attempt): connection
+// attempts that fail before the coordinator has started the federation
+// are retried with exponential backoff and jitter, so clients can be
+// launched before the server is up. Against a durable coordinator
 // (one that issued a session token) mid-federation connection losses are
 // also retried: the client reconnects, presents the token, rolls its local
 // state back to the coordinator's resume round, and continues — with the
@@ -938,7 +911,7 @@ func RunClientRetry(addr string, client fl.Client, rc RetryConfig) error {
 	joinBufs(1)
 	defer joinBufs(-1)
 	h := hello{ID: client.ID(), NumSamples: client.NumSamples(), Compress: rc.Compress, TopKFrac: rc.TopKFrac}
-	return rc.retry([]string{addr}, func(addr string) (progressed bool, err error) {
+	return rc.retry(int64(h.ID), []string{addr}, func(addr string) (progressed bool, err error) {
 		joinedBefore, roundBefore := st.joined, st.nextRound
 		_, err = joinParent(rc, addr, fmt.Sprintf("client %d", h.ID), h, &st.token, func(w welcome) (participant, error) {
 			st.cfg = compress.Config{}
@@ -969,16 +942,18 @@ func RunClientRetry(addr string, client fl.Client, rc RetryConfig) error {
 }
 
 // retry runs session against parents[0] until one ends cleanly, is stopped
-// or fails fatally, with backoff between attempts. A session that made
-// progress refreshes the attempt budget, so a long outage is bounded by
-// MaxAttempts consecutive futile dials; once one parent's budget is spent,
-// the next address gets a fresh budget and backoff ramp.
-func (rc RetryConfig) retry(parents []string, session func(addr string) (progressed bool, err error)) error {
+// or fails fatally, with backoff between attempts, jittered from a source
+// seeded with seed. A session that made progress refreshes the attempt
+// budget, so a long outage is bounded by MaxAttempts consecutive futile
+// dials; once one parent's budget is spent, the next address gets a fresh
+// budget and backoff ramp.
+func (rc RetryConfig) retry(seed int64, parents []string, session func(addr string) (progressed bool, err error)) error {
+	jitter, _ := rng.New(seed)
 	var err error
 	for attempt, parent := 1, 0; attempt <= rc.MaxAttempts; attempt++ {
 		if attempt > 1 { // a retry is counted and sleeps out its backoff first
 			rc.Metrics.or().RetryAttempts.Inc()
-			t := time.NewTimer(rc.backoff(attempt - 1))
+			t := time.NewTimer(rc.backoff(attempt-1, jitter))
 			select {
 			case <-t.C:
 			case <-rc.Stop:

@@ -70,7 +70,7 @@ func TestLoopbackFederationMatchesInProcess(t *testing.T) {
 		cwg.Add(1)
 		go func(i int, c fl.Client) {
 			defer cwg.Done()
-			clientErrs[i] = RunClient(addr, c)
+			clientErrs[i] = RunClientRetry(addr, c, RetryConfig{})
 		}(i, c)
 	}
 	cwg.Wait()
@@ -125,7 +125,7 @@ func TestCoordinatorObserversSeeUpdates(t *testing.T) {
 		cwg.Add(1)
 		go func(c fl.Client) {
 			defer cwg.Done()
-			if err := RunClient(addr, c); err != nil {
+			if err := RunClientRetry(addr, c, RetryConfig{}); err != nil {
 				t.Errorf("client: %v", err)
 			}
 		}(c)
@@ -145,7 +145,7 @@ func TestCoordinatorObserversSeeUpdates(t *testing.T) {
 
 func TestRunClientDialFailure(t *testing.T) {
 	clients, _, _ := buildClients(t, 1)
-	if err := RunClient("127.0.0.1:1", clients[0]); err == nil {
+	if err := RunClientRetry("127.0.0.1:1", clients[0], RetryConfig{}); err == nil {
 		t.Fatal("expected dial error")
 	}
 }

@@ -132,7 +132,7 @@ func TestTreeChaosDepth3(t *testing.T) {
 				Initial:    append([]float64(nil), initial2...),
 			},
 			Retry: RetryConfig{MaxAttempts: 10, BaseDelay: 50 * time.Millisecond,
-				Stop: stop, Dial: dial, Rng: rand.New(rand.NewSource(int64(100 + l)))},
+				Stop: stop, Dial: dial},
 		}
 		errs := make([]error, perLeaf)
 		return &chaosNode{stop: stop, wait: startLeaf(t, leaf, shardFor(l), errs), errs: errs}
@@ -148,7 +148,7 @@ func TestTreeChaosDepth3(t *testing.T) {
 				AcceptPartials: true, AcceptRejoins: true,
 			},
 			Retry: RetryConfig{MaxAttempts: 10, BaseDelay: 50 * time.Millisecond,
-				Stop: stop, Rng: rand.New(rand.NewSource(int64(200 + id)))},
+				Stop: stop},
 		}
 		addr, wait := startNode(t, node)
 		intAddrs[id] = addr

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"math/rand"
 	"net"
 	"path/filepath"
 	"strings"
@@ -52,7 +51,7 @@ func startNode(t *testing.T, node *Leaf) (string, func() error) {
 func TestTreeParentRefusesPerClientReaders(t *testing.T) {
 	for _, mut := range []func(*Coordinator){
 		func(c *Coordinator) { c.Observers = []fl.RoundObserver{&fl.HistoryRecorder{}} },
-		func(c *Coordinator) { c.Reputation = robust.NewReputation(robust.ReputationConfig{}) },
+		func(c *Coordinator) { c.Reputation = robust.NewReputation(0) },
 	} {
 		root := Coordinator{NumClients: 1, Rounds: 1, Initial: []float64{1}, AcceptPartials: true}
 		mut(&root)
@@ -482,8 +481,7 @@ func TestLeafFailsOverToAltParent(t *testing.T) {
 	wait1 := startLeaf(t, &Leaf{
 		ID: 1, Root: proxyAddr, AltParents: []string{rootAddr},
 		Local: Coordinator{NumClients: perLeaf, Initial: append([]float64(nil), initial...)},
-		Retry: RetryConfig{MaxAttempts: 2, BaseDelay: 20 * time.Millisecond,
-			Rng: rand.New(rand.NewSource(3))},
+		Retry: RetryConfig{MaxAttempts: 2, BaseDelay: 20 * time.Millisecond},
 	}, vecShard(1), errs1)
 
 	global, rootErr := rootWait()
@@ -624,15 +622,13 @@ func testMidPartialKill(t *testing.T, inProcess bool) {
 	wait0 := startLeaf(t, &Leaf{
 		ID: 0, Root: rootAddr,
 		Local: Coordinator{NumClients: perLeaf, Initial: append([]float64(nil), initial...)},
-		Retry: RetryConfig{MaxAttempts: 5, BaseDelay: 20 * time.Millisecond, Dial: baseDial,
-			Rng: rand.New(rand.NewSource(4))},
+		Retry: RetryConfig{MaxAttempts: 5, BaseDelay: 20 * time.Millisecond, Dial: baseDial},
 	}, vecShard(0), errs0)
 	errs1 := make([]error, perLeaf)
 	wait1 := startLeaf(t, &Leaf{
 		ID: 1, Root: rootAddr,
 		Local: Coordinator{NumClients: perLeaf, Initial: append([]float64(nil), initial...)},
-		Retry: RetryConfig{MaxAttempts: 5, BaseDelay: 20 * time.Millisecond, Dial: cutDial,
-			Rng: rand.New(rand.NewSource(5))},
+		Retry: RetryConfig{MaxAttempts: 5, BaseDelay: 20 * time.Millisecond, Dial: cutDial},
 	}, vecShard(1), errs1)
 
 	global, rootErr := rootWait()
@@ -798,8 +794,7 @@ func TestTreeRootRestartResumesBitIdentical(t *testing.T) {
 					waits[l] = startLeaf(t, &Leaf{
 						ID: l, Root: rootAddr,
 						Local: Coordinator{NumClients: perLeaf, Initial: append([]float64(nil), initial...)},
-						Retry: RetryConfig{MaxAttempts: 50, BaseDelay: 5 * time.Millisecond,
-							Rng: rand.New(rand.NewSource(int64(700 + l)))},
+						Retry: RetryConfig{MaxAttempts: 50, BaseDelay: 5 * time.Millisecond},
 					}, vecShard(l), clientErrs[l])
 				}
 

@@ -130,7 +130,7 @@ func TestHandshakeRefusesHelloWithoutBinary(t *testing.T) {
 			MinQuorum: 1, AcceptWindow: 5 * time.Second,
 		})
 		legacyHello(t, addr)
-		if err := RunClient(addr, &echoClient{id: 0}); err != nil {
+		if err := RunClientRetry(addr, &echoClient{id: 0}, RetryConfig{}); err != nil {
 			t.Fatalf("honest client after the refused peer: %v", err)
 		}
 		if _, err := wait(); err != nil {
@@ -220,7 +220,6 @@ func TestBinaryCompressedRestartResumesBitIdentical(t *testing.T) {
 			Compress: "topk16", TopKFrac: 0.25,
 			MaxAttempts: 50,
 			BaseDelay:   5 * time.Millisecond,
-			Rng:         rand.New(rand.NewSource(int64(900 + i))),
 		}
 	}
 

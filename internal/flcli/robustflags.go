@@ -44,7 +44,7 @@ func (rf *RobustFlags) Build(maxNorm float64) (robust.Aggregator, *robust.Reputa
 	}
 	var rep *robust.Reputation
 	if *rf.QuarantineAfter > 0 {
-		rep = robust.NewReputation(robust.ReputationConfig{QuarantineAfter: *rf.QuarantineAfter})
+		rep = robust.NewReputation(*rf.QuarantineAfter)
 	}
 	return agg, rep, nil
 }

@@ -23,9 +23,6 @@ type SGD struct {
 	velocity map[*Param]*tensor.Tensor
 }
 
-// NewSGD constructs an SGD optimizer.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
 // Step applies one SGD update: w -= LR·g, or with momentum v = Momentum·v
 // + g and w -= LR·v, one fused pass per parameter.
 func (s *SGD) Step(params []*Param) {

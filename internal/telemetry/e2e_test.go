@@ -117,7 +117,7 @@ func TestEndToEndFederationExposesMetrics(t *testing.T) {
 			defer cwg.Done()
 			// The poison client is dropped mid-federation, so its
 			// connection errors out; honest clients must not.
-			err := transport.RunClient(addr, c)
+			err := transport.RunClientRetry(addr, c, transport.RetryConfig{})
 			if err != nil && c.ID() != good {
 				t.Errorf("honest client %d: %v", c.ID(), err)
 			}

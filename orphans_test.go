@@ -53,60 +53,17 @@ var orphanAllow = map[string]string{
 	"internal/flcli.LoadGlobal":          "reader for SaveGlobal's container, which the flcli round-trip tests use",
 	"internal/attacks.ObCalibrated":      "difficulty-calibrated attack (Watson et al.), kept for the attack audit (ROADMAP item 3)",
 	"internal/defenses.EpsilonFor":       "inverse of NoiseMultiplierFor, kept for the ε accounting (ROADMAP item 2(a))",
-	"internal/fl/transport.RunClient":    "single-attempt client the transport tests drive; the binaries use RunClientRetry",
 	"internal/nn.FlattenGrads":           "flat gradient vector the shared-backbone and gradcheck tests compare",
-	"internal/nn.NewSGD":                 "plain SGD the defense tests train with",
-	"internal/core.TrainingPrecision":    "precision query the workspace tests restore the tier with",
-	"internal/experiments.Quick":         "quick-scale config the experiment tests run",
 }
 
 func TestNoOrphans(t *testing.T) {
-	mod, err := modulePath()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	pkgs := map[string][]*ast.File{} // module-relative dir -> its non-test files
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
-			return filepath.SkipDir
-		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		pkgs[dir] = append(pkgs[dir], f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod, fset, pkgs := parseModule(t)
 
 	declared := map[string]token.Pos{} // "dir.Name" -> declaration
 	used := map[string]bool{}
 	for dir, files := range pkgs {
 		for _, f := range files {
-			// Import name -> module-relative dir. Imports from outside the
-			// module cannot name an internal identifier.
-			imports := map[string]string{}
-			for _, imp := range f.Imports {
-				p, _ := strconv.Unquote(imp.Path.Value)
-				rel, ok := strings.CutPrefix(p, mod+"/")
-				if !ok || len(pkgs[rel]) == 0 {
-					continue
-				}
-				name := pkgs[rel][0].Name.Name
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				imports[name] = rel
-			}
+			imports := fileImports(f, mod, pkgs)
 			for _, decl := range f.Decls {
 				self := declNames(decl)
 				if fd, ok := decl.(*ast.FuncDecl); strings.HasPrefix(dir, "internal/") && (!ok || fd.Recv == nil) {
@@ -220,6 +177,59 @@ func declNames(decl ast.Decl) []*ast.Ident {
 		}
 	}
 	return ids
+}
+
+// parseModule parses every non-test .go file of the module, skipping
+// dot-directories and testdata, and returns the module path and the files
+// keyed by module-relative directory.
+func parseModule(t *testing.T) (string, *token.FileSet, map[string][]*ast.File) {
+	t.Helper()
+	mod, err := modulePath()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	pkgs := map[string][]*ast.File{} // module-relative dir -> its non-test files
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		pkgs[dir] = append(pkgs[dir], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mod, fset, pkgs
+}
+
+// fileImports maps a file's import names to module-relative directories.
+// Imports from outside the module cannot name an internal identifier.
+func fileImports(f *ast.File, mod string, pkgs map[string][]*ast.File) map[string]string {
+	imports := map[string]string{}
+	for _, imp := range f.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		rel, ok := strings.CutPrefix(p, mod+"/")
+		if !ok || len(pkgs[rel]) == 0 {
+			continue
+		}
+		name := pkgs[rel][0].Name.Name
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		imports[name] = rel
+	}
+	return imports
 }
 
 func modulePath() (string, error) {
