@@ -273,8 +273,8 @@ func (r *Reputation) Records() map[int]ClientRep {
 }
 
 // reputationState is the gob layout of a snapshot: records only — the
-// config is reconstruction-time wiring, like the rest of the engine's
-// configuration, so operators can retune thresholds across a restart
+// quarantineAfter setting is reconstruction-time wiring, like the rest of
+// the engine's configuration, so operators can retune it across a restart
 // without amnestying anyone.
 type reputationState struct {
 	Clients map[int]ClientRep
@@ -296,7 +296,7 @@ func (r *Reputation) Snapshot() ([]byte, error) {
 }
 
 // Restore replaces the tracker's records with a snapshot's. The active
-// config is kept (see Snapshot).
+// quarantineAfter is kept (see Snapshot).
 func (r *Reputation) Restore(blob []byte) error {
 	var st reputationState
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {

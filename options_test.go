@@ -55,23 +55,6 @@ var optionAllow = map[string]string{
 func TestNoUnsetOptions(t *testing.T) {
 	mod, fset, pkgs := parseModule(t)
 
-	fields := map[string]ast.Node{} // "dir.Type.Field" -> declaration
-	for _, key := range optionTypes {
-		dot := strings.LastIndex(key, ".")
-		st := findStruct(pkgs[key[:dot]], key[dot+1:])
-		if st == nil {
-			t.Errorf("optionTypes entry %q names no struct type; remove it", key)
-			continue
-		}
-		for _, f := range st.Fields.List {
-			for _, name := range f.Names {
-				if name.IsExported() {
-					fields[key+"."+name.Name] = name
-				}
-			}
-		}
-	}
-
 	structs := map[string]structDecl{} // "dir.Type" -> every struct of the module
 	for dir, files := range pkgs {
 		for _, f := range files {
@@ -85,6 +68,22 @@ func TestNoUnsetOptions(t *testing.T) {
 							}
 						}
 					}
+				}
+			}
+		}
+	}
+
+	fields := map[string]ast.Node{} // "dir.Type.Field" -> declaration
+	for _, key := range optionTypes {
+		sd, ok := structs[key]
+		if !ok {
+			t.Errorf("optionTypes entry %q names no struct type; remove it", key)
+			continue
+		}
+		for _, f := range sd.st.Fields.List {
+			for _, name := range f.Names {
+				if name.IsExported() {
+					fields[key+"."+name.Name] = name
 				}
 			}
 		}
@@ -151,25 +150,6 @@ func TestNoUnsetOptions(t *testing.T) {
 			t.Errorf("optionAllow entry %q names no field of an optionTypes struct; remove it", key)
 		}
 	}
-}
-
-// findStruct returns the struct type declared as name in files, or nil.
-func findStruct(files []*ast.File, name string) *ast.StructType {
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == name {
-					st, _ := ts.Type.(*ast.StructType)
-					return st
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // typeKey resolves a type expression to "dir.Type", or "" for a type
